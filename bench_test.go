@@ -297,7 +297,7 @@ func BenchmarkFig8WriteRatio(b *testing.B) {
 	}
 }
 
-// ---- Sharded WAL: commit throughput vs shard count --------------------------
+// ---- Durable commit throughput ----------------------------------------------
 
 // benchWALDir prefers a ramdisk for durable benchmarks so the measured
 // persist time comes from the iosim device model, not host-filesystem
@@ -312,72 +312,64 @@ func benchWALDir(b *testing.B) string {
 	return b.TempDir()
 }
 
-// BenchmarkCommitThroughput sweeps WAL shard counts over a write-only,
-// durability-bound commit workload on the simulated NAND device. The
-// payload is sized so a commit group's persist phase is bandwidth-bound —
-// the regime where splitting the group across shards and overlapping the
-// fsyncs pays; tiny groups are fsync-latency-bound, where the paper's
-// single log is already optimal and shards=1 should win or tie.
+// BenchmarkCommitThroughput runs a write-only, durability-bound commit
+// workload on the simulated NAND device. The payload is sized so a commit
+// group's persist phase is bandwidth-bound, not fsync-latency-bound.
 func BenchmarkCommitThroughput(b *testing.B) {
 	payload := make([]byte, 64<<10)
 	const vertices = 1 << 10
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			g, err := core.Open(core.Options{
-				Dir:          benchWALDir(b),
-				Device:       iosim.NewDevice(iosim.NAND),
-				WALShards:    shards,
-				Workers:      512,
-				CompactEvery: -1,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer g.Close()
-			tx, _ := g.Begin()
-			for i := 0; i < vertices; i++ {
-				tx.AddVertex(nil)
-			}
-			if err := tx.Commit(); err != nil {
-				b.Fatal(err)
-			}
-			// ~32 concurrent committers regardless of core count, so the
-			// leader always finds a group to amortise the fsync fan-out.
-			if par := 32 / runtime.GOMAXPROCS(0); par > 1 {
-				b.SetParallelism(par)
-			}
-			b.SetBytes(int64(len(payload)))
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				rng := rand.New(rand.NewSource(rand.Int63()))
-				for pb.Next() {
-					for {
-						tx, err := g.Begin()
-						if err != nil {
-							return
-						}
-						src := core.VertexID(rng.Intn(vertices))
-						dst := core.VertexID(vertices + rng.Intn(1<<30))
-						if err := tx.InsertEdge(src, 0, dst, payload); err != nil {
-							if core.IsRetryable(err) {
-								continue // aborted internally; retry
-							}
-							b.Error(err)
-							return
-						}
-						err = tx.Commit()
-						if err == nil {
-							break
-						}
-						if !core.IsRetryable(err) {
-							b.Error(err)
-							return
-						}
-					}
-				}
-			})
-		})
+	g, err := core.Open(core.Options{
+		Dir:          benchWALDir(b),
+		Device:       iosim.NewDevice(iosim.NAND),
+		Workers:      512,
+		CompactEvery: -1,
+	})
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer g.Close()
+	tx, _ := g.Begin()
+	for i := 0; i < vertices; i++ {
+		tx.AddVertex(nil)
+	}
+	if err := tx.Commit(); err != nil {
+		b.Fatal(err)
+	}
+	// ~32 concurrent committers regardless of core count, so the
+	// leader always finds a group to amortise the fsync over.
+	if par := 32 / runtime.GOMAXPROCS(0); par > 1 {
+		b.SetParallelism(par)
+	}
+	b.SetBytes(int64(len(payload)))
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		rng := rand.New(rand.NewSource(rand.Int63()))
+		for pb.Next() {
+			for {
+				tx, err := g.Begin()
+				if err != nil {
+					return
+				}
+				src := core.VertexID(rng.Intn(vertices))
+				dst := core.VertexID(vertices + rng.Intn(1<<30))
+				if err := tx.InsertEdge(src, 0, dst, payload); err != nil {
+					if core.IsRetryable(err) {
+						continue // aborted internally; retry
+					}
+					b.Error(err)
+					return
+				}
+				err = tx.Commit()
+				if err == nil {
+					break
+				}
+				if !core.IsRetryable(err) {
+					b.Error(err)
+					return
+				}
+			}
+		}
+	})
 }
 
 // ---- §7.2 checkpoint ---------------------------------------------------------
@@ -611,8 +603,7 @@ func BenchmarkTwoHopTraversal(b *testing.B) {
 //     cores elsewhere;
 //   - OutOfCore: the resident set is capped at 16% and misses charge a
 //     2ms cold-read device, so the speedup comes from workers overlapping
-//     simulated fault latency — ≥2x at p=8 even on one core (the morsel
-//     analogue of the sharded WAL's fsync fan-out).
+//     simulated fault latency — ≥2x at p=8 even on one core.
 //
 // Allocs/op is reported to track the pooled-EdgeIter fast path.
 func BenchmarkParallelTraversal(b *testing.B) {

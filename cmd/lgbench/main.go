@@ -39,7 +39,6 @@ func main() {
 		oocFrac    = flag.Float64("ooc-frac", 0.16, "out-of-core resident fraction")
 		prIters    = flag.Int("pr-iters", 20, "PageRank iterations")
 		workers    = flag.Int("workers", 8, "analytics worker threads")
-		walShards  = flag.Int("wal-shards", 1, "WAL shards for durable experiments (parallel group-commit fan-out)")
 		backendF   = flag.String("backend", "iosim", "storage backend for durable experiments: iosim (simulated device timing) or disk (real mmap segments + fsync)")
 		travScale  = flag.Int("trav-scale", 15, "traversal experiment graph scale (2^scale vertices, avg degree 4)")
 		travOps    = flag.Int("trav-ops", 20, "traversal experiment runs per configuration")
@@ -72,7 +71,6 @@ func main() {
 	cfg.OOCFrac = *oocFrac
 	cfg.PRIters = *prIters
 	cfg.Workers = *workers
-	cfg.WALShards = *walShards
 	cfg.TravScale = *travScale
 	cfg.TravOps = *travOps
 	cfg.MaintCompactEvery = *maintEvery

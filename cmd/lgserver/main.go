@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	lgserver -addr :7450 -dir ./data -device optane -wal-shards 4
+//	lgserver -addr :7450 -dir ./data -device optane
 //	lgserver -addr :7451 -follow http://primary:7450
 //
 // With -dir set the graph is durable (WAL + checkpoints) and its WAL is
@@ -44,7 +44,6 @@ func main() {
 		backendF  = flag.String("backend", "iosim", "storage backend: iosim (simulated device timing) or disk (real mmap segments + fsync; needs -dir)")
 		workers   = flag.Int("workers", 256, "max concurrent transactions")
 		history   = flag.Int64("history", 0, "temporal history retention (epochs)")
-		walShards = flag.Int("wal-shards", 1, "WAL shards (parallel group-commit fan-out; needs -dir)")
 		follow    = flag.String("follow", "", "primary base URL; run as a read replica of it")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
 		pprofF    = flag.Bool("pprof", false, "serve /debug/pprof/* (goroutine stacks, heap, CPU profiles)")
@@ -87,7 +86,6 @@ func main() {
 		Backend:          backend,
 		Workers:          *workers,
 		HistoryRetention: *history,
-		WALShards:        *walShards,
 		Obs: core.ObsOptions{
 			TraceSampleRate: *traceRate,
 			SlowOpThreshold: *slowOp,

@@ -23,14 +23,14 @@ import (
 const follows = int64(0)
 
 func main() {
-	// The primary: durable (the WAL is the replication stream), sharded
-	// persist pipeline, served over loopback HTTP.
+	// The primary: durable (the WAL is the replication stream), served
+	// over loopback HTTP.
 	dir, err := os.MkdirTemp("", "lg-repl-example-*")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	primary, err := livegraph.Open(livegraph.Options{Dir: dir, WALShards: 2})
+	primary, err := livegraph.Open(livegraph.Options{Dir: dir})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,24 +15,20 @@ import (
 )
 
 // stores returns a fresh instance of every mutable baseline store, plus
-// the livegraph engine itself (durable, at WAL shard counts 1 and 4) so
-// the sharded commit pipeline answers the same correctness contract as
-// the comparison structures.
+// the livegraph engine itself (durable) so the commit pipeline answers
+// the same correctness contract as the comparison structures.
 func stores(t *testing.T) []baseline.EdgeStore {
 	out := []baseline.EdgeStore{
 		btree.New(),
 		lsmt.NewWithMemLimit(64), // small memtable to exercise flush/compact
 		adjlist.New(),
 	}
-	for _, shards := range []int{1, 4} {
-		g, err := core.Open(core.Options{Dir: t.TempDir(), WALShards: shards, Workers: 32, CompactEvery: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { g.Close() })
-		out = append(out, &engineStore{g: g, name: fmt.Sprintf("LiveGraph-shards%d", shards)})
+	g, err := core.Open(core.Options{Dir: t.TempDir(), Workers: 32, CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	t.Cleanup(func() { g.Close() })
+	return append(out, &engineStore{g: g, name: "LiveGraph"})
 }
 
 // engineStore adapts a core.Graph to the baseline EdgeStore interface.

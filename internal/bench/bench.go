@@ -43,17 +43,13 @@ type Config struct {
 	PRIters int // PageRank iterations (paper: 20)
 	Workers int // analytics threads (paper: 24)
 
-	// WALShards configures the sharded commit pipeline for the durable
-	// experiments (1 = the paper's single sequential log).
-	WALShards int
-
 	// Parallel-traversal experiment (the morsel-driven engine).
 	TravScale int // kron graph scale: 2^TravScale vertices, avg degree 4
 	TravOps   int // traversal runs per measured configuration
 
 	// MaintCompactEvery is the commit-count compaction cadence used by
-	// the maintenance experiment's legacy and scheduler modes (the paper
-	// default of 65536 never fires at laptop scale).
+	// the maintenance experiment's scheduler mode (the paper default of
+	// 65536 never fires at laptop scale).
 	MaintCompactEvery int
 
 	// Backend selects the storage backend for the durable experiments:
@@ -96,7 +92,6 @@ func Default(out io.Writer) Config {
 		OOCFrac:    0.16,
 		SNBPersons: 400, SNBClients: 8, SNBRequests: 40,
 		PRIters: 20, Workers: 8,
-		WALShards: 1,
 		TravScale: 15, TravOps: 20,
 		MaintCompactEvery: 2048,
 		Backend:           "iosim",
@@ -154,8 +149,8 @@ func Experiments() []Experiment {
 		{"trav", "Morsel-driven parallel traversal: two-hop throughput vs worker-pool width", TraverseSweep},
 		{"bfs", "Adaptive traversal: expansion direction, predicate pushdown, direction-optimizing BFS", BFSAdaptive},
 		{"repl", "WAL-shipping replication: follower apply throughput and staleness lag", Replication},
-		{"maint", "Background maintenance: budgeted scheduler vs legacy inline pass vs off", Maint},
-		{"commit", "Commit path: durable group-commit throughput/latency by WAL shards and storage backend", Commit},
+		{"maint", "Background maintenance: budgeted scheduler vs off", Maint},
+		{"commit", "Commit path: durable group-commit throughput/latency by storage backend", Commit},
 		{"obs", "Observability overhead: commit throughput with the obs layer off vs default", Obs},
 	}
 }

@@ -137,7 +137,7 @@ func BuildSystems(cfg Config, prof iosim.Profile, ooc bool) ([]System, []kron.Ed
 
 	// LiveGraph.
 	dev := iosim.NewDevice(prof)
-	opts := core.Options{Device: dev, Backend: cfg.backend(), Workers: 512, WALShards: cfg.WALShards}
+	opts := core.Options{Device: dev, Backend: cfg.backend(), Workers: 512}
 	var lgCache *iosim.PageCache
 	if ooc {
 		// Build with an effectively unlimited resident set; the real cap
@@ -386,7 +386,7 @@ func Ckpt(ctx context.Context, cfg Config) {
 	if err != nil {
 		panic(err)
 	}
-	g, err := core.Open(core.Options{Dir: dir, Device: iosim.NewDevice(iosim.NAND), Backend: cfg.backend(), Workers: 512, WALShards: cfg.WALShards,
+	g, err := core.Open(core.Options{Dir: dir, Device: iosim.NewDevice(iosim.NAND), Backend: cfg.backend(), Workers: 512,
 		// The sweep goes to 25% dirty; a 0.5 rebase threshold keeps every
 		// sweep point on the delta path while still exercising realistic
 		// triggers.

@@ -2,14 +2,11 @@ package bench
 
 // The background-maintenance experiment: the same sustained upsert-churn
 // write workload (live state constant, garbage linear in time) runs
-// against three maintenance regimes —
+// against two maintenance regimes —
 //
 //   - off:    CompactEvery = -1, nothing ever compacts; the footprint
 //             ceiling and the latency floor (no maintenance interference
 //             at all, memory grows without bound);
-//   - legacy: the pre-scheduler behavior, a monolithic single-threaded
-//             pass spawned every CompactEvery commits, draining the whole
-//             dirty set in one go;
 //   - new:    the budgeted, morsel-parallel background scheduler
 //             (pressure triggers + commit-count kick + wall-clock floor).
 //
@@ -17,8 +14,8 @@ package bench
 // steady-state allocator footprint at the end of the write window
 // (no manual CompactNow before reading it — steady state is what the
 // regime itself maintains), and the maintenance work/stats behind it.
-// The acceptance bar: the scheduler's p99 stays at or below the legacy
-// inline pass's, with a footprint no worse than legacy's.
+// The scheduler buys a bounded footprint; the comparison shows what it
+// costs in commit latency and throughput against doing nothing.
 
 import (
 	"context"
@@ -33,7 +30,7 @@ import (
 
 // Maint runs the background-maintenance experiment.
 func Maint(ctx context.Context, cfg Config) {
-	header(cfg, "Background maintenance: budgeted scheduler vs legacy inline pass vs off")
+	header(cfg, "Background maintenance: budgeted scheduler vs off")
 
 	clients, requests := cfg.LBClients, cfg.LBRequests
 	const srcsPerClient = 256
@@ -122,10 +119,10 @@ func Maint(ctx context.Context, cfg Config) {
 		// Steady state: what the regime itself maintains — no manual
 		// compaction before reading the footprint. The scheduler gets a
 		// bounded window to finish chewing the churn's tail (its slices
-		// are budgeted precisely so they lag bursts); off/legacy have no
-		// background work and settle instantly.
+		// are budgeted precisely so they lag bursts); off has no
+		// background work and settles instantly.
 		settleStart := time.Now()
-		if opts.CompactEvery >= 0 && !opts.Maint.Legacy {
+		if opts.CompactEvery >= 0 {
 			for time.Since(settleStart) < 5*time.Second {
 				dirty, dead := g.MaintPressure()
 				if dirty <= 256 && dead <= 512<<10 {
@@ -168,15 +165,12 @@ func Maint(ctx context.Context, cfg Config) {
 	}
 
 	runMode("off", core.Options{CompactEvery: -1})
-	runMode("legacy", core.Options{CompactEvery: compactEvery, Maint: core.MaintOptions{Legacy: true}})
 	runMode("new", core.Options{CompactEvery: compactEvery})
 
-	if len(results) == 3 {
-		legacy, sched := results[1], results[2]
-		fmt.Fprintf(cfg.Out, "scheduler vs legacy: p99 %.2fx, throughput %.2fx\n",
-			ratio(float64(sched.p99), float64(legacy.p99)),
-			ratio(sched.thpt, legacy.thpt))
-	}
+	off, sched := results[0], results[1]
+	fmt.Fprintf(cfg.Out, "scheduler vs off: p99 %.2fx, throughput %.2fx\n",
+		ratio(float64(sched.p99), float64(off.p99)),
+		ratio(sched.thpt, off.thpt))
 }
 
 func ratio(a, b float64) float64 {

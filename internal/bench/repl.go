@@ -39,7 +39,7 @@ func Replication(ctx context.Context, cfg Config) {
 		panic(err)
 	}
 	defer os.RemoveAll(dir)
-	primary, err := core.Open(core.Options{Dir: dir, Backend: cfg.backend(), Workers: 256, WALShards: cfg.WALShards})
+	primary, err := core.Open(core.Options{Dir: dir, Backend: cfg.backend(), Workers: 256})
 	if err != nil {
 		panic(err)
 	}
@@ -70,8 +70,7 @@ func Replication(ctx context.Context, cfg Config) {
 	const vertices = 1 << 16
 	const edgesPerTx = 4
 	clients, requests := cfg.LBClients, cfg.LBRequests
-	row(cfg, "writers=%d txs/writer=%d edges/tx=%d wal-shards=%d",
-		clients, requests, edgesPerTx, cfg.WALShards)
+	row(cfg, "writers=%d txs/writer=%d edges/tx=%d", clients, requests, edgesPerTx)
 
 	// Lag sampler: runs through the write window.
 	var lagMu sync.Mutex

@@ -11,9 +11,8 @@ package bench
 //     memory bus saturates on real hardware);
 //   - out-of-core: the resident set is capped and every page miss charges
 //     a simulated cold-read device, so parallel workers overlap fault
-//     latency the way the sharded WAL overlaps fsyncs — this regime
-//     speeds up with workers even on one core, because the waiting, not
-//     the computing, dominates.
+//     latency — this regime speeds up with workers even on one core,
+//     because the waiting, not the computing, dominates.
 //
 // Reported per configuration: ns/op (one multi-hop traversal), edges/s
 // (visible edges expanded across all hops), allocs/op.

@@ -1,6 +1,6 @@
 package core
 
-// Replication-apply tests: a follower graph fed by wal.TailSharded +
+// Replication-apply tests: a follower graph fed by wal.Tail +
 // ApplyEpoch must be indistinguishable, Reader by Reader and epoch by
 // epoch, from the primary whose log it replays — including while the
 // primary compacts.
@@ -54,7 +54,7 @@ func TestReaderConformanceFollower(t *testing.T) {
 	f := buildReaderFixtureOn(t, primary)
 
 	follower := openFollower(t, Options{})
-	tl := wal.TailSharded(dir, 0, primary.DurableEpoch)
+	tl := wal.Tail(dir, 0, primary.DurableEpoch)
 	defer tl.Close()
 	catchUp(t, tl, follower)
 
@@ -87,7 +87,7 @@ func TestApplyEpochFollowerRejectsWritesAndReplays(t *testing.T) {
 	})
 
 	follower := openFollower(t, Options{})
-	tl := wal.TailSharded(dir, 0, primary.DurableEpoch)
+	tl := wal.Tail(dir, 0, primary.DurableEpoch)
 	defer tl.Close()
 	if n := catchUp(t, tl, follower); n == 0 {
 		t.Fatal("no groups shipped")
@@ -119,7 +119,7 @@ func TestApplySnapshotIsolation(t *testing.T) {
 	mustCommit(t, primary, func(tx *Tx) { v, _ = tx.AddVertex([]byte("v0")) })
 
 	follower := openFollower(t, Options{})
-	tl := wal.TailSharded(dir, 0, primary.DurableEpoch)
+	tl := wal.Tail(dir, 0, primary.DurableEpoch)
 	defer tl.Close()
 	catchUp(t, tl, follower)
 
@@ -158,13 +158,13 @@ func TestApplySnapshotIsolation(t *testing.T) {
 func TestApplyWithCompaction(t *testing.T) {
 	const retention = 1 << 20 // retain everything this test writes
 	dir := t.TempDir()
-	primary, err := Open(Options{Dir: dir, WALShards: 2, HistoryRetention: retention, CompactEvery: -1})
+	primary, err := Open(Options{Dir: dir, HistoryRetention: retention, CompactEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer primary.Close()
 	follower := openFollower(t, Options{HistoryRetention: retention, CompactEvery: -1})
-	tl := wal.TailSharded(dir, 0, primary.DurableEpoch)
+	tl := wal.Tail(dir, 0, primary.DurableEpoch)
 	defer tl.Close()
 
 	const vertices = 8

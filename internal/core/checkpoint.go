@@ -202,23 +202,16 @@ func (g *Graph) Checkpoint() error {
 	}
 	wsp.SetAttr(obs.Int("bytes", written))
 	wsp.End()
-	// The rotation point was quiescent (GRE == GWE), so every shard is
-	// superseded up to the same epoch; the meta still records it per
-	// shard, the shape an incremental checkpointer needs. MinWALSeq
-	// marks the segment opened at rotation as the first live one: the
-	// prune below is best-effort (a crash mid-prune leaves partial
-	// groups), and recovery skips everything under the mark.
-	trunc := make([]int64, g.log.Load().Shards())
-	for s := range trunc {
-		trunc[s] = epoch
-	}
+	// MinWALSeq marks the segment opened at rotation as the first live
+	// one: the prune below is best-effort (a crash mid-prune leaves
+	// superseded segments behind), and recovery skips everything under
+	// the mark.
 	meta := wal.CheckpointMeta{
-		Epoch:            epoch,
-		BaseEpoch:        baseEpoch,
-		Path:             baseName,
-		MinWALSeq:        minSeq,
-		ShardTruncEpochs: trunc,
-		DeltaEpochs:      deltaEpochs,
+		Epoch:       epoch,
+		BaseEpoch:   baseEpoch,
+		Path:        baseName,
+		MinWALSeq:   minSeq,
+		DeltaEpochs: deltaEpochs,
 	}
 	_, msp := obs.StartSpan(cctx, "ckpt.meta")
 	if err := wal.WriteCheckpointMeta(g.opts.Dir, meta); err != nil {
@@ -268,9 +261,9 @@ func (g *Graph) Checkpoint() error {
 	return ckptStage("pruned")
 }
 
-// rotateWALLocked closes the current WAL segment (all shards) and opens
-// the next one. Caller holds the committer mutex. Returns the paths of all
-// prior segments' shard files.
+// rotateWALLocked closes the current WAL segment and opens the next one.
+// Caller holds the committer mutex. Returns the paths of all prior
+// segments.
 func (g *Graph) rotateWALLocked() ([]string, error) {
 	cur := g.log.Load()
 	if err := cur.Close(); err != nil {
@@ -281,7 +274,7 @@ func (g *Graph) rotateWALLocked() ([]string, error) {
 		return nil, err
 	}
 	g.walSeq++
-	l, err := wal.OpenSharded(g.opts.Dir, g.walSeq, g.opts.WALShards, g.opts.Backend)
+	l, err := wal.Open(g.opts.Dir, g.walSeq, g.opts.Backend)
 	if err != nil {
 		return nil, err
 	}

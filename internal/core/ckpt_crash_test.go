@@ -38,7 +38,7 @@ func crashBackends() map[string]func() disk.Backend {
 
 func openBackendGraph(t *testing.T, dir string, b disk.Backend) *Graph {
 	t.Helper()
-	g, err := Open(Options{Dir: dir, Backend: b, WALShards: 4, Workers: 32, CompactEvery: -1})
+	g, err := Open(Options{Dir: dir, Backend: b, Workers: 32, CompactEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestRealCrashChild(t *testing.T) {
 		ck = CkptOptions{RebaseFraction: 1, MaxChain: 64}
 	}
 	g, err := Open(Options{Dir: dir, Backend: disk.NewRealOpts(disk.RealOptions{SegBytes: 4096}),
-		WALShards: 4, Workers: 32, CompactEvery: -1, Ckpt: ck})
+		Workers: 32, CompactEvery: -1, Ckpt: ck})
 	if err != nil {
 		t.Fatalf("child open: %v", err)
 	}

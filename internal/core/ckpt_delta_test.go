@@ -25,7 +25,7 @@ var deltaCkptOpts = CkptOptions{RebaseFraction: 1, MaxChain: 64}
 
 func openCkptGraph(t *testing.T, dir string, b disk.Backend, ck CkptOptions) *Graph {
 	t.Helper()
-	g, err := Open(Options{Dir: dir, Backend: b, WALShards: 4, Workers: 32, CompactEvery: -1, Ckpt: ck})
+	g, err := Open(Options{Dir: dir, Backend: b, Workers: 32, CompactEvery: -1, Ckpt: ck})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,15 +11,12 @@ package core
 // transaction enqueues itself and competes for the leader lock; the winner
 // drains the queue and commits the whole batch, so an uncontended commit
 // runs inline with no goroutine handoff while concurrent commits amortise
-// the fsyncs across the group.
+// the fsync across the group.
 //
-// The persist phase is sharded (Options.WALShards): each transaction's
-// records are already partitioned by vertex-ownership shard, the leader
-// merges them into per-shard batches, and the sharded log writes and
-// fsyncs every participating shard concurrently. GRE still advances only
-// after the whole group is durable on every shard and fully applied, so
-// the epoch sequence point — and with it snapshot isolation — is exactly
-// the paper's.
+// The persist phase is the paper's: every transaction buffers one WAL
+// record as it executes, the leader hands the group's records to the log,
+// and the log writes them as one checksummed frame under one fsync. GRE
+// advances only after the whole group is durable and fully applied.
 
 import (
 	"context"
@@ -42,11 +39,6 @@ func newCommitter(g *Graph) *committer {
 	return &committer{g: g}
 }
 
-// stop is a no-op retained for symmetry with Close; leader/follower commit
-// has no background goroutine to stop. Queued transactions always have a
-// committing goroutine driving them.
-func (c *committer) stop() {}
-
 // submit enqueues tx and returns once some leader has committed it. The
 // result arrives on tx.commitRes.
 func (c *committer) submit(tx *Tx) {
@@ -61,7 +53,7 @@ func (c *committer) submit(tx *Tx) {
 	// so the leader drains the whole queue (every drained transaction's
 	// goroutine finds its result ready when it gets the lock). A drain
 	// larger than MaxGroupCommit is committed in chunks, capping how many
-	// transactions one fsync fan-out covers.
+	// transactions one fsync covers.
 	c.mu.Lock()
 	c.qmu.Lock()
 	batch := c.queue
@@ -111,20 +103,18 @@ func (c *committer) commitGroup(batch []*Tx) {
 		t0 = time.Now()
 	}
 
-	// Persist phase: advance GWE, partition the group's records by WAL
-	// shard, write and fsync all participating shards concurrently.
+	// Persist phase: advance GWE, write the group's records as one frame
+	// and fsync it.
 	twe := g.epochs.AdvanceWrite()
 	if log := g.log.Load(); log != nil {
-		recsByShard := make([][][]byte, log.Shards())
+		recs := make([][]byte, 0, len(batch))
 		for _, tx := range batch {
-			for s, buf := range tx.walBufs {
-				if len(buf) > 0 {
-					recsByShard[s] = append(recsByShard[s], buf)
-				}
+			if len(tx.walBuf) > 0 {
+				recs = append(recs, tx.walBuf)
 			}
 		}
 		_, psp := obs.StartSpan(gctx, "commit.persist")
-		err := log.AppendGroup(twe, recsByShard)
+		err := log.AppendGroup(twe, recs)
 		psp.End()
 		if err != nil {
 			// Durability failed: the group must not become visible.
@@ -232,24 +222,12 @@ func (c *committer) apply(tx *Tx, twe int64) {
 // noteWriteCommitted ticks the commit-count compaction trigger (paper: a
 // compaction task every CompactEvery transactions). With the background
 // scheduler this is one trigger among several — it force-wakes the
-// scheduler regardless of the pressure thresholds; in legacy mode it
-// spawns the old monolithic pass inline.
+// scheduler regardless of the pressure thresholds.
 func (g *Graph) noteWriteCommitted() {
-	if g.opts.CompactEvery < 0 {
+	if g.maintSched == nil {
 		return
 	}
-	n := g.writeTxns.Add(1)
-	if n%int64(g.opts.CompactEvery) != 0 {
-		return
-	}
-	if g.maintSched != nil {
+	if n := g.writeTxns.Add(1); n%int64(g.opts.CompactEvery) == 0 {
 		g.maintSched.Kick()
-		return
-	}
-	if g.compacting.TryLock() {
-		go func() {
-			defer g.compacting.Unlock()
-			g.compactOnce()
-		}()
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"livegraph/internal/storage"
 	"livegraph/internal/tel"
 )
@@ -13,11 +15,10 @@ import (
 // one vertex lock at a time, so interference with the foreground workload
 // is minimal — unlike an LSM tree, no multi-file merge ever runs.
 //
-// Production passes run on the background maintenance scheduler
-// (internal/maint, wired in maint.go): budgeted slices, morsel-parallel,
-// triggered by pressure. This file keeps the per-vertex mechanics both
-// paths share, the synchronous CompactNow façade, and the legacy
-// monolithic pass (Options.Maint.Legacy).
+// Passes run as budgeted, morsel-parallel slices (maint.go), normally on
+// the background maintenance scheduler (internal/maint), triggered by
+// pressure. This file keeps the per-vertex mechanics and the synchronous
+// CompactNow façade.
 
 // CompactNow runs one synchronous compaction pass and returns when the
 // dirty backlog observed at the request is drained and deferred blocks
@@ -26,38 +27,23 @@ import (
 // CompactNow terminates under any write load). With the background
 // scheduler running, the pass executes on the scheduler goroutine —
 // single-flight with background slices, so a concurrent
-// pressure-triggered pass and CompactNow never double-compact. Without
-// it (maintenance disabled or legacy mode), the pass runs inline under
-// the legacy mutex.
+// pressure-triggered pass and CompactNow never double-compact. With
+// maintenance disabled (CompactEvery < 0) the caller drives the same
+// slice runner inline, without a budget deadline.
 func (g *Graph) CompactNow() {
 	if s := g.maintSched; s != nil {
 		s.RunPass()
 		return
 	}
-	g.compacting.Lock()
-	defer g.compacting.Unlock()
-	g.compactOnce()
-}
-
-// compactOnce is the legacy monolithic pass: drain the entire dirty set,
-// compact it single-threaded, reclaim. Caller holds g.compacting.
-func (g *Graph) compactOnce() {
-	dirty := g.dirty.Drain(int(g.dirty.Len()), nil)
-	floor := g.readers.MinActive(g.epochs.ReadEpoch()) - g.opts.HistoryRetention
-	h := g.maintHandles[0]
-
-	var c compactCounts
-	for _, d := range dirty {
-		g.locks.Lock(uint64(d.ID))
-		g.compactVertexLocked(VertexID(d.ID), floor, h, &c)
-		g.locks.Unlock(uint64(d.ID))
+	g.inlinePass.Lock()
+	defer g.inlinePass.Unlock()
+	r := maintRunner{g}
+	if backlog := int(g.dirty.Len()); backlog > 0 {
+		r.MaintSlice(backlog, time.Time{}) // one slice, no budget deadline
+		g.maintStats.Slices.Add(1)
 	}
-	c.flush(&g.maintStats)
-	if len(dirty) > 0 {
-		g.stats.Compactions.Add(1)
-		g.maintStats.Passes.Add(1)
-	}
-	g.reclaimDeferred()
+	r.MaintEndPass()
+	g.maintStats.Passes.Add(1)
 }
 
 // compactVertexLocked compacts one vertex — its TELs and its version

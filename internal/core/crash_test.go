@@ -1,12 +1,11 @@
 package core
 
-// Crash-recovery fault injection for the sharded WAL, built on
+// Crash-recovery fault injection for the WAL, built on
 // iosim.Device.CrashAfter: the device dies after a byte budget, tearing
-// the write that crosses it. A commit group fans its records out to
-// several shards concurrently, so the tear lands on device-chosen
-// boundaries and the shard files end at different epochs. Reopening must
-// recover exactly the transactions whose Commit was acknowledged — the
-// last epoch durable on *all* shards — and nothing of the failed group.
+// the commit group's frame that crosses it at a device-chosen offset.
+// Reopening must recover exactly the transactions whose Commit was
+// acknowledged — every group before the torn frame — and nothing of the
+// failed group.
 
 import (
 	"errors"
@@ -18,8 +17,8 @@ import (
 	"livegraph/internal/wal"
 )
 
-// crashEdges is the op set of one transaction: three edge inserts whose
-// sources map to three different WAL shards (srcs 0..15, shards = 4).
+// crashEdges is the op set of one transaction: three edge inserts on
+// three different sources (srcs 0..15).
 func crashEdges(k int) [][2]VertexID {
 	dst := VertexID(1000 + k)
 	return [][2]VertexID{
@@ -31,16 +30,16 @@ func crashEdges(k int) [][2]VertexID {
 
 func openCrashGraph(t *testing.T, dir string, dev *iosim.Device) *Graph {
 	t.Helper()
-	g, err := Open(Options{Dir: dir, Device: dev, WALShards: 4, Workers: 32, CompactEvery: -1})
+	g, err := Open(Options{Dir: dir, Device: dev, Workers: 32, CompactEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return g
 }
 
-func TestCrashRecoveryShardsTornAtDifferentEpochs(t *testing.T) {
+func TestCrashRecoveryTornAtDifferentOffsets(t *testing.T) {
 	// Sweep crash budgets so the tear lands at different offsets: within
-	// the first post-arm group, several groups in, mid-record, mid-marker.
+	// the first post-arm group, several groups in, mid-header, mid-record.
 	for _, budget := range []int64{16, 130, 400, 777, 2000} {
 		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
 			dir := t.TempDir()

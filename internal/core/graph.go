@@ -65,8 +65,7 @@ type Options struct {
 	// morsel-parallel compaction passes run off the commit path by a
 	// scheduler (internal/maint), triggered by dirty-set size, the
 	// dead-bytes estimate, the CompactEvery commit count, and a
-	// wall-clock floor. The zero value selects the defaults;
-	// Maint.Legacy reverts to the monolithic inline pass.
+	// wall-clock floor. The zero value selects the defaults.
 	Maint MaintOptions
 
 	// LockTimeout bounds vertex lock waits; timing out aborts the
@@ -84,17 +83,6 @@ type Options struct {
 	// MaxGroupCommit caps how many transactions one WAL fsync may cover.
 	// Defaults to 256.
 	MaxGroupCommit int
-
-	// WALShards splits the write-ahead log into this many segments. A
-	// commit group's records are partitioned by vertex-ownership shard,
-	// written sequentially, and the per-shard sync barriers are fanned
-	// out concurrently (one device channel each), parallelising the
-	// persist phase; epoch advancement remains a single global sequence
-	// point, so isolation is unchanged. Zero selects the backend's
-	// measured default (disk.Backend.DefaultWALShards); clamped to 64
-	// (past the fsync fan-out's useful width, more shards only burn
-	// file handles).
-	WALShards int
 
 	// Ckpt tunes the incremental checkpointer (delta snapshots riding
 	// the checkpoint-scoped dirty journal). The zero value selects the
@@ -183,15 +171,6 @@ func (o *Options) fill() {
 	if o.MaxGroupCommit <= 0 {
 		o.MaxGroupCommit = 256
 	}
-	if o.WALShards <= 0 {
-		o.WALShards = o.Backend.DefaultWALShards()
-	}
-	if o.WALShards <= 0 {
-		o.WALShards = 1
-	}
-	if o.WALShards > 64 {
-		o.WALShards = 64
-	}
 	o.Ckpt.fill()
 }
 
@@ -272,7 +251,7 @@ type Graph struct {
 	// WALAppendedBytes) read it without the committer mutex; all writers
 	// of the pointer hold commit.mu, so loads within a commit group are
 	// stable.
-	log    atomic.Pointer[wal.ShardedLog]
+	log    atomic.Pointer[wal.Log]
 	walSeq int
 	// walBytes accumulates bytes appended to rotated-away segments.
 	// walBytesMu makes {walBytes, log} consistent for WALAppendedBytes
@@ -295,10 +274,12 @@ type Graph struct {
 	handleMu sync.Mutex
 	handles  []*storage.Handle // one pooled allocation handle per slot
 
-	// maintenance: the sharded dirty set feeds the background scheduler;
+	// maintenance: the striped dirty set feeds the background scheduler;
 	// maintHandles are the per-worker allocation handles of one slice
 	// (slices are single-flight, so a fixed pool indexed by worker is
-	// race-free). compacting guards the legacy inline pass.
+	// race-free). With maintenance disabled there is no scheduler
+	// goroutine to provide the single flight, so inlinePass serialises
+	// CompactNow callers driving the slice runner themselves.
 	writeTxns    atomic.Int64
 	dirty        *maint.DirtySet
 	maintSched   *maint.Scheduler
@@ -306,7 +287,7 @@ type Graph struct {
 	maintHandles []*storage.Handle
 	maintWorkers int
 	maintBuf     []maint.Dirty
-	compacting   sync.Mutex
+	inlinePass   sync.Mutex
 
 	// ckptMu serialises Checkpoint: overlapping checkpoints would race
 	// on segment rotation, pruning, and the CHECKPOINT meta file.
@@ -381,7 +362,7 @@ func Open(opts Options) (*Graph, error) {
 			return nil, err
 		}
 		g.walSeq++
-		l, err := wal.OpenSharded(opts.Dir, g.walSeq, opts.WALShards, opts.Backend)
+		l, err := wal.Open(opts.Dir, g.walSeq, opts.Backend)
 		if err != nil {
 			return nil, err
 		}
@@ -395,10 +376,9 @@ func Open(opts Options) (*Graph, error) {
 
 	// Background maintenance: a budgeted, pressure-triggered scheduler
 	// owns compaction + reclamation (internal/maint). Disabled along with
-	// everything else by CompactEvery < 0; Maint.Legacy keeps the old
-	// inline every-CompactEvery pass instead.
+	// everything else by CompactEvery < 0.
 	g.maintWorkers = 1
-	if opts.CompactEvery >= 0 && !opts.Maint.Legacy {
+	if opts.CompactEvery >= 0 {
 		g.maintSched = maint.New(opts.Maint.config(), maintRunner{g}, &g.maintStats)
 		g.maintWorkers = g.maintSched.Config().Workers
 	}
@@ -417,7 +397,6 @@ func (g *Graph) Close() error {
 	if g.closed.Swap(true) {
 		return nil
 	}
-	g.commit.stop()
 	if g.maintSched != nil {
 		// Drain: wait out the in-flight slice; remaining backlog is
 		// abandoned with the graph.
@@ -438,7 +417,7 @@ func (g *Graph) NumVertices() int64 { return g.nextVertex.Load() }
 // every new snapshot.
 func (g *Graph) ReadEpoch() int64 { return g.epochs.ReadEpoch() }
 
-// DurableEpoch returns the newest epoch durable on every WAL shard — the
+// DurableEpoch returns the newest epoch durable in the WAL — the
 // replication shipper's upper bound. On a volatile graph (no WAL) every
 // published epoch is trivially "durable", so the read epoch is returned.
 func (g *Graph) DurableEpoch() int64 {
@@ -530,7 +509,7 @@ const entryDeadBytes = 48
 
 // markDirty records that a vertex's blocks changed since the last
 // compaction (the paper's per-worker dirty vertex set; ours is one
-// lock-striped sharded set, so concurrent writers don't serialise on a
+// lock-striped set, so concurrent writers don't serialise on a
 // global mutex). dead estimates the bytes the change turned into garbage;
 // it accumulates into the scheduler's dead-bytes pressure gauge.
 func (g *Graph) markDirty(v VertexID, dead int64) {
@@ -607,13 +586,6 @@ func (g *Graph) latestVertex(v VertexID, tre int64) *vertexVersion {
 		}
 	}
 	return nil
-}
-
-// walShardOf maps a vertex to the WAL shard that owns its log records.
-// All of a vertex's history lands on one shard, so per-vertex ordering is
-// preserved within each shard file.
-func (g *Graph) walShardOf(v VertexID) int {
-	return int(uint64(v) % uint64(g.opts.WALShards))
 }
 
 // telFor returns the current TEL for (v, label), or nil.

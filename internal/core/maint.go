@@ -1,7 +1,7 @@
 package core
 
 // The engine side of the background maintenance subsystem (internal/maint):
-// budgeted, morsel-parallel compaction slices over the sharded dirty set.
+// budgeted, morsel-parallel compaction slices over the striped dirty set.
 // The scheduler decides when and how much; this file does the storage work —
 // drain a bounded chunk of dirty vertices, fan it across workers through a
 // morsel cursor (each worker with a private allocation handle, holding one
@@ -20,12 +20,6 @@ import (
 
 // MaintOptions configures the background maintenance engine.
 type MaintOptions struct {
-	// Legacy reverts to the pre-scheduler behavior: a monolithic,
-	// single-threaded compaction pass spawned inline every CompactEvery
-	// committed write transactions, draining the whole dirty set in one
-	// go. Kept as the benchmark baseline (lgbench -exp maint).
-	Legacy bool
-
 	// SliceVertices caps how many dirty vertices one background slice
 	// compacts before yielding (default 256).
 	SliceVertices int
@@ -117,19 +111,13 @@ func (r maintRunner) MaintSlice(maxVertices int, deadline time.Time) (processed 
 // MaintEndPass runs pass-boundary work: recycle deferred blocks no pinned
 // snapshot can still see, and count the pass.
 func (r maintRunner) MaintEndPass() {
-	r.g.reclaimDeferred()
-	r.g.stats.Compactions.Add(1)
-}
-
-// reclaimDeferred recycles deferred blocks past every pinned snapshot and
-// folds the result into the maintenance counters (shared by the scheduler
-// pass boundary and the legacy monolithic pass).
-func (g *Graph) reclaimDeferred() {
+	g := r.g
 	blocks, words := g.alloc.Reclaim(g.readers.MinActive(g.epochs.ReadEpoch()))
 	if blocks > 0 {
 		g.maintStats.BlocksReclaimed.Add(int64(blocks))
 		g.maintStats.BytesReclaimed.Add(words * 8)
 	}
+	g.stats.Compactions.Add(1)
 }
 
 // compactChunk fans chunk across the maintenance worker pool via a morsel

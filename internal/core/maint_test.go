@@ -255,7 +255,7 @@ func TestMaintFollowerCompacts(t *testing.T) {
 	defer primary.Close()
 
 	follower := openFollower(t, Options{Maint: aggressiveMaint()})
-	tl := wal.TailSharded(dir, 0, primary.DurableEpoch)
+	tl := wal.Tail(dir, 0, primary.DurableEpoch)
 	defer tl.Close()
 
 	// Sustained churn: the same 32 edges upserted over and over. Live

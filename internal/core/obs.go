@@ -61,7 +61,7 @@ type graphObs struct {
 // instrumentWAL attaches the graph's append/fsync histograms to a freshly
 // opened WAL segment (Open and checkpoint rotation), so the commit
 // pipeline's write and fsync-barrier phases are timed separately.
-func (g *Graph) instrumentWAL(l *wal.ShardedLog) {
+func (g *Graph) instrumentWAL(l *wal.Log) {
 	if o := g.ob; o != nil {
 		l.Instrument(o.walAppend, o.walFsync)
 	}
@@ -108,7 +108,7 @@ func (g *Graph) initObs() {
 			commitLatency: r.Histogram("lg_commit_latency_seconds", "transaction commit latency: submit to durable+applied"),
 			slotWait:      r.Histogram("lg_commit_slot_wait_seconds", "worker-slot acquisition waits (blocking acquisitions only)"),
 			walAppend:     r.Histogram("lg_wal_append_seconds", "commit group WAL batch write phase"),
-			walFsync:      r.Histogram("lg_wal_fsync_seconds", "commit group fsync barrier (all shards durable)"),
+			walFsync:      r.Histogram("lg_wal_fsync_seconds", "commit group fsync barrier"),
 			commitApply:   r.Histogram("lg_commit_apply_seconds", "commit group in-memory apply phase"),
 			travRun:       r.Histogram("lg_traversal_seconds", "whole traversal executions"),
 			travHop:       r.Histogram("lg_traversal_hop_seconds", "single traversal hop expansions"),
@@ -140,7 +140,7 @@ func (g *Graph) initObs() {
 	ctr("lg_core_bloom_skips_total", "edge inserts that skipped the previous-version scan", &g.stats.BloomSkips)
 	gauge("lg_core_vertices", "vertex IDs allocated (including deleted)", func() float64 { return float64(g.NumVertices()) })
 	gauge("lg_core_read_epoch", "global read epoch", func() float64 { return float64(g.ReadEpoch()) })
-	gauge("lg_core_durable_epoch", "newest epoch durable on every WAL shard", func() float64 { return float64(g.DurableEpoch()) })
+	gauge("lg_core_durable_epoch", "newest epoch durable in the WAL", func() float64 { return float64(g.DurableEpoch()) })
 	gauge("lg_core_uptime_seconds", "seconds since Open", func() float64 { return time.Since(g.obsStart).Seconds() })
 	gauge("lg_alloc_blocks", "live blocks in the allocator", func() float64 { return float64(g.AllocStats().AllocatedBlocks) })
 	gauge("lg_alloc_bytes", "live bytes in the allocator", func() float64 { return float64(g.AllocStats().AllocatedWords * 8) })

@@ -1,13 +1,15 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"testing"
+
+	"livegraph/internal/disk"
+	"livegraph/internal/wal"
 )
 
 func openDurable(t testing.TB, dir string) *Graph {
@@ -244,45 +246,47 @@ func TestRecoveryTornWALTail(t *testing.T) {
 	}
 }
 
-func TestRecoveryRefusesMissingShardFile(t *testing.T) {
-	// Losing a shard file must be a loud open-time error, not a silent
-	// segment rollback. A middle shard trips the contiguity check; the
-	// highest-numbered shard leaves a contiguous prefix and must be
-	// caught by replay's marker/file-count cross-check instead.
-	for _, lost := range []int{1, 3} {
-		t.Run(fmt.Sprintf("shard=%d", lost), func(t *testing.T) {
+// A directory the one-log layout did not write is refused at Open with a
+// named error — never skipped over, never misparsed as frames.
+func TestRecoveryRefusesIncompatibleLayouts(t *testing.T) {
+	legacyMeta := binary.LittleEndian.AppendUint64(nil, 42)      // epoch, no magic
+	legacyMeta = binary.LittleEndian.AppendUint32(legacyMeta, 1) // MinWALSeq
+	legacyMeta = binary.LittleEndian.AppendUint32(legacyMeta, 0) // shard count
+	legacyMeta = append(legacyMeta, "ckpt-42.snap"...)
+	shardOfTwo := disk.EncodeSuperblock(4096, 1<<20, disk.LogGeometry{Seq: 1, Shard: 1, Shards: 2})
+	cases := []struct {
+		name, file string
+		data       []byte
+		want       error
+	}{
+		{"sharded segment name", "wal-000001-s01.log", nil, wal.ErrSegmentName},
+		{"legacy checkpoint meta", "CHECKPOINT", legacyMeta, wal.ErrCheckpointFormat},
+		{"superblock of a sharded segment", "wal-000001.log", shardOfTwo[:], disk.ErrBadGeometry},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
-			g, err := Open(Options{Dir: dir, WALShards: 4})
-			if err != nil {
+			if err := os.WriteFile(filepath.Join(dir, c.file), c.data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			mustCommit(t, g, func(tx *Tx) {
-				tx.AddVertex(nil)
-				for i := 0; i < 8; i++ {
-					tx.InsertEdge(VertexID(i%4), 0, VertexID(100+i), nil)
-				}
-			})
-			g.Close()
-			segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
-			if len(segs) != 4 {
-				t.Fatalf("want 4 shard files, have %v", segs)
+			g, err := Open(Options{Dir: dir})
+			if err == nil {
+				g.Close()
 			}
-			sort.Strings(segs)
-			os.Remove(segs[lost])
-			if _, err := Open(Options{Dir: dir, WALShards: 4}); err == nil {
-				t.Fatalf("Open succeeded with shard file %d missing", lost)
+			if !errors.Is(err, c.want) {
+				t.Fatalf("Open = %v, want %v", err, c.want)
 			}
 		})
 	}
 }
 
 func TestRecoveryToleratesCrashMidPrune(t *testing.T) {
-	// The checkpointer deletes superseded shard files one by one; a crash
-	// mid-prune leaves a partial old segment group. Segments below the
-	// checkpoint's MinWALSeq must be skipped and cleaned up, not replayed
-	// and not reported as damage.
+	// The checkpointer deletes superseded segments one by one; a crash
+	// mid-prune leaves some behind. Segments below the checkpoint's
+	// MinWALSeq must be skipped and cleaned up, not replayed and not
+	// reported as damage.
 	dir := t.TempDir()
-	g, err := Open(Options{Dir: dir, WALShards: 4})
+	g, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,15 +304,14 @@ func TestRecoveryToleratesCrashMidPrune(t *testing.T) {
 	mustCommit(t, g, func(tx *Tx) { tx.InsertEdge(a, 0, 999, nil) })
 	g.Close()
 
-	// Resurrect a partial pruned segment: only shard 2 of the old group
-	// survives, as if the prune loop crashed partway.
-	leftover := oldSegs[2]
+	// Resurrect a pruned segment, as if the prune loop crashed partway.
+	leftover := oldSegs[0]
 	if err := os.WriteFile(leftover, []byte("stale-partial-segment"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := Open(Options{Dir: dir, WALShards: 4})
+	g2, err := Open(Options{Dir: dir})
 	if err != nil {
-		t.Fatalf("open with partial superseded segment: %v", err)
+		t.Fatalf("open with a superseded segment left behind: %v", err)
 	}
 	defer g2.Close()
 	r, _ := g2.BeginRead()

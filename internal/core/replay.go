@@ -1,12 +1,11 @@
 package core
 
 // Crash recovery (paper §6): load the latest checkpoint, then replay the
-// WAL to re-apply committed updates. Each segment's shard files are
-// merge-replayed in epoch order; a commit group counts only if its marker
-// and full record set are durable on every shard, so a crash that tore
-// different shards at different epochs rolls the graph back to the last
-// epoch durable on all of them, never to a half-applied group. Replay is
-// single-threaded and applies operations directly with committed
+// WAL to re-apply committed updates. Segments replay in sequence order,
+// each read frame by frame until the first frame that does not verify; a
+// commit group is one frame, so a crash that tore the last group rolls the
+// graph back to the group before it, never to a half-applied one. Replay
+// is single-threaded and applies operations directly with committed
 // timestamps — no locks, no group commit.
 
 import (
@@ -65,23 +64,21 @@ func (g *Graph) recover() error {
 	// not collide with them. With no meta at all, every ckpt file is such
 	// an orphan.
 	g.pruneCheckpointFiles(meta.Path, meta.DeltaEpochs)
-	groups, maxSeq, err := wal.Segments(g.opts.Dir, meta.MinWALSeq)
+	segs, maxSeq, err := wal.Segments(g.opts.Dir)
 	if err != nil {
 		return err
 	}
 	g.walSeq = maxSeq
 	maxEpoch := afterEpoch
 	h := g.alloc.NewHandle()
-	for _, seg := range groups {
+	for _, seg := range segs {
 		if seg.Seq < meta.MinWALSeq {
 			// Fully superseded by the checkpoint; the checkpointer
 			// crashed mid-prune. Finish the job instead of replaying.
-			for _, p := range seg.Paths {
-				g.opts.Backend.Remove(p)
-			}
+			g.opts.Backend.Remove(seg.Path)
 			continue
 		}
-		durable, err := wal.ReplaySharded(seg.Paths, afterEpoch, func(epoch int64, rec []byte) error {
+		durable, err := wal.Replay(seg.Path, afterEpoch, func(epoch int64, rec []byte) error {
 			ops, err := decodeOps(rec)
 			if err != nil {
 				return err

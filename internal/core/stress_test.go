@@ -1,16 +1,15 @@
 package core
 
-// Concurrency stress test for the sharded commit pipeline: N writer
-// goroutines and M snapshot readers share one durable graph with
-// WALShards > 1. Run under -race. The readers assert the snapshot
-// isolation invariants the sharded persist phase must preserve:
+// Concurrency stress test for the commit pipeline: N writer goroutines
+// and M snapshot readers share one durable graph. Run under -race. The
+// readers assert the snapshot isolation invariants the group-commit
+// persist phase must preserve:
 //
 //  1. No reader ever observes a half-applied commit group: values a
 //     transaction always writes together (two vertex payloads, two edge
-//     appends — deliberately placed on different WAL shards) are always
-//     observed together.
+//     appends on two vertices) are always observed together.
 //  2. A pinned snapshot is stable: re-reading gives identical results.
-//  3. GRE never exceeds an epoch durable on every WAL shard.
+//  3. GRE never exceeds the WAL's durable epoch.
 
 import (
 	"fmt"
@@ -20,21 +19,20 @@ import (
 	"testing"
 )
 
-func TestStressShardedCommitSnapshotIsolation(t *testing.T) {
+func TestStressCommitSnapshotIsolation(t *testing.T) {
 	const (
 		writers          = 4
 		readers          = 4
 		commitsPerWriter = 120
-		stride           = 8 // vertices per writer; keeps pair shards distinct
+		stride           = 8 // vertices per writer
 	)
-	g, err := Open(Options{Dir: t.TempDir(), WALShards: 4, Workers: 64, CompactEvery: 256})
+	g, err := Open(Options{Dir: t.TempDir(), Workers: 64, CompactEvery: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer g.Close()
 
-	// Each writer owns a vertex pair (a, b) on different WAL shards
-	// (stride*i % 4 == 0, stride*i+5 % 4 == 1).
+	// Each writer owns a vertex pair (a, b).
 	init, _ := g.Begin()
 	for i := 0; i < writers*stride; i++ {
 		if _, err := init.AddVertex([]byte("0")); err != nil {
@@ -73,7 +71,7 @@ func TestStressShardedCommitSnapshotIsolation(t *testing.T) {
 						if err := tx.PutVertex(b, val); err != nil {
 							return err
 						}
-						// Mirrored edge appends on both shards.
+						// Mirrored edge appends on both vertices.
 						dst := VertexID(1000 + k)
 						if err := tx.InsertEdge(a, 0, dst, nil); err != nil {
 							return err

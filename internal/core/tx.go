@@ -31,7 +31,7 @@ type Tx struct {
 	locked      map[uint64]struct{} // held lock stripes (dedup by stripe, not vertex)
 	telWrites   map[telKey]*telWrite
 	vWrites     map[VertexID]*vertexWrite
-	walBufs     [][]byte // WAL record per shard, partitioned by vertex ownership
+	walBuf      []byte // this transaction's WAL record: its ops, in execution order
 	commitRes   chan error
 	commitEpoch int64 // the group's commit epoch, set by the leader on success
 
@@ -48,16 +48,6 @@ type Tx struct {
 // only after Commit/CommitCtx returned nil; 0 otherwise (read-only and
 // empty transactions have no commit group).
 func (tx *Tx) CommitEpoch() int64 { return tx.commitEpoch }
-
-// walShard returns the WAL record buffer for the shard owning v. One
-// transaction contributes at most one record per shard; the committer
-// hands the non-empty ones to the sharded log.
-func (tx *Tx) walShard(v VertexID) *[]byte {
-	if tx.walBufs == nil {
-		tx.walBufs = make([][]byte, tx.g.opts.WALShards)
-	}
-	return &tx.walBufs[tx.g.walShardOf(v)]
-}
 
 type telKey struct {
 	v     VertexID
@@ -206,8 +196,7 @@ func (tx *Tx) AddVertex(data []byte) (VertexID, error) {
 		return 0, err
 	}
 	tx.bufferVertex(id, data, false)
-	b := tx.walShard(id)
-	*b = appendVertexOp(*b, opAddVertex, id, data)
+	tx.walBuf = appendVertexOp(tx.walBuf, opAddVertex, id, data)
 	return id, nil
 }
 
@@ -223,8 +212,7 @@ func (tx *Tx) PutVertex(v VertexID, data []byte) error {
 		return err
 	}
 	tx.bufferVertex(v, data, false)
-	b := tx.walShard(v)
-	*b = appendVertexOp(*b, opPutVertex, v, data)
+	tx.walBuf = appendVertexOp(tx.walBuf, opPutVertex, v, data)
 	return nil
 }
 
@@ -242,8 +230,7 @@ func (tx *Tx) DeleteVertex(v VertexID) error {
 		return err
 	}
 	tx.bufferVertex(v, nil, true)
-	b := tx.walShard(v)
-	*b = appendVertexOp(*b, opDelVertex, v, nil)
+	tx.walBuf = appendVertexOp(tx.walBuf, opDelVertex, v, nil)
 	return nil
 }
 
@@ -402,8 +389,7 @@ func (tx *Tx) InsertEdge(src VertexID, label Label, dst VertexID, props []byte) 
 	// after this line, so any reader that can see the edge finds the hint
 	// (see revindex.go). An abort just leaves a harmless stale hint.
 	tx.g.revAdd(dst, label, src)
-	b := tx.walShard(src)
-	*b = appendEdgeOp(*b, opInsertEdge, src, label, dst, props)
+	tx.walBuf = appendEdgeOp(tx.walBuf, opInsertEdge, src, label, dst, props)
 	// A true insertion creates no garbage; the mark only queues the
 	// vertex for right-sizing and chain pruning.
 	tx.g.markDirty(src, 0)
@@ -426,8 +412,7 @@ func (tx *Tx) AddEdge(src VertexID, label Label, dst VertexID, props []byte) err
 	}
 	tx.appendEdge(w, dst, props)
 	tx.g.revAdd(dst, label, src)
-	b := tx.walShard(src)
-	*b = appendEdgeOp(*b, opUpsertEdge, src, label, dst, props)
+	tx.walBuf = appendEdgeOp(tx.walBuf, opUpsertEdge, src, label, dst, props)
 	// Weight 0: the exact garbage of the invalidated version (if any) is
 	// accounted at apply time, when the invalidation actually commits.
 	tx.g.markDirty(src, 0)
@@ -447,8 +432,7 @@ func (tx *Tx) DeleteEdge(src VertexID, label Label, dst VertexID) error {
 	if err := tx.invalidatePrev(w, dst); err != nil {
 		return err
 	}
-	b := tx.walShard(src)
-	*b = appendEdgeOp(*b, opDeleteEdge, src, label, dst, nil)
+	tx.walBuf = appendEdgeOp(tx.walBuf, opDeleteEdge, src, label, dst, nil)
 	// Weight 0: exact dead bytes are accounted at apply (see committer).
 	tx.g.markDirty(src, 0)
 	return nil

@@ -1,5 +1,5 @@
 // Package disk is the durable storage backend seam: every byte the engine
-// persists — WAL shard appends, checkpoint snapshots, the CHECKPOINT
+// persists — WAL appends, checkpoint snapshots, the CHECKPOINT
 // pointer — goes through a Backend, so the same engine code runs against
 // two very different bottoms:
 //
@@ -28,15 +28,21 @@ import (
 	"path/filepath"
 )
 
-// LogGeometry identifies a WAL shard file's place in the log, recorded in
-// the real backend's superblock and cross-checked on open.
+// LogGeometry identifies a WAL segment file's place in the log, recorded
+// in the real backend's superblock and cross-checked on open. The log is
+// one file per segment, so Shard is always 0 and Shards always 1; the
+// fields (and the superblock bytes behind them) stay because the frozen
+// benchmark/ package compiles against them.
 type LogGeometry struct {
 	Seq    int // segment sequence number
-	Shard  int // shard index within the segment
-	Shards int // total shards in the segment
+	Shard  int // always 0
+	Shards int // always 1
 }
 
-// LogFile is one WAL shard: an append-only durable byte stream. Write
+// SegmentGeometry is the geometry of segment seq of the one-file log.
+func SegmentGeometry(seq int) LogGeometry { return LogGeometry{Seq: seq, Shards: 1} }
+
+// LogFile is one WAL segment: an append-only durable byte stream. Write
 // buffers; Sync is the durability barrier for everything written before
 // it. Accept is the crash-injection gate — it asks the (possibly
 // simulated) device how many of the next n bytes will reach media, so the
@@ -70,7 +76,7 @@ type AtomicFile interface {
 type Backend interface {
 	// Name identifies the backend ("iosim", "disk") for flags and stats.
 	Name() string
-	// OpenLog creates (or truncates) a WAL shard append file.
+	// OpenLog creates (or truncates) a WAL segment append file.
 	OpenLog(path string, geo LogGeometry) (LogFile, error)
 	// CreateAtomic begins writing path under the atomic swap protocol.
 	CreateAtomic(path string) (AtomicFile, error)
@@ -81,9 +87,9 @@ type Backend interface {
 	// resurrected file is garbage recovery already tolerates, unlike a
 	// vanished one).
 	Remove(path string) error
-	// DefaultWALShards is the shard count the engine should use when the
-	// caller did not choose one — the measured sweet spot for this
-	// backend's sync characteristics.
+	// DefaultWALShards always returns 1 and nothing in the engine calls
+	// it; it stays because the frozen benchmark/ package's backend
+	// wrappers are compiled against it.
 	DefaultWALShards() int
 }
 

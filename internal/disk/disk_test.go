@@ -13,7 +13,7 @@ import (
 )
 
 func TestSuperblockRoundTrip(t *testing.T) {
-	geo := LogGeometry{Seq: 7, Shard: 3, Shards: 8}
+	geo := LogGeometry{Seq: 7, Shards: 1}
 	b := EncodeSuperblock(4096, 4<<20, geo)
 	if !HasSuperblockMagic(b[:]) {
 		t.Fatal("encoded superblock missing magic")
@@ -28,16 +28,28 @@ func TestSuperblockRoundTrip(t *testing.T) {
 	if sb.PageSize != 4096 || sb.SegBytes != 4<<20 || sb.Geo != geo {
 		t.Fatalf("geometry mismatch: %+v", sb)
 	}
-	if err := sb.CheckGeometry(7, 3); err != nil {
+	if err := sb.CheckGeometry(7); err != nil {
 		t.Fatalf("CheckGeometry: %v", err)
 	}
-	if err := sb.CheckGeometry(7, 4); !errors.Is(err, ErrBadGeometry) {
-		t.Fatalf("want ErrBadGeometry, got %v", err)
+	if err := sb.CheckGeometry(8); !errors.Is(err, ErrBadGeometry) {
+		t.Fatalf("wrong seq: want ErrBadGeometry, got %v", err)
+	}
+	// One shard of a sharded segment (the retired layout) is refused even
+	// under a matching sequence number.
+	for _, geo := range []LogGeometry{{Seq: 7, Shard: 1, Shards: 2}, {Seq: 7, Shard: 0, Shards: 2}, {Seq: 7}} {
+		b := EncodeSuperblock(4096, 4<<20, geo)
+		sb, err := DecodeSuperblock(b[:])
+		if err != nil {
+			t.Fatalf("decode %+v: %v", geo, err)
+		}
+		if err := sb.CheckGeometry(7); !errors.Is(err, ErrBadGeometry) {
+			t.Fatalf("%+v: want ErrBadGeometry, got %v", geo, err)
+		}
 	}
 }
 
 func TestSuperblockValidation(t *testing.T) {
-	b := EncodeSuperblock(4096, 1<<20, LogGeometry{Seq: 1, Shard: 0, Shards: 4})
+	b := EncodeSuperblock(4096, 1<<20, LogGeometry{Seq: 1, Shards: 1})
 
 	// Not a superblock at all.
 	if _, err := DecodeSuperblock([]byte("random bytes here, not a header.................................")); !errors.Is(err, ErrBadMagic) {
@@ -54,14 +66,14 @@ func TestSuperblockValidation(t *testing.T) {
 		t.Fatalf("bad crc: want ErrTornSuperblock, got %v", err)
 	}
 	// A future version is a hard error even with a valid CRC.
-	v2 := EncodeSuperblock(4096, 1<<20, LogGeometry{Seq: 1, Shard: 0, Shards: 4})
-	v2[8] = 2
+	v2 := EncodeSuperblock(4096, 1<<20, LogGeometry{Seq: 1, Shards: 1})
+	v2[8] = superblockVersion + 1
 	reCRC(&v2)
 	if _, err := DecodeSuperblock(v2[:]); !errors.Is(err, ErrBadVersion) {
 		t.Fatalf("want ErrBadVersion, got %v", err)
 	}
 	// Foreign endianness is a hard error.
-	fe := EncodeSuperblock(4096, 1<<20, LogGeometry{Seq: 1, Shard: 0, Shards: 4})
+	fe := EncodeSuperblock(4096, 1<<20, LogGeometry{Seq: 1, Shards: 1})
 	fe[10] = 3 - hostEndian // flips 1<->2
 	reCRC(&fe)
 	if _, err := DecodeSuperblock(fe[:]); !errors.Is(err, ErrEndianness) {
@@ -139,8 +151,8 @@ func TestAtomicFileCommitAndAbort(t *testing.T) {
 
 func TestRealLogWriteSyncReopen(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "wal-000001-s00.log")
-	geo := LogGeometry{Seq: 1, Shard: 0, Shards: 2}
+	path := filepath.Join(dir, "wal-000001.log")
+	geo := LogGeometry{Seq: 1, Shards: 1}
 	// Tiny segment so appends exercise the growth/remap path.
 	b := NewRealOpts(RealOptions{SegBytes: SuperblockSize})
 	l, err := b.OpenLog(path, geo)
@@ -173,7 +185,7 @@ func TestRealLogWriteSyncReopen(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopened superblock: %v", err)
 	}
-	if err := sb.CheckGeometry(1, 0); err != nil {
+	if err := sb.CheckGeometry(1); err != nil {
 		t.Fatal(err)
 	}
 	body := data[SuperblockSize:]
@@ -186,9 +198,9 @@ func TestRealLogCrashLeavesZeroTail(t *testing.T) {
 	// Without a clean Close, the preallocated file keeps its zero tail —
 	// the shape crash recovery must parse as end-of-log.
 	dir := t.TempDir()
-	path := filepath.Join(dir, "wal-000002-s01.log")
+	path := filepath.Join(dir, "wal-000002.log")
 	b := NewRealOpts(RealOptions{SegBytes: 1 << 16})
-	l, err := b.OpenLog(path, LogGeometry{Seq: 2, Shard: 1, Shards: 2})
+	l, err := b.OpenLog(path, LogGeometry{Seq: 2, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +231,7 @@ func TestSimBackendAcceptAndCharge(t *testing.T) {
 	dir := t.TempDir()
 	dev := iosim.NewDevice(iosim.Null)
 	b := NewSim(dev)
-	l, err := b.OpenLog(filepath.Join(dir, "wal-000001-s00.log"), LogGeometry{Seq: 1, Shard: 0, Shards: 1})
+	l, err := b.OpenLog(filepath.Join(dir, "wal-000001.log"), LogGeometry{Seq: 1, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +248,7 @@ func TestSimBackendAcceptAndCharge(t *testing.T) {
 	if st := dev.Stats(); st.BytesWritten == 0 {
 		t.Fatal("sim backend did not charge the device")
 	}
-	// Arm a crash point on the shard's channel; Accept must clip.
+	// Arm a crash point on the device; Accept must clip.
 	dev.CrashAfter(2)
 	if n, err := l.Accept(100); err == nil || n > 2 {
 		t.Fatalf("accept past crash point: n=%d err=%v", n, err)

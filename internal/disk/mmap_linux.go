@@ -2,7 +2,7 @@
 
 package disk
 
-// The mmap segment file (linux): the shard file is preallocated with
+// The mmap segment file (linux): the segment file is preallocated with
 // ftruncate and mapped read-write shared; appends are memcpys into the
 // mapping and the durability barrier is msync(MS_SYNC) over the dirty
 // page range — the write path the paper's mmap-backed store uses.

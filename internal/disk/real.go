@@ -1,7 +1,7 @@
 package disk
 
 // The real backend: no simulated timing, no crash-injection device — the
-// durability the kernel and the hardware actually provide. WAL shards are
+// durability the kernel and the hardware actually provide. WAL segments are
 // mmap'd, superblock-headed segment files (see superblock.go); checkpoint
 // snapshots and the CHECKPOINT pointer go through the shared atomic swap
 // protocol with genuine fsyncs. Benchmarks run against this backend
@@ -10,13 +10,13 @@ package disk
 import "os"
 
 // defaultSegBytes is a new segment file's preallocation. Segments rotate
-// at every checkpoint, so this is a growth quantum, not a cap: a shard
+// at every checkpoint, so this is a growth quantum, not a cap: a segment
 // that outgrows it remaps at double the size.
 const defaultSegBytes = 4 << 20
 
 // RealOptions tunes the real backend.
 type RealOptions struct {
-	// SegBytes is the initial preallocation of each WAL shard file
+	// SegBytes is the initial preallocation of each WAL segment file
 	// (rounded up to the page size). Zero selects the 4 MiB default.
 	SegBytes int64
 }
@@ -62,12 +62,4 @@ func (b *realBackend) SyncDir(dir string) error { return SyncDir(dir) }
 
 func (b *realBackend) Remove(path string) error { return removeDurable(path) }
 
-// DefaultWALShards for the real backend. BENCH_6 measured sharding as a
-// pure loss on real disk (shards=4 ran at 0.69x of shards=1) because the
-// whole write+sync ran per shard in its own goroutine. With the write
-// phase sequential and only the sync barriers fanned out (BENCH_8), two
-// shards is the measured sweet spot under concurrency — 1.21x over a
-// single shard at 24 writers — while costing ~10% at light load (8
-// writers), where one fsync on one file is unbeatable. Four shards never
-// wins: the extra barriers outweigh the added overlap.
-func (b *realBackend) DefaultWALShards() int { return 2 }
+func (b *realBackend) DefaultWALShards() int { return 1 }

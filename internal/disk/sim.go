@@ -20,9 +20,7 @@ type simBackend struct {
 }
 
 // NewSim returns the iosim-timed backend over dev (nil selects an
-// instantaneous Null device). Each WAL shard file opened through it writes
-// on its own device channel — the multi-queue fan-out the sharded
-// group-commit pipeline models.
+// instantaneous Null device).
 func NewSim(dev *iosim.Device) Backend {
 	if dev == nil {
 		dev = iosim.NewDevice(iosim.Null)
@@ -37,7 +35,7 @@ func (b *simBackend) OpenLog(path string, _ LogGeometry) (LogFile, error) {
 	if err != nil {
 		return nil, fmt.Errorf("disk: open %s: %w", path, err)
 	}
-	return &simLog{f: f, w: bufio.NewWriterSize(f, 1<<20), dev: b.dev.Channel()}, nil
+	return &simLog{f: f, w: bufio.NewWriterSize(f, 1<<20), dev: b.dev}, nil
 }
 
 func (b *simBackend) CreateAtomic(path string) (AtomicFile, error) {
@@ -51,9 +49,6 @@ func (b *simBackend) SyncDir(dir string) error { return SyncDir(dir) }
 
 func (b *simBackend) Remove(path string) error { return removeDurable(path) }
 
-// DefaultWALShards is 1 for the simulated backend: its device-model
-// latency dominates, and single-shard keeps experiment baselines
-// comparable — benchmarks opt into fan-out explicitly.
 func (b *simBackend) DefaultWALShards() int { return 1 }
 
 // simLog is a buffered append file whose Sync performs a real fsync and
@@ -90,7 +85,7 @@ func (l *simLog) Sync() error {
 
 func (l *simLog) Close() error {
 	if err := l.w.Flush(); err != nil {
-		_ = l.f.Close() // the flush error already poisons this shard; it wins
+		_ = l.f.Close() // the flush error already poisons this log; it wins
 		return err
 	}
 	return l.f.Close()

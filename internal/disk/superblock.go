@@ -5,7 +5,7 @@ package disk
 // endianness, format version and geometry, CRC-protected, msync'd before
 // the first record is appended. Opening a segment for replay validates it
 // before trusting a single byte after it — a file from an incompatible
-// build, a foreign-endian host, or a renamed shard is rejected with a
+// build, a foreign-endian host, or a renamed segment is rejected with a
 // named error instead of being silently misparsed as log records.
 
 import (
@@ -24,8 +24,9 @@ const SuperblockSize = 64
 // these 8 bytes to decide which they are looking at.
 var segmentMagic = [8]byte{'L', 'G', 'S', 'E', 'G', 'S', 'B', '1'}
 
-// superblockVersion is the current segment format version.
-const superblockVersion = 1
+// superblockVersion is the current segment format version (2: one file
+// per segment, the frame checksum covers the frame header).
+const superblockVersion = 2
 
 // hostEndian is the running host's byte order: 1 = little, 2 = big. The
 // record framing is explicitly little-endian, but an mmap'd format must
@@ -78,8 +79,8 @@ func HasSuperblockMagic(head []byte) bool {
 //	[12:16] page size
 //	[16:24] initial segment bytes
 //	[24:28] segment sequence
-//	[28:32] shard index
-//	[32:36] shard count
+//	[28:32] shard index (always 0: the log is one file per segment)
+//	[32:36] shard count (always 1)
 //	[36:40] record header size (framing cross-check)
 //	[40:60] reserved (zero)
 //	[60:64] crc32(bytes [0:60])
@@ -145,14 +146,15 @@ func DecodeSuperblock(head []byte) (Superblock, error) {
 	return sb, nil
 }
 
-// CheckGeometry verifies a decoded superblock against the geometry the
-// file's name promises (wal.ParseShardPath). A mismatch means the file was
-// renamed or copied into the wrong slot — replaying it would interleave
-// the wrong shard's records.
-func (sb Superblock) CheckGeometry(seq, shard int) error {
-	if sb.Geo.Seq != seq || sb.Geo.Shard != shard {
-		return fmt.Errorf("%w: superblock says seq %d shard %d, name says seq %d shard %d",
-			ErrBadGeometry, sb.Geo.Seq, sb.Geo.Shard, seq, shard)
+// CheckGeometry verifies a decoded superblock against the sequence number
+// the file's name promises (wal.ParseSegmentPath) and the one-file-per-
+// segment layout. A mismatch means the file was renamed or copied into the
+// wrong slot, or is one shard of a sharded segment written by an older
+// build — replaying it would apply the wrong records.
+func (sb Superblock) CheckGeometry(seq int) error {
+	if sb.Geo.Seq != seq || sb.Geo.Shard != 0 || sb.Geo.Shards != 1 {
+		return fmt.Errorf("%w: superblock says seq %d shard %d of %d, name says seq %d shard 0 of 1",
+			ErrBadGeometry, sb.Geo.Seq, sb.Geo.Shard, sb.Geo.Shards, seq)
 	}
 	return nil
 }

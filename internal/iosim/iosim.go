@@ -54,24 +54,18 @@ var (
 // durability of content matters; Device only models *timing*).
 //
 // A Device is one submission queue: Syncs on it serialise against each
-// other. Channel derives additional queues on the same physical device —
-// the multi-queue NVMe approximation the sharded WAL's fsync fan-out
-// relies on. Channels share counters and the crash-injection state.
+// other.
 type Device struct {
-	prof   Profile
-	shared *deviceShared
+	prof Profile
 
-	mu        sync.Mutex
-	pending   int64 // bytes buffered since last sync
-	busyUntil time.Time
-}
-
-// deviceShared holds the state all channels of one physical device share.
-type deviceShared struct {
 	syncs        atomic.Int64
 	bytesWritten atomic.Int64
 	readFaults   atomic.Int64
 	bytesRead    atomic.Int64
+
+	mu        sync.Mutex
+	pending   int64 // bytes buffered since last sync
+	busyUntil time.Time
 
 	// Crash injection (see CrashAfter): while armed, Accept consumes the
 	// byte budget; writes past it never reach media.
@@ -81,19 +75,10 @@ type deviceShared struct {
 }
 
 // NewDevice creates a device with the given profile.
-func NewDevice(p Profile) *Device { return &Device{prof: p, shared: &deviceShared{}} }
+func NewDevice(p Profile) *Device { return &Device{prof: p} }
 
 // Profile returns the device's profile.
 func (d *Device) Profile() Profile { return d.prof }
-
-// Channel derives a new submission queue on the same physical device:
-// same profile, shared counters and crash state, but an independent sync
-// queue, so syncs issued on different channels overlap (flash channels /
-// NVMe hardware queues give near-linear scaling until bandwidth
-// saturation, which this model idealises away).
-func (d *Device) Channel() *Device {
-	return &Device{prof: d.prof, shared: d.shared}
-}
 
 // Crash injection ------------------------------------------------------------
 
@@ -103,34 +88,28 @@ var ErrCrashed = errors.New("iosim: device crashed")
 
 // CrashAfter arms a crash point n bytes of Accept traffic from now: the
 // write that crosses the budget is torn (its prefix reaches media), and
-// every later write is dropped entirely. The budget is shared across all
-// channels, so concurrent shard writes tear at device-chosen, not
-// caller-chosen, boundaries — exactly the nondeterminism a crash test
-// wants. Revive clears the state.
+// every later write is dropped entirely. Revive clears the state.
 func (d *Device) CrashAfter(n int64) {
-	s := d.shared
-	s.crashMu.Lock()
-	s.crashArmed = true
-	s.crashBudget = n
-	s.crashMu.Unlock()
+	d.crashMu.Lock()
+	d.crashArmed = true
+	d.crashBudget = n
+	d.crashMu.Unlock()
 }
 
 // Revive clears an armed or tripped crash point (the "restart" in a
 // crash-recovery test that reuses one device).
 func (d *Device) Revive() {
-	s := d.shared
-	s.crashMu.Lock()
-	s.crashArmed = false
-	s.crashBudget = 0
-	s.crashMu.Unlock()
+	d.crashMu.Lock()
+	d.crashArmed = false
+	d.crashBudget = 0
+	d.crashMu.Unlock()
 }
 
 // Crashed reports whether the crash point has been reached.
 func (d *Device) Crashed() bool {
-	s := d.shared
-	s.crashMu.Lock()
-	defer s.crashMu.Unlock()
-	return s.crashArmed && s.crashBudget <= 0
+	d.crashMu.Lock()
+	defer d.crashMu.Unlock()
+	return d.crashArmed && d.crashBudget <= 0
 }
 
 // Accept asks the device to persist an n-byte write. It returns how many
@@ -140,22 +119,21 @@ func (d *Device) Crashed() bool {
 // (the WAL) must truncate their write to the accepted prefix, yielding a
 // genuinely torn file.
 func (d *Device) Accept(n int) (int, error) {
-	s := d.shared
-	s.crashMu.Lock()
-	defer s.crashMu.Unlock()
-	if !s.crashArmed {
+	d.crashMu.Lock()
+	defer d.crashMu.Unlock()
+	if !d.crashArmed {
 		return n, nil
 	}
-	if s.crashBudget <= 0 {
+	if d.crashBudget <= 0 {
 		return 0, ErrCrashed
 	}
 	accepted := int64(n)
 	var err error
-	if accepted > s.crashBudget {
-		accepted = s.crashBudget
+	if accepted > d.crashBudget {
+		accepted = d.crashBudget
 		err = ErrCrashed
 	}
-	s.crashBudget -= int64(n)
+	d.crashBudget -= int64(n)
 	return int(accepted), err
 }
 
@@ -164,14 +142,14 @@ func (d *Device) Write(n int) {
 	d.mu.Lock()
 	d.pending += int64(n)
 	d.mu.Unlock()
-	d.shared.bytesWritten.Add(int64(n))
+	d.bytesWritten.Add(int64(n))
 }
 
 // Sync models an fsync of the buffered bytes: base latency plus the
 // bandwidth term, serialised against other device operations (a device has
 // one queue). It blocks the caller for the simulated duration.
 func (d *Device) Sync() {
-	d.shared.syncs.Add(1)
+	d.syncs.Add(1)
 	if d.prof.WriteLatency == 0 && d.prof.WriteBWBps == 0 {
 		d.mu.Lock()
 		d.pending = 0
@@ -214,8 +192,8 @@ func sleepPrecise(d time.Duration) {
 // bandwidth term. Concurrent faults are not serialised (SSDs have deep
 // queues for reads).
 func (d *Device) ReadFault(n int) {
-	d.shared.readFaults.Add(1)
-	d.shared.bytesRead.Add(int64(n))
+	d.readFaults.Add(1)
+	d.bytesRead.Add(int64(n))
 	if d.prof.ReadLatency == 0 && d.prof.ReadBWBps == 0 {
 		return
 	}
@@ -234,13 +212,13 @@ type DeviceStats struct {
 	BytesRead    int64
 }
 
-// Stats returns the device counters, aggregated across all channels.
+// Stats returns the device counters.
 func (d *Device) Stats() DeviceStats {
 	return DeviceStats{
-		Syncs:        d.shared.syncs.Load(),
-		BytesWritten: d.shared.bytesWritten.Load(),
-		ReadFaults:   d.shared.readFaults.Load(),
-		BytesRead:    d.shared.bytesRead.Load(),
+		Syncs:        d.syncs.Load(),
+		BytesWritten: d.bytesWritten.Load(),
+		ReadFaults:   d.readFaults.Load(),
+		BytesRead:    d.bytesRead.Load(),
 	}
 }
 

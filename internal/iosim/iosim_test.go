@@ -134,40 +134,6 @@ func TestPageCacheConcurrent(t *testing.T) {
 	}
 }
 
-func TestChannelsOverlapSyncs(t *testing.T) {
-	p := Profile{Name: "t", WriteLatency: 10 * time.Millisecond}
-	d := NewDevice(p)
-	chans := []*Device{d.Channel(), d.Channel(), d.Channel(), d.Channel()}
-	start := time.Now()
-	var wg sync.WaitGroup
-	for _, c := range chans {
-		wg.Add(1)
-		go func(c *Device) {
-			defer wg.Done()
-			c.Sync()
-		}(c)
-	}
-	wg.Wait()
-	// Four 10ms syncs on independent queues overlap; the serialised case
-	// (TestSyncSerialisesQueue) takes >= 40ms.
-	if el := time.Since(start); el > 35*time.Millisecond {
-		t.Fatalf("channel syncs serialised: %v", el)
-	}
-	if s := d.Stats(); s.Syncs != 4 {
-		t.Fatalf("channel syncs not aggregated: %+v", s)
-	}
-}
-
-func TestChannelStatsShared(t *testing.T) {
-	d := NewDevice(Null)
-	c := d.Channel()
-	c.Write(100)
-	c.Sync()
-	if s := d.Stats(); s.BytesWritten != 100 || s.Syncs != 1 {
-		t.Fatalf("parent stats %+v", s)
-	}
-}
-
 func TestCrashAfterTearsWrite(t *testing.T) {
 	d := NewDevice(Null)
 	if n, err := d.Accept(50); n != 50 || err != nil {
@@ -195,21 +161,6 @@ func TestCrashAfterTearsWrite(t *testing.T) {
 	}
 	if n, err := d.Accept(10); n != 10 || err != nil {
 		t.Fatalf("revived Accept = %d, %v", n, err)
-	}
-}
-
-func TestCrashBudgetSharedAcrossChannels(t *testing.T) {
-	d := NewDevice(Null)
-	a, b := d.Channel(), d.Channel()
-	d.CrashAfter(30)
-	if n, _ := a.Accept(20); n != 20 {
-		t.Fatalf("first channel write = %d", n)
-	}
-	if n, err := b.Accept(20); n != 10 || err != ErrCrashed {
-		t.Fatalf("second channel write = %d, %v; want torn at 10", n, err)
-	}
-	if !a.Crashed() || !d.Crashed() {
-		t.Fatal("crash not visible on all channels")
 	}
 }
 

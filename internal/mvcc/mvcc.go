@@ -79,10 +79,9 @@ func (e *Epochs) AdvanceTo(ts int64) {
 
 // WaitRead is the PublishRead barrier: it blocks until GRE >= ts, i.e.
 // until the commit group stamped ts (and every earlier group) has fully
-// applied and been published. Even with the persist phase fanned out
-// across WAL shards, epoch advancement stays a single global sequence
-// point — once WaitRead(ts) returns, a new transaction's snapshot includes
-// every update of every group up to ts, on every shard.
+// applied and been published. Epoch advancement is a single global
+// sequence point — once WaitRead(ts) returns, a new transaction's snapshot
+// includes every update of every group up to ts.
 func (e *Epochs) WaitRead(ts int64) {
 	for spins := 0; e.gre.Load() < ts; spins++ {
 		if spins < 100 {

@@ -1,12 +1,13 @@
 // Package repl implements WAL-shipping replication: the first scale-out
-// axis of the engine. A primary ships its sharded write-ahead log to any
-// number of read replicas, each of which applies complete commit groups
-// into a live graph and serves every read endpoint at its applied epoch.
+// axis of the engine. A primary ships its write-ahead log to any number
+// of read replicas, each of which applies complete commit groups into a
+// live graph and serves every read endpoint at its applied epoch.
 //
 // The design falls out of two properties the engine already has. The WAL
-// is epoch-ordered with per-group commit markers (internal/wal), so a
-// replica that has applied a prefix of epochs holds a state the primary
-// itself passed through — replication is just replay, shifted in time.
+// is epoch-ordered, one checksummed frame per commit group (internal/wal),
+// so a replica that has applied a prefix of epochs holds a state the
+// primary itself passed through — replication is just replay, shifted in
+// time.
 // And MVCC visibility is decided purely by epoch comparison, so advancing
 // the replica's read epoch only at group boundaries (core.Graph.ApplyEpoch)
 // makes every replica snapshot transactionally consistent with no

@@ -48,7 +48,7 @@ func waitCatchUp(t testing.TB, primary, follower *core.Graph, deadline time.Dura
 }
 
 func TestReplicationEndToEnd(t *testing.T) {
-	primary, err := core.Open(core.Options{Dir: t.TempDir(), WALShards: 2})
+	primary, err := core.Open(core.Options{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

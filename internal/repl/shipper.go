@@ -17,8 +17,8 @@ import (
 )
 
 // Shipper is the primary-side log shipper: it serves the replication
-// stream endpoint by tailing the graph's sharded WAL (wal.TailSharded)
-// and writing epoch-framed commit groups down a chunked HTTP response.
+// stream endpoint by tailing the graph's WAL (wal.Tail) and writing
+// epoch-framed commit groups down a chunked HTTP response.
 // One Shipper serves any number of concurrent streams; each stream gets
 // its own tailer, so replicas at different positions do not interfere.
 type Shipper struct {
@@ -74,7 +74,7 @@ func (sh *Shipper) ServeStream(w http.ResponseWriter, r *http.Request) {
 	}
 	defer sh.exit()
 
-	tailer := wal.TailSharded(sh.G.Dir(), after, sh.G.DurableEpoch)
+	tailer := wal.Tail(sh.G.Dir(), after, sh.G.DurableEpoch)
 	defer tailer.Close()
 
 	flusher, _ := w.(http.Flusher)

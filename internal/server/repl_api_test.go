@@ -21,7 +21,7 @@ import (
 // httptest servers, the graphs, and a stop for the applier.
 func replPair(t *testing.T, run bool) (primaryURL, followerURL string, pg, fg *core.Graph, fol *Server) {
 	t.Helper()
-	pg, err := core.Open(core.Options{Dir: t.TempDir(), WALShards: 2})
+	pg, err := core.Open(core.Options{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

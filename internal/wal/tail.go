@@ -1,97 +1,66 @@
 package wal
 
 // Log shipping (the replication subsystem's primary side): a Tailer is a
-// streaming counterpart of ReplaySharded that follows a sharded WAL
-// directory as it grows. Where ReplaySharded reads a fixed set of shard
-// files once and stops at the first incomplete group, a Tailer keeps its
-// position — per-shard file offsets plus a queue of records not yet
-// consumed by a delivered group — and re-reads the growing tail on every
-// poll, delivering each commit group exactly once, whole, in epoch order.
+// streaming counterpart of Replay that follows the WAL directory as it
+// grows. Where Replay reads one segment once and stops at the first frame
+// that does not verify, a Tailer keeps its position — a segment and a file
+// offset — and re-reads the growing tail on every poll, delivering each
+// commit group exactly once, whole, in epoch order.
 //
 // The durability watermark resolves the one ambiguity a one-shot replay
-// never faces: an incomplete group at the tail is either still being
-// written (wait for it) or genuinely torn (a crash artifact that will
-// never complete). A group whose epoch is at or below the watermark was
-// fully fsynced on every shard before the watermark advanced, so finding
-// it incomplete after a fresh read is file damage, not lag.
+// never faces: a frame at the tail that does not verify is either still
+// being written (wait for it) or genuinely torn (a crash artifact that
+// will never complete). A group whose epoch is at or below the watermark
+// was fully fsynced before the watermark advanced, so finding its frame
+// unverifiable after a fresh read is file damage, not lag.
 //
 // Segment handoff follows the checkpointer's rotation contract: rotation
 // happens at a quiescent point, so a segment is immutable the moment a
-// higher sequence number exists, and any incomplete group left at its end
-// was never acknowledged — it is discarded, exactly as ReplaySharded
-// would. Segments pruned by a checkpoint before the tailer consumed them
-// surface as ErrTailGone: the subscriber must resynchronise from a
-// checkpoint instead of the log.
+// higher sequence number exists, and a frame left unverifiable at its end
+// was never acknowledged — it is discarded, exactly as Replay would.
+// Segments pruned by a checkpoint before the tailer consumed them surface
+// as ErrTailGone: the subscriber must resynchronise from a checkpoint
+// instead of the log.
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"io"
-	"os"
+	"math"
 	"path/filepath"
 	"sort"
 )
 
-// Segment is one WAL segment: a sequence number and its shard files in
-// numeric shard order (replay matches marker counts by position, so slice
-// index must equal shard index).
+// Segment is one WAL segment file.
 type Segment struct {
-	Seq   int
-	Paths []string
+	Seq  int
+	Path string
 }
 
-// Segments lists dir's WAL segments in replay order, each with its shard
-// files in numeric shard order, and returns the highest sequence number
-// seen. A wal-*.log file the current format cannot parse is an error, not
-// a skip: silently ignoring an unrecognized log file would silently drop
-// its committed transactions.
-//
-// Live segments (seq >= minLiveSeq) must have the contiguous shard set
-// 0..N-1 — a gap means a shard file was lost, and replaying around it
-// would silently skip its epochs. Segments below minLiveSeq are exempt
-// (callers discard them): the checkpointer's prune is not atomic, so a
-// crash mid-prune legitimately leaves partial superseded groups behind.
-func Segments(dir string, minLiveSeq int) ([]Segment, int, error) {
+// ErrSegmentName is returned (wrapped) by Segments for a wal-*.log file
+// whose name the current layout does not produce.
+var ErrSegmentName = errors.New("wal: unrecognized WAL file name (incompatible log layout?)")
+
+// Segments lists dir's WAL segments in replay order and returns the
+// highest sequence number seen. A wal-*.log file the current layout cannot
+// parse is an error, not a skip: silently ignoring an unrecognized log
+// file would silently drop its committed transactions.
+func Segments(dir string) ([]Segment, int, error) {
 	matches, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
 	if err != nil {
 		return nil, 0, err
 	}
-	type shardFile struct {
-		shard int
-		path  string
-	}
-	bySeq := map[int][]shardFile{}
-	var seqs []int
+	segs := make([]Segment, 0, len(matches))
 	maxSeq := 0
 	for _, m := range matches {
-		seq, shard, ok := ParseShardPath(m)
+		seq, ok := ParseSegmentPath(m)
 		if !ok {
-			return nil, 0, fmt.Errorf("wal: unrecognized WAL file %s (incompatible log format?)", m)
+			return nil, 0, fmt.Errorf("%w: %s", ErrSegmentName, m)
 		}
-		if _, seen := bySeq[seq]; !seen {
-			seqs = append(seqs, seq)
-		}
-		bySeq[seq] = append(bySeq[seq], shardFile{shard, m})
-		if seq > maxSeq {
-			maxSeq = seq
-		}
+		segs = append(segs, Segment{Seq: seq, Path: m})
+		maxSeq = max(maxSeq, seq)
 	}
-	sort.Ints(seqs)
-	groups := make([]Segment, 0, len(seqs))
-	for _, seq := range seqs {
-		files := bySeq[seq]
-		sort.Slice(files, func(i, j int) bool { return files[i].shard < files[j].shard })
-		paths := make([]string, len(files))
-		for i, f := range files {
-			if f.shard != i && seq >= minLiveSeq {
-				return nil, 0, fmt.Errorf("wal: WAL segment %06d is missing shard %d (have %s)", seq, i, f.path)
-			}
-			paths[i] = f.path
-		}
-		groups = append(groups, Segment{Seq: seq, Paths: paths})
-	}
-	return groups, maxSeq, nil
+	sort.Slice(segs, func(i, j int) bool { return segs[i].Seq < segs[j].Seq })
+	return segs, maxSeq, nil
 }
 
 // ErrTailGone is returned by a Tailer whose next epochs were pruned by a
@@ -99,132 +68,141 @@ func Segments(dir string, minLiveSeq int) ([]Segment, int, error) {
 // subscriber's position; it must resynchronise from a checkpoint.
 var ErrTailGone = errors.New("wal: requested epochs precede the retained log (checkpointed away); resync required")
 
-// Tailer streams the fully durable commit groups of a sharded WAL
-// directory in epoch order, following segment growth and rotation. Not
-// safe for concurrent use; one Tailer serves one subscriber.
+// Tailer streams the durable commit groups of a WAL directory in epoch
+// order, following segment growth and rotation. Not safe for concurrent
+// use; one Tailer serves one subscriber.
 type Tailer struct {
-	dir         string
-	delivered   int64 // newest epoch handed to the caller (or the resume point)
-	durable     func() int64
-	seq         int // current segment sequence; 0 = not positioned yet
-	shards      []*tailShard
-	rescanEpoch int64 // group already rescanned once (see groupRescan)
+	dir       string
+	delivered int64 // newest epoch handed to the caller (or the resume point)
+	seen      int64 // newest epoch read from a verifying frame, delivered or skipped
+	durable   func() int64
+
+	seg Segment      // current segment; Seq 0 = not positioned yet
+	sf  *segmentFile // nil until the segment file is readable
+	// stale means sf's view of the file (size, buffered bytes) predates
+	// the last unverifiable read and must be refreshed before reading.
+	stale     bool
+	watermark int64 // durable(), captured just before the last refresh (MinInt64 without a witness)
 }
 
-// TailSharded opens a tailer over the WAL in dir, resuming after epoch
-// `after`: the first group delivered is the oldest fully durable group
-// with a larger epoch, even when that position lands mid-file. `after`
-// must be at or above the directory's checkpoint epoch (everything below
-// is pruned from the log) — otherwise the first Next returns ErrTailGone.
+// Tail opens a tailer over the WAL in dir, resuming after epoch `after`:
+// the first group delivered is the oldest durable group with a larger
+// epoch, even when that position lands mid-file. `after` must be at or
+// above the directory's checkpoint epoch (everything below is pruned from
+// the log) — otherwise the first Next returns ErrTailGone.
 //
-// durable reports the newest epoch known fully fsynced on every shard
-// (ShardedLog.DurableEpoch on a live primary); the tailer uses it to
-// distinguish a group still being written (poll again) from a torn one.
-// nil is allowed for offline use: every incomplete tail group is then
-// treated as in-flight until a later segment proves it abandoned.
-func TailSharded(dir string, after int64, durable func() int64) *Tailer {
-	return &Tailer{dir: dir, delivered: after, durable: durable}
+// durable reports the newest epoch known fully fsynced (Log.DurableEpoch
+// on a live primary); the tailer uses it to distinguish a group still
+// being written (poll again) from a torn one. nil is allowed for offline
+// use: an unverifiable tail frame is then treated as in-flight until a
+// later segment proves it abandoned.
+func Tail(dir string, after int64, durable func() int64) *Tailer {
+	return &Tailer{dir: dir, delivered: after, durable: durable, stale: true}
 }
 
 // Position returns the newest epoch delivered so far (the resume point
 // before the first delivery).
 func (t *Tailer) Position() int64 { return t.delivered }
 
-// Next returns the next fully durable commit group, in epoch order: its
-// epoch and its data records merged across shards (commit markers
-// stripped). ok=false means no complete group is available yet — the log
-// may grow, so poll again after a short wait. An error is terminal:
-// either the needed epochs were pruned (ErrTailGone) or the log is
-// damaged.
+// Next returns the next durable commit group, in epoch order: its epoch
+// and its records. ok=false means no complete group is available yet —
+// the log may grow, so poll again after a short wait. An error is
+// terminal: either the needed epochs were pruned (ErrTailGone) or the log
+// is damaged.
 func (t *Tailer) Next() (epoch int64, recs [][]byte, ok bool, err error) {
 	for {
-		if t.shards == nil {
+		if t.seg.Seq == 0 {
 			positioned, err := t.position()
 			if err != nil || !positioned {
 				return 0, nil, false, err
 			}
 		}
-		// Capture the watermark before reading: everything it implies
-		// durable is then visible to the fill below, so an incomplete
-		// group at or below it is genuinely damaged, not racing.
-		watermark := int64(-1 << 62)
-		if t.durable != nil {
-			watermark = t.durable()
-		}
-		for _, s := range t.shards {
-			if err := s.fill(); err != nil {
+		fresh := t.stale
+		if t.stale {
+			// Capture the watermark before looking at the file, so that
+			// everything it implies durable is visible to the reads that
+			// follow.
+			t.watermark = math.MinInt64
+			if t.durable != nil {
+				t.watermark = t.durable()
+				if t.watermark <= t.delivered {
+					// Fully caught up: nothing undelivered is durable
+					// anywhere, so an idle stream touches neither the
+					// file nor the directory.
+					return 0, nil, false, nil
+				}
+			}
+			if err := t.refresh(); err != nil {
 				return 0, nil, false, err
 			}
 		}
-		epoch, recs, state, err := t.assemble()
-		if err != nil {
-			return 0, nil, false, err
+		st := frameEnd // segment file not readable yet: nothing there
+		if t.sf != nil {
+			epoch, recs, st = t.sf.next()
 		}
-		switch state {
-		case groupReady:
+		if st == frameOK {
+			t.seen = epoch
 			if epoch <= t.delivered {
 				continue // resume point inside this segment: skip silently
 			}
 			t.delivered = epoch
 			return epoch, recs, true, nil
-		case groupIncomplete:
-			if epoch <= watermark {
-				return 0, nil, false, fmt.Errorf("wal: group %d is durable but incomplete on disk (damaged log)", epoch)
-			}
-			// The group was never acknowledged. If the segment is already
-			// rotated away it will never complete — discard it with the
-			// segment; otherwise wait for the writer.
-			advanced, err := t.advance()
-			if err != nil {
-				return 0, nil, false, err
-			}
-			if !advanced {
-				return 0, nil, false, nil
-			}
-		case groupRescan:
-			// The marker promises more shards than we have files for.
-			// Rotation creates a segment's shard files one by one, so a
-			// listing can catch a partially created segment and lock in
-			// too few shards: re-list and reopen before concluding
-			// damage. Only a group the watermark proves durable — whose
-			// shard files therefore all exist — may turn this into an
-			// error, on the next pass, if reopening did not help.
-			if epoch <= watermark && t.rescanEpoch == epoch {
-				return 0, nil, false, fmt.Errorf("wal: group %d is durable but segment %06d is missing shard files", epoch, t.seq)
-			}
-			reopened, err := t.reopen()
-			if err != nil {
-				return 0, nil, false, err
-			}
-			t.rescanEpoch = epoch
-			if !reopened || epoch > watermark {
-				return 0, nil, false, nil // wait for the writer to finish creating
-			}
-		case groupNone:
-			if t.durable != nil && watermark <= t.delivered {
-				// Fully caught up: nothing undelivered exists anywhere,
-				// so skip the directory re-listing an advance would do —
-				// an idle stream must not glob the data dir every poll.
-				return 0, nil, false, nil
-			}
-			advanced, err := t.advance()
-			if err != nil {
-				return 0, nil, false, err
-			}
-			if !advanced {
-				return 0, nil, false, nil
-			}
 		}
+		// Nothing verifies at the current offset. The offset did not move,
+		// so the next read starts over at the same frame.
+		t.stale = true
+		if !fresh {
+			continue // the view was from an earlier poll: look again first
+		}
+		// The watermark was captured before the read, so every group it
+		// covers in this segment was visible to it: whatever is durable
+		// and undelivered lives in a later segment. If one exists this
+		// segment is immutable and its unverifiable tail was never
+		// acknowledged — discard it with the segment.
+		advanced, err := t.advance()
+		if err != nil {
+			return 0, nil, false, err
+		}
+		if advanced {
+			continue
+		}
+		// This is the live segment. A frame here whose header names an
+		// epoch the watermark proves durable was fsynced whole before we
+		// read it; not verifying now is damage. (The header itself is
+		// unverified: requiring it to lie past everything already read
+		// keeps a half-visible header of the in-flight group, whose true
+		// epoch is above the watermark, from passing as an older one.)
+		if st == frameBad && epoch > t.seen && epoch <= t.watermark {
+			return 0, nil, false, fmt.Errorf("wal: group %d is durable but its frame in %s does not verify (damaged log)", epoch, t.seg.Path)
+		}
+		return 0, nil, false, nil // wait for the writer
 	}
 }
 
-// Close releases the tailer's file handles. The tailer must not be used
+// Close releases the tailer's file handle. The tailer must not be used
 // afterwards.
 func (t *Tailer) Close() {
-	for _, s := range t.shards {
-		s.close()
+	if t.sf != nil {
+		t.sf.close()
+		t.sf = nil
 	}
-	t.shards = nil
+}
+
+// refresh brings the reader's view of the current segment up to date.
+func (t *Tailer) refresh() (err error) {
+	t.stale = false
+	if t.sf == nil {
+		// Not created yet, pruned, or its superblock is not durable yet
+		// (the writer creates the file before the header): zero frames
+		// this poll, and the next refresh rechecks.
+		t.sf, err = openSegment(t.seg.Path)
+		return err
+	}
+	ready, err := t.sf.rewind()
+	if err != nil || !ready {
+		t.Close()
+	}
+	return err
 }
 
 // position opens the oldest live segment, verifying the resume point is
@@ -238,7 +216,7 @@ func (t *Tailer) position() (bool, error) {
 	if meta.Epoch > t.delivered {
 		return false, fmt.Errorf("%w: resume after epoch %d, checkpoint at %d", ErrTailGone, t.delivered, meta.Epoch)
 	}
-	segs, _, err := Segments(t.dir, meta.MinWALSeq)
+	segs, _, err := Segments(t.dir)
 	if err != nil {
 		return false, err
 	}
@@ -251,28 +229,21 @@ func (t *Tailer) position() (bool, error) {
 	return false, nil
 }
 
-// advance moves to the next segment if one exists, discarding any
-// unconsumed tail of the current one (rotation quiesces the log, so a
-// leftover incomplete group was never acknowledged). Detects the
+// advance moves to the next segment if one exists. Detects the
 // fell-behind-a-checkpoint case: a gap in the sequence numbers combined
 // with a checkpoint past our position means epochs we never delivered
 // were pruned.
 func (t *Tailer) advance() (bool, error) {
-	segs, _, err := Segments(t.dir, t.seq+1)
+	segs, _, err := Segments(t.dir)
 	if err != nil {
 		return false, err
 	}
-	var next *Segment
-	for i := range segs {
-		if segs[i].Seq > t.seq {
-			next = &segs[i]
-			break
-		}
-	}
-	if next == nil {
+	i := sort.Search(len(segs), func(i int) bool { return segs[i].Seq > t.seg.Seq })
+	if i == len(segs) {
 		return false, nil
 	}
-	if next.Seq > t.seq+1 {
+	next := segs[i]
+	if next.Seq > t.seg.Seq+1 {
 		// Read the meta AFTER the listing: the prune that created the gap
 		// wrote its checkpoint first, so this read sees an epoch at least
 		// as new as that checkpoint's.
@@ -284,179 +255,12 @@ func (t *Tailer) advance() (bool, error) {
 			return false, fmt.Errorf("%w: delivered through epoch %d, checkpoint at %d", ErrTailGone, t.delivered, meta.Epoch)
 		}
 	}
-	t.open(*next)
+	t.open(next)
 	return true, nil
 }
 
 func (t *Tailer) open(seg Segment) {
-	for _, s := range t.shards {
-		s.close()
-	}
-	t.seq = seg.Seq
-	t.shards = make([]*tailShard, len(seg.Paths))
-	for i, p := range seg.Paths {
-		t.shards[i] = &tailShard{path: p}
-	}
-}
-
-// reopen re-lists the current segment's shard files and reopens it from
-// the start (the delivered-epoch filter makes re-reading safe). Used when
-// a listing may have caught the segment mid-creation. Reports whether the
-// segment is still present.
-func (t *Tailer) reopen() (bool, error) {
-	segs, _, err := Segments(t.dir, t.seq)
-	if err != nil {
-		return false, err
-	}
-	for _, seg := range segs {
-		if seg.Seq == t.seq {
-			t.open(seg)
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-const (
-	groupNone       = iota // all shard queues empty
-	groupReady             // a complete group was assembled (and consumed)
-	groupIncomplete        // head group's marker or records not all on disk yet
-	groupRescan            // marker promises more shards than the listing gave us
-)
-
-// assemble inspects the shard queues for the group at the minimum head
-// epoch. On groupReady the group's records are consumed from the queues
-// and returned merged in shard order; on groupIncomplete nothing is
-// consumed (the epoch is still reported, for the durability check).
-func (t *Tailer) assemble() (int64, [][]byte, int, error) {
-	cur, any := int64(0), false
-	for _, s := range t.shards {
-		if len(s.queue) > 0 && (!any || s.queue[0].epoch < cur) {
-			cur, any = s.queue[0].epoch, true
-		}
-	}
-	if !any {
-		return 0, nil, groupNone, nil
-	}
-	// Per shard, the group's records are the contiguous head run with
-	// epoch == cur (AppendGroup writes each shard's batch contiguously,
-	// and epochs strictly increase across groups).
-	var markerCounts []int
-	runs := make([]int, len(t.shards))
-	data := make([][][]byte, len(t.shards))
-	for si, s := range t.shards {
-		for _, r := range s.queue {
-			if r.epoch != cur {
-				break
-			}
-			runs[si]++
-			if counts, isMarker := parseMarker(r.rec); isMarker {
-				markerCounts = counts
-			} else {
-				data[si] = append(data[si], r.rec)
-			}
-		}
-	}
-	if markerCounts == nil {
-		return cur, nil, groupIncomplete, nil
-	}
-	if len(markerCounts) > len(t.shards) {
-		// More shards promised than files listed: either we listed the
-		// segment mid-creation (rotation creates shard files one by one)
-		// or files are genuinely gone. The caller re-lists to decide.
-		return cur, nil, groupRescan, nil
-	}
-	if len(markerCounts) < len(t.shards) {
-		// Extra shard files can never appear after the fact: damage.
-		return 0, nil, groupNone, fmt.Errorf("wal: group %d spans %d shards but segment %06d has %d shard files",
-			cur, len(markerCounts), t.seq, len(t.shards))
-	}
-	for si := range t.shards {
-		if len(data[si]) < markerCounts[si] {
-			return cur, nil, groupIncomplete, nil
-		}
-		if len(data[si]) > markerCounts[si] {
-			return 0, nil, groupNone, fmt.Errorf("wal: group %d has %d records on shard %d, marker promises %d",
-				cur, len(data[si]), si, markerCounts[si])
-		}
-	}
-	var recs [][]byte
-	for si, s := range t.shards {
-		recs = append(recs, data[si]...)
-		s.queue = s.queue[runs[si]:]
-	}
-	return cur, recs, groupReady, nil
-}
-
-// tailShard streams one shard file's intact record prefix incrementally:
-// off is the file offset after the last fully read record, and queue
-// holds records read but not yet consumed by a delivered group. A torn or
-// partial record at the tail is simply re-read on the next fill, by which
-// time the writer may have completed it.
-type tailShard struct {
-	path  string
-	f     *os.File
-	r     *bufio.Reader
-	off   int64
-	queue []tailRec
-}
-
-type tailRec struct {
-	epoch int64
-	rec   []byte
-}
-
-func (s *tailShard) fill() error {
-	if s.f == nil {
-		f, err := os.Open(s.path)
-		if os.IsNotExist(err) {
-			return nil // shard not created yet (or pruned): zero records
-		}
-		if err != nil {
-			return fmt.Errorf("wal: tail open: %w", err)
-		}
-		s.f = f
-		s.r = bufio.NewReaderSize(f, 1<<18)
-	}
-	if _, err := s.f.Seek(s.off, io.SeekStart); err != nil {
-		return fmt.Errorf("wal: tail seek: %w", err)
-	}
-	s.r.Reset(s.f)
-	if s.off == 0 {
-		// First read of this file: a real-backend segment opens with a
-		// superblock the record loop must not parse. A superblock that is
-		// present but not yet complete (the writer creates the file before
-		// the header is durable) reads as zero records this poll; off stays
-		// 0, so the next fill rechecks.
-		skipped, empty, err := skipSuperblock(s.r, s.path)
-		if err != nil {
-			return err
-		}
-		if empty {
-			return nil
-		}
-		s.off += int64(skipped)
-	}
-	for {
-		epoch, recs, consumed, ok := readFrame(s.r)
-		if !ok {
-			// A torn or partial frame at the tail is re-read on the next
-			// fill (off only advances past complete frames), by which time
-			// the writer may have completed it.
-			return nil
-		}
-		for _, rec := range recs {
-			s.queue = append(s.queue, tailRec{epoch, rec})
-		}
-		s.off += int64(consumed)
-	}
-}
-
-func (s *tailShard) close() {
-	if s.f != nil {
-		// Read-only tail handle: the tailer never writes, so a Close
-		// failure cannot affect durability.
-		_ = s.f.Close()
-		s.f = nil
-	}
+	t.Close()
+	t.seg = seg
+	t.stale = true
 }

@@ -3,14 +3,17 @@ package wal
 import (
 	"errors"
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 )
 
-// drainTailer pulls every currently available group from t.
+// drainTailer pulls every currently available group from t, failing the
+// test if a group arrives twice or out of epoch order.
 func drainTailer(t *testing.T, tl *Tailer) map[int64][]string {
 	t.Helper()
 	got := map[int64][]string{}
+	last := tl.Position()
 	for {
 		epoch, recs, ok, err := tl.Next()
 		if err != nil {
@@ -19,212 +22,207 @@ func drainTailer(t *testing.T, tl *Tailer) map[int64][]string {
 		if !ok {
 			return got
 		}
+		if epoch <= last {
+			t.Fatalf("group %d delivered after %d", epoch, last)
+		}
+		last = epoch
 		for _, r := range recs {
 			got[epoch] = append(got[epoch], string(r))
 		}
 	}
 }
 
-func TestShardedReplayOneEmptyShard(t *testing.T) {
-	// Every group lands on shard 0 only; shard 1's file exists but holds
-	// zero records. Both replay and tail must deliver everything (the
-	// marker's count for shard 1 is 0, trivially satisfied).
-	sl, dir := openShardedTemp(t, 2)
-	sl.AppendGroup(1, groupOn(2, map[int][][]byte{0: {[]byte("a")}}))
-	sl.AppendGroup(2, groupOn(2, map[int][][]byte{0: {[]byte("b"), []byte("c")}}))
-	recs, durable := replayAll(t, sl, 0)
-	if durable != 2 || !reflect.DeepEqual(recs, map[int64][]string{1: {"a"}, 2: {"b", "c"}}) {
-		t.Fatalf("replay recs=%v durable=%d", recs, durable)
-	}
-	tl := TailSharded(dir, 0, sl.DurableEpoch)
-	defer tl.Close()
-	if got := drainTailer(t, tl); !reflect.DeepEqual(got, map[int64][]string{1: {"a"}, 2: {"b", "c"}}) {
-		t.Fatalf("tail recs=%v", got)
-	}
-}
-
-func TestShardedReplayTornMarkerTail(t *testing.T) {
-	// Shard 0 ends mid-marker: the group's data records are intact on
-	// both shards but the marker record itself is torn. Replay must roll
-	// the group back whole.
-	sl, dir := openShardedTemp(t, 2)
-	sl.AppendGroup(1, groupOn(2, map[int][][]byte{0: {[]byte("keep")}}))
-	sl.AppendGroup(2, groupOn(2, map[int][][]byte{0: {[]byte("lost0")}, 1: {[]byte("lost1")}}))
-	sl.Close()
-	// Shard 0's epoch-2 batch is [lost0][marker]; the marker payload is 4
-	// bytes + 16-byte header. Chop 2 bytes: header complete, payload torn.
-	shard0 := ShardPath(dir, 1, 0)
-	st, _ := os.Stat(shard0)
-	if err := os.Truncate(shard0, st.Size()-2); err != nil {
+func openSeg(t *testing.T, dir string, seq int) *Log {
+	t.Helper()
+	l, err := Open(dir, seq, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	recs, durable := replayAll(t, sl, 0)
-	if durable != 1 || len(recs[2]) != 0 {
-		t.Fatalf("recs=%v durable=%d; torn marker must discard the group", recs, durable)
+	t.Cleanup(func() { l.Close() })
+	return l
+}
+
+func recsOf(ss ...string) [][]byte {
+	out := make([][]byte, len(ss))
+	for i, s := range ss {
+		out[i] = []byte(s)
 	}
-	// A tailer with no durability witness waits on the torn group
-	// (it cannot tell a tear from a write in progress)...
-	tl := TailSharded(dir, 0, nil)
-	if got := drainTailer(t, tl); !reflect.DeepEqual(got, map[int64][]string{1: {"keep"}}) {
-		t.Fatalf("tail recs=%v", got)
-	}
-	tl.Close()
-	// ...but one told epoch 2 is durable knows the log is damaged.
-	tl2 := TailSharded(dir, 0, func() int64 { return 2 })
-	defer tl2.Close()
-	for {
-		_, _, ok, err := tl2.Next()
-		if err != nil {
-			break // damage surfaced
-		}
-		if !ok {
-			t.Fatal("tailer waited on a group its durability witness proved torn")
-		}
-	}
+	return out
 }
 
 func TestTailerFollowsGrowth(t *testing.T) {
-	sl, dir := openShardedTemp(t, 2)
-	sl.AppendGroup(1, groupOn(2, map[int][][]byte{0: {[]byte("a")}, 1: {[]byte("b")}}))
-	tl := TailSharded(dir, 0, sl.DurableEpoch)
+	l, dir := openTemp(t)
+	l.AppendGroup(1, recsOf("a", "b"))
+	tl := Tail(dir, 0, l.DurableEpoch)
 	defer tl.Close()
 	if got := drainTailer(t, tl); !reflect.DeepEqual(got, map[int64][]string{1: {"a", "b"}}) {
 		t.Fatalf("first drain: %v", got)
 	}
 	// The log grows after the tailer went dry; the next poll sees it.
-	sl.AppendGroup(2, groupOn(2, map[int][][]byte{1: {[]byte("c")}}))
-	sl.AppendGroup(3, groupOn(2, map[int][][]byte{0: {[]byte("d")}}))
+	l.AppendGroup(2, recsOf("c"))
+	l.AppendGroup(3, recsOf("d"))
 	if got := drainTailer(t, tl); !reflect.DeepEqual(got, map[int64][]string{2: {"c"}, 3: {"d"}}) {
 		t.Fatalf("second drain: %v", got)
 	}
-}
-
-func TestTailerResumeMidSegment(t *testing.T) {
-	// `after` points inside a segment file: groups at or below it must be
-	// skipped, everything after delivered — exactly once.
-	sl, dir := openShardedTemp(t, 2)
-	for e := int64(1); e <= 5; e++ {
-		sl.AppendGroup(e, groupOn(2, map[int][][]byte{int(e % 2): {[]byte{byte('0' + e)}}}))
-	}
-	tl := TailSharded(dir, 3, sl.DurableEpoch)
-	defer tl.Close()
-	got := drainTailer(t, tl)
-	want := map[int64][]string{4: {"4"}, 5: {"5"}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("resume after 3 delivered %v, want %v", got, want)
+	if tl.Position() != 3 {
+		t.Fatalf("Position = %d", tl.Position())
 	}
 }
 
-func TestTailerCrossesSegmentRotation(t *testing.T) {
+// Each group is delivered exactly once, in epoch order, when the resume
+// point lands mid-segment and the log rotates under the tailer.
+func TestTailerResumeMidSegmentAcrossRotation(t *testing.T) {
 	dir := t.TempDir()
-	s1, err := OpenSharded(dir, 1, 2, nil)
-	if err != nil {
-		t.Fatal(err)
+	s1 := openSeg(t, dir, 1)
+	for e := int64(1); e <= 5; e++ {
+		s1.AppendGroup(e, recsOf(string(rune('0'+e))))
 	}
-	s1.AppendGroup(1, groupOn(2, map[int][][]byte{0: {[]byte("seg1")}}))
-	tl := TailSharded(dir, 0, nil)
+	tl := Tail(dir, 3, nil)
 	defer tl.Close()
-	if got := drainTailer(t, tl); !reflect.DeepEqual(got, map[int64][]string{1: {"seg1"}}) {
-		t.Fatalf("pre-rotation drain: %v", got)
+	if got, want := drainTailer(t, tl), (map[int64][]string{4: {"4"}, 5: {"5"}}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("resume after 3 delivered %v, want %v", got, want)
 	}
 	// Rotate: close segment 1, open segment 2, keep committing.
 	s1.Close()
-	s2, err := OpenSharded(dir, 2, 2, nil)
-	if err != nil {
-		t.Fatal(err)
+	s2 := openSeg(t, dir, 2)
+	s2.AppendGroup(6, recsOf("6"))
+	s2.AppendGroup(7, recsOf("7a", "7b"))
+	if got, want := drainTailer(t, tl), (map[int64][]string{6: {"6"}, 7: {"7a", "7b"}}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("post-rotation drain %v, want %v", got, want)
 	}
-	defer s2.Close()
-	s2.AppendGroup(2, groupOn(2, map[int][][]byte{1: {[]byte("seg2")}}))
-	if got := drainTailer(t, tl); !reflect.DeepEqual(got, map[int64][]string{2: {"seg2"}}) {
-		t.Fatalf("post-rotation drain: %v", got)
+	// A second tailer resuming inside segment 2 skips what precedes it.
+	tl2 := Tail(dir, 6, nil)
+	defer tl2.Close()
+	if got, want := drainTailer(t, tl2), (map[int64][]string{7: {"7a", "7b"}}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("resume after 6 delivered %v, want %v", got, want)
 	}
 }
 
 func TestTailerDiscardsTornTailOnRotation(t *testing.T) {
 	// Segment 1 ends in a torn (never-acknowledged) group; once segment 2
 	// exists the tailer must discard the tear and move on rather than
-	// wait forever.
+	// wait forever — even under a watermark that has since passed the torn
+	// group's epoch, which the restarted primary reuses.
 	dir := t.TempDir()
-	s1, err := OpenSharded(dir, 1, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1.AppendGroup(1, groupOn(2, map[int][][]byte{0: {[]byte("good")}}))
-	s1.AppendGroup(2, groupOn(2, map[int][][]byte{0: {[]byte("torn0")}, 1: {[]byte("torn1")}}))
+	s1 := openSeg(t, dir, 1)
+	s1.AppendGroup(1, recsOf("good"))
+	s1.AppendGroup(2, recsOf("torn0", "torn1"))
 	s1.Close()
-	shard1 := ShardPath(dir, 1, 1)
-	st, _ := os.Stat(shard1)
-	if err := os.Truncate(shard1, st.Size()-3); err != nil {
+	st, _ := os.Stat(s1.path)
+	if err := os.Truncate(s1.path, st.Size()-3); err != nil {
 		t.Fatal(err)
 	}
-	tl := TailSharded(dir, 0, nil)
+	watermark := int64(1)
+	tl := Tail(dir, 0, func() int64 { return watermark })
 	defer tl.Close()
 	if got := drainTailer(t, tl); !reflect.DeepEqual(got, map[int64][]string{1: {"good"}}) {
 		t.Fatalf("torn tail leaked: %v", got)
 	}
-	s2, err := OpenSharded(dir, 2, 2, nil)
-	if err != nil {
+	s2 := openSeg(t, dir, 2)
+	s2.AppendGroup(2, recsOf("after"))
+	watermark = 2
+	if got := drainTailer(t, tl); !reflect.DeepEqual(got, map[int64][]string{2: {"after"}}) {
+		t.Fatalf("post-rotation drain: %v", got)
+	}
+}
+
+// In the live segment a frame that does not verify is lag while its epoch
+// is above the durability watermark, and damage once the watermark covers
+// it.
+func TestTailerDamageVersusLag(t *testing.T) {
+	l, dir := openTemp(t)
+	l.AppendGroup(1, recsOf("keep"))
+	l.AppendGroup(2, recsOf("lost0", "lost1"))
+	l.Close()
+	// Chop 2 bytes: group 2's header is complete, its body torn.
+	st, _ := os.Stat(l.path)
+	if err := os.Truncate(l.path, st.Size()-2); err != nil {
 		t.Fatal(err)
 	}
-	defer s2.Close()
-	s2.AppendGroup(3, groupOn(2, map[int][][]byte{1: {[]byte("after")}}))
-	if got := drainTailer(t, tl); !reflect.DeepEqual(got, map[int64][]string{3: {"after"}}) {
-		t.Fatalf("post-rotation drain: %v", got)
+	want := map[int64][]string{1: {"keep"}}
+	// With no durability witness, or one that has not reached the torn
+	// group, the tailer waits: it cannot tell a tear from a write in
+	// progress.
+	for _, durable := range []func() int64{nil, func() int64 { return 1 }} {
+		tl := Tail(dir, 0, durable)
+		if got := drainTailer(t, tl); !reflect.DeepEqual(got, want) {
+			t.Fatalf("tail recs=%v", got)
+		}
+		if got := drainTailer(t, tl); len(got) != 0 {
+			t.Fatalf("second poll delivered %v", got)
+		}
+		tl.Close()
+	}
+	// One told epoch 2 is durable knows the log is damaged.
+	tl := Tail(dir, 0, func() int64 { return 2 })
+	defer tl.Close()
+	if epoch, _, ok, err := tl.Next(); err != nil || !ok || epoch != 1 {
+		t.Fatalf("first group: epoch=%d ok=%v err=%v", epoch, ok, err)
+	}
+	if _, _, ok, err := tl.Next(); err == nil {
+		t.Fatalf("tailer reported lag (ok=%v) for a group its durability witness proved torn", ok)
 	}
 }
 
 func TestTailerResumeBelowCheckpointIsGone(t *testing.T) {
 	dir := t.TempDir()
-	if err := WriteCheckpointMeta(dir, CheckpointMeta{Epoch: 40, Path: "ckpt-40.snap", MinWALSeq: 3}); err != nil {
+	if err := WriteCheckpointMeta(dir, CheckpointMeta{Epoch: 40, BaseEpoch: 40, Path: "ckpt-40.snap", MinWALSeq: 3}); err != nil {
 		t.Fatal(err)
 	}
-	s3, err := OpenSharded(dir, 3, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s3.Close()
-	s3.AppendGroup(41, [][][]byte{{[]byte("live")}})
+	// A mid-prune leftover below MinWALSeq is not where tailing starts.
+	openSeg(t, dir, 2).AppendGroup(39, recsOf("superseded"))
+	openSeg(t, dir, 3).AppendGroup(41, recsOf("live"))
 	// Resuming after an epoch the checkpoint superseded: the groups
 	// between it and the checkpoint are pruned — gone, not empty.
-	tl := TailSharded(dir, 10, nil)
+	tl := Tail(dir, 10, nil)
 	defer tl.Close()
 	if _, _, _, err := tl.Next(); !errors.Is(err, ErrTailGone) {
 		t.Fatalf("Next below checkpoint = %v, want ErrTailGone", err)
 	}
 	// Resuming at the checkpoint epoch is fine.
-	tl2 := TailSharded(dir, 40, nil)
+	tl2 := Tail(dir, 40, nil)
 	defer tl2.Close()
 	if got := drainTailer(t, tl2); !reflect.DeepEqual(got, map[int64][]string{41: {"live"}}) {
 		t.Fatalf("resume at checkpoint: %v", got)
 	}
 }
 
+func TestTailerFallsBehindCheckpointIsGone(t *testing.T) {
+	// The tailer is parked at the end of segment 1 when a checkpoint
+	// prunes segment 2 (holding epochs it never saw) and moves on to 3.
+	dir := t.TempDir()
+	s1 := openSeg(t, dir, 1)
+	s1.AppendGroup(1, recsOf("a"))
+	tl := Tail(dir, 0, nil)
+	defer tl.Close()
+	drainTailer(t, tl)
+	s1.Close()
+	if err := WriteCheckpointMeta(dir, CheckpointMeta{Epoch: 5, BaseEpoch: 5, Path: "ckpt-5.snap", MinWALSeq: 3}); err != nil {
+		t.Fatal(err)
+	}
+	os.Remove(s1.path)
+	openSeg(t, dir, 3).AppendGroup(6, recsOf("b"))
+	if _, _, _, err := tl.Next(); !errors.Is(err, ErrTailGone) {
+		t.Fatalf("Next across a pruned gap = %v, want ErrTailGone", err)
+	}
+}
+
 func TestSegmentsListing(t *testing.T) {
 	dir := t.TempDir()
-	for _, seq := range []int{2, 1} {
-		sl, err := OpenSharded(dir, seq, 2, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sl.Close()
+	for _, seq := range []int{2, 10, 1} {
+		openSeg(t, dir, seq)
 	}
-	segs, maxSeq, err := Segments(dir, 0)
+	segs, maxSeq, err := Segments(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if maxSeq != 2 || len(segs) != 2 || segs[0].Seq != 1 || segs[1].Seq != 2 {
+	want := []Segment{{1, SegmentPath(dir, 1)}, {2, SegmentPath(dir, 2)}, {10, SegmentPath(dir, 10)}}
+	if maxSeq != 10 || !reflect.DeepEqual(segs, want) {
 		t.Fatalf("segs=%+v maxSeq=%d", segs, maxSeq)
 	}
-	if len(segs[0].Paths) != 2 {
-		t.Fatalf("segment 1 paths: %v", segs[0].Paths)
-	}
-	// A live segment with a missing shard file is an error...
-	os.Remove(ShardPath(dir, 1, 0))
-	if _, _, err := Segments(dir, 1); err == nil {
-		t.Fatal("missing live shard file not detected")
-	}
-	// ...but tolerated below the live floor (checkpoint prune leftovers).
-	if _, _, err := Segments(dir, 2); err != nil {
-		t.Fatalf("superseded partial segment rejected: %v", err)
+	// A log file the layout does not produce is an error, never a skip.
+	os.WriteFile(filepath.Join(dir, "wal-000001-s01.log"), nil, 0o644)
+	if _, _, err := Segments(dir); !errors.Is(err, ErrSegmentName) {
+		t.Fatalf("Segments with a sharded-layout file = %v, want ErrSegmentName", err)
 	}
 }

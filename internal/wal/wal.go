@@ -1,50 +1,34 @@
 // Package wal implements LiveGraph's durability layer (paper §5 "persist
-// phase" and §6 "Recovery"): a write-ahead log with group commit, plus
-// checkpoint bookkeeping so the log can be pruned.
+// phase" and §6 "Recovery"): one append-only write-ahead log with group
+// commit — one append and one fsync per commit group — plus the
+// checkpoint bookkeeping that lets the log be pruned.
 //
-// The log is sharded: a ShardedLog holds N segment files and the group
-// leader appends each commit group's records to every participating shard
-// concurrently — one fsync per shard, fanned out, overlapping on
-// multi-queue devices. Epoch advancement stays a single global sequence
-// point (the committer publishes GRE only after every shard is durable),
-// so snapshot isolation is unchanged; only the persist phase is parallel.
+// The log is a sequence of segment files, wal-<seq>.log; the checkpointer
+// rotates to a fresh segment at a quiescent point and prunes the ones its
+// snapshot supersedes. Each segment writes through a disk.Backend (the
+// storage seam): the iosim backend keeps the paper's Optane/NAND device
+// models and crash injection, the real backend appends into mmap'd,
+// superblock-headed segment files with genuine msync/fsync durability.
+// Replay sniffs the superblock, so both recover through the same code.
 //
-// Each shard writes through a disk.Backend (the storage seam): the iosim
-// backend keeps the paper's Optane/NAND device models and crash injection
-// (each shard on its own device channel — submission queue), while the
-// real backend appends into mmap'd, superblock-headed segment files with
-// genuine msync/fsync durability. Replay sniffs the superblock, so both
-// formats recover through the same code path.
+// Frame format (little endian), one frame per commit group:
 //
-// Frame format (little endian):
+//	[8B epoch][4B body len][4B crc][body]
 //
-//	[8B epoch][4B len field][4B crc][body]
-//
-// Bit 31 of the len field distinguishes two frame kinds. Clear: a legacy
-// single-record frame — body is one payload, crc is crc32-IEEE(body).
-// Set: a batch frame — body is the whole commit-group batch for this
-// shard, a run of [4B record len][payload] sub-records, and crc is one
-// crc32c (Castagnoli, hardware-accelerated) over the full body. The
-// committer writes one batch frame per shard per group, so the persist
-// path computes one checksum per batch instead of one per record; legacy
-// frames remain readable so pre-batch logs replay unchanged.
-//
-// Replay stops at the first torn or corrupt frame, which is the standard
-// crash-consistency contract for a WAL with whole-record CRCs. A tear
-// anywhere in a batch frame discards the whole batch — strictly coarser
-// than per-record CRCs, and exactly the group-atomicity recovery already
-// enforces: a group torn on any shard is rolled back wholesale. For a
-// sharded log a crash can tear different shards at different epochs, so
-// every group additionally carries a commit marker — a reserved record,
-// written on the group's first participating shard, listing how many
-// records the group put on every shard. ReplaySharded merge-reads all
-// shards in epoch order and recovers exactly the last epoch whose marker
-// and full record set are durable on *all* shards; a group that any shard
-// tore is rolled back wholesale, never half-applied.
+// The body is the group's records, a run of [4B record len][payload]
+// sub-records; crc is one crc32c (Castagnoli, hardware-accelerated) over
+// the epoch, the length and the body — every other byte of the frame. A
+// group is exactly one frame, so the frame's checksum is the group's
+// atomicity: a tear anywhere in the frame fails verification and the
+// whole group is rolled back, never half-applied. Replay reads frames
+// until the first one that does not verify — the standard
+// crash-consistency contract for a checksummed WAL — and nothing after
+// that point is delivered.
 package wal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -64,86 +48,188 @@ import (
 
 const headerSize = 16
 
-// recHdrSize prefixes each sub-record inside a batch frame body.
+// recHdrSize prefixes each sub-record inside a frame body.
 const recHdrSize = 4
 
-// batchFlag marks a batch frame in the header's len field. Payload lengths
-// are capped far below it (1<<30), so the bit is unambiguous.
-const batchFlag = uint32(1) << 31
+// MaxGroupBytes is the largest frame body the log holds. The writer
+// refuses a bigger group before accepting a byte of it, and the reader
+// treats a larger length field as a torn header — one limit for both, so
+// no group can be acknowledged that replay would later discard.
+const MaxGroupBytes = 1 << 30
 
 // castagnoli is the crc32c polynomial table; crc32.Update with it uses the
 // dedicated CRC32 instruction on amd64/arm64.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// markerOp is the first payload byte of a group-commit marker record. It
-// is reserved: application records must not begin with it (LiveGraph's op
-// codes are small integers).
-const markerOp = 0xF7
-
-// Log is a single append-only write-ahead log file — the per-shard
-// primitive under ShardedLog. AppendGroup is safe for use by a single
-// committer goroutine; Replay may be called before appending starts.
+// Log is one segment of the write-ahead log: an append-only file taking
+// one frame per commit group. AppendGroup is for a single committer
+// goroutine; the accessors may be called concurrently with it.
 type Log struct {
 	mu   sync.Mutex
 	lf   disk.LogFile
 	path string
 
 	appended int64 // bytes appended since open
+
+	durable atomic.Int64 // newest epoch whose group is fsynced
+	failed  atomic.Bool  // sticky: a group write failed; see ErrLogFailed
+
+	// Optional latency instruments for the two phases of AppendGroup
+	// (write vs fsync barrier), attached by Instrument. Nil histograms
+	// record nothing.
+	appendHist *obs.Histogram
+	syncHist   *obs.Histogram
 }
 
-// Open opens (creating if necessary) the log at path through backend. nil
-// selects the iosim backend on an instantaneous device. geo is the file's
-// place in a sharded log, recorded in the real backend's superblock (zero
-// for standalone logs).
-func Open(path string, backend disk.Backend, geo disk.LogGeometry) (*Log, error) {
+// ErrLogFailed is returned by AppendGroup after any group write has
+// failed. The failure may have left a torn frame mid-file; a later group
+// appended after the tear would be silently discarded by replay (which
+// stops at the first frame that does not verify) even though its commit
+// was acknowledged. Refusing all further appends makes the log's durable
+// prefix exactly the acknowledged commits; reopen and recover to resume.
+var ErrLogFailed = errors.New("wal: log failed; reopen and recover")
+
+// ErrGroupTooLarge is returned by AppendGroup for a group whose frame body
+// would exceed MaxGroupBytes. Nothing was written, so the log stays
+// usable: only that group fails.
+var ErrGroupTooLarge = errors.New("wal: commit group exceeds the frame size limit")
+
+// SegmentPath returns the file path of segment seq of the log in dir.
+func SegmentPath(dir string, seq int) string {
+	return filepath.Join(dir, fmt.Sprintf("wal-%06d.log", seq))
+}
+
+// ParseSegmentPath extracts seq from a segment file name, reporting
+// ok=false for names not produced by SegmentPath. Parsed manually rather
+// than with Sscanf: the %06d in SegmentPath is a minimum width, so
+// sequence numbers past 999999 produce wider names that a width-limited
+// scan would silently reject — and a silently skipped WAL file is silent
+// data loss.
+func ParseSegmentPath(name string) (seq int, ok bool) {
+	rest, found := strings.CutPrefix(filepath.Base(name), "wal-")
+	if !found {
+		return 0, false
+	}
+	seqStr, found := strings.CutSuffix(rest, ".log")
+	if !found {
+		return 0, false
+	}
+	seq64, err := strconv.ParseUint(seqStr, 10, 31)
+	if err != nil {
+		return 0, false
+	}
+	return int(seq64), true
+}
+
+// Open opens (creating if necessary) segment seq of the log in dir through
+// backend (nil selects the iosim backend on an instantaneous device). The
+// directory is fsynced after the file is created: a commit acknowledged
+// into a file whose dirent is not durable would vanish with the dirent on
+// crash.
+func Open(dir string, seq int, backend disk.Backend) (*Log, error) {
 	if backend == nil {
 		backend = disk.NewSim(nil)
 	}
-	lf, err := backend.OpenLog(path, geo)
+	path := SegmentPath(dir, seq)
+	lf, err := backend.OpenLog(path, disk.SegmentGeometry(seq))
 	if err != nil {
 		return nil, fmt.Errorf("wal: open %s: %w", path, err)
+	}
+	if err := backend.SyncDir(dir); err != nil {
+		_ = lf.Close() // the segment is unusable either way: the dir-fsync error wins
+		return nil, fmt.Errorf("wal: fsync dir after segment create: %w", err)
 	}
 	return &Log{lf: lf, path: path}, nil
 }
 
-// AppendGroup appends one batch of records — all stamped with the same
-// epoch, framed as a single batch frame under one crc32c — and makes it
-// durable (one Sync barrier for the whole batch, the group commit step).
-// The backend charges its device model, if any.
-//
-// If the backend's device has an armed crash point
-// (iosim.Device.CrashAfter), Accept admits only a prefix of the batch —
-// a genuinely torn write lands in the file — and the wrapped
-// iosim.ErrCrashed is returned.
-func (l *Log) AppendGroup(epoch int64, recs [][]byte) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	needSync, err := l.writeBatch(epoch, recs)
-	if needSync {
-		// Sync even on a device-crash error: the clipped prefix must land
-		// in the file so the tear is what recovery sees.
-		if serr := l.sync(); serr != nil && err == nil {
-			err = serr
-		}
-	}
-	return err
+// Instrument attaches latency histograms for AppendGroup's write phase
+// and fsync barrier. Either may be nil. Call before the log is shared
+// with a committer — it is not synchronised against in-flight appends.
+func (l *Log) Instrument(appendHist, syncHist *obs.Histogram) {
+	l.appendHist, l.syncHist = appendHist, syncHist
 }
 
-// writeBatch frames recs as one batch frame and writes it without syncing
-// — the write half of AppendGroup, split out so ShardedLog can run all
-// shard writes sequentially and fan out only the sync barriers. needSync
-// reports that bytes landed in the file and a sync is required even when
-// err is non-nil (a device crash clips the batch; the tear must become
-// durable). A plain write failure returns needSync=false: nothing further
-// is acknowledged from this log.
-func (l *Log) writeBatch(epoch int64, recs [][]byte) (needSync bool, err error) {
+// DurableEpoch returns the newest epoch whose group is durable. The
+// committer publishes GRE only after the group's epoch is durable, so
+// GRE <= DurableEpoch holds at all times on a durable graph.
+func (l *Log) DurableEpoch() int64 { return l.durable.Load() }
+
+// SetDurableEpoch initialises the durability watermark (recovery sets it
+// to the replayed epoch before the committer starts).
+func (l *Log) SetDurableEpoch(e int64) { l.durable.Store(e) }
+
+// AppendedBytes reports bytes appended since Open (for write-amplification
+// profiling, paper §7.2).
+func (l *Log) AppendedBytes() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.appended
+}
+
+// AppendGroup persists one commit group: recs, all stamped with epoch, are
+// framed as a single frame under one crc32c, written, and made durable by
+// one Sync barrier (the group commit step); only then does DurableEpoch
+// advance. The backend charges its device model, if any. An empty group
+// is vacuously durable.
+//
+// On error (device crash, I/O failure) the group must be treated as not
+// committed, and every later AppendGroup returns ErrLogFailed. If the
+// backend's device has an armed crash point (iosim.Device.CrashAfter),
+// Accept admits only a prefix of the frame — a genuinely torn write lands
+// in the file — and the wrapped iosim.ErrCrashed is returned.
+func (l *Log) AppendGroup(epoch int64, recs [][]byte) error {
+	if l.failed.Load() {
+		return ErrLogFailed
+	}
 	bodyLen := 0
 	for _, rec := range recs {
 		bodyLen += recHdrSize + len(rec)
+		if bodyLen > MaxGroupBytes {
+			return fmt.Errorf("%w: epoch %d body exceeds %d bytes", ErrGroupTooLarge, epoch, MaxGroupBytes)
+		}
 	}
+	if len(recs) == 0 {
+		l.durable.Store(epoch)
+		return nil
+	}
+	timed := l.appendHist != nil || l.syncHist != nil
+	var t0 time.Time
+	if timed {
+		t0 = time.Now()
+	}
+	needSync, err := l.writeFrame(epoch, recs, bodyLen)
+	if timed {
+		l.appendHist.Record(time.Since(t0))
+	}
+	if needSync {
+		// Sync even on a device-crash error: the clipped prefix must land
+		// in the file so the tear is what recovery sees.
+		if timed {
+			t0 = time.Now()
+		}
+		if serr := l.sync(); serr != nil && err == nil {
+			err = serr
+		}
+		if timed {
+			l.syncHist.Record(time.Since(t0))
+		}
+	}
+	if err != nil {
+		l.failed.Store(true)
+		return err
+	}
+	l.durable.Store(epoch)
+	return nil
+}
+
+// writeFrame frames recs and writes them without syncing. needSync reports
+// that bytes landed in the file and a sync is required even when err is
+// non-nil (a device crash clips the frame; the tear must become durable).
+// A plain write failure returns needSync=false: nothing further is
+// acknowledged from this log.
+func (l *Log) writeFrame(epoch int64, recs [][]byte, bodyLen int) (needSync bool, err error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	accepted, devErr := l.lf.Accept(headerSize + bodyLen)
 	if devErr != nil {
 		devErr = fmt.Errorf("wal: append %s: %w", l.path, devErr)
@@ -151,19 +237,19 @@ func (l *Log) writeBatch(epoch int64, recs [][]byte) (needSync bool, err error) 
 	if accepted == 0 {
 		return false, devErr
 	}
-	// One checksum for the whole batch, computed incrementally so records
-	// stream straight into the backend's writer — no batch-sized staging
+	// One checksum for the whole group, computed incrementally so records
+	// stream straight into the backend's writer — no group-sized staging
 	// copy on the persist hot path.
+	var hdr [headerSize]byte
+	binary.LittleEndian.PutUint64(hdr[0:8], uint64(epoch))
+	binary.LittleEndian.PutUint32(hdr[8:12], uint32(bodyLen))
 	var lenBuf [recHdrSize]byte
-	crc := uint32(0)
+	crc := crc32.Update(0, castagnoli, hdr[0:12])
 	for _, rec := range recs {
 		binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(rec)))
 		crc = crc32.Update(crc, castagnoli, lenBuf[:])
 		crc = crc32.Update(crc, castagnoli, rec)
 	}
-	var hdr [headerSize]byte
-	binary.LittleEndian.PutUint64(hdr[0:8], uint64(epoch))
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(bodyLen)|batchFlag)
 	binary.LittleEndian.PutUint32(hdr[12:16], crc)
 	// `remaining` clips the part that crosses an injected crash point, so
 	// the file carries exactly the accepted prefix (a genuine tear).
@@ -196,8 +282,7 @@ func (l *Log) writeBatch(epoch int64, recs [][]byte) (needSync bool, err error) 
 	return true, devErr
 }
 
-// sync flushes written batches to stable storage — the other half of the
-// split AppendGroup.
+// sync flushes written frames to stable storage.
 func (l *Log) sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -207,110 +292,182 @@ func (l *Log) sync() error {
 	return nil
 }
 
-// AppendedBytes reports bytes appended since Open (for write-amplification
-// profiling, paper §7.2).
-func (l *Log) AppendedBytes() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appended
-}
-
-// Close closes the log file (trimming any preallocated tail on the real
-// backend).
+// Close closes the segment file (trimming any preallocated tail on the
+// real backend).
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.lf.Close()
 }
 
-// ErrTruncated is reported (wrapped) when replay hits a torn tail; records
-// before the tear have already been delivered.
-var ErrTruncated = errors.New("wal: torn tail")
+// Reading --------------------------------------------------------------------
 
-// Replay reads the single log file at path, invoking fn for each intact
-// record whose epoch is > afterEpoch (commit markers included — callers
-// replaying a sharded segment group want ReplaySharded instead, which
-// validates markers and strips them). A torn or corrupt tail terminates
-// replay silently (that is the crash contract); any fn error aborts replay.
-func Replay(path string, afterEpoch int64, fn func(epoch int64, rec []byte) error) error {
-	sr, err := openSegReader(path)
-	if err != nil {
-		return err
-	}
-	defer sr.close()
-	for sr.haveRec {
-		if sr.epoch > afterEpoch {
-			if err := fn(sr.epoch, sr.rec); err != nil {
-				return err
-			}
-		}
-		sr.next()
-	}
-	return nil
-}
+// frameState classifies what readFrame found at the reader's position.
+type frameState int
 
-// readFrame reads one frame — a legacy single-record frame or a batch
-// frame carrying several sub-records under one crc32c — returning its
-// records and the byte length consumed (header + body; tailers advance
-// file offsets by it). ok=false at clean EOF or the first torn/corrupt
-// frame. An all-zero header is EOF, not a frame: the real backend
+const (
+	frameOK  frameState = iota // a verifying frame
+	frameEnd                   // nothing there: EOF, a short header, or the zero-filled preallocated tail
+	frameBad                   // a header followed by a body that is short, implausible or fails its checksum
+)
+
+// readFrame reads one frame from r, which has `limit` bytes left before
+// the end of the file, returning its records and the byte length consumed
+// (header + body; tailers advance file offsets by it). The body is only
+// allocated once the header's length is known to fit inside limit, so a
+// garbage length field at a torn tail costs nothing. On frameBad the
+// header's epoch is returned unverified, for the tailer's damage check.
+//
+// An all-zero header is the end of the log, not a frame: the real backend
 // preallocates segment files, so after a crash the tail past the last
 // durable frame is zero-filled pages — and a zero header would otherwise
-// decode as a valid empty record (epoch 0, len 0, crc32("")==0) forever.
-// Real epochs start at 1, so no live frame has a zero header.
-func readFrame(r *bufio.Reader) (epoch int64, recs [][]byte, consumed int, ok bool) {
+// read as the start of a frame forever. Real epochs start at 1, so no
+// live frame has a zero header. The writer never frames an empty group,
+// so a zero body length under a non-zero header is torn too.
+func readFrame(r io.Reader, limit int64) (epoch int64, recs [][]byte, consumed int, st frameState) {
 	var hdr [headerSize]byte
+	if limit < headerSize {
+		return 0, nil, 0, frameEnd
+	}
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, 0, false // clean EOF or torn header
+		return 0, nil, 0, frameEnd
 	}
 	epoch = int64(binary.LittleEndian.Uint64(hdr[0:8]))
-	lenField := binary.LittleEndian.Uint32(hdr[8:12])
+	n := binary.LittleEndian.Uint32(hdr[8:12])
 	crc := binary.LittleEndian.Uint32(hdr[12:16])
-	if epoch == 0 && lenField == 0 && crc == 0 {
-		return 0, nil, 0, false // preallocated zero tail: end of log
+	if epoch == 0 && n == 0 && crc == 0 {
+		return 0, nil, 0, frameEnd
 	}
-	n := lenField &^ batchFlag
-	if n > 1<<30 {
-		return 0, nil, 0, false // implausible length: torn
+	if n == 0 || n > MaxGroupBytes || int64(n) > limit-headerSize {
+		return epoch, nil, 0, frameBad // implausible or longer than the file: torn
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, 0, false // torn body
+		return epoch, nil, 0, frameBad
 	}
-	consumed = headerSize + int(n)
-	if lenField&batchFlag == 0 {
-		// Legacy frame: body is one record under an IEEE CRC.
-		if crc32.ChecksumIEEE(body) != crc {
-			return 0, nil, 0, false // corrupt: stop at the tear
-		}
-		return epoch, [][]byte{body}, consumed, true
-	}
-	if crc32.Checksum(body, castagnoli) != crc {
-		return 0, nil, 0, false // corrupt anywhere in the batch: whole batch torn
+	if crc32.Update(crc32.Checksum(hdr[0:12], castagnoli), castagnoli, body) != crc {
+		return epoch, nil, 0, frameBad // corrupt anywhere in the frame: whole group torn
 	}
 	for rest := body; len(rest) > 0; {
 		if len(rest) < recHdrSize {
-			return 0, nil, 0, false // malformed body: treat as torn
+			return epoch, nil, 0, frameBad
 		}
 		rl := binary.LittleEndian.Uint32(rest[:recHdrSize])
 		rest = rest[recHdrSize:]
-		if int(rl) > len(rest) {
-			return 0, nil, 0, false
+		if uint64(rl) > uint64(len(rest)) {
+			return epoch, nil, 0, frameBad
 		}
 		recs = append(recs, rest[:rl:rl])
 		rest = rest[rl:]
 	}
-	return epoch, recs, consumed, true
+	return epoch, recs, headerSize + int(n), frameOK
+}
+
+// segmentFile is a segment opened for reading, positioned past its
+// superblock (if it has one).
+type segmentFile struct {
+	f    *os.File
+	r    *bufio.Reader
+	off  int64 // file offset of r's position
+	size int64
+}
+
+// openSegment opens path for frame reading from the start (the superblock,
+// if any, is validated and skipped). A nil segmentFile with a nil error
+// means the file holds no frames to read yet: it does not exist, or its
+// creator crashed (or is still running) before the superblock was durable
+// — no group was ever acknowledged from such a file.
+func openSegment(path string) (*segmentFile, error) {
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("wal: open segment: %w", err)
+	}
+	sf := &segmentFile{f: f, r: bufio.NewReaderSize(f, 1<<18)}
+	if ready, err := sf.rewind(); err != nil || !ready {
+		sf.close()
+		return nil, err
+	}
+	return sf, nil
+}
+
+// rewind repositions the reader at sf.off and refreshes the file size, so
+// frames appended since the last read become visible.
+func (sf *segmentFile) rewind() (ready bool, err error) {
+	st, err := sf.f.Stat()
+	if err != nil {
+		return false, fmt.Errorf("wal: stat segment: %w", err)
+	}
+	sf.size = st.Size()
+	if _, err := sf.f.Seek(sf.off, io.SeekStart); err != nil {
+		return false, fmt.Errorf("wal: seek segment: %w", err)
+	}
+	sf.r.Reset(sf.f)
+	if sf.off > 0 {
+		return true, nil
+	}
+	skipped, empty, err := skipSuperblock(sf.r, sf.f.Name())
+	if err != nil || empty {
+		return false, err
+	}
+	sf.off = int64(skipped)
+	return true, nil
+}
+
+// next reads the frame at the current offset, advancing past it only when
+// it verifies.
+func (sf *segmentFile) next() (epoch int64, recs [][]byte, st frameState) {
+	epoch, recs, consumed, st := readFrame(sf.r, sf.size-sf.off)
+	sf.off += int64(consumed)
+	return epoch, recs, st
+}
+
+func (sf *segmentFile) close() {
+	// Read-only handle: nothing was written, so a Close failure cannot
+	// affect durability.
+	_ = sf.f.Close()
+}
+
+// Replay reads the segment file at path, invoking fn for each record of
+// every verifying group whose epoch is > afterEpoch, in log order. The
+// first frame that does not verify — a torn or corrupt tail — ends replay
+// silently (that is the crash contract): that group and everything after
+// it is discarded. Any fn error aborts replay. It returns the newest epoch
+// read (afterEpoch if none was newer).
+func Replay(path string, afterEpoch int64, fn func(epoch int64, rec []byte) error) (int64, error) {
+	durable := afterEpoch
+	sf, err := openSegment(path)
+	if err != nil || sf == nil {
+		return durable, err
+	}
+	defer sf.close()
+	for {
+		epoch, recs, st := sf.next()
+		if st != frameOK {
+			return durable, nil
+		}
+		if epoch <= afterEpoch {
+			continue
+		}
+		for _, rec := range recs {
+			if err := fn(epoch, rec); err != nil {
+				return durable, err
+			}
+		}
+		durable = epoch
+	}
 }
 
 // skipSuperblock positions r past a real-backend superblock, if the file
 // has one, reporting how many bytes it consumed. empty=true means the
-// segment must be treated as having no records: the creating process
-// crashed before the superblock was durable (no record was ever
+// segment must be treated as having no frames: the creating process
+// crashed before the superblock was durable (no group was ever
 // acknowledged from such a file). Headerless iosim-format files pass
 // through untouched (skipped=0). Incompatible superblocks (foreign
 // endianness, unknown version, geometry not matching the file name) are
-// hard errors — misparsing them as records would be silent corruption.
+// hard errors — misparsing them as frames would be silent corruption.
 func skipSuperblock(r *bufio.Reader, path string) (skipped int, empty bool, err error) {
 	head, peekErr := r.Peek(disk.SuperblockSize)
 	if !disk.HasSuperblockMagic(head) {
@@ -326,8 +483,8 @@ func skipSuperblock(r *bufio.Reader, path string) (skipped int, empty bool, err 
 	if err != nil {
 		return 0, false, fmt.Errorf("wal: segment %s: %w", path, err)
 	}
-	if seq, shard, ok := ParseShardPath(path); ok {
-		if err := sb.CheckGeometry(seq, shard); err != nil {
+	if seq, ok := ParseSegmentPath(path); ok {
+		if err := sb.CheckGeometry(seq); err != nil {
 			return 0, false, fmt.Errorf("wal: segment %s: %w", path, err)
 		}
 	}
@@ -337,467 +494,11 @@ func skipSuperblock(r *bufio.Reader, path string) (skipped int, empty bool, err 
 	return disk.SuperblockSize, false, nil
 }
 
-// Sharded log ----------------------------------------------------------------
-
-// ShardedLog is a segmented write-ahead log: one file per shard, written
-// concurrently at group commit. Records are partitioned by the caller
-// (LiveGraph shards by vertex ownership, so one vertex's history stays in
-// order on one shard); the log adds the group-commit marker that makes
-// cross-shard recovery atomic.
-type ShardedLog struct {
-	dir  string
-	seq  int
-	logs []*Log
-
-	durable atomic.Int64 // newest epoch durable on every shard
-	failed  atomic.Bool  // sticky: a group write failed; see ErrLogFailed
-
-	// Optional latency instruments for the two phases of AppendGroup
-	// (write vs fsync barrier), attached by Instrument. Nil histograms
-	// record nothing.
-	appendHist *obs.Histogram
-	syncHist   *obs.Histogram
-}
-
-// Instrument attaches latency histograms for AppendGroup's write phase
-// and fsync barrier. Either may be nil. Call before the log is shared
-// with a committer — it is not synchronised against in-flight appends.
-func (sl *ShardedLog) Instrument(appendHist, syncHist *obs.Histogram) {
-	sl.appendHist, sl.syncHist = appendHist, syncHist
-}
-
-// ErrLogFailed is returned by AppendGroup after any group write has
-// failed. The failure may have left torn records mid-file on some shards;
-// a later group appended after the tear would be silently discarded by
-// replay (which stops at the first invalid group) even though its commit
-// was acknowledged. Refusing all further appends makes the log's durable
-// prefix exactly the acknowledged commits; reopen and recover to resume.
-var ErrLogFailed = errors.New("wal: log failed; reopen and recover")
-
-// ShardPath returns the file path of one shard of a segment sequence.
-func ShardPath(dir string, seq, shard int) string {
-	return filepath.Join(dir, fmt.Sprintf("wal-%06d-s%02d.log", seq, shard))
-}
-
-// ParseShardPath extracts (seq, shard) from a shard file name, reporting
-// ok=false for names not produced by ShardPath. Parsed manually rather
-// than with Sscanf: the %02d in ShardPath is a minimum width, so shard
-// indexes past 99 produce wider names that a width-limited scan would
-// silently reject — and a silently skipped WAL file is silent data loss.
-func ParseShardPath(name string) (seq, shard int, ok bool) {
-	rest, found := strings.CutPrefix(filepath.Base(name), "wal-")
-	if !found {
-		return 0, 0, false
-	}
-	seqStr, rest, found := strings.Cut(rest, "-s")
-	if !found {
-		return 0, 0, false
-	}
-	shardStr, found := strings.CutSuffix(rest, ".log")
-	if !found {
-		return 0, 0, false
-	}
-	seq64, err1 := strconv.ParseUint(seqStr, 10, 31)
-	shard64, err2 := strconv.ParseUint(shardStr, 10, 31)
-	if err1 != nil || err2 != nil {
-		return 0, 0, false
-	}
-	return int(seq64), int(shard64), true
-}
-
-// OpenSharded opens (creating if necessary) segment seq of the log in dir
-// with the given shard count, through backend (nil selects the iosim
-// backend on an instantaneous device; each shard then writes on its own
-// device channel — multi-queue fan-out). The directory is fsynced after
-// the shard files are created: a commit acknowledged into a file whose
-// dirent is not durable would vanish with the dirent on crash.
-func OpenSharded(dir string, seq, shards int, backend disk.Backend) (*ShardedLog, error) {
-	if shards < 1 {
-		shards = 1
-	}
-	if backend == nil {
-		backend = disk.NewSim(nil)
-	}
-	sl := &ShardedLog{dir: dir, seq: seq, logs: make([]*Log, shards)}
-	for s := 0; s < shards; s++ {
-		l, err := Open(ShardPath(dir, seq, s), backend, disk.LogGeometry{Seq: seq, Shard: s, Shards: shards})
-		if err != nil {
-			for _, open := range sl.logs[:s] {
-				_ = open.Close() // unwinding a failed segment open: err wins
-			}
-			return nil, err
-		}
-		sl.logs[s] = l
-	}
-	if err := backend.SyncDir(dir); err != nil {
-		_ = sl.Close() // the segment is unusable either way: the dir-fsync error wins
-		return nil, fmt.Errorf("wal: fsync dir after segment create: %w", err)
-	}
-	return sl, nil
-}
-
-// Shards returns the shard count.
-func (sl *ShardedLog) Shards() int { return len(sl.logs) }
-
-// SegmentPaths returns the shard file paths of this segment.
-func (sl *ShardedLog) SegmentPaths() []string {
-	paths := make([]string, len(sl.logs))
-	for s := range sl.logs {
-		paths[s] = ShardPath(sl.dir, sl.seq, s)
-	}
-	return paths
-}
-
-// DurableEpoch returns the newest epoch that is durable on every shard.
-// The committer publishes GRE only after the group's epoch is durable, so
-// GRE <= DurableEpoch holds at all times on a durable graph.
-func (sl *ShardedLog) DurableEpoch() int64 { return sl.durable.Load() }
-
-// SetDurableEpoch initialises the durability watermark (recovery sets it
-// to the replayed epoch before the committer starts).
-func (sl *ShardedLog) SetDurableEpoch(e int64) { sl.durable.Store(e) }
-
-// AppendedBytes sums bytes appended across all shards since open.
-func (sl *ShardedLog) AppendedBytes() int64 {
-	var n int64
-	for _, l := range sl.logs {
-		n += l.AppendedBytes()
-	}
-	return n
-}
-
-// AppendGroup persists one commit group. recsByShard holds the group's
-// records partitioned by shard (len must equal Shards()); shards with no
-// records are not touched. The group's commit marker — listing every
-// shard's record count — rides on the first participating shard, in the
-// same batch and fsync as its data. All participating shards are written
-// and fsynced concurrently; AppendGroup returns once every shard is
-// durable, and only then advances DurableEpoch.
-//
-// On error (device crash, I/O failure) the group must be treated as not
-// committed: some shards may hold torn or complete record sets, but the
-// missing marker or records on another shard make ReplaySharded discard
-// the whole group.
-func (sl *ShardedLog) AppendGroup(epoch int64, recsByShard [][][]byte) error {
-	if sl.failed.Load() {
-		return ErrLogFailed
-	}
-	if len(recsByShard) != len(sl.logs) {
-		return fmt.Errorf("wal: AppendGroup got %d shards, log has %d", len(recsByShard), len(sl.logs))
-	}
-	counts := make([]int, len(sl.logs))
-	first, participants := -1, 0
-	for s, recs := range recsByShard {
-		counts[s] = len(recs)
-		if len(recs) > 0 {
-			participants++
-			if first < 0 {
-				first = s
-			}
-		}
-	}
-	if participants == 0 {
-		// Nothing to persist: the epoch is vacuously durable.
-		sl.durable.Store(epoch)
-		return nil
-	}
-	marker := encodeMarker(counts)
-	batchFor := func(s int) [][]byte {
-		recs := recsByShard[s]
-		if s == first {
-			// Full slice expression so the append cannot scribble on the
-			// caller's backing array.
-			recs = append(recs[:len(recs):len(recs)], marker)
-		}
-		return recs
-	}
-	timed := sl.appendHist != nil || sl.syncHist != nil
-	if participants == 1 {
-		// Uncontended fast path: no goroutine handoff, identical to the
-		// unsharded log. The write/sync split mirrors Log.AppendGroup
-		// (sync even on a device-crash error: the clipped prefix must
-		// land in the file so the tear is what recovery sees) with the
-		// two phases timed separately when instrumented.
-		l := sl.logs[first]
-		var t0 time.Time
-		if timed {
-			t0 = time.Now()
-		}
-		needSync, err := l.writeBatch(epoch, batchFor(first))
-		if timed {
-			sl.appendHist.Record(time.Since(t0))
-		}
-		if needSync {
-			if timed {
-				t0 = time.Now()
-			}
-			if serr := l.sync(); serr != nil && err == nil {
-				err = serr
-			}
-			if timed {
-				sl.syncHist.Record(time.Since(t0))
-			}
-		}
-		if err != nil {
-			sl.failed.Store(true)
-			return err
-		}
-		sl.durable.Store(epoch)
-		return nil
-	}
-	// Write phase, sequential: shard appends are memcpy into an mmap'd
-	// segment or a buffered writer, so fanning them out as goroutines costs
-	// more in handoff than it overlaps (the BENCH_6 shard regression).
-	// Only the sync barriers below are worth running concurrently.
-	var t0 time.Time
-	if timed {
-		t0 = time.Now()
-	}
-	needSync := make([]bool, len(sl.logs))
-	var firstErr error
-	for s := range sl.logs {
-		if counts[s] == 0 {
-			continue
-		}
-		ns, err := sl.logs[s].writeBatch(epoch, batchFor(s))
-		needSync[s] = ns
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if timed {
-		sl.appendHist.Record(time.Since(t0))
-		t0 = time.Now()
-	}
-	// Sync phase, fanned out: one sync per participating shard,
-	// overlapping on multi-queue devices. Shards that landed bytes are
-	// synced even when another shard failed, so an injected tear is
-	// durable — recovery must see exactly the accepted prefix.
-	var wg sync.WaitGroup
-	syncErrs := make([]error, len(sl.logs))
-	for s := range sl.logs {
-		if !needSync[s] {
-			continue
-		}
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			syncErrs[s] = sl.logs[s].sync()
-		}(s)
-	}
-	wg.Wait()
-	if timed {
-		sl.syncHist.Record(time.Since(t0))
-	}
-	for _, err := range syncErrs {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		sl.failed.Store(true)
-		return firstErr
-	}
-	sl.durable.Store(epoch)
-	return nil
-}
-
-// Close closes all shard files, returning the first error.
-func (sl *ShardedLog) Close() error {
-	var first error
-	for _, l := range sl.logs {
-		if err := l.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// encodeMarker builds a commit-marker payload: the reserved op byte, the
-// shard count, then one record count per shard.
-func encodeMarker(counts []int) []byte {
-	buf := make([]byte, 0, 2+2*len(counts))
-	buf = append(buf, markerOp)
-	buf = binary.AppendUvarint(buf, uint64(len(counts)))
-	for _, c := range counts {
-		buf = binary.AppendUvarint(buf, uint64(c))
-	}
-	return buf
-}
-
-// parseMarker decodes a commit marker, reporting ok=false for payloads
-// that are not well-formed markers.
-func parseMarker(rec []byte) ([]int, bool) {
-	if len(rec) < 2 || rec[0] != markerOp {
-		return nil, false
-	}
-	rec = rec[1:]
-	n, w := binary.Uvarint(rec)
-	if w <= 0 || n == 0 || n > 1<<16 {
-		return nil, false
-	}
-	rec = rec[w:]
-	counts := make([]int, n)
-	for i := range counts {
-		c, w := binary.Uvarint(rec)
-		if w <= 0 {
-			return nil, false
-		}
-		counts[i] = int(c)
-		rec = rec[w:]
-	}
-	return counts, len(rec) == 0
-}
-
-// ReplaySharded merge-replays the shard files of one segment (ordered by
-// shard index), delivering the data records of every fully durable group
-// with epoch > afterEpoch to fn in global epoch order. A group is fully
-// durable only if its commit marker and the record counts it promises are
-// intact on every shard; the first group that fails this check — torn
-// record, missing marker, or a shard that stopped at an earlier epoch —
-// ends replay, and that group plus everything after it is discarded.
-//
-// It returns the newest fully durable epoch seen (afterEpoch if none).
-func ReplaySharded(paths []string, afterEpoch int64, fn func(epoch int64, rec []byte) error) (int64, error) {
-	readers := make([]*segReader, len(paths))
-	for i, p := range paths {
-		sr, err := openSegReader(p)
-		if err != nil {
-			return afterEpoch, err
-		}
-		readers[i] = sr
-		defer sr.close()
-	}
-	durable := afterEpoch
-	for {
-		// The next group is the minimum epoch at any shard's head.
-		cur, any := int64(0), false
-		for _, sr := range readers {
-			if sr.haveRec && (!any || sr.epoch < cur) {
-				cur, any = sr.epoch, true
-			}
-		}
-		if !any {
-			return durable, nil
-		}
-		// Gather the group's records from every shard.
-		var markerCounts []int
-		data := make([][][]byte, len(readers))
-		for s, sr := range readers {
-			for sr.haveRec && sr.epoch == cur {
-				if counts, ok := parseMarker(sr.rec); ok {
-					markerCounts = counts
-				} else {
-					data[s] = append(data[s], sr.rec)
-				}
-				sr.next()
-			}
-		}
-		// Validate completeness across shards. A missing marker or a
-		// per-shard record-count shortfall is the torn-tail crash
-		// contract: roll the group (and everything after it) back. But a
-		// marker promising more shards than files supplied is not a
-		// tear — a shard FILE is missing (the torn shard would still be
-		// present, just truncated), and silently rolling back would
-		// discard acknowledged commits. That is an error.
-		if markerCounts == nil {
-			return durable, nil
-		}
-		if len(markerCounts) != len(readers) {
-			return durable, fmt.Errorf("wal: group %d spans %d shards but %d shard files supplied (missing shard file?)",
-				cur, len(markerCounts), len(readers))
-		}
-		for s := range readers {
-			if len(data[s]) != markerCounts[s] {
-				return durable, nil
-			}
-		}
-		if cur > afterEpoch {
-			for _, recs := range data {
-				for _, rec := range recs {
-					if err := fn(cur, rec); err != nil {
-						return durable, err
-					}
-				}
-			}
-		}
-		durable = cur
-	}
-}
-
-// segReader streams one shard file's intact record prefix, flattening
-// batch frames into their sub-records (pending queues the rest of the
-// current frame).
-type segReader struct {
-	f       *os.File
-	r       *bufio.Reader
-	haveRec bool
-	epoch   int64
-	rec     []byte
-	pending [][]byte
-}
-
-func openSegReader(path string) (*segReader, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return &segReader{}, nil // absent shard: zero intact records
-	}
-	if err != nil {
-		return nil, fmt.Errorf("wal: replay open: %w", err)
-	}
-	sr := &segReader{f: f, r: bufio.NewReaderSize(f, 1<<20)}
-	_, empty, err := skipSuperblock(sr.r, path)
-	if err != nil {
-		_ = f.Close() // read-only replay handle; the superblock error wins
-		return nil, err
-	}
-	if empty {
-		sr.r = nil // torn at creation: zero intact records
-		return sr, nil
-	}
-	sr.next()
-	return sr, nil
-}
-
-// next advances to the following intact record; at a tear or EOF the
-// reader permanently reports no record.
-func (sr *segReader) next() {
-	for {
-		if len(sr.pending) > 0 {
-			sr.rec, sr.pending = sr.pending[0], sr.pending[1:]
-			sr.haveRec = true
-			return
-		}
-		if sr.r == nil {
-			sr.haveRec = false
-			return
-		}
-		epoch, recs, _, ok := readFrame(sr.r)
-		if !ok {
-			sr.haveRec = false
-			sr.r = nil
-			return
-		}
-		sr.epoch, sr.pending = epoch, recs
-	}
-}
-
-func (sr *segReader) close() {
-	if sr.f != nil {
-		// Read-only replay handle: nothing was written, so a Close failure
-		// cannot affect durability.
-		_ = sr.f.Close()
-	}
-}
-
 // Checkpoint metadata --------------------------------------------------------
 
-// CheckpointMeta records which epoch the checkpoint state captures, and
-// the per-shard truncation point: WAL records at or below
-// ShardTruncEpochs[s] on shard s are superseded by the checkpoint and may
-// be pruned. The checkpointer rotates segments at a quiescent point, so
-// today every entry equals Epoch; keeping them per shard lets a future
-// incremental checkpointer truncate shards independently.
+// CheckpointMeta records which epoch the checkpoint state captures: WAL
+// groups at or below Epoch are superseded by the checkpoint and may be
+// pruned.
 //
 // A checkpoint is a base snapshot (Path, capturing BaseEpoch) plus an
 // ordered chain of delta files (DeltaEpochs; each at "ckpt-<E>.delta"
@@ -808,38 +509,35 @@ func (sr *segReader) close() {
 //
 // MinWALSeq is the first live WAL segment sequence: every segment below it
 // is fully superseded by the checkpoint. It is the recovery-side guard for
-// the prune window — deleting superseded shard files is not atomic, and a
-// crash mid-prune leaves partial segment groups that must be skipped (and
-// may be cleaned up), not replayed or treated as damage.
+// the prune window — deleting superseded segments is not atomic, and a
+// crash mid-prune leaves files that must be skipped (and may be cleaned
+// up), not replayed.
 type CheckpointMeta struct {
-	Epoch            int64
-	Path             string
-	BaseEpoch        int64
-	DeltaEpochs      []int64
-	MinWALSeq        int
-	ShardTruncEpochs []int64
+	Epoch       int64
+	Path        string
+	BaseEpoch   int64
+	DeltaEpochs []int64
+	MinWALSeq   int
 }
 
-// ckptMetaMagic heads the current (v2, delta-aware) CHECKPOINT format.
-// The legacy format began with a raw little-endian epoch; epochs never
-// reach this byte pattern, so sniffing the prefix is unambiguous.
-var ckptMetaMagic = []byte("LGCKMET2")
+// ckptMetaMagic heads the CHECKPOINT file. A file that does not open with
+// it was written by an incompatible build and is refused by name.
+var ckptMetaMagic = []byte("LGCKMET3")
+
+// ErrCheckpointFormat is returned (wrapped) by ReadCheckpointMeta for a
+// CHECKPOINT file that does not carry the current magic.
+var ErrCheckpointFormat = errors.New("wal: unrecognized CHECKPOINT format (incompatible build?)")
 
 // WriteCheckpointMeta durably records the checkpoint pointer file next to
 // the WAL under the crash-atomic swap protocol (write temp, fsync it,
-// rename over CHECKPOINT, fsync the directory). The earlier
-// write-temp+rename without the fsyncs could leave a durable CHECKPOINT
-// dirent naming non-durable bytes — recovery would then trust a pointer
-// whose contents a crash discarded.
+// rename over CHECKPOINT, fsync the directory): a durable CHECKPOINT
+// dirent must never name non-durable bytes, or recovery would trust a
+// pointer whose contents a crash discarded.
 func WriteCheckpointMeta(dir string, meta CheckpointMeta) error {
 	data := append([]byte(nil), ckptMetaMagic...)
 	data = binary.LittleEndian.AppendUint64(data, uint64(meta.Epoch))
 	data = binary.LittleEndian.AppendUint64(data, uint64(meta.BaseEpoch))
 	data = binary.LittleEndian.AppendUint32(data, uint32(meta.MinWALSeq))
-	data = binary.LittleEndian.AppendUint32(data, uint32(len(meta.ShardTruncEpochs)))
-	for _, e := range meta.ShardTruncEpochs {
-		data = binary.LittleEndian.AppendUint64(data, uint64(e))
-	}
 	data = binary.LittleEndian.AppendUint32(data, uint32(len(meta.DeltaEpochs)))
 	for _, e := range meta.DeltaEpochs {
 		data = binary.LittleEndian.AppendUint64(data, uint64(e))
@@ -849,7 +547,6 @@ func WriteCheckpointMeta(dir string, meta CheckpointMeta) error {
 }
 
 // ReadCheckpointMeta loads the checkpoint pointer, or ok=false if none.
-// Legacy (pre-delta) meta files parse as a base-only checkpoint.
 func ReadCheckpointMeta(dir string) (meta CheckpointMeta, ok bool, err error) {
 	data, err := os.ReadFile(filepath.Join(dir, "CHECKPOINT"))
 	if os.IsNotExist(err) {
@@ -858,13 +555,10 @@ func ReadCheckpointMeta(dir string) (meta CheckpointMeta, ok bool, err error) {
 	if err != nil {
 		return CheckpointMeta{}, false, err
 	}
-	if len(data) >= len(ckptMetaMagic) && string(data[:len(ckptMetaMagic)]) == string(ckptMetaMagic) {
-		return parseCheckpointMetaV2(data[len(ckptMetaMagic):])
+	data, found := bytes.CutPrefix(data, ckptMetaMagic)
+	if !found {
+		return CheckpointMeta{}, false, fmt.Errorf("%w: %s", ErrCheckpointFormat, filepath.Join(dir, "CHECKPOINT"))
 	}
-	return parseCheckpointMetaLegacy(data)
-}
-
-func parseCheckpointMetaV2(data []byte) (meta CheckpointMeta, ok bool, err error) {
 	corrupt := func() (CheckpointMeta, bool, error) {
 		return CheckpointMeta{}, false, fmt.Errorf("wal: checkpoint meta corrupt")
 	}
@@ -874,20 +568,8 @@ func parseCheckpointMetaV2(data []byte) (meta CheckpointMeta, ok bool, err error
 	meta.Epoch = int64(binary.LittleEndian.Uint64(data[:8]))
 	meta.BaseEpoch = int64(binary.LittleEndian.Uint64(data[8:16]))
 	meta.MinWALSeq = int(binary.LittleEndian.Uint32(data[16:20]))
-	shards := binary.LittleEndian.Uint32(data[20:24])
+	deltas := binary.LittleEndian.Uint32(data[20:24])
 	data = data[24:]
-	if shards > 1<<16 || len(data) < int(shards)*8+4 {
-		return corrupt()
-	}
-	if shards > 0 {
-		meta.ShardTruncEpochs = make([]int64, shards)
-		for s := range meta.ShardTruncEpochs {
-			meta.ShardTruncEpochs[s] = int64(binary.LittleEndian.Uint64(data[s*8:]))
-		}
-	}
-	data = data[shards*8:]
-	deltas := binary.LittleEndian.Uint32(data[:4])
-	data = data[4:]
 	if deltas > 1<<20 || len(data) < int(deltas)*8 {
 		return corrupt()
 	}
@@ -898,33 +580,5 @@ func parseCheckpointMetaV2(data []byte) (meta CheckpointMeta, ok bool, err error
 		}
 	}
 	meta.Path = string(data[deltas*8:])
-	return meta, true, nil
-}
-
-func parseCheckpointMetaLegacy(data []byte) (meta CheckpointMeta, ok bool, err error) {
-	if len(data) < 16 {
-		return CheckpointMeta{}, false, fmt.Errorf("wal: checkpoint meta corrupt")
-	}
-	meta.Epoch = int64(binary.LittleEndian.Uint64(data[:8]))
-	meta.MinWALSeq = int(binary.LittleEndian.Uint32(data[8:12]))
-	shards := binary.LittleEndian.Uint32(data[12:16])
-	data = data[16:]
-	if shards > 1<<16 {
-		// A pre-sharding meta file (epoch + path, no shard-count field)
-		// lands here: its path bytes read as an implausible count. Name
-		// the likely cause rather than claiming corruption.
-		return CheckpointMeta{}, false, fmt.Errorf("wal: checkpoint meta has implausible shard count %d (incompatible pre-sharding format?)", shards)
-	}
-	if len(data) < int(shards)*8 {
-		return CheckpointMeta{}, false, fmt.Errorf("wal: checkpoint meta corrupt")
-	}
-	if shards > 0 {
-		meta.ShardTruncEpochs = make([]int64, shards)
-		for s := range meta.ShardTruncEpochs {
-			meta.ShardTruncEpochs[s] = int64(binary.LittleEndian.Uint64(data[s*8:]))
-		}
-	}
-	meta.Path = string(data[shards*8:])
-	meta.BaseEpoch = meta.Epoch // legacy checkpoints are full snapshots
 	return meta, true, nil
 }

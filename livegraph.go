@@ -95,35 +95,31 @@
 // kernels (internal/analytics: PageRank, ConnComp, BFS, Degrees) dispatch
 // vertex ranges and BFS frontiers through the same morsel engine.
 //
-// # Architecture: the sharded commit pipeline
+// # Architecture: the commit pipeline
 //
 // Commits go through the paper's three phases — work, persist, apply —
 // with a group-commit transaction manager: a committing transaction
 // enqueues itself, and the leader that wins the commit lock drains the
 // queue and commits the whole group.
 //
-// The persist phase is sharded. Every transaction partitions its WAL
-// records by vertex-ownership shard as it executes; at commit the leader
-// merges the group's records into per-shard batches and the segmented log
-// (Options.WALShards files per segment) writes and fsyncs all
-// participating shards concurrently, each on its own simulated device
-// channel. A commit marker recording the group's per-shard record counts
-// rides with the first participating shard, making cross-shard recovery
-// atomic: replay merge-reads all shards in epoch order and rolls back to
-// the last group durable on every shard, so a crash that tears shards at
-// different epochs never resurrects half a commit group.
+// The persist phase is one write-ahead log with group commit (paper §5).
+// Every transaction buffers one WAL record as it executes; at commit the
+// leader hands the group's records to the log (internal/wal), which
+// writes them as a single checksummed frame and fsyncs once. A group is
+// exactly one frame, so the frame's checksum is the group's atomicity:
+// recovery reads frames until the first one that does not verify, and a
+// crash that tears a group never resurrects half of it.
 //
-// Epoch advancement is untouched by the fan-out: the global read epoch
-// advances only after the whole group is durable everywhere and fully
-// applied, which is what preserves snapshot isolation. Checkpoints rotate
-// all shard files at a quiescent point and record per-shard truncation
-// epochs in the checkpoint metadata.
+// The global read epoch advances only after the whole group is durable
+// and fully applied, which is what preserves snapshot isolation.
+// Checkpoints rotate the log to a fresh segment file at a quiescent point
+// and prune the segments the snapshot supersedes.
 //
 // # Replication: read replicas with bounded staleness
 //
 // A durable graph's WAL is also its replication stream. The primary-side
 // shipper (internal/repl, served by lgserver as GET /v1/repl/stream)
-// tails the sharded log and ships complete commit groups, epoch-framed
+// tails the log and ships complete commit groups, epoch-framed
 // and resumable; a follower applies each group atomically with
 // Graph.ApplyEpoch, advancing its read epoch only at group boundaries —
 // so every snapshot on a replica is a transactionally consistent prefix
