@@ -12,7 +12,9 @@ package core
 // reused EdgeIter, and the only shared mutable state is:
 //
 //   - the dedup set: a lock-striped sparse bitset (internal/sparsebit),
-//     replacing the single map a sequential hop would thread through;
+//     replacing the single map a sequential hop would thread through (a
+//     sequential hop of the same run uses the same set without the locks:
+//     hops are barriers, so it owns the set while it runs);
 //   - two atomic budgets: the next-frontier size (MaxFrontier) and the
 //     result count (Limit on the final hop), so early termination is a
 //     single flag every worker observes within a bounded number of edges.

@@ -582,12 +582,15 @@ func (t *Traversal) runSteps(ctx context.Context, r Reader, ex *Explain, o *grap
 	// One seen set and one scan iterator serve the whole run: the set's
 	// pages and the iterator are reused hop after hop, so a multi-hop
 	// traversal stops allocating once it has touched its working set. The
+	// set is made by the first hop that dedups, with one stripe — a
+	// sequential hop owns it and takes no stripe lock — and is traded for
+	// one striped for the worker pool by the first parallel hop. The
 	// frontier bitset for bottom-up hops is allocated on first use.
-	var seen *sparsebit.Set
-	if t.dedup {
-		seen = sparsebit.New(4 * par)
-	}
-	var fbits *sparsebit.Set
+	var (
+		seen        *sparsebit.Set
+		seenStripes int
+		fbits       *sparsebit.Set
+	)
 	seq := seqExpander{r: r}
 	seq.its, seq.hasInto = r.(edgeIterSource)
 	for pi := range t.plan {
@@ -660,8 +663,17 @@ func (t *Traversal) runSteps(ctx context.Context, r Reader, ex *Explain, o *grap
 			if err != nil {
 				return nil, err
 			}
-			if t.dedup {
-				seen.Reset() // dedup is per hop
+			parallel := !bottomUp && t.engageParallel(len(frontier), par, knobs, ls.AvgDegree)
+			if t.dedup && !bottomUp {
+				stripes := 1
+				if parallel {
+					stripes = 4 * par
+				}
+				if seenStripes < stripes {
+					seen, seenStripes = sparsebit.New(stripes), stripes
+				} else {
+					seen.Reset() // dedup is per hop
+				}
 			}
 			_, hsp := obs.StartSpan(ctx, "traverse.hop")
 			var (
@@ -682,7 +694,7 @@ func (t *Traversal) runSteps(ctx context.Context, r Reader, ex *Explain, o *grap
 					hsp.SetAttr(obs.String("direction", "bottomup"))
 				}
 				next, err = t.expandBottomUp(ctx, r, g, frontier, es, fbits, capped, par, hp)
-			} else if t.engageParallel(len(frontier), par, knobs, ls.AvgDegree) {
+			} else if parallel {
 				ms := t.hopMorselSize(len(frontier), par, knobs, ls.AvgDegree)
 				if hp != nil {
 					hp.Direction = "topdown"
@@ -700,7 +712,8 @@ func (t *Traversal) runSteps(ctx context.Context, r Reader, ex *Explain, o *grap
 				if hp != nil {
 					hp.Direction = "topdown"
 				}
-				next, hits, err = seq.expand(ctx, t, frontier, es.label, es.keep, capped, seen, hp != nil)
+				next = make([]VertexID, 0, t.nextCap(len(frontier), ls.AvgDegree, capped))
+				next, hits, err = seq.expand(ctx, t, frontier, next, es.label, es.keep, capped, seen, hp != nil)
 			}
 			if hp != nil {
 				hp.DedupHits = hits
@@ -746,15 +759,39 @@ type seqExpander struct {
 	it      EdgeIter
 }
 
-// expand performs one sequential stepOut. keep, when non-nil, is the fused
-// destination predicate, pushed into the TEL scan loop. countHits enables
-// dedup-hit counting (EXPLAIN); hits is 0 otherwise.
-func (s *seqExpander) expand(ctx context.Context, t *Traversal, frontier []VertexID, label Label, keep func(VertexID) bool, capped bool, seen *sparsebit.Set, countHits bool) (next []VertexID, hits int64, err error) {
+// nextCap sizes a sequential hop's output from the label's mean degree, so
+// the hop appends into one allocation instead of regrowing it once per
+// doubling. It is an estimate — dedup and filters shrink the real output,
+// hubs outgrow it — so it is bounded by what the hop may return at all and
+// by maxNextCap.
+func (t *Traversal) nextCap(frontierLen int, avgDeg float64, capped bool) int {
+	n := frontierLen
+	if avgDeg > 1 {
+		n = int(min(float64(frontierLen)*avgDeg, maxNextCap))
+	}
+	if capped {
+		n = min(n, t.limit)
+	}
+	if t.maxFrontier > 0 {
+		n = min(n, t.maxFrontier)
+	}
+	return n
+}
+
+// maxNextCap bounds nextCap's estimate: 64 Ki vertex IDs, half a megabyte.
+const maxNextCap = 1 << 16
+
+// expand performs one sequential stepOut into next (empty, sized by the
+// caller). keep, when non-nil, is the fused destination predicate, pushed
+// into the TEL scan loop. countHits enables dedup-hit counting (EXPLAIN);
+// hits is 0 otherwise. Hops are barriers — a parallel hop's workers have
+// all returned before the next hop starts — so while this runs its
+// goroutine owns seen and probes it without the stripe locks.
+func (s *seqExpander) expand(ctx context.Context, t *Traversal, frontier, next []VertexID, label Label, keep func(VertexID) bool, capped bool, seen *sparsebit.Set, countHits bool) (_ []VertexID, hits int64, err error) {
 	var keep64 func(int64) bool
 	if keep != nil {
 		keep64 = func(d int64) bool { return keep(VertexID(d)) }
 	}
-	next = make([]VertexID, 0, len(frontier))
 	for _, v := range frontier {
 		if err := ctx.Err(); err != nil {
 			return nil, hits, err
@@ -767,7 +804,7 @@ func (s *seqExpander) expand(ctx context.Context, t *Traversal, frontier []Verte
 		}
 		for itp.advance(keep64) {
 			d := itp.Dst()
-			if t.dedup && seen.TestAndSet(int64(d)) {
+			if t.dedup && seen.TestAndSetOwned(int64(d)) {
 				if countHits {
 					hits++
 				}

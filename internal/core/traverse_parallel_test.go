@@ -102,7 +102,8 @@ func TestParallelTraversalEquivalence(t *testing.T) {
 		"filter+dedup": func() *Traversal {
 			return Traverse(0).Out(0).Filter(func(r Reader, v VertexID) bool { return v%2 == 0 }).Out(0).Dedup()
 		},
-		"wide-frontier": func() *Traversal { return Traverse(0).Out(0).Out(0) }, // hub source: first hop already ~3k wide
+		"wide-frontier":  func() *Traversal { return Traverse(0).Out(0).Out(0) }, // hub source: first hop already ~3k wide
+		"dedup-narrowed": narrowedDedup,
 	}
 	for name, spec := range specs {
 		dedup := spec().dedup
@@ -132,6 +133,58 @@ func TestParallelTraversalEquivalence(t *testing.T) {
 						name, par, len(parr), len(seq))
 				}
 			}
+		}
+	}
+}
+
+// narrowedDedup is a dedup traversal whose hops change engine both ways
+// under Parallel(n).MorselSize(16): the single source expands sequentially,
+// the hub's ~3k neighbors expand on the worker pool, the filter narrows the
+// frontier to a handful of vertices, and the last hop is sequential again —
+// probing, lock-free, the striped set the workers just used.
+func narrowedDedup() *Traversal {
+	return Traverse(0).Out(0).Out(0).
+		Filter(func(r Reader, v VertexID) bool { return v%250 == 0 }).
+		Out(0).Dedup().Direction(DirectionTopDown)
+}
+
+// TestSequentialHopAfterParallelHopSharesDedupSet pins the schedule
+// narrowedDedup is in the equivalence matrix for: EXPLAIN must show a
+// parallel hop followed by a sequential one, and the run must agree with
+// the all-sequential compilation. The hop barrier is what lets the
+// sequential hop own the set; -race -cpu=1,4 checks that it does.
+func TestSequentialHopAfterParallelHopSharesDedupSet(t *testing.T) {
+	g := openMem(t)
+	buildRandomGraph(t, g, 2000, 16000, 42)
+	snap, err := g.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Release()
+	ctx := context.Background()
+	got, ex, err := narrowedDedup().Parallel(4).MorselSize(16).RunExplain(ctx, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var engines []bool
+	for _, h := range ex.Hops {
+		if h.Kind == "out" {
+			engines = append(engines, h.Parallel)
+		}
+	}
+	if len(engines) != 3 || engines[0] || !engines[1] || engines[2] {
+		t.Fatalf("hops ran parallel=%v, want [false true false]", engines)
+	}
+	want, err := narrowedDedup().Parallel(1).Run(ctx, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) == 0 || !sameMultiset(got, want) {
+		t.Fatalf("%d results, sequential compilation has %d", len(got), len(want))
+	}
+	for v, n := range multiset(got) {
+		if n != 1 {
+			t.Fatalf("dedup emitted %d %d times", v, n)
 		}
 	}
 }

@@ -22,10 +22,12 @@ package disk
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"syscall"
 )
 
 // LogGeometry identifies a WAL segment file's place in the log, recorded
@@ -114,8 +116,9 @@ func SyncDir(dir string) error {
 
 func isSyncUnsupported(err error) bool {
 	// EINVAL/ENOTSUP from fsync on a directory handle (some network and
-	// FUSE filesystems). os wraps the errno in a *PathError.
-	return os.IsPermission(err) || err.Error() == "invalid argument"
+	// FUSE filesystems). os wraps the errno in a *PathError, so it is
+	// matched through the chain, not by its text.
+	return os.IsPermission(err) || errors.Is(err, syscall.EINVAL) || errors.Is(err, syscall.ENOTSUP)
 }
 
 // WriteFileAtomic durably replaces path's contents with data using the

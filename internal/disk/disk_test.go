@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
 
 	"livegraph/internal/iosim"
@@ -85,6 +87,34 @@ func TestSuperblockValidation(t *testing.T) {
 // decode failure under test is the semantic check, not the checksum.
 func reCRC(b *[SuperblockSize]byte) {
 	binary.LittleEndian.PutUint32(b[60:64], crc32.ChecksumIEEE(b[0:60]))
+}
+
+// TestSyncUnsupportedMatchesWrappedErrno: (*os.File).Sync reports a
+// refused directory fsync as a *PathError around the errno ("sync /dir:
+// invalid argument"), and that is the error SyncDir must swallow. Anything
+// else — an I/O error above all — must still fail the swap.
+func TestSyncUnsupportedMatchesWrappedErrno(t *testing.T) {
+	for _, errno := range []syscall.Errno{syscall.EINVAL, syscall.ENOTSUP} {
+		err := &os.PathError{Op: "sync", Path: "/mnt/fuse/data", Err: errno}
+		if !isSyncUnsupported(err) {
+			t.Errorf("%v not recognised as an unsupported directory fsync", err)
+		}
+		if !isSyncUnsupported(fmt.Errorf("wrapped again: %w", err)) {
+			t.Errorf("%v not recognised through a second wrapper", err)
+		}
+	}
+	if !isSyncUnsupported(&os.PathError{Op: "sync", Path: "/ro", Err: syscall.EACCES}) {
+		t.Error("permission error no longer swallowed")
+	}
+	for _, err := range []error{
+		&os.PathError{Op: "sync", Path: "/data", Err: syscall.EIO},
+		&os.PathError{Op: "sync", Path: "/data", Err: syscall.ENOSPC},
+		errors.New("invalid argument"), // only the errno counts, not a message that reads like it
+	} {
+		if isSyncUnsupported(err) {
+			t.Errorf("%v swallowed as an unsupported directory fsync", err)
+		}
+	}
 }
 
 func TestWriteFileAtomic(t *testing.T) {

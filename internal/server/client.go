@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -94,19 +95,15 @@ func (c *Client) requiredEpoch() int64 {
 	return min
 }
 
-// readOrder returns the endpoints a read should try, in order: the
-// replicas, rotated for load spreading, then the primary as the endpoint
-// of last resort (it trivially satisfies any epoch this client observed).
-func (c *Client) readOrder() []string {
-	if len(c.Replicas) == 0 {
-		return []string{c.Base}
+// readEndpoint returns the i-th endpoint a read should try, for i in
+// [0, len(Replicas)]: the replicas, rotated by start for load spreading,
+// then the primary as the endpoint of last resort (it trivially satisfies
+// any epoch this client observed).
+func (c *Client) readEndpoint(start, i int) string {
+	if i == len(c.Replicas) {
+		return c.Base
 	}
-	start := int(c.rr.Add(1)-1) % len(c.Replicas)
-	order := make([]string, 0, len(c.Replicas)+1)
-	for i := range c.Replicas {
-		order = append(order, c.Replicas[(start+i)%len(c.Replicas)])
-	}
-	return append(order, c.Base)
+	return c.Replicas[(start+i)%len(c.Replicas)]
 }
 
 // Tx executes ops atomically and returns created vertex IDs. A 409
@@ -115,10 +112,13 @@ func (c *Client) readOrder() []string {
 // transient condition the engine reports via IsRetryable — so the client
 // retries it too, with capped exponential backoff, before giving up.
 func (c *Client) Tx(ops ...Op) ([]int64, error) {
-	body, err := json.Marshal(TxRequest{Ops: ops})
-	if err != nil {
-		return nil, err
+	// The body is not pooled: the transport may still be sending it when
+	// an early answer (403, 413) has already come back.
+	size := len(`{"ops":[]}`)
+	for i := range ops {
+		size += 96 + base64.StdEncoding.EncodedLen(len(ops[i].Data)) + base64.StdEncoding.EncodedLen(len(ops[i].Props))
 	}
+	body := appendTxRequest(make([]byte, 0, size), ops)
 	backoff := c.RetryBase
 	if backoff <= 0 {
 		backoff = 2 * time.Millisecond
@@ -130,9 +130,12 @@ func (c *Client) Tx(ops ...Op) ([]int64, error) {
 			return nil, err
 		}
 		if resp.StatusCode == http.StatusOK {
-			var out TxResponse
-			err := json.NewDecoder(resp.Body).Decode(&out)
-			resp.Body.Close()
+			buf, err := readBody(resp)
+			if err != nil {
+				return nil, err
+			}
+			out, err := decodeTxResponse(buf.b)
+			putBuf(buf)
 			if err != nil {
 				return nil, err
 			}
@@ -163,48 +166,50 @@ func (c *Client) AddVertex(data []byte) (int64, error) {
 
 // Vertex fetches a vertex payload.
 func (c *Client) Vertex(id int64) ([]byte, error) {
-	var out struct {
-		Data []byte `json:"data"`
-	}
-	if err := c.get(fmt.Sprintf("/v1/vertex/%d", id), &out); err != nil {
+	var a [pathBufLen]byte
+	buf, err := c.get(strconv.AppendInt(append(a[:0], "/v1/vertex/"...), id, 10))
+	if err != nil {
 		return nil, err
 	}
-	return out.Data, nil
+	defer putBuf(buf)
+	return decodePayload(buf.b, vertexKeys)
 }
 
 // Edge fetches edge properties.
 func (c *Client) Edge(src, label, dst int64) ([]byte, error) {
-	var out struct {
-		Props []byte `json:"props"`
-	}
-	if err := c.get(fmt.Sprintf("/v1/edge/%d/%d/%d", src, label, dst), &out); err != nil {
+	var a [pathBufLen]byte
+	buf, err := c.get(appendPath(a[:0], "/v1/edge/", src, label, dst))
+	if err != nil {
 		return nil, err
 	}
-	return out.Props, nil
+	defer putBuf(buf)
+	return decodePayload(buf.b, edgeKeys)
 }
 
 // Neighbors fetches the adjacency list, newest first (limit 0 = all).
 func (c *Client) Neighbors(src, label int64, limit int) ([]Neighbor, error) {
-	url := fmt.Sprintf("/v1/neighbors/%d/%d", src, label)
+	var a [pathBufLen]byte
+	path := appendPath(a[:0], "/v1/neighbors/", src, label)
 	if limit > 0 {
-		url += fmt.Sprintf("?limit=%d", limit)
+		path = strconv.AppendInt(append(path, "?limit="...), int64(limit), 10)
 	}
-	var out []Neighbor
-	if err := c.get(url, &out); err != nil {
+	buf, err := c.get(path)
+	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	defer putBuf(buf)
+	return decodeNeighbors(buf.b)
 }
 
 // Degree fetches the visible edge count.
 func (c *Client) Degree(src, label int64) (int, error) {
-	var out struct {
-		Degree int `json:"degree"`
-	}
-	if err := c.get(fmt.Sprintf("/v1/degree/%d/%d", src, label), &out); err != nil {
+	var a [pathBufLen]byte
+	buf, err := c.get(appendPath(a[:0], "/v1/degree/", src, label))
+	if err != nil {
 		return 0, err
 	}
-	return out.Degree, nil
+	defer putBuf(buf)
+	return decodeDegree(buf.b)
 }
 
 // TraverseOptions tune a client-side traversal; the zero value (or nil)
@@ -233,71 +238,101 @@ type TraverseOptions struct {
 // Traverse runs a multi-hop traversal on the server: one hop per label in
 // out, in order. It returns the final frontier and the epoch observed.
 func (c *Client) Traverse(src int64, out []int64, opt *TraverseOptions) ([]int64, int64, error) {
-	resp, err := c.traverse(src, out, opt, "")
+	buf, err := c.traverse(src, out, opt, "")
 	if err != nil {
 		return nil, 0, err
 	}
-	return resp.Vertices, resp.Epoch, nil
+	defer putBuf(buf)
+	epoch, vertices, err := decodeTraverse(buf.b)
+	if err != nil {
+		return nil, 0, err
+	}
+	c.ObserveEpoch(epoch)
+	return vertices, epoch, nil
 }
 
 // TraverseExplain runs the traversal with ?explain=1: the server executes
 // it and returns the hop plan annotated with per-hop frontier sizes,
 // dedup hits, morsel widths and budget cuts alongside the results.
 func (c *Client) TraverseExplain(src int64, out []int64, opt *TraverseOptions) (*TraverseResponse, error) {
-	return c.traverse(src, out, opt, "1")
+	return c.traverseExplained(src, out, opt, "1")
 }
 
 // ExplainPlan compiles the traversal on the server without executing it
 // (?explain=plan): only the static hop plan comes back.
 func (c *Client) ExplainPlan(src int64, out []int64, opt *TraverseOptions) (*core.Explain, error) {
-	resp, err := c.traverse(src, out, opt, "plan")
+	resp, err := c.traverseExplained(src, out, opt, "plan")
 	if err != nil {
 		return nil, err
 	}
 	return resp.Explain, nil
 }
 
-func (c *Client) traverse(src int64, out []int64, opt *TraverseOptions, explain string) (*TraverseResponse, error) {
-	q := url.Values{}
-	for _, l := range out {
-		q.Add("out", strconv.FormatInt(l, 10))
+// traverseExplained is the cold form of Traverse: an explain response
+// carries the hop plan, which only encoding/json knows how to decode.
+func (c *Client) traverseExplained(src int64, out []int64, opt *TraverseOptions, explain string) (*TraverseResponse, error) {
+	buf, err := c.traverse(src, out, opt, explain)
+	if err != nil {
+		return nil, err
 	}
-	if opt != nil {
-		if opt.Limit > 0 {
-			q.Set("limit", strconv.Itoa(opt.Limit))
-		}
-		if opt.Dedup {
-			q.Set("dedup", "1")
-		}
-		if opt.AsOfSet {
-			q.Set("asof", strconv.FormatInt(opt.AsOf, 10))
-		}
-		if opt.Parallel > 0 {
-			q.Set("parallel", strconv.Itoa(opt.Parallel))
-		}
-		if opt.Direction != "" && opt.Direction != "auto" {
-			q.Set("direction", opt.Direction)
-		}
-		if opt.DstRangeSet {
-			if opt.MinDst >= 0 {
-				q.Set("dstmin", strconv.FormatInt(opt.MinDst, 10))
-			}
-			if opt.MaxDst >= 0 {
-				q.Set("dstmax", strconv.FormatInt(opt.MaxDst, 10))
-			}
-		}
-	}
-	if explain != "" {
-		q.Set("explain", explain)
-	}
+	defer putBuf(buf)
 	var resp TraverseResponse
-	if err := c.get(fmt.Sprintf("/v1/traverse/%d?%s", src, q.Encode()), &resp); err != nil {
+	if err := json.Unmarshal(buf.b, &resp); err != nil {
 		return nil, err
 	}
 	if explain != "plan" {
 		c.ObserveEpoch(resp.Epoch)
 	}
 	return &resp, nil
+}
+
+// traverse sends the traversal and returns the buffered 200 body. The
+// query's parameters are in url.Values.Encode's order (sorted by name).
+func (c *Client) traverse(src int64, out []int64, opt *TraverseOptions, explain string) (*wireBuf, error) {
+	var a [2 * pathBufLen]byte
+	path := strconv.AppendInt(append(a[:0], "/v1/traverse/"...), src, 10)
+	path = append(path, '?')
+	param := func(name, value string) {
+		if path[len(path)-1] != '?' {
+			path = append(path, '&')
+		}
+		path = append(append(append(path, name...), '='), value...)
+	}
+	paramInt := func(name string, v int64) {
+		param(name, "")
+		path = strconv.AppendInt(path, v, 10)
+	}
+	if opt == nil {
+		opt = &TraverseOptions{}
+	}
+	if opt.AsOfSet {
+		paramInt("asof", opt.AsOf)
+	}
+	if opt.Dedup {
+		param("dedup", "1")
+	}
+	if opt.Direction != "" && opt.Direction != "auto" {
+		param("direction", url.QueryEscape(opt.Direction))
+	}
+	if opt.DstRangeSet && opt.MaxDst >= 0 {
+		paramInt("dstmax", opt.MaxDst)
+	}
+	if opt.DstRangeSet && opt.MinDst >= 0 {
+		paramInt("dstmin", opt.MinDst)
+	}
+	if explain != "" {
+		param("explain", explain)
+	}
+	if opt.Limit > 0 {
+		paramInt("limit", int64(opt.Limit))
+	}
+	for _, l := range out {
+		paramInt("out", l)
+	}
+	if opt.Parallel > 0 {
+		paramInt("parallel", int64(opt.Parallel))
+	}
+	return c.get(path)
 }
 
 // Stats fetches the primary's engine counters. Deliberately NOT routed:
@@ -339,20 +374,25 @@ func (c *Client) Checkpoint() error {
 	return nil
 }
 
-// get performs a routed read: each endpoint in readOrder is tried until
+// get performs a routed read: each readEndpoint in turn is tried until
 // one serves the request. Connection errors, 5xx, and staleness/role
 // rejections (412, 403) fail over to the next endpoint; definitive
 // client-side answers (404, 400, 410, 422, ...) return immediately —
 // every endpoint would say the same. Replicas are asked to prove they
 // satisfy the client's staleness bound via the min-epoch precondition;
 // the primary is never asked (it is the freshness source).
-func (c *Client) get(path string, out any) error {
+//
+// get returns the 200 response's body in a pooled buffer; the caller
+// decodes it and hands it to putBuf.
+func (c *Client) get(path []byte) (*wireBuf, error) {
 	min := c.requiredEpoch()
 	var lastErr error
-	for _, base := range c.readOrder() {
-		req, err := http.NewRequest(http.MethodGet, base+path, nil)
+	start := int(c.rr.Add(1) - 1)
+	for i := 0; i <= len(c.Replicas); i++ {
+		base := c.readEndpoint(start, i)
+		req, err := http.NewRequest(http.MethodGet, base+string(path), nil)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if min > 0 && base != c.Base {
 			req.Header.Set(MinEpochHeader, strconv.FormatInt(min, 10))
@@ -363,9 +403,7 @@ func (c *Client) get(path string, out any) error {
 			continue
 		}
 		if resp.StatusCode == http.StatusOK {
-			err := json.NewDecoder(resp.Body).Decode(out)
-			resp.Body.Close()
-			return err
+			return readBody(resp)
 		}
 		apiErr := apiError(resp)
 		resp.Body.Close()
@@ -375,10 +413,39 @@ func (c *Client) get(path string, out any) error {
 			resp.StatusCode >= 500:
 			lastErr = apiErr // stale replica / wrong role / server trouble: fail over
 		default:
-			return apiErr
+			return nil, apiErr
 		}
 	}
-	return lastErr
+	return nil, lastErr
+}
+
+// readBody reads a response body to its end into a pooled buffer sized
+// from Content-Length, and closes it.
+func readBody(resp *http.Response) (*wireBuf, error) {
+	buf := getBuf()
+	err := buf.readFrom(resp.Body, resp.ContentLength)
+	resp.Body.Close()
+	if err != nil {
+		putBuf(buf)
+		return nil, err
+	}
+	return buf, nil
+}
+
+// pathBufLen sizes the stack buffers request paths are built in: a prefix
+// and three int64s fit, so building a path allocates nothing.
+const pathBufLen = 96
+
+// appendPath appends prefix and the IDs, slash-separated.
+func appendPath(b []byte, prefix string, ids ...int64) []byte {
+	b = append(b, prefix...)
+	for i, id := range ids {
+		if i > 0 {
+			b = append(b, '/')
+		}
+		b = strconv.AppendInt(b, id, 10)
+	}
+	return b
 }
 
 func apiError(resp *http.Response) error {

@@ -33,13 +33,14 @@ type TracesResponse struct {
 }
 
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	n, err := queryInt(r, "n", 32)
+	query := r.URL.Query()
+	n, err := queryInt("n", query.Get("n"), 32)
 	if err != nil {
 		httpErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	slow := false
-	switch q := r.URL.Query().Get("slow"); q {
+	switch q := query.Get("slow"); q {
 	case "1", "true":
 		slow = true
 	case "", "0", "false":

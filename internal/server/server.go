@@ -32,6 +32,23 @@
 //	{"op":"insertEdge","src":1,"label":0,"dst":2,"props":...}
 //	{"op":"upsertEdge",...} {"op":"deleteEdge",...}
 //
+// A /v1/tx body is one JSON object and nothing after it but whitespace
+// (400 otherwise), of at most maxTxBodyBytes (4 MiB; 413 past that).
+//
+// The six endpoints every client request goes through — tx, vertex, edge,
+// neighbors, degree and traverse without explain — are the hot ones: both
+// ends encode and decode them with the hand-rolled codec in wire.go
+// instead of encoding/json's reflection. The wire format is unchanged —
+// the bytes are the ones encoding/json produces, plain JSON for curl and
+// any other client — and every hot 200 response carries a Content-Length
+// and goes out in one write, whatever its size. Client is strict where a
+// json.Decoder would be lenient: a response followed by anything but
+// whitespace, or naming a known member twice, is an error; member order,
+// whitespace, unknown members, null and escaped or case-folded names are
+// accepted as encoding/json accepts them. The cold endpoints — stats,
+// traces, ?explain= responses, checkpoint, error bodies — stay on
+// encoding/json.
+//
 // The traversal endpoint compiles its query into the engine's composable
 // traversal builder: each repeated out=LABEL parameter is one hop, and
 // limit=N, dedup=1, asof=EPOCH and parallel=N map to the builder's Limit,
@@ -61,6 +78,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 
@@ -224,9 +242,8 @@ func (s *Server) handleTx(w http.ResponseWriter, r *http.Request) {
 	if s.rejectWrite(w) {
 		return
 	}
-	var req TxRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpErr(w, http.StatusBadRequest, "bad json: %v", err)
+	req, ok := readTxRequest(w, r)
+	if !ok {
 		return
 	}
 	if len(req.Ops) == 0 {
@@ -259,7 +276,9 @@ func (s *Server) handleTx(w http.ResponseWriter, r *http.Request) {
 		lastErr = tx.CommitCtx(ctx)
 		if lastErr == nil {
 			resp.Epoch = tx.CommitEpoch()
-			writeJSON(w, resp)
+			buf := getBuf()
+			buf.b = appendTxResponse(buf.b, resp)
+			writeWire(w, buf)
 			return
 		}
 		if ctxDone(lastErr) {
@@ -272,6 +291,34 @@ func (s *Server) handleTx(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	httpErr(w, http.StatusConflict, "transaction kept conflicting: %v", lastErr)
+}
+
+// maxTxBodyBytes bounds a /v1/tx body; a larger one is refused with 413
+// before it is buffered. The largest transaction the engine itself takes
+// is far smaller (a commit group is one WAL frame).
+const maxTxBodyBytes = 4 << 20
+
+// readTxRequest buffers and decodes the request body, answering 413 or
+// 400 itself when it reports false.
+func readTxRequest(w http.ResponseWriter, r *http.Request) (TxRequest, bool) {
+	buf := getBuf()
+	defer putBuf(buf)
+	err := buf.readFrom(http.MaxBytesReader(w, r.Body, maxTxBodyBytes), r.ContentLength)
+	if err != nil {
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpErr(w, code, "reading body: %v", err)
+		return TxRequest{}, false
+	}
+	req, err := decodeTxRequest(buf.b)
+	if err != nil {
+		httpErr(w, http.StatusBadRequest, "bad json: %v", err)
+		return TxRequest{}, false
+	}
+	return req, true
 }
 
 // ctxDone reports whether err is a context cancellation or deadline error —
@@ -317,77 +364,87 @@ func (s *Server) applyOps(tx *core.Tx, ops []Op, resp *TxResponse) error {
 	return nil
 }
 
-// pathInts parses the numeric tail segments of a URL path after prefix.
+// pathInts parses the numeric tail segments of a URL path after prefix
+// into out, one per element.
 // Vertex IDs, labels and epochs are all non-negative, so negative segments
 // are rejected uniformly here.
-func pathInts(path, prefix string, n int) ([]int64, error) {
-	rest := strings.TrimPrefix(path, prefix)
-	parts := strings.Split(strings.Trim(rest, "/"), "/")
-	if len(parts) != n {
-		return nil, fmt.Errorf("want %d path segments, got %d", n, len(parts))
+func pathInts(path, prefix string, out []int64) error {
+	rest := strings.Trim(strings.TrimPrefix(path, prefix), "/")
+	if n := strings.Count(rest, "/") + 1; n != len(out) {
+		return fmt.Errorf("want %d path segments, got %d", len(out), n)
 	}
-	out := make([]int64, n)
-	for i, p := range parts {
+	for i := range out {
+		p, tail, _ := strings.Cut(rest, "/")
+		rest = tail
 		v, err := strconv.ParseInt(p, 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("segment %q: %w", p, err)
+			return fmt.Errorf("segment %q: %w", p, err)
 		}
 		if v < 0 {
-			return nil, fmt.Errorf("segment %q: must be non-negative", p)
+			return fmt.Errorf("segment %q: must be non-negative", p)
 		}
 		out[i] = v
 	}
-	return out, nil
+	return nil
 }
 
-// readView runs fn against a snapshot-isolated Reader for the request,
-// translating begin failures (graph closed, request cancelled while
-// waiting for a worker slot) into 503. All read-only handlers go through
-// here: the v2 surface means they share one acquisition path no matter
-// which Reader implementation serves them.
-func (s *Server) readView(w http.ResponseWriter, r *http.Request, fn func(rd core.Reader)) {
+// beginRead opens the request's snapshot-isolated view — the caller
+// commits it when done — or answers the request itself and returns nil:
+// 412 when the min-epoch precondition fails, 503 on begin failures (graph
+// closed, request cancelled while waiting for a worker slot). All
+// read-only handlers go through here, so they share one acquisition path.
+func (s *Server) beginRead(w http.ResponseWriter, r *http.Request) *core.Tx {
 	if !s.checkMinEpoch(w, r) {
-		return
+		return nil
 	}
 	tx, err := s.G.BeginReadCtx(r.Context())
 	if err != nil {
 		httpErr(w, http.StatusServiceUnavailable, "%v", err)
-		return
+		return nil
 	}
-	defer tx.Commit()
-	fn(tx)
+	return tx
 }
 
 func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request) {
-	ids, err := pathInts(r.URL.Path, "/v1/vertex/", 1)
-	if err != nil {
+	var ids [1]int64
+	if err := pathInts(r.URL.Path, "/v1/vertex/", ids[:]); err != nil {
 		httpErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.readView(w, r, func(rd core.Reader) {
-		data, err := rd.GetVertex(core.VertexID(ids[0]))
-		if err != nil {
-			httpErr(w, http.StatusNotFound, "vertex %d not found", ids[0])
-			return
-		}
-		writeJSON(w, map[string][]byte{"data": data})
-	})
+	rd := s.beginRead(w, r)
+	if rd == nil {
+		return
+	}
+	defer rd.Commit()
+	data, err := rd.GetVertex(core.VertexID(ids[0]))
+	if err != nil {
+		httpErr(w, http.StatusNotFound, "vertex %d not found", ids[0])
+		return
+	}
+	buf := getBuf()
+	buf.b = appendPayload(buf.b, "data", data)
+	writeWire(w, buf)
 }
 
 func (s *Server) handleEdge(w http.ResponseWriter, r *http.Request) {
-	ids, err := pathInts(r.URL.Path, "/v1/edge/", 3)
-	if err != nil {
+	var ids [3]int64
+	if err := pathInts(r.URL.Path, "/v1/edge/", ids[:]); err != nil {
 		httpErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.readView(w, r, func(rd core.Reader) {
-		props, err := rd.GetEdge(core.VertexID(ids[0]), core.Label(ids[1]), core.VertexID(ids[2]))
-		if err != nil {
-			httpErr(w, http.StatusNotFound, "edge not found")
-			return
-		}
-		writeJSON(w, map[string][]byte{"props": props})
-	})
+	rd := s.beginRead(w, r)
+	if rd == nil {
+		return
+	}
+	defer rd.Commit()
+	props, err := rd.GetEdge(core.VertexID(ids[0]), core.Label(ids[1]), core.VertexID(ids[2]))
+	if err != nil {
+		httpErr(w, http.StatusNotFound, "edge not found")
+		return
+	}
+	buf := getBuf()
+	buf.b = appendPayload(buf.b, "props", props)
+	writeWire(w, buf)
 }
 
 // Neighbor is one adjacency list element.
@@ -396,12 +453,38 @@ type Neighbor struct {
 	Props []byte `json:"props,omitempty"`
 }
 
-// queryInt parses an optional non-negative integer query parameter,
-// returning def when absent and an error on junk (including negatives) —
-// silently ignoring a malformed limit would return the full adjacency list
-// to a client that asked for a page.
-func queryInt(r *http.Request, name string, def int64) (int64, error) {
-	q := r.URL.Query().Get(name)
+// nextParam cuts the first key=value pair off a raw query string — the
+// one-pass form of url.ParseQuery, with its rules: pairs are split at '&',
+// a pair holding ';' or a bad escape is dropped, a missing '=' is an empty
+// value. Only a pair that uses %XX or '+' is unescaped (and allocates).
+// ok is false once the query is used up.
+func nextParam(query string) (key, value, rest string, ok bool) {
+	for query != "" {
+		var pair string
+		pair, query, _ = strings.Cut(query, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		if strings.ContainsAny(pair, "%+") {
+			k, v, _ := strings.Cut(pair, "=")
+			k, err1 := url.QueryUnescape(k)
+			v, err2 := url.QueryUnescape(v)
+			if err1 != nil || err2 != nil {
+				continue
+			}
+			return k, v, query, true
+		}
+		key, value, _ = strings.Cut(pair, "=")
+		return key, value, query, true
+	}
+	return "", "", "", false
+}
+
+// queryInt parses the optional non-negative integer query parameter name
+// from its raw value q, returning def when absent and an error on junk
+// (including negatives) — silently ignoring a malformed limit would return
+// the full adjacency list to a client that asked for a page.
+func queryInt(name, q string, def int64) (int64, error) {
 	if q == "" {
 		return def, nil
 	}
@@ -416,38 +499,56 @@ func queryInt(r *http.Request, name string, def int64) (int64, error) {
 }
 
 func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
-	ids, err := pathInts(r.URL.Path, "/v1/neighbors/", 2)
-	if err != nil {
+	var ids [2]int64
+	if err := pathInts(r.URL.Path, "/v1/neighbors/", ids[:]); err != nil {
 		httpErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	limit, err := queryInt(r, "limit", 0)
-	if err != nil {
-		httpErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s.readView(w, r, func(rd core.Reader) {
-		out := []Neighbor{}
-		it := rd.Neighbors(core.VertexID(ids[0]), core.Label(ids[1]))
-		for it.Next() {
-			out = append(out, Neighbor{Dst: int64(it.Dst()), Props: append([]byte(nil), it.Props()...)})
-			if limit > 0 && int64(len(out)) >= limit {
-				break
-			}
+	var rawLimit string
+	for key, value, rest, ok := nextParam(r.URL.RawQuery); ok; key, value, rest, ok = nextParam(rest) {
+		if key == "limit" && rawLimit == "" {
+			rawLimit = value
 		}
-		writeJSON(w, out)
-	})
+	}
+	limit, err := queryInt("limit", rawLimit, 0)
+	if err != nil {
+		httpErr(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	rd := s.beginRead(w, r)
+	if rd == nil {
+		return
+	}
+	defer rd.Commit()
+	// Props alias block memory: they are encoded straight from the
+	// iterator, while the view is open.
+	buf := getBuf()
+	buf.b = append(buf.b, '[')
+	it := rd.Neighbors(core.VertexID(ids[0]), core.Label(ids[1]))
+	for n := int64(0); it.Next(); {
+		buf.b = appendNeighbor(buf.b, int64(it.Dst()), it.Props())
+		if n++; n == limit {
+			break
+		}
+	}
+	buf.b = append(buf.b, "]\n"...)
+	writeWire(w, buf)
 }
 
 func (s *Server) handleDegree(w http.ResponseWriter, r *http.Request) {
-	ids, err := pathInts(r.URL.Path, "/v1/degree/", 2)
-	if err != nil {
+	var ids [2]int64
+	if err := pathInts(r.URL.Path, "/v1/degree/", ids[:]); err != nil {
 		httpErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.readView(w, r, func(rd core.Reader) {
-		writeJSON(w, map[string]int{"degree": rd.Degree(core.VertexID(ids[0]), core.Label(ids[1]))})
-	})
+	rd := s.beginRead(w, r)
+	if rd == nil {
+		return
+	}
+	defer rd.Commit()
+	buf := getBuf()
+	buf.b = appendDegree(buf.b, rd.Degree(core.VertexID(ids[0]), core.Label(ids[1])))
+	writeWire(w, buf)
 }
 
 // TraverseResponse is the /v1/traverse result: the final frontier and the
@@ -464,13 +565,45 @@ func (s *Server) handleTraverse(w http.ResponseWriter, r *http.Request) {
 	if !s.checkMinEpoch(w, r) {
 		return
 	}
-	ids, err := pathInts(r.URL.Path, "/v1/traverse/", 1)
-	if err != nil {
+	var ids [1]int64
+	if err := pathInts(r.URL.Path, "/v1/traverse/", ids[:]); err != nil {
 		httpErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	q := r.URL.Query()
-	outs := q["out"]
+	// One pass over the query: every out in order, the first non-empty
+	// value of each other parameter, anything else ignored.
+	var (
+		outsArr [8]string // the default MaxTraverseHops, so outs stays on the stack
+		outs    = outsArr[:0]
+		q       struct{ limit, dedup, parallel, direction, dstmin, dstmax, asof, explain string }
+	)
+	first := func(p *string, value string) {
+		if *p == "" {
+			*p = value
+		}
+	}
+	for key, value, rest, ok := nextParam(r.URL.RawQuery); ok; key, value, rest, ok = nextParam(rest) {
+		switch key {
+		case "out":
+			outs = append(outs, value)
+		case "limit":
+			first(&q.limit, value)
+		case "dedup":
+			first(&q.dedup, value)
+		case "parallel":
+			first(&q.parallel, value)
+		case "direction":
+			first(&q.direction, value)
+		case "dstmin":
+			first(&q.dstmin, value)
+		case "dstmax":
+			first(&q.dstmax, value)
+		case "asof":
+			first(&q.asof, value)
+		case "explain":
+			first(&q.explain, value)
+		}
+	}
 	if len(outs) == 0 {
 		httpErr(w, http.StatusBadRequest, "at least one out=LABEL hop required")
 		return
@@ -491,7 +624,7 @@ func (s *Server) handleTraverse(w http.ResponseWriter, r *http.Request) {
 		}
 		t.Out(core.Label(label))
 	}
-	limit, err := queryInt(r, "limit", 0)
+	limit, err := queryInt("limit", q.limit, 0)
 	if err != nil {
 		httpErr(w, http.StatusBadRequest, "%v", err)
 		return
@@ -499,15 +632,15 @@ func (s *Server) handleTraverse(w http.ResponseWriter, r *http.Request) {
 	if limit > 0 {
 		t.Limit(int(limit))
 	}
-	switch q.Get("dedup") {
+	switch q.dedup {
 	case "1", "true":
 		t.Dedup()
 	case "", "0", "false":
 	default:
-		httpErr(w, http.StatusBadRequest, "dedup=%q: want 1/true/0/false", q.Get("dedup"))
+		httpErr(w, http.StatusBadRequest, "dedup=%q: want 1/true/0/false", q.dedup)
 		return
 	}
-	parallel, err := queryInt(r, "parallel", 0)
+	parallel, err := queryInt("parallel", q.parallel, 0)
 	if err != nil {
 		httpErr(w, http.StatusBadRequest, "%v", err)
 		return
@@ -518,7 +651,7 @@ func (s *Server) handleTraverse(w http.ResponseWriter, r *http.Request) {
 	if parallel > 0 {
 		t.Parallel(int(parallel))
 	}
-	switch dir := q.Get("direction"); dir {
+	switch dir := q.direction; dir {
 	case "", "auto":
 	case "topdown":
 		t.Direction(core.DirectionTopDown)
@@ -528,12 +661,12 @@ func (s *Server) handleTraverse(w http.ResponseWriter, r *http.Request) {
 		httpErr(w, http.StatusBadRequest, "direction=%q: want auto/topdown/bottomup", dir)
 		return
 	}
-	dstMin, err := queryInt(r, "dstmin", -1)
+	dstMin, err := queryInt("dstmin", q.dstmin, -1)
 	if err != nil {
 		httpErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	dstMax, err := queryInt(r, "dstmax", -1)
+	dstMax, err := queryInt("dstmax", q.dstmax, -1)
 	if err != nil {
 		httpErr(w, http.StatusBadRequest, "%v", err)
 		return
@@ -546,12 +679,12 @@ func (s *Server) handleTraverse(w http.ResponseWriter, r *http.Request) {
 			return (lo < 0 || int64(v) >= lo) && (hi < 0 || int64(v) <= hi)
 		})
 	}
-	asOf, err := queryInt(r, "asof", -1)
+	asOf, err := queryInt("asof", q.asof, -1)
 	if err != nil {
 		httpErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	explain := q.Get("explain")
+	explain := q.explain
 	switch explain {
 	case "", "0", "false", "1", "true", "plan":
 	default:
@@ -612,11 +745,17 @@ func (s *Server) handleTraverse(w http.ResponseWriter, r *http.Request) {
 		httpErr(w, code, "%v", err)
 		return
 	}
-	resp := TraverseResponse{Epoch: snap.ReadEpoch(), Vertices: make([]int64, len(res)), Explain: ex}
-	for i, v := range res {
-		resp.Vertices[i] = int64(v)
+	if ex != nil {
+		resp := TraverseResponse{Epoch: snap.ReadEpoch(), Vertices: make([]int64, len(res)), Explain: ex}
+		for i, v := range res {
+			resp.Vertices[i] = int64(v)
+		}
+		writeJSON(w, resp)
+		return
 	}
-	writeJSON(w, resp)
+	buf := getBuf()
+	buf.b = appendTraverse(buf.b, snap.ReadEpoch(), res)
+	writeWire(w, buf)
 }
 
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
@@ -630,6 +769,21 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]bool{"ok": true})
 }
 
+// jsonContentType is shared by every response: assigning the slice skips
+// the per-request allocation of Header.Set.
+var jsonContentType = []string{"application/json"}
+
+// writeWire sends a hot endpoint's encoded 200 response with its
+// Content-Length in one Write, and returns buf to the pool.
+func writeWire(w http.ResponseWriter, buf *wireBuf) {
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	h["Content-Length"] = []string{strconv.Itoa(len(buf.b))}
+	w.Write(buf.b)
+	putBuf(buf)
+}
+
+// writeJSON answers a cold endpoint through encoding/json.
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(v)

@@ -9,7 +9,9 @@
 // onto a power-of-two array of stripes, each guarded by its own mutex, so
 // concurrent TestAndSet calls from a worker pool only contend when they
 // land on the same stripe — the classic lock-striping recipe, sized by the
-// caller to its worker count.
+// caller to its worker count. A caller that has the Set to itself between
+// two barriers skips the locks altogether: TestAndSetOwned to mutate, Peek
+// to probe a frozen Set.
 //
 // Compared with the map[VertexID]struct{} it replaces, a Set wins twice:
 // a set-membership test is a page lookup plus a bit probe (no hashing of
@@ -60,18 +62,37 @@ func New(stripes int) *Set {
 // TestAndSet sets bit k and reports whether it was already set. k must be
 // non-negative.
 func (s *Set) TestAndSet(k int64) bool {
-	pg, bit := k/pageBits, uint(k%pageBits)
-	word, mask := bit/64, uint64(1)<<(bit%64)
+	pg := k / pageBits
 	st := &s.stripes[pg&s.mask]
 	st.mu.Lock()
+	was := st.testAndSet(pg, uint(k%pageBits))
+	st.mu.Unlock()
+	return was
+}
+
+// TestAndSetOwned is TestAndSet without the stripe lock, for a goroutine
+// that owns the Set outright: from a point that happens after every other
+// goroutine's last use of the Set to one that happens before their next,
+// it alone may call any method. The traversal engine's hops are such
+// barriers — a sequential expansion runs between them on the caller's
+// goroutine — and a mutex per destination costs it more than the bit probe
+// it guards.
+func (s *Set) TestAndSetOwned(k int64) bool {
+	pg := k / pageBits
+	return s.stripes[pg&s.mask].testAndSet(pg, uint(k%pageBits))
+}
+
+// testAndSet sets one bit of page pg, materialising the page on first
+// touch. The caller holds st.mu or owns the Set.
+func (st *stripe) testAndSet(pg int64, bit uint) bool {
 	p := st.pages[pg]
 	if p == nil {
 		p = new(page)
 		st.pages[pg] = p
 	}
+	word, mask := bit/64, uint64(1)<<(bit%64)
 	was := p[word]&mask != 0
 	p[word] |= mask
-	st.mu.Unlock()
 	return was
 }
 

@@ -84,11 +84,63 @@ func TestConcurrentTestAndSet(t *testing.T) {
 	}
 }
 
+// TestOwnedBetweenBarriers is the traversal engine's use of one Set: a
+// pool of workers claims keys through the locked TestAndSet, the pool is
+// joined, and the owner then probes and extends the same Set through the
+// lock-free TestAndSetOwned — which must see exactly what the workers set,
+// on every stripe — before a second pool takes over again. Under -race
+// this also shows the joins are all the ordering the owned call needs.
+func TestOwnedBetweenBarriers(t *testing.T) {
+	const workers = 4
+	const keys = 1 << 13
+	s := New(4 * workers)
+	pool := func(lo, hi int64) {
+		var wg sync.WaitGroup
+		for w := int64(0); w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := lo + w; k < hi; k += workers {
+					s.TestAndSet(k * 131)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	pool(0, keys)
+	for k := int64(0); k < 2*keys; k++ {
+		if was := s.TestAndSetOwned(k * 131); was != (k < keys) {
+			t.Fatalf("TestAndSetOwned(%d) = %v after the workers set keys below %d", k*131, was, keys)
+		}
+	}
+	if !s.TestAndSetOwned(131) || s.TestAndSetOwned(7) || !s.Test(7) {
+		t.Fatal("owned call does not behave like TestAndSet")
+	}
+	pool(2*keys, 3*keys)
+	for k := int64(0); k < 3*keys; k++ {
+		if !s.Peek(k * 131) {
+			t.Fatalf("bit %d lost across the owned phase", k*131)
+		}
+	}
+	s.Reset()
+	if s.TestAndSetOwned(131) {
+		t.Fatal("TestAndSetOwned after Reset saw a stale bit")
+	}
+}
+
 func BenchmarkTestAndSet(b *testing.B) {
 	s := New(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s.TestAndSet(int64(i) & 0xffff)
+	}
+}
+
+func BenchmarkTestAndSetOwned(b *testing.B) {
+	s := New(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s.TestAndSetOwned(int64(i) & 0xffff)
 	}
 }
 

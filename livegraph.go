@@ -83,6 +83,15 @@
 // Each worker's scans remain purely sequential TEL streams — parallelism
 // comes from expanding disjoint frontier morsels concurrently.
 //
+// The dedup set has an owner mode. Hops are barriers: a hop's workers have
+// all returned before the next hop starts, so a hop that runs sequentially
+// is the only user of the set while it runs, and it probes the set without
+// taking the stripe locks (sparsebit.Set.TestAndSetOwned) — a mutex per
+// destination cost a sequential hop more than the bit probe it guarded.
+// The set is made with a single stripe by the first hop that dedups and is
+// traded for one striped for the pool by the first hop that runs parallel;
+// a sequential hop after that uses the striped set, still lock-free.
+//
 // The pool width comes from Traversal.Parallel, falling back to
 // Options.TraversalParallelism, falling back to GOMAXPROCS. Parallel
 // execution engages only on Readers that are safe for concurrent use
