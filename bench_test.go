@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"livegraph"
 	"livegraph/internal/analytics"
@@ -653,7 +654,10 @@ func BenchmarkParallelTraversal(b *testing.B) {
 	})
 
 	b.Run("OutOfCore", func(b *testing.B) {
-		dev := iosim.NewDevice(bench.ColdRead)
+		// Reads slow enough (2ms) that a frontier stalled on one fault could
+		// have expanded dozens of vertices — cold cloud block storage rather
+		// than a local SSD: fault *overlap* is the effect under measurement.
+		dev := iosim.NewDevice(iosim.Profile{Name: "ColdRead", ReadLatency: 2 * time.Millisecond, ReadBWBps: 200_000_000})
 		cache := iosim.NewPageCache(dev, 1<<62)
 		g, err := core.Open(core.Options{Workers: 256, PageCache: cache})
 		if err != nil {

@@ -40,8 +40,6 @@ func main() {
 		prIters    = flag.Int("pr-iters", 20, "PageRank iterations")
 		workers    = flag.Int("workers", 8, "analytics worker threads")
 		backendF   = flag.String("backend", "iosim", "storage backend for durable experiments: iosim (simulated device timing) or disk (real mmap segments + fsync)")
-		travScale  = flag.Int("trav-scale", 15, "traversal experiment graph scale (2^scale vertices, avg degree 4)")
-		travOps    = flag.Int("trav-ops", 20, "traversal experiment runs per configuration")
 		maintEvery = flag.Int("maint-compact-every", 2048, "maintenance experiment commit-count compaction cadence")
 		jsonPath   = flag.String("json", "", "write machine-readable results (ns/op, edges/s, allocs/op per experiment) to this file")
 	)
@@ -71,8 +69,6 @@ func main() {
 	cfg.OOCFrac = *oocFrac
 	cfg.PRIters = *prIters
 	cfg.Workers = *workers
-	cfg.TravScale = *travScale
-	cfg.TravOps = *travOps
 	cfg.MaintCompactEvery = *maintEvery
 	switch *backendF {
 	case "iosim", "disk":

@@ -5,8 +5,8 @@
 // that requires an export first), which is exactly the comparison of
 // Table 10.
 //
-// All kernels dispatch through the morsel-driven execution engine
-// (internal/morsel): workers claim fixed-size vertex or frontier morsels
+// All kernels dispatch through morsel.Run (internal/morsel) and start no
+// goroutine themselves: workers claim fixed-size vertex or frontier morsels
 // from an atomic cursor instead of being handed static ranges, so the
 // power-law skew of real graphs (one range holding the hubs) load-balances
 // itself. BFS additionally shares the traversal engine's lock-striped
@@ -14,6 +14,7 @@
 package analytics
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"sync"
@@ -135,37 +136,25 @@ func (v SnapshotView) HasEdge(src, dst int64) bool {
 // range count should stay well above the worker count for balance.
 const vertexMorsel = 2048
 
-// parallelFor runs body over [0,n) on a morsel-driven worker pool: workers
-// claim vertexMorsel-sized ranges from a shared cursor until the space is
-// exhausted, so a range of hub vertices stalls one worker instead of
-// setting the pass's critical path the way a static 1/workers split does.
-func parallelFor(n int64, workers int, body func(lo, hi int64)) {
-	if n <= 0 {
-		return
-	}
+// run hands [0,n) to morsel.Run in morsels of the given size on the given
+// number of workers (GOMAXPROCS if <= 0). The kernels take no context and
+// their bodies never fail, so neither does run.
+func run(n, size, workers int, body func(m, lo, hi int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	cur := morsel.NewCursor(int(n), vertexMorsel)
-	if cur.Workers(workers) <= 1 {
-		body(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := cur.Workers(workers); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				_, lo, hi, ok := cur.Next()
-				if !ok {
-					return
-				}
-				body(int64(lo), int64(hi))
-			}
-		}()
-	}
-	wg.Wait()
+	//lglint:ignore ctxprop the kernels' public signatures carry no context; nothing blocks on this one
+	_ = morsel.Run(context.Background(), n, size, workers, func(_, m, lo, hi int) error {
+		body(m, lo, hi)
+		return nil
+	})
+}
+
+// parallelFor runs body over vertexMorsel-sized ranges of [0,n), claimed
+// dynamically, so a range of hub vertices stalls one worker instead of
+// setting the pass's critical path the way a static 1/workers split does.
+func parallelFor(n int64, workers int, body func(lo, hi int64)) {
+	run(int(n), vertexMorsel, workers, func(_, lo, hi int) { body(int64(lo), int64(hi)) })
 }
 
 // atomicAddFloat64 adds delta to *addr with a CAS loop.
@@ -347,38 +336,22 @@ func BFSDir(v View, src int64, workers int, dir core.Direction) []int64 {
 // claiming worker and published to the next level by the pool join, so the
 // kernel is race-free without per-vertex atomics on the distance array.
 func bfsTopDownLevel(v View, dist []int64, visited *sparsebit.Set, frontier []int64, level int64, workers int) []int64 {
-	cur := morsel.NewCursor(len(frontier), morsel.DefaultSize)
-	outs := make([][]int64, cur.Count())
-	var wg sync.WaitGroup
-	for w := cur.Workers(workers); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				m, lo, hi, ok := cur.Next()
-				if !ok {
-					return
+	morsels, _ := morsel.Split(len(frontier), morsel.DefaultSize, workers)
+	outs := make([][]int64, morsels)
+	run(len(frontier), morsel.DefaultSize, workers, func(m, lo, hi int) {
+		var buf []int64
+		for _, u := range frontier[lo:hi] {
+			v.ScanOut(u, func(dst int64) bool {
+				if !visited.TestAndSet(dst) {
+					dist[dst] = level
+					buf = append(buf, dst)
 				}
-				var buf []int64
-				for _, u := range frontier[lo:hi] {
-					v.ScanOut(u, func(dst int64) bool {
-						if !visited.TestAndSet(dst) {
-							dist[dst] = level
-							buf = append(buf, dst)
-						}
-						return true
-					})
-				}
-				outs[m] = buf
-			}
-		}()
-	}
-	wg.Wait()
-	next := make([]int64, 0, len(frontier))
-	for _, o := range outs {
-		next = append(next, o...)
-	}
-	return next
+				return true
+			})
+		}
+		outs[m] = buf
+	})
+	return morsel.Concat(outs)
 }
 
 // bfsBottomUpLevel expands one level in reverse: workers sweep disjoint
@@ -389,9 +362,11 @@ func bfsTopDownLevel(v View, dist []int64, visited *sparsebit.Set, frontier []in
 // the visited marks need no arbitration at all — the level's only shared
 // write is the final frontier concatenation under wg join.
 func bfsBottomUpLevel(v View, iv InView, dist []int64, visited *sparsebit.Set, fbits *sparsebit.Set, frontier []int64, level, n int64, workers int) []int64 {
+	// This goroutine owns fbits until the workers start (levels are
+	// barriers), so the build takes no stripe lock.
 	fbits.Reset()
 	for _, u := range frontier {
-		fbits.TestAndSet(u)
+		fbits.TestAndSetOwned(u)
 	}
 	var mu sync.Mutex
 	var next []int64

@@ -43,10 +43,6 @@ type Config struct {
 	PRIters int // PageRank iterations (paper: 20)
 	Workers int // analytics threads (paper: 24)
 
-	// Parallel-traversal experiment (the morsel-driven engine).
-	TravScale int // kron graph scale: 2^TravScale vertices, avg degree 4
-	TravOps   int // traversal runs per measured configuration
-
 	// MaintCompactEvery is the commit-count compaction cadence used by
 	// the maintenance experiment's scheduler mode (the paper default of
 	// 65536 never fires at laptop scale).
@@ -92,7 +88,6 @@ func Default(out io.Writer) Config {
 		OOCFrac:    0.16,
 		SNBPersons: 400, SNBClients: 8, SNBRequests: 40,
 		PRIters: 20, Workers: 8,
-		TravScale: 15, TravOps: 20,
 		MaintCompactEvery: 2048,
 		Backend:           "iosim",
 	}
@@ -146,8 +141,6 @@ func Experiments() []Experiment {
 		{"tab8", "Table 8: SNB interactive throughput out of core", func(ctx context.Context, c Config) { SNBThroughput(ctx, c, true) }},
 		{"tab9", "Table 9: SNB per-query latency", SNBQueryLatency},
 		{"tab10", "Table 10: ETL + PageRank/ConnComp, in-situ vs CSR engine", Tab10},
-		{"trav", "Morsel-driven parallel traversal: two-hop throughput vs worker-pool width", TraverseSweep},
-		{"bfs", "Adaptive traversal: expansion direction, predicate pushdown, direction-optimizing BFS", BFSAdaptive},
 		{"repl", "WAL-shipping replication: follower apply throughput and staleness lag", Replication},
 		{"maint", "Background maintenance: budgeted scheduler vs off", Maint},
 		{"commit", "Commit path: durable group-commit throughput/latency by storage backend", Commit},

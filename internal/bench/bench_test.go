@@ -17,15 +17,14 @@ func tiny(out io.Writer) Config {
 		OOCFrac:    0.2,
 		SNBPersons: 40, SNBClients: 2, SNBRequests: 5,
 		PRIters: 3, Workers: 2,
-		TravScale: 8, TravOps: 2,
 		MaintCompactEvery: 64,
 	}
 }
 
 func TestExperimentRegistry(t *testing.T) {
 	exps := Experiments()
-	if len(exps) != 22 {
-		t.Fatalf("%d experiments registered, want 22 (one per table/figure plus trav, bfs, repl, maint, commit and obs)", len(exps))
+	if len(exps) != 20 {
+		t.Fatalf("%d experiments registered, want 20 (one per table/figure plus repl, maint, commit and obs)", len(exps))
 	}
 	seen := map[string]bool{}
 	for _, e := range exps {
@@ -38,7 +37,7 @@ func TestExperimentRegistry(t *testing.T) {
 		}
 	}
 	for _, want := range []string{"fig1", "tab3", "tab4", "tab5", "tab6", "fig5", "fig6",
-		"fig7a", "fig7b", "mem", "fig8", "ckpt", "tab7", "tab8", "tab9", "tab10", "trav",
+		"fig7a", "fig7b", "mem", "fig8", "ckpt", "tab7", "tab8", "tab9", "tab10",
 		"repl", "maint", "commit", "obs"} {
 		if !seen[want] {
 			t.Fatalf("experiment %s missing", want)
@@ -72,32 +71,6 @@ func TestAllExperimentsSmoke(t *testing.T) {
 				t.Fatalf("experiment %s produced almost no output:\n%s", e.ID, out)
 			}
 		})
-	}
-}
-
-// TestTraverseSweepRecordsMetrics: the machine-readable sink (lgbench
-// -json) receives one metric per regime and parallelism level, with the
-// standard rates populated.
-func TestTraverseSweepRecordsMetrics(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the traversal sweep")
-	}
-	var sb strings.Builder
-	cfg := tiny(&sb)
-	cfg.TravScale, cfg.TravOps = 7, 1
-	var got []Metric
-	cfg.Record = func(m Metric) { got = append(got, m) }
-	TraverseSweep(context.Background(), cfg)
-	if len(got) != 8 { // {in-memory, out-of-core} x parallelism {1,2,4,8}
-		t.Fatalf("recorded %d metrics, want 8", len(got))
-	}
-	for _, m := range got {
-		if m.Experiment != "trav" || m.Name == "" {
-			t.Fatalf("bad metric identity: %+v", m)
-		}
-		if m.NsPerOp <= 0 || m.EdgesPerSec <= 0 {
-			t.Fatalf("metric %s missing rates: %+v", m.Name, m)
-		}
 	}
 }
 

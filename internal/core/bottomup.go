@@ -14,19 +14,40 @@ package core
 // pinned snapshot). A candidate stops at its first confirmed hit, so each
 // destination is emitted at most once — which is why bottom-up requires
 // Dedup — and emission follows the registry's (stable, append-only)
-// order, deterministic for the sequential path and reassembled in morsel
-// order for the parallel one. The only shared mutable state in a parallel
-// pass is the pair of budget atomics; there is no dedup-set contention at
-// all.
+// order, reassembled in morsel order when a pool runs it.
+//
+// This file holds only what is bottom-up's own: the direction decision,
+// the frontier bitset build and the per-candidate body. Workers, budgets,
+// cancellation and reassembly are the expansion kernel's (parallel.go);
+// with a pool the only shared mutable state is the budget's atomics —
+// there is no dedup-set contention at all.
 
-import (
-	"context"
-	"sync"
-	"sync/atomic"
+import "livegraph/internal/sparsebit"
 
-	"livegraph/internal/morsel"
-	"livegraph/internal/sparsebit"
-)
+// chooseDirection decides one hop's expansion direction. A forced
+// DirectionBottomUp without the prerequisites is an error; DirectionAuto
+// applies the Beamer-style density test against the label's statistics:
+// go bottom-up when the frontier's estimated outgoing edges exceed
+// bottomUpAlpha × the hinted candidate count (probing candidates beats
+// scanning the frontier) and make up more than 1/bottomUpBeta of the
+// label's total edges (the frontier genuinely covers the label, so
+// candidate probes hit).
+func (t *Traversal) chooseDirection(g *Graph, frontierLen int, ls LabelStats) (Direction, error) {
+	canBU := t.dedup && g != nil && !g.opts.DisableReverseIndex
+	switch {
+	case t.direction == DirectionBottomUp && !canBU:
+		return 0, ErrBottomUpUnsupported
+	case t.direction != DirectionAuto:
+		return t.direction, nil
+	case !canBU || frontierLen < bottomUpMinFrontier || ls.Targets <= 0 || ls.Lists <= 0:
+		return DirectionTopDown, nil
+	}
+	mf := float64(frontierLen) * max(ls.AvgDegree, 1)
+	if mf > bottomUpAlpha*float64(ls.Targets) && bottomUpBeta*mf > float64(ls.Edges) {
+		return DirectionBottomUp, nil
+	}
+	return DirectionTopDown, nil
+}
 
 // Bottom-up morsels range over the candidate registry; every entry is a
 // real hinted destination (at least one Peek, often a confirming read),
@@ -38,261 +59,53 @@ const (
 )
 
 func bottomUpMorselSize(n, workers int) int {
-	size := n / (4 * workers)
-	if size < bottomUpMorselMin {
-		size = bottomUpMorselMin
-	}
-	if size > bottomUpMorselMax {
-		size = bottomUpMorselMax
-	}
-	return size
+	return min(max(n/(4*workers), bottomUpMorselMin), bottomUpMorselMax)
 }
 
-// expandBottomUp executes one stepOut bottom-up. es carries the hop's
-// label and fused destination predicate (applied as a candidate
-// pre-filter, before any probe). fbits is the reusable frontier bitset:
-// built here single-threaded, then only Peek-ed — the frozen-set contract
-// sparsebit.Peek requires.
-func (t *Traversal) expandBottomUp(ctx context.Context, r Reader, g *Graph, frontier []VertexID, es *execStep, fbits *sparsebit.Set, capped bool, par int, hp *HopPlan) ([]VertexID, error) {
-	rv := g.rev.Get(int64(es.label))
-	if rv == nil {
-		return nil, nil // label never had an edge: no candidates
+// freeze builds the frontier bitset for a bottom-up hop. One goroutine
+// builds it before the workers start and it is only Peek-ed afterwards —
+// the frozen-set contract sparsebit.Peek requires — so the build owns the
+// set and takes no stripe lock.
+func (k *hopKernel) freeze(frontier []VertexID) {
+	if k.fbits == nil {
+		k.fbits = sparsebit.New(1)
 	}
-	cands := rv.candidates()
-	fbits.Reset()
+	k.fbits.Reset()
 	for _, v := range frontier {
-		fbits.TestAndSet(int64(v))
+		k.fbits.TestAndSetOwned(int64(v))
 	}
-	if par <= 1 || len(cands) < 2*bottomUpMorselMin {
-		return t.bottomUpSeq(ctx, r, rv, cands, es.label, es.keep, fbits, capped, hp)
-	}
-	return t.bottomUpPar(ctx, r, rv, cands, es.label, es.keep, fbits, capped, par, hp)
 }
 
-// probeCandidate reports whether candidate c has a confirmed in-edge from
-// the frontier, and how many hint probes it spent.
-func probeCandidate(r Reader, rv *revLabel, c VertexID, label Label, fbits *sparsebit.Set) (hit bool, probes int64) {
-	ra := rv.hints(c)
+// probe is the bottom-up per-item body: one candidate destination, with the
+// hop's fused predicate applied as a pre-filter, before any hint is read.
+// It emits the candidate at its first hinted source that is in the frontier
+// and whose edge the forward read path confirms.
+func (w *hopWorker) probe(c VertexID) error {
+	k := w.k
+	if err := w.tick(); err != nil {
+		return err
+	}
+	if k.es.keep != nil && !k.es.keep(c) {
+		return nil
+	}
+	w.cands++
+	ra := k.rv.hints(c)
 	if ra == nil {
-		return false, 0
+		return nil
 	}
 	for _, src := range ra.snapshot() {
-		probes++
-		if !fbits.Peek(int64(src)) {
+		w.probes++
+		if !k.fbits.Peek(int64(src)) {
 			continue
 		}
-		if _, err := r.GetEdge(src, label, c); err != nil {
+		if _, err := k.r.GetEdge(src, k.es.label, c); err != nil {
 			continue
 		}
-		return true, probes
-	}
-	return false, probes
-}
-
-// bottomUpSeq is the sequential bottom-up pass — the reference the
-// parallel pass must match set-wise, emitting in candidate-registry
-// order.
-func (t *Traversal) bottomUpSeq(ctx context.Context, r Reader, rv *revLabel, cands []VertexID, label Label, keep func(VertexID) bool, fbits *sparsebit.Set, capped bool, hp *HopPlan) ([]VertexID, error) {
-	var next []VertexID
-	var nc, probes int64
-	for i, cv := range cands {
-		if i%stopCheckEdges == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+		emit, err := k.budget.admit(len(w.out))
+		if emit {
+			w.out = append(w.out, c)
 		}
-		if keep != nil && !keep(cv) {
-			continue
-		}
-		hit, p := probeCandidate(r, rv, cv, label, fbits)
-		if hp != nil {
-			nc++
-			probes += p
-		}
-		if !hit {
-			continue
-		}
-		next = append(next, cv)
-		if t.maxFrontier > 0 && len(next) > t.maxFrontier {
-			return nil, ErrFrontierTooLarge
-		}
-		if capped && len(next) >= t.limit {
-			break
-		}
+		return err
 	}
-	if hp != nil {
-		hp.Candidates, hp.HintProbes = nc, probes
-	}
-	return next, nil
-}
-
-// bottomUpPar fans the candidate registry out over the morsel worker
-// pool. Budget discipline mirrors expandParallel: on a capped hop the
-// result slot is claimed before the frontier budget is charged, and
-// workers observe the stop flag within one morsel chunk.
-func (t *Traversal) bottomUpPar(ctx context.Context, r Reader, rv *revLabel, cands []VertexID, label Label, keep func(VertexID) bool, fbits *sparsebit.Set, capped bool, par int, hp *HopPlan) ([]VertexID, error) {
-	cur := morsel.NewCursor(len(cands), bottomUpMorselSize(len(cands), par))
-	outs := make([][]VertexID, cur.Count())
-	var (
-		produced atomic.Int64
-		grown    atomic.Int64
-		ncands   atomic.Int64
-		probes   atomic.Int64
-		stop     atomic.Bool
-		errMu    sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		stop.Store(true)
-	}
-	limit, maxF := int64(t.limit), int64(t.maxFrontier)
-	countStats := hp != nil
-
-	var wg sync.WaitGroup
-	for w := cur.Workers(par); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if stop.Load() {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					fail(err)
-					return
-				}
-				m, lo, hi, ok := cur.Next()
-				if !ok {
-					return
-				}
-				var buf []VertexID
-				var mc, mp int64
-				flush := func() {
-					outs[m] = buf
-					if countStats {
-						ncands.Add(mc)
-						probes.Add(mp)
-					}
-				}
-				for i := lo; i < hi; i++ {
-					if i%stopCheckEdges == 0 {
-						if stop.Load() {
-							flush()
-							return
-						}
-						if err := ctx.Err(); err != nil {
-							flush()
-							fail(err)
-							return
-						}
-					}
-					cv := cands[i]
-					if keep != nil && !keep(cv) {
-						continue
-					}
-					hit, p := probeCandidate(r, rv, cv, label, fbits)
-					if countStats {
-						mc++
-						mp += p
-					}
-					if !hit {
-						continue
-					}
-					if capped {
-						// Claim the result slot before charging the
-						// frontier budget, matching expandParallel: results
-						// the limit discards must not count toward
-						// MaxFrontier.
-						n := produced.Add(1)
-						if n > limit {
-							flush()
-							stop.Store(true)
-							return
-						}
-						if maxF > 0 && grown.Add(1) > maxF {
-							flush()
-							fail(ErrFrontierTooLarge)
-							return
-						}
-						buf = append(buf, cv)
-						if n == limit {
-							flush()
-							stop.Store(true)
-							return
-						}
-						continue
-					}
-					if maxF > 0 && grown.Add(1) > maxF {
-						flush()
-						fail(ErrFrontierTooLarge)
-						return
-					}
-					buf = append(buf, cv)
-				}
-				flush()
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	total := 0
-	for _, o := range outs {
-		total += len(o)
-	}
-	next := make([]VertexID, 0, total)
-	for _, o := range outs {
-		next = append(next, o...)
-	}
-	if hp != nil {
-		hp.Candidates, hp.HintProbes = ncands.Load(), probes.Load()
-	}
-	return next, nil
-}
-
-// morselMark evaluates pred over [0,n) on the worker pool, recording
-// results into marks — the order-preserving parallel Filter substrate.
-func morselMark(ctx context.Context, n, workers, morselSize int, pred func(i int) bool, marks []bool) error {
-	cur := morsel.NewCursor(n, morselSize)
-	var (
-		stop     atomic.Bool
-		errMu    sync.Mutex
-		firstErr error
-	)
-	var wg sync.WaitGroup
-	for w := cur.Workers(workers); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if stop.Load() {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					stop.Store(true)
-					return
-				}
-				_, lo, hi, ok := cur.Next()
-				if !ok {
-					return
-				}
-				for i := lo; i < hi; i++ {
-					marks[i] = pred(i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
+	return nil
 }

@@ -5,8 +5,8 @@ package core
 // via GET /v1/traverse?explain=plan (plan only) and ?explain=1 (execute
 // and annotate). Every adaptive decision the executor makes — expansion
 // direction, predicate pushdown and reordering, parallel engagement,
-// morsel widths, budget cuts — is attributed here; none of the counters
-// behind these fields run on the hot path of a plain (non-EXPLAIN) Run.
+// morsel widths, budget cuts — is attributed here; the counters behind
+// these fields are per-morsel locals, so a plain Run pays nothing shared.
 
 // HopPlan describes one compiled step of a traversal, plus its runtime
 // behavior when the plan was executed (Explain.Executed).
@@ -49,8 +49,8 @@ type HopPlan struct {
 	// frontier bitset.
 	Candidates int64 `json:"candidates,omitempty"`
 	HintProbes int64 `json:"hintProbes,omitempty"`
-	Parallel   bool  `json:"parallel"`          // hop ran on the morsel engine
-	Workers    int   `json:"workers,omitempty"` // pool width of a parallel hop
+	Parallel   bool  `json:"parallel"`          // step ran on a worker pool
+	Workers    int   `json:"workers,omitempty"` // workers the pool started
 	MorselSize int   `json:"morselSize,omitempty"`
 	Morsels    int   `json:"morsels,omitempty"`
 	// BudgetCut names the budget that stopped the hop early: "limit"
@@ -82,6 +82,15 @@ type Explain struct {
 	ResultCount int    `json:"resultCount,omitempty"`
 	DurationNs  int64  `json:"durationNs,omitempty"`
 	Error       string `json:"error,omitempty"`
+}
+
+// ran records what the kernel ran a step on, for either direction; one
+// worker leaves the pool fields zero, and a nil hp (no EXPLAIN) is a no-op.
+func (hp *HopPlan) ran(r hopRun) {
+	if hp == nil || r.workers <= 1 {
+		return
+	}
+	hp.Parallel, hp.Workers, hp.MorselSize, hp.Morsels = true, r.workers, r.morselSize, r.morsels
 }
 
 func (d Direction) String() string {

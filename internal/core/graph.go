@@ -90,47 +90,14 @@ type Options struct {
 	Ckpt CkptOptions
 
 	// TraversalParallelism is the default worker-pool width for the
-	// morsel-driven traversal engine: how many workers a parallel-capable
-	// Reader (a snapshot) fans frontier expansion out over when the
-	// traversal itself does not set Parallel. Zero means GOMAXPROCS at run
-	// time; 1 disables parallel expansion engine-wide. Analytics kernels
-	// take their worker count explicitly and are not affected.
+	// traversal engine: how many workers a parallel-capable Reader (a
+	// snapshot) fans frontier expansion out over when the traversal itself
+	// does not set Parallel. Zero means GOMAXPROCS at run time; 1 keeps
+	// every hop on the caller's goroutine engine-wide. It is the engine's
+	// only traversal option — when a pool engages, its morsel width and the
+	// bottom-up switch follow from degree statistics and the constants in
+	// traverse.go. Analytics kernels take their worker count explicitly.
 	TraversalParallelism int
-
-	// TraversalEngageMin is the frontier width below which a hop runs
-	// sequentially even when a worker pool is available — dispatching
-	// goroutines for a handful of scans costs more than the scans. Zero
-	// selects the adaptive default (morsel.DefaultSize in memory, 8 under
-	// the out-of-core simulation, both shrunk further for labels whose
-	// degree statistics show expensive per-vertex expansions).
-	TraversalEngageMin int
-
-	// TraversalMinMorsel floors the adaptive morsel width. Zero selects
-	// the default (8 in memory, 1 under the out-of-core simulation, where
-	// overlapping per-vertex fault stalls is the whole point).
-	TraversalMinMorsel int
-
-	// TraversalMorselEdges is the degree-driven morsel sizing target: the
-	// engine aims each morsel at about this many scanned edges, using the
-	// label's live average degree, so hub-heavy labels get finer morsels.
-	// Zero selects the default (512); negative disables degree-driven
-	// sizing, reverting to the pre-adaptive frontier-splitting rule.
-	TraversalMorselEdges int
-
-	// TraversalBottomUpAlpha tunes the direction-optimizing switch: a hop
-	// goes bottom-up when the frontier's estimated outgoing edge count
-	// exceeds Alpha × the label's candidate (hinted-target) count — the
-	// Beamer-style "frontier is dense enough that probing candidates is
-	// cheaper than scanning it" test. Zero selects the default (8);
-	// negative disables automatic bottom-up (explicit
-	// Direction(DirectionBottomUp) still forces it).
-	TraversalBottomUpAlpha float64
-
-	// TraversalBottomUpBeta is the companion guard: bottom-up also
-	// requires the frontier's estimated edges to exceed 1/Beta of the
-	// label's total edges, so a narrow frontier on a huge label never
-	// probes every candidate. Zero selects the default (3).
-	TraversalBottomUpBeta float64
 
 	// DisableReverseIndex turns off the (dst,label) → sources hint index
 	// that bottom-up expansion probes. Saves the memory and the one hint

@@ -3,19 +3,19 @@ package core
 // The engine side of the background maintenance subsystem (internal/maint):
 // budgeted, morsel-parallel compaction slices over the striped dirty set.
 // The scheduler decides when and how much; this file does the storage work —
-// drain a bounded chunk of dirty vertices, fan it across workers through a
-// morsel cursor (each worker with a private allocation handle, holding one
-// vertex lock at a time exactly like the synchronous pass always has), and
-// at pass boundaries reclaim deferred blocks whose readers have moved on.
+// drain a bounded chunk of dirty vertices, fan it across workers in morsels
+// (each worker with a private allocation handle, holding one vertex lock at
+// a time exactly like the synchronous pass always has), and at pass
+// boundaries reclaim deferred blocks whose readers have moved on.
 
 import (
+	"context"
 	"time"
 
 	"livegraph/internal/maint"
 	"livegraph/internal/metrics"
 	"livegraph/internal/morsel"
 	"livegraph/internal/obs"
-	"livegraph/internal/storage"
 )
 
 // MaintOptions configures the background maintenance engine.
@@ -120,10 +120,10 @@ func (r maintRunner) MaintEndPass() {
 	g.stats.Compactions.Add(1)
 }
 
-// compactChunk fans chunk across the maintenance worker pool via a morsel
-// cursor. Workers claim morsels dynamically, so a hub vertex with a huge
-// TEL stalls one worker while the rest drain the remainder. Returns how
-// many vertices were compacted; the rest (deadline cut) are re-marked
+// compactChunk fans chunk across the maintenance workers in morsels, each
+// worker allocating through its own storage handle; a hub vertex with a
+// huge TEL stalls one worker while the rest drain the remainder. Returns
+// how many vertices were compacted; the rest (deadline cut) are re-marked
 // with their dead-bytes estimates intact.
 func (g *Graph) compactChunk(chunk []maint.Dirty, deadline time.Time) int {
 	// visibleFloor: every ongoing transaction reads at >= MinActive and
@@ -131,50 +131,26 @@ func (g *Graph) compactChunk(chunk []maint.Dirty, deadline time.Time) int {
 	// the floor is dead for everyone. HistoryRetention lowers the floor
 	// so temporal snapshots (SnapshotAt) can still read recent history.
 	floor := g.readers.MinActive(g.epochs.ReadEpoch()) - g.opts.HistoryRetention
-	cur := morsel.NewCursor(len(chunk), maintMorselSize)
-	workers := cur.Workers(g.maintWorkers)
-
-	run := func(h *storage.Handle) {
-		var c compactCounts
-		// The first morsel is claimed unconditionally: a slice must make
+	// The body only ever asks to stop, so Run has no error to return.
+	//lglint:ignore ctxprop a slice is bounded by its deadline, not a caller: the scheduler owns no context and nothing blocks on this one
+	_ = morsel.Run(context.Background(), len(chunk), maintMorselSize, g.maintWorkers, func(w, m, lo, hi int) error {
+		// Morsel 0 is compacted unconditionally: a slice must make
 		// progress even when draining + dispatch already ate the budget,
 		// or a pass could spin on zero-progress slices forever.
-		first := true
-		for {
-			if !first && !deadline.IsZero() && time.Now().After(deadline) {
-				break
-			}
-			first = false
-			_, lo, hi, ok := cur.Next()
-			if !ok {
-				break
-			}
-			for i := lo; i < hi; i++ {
-				v := VertexID(chunk[i].ID)
-				g.locks.Lock(uint64(v))
-				g.compactVertexLocked(v, floor, h, &c)
-				g.locks.Unlock(uint64(v))
-				chunk[i].ID = -1 // processed
-			}
+		if m > 0 && !deadline.IsZero() && time.Now().After(deadline) {
+			return morsel.Stop
+		}
+		var c compactCounts
+		for i := lo; i < hi; i++ {
+			v := VertexID(chunk[i].ID)
+			g.locks.Lock(uint64(v))
+			g.compactVertexLocked(v, floor, g.maintHandles[w], &c)
+			g.locks.Unlock(uint64(v))
+			chunk[i].ID = -1 // processed
 		}
 		c.flush(&g.maintStats)
-	}
-
-	if workers <= 1 {
-		run(g.maintHandles[0])
-	} else {
-		done := make(chan struct{}, workers-1)
-		for w := 1; w < workers; w++ {
-			go func(h *storage.Handle) {
-				defer func() { done <- struct{}{} }()
-				run(h)
-			}(g.maintHandles[w])
-		}
-		run(g.maintHandles[0])
-		for w := 1; w < workers; w++ {
-			<-done
-		}
-	}
+		return nil
+	})
 
 	// Return anything the deadline cut back to the dirty set, estimate
 	// and all.
@@ -189,8 +165,8 @@ func (g *Graph) compactChunk(chunk []maint.Dirty, deadline time.Time) int {
 	return processed
 }
 
-// compactCounts accumulates per-worker stat deltas so the hot loop does
-// local adds and flushes to the shared atomics once per slice.
+// compactCounts accumulates one morsel's stat deltas so the hot loop does
+// local adds and flushes to the shared atomics once per morsel.
 type compactCounts struct {
 	vertices, scanned, copied, dead, pruned int64
 }

@@ -13,10 +13,11 @@ package core
 // Execution is *adaptive*, steered by the per-label degree statistics the
 // engine maintains at apply time (stats.go):
 //
-//   - hops run on the morsel-driven parallel engine (parallel.go) when the
-//     Reader is safe for concurrent use and the frontier's estimated work
-//     repays worker dispatch, with morsel widths sized so each morsel
-//     scans about Options.TraversalMorselEdges edges;
+//   - every hop runs on the one expansion kernel (parallel.go); it gets a
+//     worker pool when the Reader is safe for concurrent use and the
+//     frontier's estimated work repays worker dispatch, with morsel widths
+//     sized so each morsel scans about morselEdges edges, and is the
+//     kernel's one-worker case otherwise;
 //   - a deduplicating hop switches to bottom-up (direction-optimizing)
 //     expansion when the frontier is dense against the label's candidate
 //     set (bottomup.go) — probing hinted destinations against a frozen
@@ -25,7 +26,9 @@ package core
 //     TEL scan loop itself, so rejected edges never surface.
 //
 // Every adaptive choice changes only the execution schedule, never the
-// result semantics, and RunExplain reports what was chosen per hop.
+// result semantics, and RunExplain reports what was chosen per hop. The
+// policy's thresholds are constants (engageMin … bottomUpBeta below), not
+// options; Parallel(1) and Direction(DirectionTopDown) pin a strategy.
 
 import (
 	"context"
@@ -35,7 +38,6 @@ import (
 
 	"livegraph/internal/morsel"
 	"livegraph/internal/obs"
-	"livegraph/internal/sparsebit"
 )
 
 // ErrAsOfMismatch is returned by Traversal.Run when AsOf was set but the
@@ -97,7 +99,8 @@ type execStep struct {
 	label     Label
 	filter    func(r Reader, v VertexID) bool
 	filterPar bool
-	keep      func(v VertexID) bool // fused/standalone destination predicate
+	keep      func(v VertexID) bool // fused destination predicate (out hops)
+	keep64    func(d int64) bool    // keep as the TEL scan loop takes it
 	pushdown  int                   // FilterDst predicates fused into this hop
 	fusedSi   []int                 // their original step indices
 	reordered bool                  // a fused predicate overtook a Filter
@@ -230,7 +233,7 @@ func (t *Traversal) Parallel(n int) *Traversal {
 // Zero (the default) sizes morsels adaptively: morsel.DefaultSize at
 // most, shrunk until the frontier splits into about four morsels per
 // worker — or, when the label's degree statistics are available, until a
-// morsel scans about Options.TraversalMorselEdges edges. Smaller morsels
+// morsel scans about morselEdges edges. Smaller morsels
 // balance skewed frontiers at the cost of more claim traffic; mostly a
 // tuning and testing knob.
 func (t *Traversal) MorselSize(n int) *Traversal {
@@ -275,10 +278,12 @@ func (t *Traversal) recompile() {
 	for i := 0; i < n; {
 		st := &t.steps[i]
 		if st.kind != stepOut {
-			t.plan = append(t.plan, execStep{
-				kind: st.kind, si: i,
-				filter: st.filter, filterPar: st.filterPar, keep: st.keep,
-			})
+			// No hop to fuse into: a FilterDst here is an ordinary filter.
+			es := execStep{kind: stepFilter, si: i, filter: st.filter, filterPar: st.filterPar}
+			if keep := st.keep; st.kind == stepFilterDst {
+				es.filter = func(_ Reader, v VertexID) bool { return keep(v) }
+			}
+			t.plan = append(t.plan, es)
 			i++
 			continue
 		}
@@ -299,6 +304,9 @@ func (t *Traversal) recompile() {
 				sawFilter = true
 				rest = append(rest, execStep{kind: stepFilter, si: j, filter: fs.filter, filterPar: fs.filterPar})
 			}
+		}
+		if keep := es.keep; keep != nil {
+			es.keep64 = func(d int64) bool { return keep(VertexID(d)) }
 		}
 		t.plan = append(t.plan, es)
 		t.plan = append(t.plan, rest...)
@@ -382,150 +390,73 @@ func (t *Traversal) effectiveParallelism(r Reader) int {
 	return p
 }
 
-// travKnobs are the run-resolved adaptive-policy parameters: the
-// Options.Traversal* knobs with defaults filled in, plus the switches the
-// hop loop consults.
-type travKnobs struct {
-	engageMin   int     // frontier width that repays worker dispatch
-	minMorsel   int     // adaptive morsel-width floor
-	morselEdges int     // per-morsel edge target (0 = degree-driven sizing off)
-	buAlpha     float64 // bottom-up density factor (0 = auto bottom-up off)
-	buBeta      float64 // bottom-up total-edge guard
-}
-
+// The adaptive policy's thresholds: constants, because nothing ever set
+// them as options. The one input the policy takes from the graph is
+// observed, not configured: in memory, expanding one vertex costs
+// sub-microsecond scans, so only DefaultSize-wide frontiers repay worker
+// dispatch and morsels stay coarse; with Options.PageCache set (the
+// out-of-core simulation) one expansion can stall milliseconds on page
+// faults — overlapping those waits is the whole point — so even an
+// 8-vertex frontier fans out, one vertex per morsel.
 const (
-	defaultMorselEdges   = 512
-	defaultBottomUpAlpha = 8.0
-	defaultBottomUpBeta  = 3.0
-	// bottomUpMinFrontier keeps trivially narrow frontiers top-down: below
-	// it the frontier bitset build alone outweighs any probe savings.
-	bottomUpMinFrontier = 16
+	engageMin          = morsel.DefaultSize // frontier width that repays worker dispatch
+	engageMinOutOfCore = 8
+	minMorsel          = 8 // adaptive morsel-width floor
+	minMorselOutOfCore = 1
+	morselEdges        = 512 // per-morsel edge target of degree-driven sizing
 	// engageMinFloor bounds how far degree statistics may lower the
-	// parallel-engage threshold on hub-heavy labels.
+	// engage threshold on hub-heavy labels.
 	engageMinFloor = 4
+	// The Beamer-style density test's factors (chooseDirection), and the
+	// frontier width below which the bitset build alone outweighs any
+	// probe savings.
+	bottomUpAlpha       = 8.0
+	bottomUpBeta        = 3.0
+	bottomUpMinFrontier = 16
 )
 
-// resolveKnobs fills the adaptive-policy parameters for a run over g
-// (which may be nil for foreign Readers — defaults then apply). In memory,
-// expanding one vertex costs sub-microsecond scans, so only
-// DefaultSize-wide frontiers repay worker dispatch and morsels stay
-// coarse. Under the out-of-core simulation a single expansion can stall
-// milliseconds on page faults — overlapping those waits is the whole point
-// — so even an 8-vertex frontier fans out, one vertex per morsel.
-func resolveKnobs(g *Graph) travKnobs {
-	k := travKnobs{
-		engageMin:   morsel.DefaultSize,
-		minMorsel:   8,
-		morselEdges: defaultMorselEdges,
-		buAlpha:     defaultBottomUpAlpha,
-		buBeta:      defaultBottomUpBeta,
-	}
-	if g == nil {
-		return k
-	}
-	if g.opts.PageCache != nil {
-		k.engageMin, k.minMorsel = 8, 1
-	}
-	if v := g.opts.TraversalEngageMin; v > 0 {
-		k.engageMin = v
-	}
-	if v := g.opts.TraversalMinMorsel; v > 0 {
-		k.minMorsel = v
-	}
-	if v := g.opts.TraversalMorselEdges; v != 0 {
-		k.morselEdges = v
-		if v < 0 {
-			k.morselEdges = 0 // degree-driven sizing disabled
-		}
-	}
-	if v := g.opts.TraversalBottomUpAlpha; v != 0 {
-		k.buAlpha = v
-		if v < 0 {
-			k.buAlpha = 0 // auto bottom-up disabled
-		}
-	}
-	if v := g.opts.TraversalBottomUpBeta; v > 0 {
-		k.buBeta = v
-	}
-	return k
-}
-
 // hopMorselSize picks the morsel width for one hop: the explicit
-// MorselSize when set, otherwise at most morsel.DefaultSize — lowered so
-// one morsel scans about k.morselEdges edges when the label's live average
-// degree is known — shrunk until the frontier splits into about four
-// morsels per worker, floored at k.minMorsel. Oversplitting costs one
-// atomic claim per extra morsel — noise — while undersplitting idles
-// workers whenever per-vertex cost balloons (a hub's long TEL, an
-// out-of-core page fault), so the adaptive default errs toward fine.
-func (t *Traversal) hopMorselSize(frontierLen, par int, k travKnobs, avgDeg float64) int {
+// MorselSize when set, otherwise morsel.SizeFor's adaptive width with its
+// ceiling lowered so one morsel scans about morselEdges edges when the
+// label's live average degree is known — undersplitting idles workers
+// whenever per-vertex cost balloons (a hub's long TEL, an out-of-core page
+// fault), so the default errs toward fine.
+func (t *Traversal) hopMorselSize(frontierLen, par int, outOfCore bool, avgDeg float64) int {
 	if t.morselN > 0 {
 		return t.morselN
 	}
-	maxSize := morsel.DefaultSize
-	if k.morselEdges > 0 && avgDeg > 1 {
-		if target := int(float64(k.morselEdges) / avgDeg); target < maxSize {
-			maxSize = target
-		}
+	maxSize, floor := morsel.DefaultSize, minMorsel
+	if outOfCore {
+		floor = minMorselOutOfCore
 	}
-	return morsel.SizeFor(frontierLen, par, k.minMorsel, maxSize)
+	if avgDeg > 1 {
+		maxSize = min(maxSize, int(morselEdges/avgDeg))
+	}
+	return morsel.SizeFor(frontierLen, par, floor, maxSize)
 }
 
-// engageParallel reports whether a hop over frontierLen vertices should
-// dispatch to the worker pool: frontiers below the engage threshold run
-// sequentially — dispatching goroutines for a handful of scans costs more
-// than the scans themselves. The threshold is k.engageMin vertices,
+// engageParallel reports whether a step over frontierLen vertices should
+// get a worker pool: dispatching goroutines for a handful of scans costs
+// more than the scans themselves. The threshold is engageMin vertices,
 // lowered (to at least engageMinFloor) for labels whose average degree
 // makes even a narrow frontier expensive to expand.
-func (t *Traversal) engageParallel(frontierLen, par int, k travKnobs, avgDeg float64) bool {
+func (t *Traversal) engageParallel(frontierLen, par int, outOfCore bool, avgDeg float64) bool {
 	if par <= 1 {
 		return false
 	}
 	if t.morselN > 0 {
 		return frontierLen > t.morselN
 	}
-	eff := k.engageMin
-	if k.morselEdges > 0 && avgDeg > 1 {
-		if e := int(float64(8*k.morselEdges) / avgDeg); e < eff {
-			eff = e
-			if eff < engageMinFloor {
-				eff = engageMinFloor
-			}
+	eff := engageMin
+	if outOfCore {
+		eff = engageMinOutOfCore
+	}
+	if avgDeg > 1 {
+		if e := int(8 * morselEdges / avgDeg); e < eff {
+			eff = max(e, engageMinFloor)
 		}
 	}
 	return frontierLen >= eff
-}
-
-// chooseBottomUp decides one hop's expansion direction. A forced
-// DirectionBottomUp without the prerequisites is an error; DirectionAuto
-// applies the Beamer-style density test against the label's statistics:
-// go bottom-up when the frontier's estimated outgoing edges exceed
-// alpha × the hinted candidate count (probing candidates beats scanning
-// the frontier) and make up more than 1/beta of the label's total edges
-// (the frontier genuinely covers the label, so candidate probes hit).
-func (t *Traversal) chooseBottomUp(g *Graph, frontierLen int, k travKnobs, ls LabelStats) (bool, error) {
-	canBU := t.dedup && g != nil && !g.opts.DisableReverseIndex
-	switch t.direction {
-	case DirectionTopDown:
-		return false, nil
-	case DirectionBottomUp:
-		if !canBU {
-			return false, ErrBottomUpUnsupported
-		}
-		return true, nil
-	}
-	if !canBU || k.buAlpha <= 0 || frontierLen < bottomUpMinFrontier {
-		return false, nil
-	}
-	if ls.Targets <= 0 || ls.Lists <= 0 {
-		return false, nil
-	}
-	avg := ls.AvgDegree
-	if avg < 1 {
-		avg = 1
-	}
-	mf := float64(frontierLen) * avg
-	return mf > k.buAlpha*float64(ls.Targets) && k.buBeta*mf > float64(ls.Edges), nil
 }
 
 // run executes the traversal. ex, when non-nil, receives per-hop runtime
@@ -567,32 +498,19 @@ func (t *Traversal) run(ctx context.Context, r Reader, ex *Explain) ([]VertexID,
 }
 
 func (t *Traversal) runSteps(ctx context.Context, r Reader, ex *Explain, o *graphObs) ([]VertexID, error) {
-	frontier := append([]VertexID(nil), t.src...)
+	// A hop only reads its input frontier; filters compact theirs in place,
+	// and an empty plan returns it, so only those get a private copy.
+	frontier := t.src
+	if len(t.plan) == 0 || t.plan[0].kind != stepOut {
+		frontier = append([]VertexID(nil), t.src...)
+	}
 	lastExec := len(t.plan) - 1
 	par := t.effectiveParallelism(r)
 	if ex != nil {
 		ex.Parallelism = par
 	}
-	var g *Graph
-	if gs, ok := r.(graphSource); ok {
-		g = gs.graph()
-	}
 	stats, _ := r.(degreeStatsSource)
-	knobs := resolveKnobs(g)
-	// One seen set and one scan iterator serve the whole run: the set's
-	// pages and the iterator are reused hop after hop, so a multi-hop
-	// traversal stops allocating once it has touched its working set. The
-	// set is made by the first hop that dedups, with one stripe — a
-	// sequential hop owns it and takes no stripe lock — and is traded for
-	// one striped for the worker pool by the first parallel hop. The
-	// frontier bitset for bottom-up hops is allocated on first use.
-	var (
-		seen        *sparsebit.Set
-		seenStripes int
-		fbits       *sparsebit.Set
-	)
-	seq := seqExpander{r: r}
-	seq.its, seq.hasInto = r.(edgeIterSource)
+	k := newHopKernel(r)
 	for pi := range t.plan {
 		es := &t.plan[pi]
 		if err := ctx.Err(); err != nil {
@@ -608,21 +526,14 @@ func (t *Traversal) runSteps(ctx context.Context, r Reader, ex *Explain, o *grap
 		if timed {
 			hopStart = time.Now()
 		}
+		var err error
 		switch es.kind {
 		case stepFilter:
-			var err error
-			if es.filterPar && t.engageParallel(len(frontier), par, knobs, 0) {
-				ms := t.hopMorselSize(len(frontier), par, knobs, 0)
-				if hp != nil {
-					hp.Parallel = true
-					hp.Workers = par
-					hp.MorselSize = ms
-					hp.Morsels = (len(frontier) + ms - 1) / ms
-				}
+			if es.filterPar && t.engageParallel(len(frontier), par, k.outOfCore, 0) {
+				ms := t.hopMorselSize(len(frontier), par, k.outOfCore, 0)
+				morsels, workers := morsel.Split(len(frontier), ms, par)
+				hp.ran(hopRun{workers, ms, morsels})
 				frontier, err = filterFrontierParallel(ctx, r, frontier, es.filter, par, ms)
-				if err != nil {
-					return nil, err
-				}
 			} else {
 				kept := frontier[:0]
 				for _, v := range frontier {
@@ -631,24 +542,6 @@ func (t *Traversal) runSteps(ctx context.Context, r Reader, ex *Explain, o *grap
 					}
 				}
 				frontier = kept
-			}
-			if hp != nil {
-				hp.FrontierOut = len(frontier)
-				hp.DurationNs = time.Since(hopStart).Nanoseconds()
-			}
-		case stepFilterDst:
-			// A standalone destination predicate (no hop to fuse into):
-			// a pure in-place sweep.
-			kept := frontier[:0]
-			for _, v := range frontier {
-				if es.keep(v) {
-					kept = append(kept, v)
-				}
-			}
-			frontier = kept
-			if hp != nil {
-				hp.FrontierOut = len(frontier)
-				hp.DurationNs = time.Since(hopStart).Nanoseconds()
 			}
 		case stepOut:
 			// Short-circuit the scans only when this hop produces the
@@ -659,66 +552,19 @@ func (t *Traversal) runSteps(ctx context.Context, r Reader, ex *Explain, o *grap
 			if stats != nil {
 				ls = stats.DegreeStats(es.label)
 			}
-			bottomUp, err := t.chooseBottomUp(g, len(frontier), knobs, ls)
-			if err != nil {
+			var direction Direction
+			if direction, err = t.chooseDirection(k.g, len(frontier), ls); err != nil {
 				return nil, err
 			}
-			parallel := !bottomUp && t.engageParallel(len(frontier), par, knobs, ls.AvgDegree)
-			if t.dedup && !bottomUp {
-				stripes := 1
-				if parallel {
-					stripes = 4 * par
-				}
-				if seenStripes < stripes {
-					seen, seenStripes = sparsebit.New(stripes), stripes
-				} else {
-					seen.Reset() // dedup is per hop
-				}
-			}
 			_, hsp := obs.StartSpan(ctx, "traverse.hop")
-			var (
-				next []VertexID
-				hits int64
-			)
-			if bottomUp {
-				if hp != nil {
-					hp.Direction = "bottomup"
-				}
-				if fbits == nil {
-					// Probed lock-free (Peek) by workers against a frozen
-					// set; one stripe suffices since the build is
-					// single-threaded.
-					fbits = sparsebit.New(1)
-				}
-				if hsp != nil {
-					hsp.SetAttr(obs.String("direction", "bottomup"))
-				}
-				next, err = t.expandBottomUp(ctx, r, g, frontier, es, fbits, capped, par, hp)
-			} else if parallel {
-				ms := t.hopMorselSize(len(frontier), par, knobs, ls.AvgDegree)
-				if hp != nil {
-					hp.Direction = "topdown"
-					hp.Parallel = true
-					hp.Workers = par
-					hp.MorselSize = ms
-					hp.Morsels = (len(frontier) + ms - 1) / ms
-				}
-				if hsp != nil {
-					hsp.SetAttr(obs.String("engine", "morsel"),
-						obs.Int("workers", int64(par)), obs.Int("morselSize", int64(ms)))
-				}
-				next, hits, err = t.expandParallel(ctx, r, frontier, es.label, es.keep, capped, par, seen, ms, hp != nil)
-			} else {
-				if hp != nil {
-					hp.Direction = "topdown"
-				}
-				next = make([]VertexID, 0, t.nextCap(len(frontier), ls.AvgDegree, capped))
-				next, hits, err = seq.expand(ctx, t, frontier, next, es.label, es.keep, capped, seen, hp != nil)
-			}
+			var next []VertexID
+			next, err = k.expand(ctx, t, es, frontier, direction == DirectionBottomUp, capped, par, ls)
+			hits, ran := k.dedupHits.Load(), k.ran
 			if hp != nil {
+				hp.Direction = direction.String()
+				hp.ran(ran)
 				hp.DedupHits = hits
-				hp.FrontierOut = len(next)
-				hp.DurationNs = time.Since(hopStart).Nanoseconds()
+				hp.Candidates, hp.HintProbes = k.cands.Load(), k.probes.Load()
 				switch {
 				case errors.Is(err, ErrFrontierTooLarge):
 					hp.BudgetCut = "maxFrontier"
@@ -730,123 +576,27 @@ func (t *Traversal) runSteps(ctx context.Context, r Reader, ex *Explain, o *grap
 				o.travHop.Record(time.Since(hopStart))
 			}
 			if hsp != nil {
-				hsp.SetAttr(obs.Int("frontierIn", int64(len(frontier))),
+				hsp.SetAttr(obs.String("direction", direction.String()),
+					obs.Int("workers", int64(ran.workers)), obs.Int("morselSize", int64(ran.morselSize)),
+					obs.Int("frontierIn", int64(len(frontier))),
 					obs.Int("frontierOut", int64(len(next))), obs.Int("dedupHits", hits))
 				if err != nil {
 					hsp.SetAttr(obs.String("error", err.Error()))
 				}
 			}
 			hsp.End()
-			if err != nil {
-				return nil, err
-			}
 			frontier = next
+		}
+		if hp != nil {
+			hp.FrontierOut = len(frontier)
+			hp.DurationNs = time.Since(hopStart).Nanoseconds()
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 	if t.limit > 0 && len(frontier) > t.limit {
 		frontier = frontier[:t.limit]
 	}
 	return frontier, nil
-}
-
-// seqExpander runs one hop's scans sequentially, reusing a single
-// iterator across hops (the pre-parallel engine's inner loop, split out
-// so run can time and annotate hops uniformly).
-type seqExpander struct {
-	r       Reader
-	its     edgeIterSource
-	hasInto bool
-	it      EdgeIter
-}
-
-// nextCap sizes a sequential hop's output from the label's mean degree, so
-// the hop appends into one allocation instead of regrowing it once per
-// doubling. It is an estimate — dedup and filters shrink the real output,
-// hubs outgrow it — so it is bounded by what the hop may return at all and
-// by maxNextCap.
-func (t *Traversal) nextCap(frontierLen int, avgDeg float64, capped bool) int {
-	n := frontierLen
-	if avgDeg > 1 {
-		n = int(min(float64(frontierLen)*avgDeg, maxNextCap))
-	}
-	if capped {
-		n = min(n, t.limit)
-	}
-	if t.maxFrontier > 0 {
-		n = min(n, t.maxFrontier)
-	}
-	return n
-}
-
-// maxNextCap bounds nextCap's estimate: 64 Ki vertex IDs, half a megabyte.
-const maxNextCap = 1 << 16
-
-// expand performs one sequential stepOut into next (empty, sized by the
-// caller). keep, when non-nil, is the fused destination predicate, pushed
-// into the TEL scan loop. countHits enables dedup-hit counting (EXPLAIN);
-// hits is 0 otherwise. Hops are barriers — a parallel hop's workers have
-// all returned before the next hop starts — so while this runs its
-// goroutine owns seen and probes it without the stripe locks.
-func (s *seqExpander) expand(ctx context.Context, t *Traversal, frontier, next []VertexID, label Label, keep func(VertexID) bool, capped bool, seen *sparsebit.Set, countHits bool) (_ []VertexID, hits int64, err error) {
-	var keep64 func(int64) bool
-	if keep != nil {
-		keep64 = func(d int64) bool { return keep(VertexID(d)) }
-	}
-	for _, v := range frontier {
-		if err := ctx.Err(); err != nil {
-			return nil, hits, err
-		}
-		itp := &s.it
-		if s.hasInto {
-			s.its.neighborsInto(itp, v, label)
-		} else {
-			itp = s.r.Neighbors(v, label)
-		}
-		for itp.advance(keep64) {
-			d := itp.Dst()
-			if t.dedup && seen.TestAndSetOwned(int64(d)) {
-				if countHits {
-					hits++
-				}
-				continue
-			}
-			next = append(next, d)
-			if t.maxFrontier > 0 && len(next) > t.maxFrontier {
-				return nil, hits, ErrFrontierTooLarge
-			}
-			if capped && len(next) >= t.limit {
-				return next, hits, nil
-			}
-		}
-	}
-	return next, hits, nil
-}
-
-// advance steps the iterator, with the destination predicate pushed into
-// the scan when one is fused (nil keep is the plain path).
-func (e *EdgeIter) advance(keep func(int64) bool) bool {
-	if keep == nil {
-		return e.Next()
-	}
-	return e.nextWhere(keep)
-}
-
-// filterFrontierParallel evaluates a concurrency-safe Filter predicate on
-// the morsel worker pool, preserving frontier order (each worker marks its
-// range; the survivors are compacted in place afterwards) — bit-identical
-// to the sequential sweep for pure predicates.
-func filterFrontierParallel(ctx context.Context, r Reader, frontier []VertexID, pred func(Reader, VertexID) bool, workers, morselSize int) ([]VertexID, error) {
-	marks := make([]bool, len(frontier))
-	if err := morselMark(ctx, len(frontier), workers, morselSize, func(i int) bool {
-		return pred(r, frontier[i])
-	}, marks); err != nil {
-		return nil, err
-	}
-	kept := frontier[:0]
-	for i, ok := range marks {
-		if ok {
-			kept = append(kept, frontier[i])
-		}
-	}
-	return kept, nil
 }

@@ -57,17 +57,135 @@ func sameSet(t *testing.T, name string, got, want []VertexID) {
 	}
 }
 
-// TestDirectionEquivalence is the invariant every expansion strategy must
-// uphold: forced top-down, forced bottom-up and the adaptive executor
-// return the same result for the same traversal — identical sets under
-// Dedup (parallel and bottom-up passes reorder within a hop; only forced
-// top-down sequential promises byte order against the reference).
-// Exercised across Dedup, Filter, FilterDst, Limit and AsOf, sequential
-// and parallel.
+// equivalenceRows is the one table every way of running a hop answers to:
+// each row is a traversal shape, run by checkEquivalence in every
+// direction, at 1, 4 and 8 workers, with adaptive and 16-wide morsels, and
+// compared with the one reference — forced top-down on one worker. before
+// is the fixture's pre-churn epoch (the asof row's).
+var equivalenceRows = []struct {
+	name string
+	mk   func(before int64) *Traversal
+}{
+	{"two-hop", func(int64) *Traversal { return Traverse(0, 1, 2, 3).Out(0).Out(0) }},
+	{"three-hop", func(int64) *Traversal { return Traverse(7).Out(0).Out(0).Out(0) }},
+	{"wide-frontier", func(int64) *Traversal { return Traverse(0).Out(0).Out(0) }}, // hub source
+	{"filter-mid", func(int64) *Traversal {
+		return Traverse(0).Out(0).Filter(func(r Reader, v VertexID) bool { return v%3 != 0 }).Out(0)
+	}},
+	{"filter-mid+dedup", func(int64) *Traversal {
+		return Traverse(0).Out(0).Filter(func(r Reader, v VertexID) bool { return v%2 == 0 }).Out(0).Dedup()
+	}},
+	{"dedup", func(int64) *Traversal { return Traverse(0).Out(0).Out(0).Dedup() }},
+	{"dedup-multi-source", func(int64) *Traversal { return Traverse(0, 5).Out(0).Out(0).Dedup() }},
+	{"dedup-narrowed", func(int64) *Traversal { return narrowedDedup() }},
+	{"filter", func(int64) *Traversal {
+		return Traverse(0).Out(0).Out(0).Dedup().Filter(func(r Reader, v VertexID) bool { return v%2 == 0 })
+	}},
+	{"filterDst", func(int64) *Traversal {
+		return Traverse(0).Out(0).Out(0).Dedup().FilterDst(func(v VertexID) bool { return v%3 != 0 })
+	}},
+	{"limit", func(int64) *Traversal { return Traverse(0).Out(0).Out(0).Dedup().Limit(5) }},
+	{"limit-multiplicity", func(int64) *Traversal { return Traverse(0).Out(0).Out(0).Limit(17) }},
+	{"asof", func(before int64) *Traversal { return Traverse(0).Out(0).Out(0).Dedup().AsOf(before) }},
+}
+
+// checkEquivalence is the invariant every expansion strategy must uphold,
+// over equivalenceRows on g as it stands (post-churn; before is the epoch
+// the churn followed): forced top-down, forced bottom-up and the adaptive
+// executor, on any number of workers, return the reference's result —
+//
+//   - without Dedup or Limit, byte for byte (morsel outputs reassemble in
+//     frontier order), and forced bottom-up is refused;
+//   - with Dedup, the same set, each vertex once (pool and bottom-up passes
+//     reorder within a hop; only top-down on one worker promises order);
+//   - with Limit, the reference's count, drawn from the unlimited result.
+//
+// Under -race this is also what exercises the striped dedup set, the
+// budget atomics and morsel.Run for data races. mustFind names the rows
+// that may not come back empty on this fixture.
+func checkEquivalence(t *testing.T, g *Graph, before int64, mustFind func(row string) bool) {
+	ctx := context.Background()
+	for _, row := range equivalenceRows {
+		t.Run(row.name, func(t *testing.T) {
+			mk := func() *Traversal { return row.mk(before) }
+			var snap *Snapshot
+			var err error
+			if mk().hasAsOf {
+				snap, err = g.SnapshotAt(before)
+			} else {
+				snap, err = g.Snapshot()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer snap.Release()
+
+			ref, err := mk().Direction(DirectionTopDown).Parallel(1).Run(ctx, snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mustFind(row.name) && len(ref) == 0 {
+				t.Fatal("fixture produced an empty reference")
+			}
+			dedup, limited := mk().dedup, mk().limit > 0
+			var full map[VertexID]int // the unlimited reference, for Limit rows
+			if limited {
+				all, err := mk().Direction(DirectionTopDown).Parallel(1).Limit(0).Run(ctx, snap)
+				if err != nil {
+					t.Fatal(err)
+				}
+				full = multiset(all)
+			}
+			for _, dir := range []Direction{DirectionTopDown, DirectionBottomUp, DirectionAuto} {
+				for _, par := range []int{1, 4, 8} {
+					for _, ms := range []int{0, 16} {
+						label := fmt.Sprintf("%v par=%d morsel=%d", dir, par, ms)
+						got, err := mk().Direction(dir).Parallel(par).MorselSize(ms).Run(ctx, snap)
+						if dir == DirectionBottomUp && !dedup {
+							if !errors.Is(err, ErrBottomUpUnsupported) {
+								t.Errorf("%s: err = %v, want ErrBottomUpUnsupported", label, err)
+							}
+							continue
+						}
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						switch {
+						case limited:
+							if len(got) != len(ref) {
+								t.Errorf("%s: %d results, reference has %d", label, len(got), len(ref))
+							}
+							for v, c := range multiset(got) {
+								if full[v] < c || (dedup && c != 1) {
+									t.Errorf("%s: emitted %d %d times, unlimited reference has it %d times", label, v, c, full[v])
+								}
+							}
+						case dedup:
+							sameSet(t, label, got, ref)
+							for v, c := range multiset(got) {
+								if c != 1 {
+									t.Errorf("%s: dedup emitted %d %d times", label, v, c)
+								}
+							}
+							if par == 1 && dir == DirectionTopDown && !sameIDs(got, ref) {
+								t.Errorf("%s: sequential order drifted: %v != %v", label, got, ref)
+							}
+						default:
+							if !sameIDs(got, ref) {
+								t.Errorf("%s: result diverges from the reference (%d vs %d results)", label, len(got), len(ref))
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestDirectionEquivalence runs the equivalence table on the shape built
+// to separate the directions: a dense fan-in, where auto goes bottom-up.
 func TestDirectionEquivalence(t *testing.T) {
 	g := buildFanIn(t, Options{HistoryRetention: 1 << 30}, 48, 12)
-	ctx := context.Background()
-
 	before := g.ReadEpoch()
 	mustCommit(t, g, func(tx *Tx) {
 		// Post-epoch churn: a new edge and a deleted one. AsOf runs must
@@ -84,87 +202,9 @@ func TestDirectionEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-
-	build := func() *Traversal { return Traverse(0).Out(0).Out(0).Dedup() }
-	variants := map[string]func() *Traversal{
-		"dedup": build,
-		"filter": func() *Traversal {
-			return build().Filter(func(r Reader, v VertexID) bool { return v%2 == 0 })
-		},
-		"filterDst": func() *Traversal {
-			return build().FilterDst(func(v VertexID) bool { return v%3 != 0 })
-		},
-		"limit": func() *Traversal {
-			return build().Limit(5)
-		},
-		"asof": func() *Traversal {
-			return build().AsOf(before)
-		},
-	}
-
-	for name, mk := range variants {
-		t.Run(name, func(t *testing.T) {
-			var snap *Snapshot
-			var err error
-			if name == "asof" {
-				snap, err = g.SnapshotAt(before)
-			} else {
-				snap, err = g.Snapshot()
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer snap.Release()
-
-			ref, err := mk().Direction(DirectionTopDown).Parallel(1).Run(ctx, snap)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if name != "limit" && name != "filter" && len(ref) == 0 {
-				t.Fatal("fixture produced an empty reference")
-			}
-			for _, par := range []int{1, 4} {
-				for dname, dir := range map[string]Direction{
-					"topdown": DirectionTopDown, "bottomup": DirectionBottomUp, "auto": DirectionAuto,
-				} {
-					tr := mk().Direction(dir).Parallel(par)
-					got, err := tr.Run(ctx, snap)
-					if err != nil {
-						t.Fatalf("%s par=%d: %v", dname, par, err)
-					}
-					label := fmt.Sprintf("%s par=%d", dname, par)
-					if name == "limit" {
-						// Limit-ed runs agree on count; membership must be a
-						// subset of the unlimited reference set.
-						if len(got) != len(ref) {
-							t.Errorf("%s: %d results, reference has %d", label, len(got), len(ref))
-						}
-						full, err := mk().Direction(DirectionTopDown).Parallel(1).Limit(0).Run(ctx, snap)
-						if err != nil {
-							t.Fatal(err)
-						}
-						in := map[VertexID]bool{}
-						for _, v := range full {
-							in[v] = true
-						}
-						for _, v := range got {
-							if !in[v] {
-								t.Errorf("%s: %d not in unlimited reference %v", label, v, full)
-							}
-						}
-						continue
-					}
-					sameSet(t, label, got, ref)
-					// Only forced top-down sequential promises byte order;
-					// bottom-up (forced or auto-chosen) emits in ascending
-					// candidate order — same set, different schedule.
-					if par == 1 && dir == DirectionTopDown && !sameIDs(got, ref) {
-						t.Errorf("%s: sequential order drifted: %v != %v", label, got, ref)
-					}
-				}
-			}
-		})
-	}
+	checkEquivalence(t, g, before, func(row string) bool {
+		return row == "dedup" || row == "filterDst" || row == "asof" || row == "two-hop"
+	})
 }
 
 // TestBottomUpUnsupported: forcing bottom-up on a traversal that cannot
@@ -203,8 +243,9 @@ func TestBottomUpUnsupported(t *testing.T) {
 }
 
 // TestBottomUpExplainAttribution: a forced bottom-up hop reports
-// direction "bottomup" with candidate/probe counters; the same hop forced
-// top-down reports "topdown" with dedup hits and zero bottom-up counters.
+// direction "bottomup" with candidate/probe counters — and, on a pool, the
+// pool — the same hop forced top-down reports "topdown" with dedup hits and
+// zero bottom-up counters, and auto picks between them from the shape.
 func TestBottomUpExplainAttribution(t *testing.T) {
 	g := buildFanIn(t, Options{}, 16, 6)
 	ctx := context.Background()
@@ -242,6 +283,57 @@ func TestBottomUpExplainAttribution(t *testing.T) {
 	}
 	if hop.Candidates != 0 || hop.HintProbes != 0 {
 		t.Fatalf("topdown hop reported bottom-up counters: %+v", hop)
+	}
+
+	// A bottom-up hop over enough candidates for two morsels runs on the
+	// pool and says so, with the workers and morsels it ran.
+	wide := buildFanIn(t, Options{}, 16, 3*bottomUpMorselMin)
+	wsnap, _ := wide.Snapshot()
+	defer wsnap.Release()
+	res, ex, err := Traverse(0).Out(0).Out(0).Dedup().Direction(DirectionBottomUp).Parallel(4).RunExplain(ctx, wsnap)
+	if err != nil || len(res) != 3*bottomUpMorselMin {
+		t.Fatalf("wide bottomup: %d results, %v", len(res), err)
+	}
+	hop = ex.Hops[1]
+	if hop.Direction != "bottomup" || !hop.Parallel || hop.Workers < 2 || hop.Morsels < 2 || hop.MorselSize == 0 {
+		t.Fatalf("parallel bottomup hop reported %+v, want parallel with >= 2 workers and morsels", hop)
+	}
+	if hop.Candidates == 0 || hop.HintProbes == 0 {
+		t.Fatalf("parallel bottomup hop reported no probe work: %+v", hop)
+	}
+
+	// Auto follows the shape, at the constants the engine ships with: the
+	// seed hop (one vertex) stays top-down, a frontier dense against the
+	// label's candidates flips to bottom-up, a sparse one does not.
+	dense := buildFanIn(t, Options{}, 48, 12)
+	dsnap, _ := dense.Snapshot()
+	defer dsnap.Release()
+	_, ex, err = Traverse(0).Out(0).Out(0).Dedup().RunExplain(ctx, dsnap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.Hops[0].Direction != "topdown" || ex.Hops[1].Direction != "bottomup" {
+		t.Fatalf("auto on a dense fan-in ran [%s %s], want [topdown bottomup]", ex.Hops[0].Direction, ex.Hops[1].Direction)
+	}
+	sparse := openMem(t) // a tree: 20 mid vertices, two leaves of its own each
+	mustCommit(t, sparse, func(tx *Tx) {
+		for i := 0; i < 61; i++ {
+			tx.AddVertex(nil)
+		}
+		for m := 1; m <= 20; m++ {
+			tx.InsertEdge(0, 0, VertexID(m), nil)
+			tx.InsertEdge(VertexID(m), 0, VertexID(19+2*m), nil)
+			tx.InsertEdge(VertexID(m), 0, VertexID(20+2*m), nil)
+		}
+	})
+	ssnap, _ := sparse.Snapshot()
+	defer ssnap.Release()
+	res, ex, err = Traverse(0).Out(0).Out(0).Dedup().RunExplain(ctx, ssnap)
+	if err != nil || len(res) != 40 {
+		t.Fatalf("sparse tree: %d results, %v", len(res), err)
+	}
+	if ex.Hops[0].Direction != "topdown" || ex.Hops[1].Direction != "topdown" {
+		t.Fatalf("auto on a sparse frontier ran [%s %s], want [topdown topdown]", ex.Hops[0].Direction, ex.Hops[1].Direction)
 	}
 }
 
@@ -291,8 +383,8 @@ func TestPushdownEquivalenceAndExplain(t *testing.T) {
 }
 
 // TestFilterParallelEquivalence: the parallel Filter stage returns exactly
-// what the sequential Filter returns, order included (morselMark is
-// order-preserving).
+// what the sequential Filter returns, order included (morsels mark their
+// own ranges; survivors are compacted in frontier order).
 func TestFilterParallelEquivalence(t *testing.T) {
 	g := buildFanIn(t, Options{}, 48, 12)
 	ctx := context.Background()
@@ -439,62 +531,6 @@ func TestDegreeStatsRecovery(t *testing.T) {
 	sameSet(t, "recovered bottomup", bu, td)
 	if len(td) != 1 || td[0] != 3 {
 		t.Fatalf("recovered two-hop = %v, want [3]", td)
-	}
-}
-
-// TestTraversalKnobOptions: the Options knobs reach the executor — a
-// negative TraversalBottomUpAlpha disables auto bottom-up even on a shape
-// the heuristic would flip, and explicit knob values are honored.
-func TestTraversalKnobOptions(t *testing.T) {
-	ctx := context.Background()
-	mk := func(o Options) *Graph {
-		g, err := Open(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { g.Close() })
-		mustCommit(t, g, func(tx *Tx) {
-			for i := 0; i < 40; i++ {
-				tx.AddVertex(nil)
-			}
-			for s := 1; s <= 30; s++ {
-				tx.InsertEdge(0, 0, VertexID(s), nil)
-				for d := 31; d < 36; d++ {
-					tx.InsertEdge(VertexID(s), 0, VertexID(d), nil)
-				}
-			}
-		})
-		return g
-	}
-
-	// Aggressive alpha: the dense second hop flips to bottom-up.
-	g := mk(Options{TraversalBottomUpAlpha: 0.5})
-	snap, _ := g.Snapshot()
-	_, ex, err := Traverse(0).Out(0).Out(0).Dedup().RunExplain(ctx, snap)
-	snap.Release()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ex.Hops[1].Direction != "bottomup" {
-		t.Fatalf("alpha=0.5 hop directions = [%q %q], want second bottomup",
-			ex.Hops[0].Direction, ex.Hops[1].Direction)
-	}
-	if ex.Hops[0].Direction != "topdown" {
-		t.Fatalf("seed hop (frontier=1) must stay topdown, got %q", ex.Hops[0].Direction)
-	}
-
-	// Negative alpha: auto never flips, even on the same shape.
-	g2 := mk(Options{TraversalBottomUpAlpha: -1})
-	snap2, _ := g2.Snapshot()
-	_, ex2, err := Traverse(0).Out(0).Out(0).Dedup().RunExplain(ctx, snap2)
-	snap2.Release()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, hp := range ex2.Hops {
-		if hp.Direction == "bottomup" {
-			t.Fatalf("alpha<0 hop %d went bottomup", i)
-		}
 	}
 }
 

@@ -77,64 +77,26 @@ func runBoth(t *testing.T, r Reader, spec travSpec, par int) (seq, parr []Vertex
 	return seq, parr
 }
 
-// TestParallelTraversalEquivalence is the engine's acceptance test: on a
-// randomized graph, a parallel run must return the same result as the
-// sequential compilation — identical multiset (and order) without Dedup,
-// identical set with Dedup, with and without Filter — at parallelism 1, 4
-// and 8. Run under -race this also exercises the striped dedup set and
-// morsel cursor for data races.
+// TestParallelTraversalEquivalence runs the equivalence table
+// (checkEquivalence) on a randomized graph with a hub, where frontiers are
+// wide enough for a pool to engage and every row finds something.
 func TestParallelTraversalEquivalence(t *testing.T) {
-	g := openMem(t)
-	buildRandomGraph(t, g, 2000, 16000, 42)
-	snap, err := g.Snapshot()
+	g, err := Open(Options{HistoryRetention: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer snap.Release()
-
-	specs := map[string]travSpec{
-		"two-hop":   func() *Traversal { return Traverse(0, 1, 2, 3).Out(0).Out(0) },
-		"three-hop": func() *Traversal { return Traverse(7).Out(0).Out(0).Out(0) },
-		"dedup":     func() *Traversal { return Traverse(0, 5).Out(0).Out(0).Dedup() },
-		"filter": func() *Traversal {
-			return Traverse(0).Out(0).Filter(func(r Reader, v VertexID) bool { return v%3 != 0 }).Out(0)
-		},
-		"filter+dedup": func() *Traversal {
-			return Traverse(0).Out(0).Filter(func(r Reader, v VertexID) bool { return v%2 == 0 }).Out(0).Dedup()
-		},
-		"wide-frontier":  func() *Traversal { return Traverse(0).Out(0).Out(0) }, // hub source: first hop already ~3k wide
-		"dedup-narrowed": narrowedDedup,
-	}
-	for name, spec := range specs {
-		dedup := spec().dedup
-		for _, par := range []int{4, 8} {
-			seq, parr := runBoth(t, snap, spec, par)
-			if len(seq) == 0 {
-				t.Fatalf("%s: fixture produced no results", name)
-			}
-			if dedup {
-				if len(parr) != len(seq) {
-					t.Errorf("%s par=%d: dedup size %d != sequential %d", name, par, len(parr), len(seq))
-				}
-				ms, mp := multiset(seq), multiset(parr)
-				for v, c := range mp {
-					if c != 1 {
-						t.Errorf("%s par=%d: dedup emitted %d %d times", name, par, v, c)
-					}
-					if ms[v] == 0 {
-						t.Errorf("%s par=%d: parallel emitted %d absent from sequential", name, par, v)
-					}
-				}
-			} else {
-				// Morsel-order reassembly: without Dedup/Limit the parallel
-				// result is bit-identical to the sequential one.
-				if !sameIDs(parr, seq) {
-					t.Errorf("%s par=%d: parallel result diverges from sequential (%d vs %d results)",
-						name, par, len(parr), len(seq))
-				}
-			}
+	defer g.Close()
+	buildRandomGraph(t, g, 2000, 16000, 42)
+	before := g.ReadEpoch()
+	mustCommit(t, g, func(tx *Tx) {
+		for i := 1; i < 200; i++ {
+			tx.DeleteEdge(0, 0, VertexID(i))
 		}
-	}
+		for i := 0; i < 500; i++ {
+			tx.InsertEdge(VertexID(i%1000), 0, VertexID((i*7)%1000), nil)
+		}
+	})
+	checkEquivalence(t, g, before, func(string) bool { return true })
 }
 
 // narrowedDedup is a dedup traversal whose hops change engine both ways
@@ -186,6 +148,20 @@ func TestSequentialHopAfterParallelHopSharesDedupSet(t *testing.T) {
 		if n != 1 {
 			t.Fatalf("dedup emitted %d %d times", v, n)
 		}
+	}
+
+	// EXPLAIN reports the workers that ran, not the width asked for: a
+	// 20-vertex frontier in 16-wide morsels is two morsels, so two workers.
+	src := make([]VertexID, 20)
+	for i := range src {
+		src[i] = VertexID(i + 1)
+	}
+	_, ex, err = Traverse(src...).Out(0).Parallel(8).MorselSize(16).RunExplain(ctx, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := ex.Hops[0]; !h.Parallel || h.Workers != 2 || h.Morsels != 2 || h.MorselSize != 16 {
+		t.Fatalf("two-morsel hop at Parallel(8) reported %+v, want 2 workers on 2 morsels of 16", h)
 	}
 }
 
@@ -388,6 +364,42 @@ func TestParallelTraversalCancelMidHop(t *testing.T) {
 		cancel()
 		if err := <-done; err != nil && !errors.Is(err, context.Canceled) {
 			t.Fatalf("mid-hop cancel: err = %v", err)
+		}
+	}
+
+	// Inside one adjacency list: a one-vertex frontier is one morsel on one
+	// worker whatever Parallel says, and the only look at ctx before the
+	// hop ends is the one every stopCheckEdges scanned entries. The fused
+	// predicate cancels on its 100th call, well inside the hub's list.
+	const hubDegree = 4*stopCheckEdges + 100
+	var hub VertexID
+	mustCommit(t, g, func(tx *Tx) {
+		hub, _ = tx.AddVertex(nil)
+		for i := 0; i < hubDegree; i++ {
+			v, _ := tx.AddVertex(nil)
+			tx.InsertEdge(hub, 0, v, nil)
+		}
+	})
+	hubSnap, err := g.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hubSnap.Release()
+	for _, par := range []int{1, 8} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var calls atomic.Int64
+		res, err := Traverse(hub).Out(0).FilterDst(func(VertexID) bool {
+			if calls.Add(1) == 100 {
+				cancel()
+			}
+			return true
+		}).Parallel(par).Run(ctx, hubSnap)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("par=%d cancel inside one list: %d results, err = %v, want context.Canceled", par, len(res), err)
+		}
+		if n := calls.Load(); n >= hubDegree {
+			t.Fatalf("par=%d: the scan ran all %d entries after the cancel", par, n)
 		}
 	}
 }

@@ -726,10 +726,3 @@ func (tx *Tx) unlockAll() {
 	}
 	tx.locked = nil
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

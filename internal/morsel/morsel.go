@@ -9,11 +9,20 @@
 // can stall on page faults. With static partitioning the unlucky worker
 // finishes last while the rest idle; with a cursor, finished workers
 // immediately claim the next morsel, so the schedule load-balances itself.
-// Both the traversal engine (internal/core) and the analytics kernels
-// (internal/analytics) dispatch through this package.
+//
+// Run is the one place in the tree that starts morsel workers: traversal
+// hops and filters, compaction slices (internal/core) and the analytics
+// kernels (internal/analytics) each hand it a per-morsel body and own no
+// goroutine, WaitGroup or cursor themselves.
 package morsel
 
-import "sync/atomic"
+import (
+	"context"
+	"errors"
+	"slices"
+	"sync"
+	"sync/atomic"
+)
 
 // DefaultSize is the default morsel width in items. Small enough that a
 // skewed frontier still splits into enough morsels to balance, large
@@ -88,4 +97,94 @@ func (c *Cursor) Workers(requested int) int {
 		return m
 	}
 	return requested
+}
+
+// Split reports how Run executes n items in morsels of the given size
+// (DefaultSize if size <= 0) on a pool of the requested width: the morsels
+// it deals and the workers it runs them on — 1 being the caller's goroutine.
+func Split(n, size, workers int) (morsels, started int) {
+	c := NewCursor(n, size)
+	return c.Count(), c.Workers(max(workers, 1))
+}
+
+// Concat reassembles per-morsel outputs, indexed by morsel, in item order.
+// A lone morsel's output is returned as it is, not copied.
+func Concat[T any](outs [][]T) []T {
+	if len(outs) == 1 {
+		return outs[0]
+	}
+	return slices.Concat(outs...)
+}
+
+// Stop is returned by a Run body to end the run early without failing it:
+// no worker claims another morsel, and Run returns nil unless a body failed.
+var Stop = errors.New("morsel: stop")
+
+// Run deals [0,n) in morsels of the given size (DefaultSize if size <= 0)
+// to at most workers goroutines and returns when all of them have. body
+// receives the worker's index in [0, started), the morsel's index and its
+// item range; morsel m always covers [m*size, min((m+1)*size, n)), so
+// outputs indexed by m reassemble in item order, and state indexed by the
+// worker index is private to one goroutine at a time.
+//
+// Every worker looks at ctx and the shared stop flag before each claim (a
+// claimed morsel is always handed to body), so a cancelled ctx, a body
+// error or a body returning Stop ends the run within one morsel per
+// worker. Run returns the first error recorded — ctx's or a body's; Stop
+// is not an error and never masks one.
+//
+// When one worker or one morsel is all there is (Split), nothing is
+// started: no goroutine, WaitGroup or cursor, just body called in morsel
+// order on the caller's goroutine as worker 0.
+func Run(ctx context.Context, n, size, workers int, body func(w, m, lo, hi int) error) error {
+	if size <= 0 {
+		size = DefaultSize
+	}
+	morsels, started := Split(n, size, workers)
+	if started <= 1 {
+		for m := 0; m < morsels; m++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if err := body(0, m, m*size, min((m+1)*size, n)); err != nil {
+				if err == Stop {
+					return nil
+				}
+				return err
+			}
+		}
+		return nil
+	}
+	var (
+		cur   = NewCursor(n, size)
+		stop  atomic.Bool
+		once  sync.Once
+		first error
+		wg    sync.WaitGroup
+	)
+	wg.Add(started)
+	for w := 0; w < started; w++ {
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				err := ctx.Err()
+				if err == nil {
+					m, lo, hi, ok := cur.Next()
+					if !ok {
+						return
+					}
+					err = body(w, m, lo, hi)
+				}
+				if err != nil {
+					if err != Stop {
+						once.Do(func() { first = err })
+					}
+					stop.Store(true)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return first
 }

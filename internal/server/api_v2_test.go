@@ -399,6 +399,31 @@ func TestTraverseEndpointDirection(t *testing.T) {
 		t.Fatalf("explain = %+v, want hop 1 direction bottomup", resp.Explain)
 	}
 
+	// With enough candidates for two morsels a bottom-up hop runs on the
+	// pool, and EXPLAIN says so with the workers and morsels it ran.
+	ops = ops[:0]
+	for i := 0; i < 520; i++ {
+		ops = append(ops, Op{Op: "addVertex"})
+	}
+	extra, err := c.Tx(ops...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops = ops[:0]
+	for _, l := range extra {
+		ops = append(ops, Op{Op: "insertEdge", Src: vs[0], Label: 0, Dst: l})
+	}
+	if _, err := c.Tx(ops...); err != nil {
+		t.Fatal(err)
+	}
+	resp, err = c.TraverseExplain(root, []int64{0, 0}, &TraverseOptions{Dedup: true, Direction: "bottomup", Parallel: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := resp.Explain.Hops[1]; len(resp.Vertices) != 530 || h.Direction != "bottomup" || !h.Parallel || h.Workers < 2 || h.Morsels < 2 {
+		t.Fatalf("%d results, hop 1 = %+v, want 530 from a parallel bottomup hop", len(resp.Vertices), h)
+	}
+
 	// Forced bottomup without dedup cannot run.
 	if _, _, err := c.Traverse(root, []int64{0}, &TraverseOptions{Direction: "bottomup"}); err == nil {
 		t.Fatal("bottomup without dedup succeeded, want 400")

@@ -75,34 +75,40 @@
 //
 // # The morsel-driven parallel execution engine
 //
-// Wide hops execute on a worker pool: the frontier is partitioned into
-// fixed-size morsels that workers claim from an atomic cursor, each worker
-// expanding into a private buffer through its own reused edge iterator,
-// with a lock-striped sparse bitset arbitrating Dedup and atomic budgets
-// enforcing Limit and MaxFrontier so early termination stops every worker.
-// Each worker's scans remain purely sequential TEL streams — parallelism
-// comes from expanding disjoint frontier morsels concurrently.
+// Every hop runs on one expansion kernel. A wide hop gets a worker pool:
+// the frontier is partitioned into fixed-size morsels that workers claim
+// from an atomic cursor (internal/morsel's Run — the one place in the tree
+// that starts morsel workers), each worker expanding into a private buffer
+// through its own reused edge iterator, with a lock-striped sparse bitset
+// arbitrating Dedup and one budget enforcing Limit and MaxFrontier, so
+// early termination — or a cancelled context — stops every worker within
+// about a thousand scanned entries. Each worker's scans remain purely
+// sequential TEL streams — parallelism comes from expanding disjoint
+// frontier morsels concurrently.
 //
-// The dedup set has an owner mode. Hops are barriers: a hop's workers have
-// all returned before the next hop starts, so a hop that runs sequentially
-// is the only user of the set while it runs, and it probes the set without
-// taking the stripe locks (sparsebit.Set.TestAndSetOwned) — a mutex per
-// destination cost a sequential hop more than the bit probe it guarded.
-// The set is made with a single stripe by the first hop that dedups and is
-// traded for one striped for the pool by the first hop that runs parallel;
-// a sequential hop after that uses the striped set, still lock-free.
+// A sequential hop is that kernel with one worker, not a second engine: the
+// per-item body runs once on the caller's goroutine and appends straight
+// into the next frontier; hops are barriers, so a lone worker is the only
+// user of the dedup set while it runs and probes it without the stripe
+// locks (sparsebit.Set.TestAndSetOwned), and it counts its budget in a
+// plain integer. The set is made with a single stripe by the first hop
+// that dedups and is traded for one striped for the pool by the first hop
+// that runs on one; a one-worker hop after that uses the striped set,
+// still lock-free.
 //
 // The pool width comes from Traversal.Parallel, falling back to
-// Options.TraversalParallelism, falling back to GOMAXPROCS. Parallel
-// execution engages only on Readers that are safe for concurrent use
-// (ParallelReader — a *Snapshot; a *Tx always runs sequentially) and only
-// when the frontier is wide enough to repay dispatch; narrow frontiers and
-// in-memory graphs on few cores are often fastest sequential, which is why
-// the engine falls back automatically rather than forcing a pool. Under
-// the out-of-core simulation workers overlap page-fault latency, so
-// parallel traversals win there even on a single core. The analytics
-// kernels (internal/analytics: PageRank, ConnComp, BFS, Degrees) dispatch
-// vertex ranges and BFS frontiers through the same morsel engine.
+// Options.TraversalParallelism, falling back to GOMAXPROCS. A pool engages
+// only on Readers that are safe for concurrent use (ParallelReader — a
+// *Snapshot; a *Tx always runs on one worker) and only when the frontier
+// is wide enough to repay dispatch; narrow frontiers and in-memory graphs
+// on few cores are often fastest on one worker, which is why the engine
+// decides per hop rather than forcing a pool. Under the out-of-core
+// simulation workers overlap page-fault latency, so parallel traversals
+// win there even on a single core. The thresholds are constants of
+// internal/core, not options; Parallel(1) and Direction(DirectionTopDown)
+// pin a strategy per query. The analytics kernels (internal/analytics:
+// PageRank, ConnComp, BFS, Degrees) and compaction slices dispatch through
+// the same morsel.Run.
 //
 // # Architecture: the commit pipeline
 //
