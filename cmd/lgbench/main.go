@@ -14,7 +14,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -40,8 +39,6 @@ func main() {
 		prIters    = flag.Int("pr-iters", 20, "PageRank iterations")
 		workers    = flag.Int("workers", 8, "analytics worker threads")
 		backendF   = flag.String("backend", "iosim", "storage backend for durable experiments: iosim (simulated device timing) or disk (real mmap segments + fsync)")
-		maintEvery = flag.Int("maint-compact-every", 2048, "maintenance experiment commit-count compaction cadence")
-		jsonPath   = flag.String("json", "", "write machine-readable results (ns/op, edges/s, allocs/op per experiment) to this file")
 	)
 	flag.Parse()
 
@@ -69,19 +66,12 @@ func main() {
 	cfg.OOCFrac = *oocFrac
 	cfg.PRIters = *prIters
 	cfg.Workers = *workers
-	cfg.MaintCompactEvery = *maintEvery
 	switch *backendF {
 	case "iosim", "disk":
 		cfg.Backend = *backendF
 	default:
 		fmt.Fprintf(os.Stderr, "lgbench: unknown backend %q (iosim or disk)\n", *backendF)
 		os.Exit(2)
-	}
-
-	// Non-nil so an experiment recording nothing still writes [], not null.
-	results := []bench.Metric{}
-	if *jsonPath != "" {
-		cfg.Record = func(m bench.Metric) { results = append(results, m) }
 	}
 
 	// The process context: experiments propagate it into transactions and
@@ -110,20 +100,5 @@ func main() {
 			os.Exit(2)
 		}
 		run(e)
-	}
-
-	if *jsonPath != "" {
-		buf, err := json.MarshalIndent(results, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lgbench: marshal results: %v\n", err)
-			os.Exit(1)
-		}
-		buf = append(buf, '\n')
-		//lglint:ignore durablefs results file is reportage, not engine state; no crash-consistency contract
-		if err := os.WriteFile(*jsonPath, buf, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "lgbench: write %s: %v\n", *jsonPath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("[results written to %s]\n", *jsonPath)
 	}
 }

@@ -1,12 +1,16 @@
 // Package bench regenerates every table and figure of the paper's
-// evaluation (§2.1 and §7). Each experiment is a named function printing
-// rows in the paper's format; cmd/lgbench exposes them on the command line
-// and the repository root's bench_test.go wraps them in testing.B targets.
+// evaluation (§2.1 and §7): sixteen experiments, nothing the paper does
+// not have. Each is a named function printing rows in the paper's format;
+// cmd/lgbench exposes them on the command line and the repository root's
+// bench_test.go wraps them in testing.B targets. It is a reproduction
+// harness that prints tables and claims nothing: performance claims come
+// from benchmark/ (see its README), and the latencies printed here are
+// read from the engine's own instrument library, internal/obs.
 //
 // Default parameters are laptop-scale so the full suite completes in
 // minutes; Config lets callers approach the paper's configuration. Absolute
-// numbers will differ from the paper's testbed — EXPERIMENTS.md records the
-// *shape* comparison (who wins, by what factor, where crossovers fall).
+// numbers will differ from the paper's testbed; what carries over is the
+// shape (who wins, by what factor, where crossovers fall).
 package bench
 
 import (
@@ -43,40 +47,11 @@ type Config struct {
 	PRIters int // PageRank iterations (paper: 20)
 	Workers int // analytics threads (paper: 24)
 
-	// MaintCompactEvery is the commit-count compaction cadence used by
-	// the maintenance experiment's scheduler mode (the paper default of
-	// 65536 never fires at laptop scale).
-	MaintCompactEvery int
-
 	// Backend selects the storage backend for the durable experiments:
 	// "iosim" (default) keeps the simulated device timing model the paper
 	// comparisons use, "disk" runs the real mmap segment backend with
 	// fsync — actual hardware numbers, crash-consistent on this machine.
 	Backend string
-
-	// Record, when non-nil, receives every machine-readable measurement an
-	// experiment emits alongside its printed rows; lgbench's -json flag
-	// wires this to a results file (BENCH_*.json).
-	Record func(Metric)
-}
-
-// Metric is one machine-readable measurement: an experiment/configuration
-// name plus the standard rates (ns/op, edges/s, allocs/op) and free-form
-// extras. Zero-valued standard fields are omitted from the JSON.
-type Metric struct {
-	Experiment  string             `json:"experiment"`
-	Name        string             `json:"name"`
-	NsPerOp     float64            `json:"ns_per_op,omitempty"`
-	EdgesPerSec float64            `json:"edges_per_sec,omitempty"`
-	AllocsPerOp float64            `json:"allocs_per_op,omitempty"`
-	Extra       map[string]float64 `json:"extra,omitempty"`
-}
-
-// record forwards a metric to the configured sink, if any.
-func (cfg Config) record(m Metric) {
-	if cfg.Record != nil {
-		cfg.Record(m)
-	}
 }
 
 // Default returns the laptop-scale configuration.
@@ -88,8 +63,7 @@ func Default(out io.Writer) Config {
 		OOCFrac:    0.16,
 		SNBPersons: 400, SNBClients: 8, SNBRequests: 40,
 		PRIters: 20, Workers: 8,
-		MaintCompactEvery: 2048,
-		Backend:           "iosim",
+		Backend: "iosim",
 	}
 }
 
@@ -104,7 +78,7 @@ func (cfg Config) backend() disk.Backend {
 	return nil
 }
 
-// backendName normalises the Backend field for display and metric names.
+// backendName normalises the Backend field for display.
 func (cfg Config) backendName() string {
 	if cfg.Backend == "" {
 		return "iosim"
@@ -141,10 +115,6 @@ func Experiments() []Experiment {
 		{"tab8", "Table 8: SNB interactive throughput out of core", func(ctx context.Context, c Config) { SNBThroughput(ctx, c, true) }},
 		{"tab9", "Table 9: SNB per-query latency", SNBQueryLatency},
 		{"tab10", "Table 10: ETL + PageRank/ConnComp, in-situ vs CSR engine", Tab10},
-		{"repl", "WAL-shipping replication: follower apply throughput and staleness lag", Replication},
-		{"maint", "Background maintenance: budgeted scheduler vs off", Maint},
-		{"commit", "Commit path: durable group-commit throughput/latency by storage backend", Commit},
-		{"obs", "Observability overhead: commit throughput with the obs layer off vs default", Obs},
 	}
 }
 

@@ -17,14 +17,13 @@ func tiny(out io.Writer) Config {
 		OOCFrac:    0.2,
 		SNBPersons: 40, SNBClients: 2, SNBRequests: 5,
 		PRIters: 3, Workers: 2,
-		MaintCompactEvery: 64,
 	}
 }
 
 func TestExperimentRegistry(t *testing.T) {
 	exps := Experiments()
-	if len(exps) != 20 {
-		t.Fatalf("%d experiments registered, want 20 (one per table/figure plus repl, maint, commit and obs)", len(exps))
+	if len(exps) != 16 {
+		t.Fatalf("%d experiments registered, want 16 (one per table/figure of the paper)", len(exps))
 	}
 	seen := map[string]bool{}
 	for _, e := range exps {
@@ -37,8 +36,7 @@ func TestExperimentRegistry(t *testing.T) {
 		}
 	}
 	for _, want := range []string{"fig1", "tab3", "tab4", "tab5", "tab6", "fig5", "fig6",
-		"fig7a", "fig7b", "mem", "fig8", "ckpt", "tab7", "tab8", "tab9", "tab10",
-		"repl", "maint", "commit", "obs"} {
+		"fig7a", "fig7b", "mem", "fig8", "ckpt", "tab7", "tab8", "tab9", "tab10"} {
 		if !seen[want] {
 			t.Fatalf("experiment %s missing", want)
 		}

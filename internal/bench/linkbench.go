@@ -10,7 +10,7 @@ import (
 	"livegraph/internal/baseline/lsmt"
 	"livegraph/internal/core"
 	"livegraph/internal/iosim"
-	"livegraph/internal/metrics"
+	"livegraph/internal/workload"
 	"livegraph/internal/workload/kron"
 	"livegraph/internal/workload/linkbench"
 )
@@ -229,9 +229,10 @@ func LinkBenchLatency(_ context.Context, cfg Config, ooc bool, tao bool) {
 			res := linkbench.Run(s.Store, edges, linkbench.Config{
 				Mix: mix, Clients: cfg.LBClients, Requests: cfg.LBRequests, Seed: 7,
 			})
+			lat := res.Hist.Snapshot()
 			row(cfg, "%-8s %-12s %10s %10s %10s %12.0f", prof.Name, s.Name,
-				metrics.Ms(res.Hist.Mean()), metrics.Ms(res.Hist.Quantile(0.99)),
-				metrics.Ms(res.Hist.Quantile(0.999)), res.Throughput())
+				workload.Ms(lat.Mean()), workload.Ms(lat.Quantile(0.99)),
+				workload.Ms(lat.Quantile(0.999)), res.Throughput())
 		}
 		done()
 	}
@@ -260,8 +261,9 @@ func ThroughputSweep(_ context.Context, cfg Config, tao bool) {
 				res := linkbench.Run(s.Store, edges, linkbench.Config{
 					Mix: mix, Clients: clients, Requests: cfg.LBRequests / clients * cfg.LBClients, Seed: 11,
 				})
+				lat := res.Hist.Snapshot()
 				row(cfg, "%-10s %-12s %8d %14.0f %12s", mem, s.Name, clients,
-					res.Throughput(), metrics.Ms(res.Hist.Mean()))
+					res.Throughput(), workload.Ms(lat.Mean()))
 			}
 			done()
 		}
@@ -411,15 +413,6 @@ func Ckpt(ctx context.Context, cfg Config) {
 	row(cfg, "%-14s %10s %10s %10s %10s", "checkpoint", "dirty", "latency", "bytes", "speedup")
 	row(cfg, "%-14s %9.0f%% %10v %10s %10s", "full", 100.0,
 		fullDur.Round(time.Millisecond), fmtBytes(fullBytes), "1.0x")
-	cfg.record(Metric{
-		Experiment: "ckpt",
-		Name:       fmt.Sprintf("%s/full", cfg.backendName()),
-		NsPerOp:    float64(fullDur.Nanoseconds()),
-		Extra: map[string]float64{
-			"vertices":   float64(nv),
-			"ckpt_bytes": float64(fullBytes),
-		},
-	})
 
 	props := []byte("delta-sweep-touch")
 	for _, frac := range []float64{0.01, 0.05, 0.10, 0.25} {
@@ -461,17 +454,6 @@ func Ckpt(ctx context.Context, cfg Config) {
 		speedup := float64(fullDur) / float64(dur)
 		row(cfg, "%-14s %9.0f%% %10v %10s %9.1fx", "delta", frac*100,
 			dur.Round(time.Millisecond), fmtBytes(bytes), speedup)
-		cfg.record(Metric{
-			Experiment: "ckpt",
-			Name:       fmt.Sprintf("%s/delta=%.0f%%", cfg.backendName(), frac*100),
-			NsPerOp:    float64(dur.Nanoseconds()),
-			Extra: map[string]float64{
-				"dirty_fraction":  frac,
-				"dirty_vertices":  float64(dirtyN),
-				"ckpt_bytes":      float64(bytes),
-				"speedup_vs_full": speedup,
-			},
-		})
 	}
 }
 

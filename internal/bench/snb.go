@@ -10,7 +10,8 @@ import (
 	"livegraph/internal/baseline/csr"
 	"livegraph/internal/core"
 	"livegraph/internal/iosim"
-	"livegraph/internal/metrics"
+	"livegraph/internal/obs"
+	"livegraph/internal/workload"
 	"livegraph/internal/workload/snb"
 )
 
@@ -84,9 +85,13 @@ func SNBQueryLatency(_ context.Context, cfg Config) {
 			Clients: cfg.SNBClients, Requests: cfg.SNBRequests * 2, Seed: 31,
 		})
 		row(cfg, "%-26s %12s %12s %12s %12s", b.Name(),
-			metrics.Ms(res.Complex1.Mean()), metrics.Ms(res.Complex13.Mean()),
-			metrics.Ms(res.Short2.Mean()), metrics.Ms(res.Updates.Mean()))
+			meanMs(res.Complex1), meanMs(res.Complex13), meanMs(res.Short2), meanMs(res.Updates))
 	}
+}
+
+func meanMs(h *obs.Histogram) string {
+	s := h.Snapshot()
+	return workload.Ms(s.Mean())
 }
 
 // Tab10 reproduces Table 10: iterative analytics (PageRank, ConnComp) on

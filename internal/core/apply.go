@@ -37,24 +37,18 @@ func (g *Graph) ApplyEpoch(epoch int64, recs [][]byte) error {
 		return ErrClosed
 	}
 	o := g.ob
-	var (
-		asp *obs.Span
-		t0  time.Time
-	)
-	if o != nil {
-		//lglint:ignore ctxprop trace-root only: replication apply is driven by the stream, not a per-call deadline, and nothing blocks on this context
-		_, asp = o.tracer.StartSpan(context.Background(), "repl.apply")
-		asp.SetAttr(obs.Int("epoch", epoch), obs.Int("records", int64(len(recs))))
-		t0 = time.Now()
-		defer func() {
-			d := time.Since(t0)
-			o.replApply.Record(d)
-			asp.End()
-			if asp == nil {
-				o.tracer.SlowOp("repl.apply", d, obs.Int("epoch", epoch))
-			}
-		}()
-	}
+	//lglint:ignore ctxprop trace-root only: replication apply is driven by the stream, not a per-call deadline, and nothing blocks on this context
+	_, asp := o.tracer.StartSpan(context.Background(), "repl.apply")
+	asp.SetAttr(obs.Int("epoch", epoch), obs.Int("records", int64(len(recs))))
+	t0 := time.Now()
+	defer func() {
+		d := time.Since(t0)
+		o.replApply.Record(d)
+		asp.End()
+		if asp == nil {
+			o.tracer.SlowOp("repl.apply", d, obs.Int("epoch", epoch))
+		}
+	}()
 	g.applyMu.Lock()
 	defer g.applyMu.Unlock()
 	g.follower.Store(true)

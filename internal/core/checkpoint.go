@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"livegraph/internal/obs"
+	"livegraph/internal/storage"
 	"livegraph/internal/wal"
 )
 
@@ -71,11 +72,7 @@ func (g *Graph) Checkpoint() error {
 	// (quiesce → write → meta → prune children) shows where a slow one
 	// spent its time.
 	//lglint:ignore ctxprop trace-root only: checkpoints are engine-initiated background work with no caller deadline, and nothing blocks on this context
-	cctx := context.Background()
-	var csp *obs.Span
-	if o := g.ob; o != nil {
-		cctx, csp = o.tracer.StartAlways(cctx, "ckpt")
-	}
+	cctx, csp := g.ob.tracer.StartAlways(context.Background(), "ckpt")
 	defer csp.End()
 	// Compact before a FULL dump: draining the dirty set drops dead
 	// entries and right-sizes blocks, so the snapshot file only carries
@@ -87,9 +84,7 @@ func (g *Graph) Checkpoint() error {
 	// entries regardless. The prediction is a racy peek at the journal;
 	// the authoritative full-vs-delta decision happens on the drained
 	// count below, and a mispredicted full is merely a less-compact dump.
-	if g.ckptBase == 0 || g.opts.Ckpt.DisableDelta ||
-		len(g.ckptDeltas) >= g.opts.Ckpt.MaxChain ||
-		float64(g.ckptDirty.Len()) >= g.opts.Ckpt.RebaseFraction*float64(g.NumVertices()) {
+	if g.ckptWantsFull(g.ckptDirty.Len(), g.NumVertices()) {
 		g.CompactNow()
 	}
 	// Quiescent point. applyMu first (a follower's changes land under it),
@@ -153,9 +148,12 @@ func (g *Graph) Checkpoint() error {
 	}()
 
 	start := time.Now()
-	full := g.ckptBase == 0 || g.opts.Ckpt.DisableDelta ||
-		len(g.ckptDeltas) >= g.opts.Ckpt.MaxChain ||
-		float64(len(drained)) >= g.opts.Ckpt.RebaseFraction*float64(snap.NumVertices())
+	// One reading of the vertex frontier serves the decision, the header
+	// and the full dump's loop bound: the dump runs outside the quiescent
+	// point, AddVertex keeps raising the live value under it, and a record
+	// at or past the header's nextVertexID is what the loader calls damage.
+	nv := snap.NumVertices()
+	full := g.ckptWantsFull(int64(len(drained)), nv)
 
 	var (
 		baseName    string
@@ -163,42 +161,32 @@ func (g *Graph) Checkpoint() error {
 		deltaEpochs []int64
 		written     int64
 	)
-	wkind := "delta"
+	wkind, durable := "delta", "delta-durable"
 	if full {
-		wkind = "full"
+		wkind, durable = "full", "snap-durable"
 	}
 	_, wsp := obs.StartSpan(cctx, "ckpt.write")
 	wsp.SetAttr(obs.String("kind", wkind), obs.Int("dirty", int64(len(drained))))
 	if full {
-		path := filepath.Join(g.opts.Dir, fmt.Sprintf("ckpt-%d.snap", epoch))
-		written, err = g.writeCheckpoint(path, epoch, snap)
-		if err != nil {
-			wsp.End()
-			return err
-		}
-		if err := ckptStage("snap-durable"); err != nil {
-			wsp.End()
-			return err
-		}
-		baseName, baseEpoch = filepath.Base(path), epoch
+		baseName, baseEpoch = fmt.Sprintf("ckpt-%d.snap", epoch), epoch
+		written, err = g.writeCkptFile(filepath.Join(g.opts.Dir, baseName), ckptMagic,
+			[]int64{epoch, nv}, "snap-tmp", snap, nil)
 	} else {
 		prevEpoch := g.ckptBase
 		if n := len(g.ckptDeltas); n > 0 {
 			prevEpoch = g.ckptDeltas[n-1]
 		}
-		path := filepath.Join(g.opts.Dir, deltaFileName(epoch))
-		written, err = g.writeDelta(path, g.ckptBase, prevEpoch, epoch, snap, drained)
-		if err != nil {
-			wsp.End()
-			return err
-		}
-		if err := ckptStage("delta-durable"); err != nil {
-			wsp.End()
-			return err
-		}
+		written, err = g.writeDelta(filepath.Join(g.opts.Dir, deltaFileName(epoch)), g.ckptBase, prevEpoch, epoch, nv, snap, drained)
 		// The meta's Path always names the base snapshot, full or delta.
 		baseName, baseEpoch = fmt.Sprintf("ckpt-%d.snap", g.ckptBase), g.ckptBase
 		deltaEpochs = append(append([]int64(nil), g.ckptDeltas...), epoch)
+	}
+	if err == nil {
+		err = ckptStage(durable)
+	}
+	if err != nil {
+		wsp.End()
+		return err
 	}
 	wsp.SetAttr(obs.Int("bytes", written))
 	wsp.End()
@@ -230,35 +218,36 @@ func (g *Graph) Checkpoint() error {
 	g.ckptDeltas = deltaEpochs
 	g.lastCkptEpoch.Store(epoch)
 	g.dirtySinceCkpt.Store(0)
+	elapsed := time.Since(start)
 	if full {
 		g.ckptStats.Fulls.Add(1)
+		g.ob.ckptFull.Record(elapsed)
 	} else {
 		g.ckptStats.Deltas.Add(1)
+		g.ob.ckptDelta.Record(elapsed)
 	}
-	elapsed := time.Since(start)
 	g.ckptStats.LastNanos.Store(elapsed.Nanoseconds())
 	g.ckptStats.LastBytes.Store(written)
 	g.ckptStats.ChainLen.Store(int64(len(deltaEpochs)))
-	if o := g.ob; o != nil {
-		if full {
-			o.ckptFull.Record(elapsed)
-		} else {
-			o.ckptDelta.Record(elapsed)
-		}
-		csp.SetAttr(obs.String("kind", wkind), obs.Int("epoch", epoch),
-			obs.Int("bytes", written))
-	}
+	csp.SetAttr(obs.String("kind", wkind), obs.Int("epoch", epoch), obs.Int("bytes", written))
 	// Prune superseded segments and unreferenced checkpoint files.
 	_, psp := obs.StartSpan(cctx, "ckpt.prune")
 	defer psp.End()
 	for _, s := range oldSegs {
-		if err := g.opts.Backend.Remove(s); err != nil {
-			g.ckptStats.PruneErrors.Add(1)
-			g.notePruneError(s, err)
-		}
+		g.pruneFile(s)
 	}
 	g.pruneCheckpointFiles(baseName, deltaEpochs)
 	return ckptStage("pruned")
+}
+
+// ckptWantsFull is the full-vs-delta rule: a fresh full snapshot when
+// there is no base to chain from, deltas are disabled, the chain is at
+// MaxChain, or dirty of vertices reaches the rebase fraction. Caller
+// holds ckptMu.
+func (g *Graph) ckptWantsFull(dirty, vertices int64) bool {
+	return g.ckptBase == 0 || g.opts.Ckpt.DisableDelta ||
+		len(g.ckptDeltas) >= g.opts.Ckpt.MaxChain ||
+		float64(dirty) >= g.opts.Ckpt.RebaseFraction*float64(vertices)
 }
 
 // rotateWALLocked closes the current WAL segment and opens the next one.
@@ -291,75 +280,41 @@ func (g *Graph) rotateWALLocked() ([]string, error) {
 	return old, nil
 }
 
-// writeCheckpoint streams the snapshot to path under the backend's
-// crash-atomic swap protocol: the bytes land in `<path>.tmp`, and only
-// Commit (fsync tmp → rename → fsync dir) makes them visible under the
-// final name. The earlier os.Create-at-final-path version could leave a
-// half-written ckpt-E.snap that a crash-recovered CHECKPOINT pointer
-// would then trust. Format:
+// Checkpoint files, full and delta, are a magic, a header of signed
+// varints, and one record body:
 //
-//	magic, epoch, nextVertexID,
-//	then per existing vertex: id, flags, data, numLabels,
+//	per vertex (ascending ID): id, flags, data, numLabels,
 //	  per label: label, numEdges, per edge: dst, propLen, props
 //	terminated by id = -1.
 //
-// Returns the byte count streamed (the ckpt_last_bytes gauge).
-func (g *Graph) writeCheckpoint(path string, epoch int64, snap *Snapshot) (int64, error) {
+// Flags bit 0 marks a deleted or absent payload. The formats differ only
+// in header and in which vertices get a record: one codec serves both.
+
+// writeCkptFile streams magic, header and the records of ids to path
+// under the backend's crash-atomic swap protocol: the bytes land in
+// `<path>.tmp`, and only Commit (fsync tmp → rename → fsync dir) makes
+// them visible under the final name, so a recovered CHECKPOINT pointer
+// never finds a half-written file. Both headers end in nextVertexID,
+// which is also where a full dump (nil ids) stops. tmpStage names the
+// crash window before the rename. Returns the bytes streamed (the
+// ckpt_last_bytes gauge).
+func (g *Graph) writeCkptFile(path string, magic []byte, header []int64, tmpStage string, snap *Snapshot, ids []int64) (int64, error) {
 	af, err := g.opts.Backend.CreateAtomic(path)
 	if err != nil {
 		return 0, err
 	}
 	cw := &countingWriter{w: af}
 	w := bufio.NewWriterSize(cw, 1<<20)
-	w.Write(ckptMagic)
-	var scratch [binary.MaxVarintLen64]byte
-	putV := func(x int64) {
-		n := binary.PutVarint(scratch[:], x)
-		w.Write(scratch[:n])
+	w.Write(magic)
+	for _, x := range header {
+		putVarint(w, x)
 	}
-	putV(epoch)
-	nv := snap.NumVertices()
-	putV(nv)
-	for v := int64(0); v < nv; v++ {
-		data, ok := snap.VertexData(VertexID(v))
-		ll := g.eindex.Get(v)
-		if !ok && ll == nil {
-			continue
-		}
-		putV(v)
-		flags := int64(0)
-		if !ok {
-			flags |= 1 // deleted / absent payload
-		}
-		putV(flags)
-		putV(int64(len(data)))
-		w.Write(data)
-		var labels []*labelEntry
-		if ll != nil {
-			if ls := ll.entries.Load(); ls != nil {
-				labels = *ls
-			}
-		}
-		putV(int64(len(labels)))
-		for _, e := range labels {
-			putV(int64(e.label))
-			// Two passes: count, then dump (stream-friendly).
-			cnt := snap.Degree(VertexID(v), e.label)
-			putV(int64(cnt))
-			snap.ScanNeighbors(VertexID(v), e.label, func(dst VertexID, props []byte) bool {
-				putV(int64(dst))
-				putV(int64(len(props)))
-				w.Write(props)
-				return true
-			})
-		}
-	}
-	putV(-1)
+	g.writeCkptRecords(w, snap, ids, header[len(header)-1])
 	if err := w.Flush(); err != nil {
 		af.Abort()
 		return 0, err
 	}
-	if err := ckptStage("snap-tmp"); err != nil {
+	if err := ckptStage(tmpStage); err != nil {
 		// Simulated crash: leave the temp file exactly as a real crash
 		// would — present, unrenamed, for recovery's stray-tmp sweep.
 		return 0, err
@@ -370,81 +325,211 @@ func (g *Graph) writeCheckpoint(path string, epoch int64, snap *Snapshot) (int64
 	return cw.n, nil
 }
 
-// loadCheckpoint rebuilds graph state from a checkpoint file, stamping
-// every version with the checkpoint epoch.
-func (g *Graph) loadCheckpoint(path string, epoch int64) error {
+func putVarint(w *bufio.Writer, x int64) {
+	w.Write(binary.AppendVarint(w.AvailableBuffer(), x))
+}
+
+// writeCkptRecords writes the record body for ids, which must ascend. A
+// nil ids is the full dump: every vertex below nv, the header's
+// nextVertexID (not the live frontier, which moves during the dump),
+// leaving out those with neither payload nor label index. Explicit ids (a
+// delta) are all written, a vertex with nothing left included: its record
+// is what erases the vertex's earlier state at load time. Write errors
+// stick to w and surface at the caller's Flush.
+func (g *Graph) writeCkptRecords(w *bufio.Writer, snap *Snapshot, ids []int64, nv int64) {
+	n := int64(len(ids))
+	if ids == nil {
+		n = nv
+	}
+	for i := int64(0); i < n; i++ {
+		v := i
+		if ids != nil {
+			v = ids[i]
+		}
+		data, ok := snap.VertexData(VertexID(v))
+		ll := g.eindex.Get(v)
+		if ids == nil && !ok && ll == nil {
+			continue
+		}
+		putVarint(w, v)
+		flags := int64(0)
+		if !ok {
+			flags |= 1 // deleted / absent payload
+		}
+		putVarint(w, flags)
+		putVarint(w, int64(len(data)))
+		w.Write(data)
+		var labels []*labelEntry
+		if ll != nil {
+			if ls := ll.entries.Load(); ls != nil {
+				labels = *ls
+			}
+		}
+		putVarint(w, int64(len(labels)))
+		for _, e := range labels {
+			putVarint(w, int64(e.label))
+			// Two passes: count, then dump (stream-friendly).
+			putVarint(w, int64(snap.Degree(VertexID(v), e.label)))
+			snap.ScanNeighbors(VertexID(v), e.label, func(dst VertexID, props []byte) bool {
+				putVarint(w, int64(dst))
+				putVarint(w, int64(len(props)))
+				w.Write(props)
+				return true
+			})
+		}
+	}
+	putVarint(w, -1)
+}
+
+// ckptReader reads one checkpoint file of a known size. Checkpoint files
+// carry no checksum, so every length and count read from one is checked
+// against the bytes the file still holds before anything is allocated or
+// looped over. The first damage found sticks in err and every later read
+// returns zero, so callers check err once per record.
+type ckptReader struct {
+	*bufio.Reader
+	src io.LimitedReader // N: bytes of the file the buffer has not pulled yet
+	err error
+}
+
+func newCkptReader(src io.Reader, size int64) *ckptReader {
+	r := &ckptReader{src: io.LimitedReader{R: src, N: size}}
+	r.Reader = bufio.NewReaderSize(&r.src, 1<<20)
+	return r
+}
+
+func (r *ckptReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%w: %s", ErrCheckpointDamaged, fmt.Sprintf(format, args...))
+	}
+}
+
+// varint reads one number. The file ending inside or before it is damage:
+// a complete body ends with the -1 terminator, never with EOF.
+func (r *ckptReader) varint() int64 {
+	if r.err != nil {
+		return 0
+	}
+	x, err := binary.ReadVarint(r.Reader)
+	if err != nil {
+		r.fail("truncated: %v", err)
+		return 0
+	}
+	return x
+}
+
+// count reads a length or element count. Every counted thing occupies at
+// least one byte, so a value past what the file still holds is damage.
+func (r *ckptReader) count(what string) int64 {
+	n := r.varint()
+	if left := r.left(); n < 0 || n > left {
+		r.fail("%s %d with %d bytes left", what, n, left)
+		return 0
+	}
+	return n
+}
+
+// left returns how many bytes of the file are not yet consumed.
+func (r *ckptReader) left() int64 { return r.src.N + int64(r.Buffered()) }
+
+// bytes reads a length-prefixed payload.
+func (r *ckptReader) bytes(what string) []byte {
+	b := make([]byte, r.count(what))
+	if _, err := io.ReadFull(r.Reader, b); err != nil {
+		r.fail("truncated: %v", err)
+	}
+	return b
+}
+
+// loadCkptFile loads one checkpoint file during recovery: magic, header
+// (chain, then nextVertexID) and records, stamped with the file's own
+// epoch, the last element of chain. chain is what the CHECKPOINT meta says
+// the header holds: a full snapshot's epoch; a delta's base, predecessor
+// and own epoch, so a stale or reordered delta is never replayed.
+func (g *Graph) loadCkptFile(path string, magic []byte, chain ...int64) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
-	magic := make([]byte, len(ckptMagic))
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != string(ckptMagic) {
-		return fmt.Errorf("livegraph: bad checkpoint magic in %s", path)
-	}
-	getV := func() (int64, error) { return binary.ReadVarint(r) }
-	fileEpoch, err := getV()
+	st, err := f.Stat()
 	if err != nil {
 		return err
 	}
-	if fileEpoch != epoch {
-		return fmt.Errorf("livegraph: checkpoint epoch mismatch: meta %d, file %d", epoch, fileEpoch)
+	r := newCkptReader(f, st.Size())
+	got := make([]byte, len(magic))
+	if _, err := io.ReadFull(r, got); err != nil || string(got) != string(magic) {
+		return fmt.Errorf("livegraph: bad magic in %s, want %q", path, magic)
 	}
-	nv, err := getV()
-	if err != nil {
-		return err
+	for i, want := range chain {
+		if got := r.varint(); r.err == nil && got != want {
+			return fmt.Errorf("livegraph: checkpoint chain mismatch in %s: header field %d is %d, meta says %d", path, i, got, want)
+		}
 	}
-	g.nextVertex.Store(nv)
-	h := g.alloc.NewHandle()
-	for {
-		v, err := getV()
-		if err != nil {
-			return fmt.Errorf("livegraph: checkpoint truncated: %w", err)
+	nv := r.varint()
+	if r.err == nil {
+		if nv > g.nextVertex.Load() {
+			g.nextVertex.Store(nv)
 		}
-		if v < 0 {
-			return nil
+		g.loadCkptRecords(r, nv, chain[len(chain)-1], g.alloc.NewHandle())
+	}
+	if r.err != nil {
+		return fmt.Errorf("%s: %w", path, r.err)
+	}
+	return nil
+}
+
+// loadCkptRecords rebuilds graph state from one record body, stamping
+// every version with epoch; damage is left in r.err. Each record fully
+// replaces its vertex (see ckpt_delta.go; a base snapshot's records find
+// nothing to drop). Single-threaded — recovery has no readers yet, so
+// each TEL owns its block outright and a direct free is safe. nv is the
+// header's nextVertexID: the writer emits IDs ascending and below it. The
+// bound is there to cap index growth — chunkedIndex.Set allocates every
+// 512 KiB chunk up to v>>16 — at what a graph of nv IDs costs anyway. nv
+// itself cannot be held to the file's size: both formats leave vertices
+// out, so an ID gap of any width costs no bytes (see
+// TestSparseCheckpointLoads), and damage to the header and a record ID
+// together is past what a format with no checksum can catch.
+func (g *Graph) loadCkptRecords(r *ckptReader, nv, epoch int64, h *storage.Handle) {
+	for last := int64(-1); ; {
+		v := r.varint()
+		if r.err != nil || v < 0 {
+			return
 		}
-		flags, err := getV()
-		if err != nil {
-			return err
+		if v <= last || v >= nv {
+			r.fail("vertex record %d after %d, nextVertexID %d", v, last, nv)
+			return
 		}
-		dl, err := getV()
-		if err != nil {
-			return err
+		last = v
+		flags := r.varint()
+		data := r.bytes("vertex data length")
+		if r.err != nil {
+			return
 		}
-		data := make([]byte, dl)
-		if _, err := io.ReadFull(r, data); err != nil {
-			return err
+		if ll := g.eindex.Get(v); ll != nil {
+			if ls := ll.entries.Load(); ls != nil {
+				for _, e := range *ls {
+					if t := e.tel.Load(); t != nil {
+						t.Prev = nil
+						h.Free(t.Block)
+					}
+				}
+			}
+			g.eindex.Set(v, nil)
 		}
+		var ver *vertexVersion
 		if flags&1 == 0 {
-			g.vindex.Set(v, &vertexVersion{ts: epoch, data: data})
+			ver = &vertexVersion{ts: epoch, data: data}
 		}
-		nl, err := getV()
-		if err != nil {
-			return err
-		}
-		for li := int64(0); li < nl; li++ {
-			label, err := getV()
-			if err != nil {
-				return err
-			}
-			ne, err := getV()
-			if err != nil {
-				return err
-			}
-			for ei := int64(0); ei < ne; ei++ {
-				dst, err := getV()
-				if err != nil {
-					return err
-				}
-				pl, err := getV()
-				if err != nil {
-					return err
-				}
-				props := make([]byte, pl)
-				if _, err := io.ReadFull(r, props); err != nil {
-					return err
+		g.vindex.Set(v, ver)
+		for nl := r.count("label count"); nl > 0 && r.err == nil; nl-- {
+			label := r.varint()
+			for ne := r.count("edge count"); ne > 0; ne-- {
+				dst := r.varint()
+				props := r.bytes("property length")
+				if r.err != nil {
+					return
 				}
 				g.replayEdge(h, opInsertEdge, VertexID(v), Label(label), VertexID(dst), props, epoch, false)
 			}

@@ -17,15 +17,13 @@ package core
 // chain replay order-insensitive per vertex (last delta wins).
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"sort"
 
 	"livegraph/internal/maint"
+	"livegraph/internal/obs"
 )
 
 var deltaMagic = []byte("LGDLT1\n")
@@ -80,38 +78,12 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 }
 
 // writeDelta streams the dirty vertices' state at the snapshot's epoch to
-// path under the crash-atomic swap protocol. prevEpoch names the chain
-// element this delta extends (the base snapshot's epoch for the first
-// delta, the preceding delta's epoch after that); the loader verifies the
-// chain links so a stale or reordered delta file can never be replayed.
-// Format:
-//
-//	magic, baseEpoch, prevEpoch, epoch, nextVertexID,
-//	then per dirty vertex (ascending ID): id, flags, data, numLabels,
-//	  per label: label, numEdges, per edge: dst, propLen, props
-//	terminated by id = -1.
-//
-// Unlike the full dump, a vertex with no payload and no edges is still
-// written (flags bit0, zero labels): the record is what erases the
-// vertex's base state at load time.
-func (g *Graph) writeDelta(path string, baseEpoch, prevEpoch, epoch int64, snap *Snapshot, drained []maint.Dirty) (int64, error) {
-	af, err := g.opts.Backend.CreateAtomic(path)
-	if err != nil {
-		return 0, err
-	}
-	cw := &countingWriter{w: af}
-	w := bufio.NewWriterSize(cw, 1<<20)
-	w.Write(deltaMagic)
-	var scratch [binary.MaxVarintLen64]byte
-	putV := func(x int64) {
-		n := binary.PutVarint(scratch[:], x)
-		w.Write(scratch[:n])
-	}
-	putV(baseEpoch)
-	putV(prevEpoch)
-	putV(epoch)
-	putV(snap.NumVertices())
-
+// path. prevEpoch names the chain element this delta extends (the base
+// snapshot's epoch for the first delta, the preceding delta's epoch after
+// that); the loader verifies the chain links so a stale or reordered delta
+// file can never be replayed. Header: baseEpoch, prevEpoch, epoch,
+// nextVertexID.
+func (g *Graph) writeDelta(path string, baseEpoch, prevEpoch, epoch, nv int64, snap *Snapshot, drained []maint.Dirty) (int64, error) {
 	// Sorted ascending: deterministic output (the recovery-equivalence
 	// tests diff delta files) and sequential vindex access.
 	ids := make([]int64, len(drained))
@@ -119,172 +91,22 @@ func (g *Graph) writeDelta(path string, baseEpoch, prevEpoch, epoch int64, snap 
 		ids[i] = d.ID
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-	for _, v := range ids {
-		data, ok := snap.VertexData(VertexID(v))
-		putV(v)
-		flags := int64(0)
-		if !ok {
-			flags |= 1 // deleted / absent payload
-		}
-		putV(flags)
-		putV(int64(len(data)))
-		w.Write(data)
-		var labels []*labelEntry
-		if ll := g.eindex.Get(v); ll != nil {
-			if ls := ll.entries.Load(); ls != nil {
-				labels = *ls
-			}
-		}
-		putV(int64(len(labels)))
-		for _, e := range labels {
-			putV(int64(e.label))
-			cnt := snap.Degree(VertexID(v), e.label)
-			putV(int64(cnt))
-			snap.ScanNeighbors(VertexID(v), e.label, func(dst VertexID, props []byte) bool {
-				putV(int64(dst))
-				putV(int64(len(props)))
-				w.Write(props)
-				return true
-			})
-		}
+	// A transaction may write edges from a source ID it never allocated,
+	// which the frontier nv does not cover. The header's does, so the
+	// loader's bound (every record ID below nextVertexID) holds and
+	// recovery raises the frontier past the vertex, as WAL replay of the
+	// same operation would.
+	if n := len(ids); n > 0 && ids[n-1] >= nv {
+		nv = ids[n-1] + 1
 	}
-	putV(-1)
-	if err := w.Flush(); err != nil {
-		af.Abort()
-		return 0, err
-	}
-	if err := ckptStage("delta-tmp"); err != nil {
-		// Simulated crash: the temp file stays behind, unrenamed, exactly
-		// as a real crash would leave it for recovery's stray-tmp sweep.
-		return 0, err
-	}
-	if err := af.Commit(); err != nil {
-		return 0, err
-	}
-	return cw.n, nil
-}
-
-// loadDelta replays one delta file during recovery: every vertex record
-// fully replaces that vertex's state — existing TEL blocks are freed, the
-// index slots cleared, then payload and edges are rebuilt stamped with
-// the delta's epoch. Single-threaded (no readers exist yet), mirroring
-// loadCheckpoint.
-func (g *Graph) loadDelta(path string, baseEpoch, prevEpoch, epoch int64) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
-	magic := make([]byte, len(deltaMagic))
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != string(deltaMagic) {
-		return fmt.Errorf("livegraph: bad delta magic in %s", path)
-	}
-	getV := func() (int64, error) { return binary.ReadVarint(r) }
-	fileBase, err := getV()
-	if err != nil {
-		return err
-	}
-	filePrev, err := getV()
-	if err != nil {
-		return err
-	}
-	fileEpoch, err := getV()
-	if err != nil {
-		return err
-	}
-	if fileBase != baseEpoch || filePrev != prevEpoch || fileEpoch != epoch {
-		return fmt.Errorf("livegraph: delta chain mismatch in %s: file (base %d, prev %d, epoch %d), meta (base %d, prev %d, epoch %d)",
-			path, fileBase, filePrev, fileEpoch, baseEpoch, prevEpoch, epoch)
-	}
-	nv, err := getV()
-	if err != nil {
-		return err
-	}
-	if nv > g.nextVertex.Load() {
-		g.nextVertex.Store(nv)
-	}
-	h := g.alloc.NewHandle()
-	for {
-		v, err := getV()
-		if err != nil {
-			return fmt.Errorf("livegraph: delta truncated: %w", err)
-		}
-		if v < 0 {
-			return nil
-		}
-		flags, err := getV()
-		if err != nil {
-			return err
-		}
-		dl, err := getV()
-		if err != nil {
-			return err
-		}
-		data := make([]byte, dl)
-		if _, err := io.ReadFull(r, data); err != nil {
-			return err
-		}
-		// Full per-vertex replacement: drop whatever the base or an
-		// earlier delta built for v. During recovery each TEL owns its
-		// block outright (replayEdge frees superseded blocks eagerly), so
-		// a direct free is safe.
-		if ll := g.eindex.Get(v); ll != nil {
-			if ls := ll.entries.Load(); ls != nil {
-				for _, e := range *ls {
-					if t := e.tel.Load(); t != nil {
-						t.Prev = nil
-						h.Free(t.Block)
-					}
-				}
-			}
-			g.eindex.Set(v, nil)
-		}
-		g.vindex.Set(v, nil)
-		if flags&1 == 0 {
-			g.vindex.Set(v, &vertexVersion{ts: epoch, data: data})
-		}
-		nl, err := getV()
-		if err != nil {
-			return err
-		}
-		for li := int64(0); li < nl; li++ {
-			label, err := getV()
-			if err != nil {
-				return err
-			}
-			ne, err := getV()
-			if err != nil {
-				return err
-			}
-			for ei := int64(0); ei < ne; ei++ {
-				dst, err := getV()
-				if err != nil {
-					return err
-				}
-				pl, err := getV()
-				if err != nil {
-					return err
-				}
-				props := make([]byte, pl)
-				if _, err := io.ReadFull(r, props); err != nil {
-					return err
-				}
-				g.replayEdge(h, opInsertEdge, VertexID(v), Label(label), VertexID(dst), props, epoch, false)
-			}
-		}
-	}
+	return g.writeCkptFile(path, deltaMagic, []int64{baseEpoch, prevEpoch, epoch, nv}, "delta-tmp", snap, ids)
 }
 
 // pruneCheckpointFiles removes every ckpt-* file (snapshots and deltas)
 // the given meta does not reference. Used after a successful checkpoint
 // and by recovery's sweep: a crash between a file landing durably and the
 // meta swap — or mid-prune — leaves unreferenced files behind, and a
-// later checkpoint at the same epoch must not collide with them. Remove
-// failures are counted (ckpt_prune_errors), never silently dropped: the
-// files are superseded garbage, but a disk that refuses unlinks is
-// something an operator needs to see.
+// later checkpoint at the same epoch must not collide with them.
 func (g *Graph) pruneCheckpointFiles(baseName string, deltaEpochs []int64) {
 	keep := map[string]bool{}
 	if baseName != "" {
@@ -299,10 +121,19 @@ func (g *Graph) pruneCheckpointFiles(baseName string, deltaEpochs []int64) {
 			if keep[filepath.Base(m)] {
 				continue
 			}
-			if err := g.opts.Backend.Remove(m); err != nil {
-				g.ckptStats.PruneErrors.Add(1)
-				g.notePruneError(m, err)
-			}
+			g.pruneFile(m)
 		}
+	}
+}
+
+// pruneFile removes one superseded file. A failure is counted
+// (ckpt_prune_errors) and logged with the path that refused to go away,
+// never silently dropped: the file is garbage, but a disk that refuses
+// unlinks is something an operator reading /v1/traces?slow=1 needs to see.
+func (g *Graph) pruneFile(path string) {
+	if err := g.opts.Backend.Remove(path); err != nil {
+		g.ckptStats.PruneErrors.Add(1)
+		g.ob.tracer.ErrorOp("ckpt.prune",
+			obs.String("path", path), obs.String("error", err.Error()))
 	}
 }

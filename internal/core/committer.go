@@ -35,6 +35,9 @@ type committer struct {
 	queue []*Tx
 }
 
+// maxGroupCommit caps how many transactions one WAL fsync may cover.
+const maxGroupCommit = 256
+
 func newCommitter(g *Graph) *committer {
 	return &committer{g: g}
 }
@@ -52,7 +55,7 @@ func (c *committer) submit(tx *Tx) {
 	// The group size is naturally bounded by the number of worker slots,
 	// so the leader drains the whole queue (every drained transaction's
 	// goroutine finds its result ready when it gets the lock). A drain
-	// larger than MaxGroupCommit is committed in chunks, capping how many
+	// larger than maxGroupCommit is committed in chunks, capping how many
 	// transactions one fsync covers.
 	c.mu.Lock()
 	c.qmu.Lock()
@@ -61,8 +64,8 @@ func (c *committer) submit(tx *Tx) {
 	c.qmu.Unlock()
 	for len(batch) > 0 {
 		n := len(batch)
-		if m := c.g.opts.MaxGroupCommit; n > m {
-			n = m
+		if n > maxGroupCommit {
+			n = maxGroupCommit
 		}
 		c.commitGroup(batch[:n])
 		batch = batch[n:]
@@ -91,17 +94,12 @@ func (c *committer) commitGroup(batch []*Tx) {
 
 	// Observability: one sampled span per group with persist/apply stage
 	// children, the apply-phase histogram, and slow-op capture for
-	// unsampled groups. All of it degrades to a nil check when disabled.
+	// unsampled groups.
 	o := g.ob
 	//lglint:ignore ctxprop trace-root only: group commit runs on behalf of many callers, no single deadline applies and nothing blocks on this context
-	gctx := context.Background()
-	var gsp *obs.Span
-	var t0 time.Time
-	if o != nil {
-		gctx, gsp = o.tracer.StartSpan(gctx, "commit.group")
-		gsp.SetAttr(obs.Int("txs", int64(len(batch))))
-		t0 = time.Now()
-	}
+	gctx, gsp := o.tracer.StartSpan(context.Background(), "commit.group")
+	gsp.SetAttr(obs.Int("txs", int64(len(batch))))
+	t0 := time.Now()
 
 	// Persist phase: advance GWE, write the group's records as one frame
 	// and fsync it.
@@ -132,18 +130,13 @@ func (c *committer) commitGroup(batch []*Tx) {
 
 	// Apply phase, per member: publish tails and vertex versions, flip
 	// private timestamps, release locks.
-	var applyStart time.Time
-	if o != nil {
-		applyStart = time.Now()
-	}
+	applyStart := time.Now()
 	_, asp := obs.StartSpan(gctx, "commit.apply")
 	for _, tx := range batch {
 		c.apply(tx, twe)
 	}
 	asp.End()
-	if o != nil {
-		o.commitApply.Record(time.Since(applyStart))
-	}
+	o.commitApply.Record(time.Since(applyStart))
 
 	// The whole group has applied: expose it to future transactions.
 	g.epochs.PublishRead(twe)
@@ -153,7 +146,7 @@ func (c *committer) commitGroup(batch []*Tx) {
 	}
 	gsp.SetAttr(obs.Int("epoch", twe))
 	gsp.End()
-	if o != nil && gsp == nil {
+	if gsp == nil {
 		// Unsampled groups still surface in the slow-op log.
 		o.tracer.SlowOp("commit.group", time.Since(t0),
 			obs.Int("txs", int64(len(batch))), obs.Int("epoch", twe))

@@ -48,6 +48,13 @@ var (
 	// the transaction definitively did not commit. Check with
 	// errors.Is(err, ErrCommitOutcomeUnknown).
 	ErrCommitOutcomeUnknown = errors.New("livegraph: commit outcome unknown")
+
+	// ErrCheckpointDamaged wraps what Open returns when a checkpoint file
+	// the CHECKPOINT meta references breaks a rule its writer guarantees:
+	// it ends early, a length or count is negative or larger than the rest
+	// of the file, or record IDs do not ascend below the header's
+	// nextVertexID.
+	ErrCheckpointDamaged = errors.New("livegraph: damaged checkpoint file")
 )
 
 // IsRetryable reports whether err indicates a transient abort (conflict or

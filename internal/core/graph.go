@@ -15,7 +15,6 @@ import (
 	"livegraph/internal/disk"
 	"livegraph/internal/iosim"
 	"livegraph/internal/maint"
-	"livegraph/internal/metrics"
 	"livegraph/internal/mvcc"
 	"livegraph/internal/obs"
 	"livegraph/internal/storage"
@@ -76,14 +75,6 @@ type Options struct {
 	// block access is charged through the cache.
 	PageCache *iosim.PageCache
 
-	// SmallClassMax is the allocator's per-thread free-list threshold m.
-	// Zero selects the default.
-	SmallClassMax int
-
-	// MaxGroupCommit caps how many transactions one WAL fsync may cover.
-	// Defaults to 256.
-	MaxGroupCommit int
-
 	// Ckpt tunes the incremental checkpointer (delta snapshots riding
 	// the checkpoint-scoped dirty journal). The zero value selects the
 	// defaults; Ckpt.DisableDelta forces every checkpoint full.
@@ -114,8 +105,8 @@ type Options struct {
 	HistoryRetention int64
 
 	// Obs configures the observability layer: the instrument registry,
-	// latency histograms, trace sampling and the slow-op log. The zero
-	// value enables everything at default rates.
+	// trace sampling and the slow-op log. The zero value selects the
+	// default rates.
 	Obs ObsOptions
 }
 
@@ -134,9 +125,6 @@ func (o *Options) fill() {
 	}
 	if o.LockTimeout <= 0 {
 		o.LockTimeout = 50 * time.Millisecond
-	}
-	if o.MaxGroupCommit <= 0 {
-		o.MaxGroupCommit = 256
 	}
 	o.Ckpt.fill()
 }
@@ -250,7 +238,7 @@ type Graph struct {
 	writeTxns    atomic.Int64
 	dirty        *maint.DirtySet
 	maintSched   *maint.Scheduler
-	maintStats   metrics.MaintStats
+	maintStats   maint.Stats
 	maintHandles []*storage.Handle
 	maintWorkers int
 	maintBuf     []maint.Dirty
@@ -280,14 +268,13 @@ type Graph struct {
 	ckptDirty  *maint.DirtySet
 	ckptBase   int64
 	ckptDeltas []int64
-	ckptStats  metrics.CkptStats
+	ckptStats  CkptStats
 
 	stats  GraphStats
 	closed atomic.Bool
 
-	// Observability: obsReg is the scrape surface (always non-nil after
-	// Open); ob carries the hot-path instruments and tracer, nil when
-	// Obs.Disable turned them off.
+	// Observability: obsReg is the scrape surface and ob the hot-path
+	// instruments and tracer; both are set by Open.
 	obsReg   *obs.Registry
 	ob       *graphObs
 	obsStart time.Time
@@ -308,7 +295,7 @@ func Open(opts Options) (*Graph, error) {
 	opts.fill()
 	g := &Graph{
 		opts:      opts,
-		alloc:     storage.NewAllocator(opts.SmallClassMax),
+		alloc:     storage.NewAllocator(storage.DefaultSmallClassMax),
 		readers:   mvcc.NewReaderTable(opts.Workers),
 		locks:     mvcc.NewLockTable(1 << 16),
 		dirty:     maint.NewDirtySet(0),
@@ -498,7 +485,7 @@ func (g *Graph) markCkptDirty(v VertexID) {
 
 // CkptStats returns a live view of the incremental checkpointer's
 // counters.
-func (g *Graph) CkptStats() *metrics.CkptStats { return &g.ckptStats }
+func (g *Graph) CkptStats() *CkptStats { return &g.ckptStats }
 
 // DirtySinceCheckpoint reports how many vertex dirtyings have happened
 // since the last completed checkpoint — the eligibility gauge for
@@ -524,17 +511,12 @@ func (g *Graph) acquireSlotCtx(ctx context.Context) (int, error) {
 		return s, nil
 	default:
 	}
-	var t0 time.Time
-	if g.ob != nil {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	select {
 	case s := <-g.slots:
-		if o := g.ob; o != nil {
-			wait := time.Since(t0)
-			o.slotWait.Record(wait)
-			o.tracer.SlowOp("core.slot_wait", wait)
-		}
+		wait := time.Since(t0)
+		g.ob.slotWait.Record(wait)
+		g.ob.tracer.SlowOp("core.slot_wait", wait)
 		return s, nil
 	case <-ctx.Done():
 		return 0, ctx.Err()

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"livegraph/internal/maint"
-	"livegraph/internal/metrics"
 	"livegraph/internal/morsel"
 	"livegraph/internal/obs"
 )
@@ -68,7 +67,7 @@ const maintMorselSize = 16
 
 // MaintStats returns the live maintenance counters (passes, slices,
 // entries scanned/copied/dead, bytes reclaimed, pass durations).
-func (g *Graph) MaintStats() *metrics.MaintStats { return &g.maintStats }
+func (g *Graph) MaintStats() *maint.Stats { return &g.maintStats }
 
 // MaintPressure returns the current maintenance backlog: dirty vertices
 // awaiting compaction and the accumulated dead-bytes estimate. Zeroes
@@ -89,22 +88,16 @@ func (r maintRunner) MaintPressure() (int64, int64) { return r.g.MaintPressure()
 // the deadline actually cut the slice short.
 func (r maintRunner) MaintSlice(maxVertices int, deadline time.Time) (processed int, cut, more bool) {
 	g := r.g
-	o := g.ob
-	var t0 time.Time
-	if o != nil {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	g.maintBuf = g.dirty.Drain(maxVertices, g.maintBuf[:0])
 	chunk := g.maintBuf
 	if len(chunk) > 0 {
 		processed = g.compactChunk(chunk, deadline)
 	}
-	if o != nil {
-		d := time.Since(t0)
-		o.maintSlice.Record(d)
-		o.tracer.SlowOp("maint.slice", d,
-			obs.Int("drained", int64(len(chunk))), obs.Int("processed", int64(processed)))
-	}
+	d := time.Since(t0)
+	g.ob.maintSlice.Record(d)
+	g.ob.tracer.SlowOp("maint.slice", d,
+		obs.Int("drained", int64(len(chunk))), obs.Int("processed", int64(processed)))
 	return processed, processed < len(chunk), g.dirty.Len() > 0
 }
 
@@ -171,7 +164,7 @@ type compactCounts struct {
 	vertices, scanned, copied, dead, pruned int64
 }
 
-func (c *compactCounts) flush(s *metrics.MaintStats) {
+func (c *compactCounts) flush(s *maint.Stats) {
 	if c.vertices == 0 {
 		return
 	}

@@ -26,22 +26,27 @@ type ObsOptions struct {
 	// SlowOpThreshold: operations at or above this duration are captured
 	// in the slow-op log with their span tree even when unsampled. 0
 	// selects the default (100ms); negative disables slow-op capture.
+	// The recent-trace ring holds obs.TracerOptions' default, 256 traces.
 	SlowOpThreshold time.Duration
-
-	// TraceRing bounds the recent-trace ring buffer (default 256).
-	TraceRing int
-
-	// Disable turns off the hot-path instruments (latency histograms and
-	// tracing spans) while keeping the registry's scrape-time gauges, so
-	// /metrics and /v1/stats still work. Used by lgbench's obs overhead
-	// sweep as the baseline.
-	Disable bool
 }
 
-// graphObs bundles the graph's hot-path instruments. A nil *graphObs
-// (Obs.Disable) turns every recording site into a cheap branch; the
-// histograms and tracer are individually nil-safe too, so call sites
-// never need more than `if o := g.ob; o != nil`.
+// CkptStats tracks the incremental checkpointer; Checkpoint writes it and
+// initObs registers it as the lg_ckpt_* instruments. All fields are
+// atomic; the zero value is ready.
+type CkptStats struct {
+	Fulls  atomic.Int64 // full (base/rebase) snapshots written
+	Deltas atomic.Int64 // delta checkpoints written
+
+	LastNanos atomic.Int64 // wall time of the most recent checkpoint
+	LastBytes atomic.Int64 // bytes the most recent checkpoint streamed
+	ChainLen  atomic.Int64 // delta-chain length behind the current base
+
+	PruneErrors atomic.Int64 // Backend.Remove failures while pruning (segments, snapshots, deltas)
+}
+
+// graphObs bundles the graph's hot-path instruments; every graph has one.
+// The tracer is nil when TraceSampleRate is negative, and a nil tracer is
+// inert, so recording sites never branch on it.
 type graphObs struct {
 	tracer *obs.Tracer
 
@@ -62,20 +67,7 @@ type graphObs struct {
 // opened WAL segment (Open and checkpoint rotation), so the commit
 // pipeline's write and fsync-barrier phases are timed separately.
 func (g *Graph) instrumentWAL(l *wal.Log) {
-	if o := g.ob; o != nil {
-		l.Instrument(o.walAppend, o.walFsync)
-	}
-}
-
-// notePruneError surfaces a checkpoint-prune unlink failure in the
-// slow-op/trace log with the path that refused to go away, so an operator
-// reading /v1/traces?slow=1 sees *which* file, not just the
-// lg_ckpt_prune_errors_total tick.
-func (g *Graph) notePruneError(path string, err error) {
-	if o := g.ob; o != nil {
-		o.tracer.ErrorOp("ckpt.prune",
-			obs.String("path", path), obs.String("error", err.Error()))
-	}
+	l.Instrument(g.ob.walAppend, g.ob.walFsync)
 }
 
 // Obs returns the graph's instrument registry (never nil). All engine
@@ -84,14 +76,8 @@ func (g *Graph) notePruneError(path string, err error) {
 func (g *Graph) Obs() *obs.Registry { return g.obsReg }
 
 // Tracer returns the graph's span tracer, or nil when tracing is
-// disabled (Obs.Disable or a negative TraceSampleRate). A nil tracer is
-// safe to call.
-func (g *Graph) Tracer() *obs.Tracer {
-	if g.ob == nil {
-		return nil
-	}
-	return g.ob.tracer
-}
+// disabled (a negative TraceSampleRate). A nil tracer is safe to call.
+func (g *Graph) Tracer() *obs.Tracer { return g.ob.tracer }
 
 // initObs builds the registry, hot-path instruments and scrape-time
 // gauges. Called once from Open before any commits.
@@ -103,28 +89,24 @@ func (g *Graph) initObs() {
 	}
 	r := g.obsReg
 
-	if !g.opts.Obs.Disable {
-		ob := &graphObs{
-			commitLatency: r.Histogram("lg_commit_latency_seconds", "transaction commit latency: submit to durable+applied"),
-			slotWait:      r.Histogram("lg_commit_slot_wait_seconds", "worker-slot acquisition waits (blocking acquisitions only)"),
-			walAppend:     r.Histogram("lg_wal_append_seconds", "commit group WAL batch write phase"),
-			walFsync:      r.Histogram("lg_wal_fsync_seconds", "commit group fsync barrier"),
-			commitApply:   r.Histogram("lg_commit_apply_seconds", "commit group in-memory apply phase"),
-			travRun:       r.Histogram("lg_traversal_seconds", "whole traversal executions"),
-			travHop:       r.Histogram("lg_traversal_hop_seconds", "single traversal hop expansions"),
-			ckptFull:      r.Histogram("lg_ckpt_full_seconds", "full checkpoint wall time"),
-			ckptDelta:     r.Histogram("lg_ckpt_delta_seconds", "delta checkpoint wall time"),
-			maintSlice:    r.Histogram("lg_maint_slice_seconds", "budgeted maintenance slice wall time"),
-			replApply:     r.Histogram("lg_repl_apply_seconds", "replication ApplyEpoch wall time"),
-		}
-		if g.opts.Obs.TraceSampleRate >= 0 {
-			ob.tracer = obs.NewTracer(obs.TracerOptions{
-				SampleRate:      g.opts.Obs.TraceSampleRate,
-				SlowOpThreshold: g.opts.Obs.SlowOpThreshold,
-				RingSize:        g.opts.Obs.TraceRing,
-			})
-		}
-		g.ob = ob
+	g.ob = &graphObs{
+		commitLatency: r.Histogram("lg_commit_latency_seconds", "transaction commit latency: submit to durable+applied"),
+		slotWait:      r.Histogram("lg_commit_slot_wait_seconds", "worker-slot acquisition waits (blocking acquisitions only)"),
+		walAppend:     r.Histogram("lg_wal_append_seconds", "commit group WAL batch write phase"),
+		walFsync:      r.Histogram("lg_wal_fsync_seconds", "commit group fsync barrier"),
+		commitApply:   r.Histogram("lg_commit_apply_seconds", "commit group in-memory apply phase"),
+		travRun:       r.Histogram("lg_traversal_seconds", "whole traversal executions"),
+		travHop:       r.Histogram("lg_traversal_hop_seconds", "single traversal hop expansions"),
+		ckptFull:      r.Histogram("lg_ckpt_full_seconds", "full checkpoint wall time"),
+		ckptDelta:     r.Histogram("lg_ckpt_delta_seconds", "delta checkpoint wall time"),
+		maintSlice:    r.Histogram("lg_maint_slice_seconds", "budgeted maintenance slice wall time"),
+		replApply:     r.Histogram("lg_repl_apply_seconds", "replication ApplyEpoch wall time"),
+	}
+	if g.opts.Obs.TraceSampleRate >= 0 {
+		g.ob.tracer = obs.NewTracer(obs.TracerOptions{
+			SampleRate:      g.opts.Obs.TraceSampleRate,
+			SlowOpThreshold: g.opts.Obs.SlowOpThreshold,
+		})
 	}
 
 	ctr := func(name, help string, v *atomic.Int64) {
@@ -147,27 +129,14 @@ func (g *Graph) initObs() {
 	r.CounterFunc("lg_wal_appended_bytes_total", "bytes appended to the WAL across rotations",
 		func() float64 { return float64(g.WALAppendedBytes()) })
 
-	// Maintenance engine (MaintStats).
-	ctr("lg_maint_passes_total", "maintenance passes completed", &g.maintStats.Passes)
-	ctr("lg_maint_slices_total", "budgeted maintenance slices executed", &g.maintStats.Slices)
-	ctr("lg_maint_slices_yielded_total", "slices that hit their budget and yielded", &g.maintStats.SlicesYielded)
-	ctr("lg_maint_vertices_compacted_total", "dirty vertices compacted", &g.maintStats.VerticesCompacted)
-	ctr("lg_maint_entries_scanned_total", "TEL entries examined by maintenance", &g.maintStats.EntriesScanned)
-	ctr("lg_maint_entries_copied_total", "entries copied into right-sized blocks", &g.maintStats.EntriesCopied)
-	ctr("lg_maint_entries_dead_total", "entries dropped as invisible to every reader", &g.maintStats.EntriesDead)
-	ctr("lg_maint_versions_pruned_total", "vertex versions cut from version chains", &g.maintStats.VersionsPruned)
-	ctr("lg_maint_blocks_reclaimed_total", "deferred blocks recycled past pinned snapshots", &g.maintStats.BlocksReclaimed)
-	ctr("lg_maint_bytes_reclaimed_total", "bytes returned to the free lists", &g.maintStats.BytesReclaimed)
-	r.CounterFunc("lg_maint_pass_seconds_total", "wall time spent inside maintenance passes",
-		func() float64 { return float64(g.maintStats.PassNanos.Load()) / 1e9 })
-	gauge("lg_maint_last_pass_seconds", "duration of the most recent maintenance pass",
-		func() float64 { return float64(g.maintStats.LastPassNanos.Load()) / 1e9 })
+	// Maintenance engine: its own counters, then the engine-side backlog.
+	g.maintStats.Register(r)
 	gauge("lg_maint_dirty_pending", "vertices waiting in the maintenance dirty set",
 		func() float64 { d, _ := g.MaintPressure(); return float64(d) })
 	gauge("lg_maint_dead_bytes_est", "estimated dead bytes awaiting compaction",
 		func() float64 { _, d := g.MaintPressure(); return float64(d) })
 
-	// Incremental checkpointer (CkptStats).
+	// Incremental checkpointer.
 	ctr("lg_ckpt_fulls_total", "full (base/rebase) snapshots written", &g.ckptStats.Fulls)
 	ctr("lg_ckpt_deltas_total", "delta checkpoints written", &g.ckptStats.Deltas)
 	ctr("lg_ckpt_prune_errors_total", "Backend.Remove failures while pruning", &g.ckptStats.PruneErrors)

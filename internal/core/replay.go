@@ -27,9 +27,7 @@ func (g *Graph) recover() error {
 	for _, pat := range []string{"ckpt-*.snap.tmp", "ckpt-*.delta.tmp", "CHECKPOINT.tmp"} {
 		if strays, err := filepath.Glob(filepath.Join(g.opts.Dir, pat)); err == nil {
 			for _, s := range strays {
-				if err := g.opts.Backend.Remove(s); err != nil {
-					g.ckptStats.PruneErrors.Add(1)
-				}
+				g.pruneFile(s)
 			}
 		}
 	}
@@ -43,12 +41,12 @@ func (g *Graph) recover() error {
 		// replaces its vertices' state, so after the last one the graph is
 		// exactly the state at meta.Epoch. The chain links (base epoch +
 		// predecessor epoch recorded in every delta) are verified on load.
-		if err := g.loadCheckpoint(filepath.Join(g.opts.Dir, meta.Path), meta.BaseEpoch); err != nil {
+		if err := g.loadCkptFile(filepath.Join(g.opts.Dir, meta.Path), ckptMagic, meta.BaseEpoch); err != nil {
 			return err
 		}
 		prev := meta.BaseEpoch
 		for _, de := range meta.DeltaEpochs {
-			if err := g.loadDelta(filepath.Join(g.opts.Dir, deltaFileName(de)), meta.BaseEpoch, prev, de); err != nil {
+			if err := g.loadCkptFile(filepath.Join(g.opts.Dir, deltaFileName(de)), deltaMagic, meta.BaseEpoch, prev, de); err != nil {
 				return err
 			}
 			prev = de

@@ -463,7 +463,7 @@ func (t *Traversal) engageParallel(frontierLen, par int, outOfCore bool, avgDeg 
 // statistics (RunExplain); it must come from t.Explain() so its Hops line
 // up with t.steps. Observability — the lg_traversal_* histograms, a
 // sampled "traverse" span with per-hop children, and slow-op capture —
-// engages when r is backed by a graph whose instruments are enabled.
+// engages when r is backed by a graph.
 func (t *Traversal) run(ctx context.Context, r Reader, ex *Explain) ([]VertexID, error) {
 	var o *graphObs
 	if gs, ok := r.(graphSource); ok {

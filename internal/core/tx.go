@@ -585,9 +585,7 @@ func (tx *Tx) Commit() error {
 		return nil
 	}
 	tx.commitRes = make(chan error, 1)
-	if tx.g.ob != nil {
-		tx.commitStart = time.Now()
-	}
+	tx.commitStart = time.Now()
 	_, sp := obs.StartSpan(tx.ctx, "tx.commit.wait")
 	tx.g.commit.submit(tx)
 	err := <-tx.commitRes
@@ -628,9 +626,7 @@ func (tx *Tx) CommitCtx(ctx context.Context) error {
 		return err
 	}
 	tx.commitRes = make(chan error, 1)
-	if tx.g.ob != nil {
-		tx.commitStart = time.Now()
-	}
+	tx.commitStart = time.Now()
 	// submit blocks competing for group leadership, so it runs in a helper
 	// goroutine; the caller's goroutine stays free to observe ctx. The
 	// helper forwards the commit result (always ready once submit returns).
@@ -682,11 +678,9 @@ func (tx *Tx) settleCommit(err error) error {
 		tx.g.stats.Aborts.Add(1)
 		return err
 	}
-	if o := tx.g.ob; o != nil && !tx.commitStart.IsZero() {
-		d := time.Since(tx.commitStart)
-		o.commitLatency.Record(d)
-		o.tracer.SlowOp("tx.commit", d, obs.Int("epoch", tx.commitEpoch))
-	}
+	d := time.Since(tx.commitStart)
+	tx.g.ob.commitLatency.Record(d)
+	tx.g.ob.tracer.SlowOp("tx.commit", d, obs.Int("epoch", tx.commitEpoch))
 	tx.g.stats.Commits.Add(1)
 	tx.g.noteWriteCommitted()
 	return nil

@@ -14,7 +14,7 @@ import (
 // os.Rename without the surrounding fsyncs, is exactly the checkpoint-swap
 // bug class fixed by hand in PR 6 — so outside internal/disk those
 // functions may not be referenced at all. Deliberately non-durable output
-// (e.g. lgbench -json) uses //lglint:ignore durablefs <reason>.
+// (e.g. the benchmark's result files) uses //lglint:ignore durablefs <reason>.
 var Durablefs = &analysis.Analyzer{
 	Name: "durablefs",
 	Doc: `forbid raw os file mutation outside internal/disk

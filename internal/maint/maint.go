@@ -25,10 +25,55 @@ package maint
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"livegraph/internal/metrics"
+	"livegraph/internal/obs"
 )
+
+// Stats tracks the maintenance engine (budgeted, morsel-parallel
+// compaction + epoch-based reclamation): the scheduler counts passes and
+// slices, the engine's compaction slices count what they moved, and
+// /metrics and /v1/stats read both through Register. All fields are
+// atomic; the zero value is ready.
+type Stats struct {
+	Passes        atomic.Int64 // maintenance passes completed (dirty set drained)
+	Slices        atomic.Int64 // budgeted slices executed
+	SlicesYielded atomic.Int64 // slices that hit their time budget and yielded work back
+
+	VerticesCompacted atomic.Int64 // dirty vertices compacted
+	EntriesScanned    atomic.Int64 // TEL entries examined
+	EntriesCopied     atomic.Int64 // entries copied into right-sized blocks
+	EntriesDead       atomic.Int64 // entries dropped as invisible to every reader
+	VersionsPruned    atomic.Int64 // vertex versions cut from version chains
+
+	BlocksReclaimed atomic.Int64 // deferred blocks recycled past pinned snapshots
+	BytesReclaimed  atomic.Int64 // bytes those blocks returned to the free lists
+
+	PassNanos     atomic.Int64 // total wall time spent inside passes
+	LastPassNanos atomic.Int64 // duration of the most recent pass
+}
+
+// Register exposes the counters as the lg_maint_* instruments of r.
+func (s *Stats) Register(r *obs.Registry) {
+	ctr := func(name, help string, v *atomic.Int64) {
+		r.CounterFunc(name, help, func() float64 { return float64(v.Load()) })
+	}
+	ctr("lg_maint_passes_total", "maintenance passes completed", &s.Passes)
+	ctr("lg_maint_slices_total", "budgeted maintenance slices executed", &s.Slices)
+	ctr("lg_maint_slices_yielded_total", "slices that hit their budget and yielded", &s.SlicesYielded)
+	ctr("lg_maint_vertices_compacted_total", "dirty vertices compacted", &s.VerticesCompacted)
+	ctr("lg_maint_entries_scanned_total", "TEL entries examined by maintenance", &s.EntriesScanned)
+	ctr("lg_maint_entries_copied_total", "entries copied into right-sized blocks", &s.EntriesCopied)
+	ctr("lg_maint_entries_dead_total", "entries dropped as invisible to every reader", &s.EntriesDead)
+	ctr("lg_maint_versions_pruned_total", "vertex versions cut from version chains", &s.VersionsPruned)
+	ctr("lg_maint_blocks_reclaimed_total", "deferred blocks recycled past pinned snapshots", &s.BlocksReclaimed)
+	ctr("lg_maint_bytes_reclaimed_total", "bytes returned to the free lists", &s.BytesReclaimed)
+	r.CounterFunc("lg_maint_pass_seconds_total", "wall time spent inside maintenance passes",
+		func() float64 { return float64(s.PassNanos.Load()) / 1e9 })
+	r.GaugeFunc("lg_maint_last_pass_seconds", "duration of the most recent maintenance pass",
+		func() float64 { return float64(s.LastPassNanos.Load()) / 1e9 })
+}
 
 // Config tunes the scheduler. The zero value selects the defaults.
 type Config struct {
@@ -125,7 +170,7 @@ type Runner interface {
 type Scheduler struct {
 	cfg   Config
 	r     Runner
-	stats *metrics.MaintStats
+	stats *Stats
 
 	wake chan struct{}      // coalesced "pressure may have crossed a trigger"
 	reqs chan chan struct{} // synchronous pass requests (RunPass)
@@ -137,7 +182,7 @@ type Scheduler struct {
 
 // New creates a scheduler over r recording into stats (which must be
 // non-nil). Call Start to launch it.
-func New(cfg Config, r Runner, stats *metrics.MaintStats) *Scheduler {
+func New(cfg Config, r Runner, stats *Stats) *Scheduler {
 	cfg.fill()
 	return &Scheduler{
 		cfg:   cfg,

@@ -5,8 +5,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"livegraph/internal/metrics"
 )
 
 func TestDirtySetMarkDrain(t *testing.T) {
@@ -146,9 +144,9 @@ func (r *fakeRunner) MaintPressure() (int64, int64) {
 	return r.backlog.Load(), r.dead.Load()
 }
 
-func startSched(t *testing.T, cfg Config, r Runner) (*Scheduler, *metrics.MaintStats) {
+func startSched(t *testing.T, cfg Config, r Runner) (*Scheduler, *Stats) {
 	t.Helper()
-	var stats metrics.MaintStats
+	var stats Stats
 	s := New(cfg, r, &stats)
 	s.Start()
 	t.Cleanup(s.Close)
@@ -244,7 +242,7 @@ func TestRunPassDrainsAndMerges(t *testing.T) {
 
 func TestSchedulerCloseStopsAndUnblocks(t *testing.T) {
 	r := &fakeRunner{t: t}
-	var stats metrics.MaintStats
+	var stats Stats
 	s := New(Config{Interval: time.Hour}, r, &stats)
 	s.Start()
 	s.Close()

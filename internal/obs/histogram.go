@@ -8,9 +8,10 @@ import (
 	"time"
 )
 
-// Histogram bucketing mirrors internal/metrics: 64 major power-of-two
-// scales of 16 minor buckets each, spanning 1ns to centuries with <7%
-// quantile error. On top of that the buckets are lock-striped: Record
+// Histogram bucketing is log-linear: 64 major power-of-two scales of 16
+// minor buckets each, spanning 1ns to centuries with <7% quantile error
+// — plenty for the paper's mean/p99/p999 tables, which the workload
+// drivers record into the same type. The buckets are lock-striped: Record
 // picks a stripe with the runtime's per-P fast random source, so
 // concurrent recorders on different cores rarely contend on the same
 // cache lines. Snapshot folds the stripes together.
@@ -79,6 +80,17 @@ func (h *Histogram) Record(d time.Duration) {
 	s.sum.Add(ns)
 }
 
+// Count returns the number of samples recorded so far.
+func (h *Histogram) Count() int64 {
+	var n uint64
+	if h != nil {
+		for i := range h.stripes {
+			n += h.stripes[i].count.Load()
+		}
+	}
+	return int64(n)
+}
+
 // HistSnapshot is a point-in-time copy of a histogram, mergeable with
 // other snapshots (e.g. across shards or scrape windows).
 type HistSnapshot struct {
@@ -117,8 +129,8 @@ func (s *HistSnapshot) Merge(o HistSnapshot) {
 	s.SumNs += o.SumNs
 }
 
-// Quantile returns the q-quantile (0 < q <= 1) as a duration, using each
-// bucket's lower bound like internal/metrics does.
+// Quantile returns the q-quantile (0 < q <= 1) as a duration: the lower
+// bound of the bucket holding it.
 func (s *HistSnapshot) Quantile(q float64) time.Duration {
 	if s.Count == 0 {
 		return 0

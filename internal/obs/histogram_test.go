@@ -86,3 +86,38 @@ func TestHistogramNilSafe(t *testing.T) {
 		t.Fatalf("nil histogram snapshot not empty: %+v", s)
 	}
 }
+
+func TestHistogramMean(t *testing.T) {
+	h := NewHistogram()
+	h.Record(100 * time.Microsecond)
+	h.Record(300 * time.Microsecond)
+	s := h.Snapshot()
+	if got := s.Mean(); got != 200*time.Microsecond {
+		t.Fatalf("mean %v", got)
+	}
+	if h.Count() != 2 || s.Count != 2 {
+		t.Fatalf("count %d, snapshot count %d", h.Count(), s.Count)
+	}
+}
+
+func TestHistogramEmptyIsZero(t *testing.T) {
+	h := NewHistogram()
+	s := h.Snapshot()
+	if s.Mean() != 0 || s.Quantile(0.99) != 0 || h.Count() != 0 {
+		t.Fatal("empty histogram not zero")
+	}
+}
+
+func TestBucketMonotone(t *testing.T) {
+	prev := -1
+	for ns := uint64(1); ns < uint64(10*time.Second); ns *= 3 {
+		b := histIndex(ns)
+		if b < prev {
+			t.Fatalf("bucket not monotone at %dns: %d < %d", ns, b, prev)
+		}
+		if lo := histLower(b); lo > ns {
+			t.Fatalf("bucket %d lower bound %d above its sample %d", b, lo, ns)
+		}
+		prev = b
+	}
+}

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"livegraph/internal/core"
-	"livegraph/internal/metrics"
 )
 
 // ErrResyncRequired is returned by Applier.Run when the primary can no
@@ -36,8 +35,8 @@ type Applier struct {
 	// global timeout would kill healthy long-lived streams.
 	HC *http.Client
 
-	// Stats tracks apply progress and lag (shared with /v1/stats).
-	Stats *metrics.ReplStats
+	// Stats tracks apply progress and lag.
+	Stats *Stats
 
 	// ReconnectBase/ReconnectMax bound the exponential backoff between
 	// stream reconnects. Defaults 50ms / 2s.
@@ -46,17 +45,20 @@ type Applier struct {
 
 // NewApplier builds an applier replicating primary into g, and marks g a
 // follower immediately so writes are rejected from the moment the replica
-// exists, not from its first applied group.
+// exists, not from its first applied group. Its counters are registered
+// in the graph's instrument registry.
 func NewApplier(g *core.Graph, primary string) *Applier {
 	g.SetFollower(true)
-	return &Applier{
+	a := &Applier{
 		G:             g,
 		Primary:       primary,
 		HC:            &http.Client{},
-		Stats:         &metrics.ReplStats{},
+		Stats:         &Stats{},
 		ReconnectBase: 50 * time.Millisecond,
 		ReconnectMax:  2 * time.Second,
 	}
+	a.Stats.registerApplier(g.Obs())
+	return a
 }
 
 // Run streams and applies until ctx is cancelled, reconnecting with

@@ -31,7 +31,7 @@
 // not a reconnect.
 //
 // Staleness is bounded, not hidden: both sides track lag in epochs and
-// bytes (metrics.ReplStats, surfaced in /v1/stats), and the HTTP client
+// bytes (Stats, surfaced in /metrics and /v1/stats), and the HTTP client
 // routes reads needing fresher data than a replica can prove it has back
 // to the primary (the X-Livegraph-Min-Epoch precondition).
 package repl
@@ -41,7 +41,77 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sync/atomic"
+
+	"livegraph/internal/obs"
 )
+
+// Stats tracks WAL-shipping replication progress. All fields are atomic
+// counters or gauges; the zero value is ready to use.
+//
+// On the primary the Streamed* fields count what left over replication
+// streams; on a replica the Applied*/SourceEpoch fields track how far the
+// applier has caught up to the primary's durable epoch. NewShipper and
+// NewApplier register their half as lg_repl_* instruments of the graph's
+// registry, which is where /metrics and /v1/stats read them.
+type Stats struct {
+	StreamsOpen    atomic.Int64 // primary: replication streams currently open
+	StreamedGroups atomic.Int64 // primary: commit groups shipped
+	StreamedBytes  atomic.Int64 // primary: frame bytes shipped
+
+	AppliedGroups atomic.Int64 // replica: commit groups applied
+	AppliedBytes  atomic.Int64 // replica: frame bytes applied
+	AppliedEpoch  atomic.Int64 // replica: newest epoch applied
+	SourceEpoch   atomic.Int64 // replica: primary's durable epoch, as last heard
+	Reconnects    atomic.Int64 // replica: stream reconnect attempts
+}
+
+// ObserveSourceEpoch folds a primary-epoch observation into SourceEpoch
+// (monotonic: stream frames and heartbeats may interleave out of order
+// across reconnects).
+func (r *Stats) ObserveSourceEpoch(e int64) {
+	for {
+		cur := r.SourceEpoch.Load()
+		if e <= cur || r.SourceEpoch.CompareAndSwap(cur, e) {
+			return
+		}
+	}
+}
+
+// LagEpochs returns the replica's staleness in epochs — how many commit
+// groups (at most) the primary has durably committed that the replica has
+// not applied. 0 on a fully caught-up replica.
+func (r *Stats) LagEpochs() int64 {
+	lag := r.SourceEpoch.Load() - r.AppliedEpoch.Load()
+	if lag < 0 {
+		return 0
+	}
+	return lag
+}
+
+// registerShipper exposes the primary-side counters in reg.
+func (r *Stats) registerShipper(reg *obs.Registry) {
+	reg.GaugeFunc("lg_repl_streams_open", "replication streams currently connected",
+		func() float64 { return float64(r.StreamsOpen.Load()) })
+	reg.CounterFunc("lg_repl_streamed_groups_total", "commit groups shipped to replicas",
+		func() float64 { return float64(r.StreamedGroups.Load()) })
+	reg.CounterFunc("lg_repl_streamed_bytes_total", "bytes shipped to replicas (frames incl. heartbeats)",
+		func() float64 { return float64(r.StreamedBytes.Load()) })
+}
+
+// registerApplier exposes the follower-side counters in reg.
+func (r *Stats) registerApplier(reg *obs.Registry) {
+	reg.GaugeFunc("lg_repl_source_epoch", "primary's durable epoch as last heard",
+		func() float64 { return float64(r.SourceEpoch.Load()) })
+	reg.GaugeFunc("lg_repl_lag_epochs", "epochs the replica trails the primary",
+		func() float64 { return float64(r.LagEpochs()) })
+	reg.CounterFunc("lg_repl_applied_groups_total", "commit groups applied from the stream",
+		func() float64 { return float64(r.AppliedGroups.Load()) })
+	reg.CounterFunc("lg_repl_applied_bytes_total", "bytes applied from the stream",
+		func() float64 { return float64(r.AppliedBytes.Load()) })
+	reg.CounterFunc("lg_repl_reconnects_total", "stream reconnections",
+		func() float64 { return float64(r.Reconnects.Load()) })
+}
 
 // frameHeaderSize is the fixed frame prefix: epoch + record count.
 const frameHeaderSize = 12

@@ -212,11 +212,14 @@ func TestReplicationHeartbeatAndLag(t *testing.T) {
 	go func() { done <- ap.Run(ctx) }()
 	waitCatchUp(t, primary, follower, 5*time.Second)
 
+	// Caught up by the stats' own account too: waitCatchUp returns once
+	// ApplyEpoch has published, a moment before the applier stores
+	// AppliedEpoch, and in that window the lag honestly reads 1.
 	deadline := time.Now().Add(5 * time.Second)
-	for ap.Stats.SourceEpoch.Load() < primary.DurableEpoch() {
+	for ap.Stats.SourceEpoch.Load() < primary.DurableEpoch() || ap.Stats.AppliedEpoch.Load() < primary.DurableEpoch() {
 		if time.Now().After(deadline) {
-			t.Fatalf("heartbeat never delivered source epoch %d (have %d)",
-				primary.DurableEpoch(), ap.Stats.SourceEpoch.Load())
+			t.Fatalf("heartbeat never delivered source epoch %d (have %d, applied %d)",
+				primary.DurableEpoch(), ap.Stats.SourceEpoch.Load(), ap.Stats.AppliedEpoch.Load())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -391,4 +394,21 @@ func TestFollowerFootprintBounded(t *testing.T) {
 	}
 	stopStream()
 	<-apDone
+}
+
+func TestReplStats(t *testing.T) {
+	var r repl.Stats
+	r.ObserveSourceEpoch(10)
+	r.ObserveSourceEpoch(7) // monotonic
+	if got := r.SourceEpoch.Load(); got != 10 {
+		t.Fatalf("SourceEpoch = %d, want 10", got)
+	}
+	r.AppliedEpoch.Store(6)
+	if got := r.LagEpochs(); got != 4 {
+		t.Fatalf("LagEpochs = %d, want 4", got)
+	}
+	r.AppliedEpoch.Store(12) // applied can lead a stale source observation
+	if got := r.LagEpochs(); got != 0 {
+		t.Fatalf("LagEpochs = %d, want 0", got)
+	}
 }

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"livegraph/internal/core"
-	"livegraph/internal/metrics"
 	"livegraph/internal/obs"
 	"livegraph/internal/wal"
 )
@@ -24,9 +23,8 @@ import (
 type Shipper struct {
 	G *core.Graph
 
-	// Stats aggregates shipping counters across all streams (shared with
-	// the server's /v1/stats).
-	Stats *metrics.ReplStats
+	// Stats aggregates shipping counters across all streams.
+	Stats *Stats
 
 	// Heartbeat is the idle-stream heartbeat interval (carries the
 	// primary's durable epoch so replicas can measure lag while no
@@ -44,9 +42,12 @@ type Shipper struct {
 	closed  bool
 }
 
-// NewShipper builds a shipper for a durable graph.
+// NewShipper builds a shipper for a durable graph and registers its
+// counters in the graph's instrument registry.
 func NewShipper(g *core.Graph) *Shipper {
-	return &Shipper{G: g, Stats: &metrics.ReplStats{}}
+	sh := &Shipper{G: g, Stats: &Stats{}}
+	sh.Stats.registerShipper(g.Obs())
+	return sh
 }
 
 // ServeStream handles GET /v1/repl/stream?after=<epoch>: it streams every

@@ -15,7 +15,6 @@ import (
 	"net/http/pprof"
 	"strings"
 
-	"livegraph/internal/metrics"
 	"livegraph/internal/obs"
 )
 
@@ -27,8 +26,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // TracesResponse is the GET /v1/traces payload.
 type TracesResponse struct {
 	Traces []obs.SpanSnapshot `json:"traces"`
-	// Enabled is false when tracing is off (Obs.Disable or a negative
-	// sample rate), distinguishing "no traces yet" from "never any".
+	// Enabled is false when tracing is off (a negative sample rate),
+	// distinguishing "no traces yet" from "never any".
 	Enabled bool `json:"enabled"`
 }
 
@@ -82,98 +81,70 @@ func (s *Server) handlePprof(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// registerShipperObs folds the primary-side replication counters into the
-// graph's registry so /metrics and /v1/stats read them like every other
-// instrument.
-func registerShipperObs(reg *obs.Registry, st *metrics.ReplStats) {
-	reg.GaugeFunc("lg_repl_streams_open", "replication streams currently connected",
-		func() float64 { return float64(st.StreamsOpen.Load()) })
-	reg.CounterFunc("lg_repl_streamed_groups_total", "commit groups shipped to replicas",
-		func() float64 { return float64(st.StreamedGroups.Load()) })
-	reg.CounterFunc("lg_repl_streamed_bytes_total", "bytes shipped to replicas (frames incl. heartbeats)",
-		func() float64 { return float64(st.StreamedBytes.Load()) })
-}
-
-// registerApplierObs folds the follower-side replication counters into
-// the replica graph's registry.
-func registerApplierObs(reg *obs.Registry, st *metrics.ReplStats) {
-	reg.GaugeFunc("lg_repl_source_epoch", "primary's durable epoch as last heard",
-		func() float64 { return float64(st.SourceEpoch.Load()) })
-	reg.GaugeFunc("lg_repl_lag_epochs", "epochs the replica trails the primary",
-		func() float64 { return float64(st.LagEpochs()) })
-	reg.CounterFunc("lg_repl_applied_groups_total", "commit groups applied from the stream",
-		func() float64 { return float64(st.AppliedGroups.Load()) })
-	reg.CounterFunc("lg_repl_applied_bytes_total", "bytes applied from the stream",
-		func() float64 { return float64(st.AppliedBytes.Load()) })
-	reg.CounterFunc("lg_repl_reconnects_total", "stream reconnections",
-		func() float64 { return float64(st.Reconnects.Load()) })
-}
-
 // statsSchemaVersion is reported as statsSchemaVersion in /v1/stats.
 // Version 2 is the registry-backed snapshot: every legacy key is intact
 // (same names, same units) plus uptimeSeconds and this version marker.
 const statsSchemaVersion = 2
 
-// statsKeys maps each legacy /v1/stats key to its canonical registry
-// instrument. scale converts the instrument's unit back to the legacy
-// one (seconds → nanos); 0 means 1.
+// statsRole says which servers report a /v1/stats key.
+type statsRole uint8
+
+const (
+	roleAlways  statsRole = iota
+	roleShipper           // a primary with a WAL to ship (Server.Shipper set)
+	roleApplier           // a follower (Server.Applier set)
+)
+
+// statsKeys is the one table behind /v1/stats: each legacy key, the
+// registry instrument it reads, the scale that converts the instrument's
+// unit back to the legacy one (seconds → nanos; 0 means 1), and which
+// servers report it.
 var statsKeys = []struct {
 	legacy string
 	inst   string
 	scale  float64
+	role   statsRole
 }{
-	{"commits", "lg_core_commits_total", 0},
-	{"aborts", "lg_core_aborts_total", 0},
-	{"compactions", "lg_core_compactions_total", 0},
-	{"upgrades", "lg_core_upgrades_total", 0},
-	{"bloomSkips", "lg_core_bloom_skips_total", 0},
-	{"vertices", "lg_core_vertices", 0},
-	{"readEpoch", "lg_core_read_epoch", 0},
-	{"allocatedBlocks", "lg_alloc_blocks", 0},
-	{"allocatedBytes", "lg_alloc_bytes", 0},
-	{"durableEpoch", "lg_core_durable_epoch", 0},
-	{"appliedEpoch", "lg_core_read_epoch", 0},
-	{"walAppendedBytes", "lg_wal_appended_bytes_total", 0},
-	{"maintPasses", "lg_maint_passes_total", 0},
-	{"maintSlices", "lg_maint_slices_total", 0},
-	{"maintSlicesYielded", "lg_maint_slices_yielded_total", 0},
-	{"maintVerticesCompacted", "lg_maint_vertices_compacted_total", 0},
-	{"maintEntriesScanned", "lg_maint_entries_scanned_total", 0},
-	{"maintEntriesCopied", "lg_maint_entries_copied_total", 0},
-	{"maintEntriesDead", "lg_maint_entries_dead_total", 0},
-	{"maintVersionsPruned", "lg_maint_versions_pruned_total", 0},
-	{"maintBlocksReclaimed", "lg_maint_blocks_reclaimed_total", 0},
-	{"maintBytesReclaimed", "lg_maint_bytes_reclaimed_total", 0},
-	{"maintPassNanos", "lg_maint_pass_seconds_total", 1e9},
-	{"maintLastPassNanos", "lg_maint_last_pass_seconds", 1e9},
-	{"maintDirtyPending", "lg_maint_dirty_pending", 0},
-	{"maintDeadBytesEst", "lg_maint_dead_bytes_est", 0},
-	{"ckptFulls", "lg_ckpt_fulls_total", 0},
-	{"ckptDeltas", "lg_ckpt_deltas_total", 0},
-	{"ckptLastNanos", "lg_ckpt_last_seconds", 1e9},
-	{"ckptLastBytes", "lg_ckpt_last_bytes", 0},
-	{"ckptChainLen", "lg_ckpt_chain_len", 0},
-	{"ckptPruneErrors", "lg_ckpt_prune_errors_total", 0},
-}
-
-var shipperStatsKeys = []struct {
-	legacy string
-	inst   string
-}{
-	{"replStreams", "lg_repl_streams_open"},
-	{"replStreamedGroups", "lg_repl_streamed_groups_total"},
-	{"replStreamedBytes", "lg_repl_streamed_bytes_total"},
-}
-
-var applierStatsKeys = []struct {
-	legacy string
-	inst   string
-}{
-	{"replSourceEpoch", "lg_repl_source_epoch"},
-	{"replLagEpochs", "lg_repl_lag_epochs"},
-	{"replAppliedGroups", "lg_repl_applied_groups_total"},
-	{"replAppliedBytes", "lg_repl_applied_bytes_total"},
-	{"replReconnects", "lg_repl_reconnects_total"},
+	{"commits", "lg_core_commits_total", 0, roleAlways},
+	{"aborts", "lg_core_aborts_total", 0, roleAlways},
+	{"compactions", "lg_core_compactions_total", 0, roleAlways},
+	{"upgrades", "lg_core_upgrades_total", 0, roleAlways},
+	{"bloomSkips", "lg_core_bloom_skips_total", 0, roleAlways},
+	{"vertices", "lg_core_vertices", 0, roleAlways},
+	{"readEpoch", "lg_core_read_epoch", 0, roleAlways},
+	{"allocatedBlocks", "lg_alloc_blocks", 0, roleAlways},
+	{"allocatedBytes", "lg_alloc_bytes", 0, roleAlways},
+	{"durableEpoch", "lg_core_durable_epoch", 0, roleAlways},
+	{"appliedEpoch", "lg_core_read_epoch", 0, roleAlways},
+	{"walAppendedBytes", "lg_wal_appended_bytes_total", 0, roleAlways},
+	{"maintPasses", "lg_maint_passes_total", 0, roleAlways},
+	{"maintSlices", "lg_maint_slices_total", 0, roleAlways},
+	{"maintSlicesYielded", "lg_maint_slices_yielded_total", 0, roleAlways},
+	{"maintVerticesCompacted", "lg_maint_vertices_compacted_total", 0, roleAlways},
+	{"maintEntriesScanned", "lg_maint_entries_scanned_total", 0, roleAlways},
+	{"maintEntriesCopied", "lg_maint_entries_copied_total", 0, roleAlways},
+	{"maintEntriesDead", "lg_maint_entries_dead_total", 0, roleAlways},
+	{"maintVersionsPruned", "lg_maint_versions_pruned_total", 0, roleAlways},
+	{"maintBlocksReclaimed", "lg_maint_blocks_reclaimed_total", 0, roleAlways},
+	{"maintBytesReclaimed", "lg_maint_bytes_reclaimed_total", 0, roleAlways},
+	{"maintPassNanos", "lg_maint_pass_seconds_total", 1e9, roleAlways},
+	{"maintLastPassNanos", "lg_maint_last_pass_seconds", 1e9, roleAlways},
+	{"maintDirtyPending", "lg_maint_dirty_pending", 0, roleAlways},
+	{"maintDeadBytesEst", "lg_maint_dead_bytes_est", 0, roleAlways},
+	{"ckptFulls", "lg_ckpt_fulls_total", 0, roleAlways},
+	{"ckptDeltas", "lg_ckpt_deltas_total", 0, roleAlways},
+	{"ckptLastNanos", "lg_ckpt_last_seconds", 1e9, roleAlways},
+	{"ckptLastBytes", "lg_ckpt_last_bytes", 0, roleAlways},
+	{"ckptChainLen", "lg_ckpt_chain_len", 0, roleAlways},
+	{"ckptPruneErrors", "lg_ckpt_prune_errors_total", 0, roleAlways},
+	{"replStreams", "lg_repl_streams_open", 0, roleShipper},
+	{"replStreamedGroups", "lg_repl_streamed_groups_total", 0, roleShipper},
+	{"replStreamedBytes", "lg_repl_streamed_bytes_total", 0, roleShipper},
+	{"replSourceEpoch", "lg_repl_source_epoch", 0, roleApplier},
+	{"replLagEpochs", "lg_repl_lag_epochs", 0, roleApplier},
+	{"replAppliedGroups", "lg_repl_applied_groups_total", 0, roleApplier},
+	{"replAppliedBytes", "lg_repl_applied_bytes_total", 0, roleApplier},
+	{"replReconnects", "lg_repl_reconnects_total", 0, roleApplier},
 }
 
 // handleStats serves the legacy flat-JSON counter dump out of one
@@ -182,13 +153,6 @@ var applierStatsKeys = []struct {
 // from exactly the instruments /metrics exposes.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	snap := s.G.Obs().Snapshot()
-	legacyInt := func(inst string, scale float64) int64 {
-		v := snap[inst].Value
-		if scale != 0 {
-			v *= scale
-		}
-		return int64(math.Round(v))
-	}
 	// uptimeSeconds is truncated to whole seconds: the legacy payload is
 	// uniformly integer-valued and existing consumers decode it as such.
 	out := map[string]any{
@@ -196,17 +160,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"uptimeSeconds":      int64(snap["lg_core_uptime_seconds"].Value),
 	}
 	for _, k := range statsKeys {
-		out[k.legacy] = legacyInt(k.inst, k.scale)
-	}
-	if s.Shipper != nil {
-		for _, k := range shipperStatsKeys {
-			out[k.legacy] = legacyInt(k.inst, 0)
+		if k.role == roleShipper && s.Shipper == nil || k.role == roleApplier && s.Applier == nil {
+			continue
 		}
-	}
-	if s.Applier != nil {
-		for _, k := range applierStatsKeys {
-			out[k.legacy] = legacyInt(k.inst, 0)
+		v := snap[k.inst].Value
+		if k.scale != 0 {
+			v *= k.scale
 		}
+		out[k.legacy] = int64(math.Round(v))
 	}
 	writeJSON(w, out)
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -337,5 +338,117 @@ func TestTracesDisabled(t *testing.T) {
 	}
 	if tr.Enabled || len(tr.Traces) != 0 {
 		t.Fatalf("expected disabled tracing, got %+v", tr)
+	}
+}
+
+// engineStatsKeys is the frozen /v1/stats surface every server reports;
+// shipperStatsKeyNames and applierStatsKeyNames are what a primary with
+// a WAL to ship and a follower add. Clients decode the payload as
+// map[string]int64 and dashboards key on these names: a PR that adds,
+// drops or renames one must change this list on purpose.
+var (
+	engineStatsKeys = []string{
+		"statsSchemaVersion", "uptimeSeconds",
+		"commits", "aborts", "compactions", "upgrades", "bloomSkips", "vertices", "readEpoch",
+		"allocatedBlocks", "allocatedBytes", "durableEpoch", "appliedEpoch", "walAppendedBytes",
+		"maintPasses", "maintSlices", "maintSlicesYielded", "maintVerticesCompacted",
+		"maintEntriesScanned", "maintEntriesCopied", "maintEntriesDead", "maintVersionsPruned",
+		"maintBlocksReclaimed", "maintBytesReclaimed", "maintPassNanos", "maintLastPassNanos",
+		"maintDirtyPending", "maintDeadBytesEst",
+		"ckptFulls", "ckptDeltas", "ckptLastNanos", "ckptLastBytes", "ckptChainLen", "ckptPruneErrors",
+	}
+	shipperStatsKeyNames = []string{"replStreams", "replStreamedGroups", "replStreamedBytes"}
+	applierStatsKeyNames = []string{"replSourceEpoch", "replLagEpochs", "replAppliedGroups", "replAppliedBytes", "replReconnects"}
+)
+
+func statsOf(t *testing.T, url string) map[string]int64 {
+	t.Helper()
+	code, body := httpGet(t, url+"/v1/stats")
+	if code != 200 {
+		t.Fatalf("/v1/stats = %d: %s", code, body)
+	}
+	var m map[string]int64
+	if err := json.Unmarshal([]byte(body), &m); err != nil {
+		t.Fatalf("/v1/stats does not decode as map[string]int64: %v\n%s", err, body)
+	}
+	return m
+}
+
+func checkStatsKeys(t *testing.T, who string, got map[string]int64, want ...[]string) {
+	t.Helper()
+	wantSet := map[string]bool{}
+	for _, ks := range want {
+		for _, k := range ks {
+			wantSet[k] = true
+		}
+	}
+	for k := range got {
+		if !wantSet[k] {
+			t.Errorf("%s: /v1/stats has unexpected key %q", who, k)
+		}
+	}
+	for k := range wantSet {
+		if _, ok := got[k]; !ok {
+			t.Errorf("%s: /v1/stats lost key %q", who, k)
+		}
+	}
+}
+
+// TestStatsKeysFrozen pins the /v1/stats compatibility surface: the exact
+// key set of a volatile server, a shipping primary and a follower, and —
+// after a scripted commit, checkpoint and compaction — that the legacy
+// …Nanos keys are the …_seconds instruments in the old unit.
+func TestStatsKeysFrozen(t *testing.T) {
+	vg, err := core.Open(core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer vg.Close()
+	hv := httptest.NewServer(New(vg))
+	defer hv.Close()
+	checkStatsKeys(t, "volatile", statsOf(t, hv.URL), engineStatsKeys)
+
+	primaryURL, followerURL, pg, _, _ := replPair(t, false)
+	checkStatsKeys(t, "follower", statsOf(t, followerURL), engineStatsKeys, applierStatsKeyNames)
+
+	pc := NewClient(primaryURL)
+	if _, err := pc.Tx(Op{Op: "addVertex", Data: []byte("a")}, Op{Op: "addVertex", Data: []byte("b")}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pc.Tx(Op{Op: "upsertEdge", Src: 0, Label: 0, Dst: 1, Props: []byte("p")}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pc.Tx(Op{Op: "upsertEdge", Src: 0, Label: 0, Dst: 1, Props: []byte("q")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := pc.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	pg.CompactNow()
+
+	got := statsOf(t, primaryURL)
+	checkStatsKeys(t, "primary", got, engineStatsKeys, shipperStatsKeyNames)
+	if got["statsSchemaVersion"] != 2 {
+		t.Errorf("statsSchemaVersion = %d, want 2", got["statsSchemaVersion"])
+	}
+	if got["commits"] != 3 || got["ckptFulls"] != 1 || got["maintPasses"] < 1 {
+		t.Errorf("commits=%d ckptFulls=%d maintPasses=%d after 3 commits, 1 checkpoint, compaction",
+			got["commits"], got["ckptFulls"], got["maintPasses"])
+	}
+	if got["appliedEpoch"] != got["readEpoch"] || got["readEpoch"] != pg.ReadEpoch() {
+		t.Errorf("appliedEpoch=%d readEpoch=%d, graph read epoch %d", got["appliedEpoch"], got["readEpoch"], pg.ReadEpoch())
+	}
+	// The graph is idle, so the registry and the stats payload read the
+	// same values; the legacy keys carry them in nanoseconds.
+	snap := pg.Obs().Snapshot()
+	for key, inst := range map[string]string{
+		"maintPassNanos":     "lg_maint_pass_seconds_total",
+		"maintLastPassNanos": "lg_maint_last_pass_seconds",
+		"ckptLastNanos":      "lg_ckpt_last_seconds",
+	} {
+		want := int64(math.Round(snap[inst].Value * 1e9))
+		if got[key] != want || want <= 0 {
+			t.Errorf("%s = %d, want %s × 1e9 = %d (> 0)", key, got[key], inst, want)
+		}
 	}
 }

@@ -129,7 +129,6 @@ func New(g *core.Graph) *Server {
 	s := newServer(g)
 	if g.Dir() != "" {
 		s.Shipper = repl.NewShipper(g)
-		registerShipperObs(g.Obs(), s.Shipper.Stats)
 	}
 	return s
 }
@@ -141,7 +140,6 @@ func New(g *core.Graph) *Server {
 func NewFollower(g *core.Graph, ap *repl.Applier) *Server {
 	s := newServer(g)
 	s.Applier = ap
-	registerApplierObs(g.Obs(), ap.Stats)
 	return s
 }
 

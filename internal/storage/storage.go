@@ -9,9 +9,12 @@
 // entries of one adjacency list live in contiguous, cache-friendly memory
 // and every timestamp is an aligned 8-byte word suitable for sync/atomic.
 //
-// Free lists follow the paper's split design: size classes up to
-// SmallClassMax are kept in per-thread (per-allocator-handle) lists to avoid
-// contention on hot small blocks, larger classes are shared globally.
+// Free lists follow the paper's split design: size classes up to the
+// threshold m given to NewAllocator are kept in per-thread
+// (per-allocator-handle) lists to avoid contention on hot small blocks,
+// larger classes are shared globally. The engine always passes
+// DefaultSmallClassMax; the parameter remains so a test can bring the
+// private/shared boundary within reach of a small allocation.
 // Recycling of blocks that may still be visible to in-flight readers goes
 // through an epoch-deferred free list (DeferFree / Reclaim).
 package storage
@@ -34,8 +37,9 @@ const (
 	// free-list arrays compact.
 	NumClasses = 40
 
-	// DefaultSmallClassMax is the paper's tunable m: classes <= m use
-	// per-handle private free lists, larger classes share a global list.
+	// DefaultSmallClassMax is the paper's m, the value the engine runs
+	// with: classes <= m use per-handle private free lists, larger
+	// classes share a global list.
 	DefaultSmallClassMax = 14
 
 	// slabWords is the size of each arena slab. Blocks never span slabs, so

@@ -12,7 +12,8 @@ import (
 	"sync"
 	"time"
 
-	"livegraph/internal/metrics"
+	"livegraph/internal/obs"
+	"livegraph/internal/workload"
 	"livegraph/internal/workload/kron"
 )
 
@@ -192,19 +193,19 @@ func Build(s Store, bg BaseGraph, payload int) []kron.Edge {
 	return edges
 }
 
-// Result extends metrics.Result with per-op histograms.
+// Result extends workload.Result with per-op histograms.
 type Result struct {
-	metrics.Result
-	PerOp [numOps]*metrics.Histogram
+	workload.Result
+	PerOp [numOps]*obs.Histogram
 }
 
 // Run executes the workload against the store with cfg.Clients concurrent
 // client goroutines issuing cfg.Requests each, and returns aggregate and
 // per-op latency distributions.
 func Run(s Store, edges []kron.Edge, cfg Config) Result {
-	res := Result{Result: metrics.Result{Name: s.Name() + "/" + cfg.Mix.Name, Hist: &metrics.Histogram{}}}
+	res := Result{Result: workload.Result{Name: s.Name() + "/" + cfg.Mix.Name, Hist: obs.NewHistogram()}}
 	for i := range res.PerOp {
-		res.PerOp[i] = &metrics.Histogram{}
+		res.PerOp[i] = obs.NewHistogram()
 	}
 	if cfg.NodePayload <= 0 {
 		cfg.NodePayload = 64

@@ -5,7 +5,8 @@ import (
 	"sync"
 	"time"
 
-	"livegraph/internal/metrics"
+	"livegraph/internal/obs"
+	"livegraph/internal/workload"
 )
 
 // Category buckets requests the way the paper reports them.
@@ -36,27 +37,27 @@ type DriverConfig struct {
 
 // RunResult aggregates a run's measurements.
 type RunResult struct {
-	metrics.Result
-	PerCategory [numCategories]*metrics.Histogram
+	workload.Result
+	PerCategory [numCategories]*obs.Histogram
 	// Query-level latencies for Table 9.
-	Complex1  *metrics.Histogram
-	Complex13 *metrics.Histogram
-	Short2    *metrics.Histogram
-	Updates   *metrics.Histogram
+	Complex1  *obs.Histogram
+	Complex13 *obs.Histogram
+	Short2    *obs.Histogram
+	Updates   *obs.Histogram
 }
 
 // Run drives the backend with the official mix and returns latency and
 // throughput measurements.
 func Run(b Backend, ds *Dataset, cfg DriverConfig) RunResult {
 	res := RunResult{
-		Result:    metrics.Result{Name: b.Name(), Hist: &metrics.Histogram{}},
-		Complex1:  &metrics.Histogram{},
-		Complex13: &metrics.Histogram{},
-		Short2:    &metrics.Histogram{},
-		Updates:   &metrics.Histogram{},
+		Result:    workload.Result{Name: b.Name(), Hist: obs.NewHistogram()},
+		Complex1:  obs.NewHistogram(),
+		Complex13: obs.NewHistogram(),
+		Short2:    obs.NewHistogram(),
+		Updates:   obs.NewHistogram(),
 	}
 	for i := range res.PerCategory {
-		res.PerCategory[i] = &metrics.Histogram{}
+		res.PerCategory[i] = obs.NewHistogram()
 	}
 	var wg sync.WaitGroup
 	start := time.Now()

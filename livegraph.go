@@ -226,6 +226,10 @@ var (
 	// transaction may still commit. A context error without this wrapper
 	// means the transaction definitively did not commit.
 	ErrCommitOutcomeUnknown = core.ErrCommitOutcomeUnknown
+	// ErrCheckpointDamaged wraps what Open returns when a checkpoint file
+	// in Options.Dir breaks a rule its writer guarantees (it ends early, a
+	// length or count does not fit the file, record IDs are out of order).
+	ErrCheckpointDamaged = core.ErrCheckpointDamaged
 )
 
 // Open creates (or, when Options.Dir is set, recovers) a graph.
