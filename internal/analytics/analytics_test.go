@@ -325,3 +325,67 @@ func TestBFSDirectionEquivalence(t *testing.T) {
 		t.Fatalf("CSR forced-bottomup fallback dist = %v", got)
 	}
 }
+
+// TestBFSColdIndexMatchesTopDown: SnapshotView always satisfies InView, so
+// BFS's bottom-up levels must be exact on a graph whose reverse hint index
+// has never been built — the first in-scan builds it — and again once later
+// commits have landed beside the built index, in its overlay. (With the
+// index switched off, the knob this test outlived, bottom-up levels saw no
+// candidates and three quarters of the distances came back wrong.)
+func TestBFSColdIndexMatchesTopDown(t *testing.T) {
+	const n, deg = 2000, 8
+	g, err := core.Open(core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	rng := newRand(41)
+	tx, _ := g.Begin()
+	for i := 0; i < n; i++ {
+		tx.AddVertex(nil)
+	}
+	for i := 0; i < deg*n; i++ {
+		tx.InsertEdge(core.VertexID(rng.Int63n(n)), 0, core.VertexID(rng.Int63n(n)), nil)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	metric := func(name string) float64 { return g.Obs().Snapshot()[name].Value }
+	check := func(when string) {
+		t.Helper()
+		snap, _ := g.Snapshot()
+		defer snap.Release()
+		view := SnapshotView{Snap: snap, Label: 0}
+		got, want := BFS(view, 0, 2), BFSDir(view, 0, 2, core.DirectionTopDown)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: auto dist[%d]=%d, top-down says %d", when, i, got[i], want[i])
+			}
+		}
+	}
+
+	if metric("lg_rev_builds_total") != 0 {
+		t.Fatal("the load built a reverse index")
+	}
+	check("cold index")
+	if metric("lg_rev_builds_total") != 1 {
+		t.Fatalf("BFS on a cold index made %v builds, want 1 (a BFS that never went bottom-up proves nothing here)", metric("lg_rev_builds_total"))
+	}
+	// 1 000 more commits, each a fresh vertex hanging off a reached one:
+	// fewer hints than would trigger a fold, so they stay in the overlay.
+	for i := 0; i < 1000; i++ {
+		tx, _ := g.Begin()
+		v, _ := tx.AddVertex(nil)
+		tx.InsertEdge(core.VertexID(rng.Int63n(n)), 0, v, nil)
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if metric("lg_rev_overlay_hints") != 1000 {
+		t.Fatalf("overlay holds %v hints, want 1000", metric("lg_rev_overlay_hints"))
+	}
+	check("1000 commits in the overlay")
+	if metric("lg_rev_builds_total") != 1 {
+		t.Fatalf("%v builds, want the overlay left unfolded", metric("lg_rev_builds_total"))
+	}
+}

@@ -13,40 +13,56 @@ package core
 // traversal's epoch, own-writes semantics inside a Tx, AsOf epochs on a
 // pinned snapshot). A candidate stops at its first confirmed hit, so each
 // destination is emitted at most once — which is why bottom-up requires
-// Dedup — and emission follows the registry's (stable, append-only)
-// order, reassembled in morsel order when a pool runs it.
+// Dedup — and emission follows the registry's order, reassembled in morsel
+// order when a pool runs it.
 //
-// This file holds only what is bottom-up's own: the direction decision,
-// the frontier bitset build and the per-candidate body. Workers, budgets,
-// cancellation and reassembly are the expansion kernel's (parallel.go);
+// This file holds only what is bottom-up's own: the direction decision
+// (which is also what asks for the reverse index, revindex.go, and so what
+// builds it the first time), the frontier bitset build and the
+// per-candidate body. Workers, budgets, cancellation and reassembly are
+// the expansion kernel's (parallel.go);
 // with a pool the only shared mutable state is the budget's atomics —
 // there is no dedup-set contention at all.
 
-import "livegraph/internal/sparsebit"
+import (
+	"fmt"
+	"time"
 
-// chooseDirection decides one hop's expansion direction. A forced
-// DirectionBottomUp without the prerequisites is an error; DirectionAuto
-// applies the Beamer-style density test against the label's statistics:
-// go bottom-up when the frontier's estimated outgoing edges exceed
-// bottomUpAlpha × the hinted candidate count (probing candidates beats
-// scanning the frontier) and make up more than 1/bottomUpBeta of the
-// label's total edges (the frontier genuinely covers the label, so
-// candidate probes hit).
-func (t *Traversal) chooseDirection(g *Graph, frontierLen int, ls LabelStats) (Direction, error) {
-	canBU := t.dedup && g != nil && !g.opts.DisableReverseIndex
-	switch {
-	case t.direction == DirectionBottomUp && !canBU:
-		return 0, ErrBottomUpUnsupported
-	case t.direction != DirectionAuto:
-		return t.direction, nil
-	case !canBU || frontierLen < bottomUpMinFrontier || ls.Targets <= 0 || ls.Lists <= 0:
-		return DirectionTopDown, nil
-	}
+	"livegraph/internal/sparsebit"
+)
+
+// chooseDirection decides one hop's expansion direction: a non-nil
+// generation means bottom-up over it. A forced DirectionBottomUp without
+// the prerequisites is an error; DirectionAuto applies the Beamer-style
+// density test against the label's statistics: go bottom-up when the
+// frontier's estimated outgoing edges make up more than 1/bottomUpBeta of
+// the label's total edges (the frontier genuinely covers the label, so
+// candidate probes hit) and exceed bottomUpAlpha × the candidate count
+// (probing candidates beats scanning the frontier). The candidate count is
+// the reverse index's to give, so the first half is tested first and only
+// a hop that passes it asks for the index — building it, if this is the
+// label's first in-scan, or folding it (built says for how long). A Reader
+// that holds vertex locks cannot build (revindex.go): until someone else
+// has, auto stays top-down and a forced bottom-up is refused.
+func (k *hopKernel) chooseDirection(t *Traversal, label Label, frontierLen int, ls LabelStats) (gen *revGen, built time.Duration, err error) {
+	canBU := t.dedup && k.g != nil
+	forced := t.direction == DirectionBottomUp
 	mf := float64(frontierLen) * max(ls.AvgDegree, 1)
-	if mf > bottomUpAlpha*float64(ls.Targets) && bottomUpBeta*mf > float64(ls.Edges) {
-		return DirectionBottomUp, nil
+	switch {
+	case forced && !canBU:
+		return nil, 0, ErrBottomUpUnsupported
+	case !forced && (t.direction != DirectionAuto || !canBU || frontierLen < bottomUpMinFrontier ||
+		ls.Lists <= 0 || bottomUpBeta*mf <= float64(ls.Edges)):
+		return nil, 0, nil
 	}
-	return DirectionTopDown, nil
+	gen, built = k.g.revReady(label, !k.locksHeld)
+	switch {
+	case gen == nil && forced:
+		return nil, 0, fmt.Errorf("%w: label %d has no reverse index yet, and building one takes vertex locks this transaction already holds", ErrBottomUpUnsupported, label)
+	case gen == nil || !forced && mf <= bottomUpAlpha*float64(gen.targets()):
+		return nil, built, nil
+	}
+	return gen, built, nil
 }
 
 // Bottom-up morsels range over the candidate registry; every entry is a
@@ -89,23 +105,20 @@ func (w *hopWorker) probe(c VertexID) error {
 		return nil
 	}
 	w.cands++
-	ra := k.rv.hints(c)
-	if ra == nil {
-		return nil
-	}
-	for _, src := range ra.snapshot() {
+	var err error
+	k.gen.each(c, func(src VertexID) bool {
 		w.probes++
 		if !k.fbits.Peek(int64(src)) {
-			continue
+			return true
 		}
-		if _, err := k.r.GetEdge(src, k.es.label, c); err != nil {
-			continue
+		if _, gerr := k.r.GetEdge(src, k.es.label, c); gerr != nil {
+			return true
 		}
-		emit, err := k.budget.admit(len(w.out))
-		if emit {
+		var emit bool
+		if emit, err = k.budget.admit(len(w.out)); emit {
 			w.out = append(w.out, c)
 		}
-		return err
-	}
-	return nil
+		return false
+	})
+	return err
 }

@@ -49,10 +49,14 @@ type HopPlan struct {
 	// frontier bitset.
 	Candidates int64 `json:"candidates,omitempty"`
 	HintProbes int64 `json:"hintProbes,omitempty"`
-	Parallel   bool  `json:"parallel"`          // step ran on a worker pool
-	Workers    int   `json:"workers,omitempty"` // workers the pool started
-	MorselSize int   `json:"morselSize,omitempty"`
-	Morsels    int   `json:"morsels,omitempty"`
+	// IndexBuildUs is the time this hop's direction decision spent building
+	// or folding the label's reverse hint index (revindex.go): non-zero only
+	// on the hop that paid for one, and part of DurationNs.
+	IndexBuildUs int64 `json:"indexBuildUs,omitempty"`
+	Parallel     bool  `json:"parallel"`          // step ran on a worker pool
+	Workers      int   `json:"workers,omitempty"` // workers the pool started
+	MorselSize   int   `json:"morselSize,omitempty"`
+	Morsels      int   `json:"morsels,omitempty"`
 	// BudgetCut names the budget that stopped the hop early: "limit"
 	// (enough results) or "maxFrontier" (aborted with
 	// ErrFrontierTooLarge). Empty when the hop ran to completion.

@@ -90,12 +90,6 @@ type Options struct {
 	// traverse.go. Analytics kernels take their worker count explicitly.
 	TraversalParallelism int
 
-	// DisableReverseIndex turns off the (dst,label) → sources hint index
-	// that bottom-up expansion probes. Saves the memory and the one hint
-	// insert per first-time edge at write time; forced bottom-up then
-	// fails and adaptive execution stays top-down.
-	DisableReverseIndex bool
-
 	// HistoryRetention keeps invalidated versions readable for this many
 	// epochs behind the current read epoch, enabling temporal queries via
 	// SnapshotAt (the paper's §9 future-work direction: "the
@@ -195,9 +189,13 @@ type Graph struct {
 	// Adaptive-traversal substrate: per-label degree statistics
 	// (stats.go) and the reverse hint index (revindex.go), both keyed by
 	// label — dense and small, unlike destination IDs, which may span
-	// the whole int64 space and are kept sparse inside each revLabel.
-	lstats chunkedIndex[labelStats]
-	rev    chunkedIndex[revLabel]
+	// the whole int64 space and are kept sparse inside each generation.
+	// A label's rev slot is nil until something asks for its in-edges;
+	// revMu admits one build or fold at a time.
+	lstats   chunkedIndex[labelStats]
+	rev      chunkedIndex[revGen]
+	revMu    sync.Mutex
+	revStats struct{ builds, mainHints, overlayHints atomic.Int64 }
 
 	slots  chan int // pool of worker slots (reader-table indices)
 	commit *committer

@@ -36,6 +36,16 @@ func (ix *chunkedIndex[T]) Get(i int64) *T {
 	return (*dir)[c].slots[i&(chunkSize-1)].Load()
 }
 
+// Cap returns the size of the grown region: every slot ever set lies
+// below it.
+func (ix *chunkedIndex[T]) Cap() int64 {
+	dir := ix.chunks.Load()
+	if dir == nil {
+		return 0
+	}
+	return int64(len(*dir)) << chunkBits
+}
+
 // Set stores p at slot i, growing the directory as needed.
 func (ix *chunkedIndex[T]) Set(i int64, p *T) {
 	ix.slot(i).Store(p)

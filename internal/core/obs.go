@@ -61,6 +61,7 @@ type graphObs struct {
 	ckptDelta     *obs.Histogram // delta checkpoint wall time
 	maintSlice    *obs.Histogram // budgeted maintenance slices
 	replApply     *obs.Histogram // replication ApplyEpoch calls
+	revBuild      *obs.Histogram // reverse hint index builds and folds
 }
 
 // instrumentWAL attaches the graph's append/fsync histograms to a freshly
@@ -101,6 +102,7 @@ func (g *Graph) initObs() {
 		ckptDelta:     r.Histogram("lg_ckpt_delta_seconds", "delta checkpoint wall time"),
 		maintSlice:    r.Histogram("lg_maint_slice_seconds", "budgeted maintenance slice wall time"),
 		replApply:     r.Histogram("lg_repl_apply_seconds", "replication ApplyEpoch wall time"),
+		revBuild:      r.Histogram("lg_rev_build_seconds", "reverse hint index build and fold wall time"),
 	}
 	if g.opts.Obs.TraceSampleRate >= 0 {
 		g.ob.tracer = obs.NewTracer(obs.TracerOptions{
@@ -125,7 +127,14 @@ func (g *Graph) initObs() {
 	gauge("lg_core_durable_epoch", "newest epoch durable in the WAL", func() float64 { return float64(g.DurableEpoch()) })
 	gauge("lg_core_uptime_seconds", "seconds since Open", func() float64 { return time.Since(g.obsStart).Seconds() })
 	gauge("lg_alloc_blocks", "live blocks in the allocator", func() float64 { return float64(g.AllocStats().AllocatedBlocks) })
-	gauge("lg_alloc_bytes", "live bytes in the allocator", func() float64 { return float64(g.AllocStats().AllocatedWords * 8) })
+	// A block is its word region plus a byte region of the same size
+	// (storage.ByteCap), and slabs are reserved in the same pairs: 16 bytes
+	// a word, both live and reserved.
+	gauge("lg_alloc_bytes", "live bytes in the allocator: blocks handed out, word and byte regions", func() float64 { return float64(g.AllocStats().AllocatedWords * 16) })
+	gauge("lg_alloc_reserved_bytes", "bytes the allocator has reserved from the runtime: live, recycled and not yet carved", func() float64 { return float64(g.AllocStats().SlabWords * 16) })
+	ctr("lg_rev_builds_total", "reverse hint index builds and folds", &g.revStats.builds)
+	gauge("lg_rev_main_hints", "hints in the built reverse indexes' CSR runs", func() float64 { return float64(g.revStats.mainHints.Load()) })
+	gauge("lg_rev_overlay_hints", "hints written beside the CSR runs since their builds", func() float64 { return float64(g.revStats.overlayHints.Load()) })
 	r.CounterFunc("lg_wal_appended_bytes_total", "bytes appended to the WAL across rotations",
 		func() float64 { return float64(g.WALAppendedBytes()) })
 

@@ -120,6 +120,7 @@ type hopKernel struct {
 	its       edgeIterSource // nil for foreign Readers: scans go through r.Neighbors
 	g         *Graph         // nil for foreign Readers
 	outOfCore bool           // g simulates out-of-core execution (Options.PageCache)
+	locksHeld bool           // r holds vertex locks, so it must not build a reverse index
 	body      func(w, m, lo, hi int) error
 
 	// The dedup set is made by the first top-down hop that dedups, with one
@@ -142,7 +143,7 @@ type hopState struct {
 	ctx    context.Context
 	es     *execStep      // the hop's label and fused destination predicate
 	items  []VertexID     // the frontier (top-down) or the candidates (bottom-up)
-	rv     *revLabel      // bottom-up: the label's reverse hints; nil = top-down
+	gen    *revGen        // bottom-up: the label's reverse hints; nil = top-down
 	seen   *sparsebit.Set // top-down dedup; nil = multiplicity semantics
 	budget hopBudget
 	ran    hopRun // what the hop runs on; one worker is alone (owner-mode dedup, budget unshared)
@@ -163,24 +164,24 @@ func newHopKernel(r Reader) *hopKernel {
 	if gs, ok := r.(graphSource); ok {
 		k.g = gs.graph()
 		k.outOfCore = k.g.opts.PageCache != nil
+		k.locksHeld = gs.locksHeld()
 	}
 	k.body = k.runMorsel
 	k.iters, k.outs = k.iter0[:], k.out0[:]
 	return k
 }
 
-// expand runs one stepOut — bottom-up over the label's candidates or
-// top-down over the frontier — on the workers the engage decision and the
-// morsel count leave (k.ran.workers; 1 = the caller alone).
-func (k *hopKernel) expand(ctx context.Context, t *Traversal, es *execStep, frontier []VertexID, bottomUp, capped bool, par int, ls LabelStats) ([]VertexID, error) {
-	k.hopState = hopState{ctx: ctx, es: es, items: frontier, ran: hopRun{workers: 1, morsels: 1}}
+// expand runs one stepOut — bottom-up over gen's candidates when
+// chooseDirection picked one, top-down over the frontier otherwise — on the
+// workers the engage decision and the morsel count leave (k.ran.workers;
+// 1 = the caller alone).
+func (k *hopKernel) expand(ctx context.Context, t *Traversal, es *execStep, frontier []VertexID, gen *revGen, capped bool, par int, ls LabelStats) ([]VertexID, error) {
+	k.hopState = hopState{ctx: ctx, es: es, items: frontier, gen: gen, ran: hopRun{workers: 1, morsels: 1}}
+	bottomUp := gen != nil
 	var engage bool
 	var size int
 	if bottomUp {
-		if k.rv = k.g.rev.Get(int64(es.label)); k.rv == nil {
-			return nil, nil // label never had an edge: no candidates
-		}
-		k.items = k.rv.candidates()
+		k.items = gen.candidates()
 		k.freeze(frontier)
 		engage = par > 1 && len(k.items) >= 2*bottomUpMorselMin
 		size = bottomUpMorselSize(len(k.items), par)
@@ -267,7 +268,7 @@ type hopWorker struct {
 func (k *hopKernel) runMorsel(wid, m, lo, hi int) (err error) {
 	w := hopWorker{k: k, out: k.outs[m], it: &k.iters[wid].EdgeIter, room: k.budget.room()}
 	for _, v := range k.items[lo:hi] {
-		if k.rv != nil {
+		if k.gen != nil {
 			err = w.probe(v)
 		} else {
 			err = w.scan(v)

@@ -59,8 +59,14 @@ type ParallelReader interface {
 var _ ParallelReader = (*Snapshot)(nil)
 
 // graphSource lets the traversal engine reach the owning graph's options
-// (default parallelism) from a Reader without widening the public surface.
-type graphSource interface{ graph() *Graph }
+// (default parallelism) from a Reader without widening the public surface,
+// and tells it whether the Reader's goroutine holds vertex locks — a *Tx
+// that has written — which is when it must not build a reverse index
+// (revindex.go: the build takes vertex locks).
+type graphSource interface {
+	graph() *Graph
+	locksHeld() bool
+}
 
 var (
 	_ graphSource = (*Tx)(nil)

@@ -93,7 +93,7 @@ func (g *Graph) recover() error {
 			maxEpoch = durable
 		}
 	}
-	g.rebuildTraversalIndexes()
+	g.rebuildLabelStats()
 	g.epochs.Init(maxEpoch)
 	return nil
 }
@@ -183,9 +183,11 @@ func (g *Graph) replayEdge(h *storage.Handle, op byte, src VertexID, label Label
 	pl = t.Append(n, int64(dst), epoch, props, pl)
 	t.Publish(n+1, pl, epoch)
 	if live {
-		// Replication apply maintains the traversal indexes incrementally,
-		// mirroring the primary's commit-time hooks; recovery (live=false)
-		// rebuilds them in one pass instead (rebuildTraversalIndexes).
+		// Replication apply maintains the degree statistics incrementally
+		// and hints the reverse index (if the label has one), mirroring the
+		// primary's write path; recovery (live=false) rebuilds the
+		// statistics in one pass instead (rebuildLabelStats) and leaves the
+		// index unbuilt.
 		g.statsPublish(label, n, n+1)
 		g.statsEdges(label, 1)
 		g.revAdd(dst, label, src)
@@ -193,15 +195,14 @@ func (g *Graph) replayEdge(h *storage.Handle, op byte, src VertexID, label Label
 	return dead
 }
 
-// rebuildTraversalIndexes derives the degree statistics and the reverse
-// hint index from the recovered TEL state in one single-threaded pass.
-// Recovery loads checkpoints and replays the WAL below the incremental
-// hooks (live=false), so after it finishes this walk is the sole source of
-// truth: every committed entry counts toward the per-label histogram, live
-// entries (no invalidation) toward the visible-edge counter, and every
-// entry — dead ones included, hints being a harmless superset — seeds the
-// reverse index.
-func (g *Graph) rebuildTraversalIndexes() {
+// rebuildLabelStats derives the degree statistics from the recovered TEL
+// state in one single-threaded pass. Recovery loads checkpoints and replays
+// the WAL below the incremental hooks (live=false), so after it finishes
+// this walk is the sole source of truth: every committed entry counts
+// toward the per-label histogram, live entries (no invalidation) toward the
+// visible-edge counter. The reverse hint index is not rebuilt: no label has
+// a generation until an in-scan asks for one (revindex.go).
+func (g *Graph) rebuildLabelStats() {
 	nv := g.nextVertex.Load()
 	for v := int64(0); v < nv; v++ {
 		ll := g.eindex.Get(v)
@@ -222,7 +223,6 @@ func (g *Graph) rebuildTraversalIndexes() {
 				if t.Invalidation(i) == mvcc.NullTS {
 					live++
 				}
-				g.revAdd(VertexID(t.Dst(i)), label, VertexID(v))
 			}
 			g.statsEdges(label, live)
 		}

@@ -162,6 +162,8 @@ func (s *Snapshot) ConcurrentSafe() {}
 // graph exposes the owning graph to the traversal engine (graphSource).
 func (s *Snapshot) graph() *Graph { return s.g }
 
+func (s *Snapshot) locksHeld() bool { return false }
+
 // ScanNeighbors sequentially scans the (v,label) adjacency list, invoking
 // fn for every visible edge (newest first). fn returning false stops the
 // scan. Property slices alias block memory and are only valid during the
@@ -206,28 +208,28 @@ func (s *Snapshot) HasEdge(v VertexID, label Label, dst VertexID) bool {
 }
 
 // ScanInCandidates invokes fn for every *hinted* in-neighbor candidate of
-// (v, label): a superset of the true in-neighbors at any epoch, fed by the
-// reverse hint index (stale hints from aborted or deleted edges may
-// appear; no true in-neighbor is ever missing). fn returning false stops
-// the scan. Callers needing exactness confirm each candidate with
-// GetEdge/HasEdge — which is what ScanIn does.
+// (v, label), each once: a superset of the true in-neighbors at any epoch,
+// read off the label's reverse hint index (stale hints from aborted or
+// deleted edges may appear; no true in-neighbor is ever missing). fn
+// returning false stops the scan. Callers needing exactness confirm each
+// candidate with GetEdge/HasEdge — which is what ScanIn does.
+//
+// The index is built by the first in-scan of a label — one pass over the
+// label's adjacency lists, paid by that call — and folded by a later one
+// whenever enough writes have landed beside it. Both take vertex locks, so
+// an in-scan must not be made from a goroutine that holds an open write
+// transaction's locks.
 func (s *Snapshot) ScanInCandidates(v VertexID, label Label, fn func(src VertexID) bool) {
-	for _, src := range s.g.inHints(v, label) {
-		if !fn(src) {
-			return
-		}
-	}
+	gen, _ := s.g.revReady(label, true)
+	gen.each(v, fn)
 }
 
 // ScanIn invokes fn for every confirmed in-neighbor of (v, label) at this
-// snapshot's epoch: hint candidates filtered through the forward read
-// path, so MVCC visibility is exact. Requires the reverse index (on by
-// default; see Options.DisableReverseIndex — with it disabled the scan
-// yields nothing).
+// snapshot's epoch, each once: hint candidates filtered through the forward
+// read path, so MVCC visibility is exact. See ScanInCandidates for when
+// the index behind it is built.
 func (s *Snapshot) ScanIn(v VertexID, label Label, fn func(src VertexID) bool) {
-	for _, src := range s.g.inHints(v, label) {
-		if s.HasEdge(src, label, v) && !fn(src) {
-			return
-		}
-	}
+	s.ScanInCandidates(v, label, func(src VertexID) bool {
+		return !s.HasEdge(src, label, v) || fn(src)
+	})
 }

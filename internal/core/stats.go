@@ -7,8 +7,6 @@ package core
 //   - lists:   adjacency lists with at least one committed entry;
 //   - edges:   visible edge versions (insertions minus invalidations);
 //   - entries: committed log entries, dead ones included (scan cost);
-//   - targets: distinct (dst,label) reverse hint lists (bottom-up
-//     candidate count, see revindex.go);
 //   - a log2-bucketed histogram of per-list entry counts, from which an
 //     approximate p90 degree falls out.
 //
@@ -17,7 +15,8 @@ package core
 // under the vertex lock), so maintenance is a handful of atomic adds per
 // commit group. After recovery the whole table is rebuilt in one pass over
 // the final TEL state (checkpoint-loaded blocks bypass the incremental
-// hooks), see rebuildTraversalIndexes.
+// hooks), see rebuildLabelStats. LabelStats.Targets is not one of these
+// counters: it is read off the label's reverse index, once one is built.
 //
 // The statistics are advisory: they describe the graph *now*, not at any
 // particular epoch, and only ever steer execution policy (direction
@@ -39,7 +38,6 @@ type labelStats struct {
 	lists   atomic.Int64
 	edges   atomic.Int64
 	entries atomic.Int64
-	targets atomic.Int64
 	hist    [statsBuckets]atomic.Int64
 }
 
@@ -54,8 +52,11 @@ type LabelStats struct {
 	// Entries counts committed log entries including invalidated ones —
 	// the sequential scan cost of the label.
 	Entries int64
-	// Targets counts distinct destination vertices carrying a reverse
-	// hint list for this label (0 when the reverse index is disabled).
+	// Targets counts the bottom-up candidates of the label's reverse hint
+	// index (revindex.go): distinct hinted destinations, a few of them
+	// twice while an overlay is waiting to be folded. 0 until the index is
+	// built — which the first in-edge scan of the label does, not any
+	// write — so 0 says "never asked", not "no in-edges".
 	Targets int64
 	// AvgDegree is Edges/Lists (0 when the label has no lists).
 	AvgDegree float64
@@ -120,17 +121,15 @@ func (g *Graph) statsEdges(label Label, delta int64) {
 	}
 }
 
-// statsTarget records one new reverse hint list for label.
-func (g *Graph) statsTarget(label Label) {
-	g.lstatsFor(label).targets.Add(1)
-}
-
 // LabelDegreeStats returns the current degree statistics for label. The
 // numbers are advisory (maintained at apply time, not epoch-pinned); the
 // adaptive traversal executor uses them to pick expansion direction and
 // morsel widths, and callers can use them the same way.
 func (g *Graph) LabelDegreeStats(label Label) LabelStats {
 	out := LabelStats{Label: label}
+	if gen := g.rev.Get(int64(label)); gen.ready() {
+		out.Targets = gen.targets()
+	}
 	st := g.lstats.Get(int64(label))
 	if st == nil {
 		return out
@@ -138,7 +137,6 @@ func (g *Graph) LabelDegreeStats(label Label) LabelStats {
 	out.Lists = st.lists.Load()
 	out.Edges = st.edges.Load()
 	out.Entries = st.entries.Load()
-	out.Targets = st.targets.Load()
 	if out.Lists > 0 {
 		out.AvgDegree = float64(out.Edges) / float64(out.Lists)
 		// Walk the histogram upward until 90% of lists are covered; the

@@ -21,7 +21,9 @@ package core
 //   - a deduplicating hop switches to bottom-up (direction-optimizing)
 //     expansion when the frontier is dense against the label's candidate
 //     set (bottomup.go) — probing hinted destinations against a frozen
-//     frontier bitset instead of scanning every frontier TEL forward;
+//     frontier bitset instead of scanning every frontier TEL forward. The
+//     reverse index behind it is built by the first hop that wants it
+//     (revindex.go);
 //   - pure destination predicates (FilterDst) are pushed down into the
 //     TEL scan loop itself, so rejected edges never surface.
 //
@@ -54,10 +56,12 @@ var ErrFrontierTooLarge = errors.New("livegraph: traversal frontier exceeded Max
 // ErrBottomUpUnsupported is returned when Direction(DirectionBottomUp)
 // forces bottom-up expansion on a traversal that cannot run it: bottom-up
 // emits each destination at most once (it requires Dedup) and probes the
-// graph's reverse hint index (it requires a graph-backed Reader with
-// Options.DisableReverseIndex unset). Adaptive runs never hit this error —
-// with the prerequisites missing they silently stay top-down.
-var ErrBottomUpUnsupported = errors.New("livegraph: bottom-up expansion requires Dedup and a graph-backed Reader with the reverse index enabled")
+// graph's reverse hint index (it requires a graph-backed Reader, and one
+// that may build the index if the label has none yet: a *Tx that already
+// holds vertex locks may not, and gets this error wrapped with that
+// reason). Adaptive runs never hit this error — with the prerequisites
+// missing they silently stay top-down.
+var ErrBottomUpUnsupported = errors.New("livegraph: bottom-up expansion requires Dedup and a graph-backed Reader")
 
 // Direction selects the expansion strategy for a traversal's hops.
 type Direction int
@@ -552,16 +556,21 @@ func (t *Traversal) runSteps(ctx context.Context, r Reader, ex *Explain, o *grap
 			if stats != nil {
 				ls = stats.DegreeStats(es.label)
 			}
-			var direction Direction
-			if direction, err = t.chooseDirection(k.g, len(frontier), ls); err != nil {
-				return nil, err
+			gen, built, derr := k.chooseDirection(t, es.label, len(frontier), ls)
+			if derr != nil {
+				return nil, derr
+			}
+			direction := DirectionTopDown
+			if gen != nil {
+				direction = DirectionBottomUp
 			}
 			_, hsp := obs.StartSpan(ctx, "traverse.hop")
 			var next []VertexID
-			next, err = k.expand(ctx, t, es, frontier, direction == DirectionBottomUp, capped, par, ls)
+			next, err = k.expand(ctx, t, es, frontier, gen, capped, par, ls)
 			hits, ran := k.dedupHits.Load(), k.ran
 			if hp != nil {
 				hp.Direction = direction.String()
+				hp.IndexBuildUs = int64((built + time.Microsecond - 1) / time.Microsecond) // rounded up: zero means no build
 				hp.ran(ran)
 				hp.DedupHits = hits
 				hp.Candidates, hp.HintProbes = k.cands.Load(), k.probes.Load()

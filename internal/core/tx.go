@@ -385,8 +385,8 @@ func (tx *Tx) InsertEdge(src VertexID, label Label, dst VertexID, props []byte) 
 		return err
 	}
 	tx.appendEdge(w, dst, props)
-	// Hint the reverse index at work time: commit publishes the epoch
-	// after this line, so any reader that can see the edge finds the hint
+	// Hint the reverse index, if the label has one, while src is locked:
+	// that is what lets a build racing this write account for the edge
 	// (see revindex.go). An abort just leaves a harmless stale hint.
 	tx.g.revAdd(dst, label, src)
 	tx.walBuf = appendEdgeOp(tx.walBuf, opInsertEdge, src, label, dst, props)
@@ -508,6 +508,8 @@ func (tx *Tx) neighborsInto(it *EdgeIter, src VertexID, label Label) {
 
 // graph exposes the owning graph to the traversal engine (graphSource).
 func (tx *Tx) graph() *Graph { return tx.g }
+
+func (tx *Tx) locksHeld() bool { return len(tx.locked) > 0 }
 
 // Next advances the iterator. It returns false when the scan is complete.
 func (e *EdgeIter) Next() bool {

@@ -277,6 +277,19 @@ func TestTraverseExplain(t *testing.T) {
 		t.Fatalf("expected dedup hits, got %+v", resp.Explain.Hops)
 	}
 
+	// The hop that builds the label's reverse index says so, once, and the
+	// field survives both ends' JSON.
+	for _, wantBuild := range []bool{true, false} {
+		resp, err = c.TraverseExplain(ids[0], []int64{1, 1}, &TraverseOptions{Dedup: true, Direction: "bottomup"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h0, h1 := resp.Explain.Hops[0], resp.Explain.Hops[1]
+		if h0.Direction != "bottomup" || (h0.IndexBuildUs > 0) != wantBuild || h1.IndexBuildUs != 0 || len(resp.Vertices) != 1 {
+			t.Fatalf("bottom-up explain, build expected %v: %+v", wantBuild, resp.Explain.Hops)
+		}
+	}
+
 	// Plain traversal responses must not grow an explain field.
 	code, body := httpGet(t, strings.TrimSuffix(c.Base, "/")+fmt.Sprintf("/v1/traverse/%d?out=1", ids[0]))
 	if code != http.StatusOK || strings.Contains(body, "explain") {

@@ -273,6 +273,7 @@ func TestDecodersMatchEncodingJSON(t *testing.T) {
 		" {\t\"vertices\" : [ 1 ,\n2 ] ,\r\n \"epoch\" : 7 } \n",
 		`{"vertices":[]}`, `{"vertices":null,"epoch":null}`, `{}`, `null`, ` null `,
 		`{"epoch":7,"explain":{"hops":[{"kind":"out","x":[1.5e3,-0.1,true,false,null,"s\u00e9\n"]}]},"vertices":[4]}`,
+		`{"epoch":7,"vertices":[4],"explain":{"hops":[{"step":0,"kind":"out","direction":"bottomup","indexBuildUs":1250,"parallel":false}],"executed":true}}`,
 		`{"Epoch":7,"VERTICES":[1]}`, `{"\u0065poch":7,"vertice\u017f":[2]}`, `{"epoch\u0000":1}`,
 		`{"vertices":[null,1,-0]}`, `{"epoch":-9223372036854775808,"vertices":[9223372036854775807]}`,
 		`{"other":{"vertices":[1,2]},"vertices":[3]}`, `{"a":"]","vertices":[1,2,3]}`,

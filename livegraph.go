@@ -106,7 +106,13 @@
 // simulation workers overlap page-fault latency, so parallel traversals
 // win there even on a single core. The thresholds are constants of
 // internal/core, not options; Parallel(1) and Direction(DirectionTopDown)
-// pin a strategy per query. The analytics kernels (internal/analytics:
+// pin a strategy per query. A deduplicating hop over a frontier dense
+// against its label may instead run bottom-up, probing each candidate
+// destination's in-edge hints against the frontier; the reverse hint index
+// behind that — and behind Snapshot.ScanIn — is not maintained by writes
+// but built by the first in-scan of a label, in one pass, and folded by a
+// later one when enough writes have landed beside it (see README,
+// "Adaptive traversal execution"). The analytics kernels (internal/analytics:
 // PageRank, ConnComp, BFS, Degrees) and compaction slices dispatch through
 // the same morsel.Run.
 //
