@@ -1,7 +1,9 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out: the
-// embedded Bloom filter (early rejection of previous-version scans), group
-// commit (fsync amortisation), compaction frequency (paper §7.2: "<5%"
-// effect), and the doubling block-growth policy.
+// Ablation benchmarks for the TEL's design choices (the block layout is in
+// the internal/tel package comment, its memory cost in README's "Where the
+// bytes are"): the embedded Bloom filter (early rejection of
+// previous-version scans), group commit (fsync amortisation), compaction
+// frequency (paper §7.2: "<5%" effect), and the doubling block-growth
+// policy.
 package livegraph_test
 
 import (

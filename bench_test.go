@@ -665,7 +665,7 @@ func BenchmarkParallelTraversal(b *testing.B) {
 		}
 		defer g.Close()
 		loadScaled(b, g, scale, edges)
-		residentCap := int64(float64(g.AllocStats().AllocatedWords*8*2) * 0.16)
+		residentCap := int64(float64(g.AllocStats().AllocatedWords*8) * 0.16)
 		snap, err := g.Snapshot()
 		if err != nil {
 			b.Fatal(err)

@@ -45,8 +45,7 @@ func (s *telStore) AddEdge(src, dst int64, props []byte) {
 		s.n++
 	}
 	if !t.Fits(n, pl, len(props)) {
-		nt := tel.New(s.h, src, 0, t.EntryCap()*2, t.PropCap()*2+len(props))
-		nt.CopyAllFrom(t, n, pl)
+		nt := t.Upgrade(s.h, n, pl, len(props))
 		s.h.Free(t.Block)
 		t, s.tels[src] = nt, nt
 	}

@@ -157,7 +157,7 @@ func BuildSystems(cfg Config, prof iosim.Profile, ooc bool) ([]System, []kron.Ed
 	// The paper caps every system at the same absolute resident size (its
 	// 4GB cgroup ≈ 16% of LiveGraph's measured footprint).
 	st := g.AllocStats()
-	residentCap := int64(float64(st.AllocatedWords*8*2) * cfg.OOCFrac)
+	residentCap := int64(float64(st.AllocatedWords*8) * cfg.OOCFrac)
 	if ooc {
 		lgCache.SetCap(residentCap)
 	}

@@ -511,7 +511,6 @@ func (g *Graph) loadCkptRecords(r *ckptReader, nv, epoch int64, h *storage.Handl
 			if ls := ll.entries.Load(); ls != nil {
 				for _, e := range *ls {
 					if t := e.tel.Load(); t != nil {
-						t.Prev = nil
 						h.Free(t.Block)
 					}
 				}

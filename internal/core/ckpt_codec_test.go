@@ -453,11 +453,11 @@ func FuzzLoadCheckpointRecords(f *testing.F) {
 		left, err := s.load(data)
 		runtime.ReadMemStats(&after)
 		// Budget: the reader's 1 MiB buffer, the arena slabs the loaded
-		// edges reserved (a word and a byte region of equal size), and per
+		// edges reserved, and per
 		// input byte at most one minimal TEL with its index entries —
 		// doubled by block upgrades; the slack absorbs the fuzz worker's
 		// own background allocation.
-		budget := uint64(2<<20) + uint64(s.g.AllocStats().SlabWords-slabs)*16 + 2048*uint64(len(data))
+		budget := uint64(2<<20) + uint64(s.g.AllocStats().SlabWords-slabs)*8 + 2048*uint64(len(data))
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > budget {
 			t.Fatalf("loading %d bytes allocated %d (budget %d)", len(data), grew, budget)
 		}

@@ -92,7 +92,7 @@ func (g *Graph) compactTELsLocked(v VertexID, floor int64, h *storage.Handle, c 
 		// Copy survivors into a right-sized block (possibly smaller — the
 		// paper: "sometimes the block could shrink after many edges being
 		// deleted").
-		nt := tel.New(h, t.Src(), t.Label(), max(live, 1), max(liveProps, 1))
+		nt := tel.New(h, t.Src(), t.Label(), max(live, 1), liveProps)
 		ni, npl := 0, 0
 		for i := 0; i < n; i++ {
 			if deadEntry(t, i, floor) {

@@ -260,9 +260,10 @@ type Graph struct {
 	// applyMu, replayOp during single-threaded recovery) and drained by
 	// Checkpoint while holding both mutexes — so a drain can never
 	// consume a mark for a change the checkpoint's snapshot does not yet
-	// see. ckptBase/ckptDeltas (under ckptMu) mirror the durable
-	// CHECKPOINT meta: the base snapshot's epoch and the ordered
-	// delta-chain epochs hanging from it.
+	// see. A volatile graph cannot checkpoint, so it has no journal (nil).
+	// ckptBase/ckptDeltas (under ckptMu) mirror the durable CHECKPOINT
+	// meta: the base snapshot's epoch and the ordered delta-chain epochs
+	// hanging from it.
 	ckptDirty  *maint.DirtySet
 	ckptBase   int64
 	ckptDeltas []int64
@@ -292,12 +293,11 @@ type GraphStats struct {
 func Open(opts Options) (*Graph, error) {
 	opts.fill()
 	g := &Graph{
-		opts:      opts,
-		alloc:     storage.NewAllocator(storage.DefaultSmallClassMax),
-		readers:   mvcc.NewReaderTable(opts.Workers),
-		locks:     mvcc.NewLockTable(1 << 16),
-		dirty:     maint.NewDirtySet(0),
-		ckptDirty: maint.NewDirtySet(0),
+		opts:    opts,
+		alloc:   storage.NewAllocator(storage.DefaultSmallClassMax),
+		readers: mvcc.NewReaderTable(opts.Workers),
+		locks:   mvcc.NewLockTable(1 << 16),
+		dirty:   maint.NewDirtySet(0),
 	}
 	g.initObs()
 	g.slots = make(chan int, opts.Workers)
@@ -307,6 +307,7 @@ func Open(opts Options) (*Graph, error) {
 		g.handles[i] = g.alloc.NewHandle()
 	}
 	if opts.Dir != "" {
+		g.ckptDirty = maint.NewDirtySet(0)
 		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 			return nil, fmt.Errorf("livegraph: %w", err)
 		}
@@ -415,8 +416,8 @@ func (g *Graph) AllocStats() storage.Stats { return g.alloc.Stats() }
 
 // The out-of-core simulation charges accesses at 4KB-page granularity,
 // mirroring how the paper's mmap-backed store faults: a block is a run of
-// pages keyed (block ID, page index); a newest-first partial scan of a hot
-// vertex touches only its tail pages, which stay resident.
+// global arena pages (from storage.Block.Off); a newest-first partial scan
+// of a hot vertex touches only its tail pages, which stay resident.
 
 const pageBytes = 4096
 
@@ -478,7 +479,9 @@ func (g *Graph) markDirty(v VertexID, dead int64) {
 // the change would then be missing from every delta until the next
 // rebase.
 func (g *Graph) markCkptDirty(v VertexID) {
-	g.ckptDirty.Mark(int64(v), 0)
+	if g.ckptDirty != nil {
+		g.ckptDirty.Mark(int64(v), 0)
+	}
 }
 
 // CkptStats returns a live view of the incremental checkpointer's

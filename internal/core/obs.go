@@ -127,11 +127,10 @@ func (g *Graph) initObs() {
 	gauge("lg_core_durable_epoch", "newest epoch durable in the WAL", func() float64 { return float64(g.DurableEpoch()) })
 	gauge("lg_core_uptime_seconds", "seconds since Open", func() float64 { return time.Since(g.obsStart).Seconds() })
 	gauge("lg_alloc_blocks", "live blocks in the allocator", func() float64 { return float64(g.AllocStats().AllocatedBlocks) })
-	// A block is its word region plus a byte region of the same size
-	// (storage.ByteCap), and slabs are reserved in the same pairs: 16 bytes
-	// a word, both live and reserved.
-	gauge("lg_alloc_bytes", "live bytes in the allocator: blocks handed out, word and byte regions", func() float64 { return float64(g.AllocStats().AllocatedWords * 16) })
-	gauge("lg_alloc_reserved_bytes", "bytes the allocator has reserved from the runtime: live, recycled and not yet carved", func() float64 { return float64(g.AllocStats().SlabWords * 16) })
+	// A block is one region of words, entries and properties together: 8
+	// bytes a word, both live and reserved.
+	gauge("lg_alloc_bytes", "live bytes in the allocator: blocks handed out, entries and properties", func() float64 { return float64(g.AllocStats().AllocatedWords * 8) })
+	gauge("lg_alloc_reserved_bytes", "bytes the allocator has reserved from the runtime: live, recycled and not yet carved", func() float64 { return float64(g.AllocStats().SlabWords * 8) })
 	ctr("lg_rev_builds_total", "reverse hint index builds and folds", &g.revStats.builds)
 	gauge("lg_rev_main_hints", "hints in the built reverse indexes' CSR runs", func() float64 { return float64(g.revStats.mainHints.Load()) })
 	gauge("lg_rev_overlay_hints", "hints written beside the CSR runs since their builds", func() float64 { return float64(g.revStats.overlayHints.Load()) })

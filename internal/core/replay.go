@@ -165,8 +165,7 @@ func (g *Graph) replayEdge(h *storage.Handle, op byte, src VertexID, label Label
 		}
 	}
 	if !t.Fits(n, pl, len(props)) {
-		nt := tel.New(h, int64(src), int64(label), max(n+1, t.EntryCap()*2), max(pl+len(props), t.PropCap()*2))
-		nt.CopyAllFrom(t, n, pl)
+		nt := t.Upgrade(h, n, pl, len(props))
 		e.tel.Store(nt)
 		if live {
 			// A concurrent snapshot may be mid-scan over the old block:
@@ -175,8 +174,7 @@ func (g *Graph) replayEdge(h *storage.Handle, op byte, src VertexID, label Label
 			h.DeferFree(t.Block, g.epochs.WriteEpoch())
 			g.forgetBlock(t)
 		} else {
-			nt.Prev = nil // recovery owns the old block; no readers exist
-			h.Free(t.Block)
+			h.Free(t.Block) // recovery owns the old block; no readers exist
 		}
 		t = nt
 	}

@@ -111,8 +111,13 @@ func TestRevIndexInvariantUnderWriters(t *testing.T) {
 		}
 	}
 
+	// The second half of every writer's sources waits for a reader's first
+	// check, so the cold build races the first half and the second half's
+	// hints land after it — however the scheduler orders the goroutines.
 	var writing atomic.Int32
 	writing.Store(writers)
+	checked := make(chan struct{})
+	var checkedOnce sync.Once
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -120,6 +125,9 @@ func TestRevIndexInvariantUnderWriters(t *testing.T) {
 			defer wg.Done()
 			defer writing.Add(-1)
 			for i := 0; i < perWriter; i++ {
+				if i == perWriter/2 {
+					<-checked
+				}
 				src := VertexID(w*perWriter + i)
 				for h := 0; h < hubs; h++ {
 					tx, err := g.Begin()
@@ -143,6 +151,7 @@ func TestRevIndexInvariantUnderWriters(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer checkedOnce.Do(func() { close(checked) })
 			for writing.Load() > 0 {
 				s, err := g.Snapshot()
 				if err != nil {
@@ -151,6 +160,7 @@ func TestRevIndexInvariantUnderWriters(t *testing.T) {
 				}
 				check(s)
 				s.Release()
+				checkedOnce.Do(func() { close(checked) })
 			}
 		}()
 	}
@@ -162,9 +172,9 @@ func TestRevIndexInvariantUnderWriters(t *testing.T) {
 	if got := len(scanIn(t, s, 0, hub(0))); got != sources {
 		t.Fatalf("final ScanIn(hub 0) = %d sources, want %d", got, sources)
 	}
-	// 1 920 hints arrived after a build that saw at most a few: at least
-	// one fold followed the first build, and the last check left the
-	// overlay below the fold threshold.
+	// At least 960 hints arrived after a build that saw at most the other
+	// 960: at least one fold followed the first build, and the last check
+	// left the overlay below the fold threshold.
 	if b := obsValue(t, g, "lg_rev_builds_total"); b < 2 {
 		t.Fatalf("lg_rev_builds_total = %v, want the first build and at least one fold", b)
 	}
@@ -485,8 +495,11 @@ func heapInuse() float64 {
 // BenchmarkBulkLoadEdges is the write path with no index ever asked for:
 // InsertEdge batches into a fresh volatile graph. The last iteration's
 // graph is also where README's memory attribution comes from: per edge, the
-// arena the allocator reserved and the part of it in live blocks, the whole
-// Go heap the graph holds, and what the first in-scan's index adds to that.
+// whole Go heap the graph holds, what the first in-scan's index adds to
+// that, and — after one maintenance pass has recycled the blocks upgrades
+// left behind, so the split does not depend on when the background pass
+// last ran — the arena the allocator reserved, the part of it in live
+// blocks and the part in free lists.
 func BenchmarkBulkLoadEdges(b *testing.B) {
 	edges := float64(len(kronEdges()))
 	heap0 := heapInuse()
@@ -504,10 +517,13 @@ func BenchmarkBulkLoadEdges(b *testing.B) {
 			b.StopTimer()
 			loaded := heapInuse()
 			g.revReady(0, true)
-			b.ReportMetric(float64(g.AllocStats().SlabWords*16)/edges, "arena-reserved-B/edge")
-			b.ReportMetric(float64(g.AllocStats().AllocatedWords*16)/edges, "arena-live-B/edge")
 			b.ReportMetric((loaded-heap0)/edges, "heap-B/edge")
 			b.ReportMetric((heapInuse()-loaded)/edges, "index-B/edge")
+			g.CompactNow()
+			st := g.AllocStats()
+			b.ReportMetric(float64(st.SlabWords*8)/edges, "arena-reserved-B/edge")
+			b.ReportMetric(float64(st.AllocatedWords*8)/edges, "arena-live-B/edge")
+			b.ReportMetric(float64(st.RecycledWords*8)/edges, "arena-recycled-B/edge")
 		}
 		g.Close()
 	}

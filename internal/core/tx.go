@@ -306,18 +306,14 @@ func (tx *Tx) ensureTEL(src VertexID, label Label) (*telWrite, error) {
 	return w, nil
 }
 
-// upgrade relocates w's TEL to a block at least twice as large that also
-// fits extraProps more property bytes (paper §3: dynamic-array style
-// doubling; amortised O(1) appends). The new block carries an identical
-// committed prefix, so the index pointer swap is safe immediately; the old
-// block is recycled once no ongoing reader can still hold it.
+// upgrade relocates w's TEL to a larger block that also fits one more
+// entry with extraProps of properties (tel.TEL.Upgrade). The index pointer
+// swap is safe immediately; the old block is recycled once no ongoing
+// reader can still hold it.
 func (tx *Tx) upgrade(w *telWrite, extraProps int) {
 	g := tx.g
 	old := w.cur
-	needEntries := w.n + 1
-	needProps := w.propLen + extraProps
-	nt := tel.New(tx.handle, old.Src(), old.Label(), max(needEntries, old.EntryCap()*2), max(needProps, old.PropCap()*2))
-	nt.CopyAllFrom(old, w.n, w.propLen)
+	nt := old.Upgrade(tx.handle, w.n, w.propLen, extraProps)
 	w.entry.tel.Store(nt)
 	w.cur = nt
 	tx.handle.DeferFree(old.Block, g.epochs.WriteEpoch())

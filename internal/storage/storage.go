@@ -1,13 +1,26 @@
-// Package storage implements LiveGraph's block storage manager: a slab arena
-// of 64-bit words carved into power-of-2 sized blocks, with buddy-system
-// style free lists (paper §6, "Memory management").
+// Package storage implements LiveGraph's block storage manager: an arena of
+// 64-bit words carved into power-of-2 sized blocks, with buddy-system style
+// free lists (paper §6, "Memory management").
 //
 // The paper keeps TELs in a single memory-mapped file addressed by raw
 // pointers. Go's garbage collector rules that layout out, so the arena is a
-// set of large []int64 slabs instead: a Block is a contiguous window into a
+// series of []int64 slabs instead: a Block is one contiguous window into a
 // slab, which preserves the property the paper actually relies on — edge log
 // entries of one adjacency list live in contiguous, cache-friendly memory
-// and every timestamp is an aligned 8-byte word suitable for sync/atomic.
+// and every timestamp is an aligned 8-byte word suitable for sync/atomic. A
+// block is the whole TEL: entries and their properties share it (the tel
+// package comment has the layout), so there is one size class, one slab
+// series and one free list per block, as in the paper.
+//
+// Slabs are 1 MiB. The arena grows one slab at a time and never returns
+// one, so what the allocator holds beyond live and recycled blocks is the
+// uncarved rest of the current slab: less than one slab. (A slab's tail too
+// short for the block that opens the next slab is cut into free blocks, not
+// stranded.) The size trades that reserve against refills: a 32 MiB slab
+// is up to a third of a 100 MB graph's arena, while at 1 MiB a refill — one
+// zeroed allocation under the allocator mutex — still comes only every few
+// thousand blocks. Blocks larger than a slab get a dedicated allocation of
+// their own.
 //
 // Free lists follow the paper's split design: size classes up to the
 // threshold m given to NewAllocator are kept in per-thread
@@ -21,6 +34,7 @@ package storage
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -42,24 +56,18 @@ const (
 	// classes share a global list.
 	DefaultSmallClassMax = 14
 
-	// slabWords is the size of each arena slab. Blocks never span slabs, so
-	// a slab must hold the largest block we expect to hand out in practice;
-	// requests larger than a slab get a dedicated slab of their own.
-	slabWords = 1 << 22 // 32 MiB of words per slab
+	// slabWords is the size of each arena slab (see the package comment).
+	// Blocks never span slabs; a request larger than a slab gets a
+	// dedicated allocation of its own.
+	slabWords = 1 << 17 // 1 MiB a slab
 )
 
-// Block is a power-of-2 sized window of arena words plus a parallel byte
-// region for variable-size payloads (edge properties, vertex payloads).
-// Words and Bytes are recycled together.
+// Block is a power-of-2 sized window of arena words.
 type Block struct {
-	// Words is the fixed-size word region. len(Words) == MinBlockWords<<Class.
+	// Words is the block's memory. len(Words) == MinBlockWords<<Class.
 	Words []int64
-	// Bytes is the variable-payload region, sized proportionally to Words.
-	Bytes []byte
-	// Class is the size class (0 => 64 bytes of words).
+	// Class is the size class (0 => 64 bytes).
 	Class int
-	// ID is a stable identifier assigned when the block is first carved.
-	ID uint64
 	// Off is the block's word offset in the global arena address space.
 	// Adjacent small blocks share 4KB pages, exactly as they would in the
 	// paper's single memory-mapped file — the out-of-core simulation
@@ -69,12 +77,6 @@ type Block struct {
 
 // WordCap returns the word capacity of a block of the given class.
 func WordCap(class int) int { return MinBlockWords << class }
-
-// ByteCap returns the byte-region capacity paired with a block of the given
-// class. The byte region mirrors the word region's size so a block's total
-// footprint is 2x the paper's (documented in DESIGN.md; the micro-benchmark
-// section of the paper itself notes TEL entries take 2x CSR's footprint).
-func ByteCap(class int) int { return (MinBlockWords << class) * 8 }
 
 // ClassFor returns the smallest class whose word capacity is >= words.
 func ClassFor(words int) int {
@@ -107,11 +109,10 @@ type Allocator struct {
 	slab      []int64 // current slab bump region
 	slabOff   int
 	slabBase  int64 // arena offset of the current slab's word 0
-	byteSlab  []byte
-	byteOff   int
 	slabWords int64 // total words ever reserved (also: next arena offset)
 
-	// shared free lists for classes > smallClassMax
+	// shared free lists: classes > smallClassMax, and blocks of any class
+	// that Reclaim recycles or a slab's tail is cut into
 	shared [NumClasses][]*Block
 
 	// deferred frees waiting for their epoch to pass
@@ -122,7 +123,6 @@ type Allocator struct {
 	recBlocks   int64
 	recWords    int64
 	classCounts [NumClasses]int64
-	nextID      uint64
 }
 
 type deferredBlock struct {
@@ -171,9 +171,6 @@ func (h *Handle) Alloc(class int) *Block {
 	return h.a.allocShared(class)
 }
 
-// AllocWords returns a zeroed block with capacity for at least words words.
-func (h *Handle) AllocWords(words int) *Block { return h.Alloc(ClassFor(words)) }
-
 // Free returns a block to the free lists immediately. Only call when no
 // other goroutine can still be reading the block (e.g. blocks allocated by
 // an aborted transaction that never became visible).
@@ -207,36 +204,42 @@ func (a *Allocator) allocShared(class int) *Block {
 		return b
 	}
 	words := WordCap(class)
-	bcap := ByteCap(class)
-	a.nextID++
-	id := a.nextID
 	var b *Block
 	if words > slabWords {
-		b = &Block{Words: make([]int64, words), Bytes: make([]byte, bcap), Class: class, ID: id, Off: a.slabWords}
+		b = &Block{Words: make([]int64, words), Class: class, Off: a.slabWords}
 		a.slabWords += int64(words)
 	} else {
-		if a.slab == nil || a.slabOff+words > len(a.slab) {
+		if a.slabOff+words > len(a.slab) {
+			// Blocks never span slabs: what is left of this one goes to the
+			// shared free lists, largest class first, instead of being
+			// stranded behind the new slab.
+			for rest := len(a.slab) - a.slabOff; rest >= MinBlockWords; rest = len(a.slab) - a.slabOff {
+				t := a.carve(bits.Len(uint(rest/MinBlockWords)) - 1)
+				a.shared[t.Class] = append(a.shared[t.Class], t)
+				atomic.AddInt64(&a.recBlocks, 1)
+				atomic.AddInt64(&a.recWords, int64(len(t.Words)))
+			}
 			a.slab = make([]int64, slabWords)
 			a.slabOff = 0
 			a.slabBase = a.slabWords
 			a.slabWords += slabWords
 		}
-		if a.byteSlab == nil || a.byteOff+bcap > len(a.byteSlab) {
-			a.byteSlab = make([]byte, slabWords*8)
-			a.byteOff = 0
-		}
-		b = &Block{
-			Words: a.slab[a.slabOff : a.slabOff+words : a.slabOff+words],
-			Bytes: a.byteSlab[a.byteOff : a.byteOff+bcap : a.byteOff+bcap],
-			Class: class,
-			ID:    id,
-			Off:   a.slabBase + int64(a.slabOff),
-		}
-		a.slabOff += words
-		a.byteOff += bcap
+		b = a.carve(class)
 	}
 	a.noteAllocLocked(b, +1)
 	a.mu.Unlock()
+	return b
+}
+
+// carve cuts a block of the given class from the current slab.
+func (a *Allocator) carve(class int) *Block {
+	words := WordCap(class)
+	b := &Block{
+		Words: a.slab[a.slabOff : a.slabOff+words : a.slabOff+words],
+		Class: class,
+		Off:   a.slabBase + int64(a.slabOff),
+	}
+	a.slabOff += words
 	return b
 }
 
@@ -334,11 +337,4 @@ func (a *Allocator) noteFreeLocked(b *Block, _ int) {
 	atomic.AddInt64(&a.recWords, int64(len(b.Words)))
 }
 
-func zero(b *Block) {
-	for i := range b.Words {
-		b.Words[i] = 0
-	}
-	for i := range b.Bytes {
-		b.Bytes[i] = 0
-	}
-}
+func zero(b *Block) { clear(b.Words) }

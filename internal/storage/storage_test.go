@@ -46,9 +46,6 @@ func TestAllocZeroedAndSized(t *testing.T) {
 		if len(b.Words) != WordCap(class) {
 			t.Fatalf("class %d: got %d words, want %d", class, len(b.Words), WordCap(class))
 		}
-		if len(b.Bytes) != ByteCap(class) {
-			t.Fatalf("class %d: got %d bytes, want %d", class, len(b.Bytes), ByteCap(class))
-		}
 		for i, w := range b.Words {
 			if w != 0 {
 				t.Fatalf("class %d word %d not zero", class, i)
@@ -167,6 +164,31 @@ func TestHugeBlockGetsDedicatedSlab(t *testing.T) {
 	b2 := h.Alloc(class)
 	if b2 != b {
 		t.Fatal("huge block should recycle")
+	}
+}
+
+// TestSlabTailGoesToFreeLists: a block that does not fit the rest of the
+// current slab opens the next one, and the rest is cut into free blocks
+// instead of stranded, so everything reserved is live, recycled, or the
+// uncarved rest of the newest slab.
+func TestSlabTailGoesToFreeLists(t *testing.T) {
+	a := NewAllocator(0)
+	h := a.NewHandle()
+	half := ClassFor(slabWords / 2)
+	h.Alloc(0)
+	h.Alloc(half)
+	if b := h.Alloc(half); b.Off != slabWords {
+		t.Fatalf("second half-slab block at arena offset %d, want the next slab's start %d", b.Off, slabWords)
+	}
+	s := a.Stats()
+	if s.RecycledWords != slabWords/2-MinBlockWords {
+		t.Fatalf("%d words of the first slab's tail recycled, want %d", s.RecycledWords, slabWords/2-MinBlockWords)
+	}
+	if uncarved := s.SlabWords - s.AllocatedWords - s.RecycledWords; uncarved != slabWords/2 {
+		t.Fatalf("%d words uncarved, want the newest slab's rest %d", uncarved, slabWords/2)
+	}
+	if b := h.Alloc(half - 1); b.Off >= slabWords {
+		t.Fatalf("quarter-slab block carved at arena offset %d, not from the first slab's tail", b.Off)
 	}
 }
 

@@ -3,7 +3,8 @@
 // contiguous block so that scans are purely sequential even under concurrent
 // transactions.
 //
-// Block layout (within a storage.Block's word region):
+// Block layout — one storage.Block of W words (8W bytes), entries growing
+// from the front and properties from the back, as in the paper's Figure 3:
 //
 //	word 0              source vertex ID
 //	word 1              label
@@ -11,19 +12,28 @@
 //	word 3              committed log size LS      (atomic, in entries)
 //	word 4              committed property size PS (atomic, in bytes)
 //	word 5              dead property bytes DB     (atomic, in bytes)
-//	words 6 .. 6+F      blocked Bloom filter (F = bloom.WordsFor(block size))
-//	words 6+F ..        fixed-size edge log entries, 4 words each
+//	words 6 .. 6+F      blocked Bloom filter (F = bloom.WordsFor(W))
+//	words 6+F ..        fixed-size edge log entries, 4 words each, growing up
+//	   ...              free space
+//	bytes .. 8W         property payloads, packed downward from the block end
 //
 // An edge log entry is 32 bytes: destination vertex, creation timestamp,
-// invalidation timestamp, and a property reference (offset|size into the
-// block's byte region). Both timestamps are aligned 8-byte words accessed
-// with sync/atomic — the Go analogue of the paper's cache-aligned fields
-// that let readers check entry visibility without locks mid-scan.
+// invalidation timestamp, and a property reference (distance from the block
+// end to the payload's first byte | payload size). Both timestamps are
+// aligned 8-byte words accessed with sync/atomic — the Go analogue of the
+// paper's cache-aligned fields that let readers check entry visibility
+// without locks mid-scan. The block is full when the next entry's end would
+// pass the start of the property bytes; entries and properties share one
+// size class, so neither rounds up on its own.
 //
-// The paper appends entries right-to-left and properties left-to-right
-// within one allocation; here entries grow upward in the word region and
-// properties upward in the parallel byte region of the same block. Scans
-// iterate newest-to-oldest (descending index), which is the same sequential,
+// Property references are end-relative so that an upgrade moves a list
+// without touching it: the entry prefix goes to the same word offsets of the
+// bigger block and the property tail to the same distance from its end, so
+// the move is two copies and every reference in the copied entries is still
+// right. A reader still scanning the old block resolves the same reference
+// against the old block's end.
+//
+// Scans iterate newest-to-oldest (descending index), the paper's sequential,
 // time-locality-friendly order.
 //
 // Writers (one at a time per TEL, enforced by the vertex lock) append
@@ -35,6 +45,7 @@ package tel
 
 import (
 	"sync/atomic"
+	"unsafe"
 
 	"livegraph/internal/bloom"
 	"livegraph/internal/mvcc"
@@ -60,64 +71,55 @@ const (
 	hdrDead
 )
 
-// TEL wraps a storage block as a Transactional Edge Log. Prev links to the
-// superseded version of this adjacency list (after an upgrade or
-// compaction), mirroring the paper's per-TEL "previous" pointers.
+// TEL wraps a storage block as a Transactional Edge Log. An upgrade or a
+// compaction moves the list to a new TEL; the old one is garbage once no
+// reader holds it.
 type TEL struct {
 	Block *storage.Block
-	Prev  *TEL
 
 	entryBase int // word index where entries start
-	entryCap  int
 	filter    bloom.Filter
 }
 
 // New allocates a TEL for (src, label) able to hold at least minEntries
 // edge log entries and minPropBytes of property payload.
 func New(h *storage.Handle, src, label int64, minEntries, minPropBytes int) *TEL {
-	class := classFor(minEntries, minPropBytes)
-	b := h.Alloc(class)
-	t := wrap(b)
-	b.Words[hdrSrc] = src
-	b.Words[hdrLabel] = label
-	b.Words[hdrCT] = 0
-	b.Words[hdrLS] = 0
-	b.Words[hdrPS] = 0
-	// Arena blocks are recycled; a stale counter would overstate pressure.
-	b.Words[hdrDead] = 0
+	t := wrap(h.Alloc(classFor(0, minEntries, minPropBytes)))
+	t.Block.Words[hdrSrc] = src
+	t.Block.Words[hdrLabel] = label
 	return t
 }
 
-// classFor picks the smallest block class that fits the header, filter,
-// entries and property bytes.
-func classFor(entries, propBytes int) int {
-	class := 0
-	for {
+// classFor picks the smallest block class, from minClass up, whose bytes
+// hold the header, the filter, entries edge log entries and propBytes of
+// properties.
+func classFor(minClass, entries, propBytes int) int {
+	for class := minClass; class < storage.NumClasses; class++ {
 		words := storage.WordCap(class)
-		f := bloom.WordsFor(words)
-		capEntries := (words - HeaderWords - f) / EntryWords
-		if capEntries >= entries && storage.ByteCap(class) >= propBytes {
+		if (HeaderWords+bloom.WordsFor(words)+entries*EntryWords)*8+propBytes <= words*8 {
 			return class
 		}
-		class++
-		if class >= storage.NumClasses {
-			panic("tel: adjacency list exceeds maximum block size")
-		}
 	}
+	panic("tel: adjacency list exceeds maximum block size")
 }
-
-// Wrap reinterprets an existing block as a TEL (used by recovery and tests).
-func Wrap(b *storage.Block) *TEL { return wrap(b) }
 
 func wrap(b *storage.Block) *TEL {
 	f := bloom.WordsFor(len(b.Words))
-	base := HeaderWords + f
 	return &TEL{
 		Block:     b,
-		entryBase: base,
-		entryCap:  (len(b.Words) - base) / EntryWords,
+		entryBase: HeaderWords + f,
 		filter:    bloom.View(b.Words[HeaderWords : HeaderWords+f]),
 	}
+}
+
+// bytes views the block's words as bytes: properties are byte-packed into
+// the same memory as the entries, and an unsafe.Slice view is how one Go
+// allocation holds both — a separate []byte would be a second region with
+// its own size class and slab. The view is never stored, so a TEL and its
+// block carry one slice header.
+func (t *TEL) bytes() []byte {
+	w := t.Block.Words
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(w))), len(w)*8)
 }
 
 // Src returns the source vertex this adjacency list belongs to.
@@ -125,12 +127,6 @@ func (t *TEL) Src() int64 { return t.Block.Words[hdrSrc] }
 
 // Label returns the edge label of this adjacency list.
 func (t *TEL) Label() int64 { return t.Block.Words[hdrLabel] }
-
-// EntryCap returns how many edge log entries the block can hold.
-func (t *TEL) EntryCap() int { return t.entryCap }
-
-// PropCap returns the property byte capacity of the block.
-func (t *TEL) PropCap() int { return len(t.Block.Bytes) }
 
 // CommitTS returns the TEL's commit timestamp CT: the timestamp of the
 // latest transaction that modified it. Writers compare their read epoch
@@ -175,31 +171,38 @@ func (t *TEL) Publish(n, propLen int, ts int64) {
 }
 
 // Fits reports whether one more entry with propBytes of properties fits
-// given the tentative sizes (n entries, propLen bytes already used).
+// given the tentative sizes (n entries, propLen bytes already used): the
+// end of entry n must not pass the start of the properties.
 func (t *TEL) Fits(n, propLen, propBytes int) bool {
-	return n < t.entryCap && propLen+propBytes <= len(t.Block.Bytes)
+	return (t.entryBase+(n+1)*EntryWords)*8+propLen+propBytes <= len(t.Block.Words)*8
 }
 
 // Append writes an edge log entry at slot n with the given destination,
 // creation timestamp (normally -TID during the work phase) and properties,
-// whose bytes are copied into the block at offset propLen. It returns the
-// new property length. The caller must hold the vertex lock and must have
-// checked Fits.
+// whose bytes are copied in just below the propLen bytes already used. It
+// returns the new property length. The caller must hold the vertex lock and
+// must have checked Fits.
 //
 // The entry's invalidation timestamp is set to NullTS. The Bloom filter is
 // updated so later operations on the same destination take the scan path.
 func (t *TEL) Append(n int, dst, creation int64, props []byte, propLen int) int {
+	return t.put(n, dst, creation, mvcc.NullTS, props, propLen)
+}
+
+func (t *TEL) put(n int, dst, creation, invalidation int64, props []byte, propLen int) int {
 	w := t.entryBase + n*EntryWords
 	words := t.Block.Words
 	words[w+0] = dst
-	copy(t.Block.Bytes[propLen:], props)
+	propLen += len(props)
+	b := t.bytes()
+	copy(b[len(b)-propLen:], props)
 	words[w+3] = int64(propLen)<<propOffShift | int64(len(props))
 	// Timestamps are stored atomically: a concurrent reader racing past the
 	// committed LS of a *previous* version must never observe a torn word.
-	atomic.StoreInt64(&words[w+2], mvcc.NullTS)
+	atomic.StoreInt64(&words[w+2], invalidation)
 	atomic.StoreInt64(&words[w+1], creation)
 	t.filter.Add(uint64(dst))
-	return propLen + len(props)
+	return propLen
 }
 
 // Dst returns entry i's destination vertex.
@@ -236,9 +239,10 @@ func (t *TEL) CASInvalidation(i int, old, new int64) bool {
 // must copy if they retain it beyond the transaction).
 func (t *TEL) Props(i int) []byte {
 	ref := t.Block.Words[t.entryBase+i*EntryWords+3]
-	off := ref >> propOffShift
-	size := ref & propSizeMask
-	return t.Block.Bytes[off : off+size]
+	b := t.bytes()
+	start := len(b) - int(ref>>propOffShift)
+	end := start + int(ref&propSizeMask)
+	return b[start:end:end]
 }
 
 // pageWords is 4096 bytes of words — the unit of the out-of-core paging
@@ -286,41 +290,34 @@ func (t *TEL) FindLatest(dst int64, n int, tre, tid int64) int {
 	return -1
 }
 
-// CopyAllFrom bulk-copies src's first n entries and propLen property bytes
-// into t (which must be empty and large enough), preserving property
-// offsets, and rebuilds the Bloom filter. This is the block "upgrade" path:
-// the new block carries the identical committed prefix, so swapping the
-// index pointer is safe mid-transaction.
-func (t *TEL) CopyAllFrom(src *TEL, n, propLen int) {
-	copy(t.Block.Words[t.entryBase:], src.Block.Words[src.entryBase:src.entryBase+n*EntryWords])
-	copy(t.Block.Bytes, src.Block.Bytes[:propLen])
-	t.Block.Words[hdrSrc] = src.Block.Words[hdrSrc]
-	t.Block.Words[hdrLabel] = src.Block.Words[hdrLabel]
-	atomic.StoreInt64(&t.Block.Words[hdrCT], src.CommitTS())
-	atomic.StoreInt64(&t.Block.Words[hdrPS], int64(src.PropLen()))
-	atomic.StoreInt64(&t.Block.Words[hdrLS], int64(src.Len()))
-	atomic.StoreInt64(&t.Block.Words[hdrDead], src.DeadBytes())
-	t.filter.Reset()
+// Upgrade moves t's first n entries and propLen property bytes into the
+// smallest block class above t's that also fits one more entry with
+// propBytes of properties (paper §3: dynamic-array doubling, amortised O(1)
+// appends), and rebuilds the Bloom filter there. The new block carries the
+// identical committed prefix, so swapping the index pointer is safe
+// mid-transaction; t is left as it was for readers still scanning it.
+func (t *TEL) Upgrade(h *storage.Handle, n, propLen, propBytes int) *TEL {
+	nt := wrap(h.Alloc(classFor(t.Block.Class+1, n+1, propLen+propBytes)))
+	copy(nt.Block.Words[nt.entryBase:], t.Block.Words[t.entryBase:t.entryBase+n*EntryWords])
+	nb, b := nt.bytes(), t.bytes()
+	copy(nb[len(nb)-propLen:], b[len(b)-propLen:])
+	nt.Block.Words[hdrSrc] = t.Block.Words[hdrSrc]
+	nt.Block.Words[hdrLabel] = t.Block.Words[hdrLabel]
+	atomic.StoreInt64(&nt.Block.Words[hdrCT], t.CommitTS())
+	atomic.StoreInt64(&nt.Block.Words[hdrPS], int64(t.PropLen()))
+	atomic.StoreInt64(&nt.Block.Words[hdrLS], int64(t.Len()))
+	atomic.StoreInt64(&nt.Block.Words[hdrDead], t.DeadBytes())
 	for i := 0; i < n; i++ {
-		t.filter.Add(uint64(t.Dst(i)))
+		nt.filter.Add(uint64(nt.Dst(i)))
 	}
-	t.Prev = src
+	return nt
 }
 
 // CompactAppend copies entry i of src (with its properties) to slot n of t,
-// re-packing properties at propLen. Returns the new property length. Used
-// by compaction, which keeps only entries still visible to some epoch.
+// re-packing properties below propLen. Returns the new property length.
+// Used by compaction, which keeps only entries still visible to some epoch.
 func (t *TEL) CompactAppend(src *TEL, i, n, propLen int) int {
-	props := src.Props(i)
-	w := t.entryBase + n*EntryWords
-	words := t.Block.Words
-	words[w+0] = src.Dst(i)
-	copy(t.Block.Bytes[propLen:], props)
-	words[w+3] = int64(propLen)<<propOffShift | int64(len(props))
-	atomic.StoreInt64(&words[w+2], src.Invalidation(i))
-	atomic.StoreInt64(&words[w+1], src.Creation(i))
-	t.filter.Add(uint64(src.Dst(i)))
-	return propLen + len(props)
+	return t.put(n, src.Dst(i), src.Creation(i), src.Invalidation(i), src.Props(i), propLen)
 }
 
 // Iter is a purely sequential scan over the first n entries of a TEL,

@@ -7,7 +7,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
+	"livegraph/internal/bloom"
 	"livegraph/internal/mvcc"
 	"livegraph/internal/storage"
 )
@@ -20,8 +22,8 @@ func TestNewMinimalBlockIsOneCacheLine(t *testing.T) {
 	// 64-byte block: 6 header words + no filter + 4 entry words = 10 words
 	// does NOT fit in 8 words, so the minimal single-edge block is class 1
 	// (128 B) in this layout. Verify it holds exactly the advertised entry.
-	if tl.EntryCap() < 1 {
-		t.Fatalf("minimal TEL holds %d entries, want >= 1", tl.EntryCap())
+	if !tl.Fits(0, 0, 0) {
+		t.Fatal("minimal TEL holds no entry")
 	}
 	if tl.Block.Class > 1 {
 		t.Fatalf("minimal TEL uses class %d, want <= 1", tl.Block.Class)
@@ -164,7 +166,7 @@ func TestBloomEarlyRejection(t *testing.T) {
 	}
 }
 
-func TestCopyAllFromUpgrade(t *testing.T) {
+func TestUpgradeCopiesPrefix(t *testing.T) {
 	h := newHandle()
 	small := New(h, 9, 3, 4, 64)
 	n, pl := 0, 0
@@ -174,18 +176,29 @@ func TestCopyAllFromUpgrade(t *testing.T) {
 	}
 	small.Publish(n, pl, 1)
 	small.SetInvalidation(1, 2) // one deleted version
+	small.AddDeadBytes(EntryWords*8 + 2)
+	// A tentative append past the committed prefix moves with it.
+	pl = small.Append(n, 4, -7, []byte("tentative"), pl)
+	n++
 
-	big := New(h, 9, 3, 16, 256)
-	big.CopyAllFrom(small, n, pl)
+	big := small.Upgrade(h, n, pl, 300)
 
+	if big.Block.Class <= small.Block.Class {
+		t.Fatalf("upgrade from class %d to %d", small.Block.Class, big.Block.Class)
+	}
+	if !big.Fits(n, pl, 300) {
+		t.Fatal("upgraded block does not fit the entry it was sized for")
+	}
 	if big.Src() != 9 || big.Label() != 3 {
 		t.Fatal("header not copied")
 	}
-	if big.Len() != small.Len() || big.PropLen() != small.PropLen() || big.CommitTS() != small.CommitTS() {
+	if big.Len() != small.Len() || big.PropLen() != small.PropLen() || big.CommitTS() != small.CommitTS() ||
+		big.DeadBytes() != small.DeadBytes() {
 		t.Fatal("committed sizes not copied")
 	}
-	if big.Prev != small {
-		t.Fatal("prev pointer not set")
+	// The old block's words are untouched for readers still scanning it.
+	if small.Len() != 4 || string(small.Props(4)) != "tentative" {
+		t.Fatal("upgrade changed the source block")
 	}
 	for i := 0; i < n; i++ {
 		if big.Dst(i) != small.Dst(i) || big.Creation(i) != small.Creation(i) ||
@@ -239,11 +252,68 @@ func TestFits(t *testing.T) {
 	if n == 0 {
 		t.Fatal("nothing fit")
 	}
-	if n > tl.EntryCap() {
-		t.Fatal("overfilled entries")
+	// Entry end and property start meet without crossing: every property
+	// still reads back intact.
+	if (HeaderWords+bloom.WordsFor(len(tl.Block.Words))+n*EntryWords)*8+pl > len(tl.Block.Words)*8 {
+		t.Fatal("entries and properties overlap")
 	}
-	if pl > tl.PropCap() {
-		t.Fatal("overfilled props")
+	for i := 0; i < n; i++ {
+		if string(tl.Props(i)) != "abcd" || tl.Dst(i) != int64(i) {
+			t.Fatalf("entry %d overwritten", i)
+		}
+	}
+}
+
+// TestHeaderSizes pins the Go-side footprint of a list: every TEL and
+// block header is on the heap once per adjacency list, so a field added to
+// either shows up here and in review.
+func TestHeaderSizes(t *testing.T) {
+	if got := unsafe.Sizeof(TEL{}); got != 40 {
+		t.Errorf("tel.TEL is %d bytes, want 40 (block pointer, entry base, filter view)", got)
+	}
+	if got := unsafe.Sizeof(storage.Block{}); got != 40 {
+		t.Errorf("storage.Block is %d bytes, want 40 (words, class, arena offset)", got)
+	}
+}
+
+// TestFitsAtTheBoundary: an entry whose end meets the start of the
+// properties exactly fits, one byte more does not, and classFor agrees
+// with Fits on which class that is.
+func TestFitsAtTheBoundary(t *testing.T) {
+	h := newHandle()
+	for class := 1; class <= 6; class++ {
+		words := storage.WordCap(class)
+		entryEnd := (HeaderWords + bloom.WordsFor(words) + EntryWords) * 8 // after entry 0
+		for _, size := range []int{0, 1, 31, 32, 33, words*8 - entryEnd} {
+			pl := words*8 - entryEnd - size // bytes already used: the new ones end at entryEnd
+			if pl < 0 {
+				continue
+			}
+			t.Run(fmt.Sprintf("class=%d/props=%d", class, size), func(t *testing.T) {
+				tl := wrap(h.Alloc(class))
+				if !tl.Fits(0, pl, size) {
+					t.Fatalf("entry end == property start does not fit")
+				}
+				if tl.Fits(0, pl+1, size) {
+					t.Fatalf("one byte past the property start fits")
+				}
+				if got := classFor(0, 1, pl+size); got != class {
+					t.Fatalf("classFor(1 entry, %d B) = %d, want %d", pl+size, got, class)
+				}
+				if got := classFor(0, 1, pl+size+1); got != class+1 {
+					t.Fatalf("classFor(1 entry, %d B) = %d, want %d", pl+size+1, got, class+1)
+				}
+				// Written at the boundary, neither side overwrites the other.
+				props := bytes.Repeat([]byte{0xA5}, size)
+				if got := tl.Append(0, 77, 3, props, pl); got != pl+size {
+					t.Fatalf("Append returned property length %d, want %d", got, pl+size)
+				}
+				if tl.Dst(0) != 77 || tl.Creation(0) != 3 || tl.Invalidation(0) != mvcc.NullTS || !bytes.Equal(tl.Props(0), props) {
+					t.Fatalf("entry and properties overlap: dst %d creation %d props %x", tl.Dst(0), tl.Creation(0), tl.Props(0))
+				}
+				h.Free(tl.Block)
+			})
+		}
 	}
 }
 
@@ -277,7 +347,9 @@ func TestFindLatestOwnWrites(t *testing.T) {
 }
 
 // TestConcurrentReadDuringPublish hammers the publish/scan race: readers
-// must only ever see 0 or k*batch committed entries, never a torn state.
+// must only ever see 0 or k*batch committed entries, never a torn state,
+// and intact properties while the writer packs the next ones right below
+// them in the same words.
 func TestConcurrentReadDuringPublish(t *testing.T) {
 	h := newHandle()
 	const batches, batch = 32, 4
@@ -303,6 +375,10 @@ func TestConcurrentReadDuringPublish(t *testing.T) {
 						errs <- fmt.Sprintf("saw uncommitted creation %d", c)
 						return
 					}
+					if p := tl.Props(i); !bytes.Equal(p, publishProps(tl.Dst(i))) {
+						errs <- fmt.Sprintf("entry %d props %x", i, p)
+						return
+					}
 					count++
 				}
 				if count%batch != 0 {
@@ -316,7 +392,7 @@ func TestConcurrentReadDuringPublish(t *testing.T) {
 	for b := 0; b < batches; b++ {
 		start := n
 		for i := 0; i < batch; i++ {
-			pl = tl.Append(n, int64(n), -1000, nil, pl)
+			pl = tl.Append(n, int64(n), -1000, publishProps(int64(n)), pl)
 			n++
 		}
 		ts := int64(b + 1)
@@ -333,6 +409,10 @@ func TestConcurrentReadDuringPublish(t *testing.T) {
 	default:
 	}
 }
+
+// publishProps is entry dst's properties in TestConcurrentReadDuringPublish:
+// 0 to 6 bytes, so consecutive payloads share words at every alignment.
+func publishProps(dst int64) []byte { return bytes.Repeat([]byte{byte(dst)}, int(dst%7)) }
 
 func TestScanVisibilityProperty(t *testing.T) {
 	// Build a TEL with k versions of the same edge, each [i, i+1) lifetime;
@@ -382,7 +462,7 @@ func BenchmarkAppend(b *testing.B) {
 	n, pl := 0, 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if n >= tl.EntryCap() {
+		if !tl.Fits(n, pl, 0) {
 			n, pl = 0, 0
 		}
 		pl = tl.Append(n, int64(i), -1, nil, pl)
