@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"livegraph/internal/core"
+	"livegraph/internal/disk"
 	"livegraph/internal/iosim"
 )
 
@@ -75,7 +76,7 @@ func BenchmarkAblationGroupCommit(b *testing.B) {
 	for _, writers := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("%dwriters", writers), func(b *testing.B) {
 			dir := b.TempDir()
-			g, err := core.Open(core.Options{Dir: dir, Device: iosim.NewDevice(iosim.NAND), Workers: 64})
+			g, err := core.Open(core.Options{Dir: dir, Backend: disk.NewSim(iosim.NewDevice(iosim.NAND), disk.NewReal()), Workers: 64})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -25,6 +25,7 @@ import (
 	"livegraph/internal/baseline/lsmt"
 	"livegraph/internal/bench"
 	"livegraph/internal/core"
+	"livegraph/internal/disk"
 	"livegraph/internal/iosim"
 	"livegraph/internal/workload/kron"
 	"livegraph/internal/workload/linkbench"
@@ -321,7 +322,7 @@ func BenchmarkCommitThroughput(b *testing.B) {
 	const vertices = 1 << 10
 	g, err := core.Open(core.Options{
 		Dir:          benchWALDir(b),
-		Device:       iosim.NewDevice(iosim.NAND),
+		Backend:      disk.NewSim(iosim.NewDevice(iosim.NAND), disk.NewReal()),
 		Workers:      512,
 		CompactEvery: -1,
 	})

@@ -38,7 +38,6 @@ func main() {
 		oocFrac    = flag.Float64("ooc-frac", 0.16, "out-of-core resident fraction")
 		prIters    = flag.Int("pr-iters", 20, "PageRank iterations")
 		workers    = flag.Int("workers", 8, "analytics worker threads")
-		backendF   = flag.String("backend", "iosim", "storage backend for durable experiments: iosim (simulated device timing) or disk (real mmap segments + fsync)")
 	)
 	flag.Parse()
 
@@ -66,13 +65,6 @@ func main() {
 	cfg.OOCFrac = *oocFrac
 	cfg.PRIters = *prIters
 	cfg.Workers = *workers
-	switch *backendF {
-	case "iosim", "disk":
-		cfg.Backend = *backendF
-	default:
-		fmt.Fprintf(os.Stderr, "lgbench: unknown backend %q (iosim or disk)\n", *backendF)
-		os.Exit(2)
-	}
 
 	// The process context: experiments propagate it into transactions and
 	// replication appliers, so Ctrl-C unwinds lock waits instead of leaving

@@ -40,8 +40,7 @@ func main() {
 	var (
 		addr      = flag.String("addr", ":7450", "listen address")
 		dir       = flag.String("dir", "", "data directory (empty = volatile in-memory)")
-		device    = flag.String("device", "null", "simulated persistence device: null, optane, nand (iosim backend only)")
-		backendF  = flag.String("backend", "iosim", "storage backend: iosim (simulated device timing) or disk (real mmap segments + fsync; needs -dir)")
+		device    = flag.String("device", "null", "persistence device model over the real backend: null (none), optane, nand")
 		workers   = flag.Int("workers", 256, "max concurrent transactions")
 		history   = flag.Int64("history", 0, "temporal history retention (epochs)")
 		follow    = flag.String("follow", "", "primary base URL; run as a read replica of it")
@@ -52,25 +51,15 @@ func main() {
 	)
 	flag.Parse()
 
-	var prof iosim.Profile
+	backend := disk.NewReal()
 	switch *device {
 	case "optane":
-		prof = iosim.Optane
+		backend = disk.NewSim(iosim.NewDevice(iosim.Optane), backend)
 	case "nand":
-		prof = iosim.NAND
+		backend = disk.NewSim(iosim.NewDevice(iosim.NAND), backend)
 	case "null":
-		prof = iosim.Null
 	default:
 		fmt.Fprintf(os.Stderr, "lgserver: unknown device %q\n", *device)
-		os.Exit(2)
-	}
-	var backend disk.Backend // nil = core's default iosim-backed sim
-	switch *backendF {
-	case "iosim":
-	case "disk":
-		backend = disk.NewReal()
-	default:
-		fmt.Fprintf(os.Stderr, "lgserver: unknown backend %q (iosim or disk)\n", *backendF)
 		os.Exit(2)
 	}
 	if *follow != "" && *dir != "" {
@@ -82,7 +71,6 @@ func main() {
 
 	g, err := core.Open(core.Options{
 		Dir:              *dir,
-		Device:           iosim.NewDevice(prof),
 		Backend:          backend,
 		Workers:          *workers,
 		HistoryRetention: *history,
@@ -137,9 +125,9 @@ func main() {
 	case *follow != "":
 		mode = "replica of " + *follow + ", in-memory"
 	case *dir != "":
-		mode = "durable at " + *dir + " (" + *backendF + " backend)"
+		mode = "durable at " + *dir
 	}
-	log.Printf("lgserver: serving %s graph on %s (device %s)", mode, *addr, prof.Name)
+	log.Printf("lgserver: serving %s graph on %s (device %s)", mode, *addr, *device)
 	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		log.Fatal(err)
 	}

@@ -17,8 +17,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-
-	"livegraph/internal/disk"
 )
 
 // Config parameterises all experiments.
@@ -46,12 +44,6 @@ type Config struct {
 	// Analytics (Table 10).
 	PRIters int // PageRank iterations (paper: 20)
 	Workers int // analytics threads (paper: 24)
-
-	// Backend selects the storage backend for the durable experiments:
-	// "iosim" (default) keeps the simulated device timing model the paper
-	// comparisons use, "disk" runs the real mmap segment backend with
-	// fsync — actual hardware numbers, crash-consistent on this machine.
-	Backend string
 }
 
 // Default returns the laptop-scale configuration.
@@ -63,27 +55,7 @@ func Default(out io.Writer) Config {
 		OOCFrac:    0.16,
 		SNBPersons: 400, SNBClients: 8, SNBRequests: 40,
 		PRIters: 20, Workers: 8,
-		Backend: "iosim",
 	}
-}
-
-// backend maps the Backend name to a disk.Backend for core.Options. It
-// returns nil for "iosim" so core's default — disk.NewSim over whatever
-// Device the experiment configured — applies; experiments that pass a
-// specific iosim Device keep its timing model that way.
-func (cfg Config) backend() disk.Backend {
-	if cfg.Backend == "disk" {
-		return disk.NewReal()
-	}
-	return nil
-}
-
-// backendName normalises the Backend field for display.
-func (cfg Config) backendName() string {
-	if cfg.Backend == "" {
-		return "iosim"
-	}
-	return cfg.Backend
 }
 
 // Experiment is a runnable reproduction of one table or figure. Run takes

@@ -3,8 +3,12 @@ package bench
 import (
 	"context"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"livegraph/internal/iosim"
 )
 
 // tiny returns a configuration small enough that every experiment finishes
@@ -13,7 +17,7 @@ func tiny(out io.Writer) Config {
 	return Config{
 		Out:      out,
 		MinScale: 6, MaxScale: 6, ScanOps: 200,
-		LBScale: 7, LBClients: 2, LBRequests: 100,
+		LBScale: 6, LBClients: 2, LBRequests: 100,
 		OOCFrac:    0.2,
 		SNBPersons: 40, SNBClients: 2, SNBRequests: 5,
 		PRIters: 3, Workers: 2,
@@ -110,5 +114,33 @@ func TestTELStoreConformance(t *testing.T) {
 	}
 	if d := s.Degree(9); d != 300 {
 		t.Fatalf("Degree(9) %d", d)
+	}
+}
+
+// LinkBench's LiveGraph persists like its durable baselines: its WAL is on
+// disk and pays the device; each baseline's log is synced — on disk, then
+// on its device — once per window of writes; and the closer takes the
+// directory away.
+func TestLinkBenchLiveGraphIsDurable(t *testing.T) {
+	systems, _, done := BuildSystems(tiny(io.Discard), iosim.Optane, false)
+	g := systems[0].Graph
+	if systems[0].Name != "LiveGraph" || g == nil {
+		t.Fatalf("first system is %q, want LiveGraph", systems[0].Name)
+	}
+	dir := g.Dir()
+	if dir == "" || g.WALAppendedBytes() == 0 {
+		t.Fatalf("LiveGraph built volatile: dir=%q wal bytes=%d", dir, g.WALAppendedBytes())
+	}
+	for _, s := range systems[1:] {
+		ds := s.Store.(*durableStore)
+		st := ds.dev.Stats()
+		syncs := int64(ds.writes / syncWindow)
+		if syncs == 0 || st.Syncs != syncs || st.BytesWritten != syncs*int64(syncWindow*len(writeRecord)) {
+			t.Fatalf("%s: %d writes billed %+v, want %d syncs of %d records", s.Name, ds.writes, st, syncs, syncWindow)
+		}
+	}
+	done()
+	if _, err := os.Stat(filepath.Dir(dir)); !os.IsNotExist(err) {
+		t.Fatalf("closer left %s behind (stat err %v)", filepath.Dir(dir), err)
 	}
 }

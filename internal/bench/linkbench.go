@@ -3,12 +3,15 @@ package bench
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
+	"os"
+	"path/filepath"
+	"sync"
 	"time"
 
 	"livegraph/internal/baseline/btree"
 	"livegraph/internal/baseline/lsmt"
 	"livegraph/internal/core"
+	"livegraph/internal/disk"
 	"livegraph/internal/iosim"
 	"livegraph/internal/workload"
 	"livegraph/internal/workload/kron"
@@ -16,21 +19,41 @@ import (
 )
 
 // durableStore wraps a baseline store so its writes pay for persistence
-// like LiveGraph's WAL does: bytes buffered per write, one device sync per
-// group-commit window (RocksDB and LMDB both group-commit their logs).
+// on the same bottom as LiveGraph's WAL: each write appends a record to a
+// log segment opened through disk.NewSim(dev, disk.NewReal()), and every
+// syncWindow-th write syncs it — a real msync, then the device model's sync
+// (RocksDB and LMDB both group-commit their logs). A writer that arrives
+// during a sync waits for it, as it would behind a log's group leader.
 type durableStore struct {
 	linkbench.Store
 	dev    *iosim.Device
-	window int64
-	writes atomic.Int64
+	mu     sync.Mutex
+	log    disk.LogFile
+	writes int
 }
 
-const writeRecordBytes = 96
+const syncWindow = 32
+
+var writeRecord [96]byte
+
+func newDurableStore(s linkbench.Store, path string, dev *iosim.Device) *durableStore {
+	log, err := disk.NewSim(dev, disk.NewReal()).OpenLog(path, disk.LogGeometry{Seq: 1, Shards: 1})
+	if err != nil {
+		panic(err)
+	}
+	return &durableStore{Store: s, dev: dev, log: log}
+}
 
 func (d *durableStore) noteWrite() {
-	d.dev.Write(writeRecordBytes)
-	if d.writes.Add(1)%d.window == 0 {
-		d.dev.Sync()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if _, err := d.log.Write(writeRecord[:]); err != nil {
+		panic(err)
+	}
+	if d.writes++; d.writes%syncWindow == 0 {
+		if err := d.log.Sync(); err != nil {
+			panic(err)
+		}
 	}
 }
 
@@ -127,17 +150,28 @@ type System struct {
 }
 
 // BuildSystems constructs LiveGraph, RocksDB(LSMT) and LMDB(B+tree) loaded
-// with the same base graph, persisting on the given device profile;
-// ooc enables the paged-memory simulation with residentFrac of the
-// estimated footprint.
+// with the same base graph, all durable in one temporary directory (which
+// the returned closer removes), each on its own device of the given
+// profile; ooc enables the paged-memory simulation with residentFrac of
+// the estimated footprint, its faults charged to the same device (a fault
+// does not queue behind the device's syncs: iosim.Device.ReadFault).
+//
+// All three pay the same two costs per log sync — a real msync of an
+// mmap'd segment and the device model's sync — and differ only in when
+// they sync: LiveGraph once per commit group (a write that commits alone
+// syncs alone), the baselines once per syncWindow writes (durableStore).
 func BuildSystems(cfg Config, prof iosim.Profile, ooc bool) ([]System, []kron.Edge, func()) {
 	bg := linkbench.BaseGraph{Scale: cfg.LBScale, AvgDegree: 4, Seed: 42}
 	var systems []System
+	root, err := tempDir()
+	if err != nil {
+		panic(err)
+	}
 	var closers []func()
 
-	// LiveGraph.
+	dir := filepath.Join(root, "livegraph")
 	dev := iosim.NewDevice(prof)
-	opts := core.Options{Device: dev, Backend: cfg.backend(), Workers: 512}
+	opts := core.Options{Dir: dir, Backend: disk.NewSim(dev, disk.NewReal()), Workers: 512}
 	var lgCache *iosim.PageCache
 	if ooc {
 		// Build with an effectively unlimited resident set; the real cap
@@ -162,6 +196,19 @@ func BuildSystems(cfg Config, prof iosim.Profile, ooc bool) ([]System, []kron.Ed
 		lgCache.SetCap(residentCap)
 	}
 
+	// baseline loads a stand-in that logs like a durableStore on its own
+	// device and, out of core, pages through a cache of the same cap.
+	baseline := func(name string, s linkbench.Store, pages func(src int64) []uint64) {
+		dev := iosim.NewDevice(prof)
+		ds := newDurableStore(s, filepath.Join(root, name+".log"), dev)
+		closers = append(closers, func() { ds.log.Close() })
+		var store linkbench.Store = ds
+		if ooc {
+			store = &oocStore{Store: ds, cache: iosim.NewPageCache(dev, residentCap), pages: pages}
+		}
+		linkbench.Build(store, bg, 64)
+		systems = append(systems, System{name, store, nil})
+	}
 	// RocksDB stand-in. The memtable is sized so the base graph spills
 	// into sorted runs at any scale (at paper scale the default memtable
 	// spills too; at laptop scale it would hold the whole graph and hide
@@ -171,35 +218,14 @@ func BuildSystems(cfg Config, prof iosim.Profile, ooc bool) ([]System, []kron.Ed
 		memLimit = 1024
 	}
 	ls := lsmt.NewWithMemLimit(memLimit)
-	var rocks linkbench.Store = &durableStore{
-		Store:  &linkbench.BaselineStore{Edges: ls},
-		dev:    iosim.NewDevice(prof),
-		window: 32,
-	}
-	if ooc {
-		cache := iosim.NewPageCache(iosim.NewDevice(prof), residentCap)
-		rocks = &oocStore{Store: rocks, cache: cache, pages: lsmtPages(ls)}
-	}
-	linkbench.Build(rocks, bg, 64)
-	systems = append(systems, System{"RocksDB", rocks, nil})
-
-	// LMDB stand-in.
-	var lmdb linkbench.Store = &durableStore{
-		Store:  &linkbench.BaselineStore{Edges: btree.New()},
-		dev:    iosim.NewDevice(prof),
-		window: 32,
-	}
-	if ooc {
-		cache := iosim.NewPageCache(iosim.NewDevice(prof), residentCap)
-		lmdb = &oocStore{Store: lmdb, cache: cache, pages: btreePages}
-	}
-	linkbench.Build(lmdb, bg, 64)
-	systems = append(systems, System{"LMDB", lmdb, nil})
+	baseline("RocksDB", &linkbench.BaselineStore{Edges: ls}, lsmtPages(ls))
+	baseline("LMDB", &linkbench.BaselineStore{Edges: btree.New()}, btreePages)
 
 	return systems, edges, func() {
 		for _, c := range closers {
 			c()
 		}
+		os.RemoveAll(root)
 	}
 }
 
@@ -383,12 +409,13 @@ func Fig8(_ context.Context, cfg Config) {
 // checkpoint cost scales with the dirty-vertex count, not graph size
 // (the acceptance bar: ≥5x faster than the full dump at ≤10% dirty).
 func Ckpt(ctx context.Context, cfg Config) {
-	header(cfg, fmt.Sprintf("incremental checkpointing: full baseline vs delta, %s backend", cfg.backendName()))
+	header(cfg, "incremental checkpointing: full baseline vs delta")
 	dir, err := tempDir()
 	if err != nil {
 		panic(err)
 	}
-	g, err := core.Open(core.Options{Dir: dir, Device: iosim.NewDevice(iosim.NAND), Backend: cfg.backend(), Workers: 512,
+	defer os.RemoveAll(dir)
+	g, err := core.Open(core.Options{Dir: dir, Workers: 512,
 		// The sweep goes to 25% dirty; a 0.5 rebase threshold keeps every
 		// sweep point on the delta path while still exercising realistic
 		// triggers.

@@ -24,8 +24,9 @@ var ckptMagic = []byte("LGCKPT1\n")
 
 // ckptCrashHook, when set (crash-matrix tests only), is invoked at each
 // named stage of the checkpoint swap protocol. Returning an error aborts
-// the checkpoint at exactly that point — the iosim equivalent of dying
-// there — and the real-backend tests os.Exit inside the hook instead.
+// the checkpoint at exactly that point — the in-process equivalent of
+// dying there — and the process-crash tests os.Exit inside the hook
+// instead.
 // Stages, in protocol order (a full checkpoint passes through the snap-*
 // stages, a delta checkpoint through the delta-* stages):
 //

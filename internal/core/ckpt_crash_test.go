@@ -1,11 +1,11 @@
 package core
 
-// Crash matrix for the checkpoint swap protocol, run under BOTH storage
-// backends: the iosim backend simulates a crash by aborting Checkpoint at
-// an injected stage (ckptCrashHook) and reopening; the real mmap backend
-// additionally gets genuine process-exit crashes — the test re-execs its
-// own binary as a child that dies (os.Exit, no Close, no tail trim) at
-// the same protocol stages, and the parent recovers the directory
+// Crash matrix for the checkpoint swap protocol. Each stage is hit by
+// aborting Checkpoint there (ckptCrashHook) and reopening, on the real
+// mmap backend both bare and wrapped in the device simulator; the real
+// backend additionally gets genuine process-exit crashes — the test
+// re-execs its own binary as a child that dies (os.Exit, no Close, no tail
+// trim) at the same protocol stages, and the parent recovers the directory
 // in-process. Every acknowledged commit must survive every crash point,
 // recovery must land on the epoch acknowledged at the crash, and stray
 // swap-protocol temp files must be swept.
@@ -26,15 +26,19 @@ import (
 // ckptStages in protocol order; see ckptCrashHook in checkpoint.go.
 var ckptStages = []string{"snap-tmp", "snap-durable", "meta-durable", "pruned"}
 
-// crashBackends enumerates the two storage bottoms. The real backend uses
-// a one-page initial segment so the crash matrix also exercises mmap
+// crashBackends enumerates the matrix's two arms over the one file
+// implementation: the real backend bare ("disk") and wrapped in the device
+// simulator ("iosim"), which must be transparent when no crash is armed.
+// Both use a one-page initial segment so the matrix also exercises mmap
 // growth/remap under load.
 func crashBackends() map[string]func() disk.Backend {
 	return map[string]func() disk.Backend{
-		"iosim": func() disk.Backend { return disk.NewSim(iosim.NewDevice(iosim.Null)) },
-		"disk":  func() disk.Backend { return disk.NewRealOpts(disk.RealOptions{SegBytes: 4096}) },
+		"iosim": func() disk.Backend { return disk.NewSim(iosim.NewDevice(iosim.Null), smallSegments()) },
+		"disk":  smallSegments,
 	}
 }
+
+func smallSegments() disk.Backend { return disk.NewRealOpts(disk.RealOptions{SegBytes: 4096}) }
 
 func openBackendGraph(t *testing.T, dir string, b disk.Backend) *Graph {
 	t.Helper()
@@ -159,7 +163,7 @@ func TestCheckpointSkipsWhenClean(t *testing.T) {
 	// Incremental eligibility: a checkpoint with no commits since the last
 	// one is a no-op — no new snapshot file, no WAL rotation.
 	dir := t.TempDir()
-	g := openBackendGraph(t, dir, disk.NewSim(nil))
+	g := openBackendGraph(t, dir, disk.NewReal())
 	defer g.Close()
 	seedAndCommit(t, g, 3)
 	if g.DirtySinceCheckpoint() == 0 {
@@ -202,6 +206,27 @@ func TestCheckpointSkipsWhenClean(t *testing.T) {
 	}
 }
 
+// TestDefaultBackendWritesSuperblockSegments: a durable graph opened with
+// no Backend writes the one segment format, superblock first.
+func TestDefaultBackendWritesSuperblockSegments(t *testing.T) {
+	dir := t.TempDir()
+	g, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedAndCommit(t, g, 2)
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "wal-000001.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(data), "LGSEGSB1") {
+		t.Fatalf("default segment opens with %q, want the LGSEGSB1 superblock", data[:min(len(data), 8)])
+	}
+}
+
 // Real-backend process-exit crashes ------------------------------------------
 
 // TestRealCrashChild is the re-exec target: it only runs when the parent
@@ -220,7 +245,7 @@ func TestRealCrashChild(t *testing.T) {
 	if strings.HasPrefix(mode, "delta-") {
 		ck = CkptOptions{RebaseFraction: 1, MaxChain: 64}
 	}
-	g, err := Open(Options{Dir: dir, Backend: disk.NewRealOpts(disk.RealOptions{SegBytes: 4096}),
+	g, err := Open(Options{Dir: dir, Backend: smallSegments(),
 		Workers: 32, CompactEvery: -1, Ckpt: ck})
 	if err != nil {
 		t.Fatalf("child open: %v", err)
@@ -293,7 +318,7 @@ func runRealCrashChild(t *testing.T, mode string) {
 	want, _ := strconv.ParseInt(string(expectRaw), 10, 64)
 	os.Remove(filepath.Join(dir, "EXPECT"))
 
-	g := openBackendGraph(t, dir, disk.NewRealOpts(disk.RealOptions{SegBytes: 4096}))
+	g := openBackendGraph(t, dir, smallSegments())
 	defer g.Close()
 	if got := g.ReadEpoch(); got != want {
 		t.Fatalf("recovered to epoch %d, want acknowledged epoch %d", got, want)
@@ -333,7 +358,7 @@ func TestRealBackendProcessCrashMatrix(t *testing.T) {
 // real backend: write through mmap growth, checkpoint, reopen, verify.
 func TestRealBackendRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	g := openBackendGraph(t, dir, disk.NewRealOpts(disk.RealOptions{SegBytes: 4096}))
+	g := openBackendGraph(t, dir, smallSegments())
 	seedAndCommit(t, g, 12)
 	if err := g.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -351,7 +376,7 @@ func TestRealBackendRoundTrip(t *testing.T) {
 	epoch := g.ReadEpoch()
 	g.Close()
 
-	g2 := openBackendGraph(t, dir, disk.NewRealOpts(disk.RealOptions{SegBytes: 4096}))
+	g2 := openBackendGraph(t, dir, smallSegments())
 	defer g2.Close()
 	if got := g2.ReadEpoch(); got != epoch {
 		t.Fatalf("recovered to epoch %d, want %d", got, epoch)

@@ -33,7 +33,7 @@ func openCkptGraph(t *testing.T, dir string, b disk.Backend, ck CkptOptions) *Gr
 }
 
 // deltaStages: the two windows unique to the incremental path plus the
-// shared meta/prune windows, crossed with both backends.
+// shared meta/prune windows, crossed with both crashBackends arms.
 var deltaStages = []string{"delta-tmp", "delta-durable", "meta-durable", "pruned"}
 
 func TestDeltaCheckpointCrashMatrix(t *testing.T) {
@@ -324,7 +324,7 @@ func TestDeltaRecoveryEquivalence(t *testing.T) {
 // and the dirty-fraction threshold.
 func TestRebaseTriggers(t *testing.T) {
 	t.Run("chain-length", func(t *testing.T) {
-		g := openCkptGraph(t, t.TempDir(), disk.NewSim(nil), CkptOptions{RebaseFraction: 1, MaxChain: 2})
+		g := openCkptGraph(t, t.TempDir(), disk.NewReal(), CkptOptions{RebaseFraction: 1, MaxChain: 2})
 		defer g.Close()
 		seedAndCommit(t, g, 3)
 		if err := g.Checkpoint(); err != nil {
@@ -356,7 +356,7 @@ func TestRebaseTriggers(t *testing.T) {
 	t.Run("dirty-fraction", func(t *testing.T) {
 		// A threshold below one vertex's fraction forces every checkpoint
 		// full, no matter how small the change.
-		g := openCkptGraph(t, t.TempDir(), disk.NewSim(nil), CkptOptions{RebaseFraction: 1e-9, MaxChain: 64})
+		g := openCkptGraph(t, t.TempDir(), disk.NewReal(), CkptOptions{RebaseFraction: 1e-9, MaxChain: 64})
 		defer g.Close()
 		seedAndCommit(t, g, 3)
 		if err := g.Checkpoint(); err != nil {

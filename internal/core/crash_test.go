@@ -1,8 +1,10 @@
 package core
 
 // Crash-recovery fault injection for the WAL, built on
-// iosim.Device.CrashAfter: the device dies after a byte budget, tearing
-// the commit group's frame that crosses it at a device-chosen offset.
+// iosim.Device.CrashAfter: the device simulator wrapped around the real
+// backend dies after a byte budget, tearing the commit group's frame that
+// crosses it at a device-chosen offset inside an mmap'd,
+// superblock-headed segment.
 // Reopening must recover exactly the transactions whose Commit was
 // acknowledged — every group before the torn frame — and nothing of the
 // failed group.
@@ -13,6 +15,7 @@ import (
 	"sync"
 	"testing"
 
+	"livegraph/internal/disk"
 	"livegraph/internal/iosim"
 	"livegraph/internal/wal"
 )
@@ -30,7 +33,7 @@ func crashEdges(k int) [][2]VertexID {
 
 func openCrashGraph(t *testing.T, dir string, dev *iosim.Device) *Graph {
 	t.Helper()
-	g, err := Open(Options{Dir: dir, Device: dev, Workers: 32, CompactEvery: -1})
+	g, err := Open(Options{Dir: dir, Backend: disk.NewSim(dev, disk.NewReal()), Workers: 32, CompactEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"livegraph/internal/disk"
 	"livegraph/internal/iosim"
 )
 
@@ -149,7 +150,7 @@ func TestCommitCtxWithdrawnWhileQueued(t *testing.T) {
 // detached group must still finish cleanly in the background.
 func TestCommitCtxMidGroupCommitDeadline(t *testing.T) {
 	slow := iosim.NewDevice(iosim.Profile{Name: "Glacial", WriteLatency: 400 * time.Millisecond})
-	g, err := Open(Options{Dir: t.TempDir(), Device: slow})
+	g, err := Open(Options{Dir: t.TempDir(), Backend: disk.NewSim(slow, disk.NewReal())})
 	if err != nil {
 		t.Fatal(err)
 	}

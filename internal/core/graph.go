@@ -36,15 +36,10 @@ type Options struct {
 	// means a volatile, in-memory graph (no WAL writes at commit).
 	Dir string
 
-	// Device models the persistence hardware (Optane/NAND profiles). Nil
-	// selects the instantaneous Null device. Only consulted by the iosim
-	// backend (the default); an explicit real Backend ignores it.
-	Device *iosim.Device
-
-	// Backend selects the durable storage bottom: disk.NewSim(Device)
-	// (the default — iosim-timed files, crash injection, device models)
-	// or disk.NewReal() (mmap'd superblock-headed segments, genuine
-	// msync/fsync, no simulated timing).
+	// Backend is the durable storage bottom under Dir. Nil selects
+	// disk.NewReal(): mmap'd, superblock-headed WAL segments with genuine
+	// msync/fsync. disk.NewSim(dev, disk.NewReal()) adds an iosim device's
+	// timing model (Optane/NAND profiles) and crash budget around it.
 	Backend disk.Backend
 
 	// Workers sizes the reading-epoch table and bounds the number of
@@ -105,11 +100,8 @@ type Options struct {
 }
 
 func (o *Options) fill() {
-	if o.Device == nil {
-		o.Device = iosim.NewDevice(iosim.Null)
-	}
 	if o.Backend == nil {
-		o.Backend = disk.NewSim(o.Device)
+		o.Backend = disk.NewReal()
 	}
 	if o.Workers <= 0 {
 		o.Workers = 64

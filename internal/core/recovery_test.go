@@ -262,6 +262,7 @@ func TestRecoveryRefusesIncompatibleLayouts(t *testing.T) {
 		{"sharded segment name", "wal-000001-s01.log", nil, wal.ErrSegmentName},
 		{"legacy checkpoint meta", "CHECKPOINT", legacyMeta, wal.ErrCheckpointFormat},
 		{"superblock of a sharded segment", "wal-000001.log", shardOfTwo[:], disk.ErrBadGeometry},
+		{"headerless segment", "wal-000001.log", []byte("\x01\x00\x00\x00\x00\x00\x00\x00headerless frame"), disk.ErrBadMagic},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

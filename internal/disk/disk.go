@@ -1,23 +1,23 @@
 // Package disk is the durable storage backend seam: every byte the engine
 // persists — WAL appends, checkpoint snapshots, the CHECKPOINT
-// pointer — goes through a Backend, so the same engine code runs against
-// two very different bottoms:
+// pointer — goes through a Backend. There is one file implementation,
+// NewReal: mmap'd, superblock-headed WAL segment files with genuine
+// msync/fsync durability, and checkpoint files written under the
+// crash-atomic swap protocol. It is the default under core.Options.
 //
-//   - the iosim-timed backend (NewSim): plain buffered files whose fsync
-//     timing is additionally charged to an iosim.Device, preserving the
-//     paper-testbed device models and the crash-injection harness
-//     (Device.CrashAfter tears writes at device-chosen boundaries);
+// NewSim is not a second format but a decorator around any Backend: it
+// charges sync barriers and atomic commits to an iosim.Device, preserving
+// the paper-testbed device models, and gates WAL appends through the
+// device's crash budget (Device.CrashAfter tears a write at a
+// device-chosen byte), so the crash tests tear the segment format
+// production writes.
 //
-//   - the real backend (NewReal): mmap'd, superblock-headed segment files
-//     with genuine msync/fsync durability and no simulated timing — the
-//     backend that turns BENCH numbers from a model into a measurement.
-//
-// Both backends share one crash-atomic file-swap protocol (CreateAtomic /
-// WriteFileAtomic): stream to `<path>.tmp`, fsync the file, rename over
-// the final path, fsync the parent directory. After a crash at any point
-// the final path holds either the complete old contents or the complete
-// new contents, and the rename is durable only if the contents are — the
-// property the checkpoint swap (core.Checkpoint) is built on.
+// The crash-atomic file-swap protocol (CreateAtomic / WriteFileAtomic):
+// stream to `<path>.tmp`, fsync the file, rename over the final path,
+// fsync the parent directory. After a crash at any point the final path
+// holds either the complete old contents or the complete new contents,
+// and the rename is durable only if the contents are — the property the
+// checkpoint swap (core.Checkpoint) is built on.
 package disk
 
 import (
@@ -73,10 +73,10 @@ type AtomicFile interface {
 }
 
 // Backend abstracts the durable file layer under the WAL and the
-// checkpointer. Implementations: NewSim (iosim-timed simulation, the
-// default) and NewReal (mmap segments, real fsync).
+// checkpointer. NewReal implements it; NewSim wraps an implementation
+// with a device model.
 type Backend interface {
-	// Name identifies the backend ("iosim", "disk") for flags and stats.
+	// Name identifies the file implementation ("disk").
 	Name() string
 	// OpenLog creates (or truncates) a WAL segment append file.
 	OpenLog(path string, geo LogGeometry) (LogFile, error)
@@ -152,32 +152,24 @@ func WriteFileAtomic(path string, data []byte) error {
 	return SyncDir(filepath.Dir(path))
 }
 
-// atomicFile implements AtomicFile over a buffered temp file. charge, when
-// non-nil, is invoked at Commit with the total byte count (the iosim
-// backend bills the simulated device for the checkpoint stream).
+// atomicFile implements AtomicFile over a buffered temp file.
 type atomicFile struct {
-	f       *os.File
-	w       *bufio.Writer
-	tmp     string
-	final   string
-	written int64
-	charge  func(n int64)
+	f     *os.File
+	w     *bufio.Writer
+	tmp   string
+	final string
 }
 
-func newAtomicFile(path string, charge func(int64)) (*atomicFile, error) {
+func newAtomicFile(path string) (*atomicFile, error) {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	return &atomicFile{f: f, w: bufio.NewWriterSize(f, 1<<20), tmp: tmp, final: path, charge: charge}, nil
+	return &atomicFile{f: f, w: bufio.NewWriterSize(f, 1<<20), tmp: tmp, final: path}, nil
 }
 
-func (a *atomicFile) Write(p []byte) (int, error) {
-	n, err := a.w.Write(p)
-	a.written += int64(n)
-	return n, err
-}
+func (a *atomicFile) Write(p []byte) (int, error) { return a.w.Write(p) }
 
 func (a *atomicFile) Commit() error {
 	if err := a.w.Flush(); err != nil {
@@ -191,9 +183,6 @@ func (a *atomicFile) Commit() error {
 	if err := a.f.Close(); err != nil {
 		os.Remove(a.tmp)
 		return err
-	}
-	if a.charge != nil {
-		a.charge(a.written)
 	}
 	if err := os.Rename(a.tmp, a.final); err != nil {
 		os.Remove(a.tmp)

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"syscall"
 	"testing"
+	"time"
 
 	"livegraph/internal/iosim"
 )
@@ -17,7 +18,7 @@ import (
 func TestSuperblockRoundTrip(t *testing.T) {
 	geo := LogGeometry{Seq: 7, Shards: 1}
 	b := EncodeSuperblock(4096, 4<<20, geo)
-	if !HasSuperblockMagic(b[:]) {
+	if !hasMagic(b[:]) {
 		t.Fatal("encoded superblock missing magic")
 	}
 	sb, err := DecodeSuperblock(b[:])
@@ -53,13 +54,18 @@ func TestSuperblockRoundTrip(t *testing.T) {
 func TestSuperblockValidation(t *testing.T) {
 	b := EncodeSuperblock(4096, 1<<20, LogGeometry{Seq: 1, Shards: 1})
 
-	// Not a superblock at all.
-	if _, err := DecodeSuperblock([]byte("random bytes here, not a header.................................")); !errors.Is(err, ErrBadMagic) {
-		t.Fatalf("want ErrBadMagic, got %v", err)
+	// Not a superblock at all, long or short.
+	for _, head := range []string{"random bytes here, not a header.................................", "LGX", "hello"} {
+		if _, err := DecodeSuperblock([]byte(head)); !errors.Is(err, ErrBadMagic) {
+			t.Fatalf("%q: want ErrBadMagic, got %v", head, err)
+		}
 	}
-	// Magic present but the file was cut short mid-header.
-	if _, err := DecodeSuperblock(b[:20]); !errors.Is(err, ErrTornSuperblock) {
-		t.Fatalf("short header: want ErrTornSuperblock, got %v", err)
+	// The creator died before the header reached media: an empty or
+	// zero-filled head, or a file that ends inside the magic or the header.
+	for _, head := range [][]byte{nil, make([]byte, 7), make([]byte, SuperblockSize), b[:3], b[:20]} {
+		if _, err := DecodeSuperblock(head); !errors.Is(err, ErrTornSuperblock) {
+			t.Fatalf("unfinished head %q: want ErrTornSuperblock, got %v", head, err)
+		}
 	}
 	// Full-length header with a corrupted byte fails the CRC.
 	torn := b
@@ -80,6 +86,15 @@ func TestSuperblockValidation(t *testing.T) {
 	reCRC(&fe)
 	if _, err := DecodeSuperblock(fe[:]); !errors.Is(err, ErrEndianness) {
 		t.Fatalf("want ErrEndianness, got %v", err)
+	}
+	// A reserved byte set is a format this build does not know.
+	for _, i := range []int{11, 40, 59} {
+		rb := EncodeSuperblock(4096, 1<<20, LogGeometry{Seq: 1, Shards: 1})
+		rb[i] = 1
+		reCRC(&rb)
+		if _, err := DecodeSuperblock(rb[:]); !errors.Is(err, ErrBadVersion) {
+			t.Fatalf("reserved byte %d: want ErrBadVersion, got %v", i, err)
+		}
 	}
 }
 
@@ -141,8 +156,7 @@ func TestWriteFileAtomic(t *testing.T) {
 func TestAtomicFileCommitAndAbort(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "snap")
-	var charged int64
-	a, err := newAtomicFile(path, func(n int64) { charged = n })
+	a, err := newAtomicFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,16 +171,13 @@ func TestAtomicFileCommitAndAbort(t *testing.T) {
 	if err := a.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if charged != int64(len(payload)) {
-		t.Fatalf("charge hook saw %d bytes, want %d", charged, len(payload))
-	}
 	got, _ := os.ReadFile(path)
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("content mismatch: %d bytes", len(got))
 	}
 
 	// Abort leaves no trace.
-	b, err := newAtomicFile(filepath.Join(dir, "gone"), nil)
+	b, err := newAtomicFile(filepath.Join(dir, "gone"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,46 +268,146 @@ func TestRealLogCrashLeavesZeroTail(t *testing.T) {
 	l.Close()
 }
 
-func TestSimBackendAcceptAndCharge(t *testing.T) {
-	dir := t.TempDir()
-	dev := iosim.NewDevice(iosim.Null)
-	b := NewSim(dev)
-	l, err := b.OpenLog(filepath.Join(dir, "wal-000001.log"), LogGeometry{Seq: 1, Shards: 1})
+// TestMmapLogFailedGrowIsSticky: a segment whose grow fails (here its fd
+// is gone, so ftruncate fails after the munmap) must never again report a
+// write or a sync as successful — and must not spin trying to grow a
+// mapping it no longer has.
+func TestMmapLogFailedGrowIsSticky(t *testing.T) {
+	lf, err := openRealLog(filepath.Join(t.TempDir(), "wal-000001.log"), int64(os.Getpagesize()), os.Getpagesize(), LogGeometry{Seq: 1, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	l := lf.(*mmapLog)
 	defer l.Close()
-	if _, err := l.Write([]byte("hello")); err != nil {
+	if _, err := l.Write([]byte("acknowledged")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	l.f.Close()
+	if _, err := l.Write(make([]byte, 2*len(l.data))); err == nil {
+		t.Fatal("growing write on a closed fd succeeded")
+	}
+	done := make(chan [2]error, 1)
+	go func() {
+		_, werr := l.Write([]byte("abc"))
+		done <- [2]error{werr, l.Sync()}
+	}()
+	select {
+	case errs := <-done:
+		if errs[0] == nil || errs[1] == nil {
+			t.Fatalf("after a failed grow: Write err=%v, Sync err=%v; both must fail", errs[0], errs[1])
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Write/Sync after a failed grow did not return")
+	}
+}
+
+// The simulator wraps the real backend: the device gates and bills the
+// appends, and the bytes, a torn prefix included, land in an mmap'd,
+// superblock-headed segment.
+func TestSimBackendAcceptAndCharge(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal-000001.log")
+	dev := iosim.NewDevice(iosim.Null)
+	l, err := NewSim(dev, NewReal()).OpenLog(path, LogGeometry{Seq: 1, Shards: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if n, err := l.Accept(5); err != nil || n != 5 {
 		t.Fatalf("accept before crash point: n=%d err=%v", n, err)
 	}
+	if _, err := l.Write([]byte("hello")); err != nil {
+		t.Fatal(err)
+	}
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if st := dev.Stats(); st.BytesWritten == 0 {
-		t.Fatal("sim backend did not charge the device")
+	if st := dev.Stats(); st.BytesWritten != 5 || st.Syncs != 1 {
+		t.Fatalf("device charged %+v, want 5 bytes in 1 sync", st)
 	}
-	// Arm a crash point on the device; Accept must clip.
+	// Arm a crash point on the device; Accept must clip, and the clipped
+	// prefix is all the file gets.
 	dev.CrashAfter(2)
-	if n, err := l.Accept(100); err == nil || n > 2 {
+	n, err := l.Accept(100)
+	if !errors.Is(err, iosim.ErrCrashed) || n != 2 {
 		t.Fatalf("accept past crash point: n=%d err=%v", n, err)
+	}
+	if _, err := l.Write([]byte("world")[:n]); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeSuperblock(data); err != nil {
+		t.Fatalf("wrapped segment superblock: %v", err)
+	}
+	if body := string(data[SuperblockSize:]); body != "hellowo" {
+		t.Fatalf("segment body after Close = %q, want exactly the accepted bytes %q", body, "hellowo")
 	}
 }
 
 func TestSimBackendNilDevice(t *testing.T) {
-	b := NewSim(nil)
-	if b.Name() != "iosim" {
-		t.Fatalf("name: %s", b.Name())
+	b := NewSim(nil, NewReal())
+	if b.Name() != "disk" {
+		t.Fatalf("name: %s (the wrapper adds no file format of its own)", b.Name())
 	}
-	dir := t.TempDir()
-	a, err := b.CreateAtomic(filepath.Join(dir, "x"))
+	path := filepath.Join(t.TempDir(), "x")
+	a, err := b.CreateAtomic(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a.Write([]byte("ok"))
 	if err := a.Commit(); err != nil {
 		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "ok" {
+		t.Fatalf("committed file = %q, %v", got, err)
+	}
+}
+
+// The checkpoint stream is billed to the device once, in full, at Commit —
+// nothing while it streams and nothing for an aborted one.
+func TestSimBackendChargesAtomicCommit(t *testing.T) {
+	dir := t.TempDir()
+	dev := iosim.NewDevice(iosim.Null)
+	b := NewSim(dev, NewReal())
+	a, err := b.CreateAtomic(filepath.Join(dir, "snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte{0xAB}, 1234)
+	for _, half := range [][]byte{payload[:600], payload[600:]} {
+		if _, err := a.Write(half); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := dev.Stats(); st.BytesWritten != 0 || st.Syncs != 0 {
+		t.Fatalf("device charged %+v before Commit, want nothing", st)
+	}
+	if err := a.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if st := dev.Stats(); st.BytesWritten != int64(len(payload)) || st.Syncs != 1 {
+		t.Fatalf("device charged %+v at Commit, want %d bytes in 1 sync", st, len(payload))
+	}
+
+	ab, err := b.CreateAtomic(filepath.Join(dir, "gone"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ab.Write(payload)
+	if err := ab.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if st := dev.Stats(); st.BytesWritten != int64(len(payload)) || st.Syncs != 1 {
+		t.Fatalf("device charged %+v after Abort, want the committed stream only", st)
 	}
 }

@@ -27,6 +27,10 @@ type mmapLog struct {
 	off      int    // append offset
 	syncedTo int    // everything below this offset has been msync'd
 	pageSize int
+	// err is sticky: the first failed grow, remap or msync. After it the
+	// mapping may be gone and the dirty pages' fate is unknown, so every
+	// later Write and Sync reports it rather than claiming durability.
+	err error
 }
 
 // openRealLog creates a fresh mmap'd segment file: preallocate, map,
@@ -63,7 +67,11 @@ func openRealLog(path string, segBytes int64, pageSize int, geo LogGeometry) (Lo
 }
 
 func (l *mmapLog) Write(p []byte) (int, error) {
+	if l.err != nil {
+		return 0, l.err
+	}
 	if err := l.ensure(len(p)); err != nil {
+		l.err = err
 		return 0, err
 	}
 	copy(l.data[l.off:], p)
@@ -108,11 +116,12 @@ func (l *mmapLog) Accept(n int) (int, error) { return n, nil }
 // Sync makes every appended byte durable: msync(MS_SYNC) from the first
 // dirty page through the append offset.
 func (l *mmapLog) Sync() error {
-	if l.off == l.syncedTo {
-		return nil
+	if l.err != nil || l.off == l.syncedTo {
+		return l.err
 	}
 	lo := l.syncedTo - l.syncedTo%l.pageSize // page floor of the dirty range
 	if err := l.msyncRange(lo, l.off); err != nil {
+		l.err = err
 		return err
 	}
 	l.syncedTo = l.off
@@ -140,9 +149,9 @@ func (l *mmapLog) msyncRange(lo, hi int) error {
 // Close makes the log durable, unmaps it, and trims the preallocated zero
 // tail so readers and segment transfers see the exact record extent.
 func (l *mmapLog) Close() error {
-	var first error
+	first := l.err
 	if l.data != nil {
-		if err := l.Sync(); err != nil {
+		if err := l.Sync(); err != nil && first == nil {
 			first = err
 		}
 		if err := syscall.Munmap(l.data); err != nil && first == nil {

@@ -1,11 +1,12 @@
 package disk
 
-// The real backend: no simulated timing, no crash-injection device — the
-// durability the kernel and the hardware actually provide. WAL segments are
+// The real backend: the one file implementation, and the durability the
+// kernel and the hardware actually provide. WAL segments are
 // mmap'd, superblock-headed segment files (see superblock.go); checkpoint
 // snapshots and the CHECKPOINT pointer go through the shared atomic swap
 // protocol with genuine fsyncs. Benchmarks run against this backend
-// measure the machine, not a model.
+// measure the machine, not a model; NewSim wraps it when a device model
+// or a crash budget is wanted.
 
 import "os"
 
@@ -55,7 +56,7 @@ func (b *realBackend) OpenLog(path string, geo LogGeometry) (LogFile, error) {
 }
 
 func (b *realBackend) CreateAtomic(path string) (AtomicFile, error) {
-	return newAtomicFile(path, nil)
+	return newAtomicFile(path)
 }
 
 func (b *realBackend) SyncDir(dir string) error { return SyncDir(dir) }

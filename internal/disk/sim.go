@@ -1,78 +1,65 @@
 package disk
 
-// The iosim-timed backend: the pre-existing persistence bottom, kept as a
-// first-class Backend so crash-injection tests and out-of-core experiments
-// keep working unchanged. Files are real (appends genuinely fsync), but
-// every batch is additionally charged to an iosim.Device so the paper's
-// Optane/NAND latency models shape commit timing, and the device's armed
-// crash points gate how many bytes a batch may persist.
+// The device simulator: a Backend decorator, not a file format. It wraps
+// any inner backend (NewReal in every caller) and adds two things around
+// the inner files — the iosim timing model, which charges each sync
+// barrier and each atomic commit to a simulated Optane/NAND device, and
+// the device's crash budget, which gates how many bytes of a WAL append
+// reach the inner file. The bytes themselves are whatever the inner
+// backend writes, so a crash-injected tear lands in a real
+// superblock-headed segment.
 
-import (
-	"bufio"
-	"fmt"
-	"os"
-
-	"livegraph/internal/iosim"
-)
+import "livegraph/internal/iosim"
 
 type simBackend struct {
+	Backend
 	dev *iosim.Device
 }
 
-// NewSim returns the iosim-timed backend over dev (nil selects an
-// instantaneous Null device).
-func NewSim(dev *iosim.Device) Backend {
+// NewSim wraps inner with dev's timing model and crash budget (a nil dev
+// selects an instantaneous Null device).
+func NewSim(dev *iosim.Device, inner Backend) Backend {
 	if dev == nil {
 		dev = iosim.NewDevice(iosim.Null)
 	}
-	return &simBackend{dev: dev}
+	return &simBackend{Backend: inner, dev: dev}
 }
 
-func (b *simBackend) Name() string { return "iosim" }
-
-func (b *simBackend) OpenLog(path string, _ LogGeometry) (LogFile, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+func (b *simBackend) OpenLog(path string, geo LogGeometry) (LogFile, error) {
+	f, err := b.Backend.OpenLog(path, geo)
 	if err != nil {
-		return nil, fmt.Errorf("disk: open %s: %w", path, err)
+		return nil, err
 	}
-	return &simLog{f: f, w: bufio.NewWriterSize(f, 1<<20), dev: b.dev}, nil
+	return &timedLog{LogFile: f, dev: b.dev}, nil
 }
 
 func (b *simBackend) CreateAtomic(path string) (AtomicFile, error) {
-	return newAtomicFile(path, func(n int64) {
-		b.dev.Write(int(n))
-		b.dev.Sync()
-	})
+	f, err := b.Backend.CreateAtomic(path)
+	if err != nil {
+		return nil, err
+	}
+	return &timedAtomic{AtomicFile: f, dev: b.dev}, nil
 }
 
-func (b *simBackend) SyncDir(dir string) error { return SyncDir(dir) }
-
-func (b *simBackend) Remove(path string) error { return removeDurable(path) }
-
-func (b *simBackend) DefaultWALShards() int { return 1 }
-
-// simLog is a buffered append file whose Sync performs a real fsync and
-// then bills the simulated device for the bytes since the last barrier.
-type simLog struct {
-	f       *os.File
-	w       *bufio.Writer
+// timedLog asks the device how much of each append survives, and bills it
+// for the bytes since the last barrier once the inner Sync has made them
+// durable.
+type timedLog struct {
+	LogFile
 	dev     *iosim.Device
 	pending int // bytes written since the last Sync
 }
 
-func (l *simLog) Write(p []byte) (int, error) {
-	n, err := l.w.Write(p)
+func (l *timedLog) Accept(n int) (int, error) { return l.dev.Accept(n) }
+
+func (l *timedLog) Write(p []byte) (int, error) {
+	n, err := l.LogFile.Write(p)
 	l.pending += n
 	return n, err
 }
 
-func (l *simLog) Accept(n int) (int, error) { return l.dev.Accept(n) }
-
-func (l *simLog) Sync() error {
-	if err := l.w.Flush(); err != nil {
-		return err
-	}
-	if err := l.f.Sync(); err != nil {
+func (l *timedLog) Sync() error {
+	if err := l.LogFile.Sync(); err != nil {
 		return err
 	}
 	if l.pending > 0 {
@@ -83,10 +70,25 @@ func (l *simLog) Sync() error {
 	return nil
 }
 
-func (l *simLog) Close() error {
-	if err := l.w.Flush(); err != nil {
-		_ = l.f.Close() // the flush error already poisons this log; it wins
+// timedAtomic bills the device for the whole stream once the inner Commit
+// has made it durable.
+type timedAtomic struct {
+	AtomicFile
+	dev     *iosim.Device
+	written int
+}
+
+func (a *timedAtomic) Write(p []byte) (int, error) {
+	n, err := a.AtomicFile.Write(p)
+	a.written += n
+	return n, err
+}
+
+func (a *timedAtomic) Commit() error {
+	if err := a.AtomicFile.Commit(); err != nil {
 		return err
 	}
-	return l.f.Close()
+	a.dev.Write(a.written)
+	a.dev.Sync()
+	return nil
 }

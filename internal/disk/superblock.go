@@ -1,6 +1,6 @@
 package disk
 
-// The superblock is the real backend's segment file header (the fz mmap
+// The superblock is every WAL segment file's header (the fz mmap
 // superblock idiom): a fixed 64-byte block at offset 0 carrying magic,
 // endianness, format version and geometry, CRC-protected, msync'd before
 // the first record is appended. Opening a segment for replay validates it
@@ -19,9 +19,7 @@ import (
 // SuperblockSize is the exact on-disk size of a segment superblock.
 const SuperblockSize = 64
 
-// segmentMagic opens every real-backend WAL segment file. The iosim
-// backend writes headerless files (the pre-existing format); readers sniff
-// these 8 bytes to decide which they are looking at.
+// segmentMagic opens every WAL segment file.
 var segmentMagic = [8]byte{'L', 'G', 'S', 'E', 'G', 'S', 'B', '1'}
 
 // superblockVersion is the current segment format version (2: one file
@@ -42,14 +40,17 @@ var hostEndian = func() byte {
 
 // Validation errors, distinguishable so callers can turn "incompatible"
 // into a hard failure and "torn at creation" into an empty segment.
+// ErrBadMagic covers every head that is neither a superblock nor one its
+// creator never finished — a headerless file included.
 var (
 	ErrBadMagic    = errors.New("disk: not a segment superblock (wrong magic)")
 	ErrEndianness  = errors.New("disk: segment written by a foreign-endian host")
 	ErrBadVersion  = errors.New("disk: unsupported segment format version")
 	ErrBadGeometry = errors.New("disk: segment geometry does not match its name")
-	// ErrTornSuperblock marks a superblock whose CRC does not cover its
-	// contents: the creating process crashed mid-header. No record was
-	// ever acknowledged from such a file, so callers treat it as empty.
+	// ErrTornSuperblock marks a superblock its creator never finished: the
+	// magic field is still zero (or the file ends inside it), the file ends
+	// inside the header, or the CRC does not cover the contents. No record
+	// was ever acknowledged from such a file, so callers treat it as empty.
 	ErrTornSuperblock = errors.New("disk: torn segment superblock (crash during creation)")
 )
 
@@ -62,11 +63,24 @@ type Superblock struct {
 	Geo      LogGeometry
 }
 
-// HasSuperblockMagic reports whether head (>= 8 bytes) opens with the
-// segment magic — the sniff readers use to distinguish real-backend
-// segment files from headerless iosim ones.
-func HasSuperblockMagic(head []byte) bool {
+// hasMagic reports whether head (>= 8 bytes) opens with the segment magic.
+func hasMagic(head []byte) bool {
 	return len(head) >= 8 && string(head[:8]) == string(segmentMagic[:])
+}
+
+// unwrittenMagic reports whether head's magic field was never written: the
+// file ends inside a prefix of the magic, or the field is all zero — a
+// preallocated segment whose creator died before the superblock reached
+// media. The field is one aligned 8-byte word, which the creator's copy
+// stores atomically, so a reader racing it sees the field zero or whole;
+// a headerless file that opens with a frame
+// never qualifies, because a frame's epoch is never zero.
+func unwrittenMagic(head []byte) bool {
+	field := head[:min(len(head), len(segmentMagic))]
+	if len(field) < len(segmentMagic) && string(field) == string(segmentMagic[:len(field)]) {
+		return true
+	}
+	return allZero(field)
 }
 
 // EncodeSuperblock builds the on-disk superblock for a new segment file.
@@ -105,21 +119,24 @@ func EncodeSuperblock(pageSize uint32, segBytes uint64, geo LogGeometry) [Superb
 const recordHeaderSize = 16
 
 // DecodeSuperblock validates and decodes a superblock read from the head
-// of a segment file. A wrong magic returns ErrBadMagic (the file is a
-// headerless iosim segment or not a segment at all); a failed CRC returns
-// ErrTornSuperblock (creation crashed before the header was durable — the
-// segment holds no acknowledged records); endianness/version/geometry
-// mismatches are hard incompatibility errors.
+// of a segment file. An unwritten magic field, a head cut short after the
+// magic, or a failed CRC returns ErrTornSuperblock (creation crashed before
+// the header was durable — the segment holds no acknowledged records); any
+// other wrong magic returns ErrBadMagic (not a segment file, or a
+// headerless one); endianness/version mismatches and non-zero reserved
+// bytes are hard incompatibility errors. Whatever it accepts re-encodes,
+// through EncodeSuperblock, to exactly the 64 bytes it read.
 func DecodeSuperblock(head []byte) (Superblock, error) {
-	if len(head) < SuperblockSize {
-		if HasSuperblockMagic(head) {
+	if !hasMagic(head) {
+		if unwrittenMagic(head) {
 			return Superblock{}, ErrTornSuperblock
 		}
 		return Superblock{}, ErrBadMagic
 	}
-	if !HasSuperblockMagic(head) {
-		return Superblock{}, ErrBadMagic
+	if len(head) < SuperblockSize {
+		return Superblock{}, ErrTornSuperblock
 	}
+	head = head[:SuperblockSize]
 	if crc32.ChecksumIEEE(head[0:60]) != binary.LittleEndian.Uint32(head[60:64]) {
 		return Superblock{}, ErrTornSuperblock
 	}
@@ -143,7 +160,19 @@ func DecodeSuperblock(head []byte) (Superblock, error) {
 	if hdr := binary.LittleEndian.Uint32(head[36:40]); hdr != recordHeaderSize {
 		return Superblock{}, fmt.Errorf("%w: record header %dB, expected %dB", ErrBadVersion, hdr, recordHeaderSize)
 	}
+	if head[11] != 0 || !allZero(head[40:60]) {
+		return Superblock{}, fmt.Errorf("%w: reserved bytes set", ErrBadVersion)
+	}
 	return sb, nil
+}
+
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // CheckGeometry verifies a decoded superblock against the sequence number

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"livegraph/internal/disk"
 )
 
 // drainTailer pulls every currently available group from t, failing the
@@ -34,7 +36,7 @@ func drainTailer(t *testing.T, tl *Tailer) map[int64][]string {
 
 func openSeg(t *testing.T, dir string, seq int) *Log {
 	t.Helper()
-	l, err := Open(dir, seq, nil)
+	l, err := Open(dir, seq, disk.NewReal())
 	if err != nil {
 		t.Fatal(err)
 	}

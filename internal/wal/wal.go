@@ -6,10 +6,10 @@
 // The log is a sequence of segment files, wal-<seq>.log; the checkpointer
 // rotates to a fresh segment at a quiescent point and prunes the ones its
 // snapshot supersedes. Each segment writes through a disk.Backend (the
-// storage seam): the iosim backend keeps the paper's Optane/NAND device
-// models and crash injection, the real backend appends into mmap'd,
-// superblock-headed segment files with genuine msync/fsync durability.
-// Replay sniffs the superblock, so both recover through the same code.
+// storage seam) into an mmap'd, superblock-headed segment file with genuine
+// msync/fsync durability; the device simulator, when one is wrapped around
+// it, only adds timing and a crash budget. Replay validates the superblock
+// before reading a frame: a segment without one is refused by name.
 //
 // Frame format (little endian), one frame per commit group:
 //
@@ -121,15 +121,11 @@ func ParseSegmentPath(name string) (seq int, ok bool) {
 	return int(seq64), true
 }
 
-// Open opens (creating if necessary) segment seq of the log in dir through
-// backend (nil selects the iosim backend on an instantaneous device). The
+// Open creates segment seq of the log in dir through backend. The
 // directory is fsynced after the file is created: a commit acknowledged
 // into a file whose dirent is not durable would vanish with the dirent on
 // crash.
 func Open(dir string, seq int, backend disk.Backend) (*Log, error) {
-	if backend == nil {
-		backend = disk.NewSim(nil)
-	}
 	path := SegmentPath(dir, seq)
 	lf, err := backend.OpenLog(path, disk.SegmentGeometry(seq))
 	if err != nil {
@@ -292,8 +288,7 @@ func (l *Log) sync() error {
 	return nil
 }
 
-// Close closes the segment file (trimming any preallocated tail on the
-// real backend).
+// Close closes the segment file (trimming its preallocated tail).
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -318,7 +313,7 @@ const (
 // garbage length field at a torn tail costs nothing. On frameBad the
 // header's epoch is returned unverified, for the tailer's damage check.
 //
-// An all-zero header is the end of the log, not a frame: the real backend
+// An all-zero header is the end of the log, not a frame: the backend
 // preallocates segment files, so after a crash the tail past the last
 // durable frame is zero-filled pages — and a zero header would otherwise
 // read as the start of a frame forever. Real epochs start at 1, so no
@@ -364,7 +359,7 @@ func readFrame(r io.Reader, limit int64) (epoch int64, recs [][]byte, consumed i
 }
 
 // segmentFile is a segment opened for reading, positioned past its
-// superblock (if it has one).
+// superblock.
 type segmentFile struct {
 	f    *os.File
 	r    *bufio.Reader
@@ -372,8 +367,8 @@ type segmentFile struct {
 	size int64
 }
 
-// openSegment opens path for frame reading from the start (the superblock,
-// if any, is validated and skipped). A nil segmentFile with a nil error
+// openSegment opens path for frame reading from the start (the superblock
+// is validated and skipped). A nil segmentFile with a nil error
 // means the file holds no frames to read yet: it does not exist, or its
 // creator crashed (or is still running) before the superblock was durable
 // — no group was ever acknowledged from such a file.
@@ -408,11 +403,11 @@ func (sf *segmentFile) rewind() (ready bool, err error) {
 	if sf.off > 0 {
 		return true, nil
 	}
-	skipped, empty, err := skipSuperblock(sf.r, sf.f.Name())
+	empty, err := skipSuperblock(sf.r, sf.f.Name())
 	if err != nil || empty {
 		return false, err
 	}
-	sf.off = int64(skipped)
+	sf.off = disk.SuperblockSize
 	return true, nil
 }
 
@@ -460,38 +455,36 @@ func Replay(path string, afterEpoch int64, fn func(epoch int64, rec []byte) erro
 	}
 }
 
-// skipSuperblock positions r past a real-backend superblock, if the file
-// has one, reporting how many bytes it consumed. empty=true means the
-// segment must be treated as having no frames: the creating process
-// crashed before the superblock was durable (no group was ever
-// acknowledged from such a file). Headerless iosim-format files pass
-// through untouched (skipped=0). Incompatible superblocks (foreign
-// endianness, unknown version, geometry not matching the file name) are
-// hard errors — misparsing them as frames would be silent corruption.
-func skipSuperblock(r *bufio.Reader, path string) (skipped int, empty bool, err error) {
-	head, peekErr := r.Peek(disk.SuperblockSize)
-	if !disk.HasSuperblockMagic(head) {
-		return 0, false, nil // headerless iosim segment (or empty file)
-	}
-	if peekErr != nil && len(head) < disk.SuperblockSize {
-		return 0, true, nil // magic but cut short: torn at creation
+// skipSuperblock positions r past the segment's superblock. empty=true
+// means the segment must be treated as having no frames: the creating
+// process crashed (or is still running) before the superblock was durable
+// — an empty file, an all-zero head, a torn header — and no group was ever
+// acknowledged from such a file. Every other head is a hard error: one
+// without the magic (a headerless file is refused, never replayed or
+// skipped) and an incompatible superblock (foreign endianness, unknown
+// version, geometry not matching the file name) — misparsing either as
+// frames would be silent corruption.
+func skipSuperblock(r *bufio.Reader, path string) (empty bool, err error) {
+	head, err := r.Peek(disk.SuperblockSize)
+	if err != nil && !errors.Is(err, io.EOF) {
+		return false, fmt.Errorf("wal: segment %s: %w", path, err)
 	}
 	sb, err := disk.DecodeSuperblock(head)
 	if errors.Is(err, disk.ErrTornSuperblock) {
-		return 0, true, nil
+		return true, nil
 	}
-	if err != nil {
-		return 0, false, fmt.Errorf("wal: segment %s: %w", path, err)
-	}
-	if seq, ok := ParseSegmentPath(path); ok {
-		if err := sb.CheckGeometry(seq); err != nil {
-			return 0, false, fmt.Errorf("wal: segment %s: %w", path, err)
+	if err == nil {
+		if seq, ok := ParseSegmentPath(path); ok {
+			err = sb.CheckGeometry(seq)
 		}
 	}
-	if _, err := r.Discard(disk.SuperblockSize); err != nil {
-		return 0, false, fmt.Errorf("wal: segment %s: %w", path, err)
+	if err == nil {
+		_, err = r.Discard(disk.SuperblockSize)
 	}
-	return disk.SuperblockSize, false, nil
+	if err != nil {
+		return false, fmt.Errorf("wal: segment %s: %w", path, err)
+	}
+	return false, nil
 }
 
 // Checkpoint metadata --------------------------------------------------------

@@ -17,7 +17,7 @@ import (
 func openTemp(t *testing.T) (*Log, string) {
 	t.Helper()
 	dir := t.TempDir()
-	l, err := Open(dir, 1, disk.NewSim(iosim.NewDevice(iosim.Null)))
+	l, err := Open(dir, 1, disk.NewReal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,9 +126,9 @@ func TestReplayAfterEpochSkips(t *testing.T) {
 func TestTornGroupRollsBackWholeAndEndsReplay(t *testing.T) {
 	l, _ := openTemp(t)
 	l.AppendGroup(1, [][]byte{[]byte("keep-a"), []byte("keep-b")})
-	start := l.AppendedBytes()
+	start := disk.SuperblockSize + l.AppendedBytes()
 	l.AppendGroup(2, [][]byte{[]byte("lost-a"), []byte("lost-b"), []byte("lost-c")})
-	end := l.AppendedBytes()
+	end := disk.SuperblockSize + l.AppendedBytes()
 	l.AppendGroup(3, [][]byte{[]byte("after")})
 	l.Close()
 	whole, err := os.ReadFile(l.path)
@@ -176,7 +176,7 @@ func TestAppendedBytes(t *testing.T) {
 
 func TestDeviceCharged(t *testing.T) {
 	dev := iosim.NewDevice(iosim.Null)
-	l, err := Open(t.TempDir(), 1, disk.NewSim(dev))
+	l, err := Open(t.TempDir(), 1, disk.NewSim(dev, disk.NewReal()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestEmptyGroupVacuouslyDurable(t *testing.T) {
 func TestDeviceCrashLeavesAcceptedPrefix(t *testing.T) {
 	dir := t.TempDir()
 	dev := iosim.NewDevice(iosim.Null)
-	l, err := Open(dir, 1, disk.NewSim(dev))
+	l, err := Open(dir, 1, disk.NewSim(dev, disk.NewReal()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,10 +226,6 @@ func TestDeviceCrashLeavesAcceptedPrefix(t *testing.T) {
 	if l.DurableEpoch() != 1 {
 		t.Fatalf("DurableEpoch advanced past crash: %d", l.DurableEpoch())
 	}
-	// The clipped write was synced: the tear is what recovery sees.
-	if st, err := os.Stat(l.path); err != nil || st.Size() != intact+budget {
-		t.Fatalf("file size = %d (err %v), want %d: exactly the accepted prefix", st.Size(), err, intact+budget)
-	}
 	// Sticky failure: even a healed device gets no more appends — a torn
 	// frame sits mid-file, and a group appended after it would be
 	// acknowledged yet discarded by replay.
@@ -243,10 +239,53 @@ func TestDeviceCrashLeavesAcceptedPrefix(t *testing.T) {
 	if err := l.AppendGroup(5, nil); !errors.Is(err, ErrLogFailed) {
 		t.Fatalf("empty group after failure = %v; must not advance durability", err)
 	}
+	// The clipped write was synced by AppendGroup itself, before Close (whose
+	// own msync would hide a missing barrier): the wrapper bills a device
+	// sync only once the inner Sync has returned.
+	if st := dev.Stats(); st.Syncs != 2 || st.BytesWritten != intact+budget {
+		t.Fatalf("device %+v before Close, want 2 syncs of %d bytes: the torn group must be synced", st, intact+budget)
+	}
 	l.Close()
+	// The tear is what recovery sees.
+	if st, err := os.Stat(l.path); err != nil || st.Size() != disk.SuperblockSize+intact+budget {
+		t.Fatalf("file size = %d (err %v), want %d: the superblock and exactly the accepted prefix", st.Size(), err, disk.SuperblockSize+intact+budget)
+	}
 	recs, durable := replayAll(t, l.path, 0)
 	if durable != 1 || len(recs) != 1 || len(recs[1]) != 4 {
 		t.Fatalf("durable=%d recs=%v; want exactly group 1", durable, recs)
+	}
+}
+
+// A segment without a superblock is refused by name — by Replay and by the
+// tailer — even when what follows is a frame that verifies; one whose head
+// was never written (its creator died first) holds nothing.
+func TestHeaderlessSegmentRefused(t *testing.T) {
+	dir := t.TempDir()
+	path := SegmentPath(dir, 1)
+	if err := os.WriteFile(path, encodeFrame(t, 1, recsOf("headerless")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Replay(path, 0, func(int64, []byte) error { return nil }); !errors.Is(err, disk.ErrBadMagic) {
+		t.Fatalf("Replay of a headerless segment = %v, want ErrBadMagic", err)
+	}
+	tl := Tail(dir, 0, nil)
+	defer tl.Close()
+	if _, _, _, err := tl.Next(); !errors.Is(err, disk.ErrBadMagic) {
+		t.Fatalf("tailer on a headerless segment = %v, want ErrBadMagic", err)
+	}
+
+	for _, size := range []int{0, 5, disk.SuperblockSize, 4096} {
+		if err := os.WriteFile(path, make([]byte, size), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if recs, durable := replayAll(t, path, 3); durable != 3 || len(recs) != 0 {
+			t.Fatalf("%d zero bytes: recs=%v durable=%d, want an empty segment", size, recs, durable)
+		}
+		tl := Tail(dir, 0, nil)
+		if _, _, ok, err := tl.Next(); ok || err != nil {
+			t.Fatalf("%d zero bytes: tailer ok=%v err=%v, want nothing yet", size, ok, err)
+		}
+		tl.Close()
 	}
 }
 

@@ -31,9 +31,11 @@
 //	    return nil
 //	})
 //
-// Set Options.Dir for durability (write-ahead log + checkpoints); pass an
-// iosim device profile to model Optane/NAND persistence hardware, and a
-// page cache to simulate out-of-core execution.
+// Set Options.Dir for durability: a write-ahead log of mmap'd,
+// superblock-headed segments made durable by msync, plus checkpoints.
+// Options.Backend = disk.NewSim(dev, disk.NewReal()) adds an iosim device
+// model (Optane/NAND) around that same storage, and Options.PageCache
+// simulates out-of-core execution.
 //
 // # API v2: readers, contexts, traversals
 //
