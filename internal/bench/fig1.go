@@ -20,13 +20,13 @@ import (
 // full systems; the visibility checks remain, matching "the overheads of
 // checking edge visibility to support transactions").
 type telStore struct {
-	h    *storage.Handle
+	a    *storage.Allocator
 	tels map[int64]*tel.TEL
 	n    int64
 }
 
 func newTELStore() *telStore {
-	return &telStore{h: storage.NewAllocator(0).NewHandle(), tels: make(map[int64]*tel.TEL)}
+	return &telStore{a: storage.NewAllocator(), tels: make(map[int64]*tel.TEL)}
 }
 
 func (s *telStore) Name() string    { return "TEL(LiveGraph)" }
@@ -35,7 +35,7 @@ func (s *telStore) NumEdges() int64 { return s.n }
 func (s *telStore) AddEdge(src, dst int64, props []byte) {
 	t := s.tels[src]
 	if t == nil {
-		t = tel.New(s.h, src, 0, 1, 16)
+		t = tel.New(s.a, src, 0, 1, 16)
 		s.tels[src] = t
 	}
 	n, pl := t.Len(), t.PropLen()
@@ -45,8 +45,8 @@ func (s *telStore) AddEdge(src, dst int64, props []byte) {
 		s.n++
 	}
 	if !t.Fits(n, pl, len(props)) {
-		nt := t.Upgrade(s.h, n, pl, len(props))
-		s.h.Free(t.Block)
+		nt := t.Upgrade(s.a, n, pl, len(props))
+		s.a.Free(t.Block)
 		t, s.tels[src] = nt, nt
 	}
 	pl = t.Append(n, dst, 1, props, pl)

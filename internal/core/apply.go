@@ -65,9 +65,6 @@ func (g *Graph) ApplyEpoch(epoch int64, recs [][]byte) error {
 		}
 		decoded[i] = ops
 	}
-	if g.replH == nil {
-		g.replH = g.alloc.NewHandle()
-	}
 	for _, ops := range decoded {
 		for _, op := range ops {
 			g.applyOpLive(op, epoch)
@@ -118,7 +115,7 @@ func (g *Graph) applyOpLive(op walOp, epoch int64) {
 		g.locks.Lock(uint64(op.v))
 		// replayEdge reports the exact bytes an invalidated prior
 		// version turned into garbage (0 for true insertions).
-		dead := g.replayEdge(g.replH, op.op, op.v, op.label, op.dst, op.data, epoch, true)
+		dead := g.replayEdge(op.op, op.v, op.label, op.dst, op.data, epoch, true)
 		g.locks.Unlock(uint64(op.v))
 		g.markDirty(op.v, dead)
 	}

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"livegraph/internal/obs"
-	"livegraph/internal/storage"
 	"livegraph/internal/wal"
 )
 
@@ -472,7 +471,7 @@ func (g *Graph) loadCkptFile(path string, magic []byte, chain ...int64) error {
 		if nv > g.nextVertex.Load() {
 			g.nextVertex.Store(nv)
 		}
-		g.loadCkptRecords(r, nv, chain[len(chain)-1], g.alloc.NewHandle())
+		g.loadCkptRecords(r, nv, chain[len(chain)-1])
 	}
 	if r.err != nil {
 		return fmt.Errorf("%s: %w", path, r.err)
@@ -492,7 +491,7 @@ func (g *Graph) loadCkptFile(path string, magic []byte, chain ...int64) error {
 // out, so an ID gap of any width costs no bytes (see
 // TestSparseCheckpointLoads), and damage to the header and a record ID
 // together is past what a format with no checksum can catch.
-func (g *Graph) loadCkptRecords(r *ckptReader, nv, epoch int64, h *storage.Handle) {
+func (g *Graph) loadCkptRecords(r *ckptReader, nv, epoch int64) {
 	for last := int64(-1); ; {
 		v := r.varint()
 		if r.err != nil || v < 0 {
@@ -512,7 +511,7 @@ func (g *Graph) loadCkptRecords(r *ckptReader, nv, epoch int64, h *storage.Handl
 			if ls := ll.entries.Load(); ls != nil {
 				for _, e := range *ls {
 					if t := e.tel.Load(); t != nil {
-						h.Free(t.Block)
+						g.alloc.Free(t.Block)
 					}
 				}
 			}
@@ -531,7 +530,7 @@ func (g *Graph) loadCkptRecords(r *ckptReader, nv, epoch int64, h *storage.Handl
 				if r.err != nil {
 					return
 				}
-				g.replayEdge(h, opInsertEdge, VertexID(v), Label(label), VertexID(dst), props, epoch, false)
+				g.replayEdge(opInsertEdge, VertexID(v), Label(label), VertexID(dst), props, epoch, false)
 			}
 		}
 	}

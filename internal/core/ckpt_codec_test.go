@@ -16,7 +16,6 @@ import (
 	"sync"
 	"testing"
 
-	"livegraph/internal/storage"
 	"livegraph/internal/wal"
 )
 
@@ -339,10 +338,7 @@ const fuzzNextVertex = 64
 
 // ckptScratch is a volatile graph the codec tests load record bodies into
 // and dump them back out of, at epoch 1.
-type ckptScratch struct {
-	g *Graph
-	h *storage.Handle
-}
+type ckptScratch struct{ g *Graph }
 
 func newCkptScratch(t testing.TB) *ckptScratch {
 	g, err := Open(Options{Workers: 1, CompactEvery: -1})
@@ -352,13 +348,13 @@ func newCkptScratch(t testing.TB) *ckptScratch {
 	t.Cleanup(func() { g.Close() })
 	g.epochs.Init(1)
 	g.nextVertex.Store(fuzzNextVertex) // what loading the header would do
-	return &ckptScratch{g: g, h: g.alloc.NewHandle()}
+	return &ckptScratch{g: g}
 }
 
 // load feeds body to the shared reader, returning what it left unread.
 func (s *ckptScratch) load(body []byte) (left int64, err error) {
 	r := newCkptReader(bytes.NewReader(body), int64(len(body)))
-	s.g.loadCkptRecords(r, fuzzNextVertex, 1, s.h)
+	s.g.loadCkptRecords(r, fuzzNextVertex, 1)
 	return r.left(), r.err
 }
 

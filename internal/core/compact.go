@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"livegraph/internal/storage"
 	"livegraph/internal/tel"
 )
 
@@ -48,9 +47,9 @@ func (g *Graph) CompactNow() {
 
 // compactVertexLocked compacts one vertex — its TELs and its version
 // chain. Caller holds the vertex lock.
-func (g *Graph) compactVertexLocked(v VertexID, floor int64, h *storage.Handle, c *compactCounts) {
+func (g *Graph) compactVertexLocked(v VertexID, floor int64, c *compactCounts) {
 	c.vertices++
-	g.compactTELsLocked(v, floor, h, c)
+	g.compactTELsLocked(v, floor, c)
 	g.pruneVertexChainLocked(v, floor, c)
 }
 
@@ -63,7 +62,7 @@ func deadEntry(t *tel.TEL, i int, floor int64) bool {
 	return inv >= 0 && inv <= floor
 }
 
-func (g *Graph) compactTELsLocked(v VertexID, floor int64, h *storage.Handle, c *compactCounts) {
+func (g *Graph) compactTELsLocked(v VertexID, floor int64, c *compactCounts) {
 	ll := g.eindex.Get(int64(v))
 	if ll == nil {
 		return
@@ -92,7 +91,7 @@ func (g *Graph) compactTELsLocked(v VertexID, floor int64, h *storage.Handle, c 
 		// Copy survivors into a right-sized block (possibly smaller — the
 		// paper: "sometimes the block could shrink after many edges being
 		// deleted").
-		nt := tel.New(h, t.Src(), t.Label(), max(live, 1), liveProps)
+		nt := tel.New(g.alloc, t.Src(), t.Label(), max(live, 1), liveProps)
 		ni, npl := 0, 0
 		for i := 0; i < n; i++ {
 			if deadEntry(t, i, floor) {
@@ -106,7 +105,7 @@ func (g *Graph) compactTELsLocked(v VertexID, floor int64, h *storage.Handle, c 
 		// Compaction drops only dead entries, so the visible-edge counter
 		// is untouched; the entry count (scan cost) shrinks.
 		g.statsPublish(Label(t.Label()), n, ni)
-		h.DeferFree(t.Block, g.epochs.WriteEpoch())
+		g.alloc.DeferFree(t.Block, g.epochs.WriteEpoch())
 		g.forgetBlock(t)
 	}
 }

@@ -75,16 +75,6 @@ type Options struct {
 	// defaults; Ckpt.DisableDelta forces every checkpoint full.
 	Ckpt CkptOptions
 
-	// TraversalParallelism is the default worker-pool width for the
-	// traversal engine: how many workers a parallel-capable Reader (a
-	// snapshot) fans frontier expansion out over when the traversal itself
-	// does not set Parallel. Zero means GOMAXPROCS at run time; 1 keeps
-	// every hop on the caller's goroutine engine-wide. It is the engine's
-	// only traversal option — when a pool engages, its morsel width and the
-	// bottom-up switch follow from degree statistics and the constants in
-	// traverse.go. Analytics kernels take their worker count explicitly.
-	TraversalParallelism int
-
 	// HistoryRetention keeps invalidated versions readable for this many
 	// epochs behind the current read epoch, enabling temporal queries via
 	// SnapshotAt (the paper's §9 future-work direction: "the
@@ -211,25 +201,18 @@ type Graph struct {
 	// replica's epoch sequence is dictated by its primary.
 	follower atomic.Bool
 
-	// applyMu serialises ApplyEpoch (one replication stream at a time);
-	// replH is the applier's pooled allocation handle.
+	// applyMu serialises ApplyEpoch (one replication stream at a time).
 	applyMu sync.Mutex
-	replH   *storage.Handle
 
-	handleMu sync.Mutex
-	handles  []*storage.Handle // one pooled allocation handle per slot
-
-	// maintenance: the striped dirty set feeds the background scheduler;
-	// maintHandles are the per-worker allocation handles of one slice
-	// (slices are single-flight, so a fixed pool indexed by worker is
-	// race-free). With maintenance disabled there is no scheduler
-	// goroutine to provide the single flight, so inlinePass serialises
-	// CompactNow callers driving the slice runner themselves.
+	// maintenance: the striped dirty set feeds the background scheduler,
+	// whose slices fan out over maintWorkers. With maintenance disabled
+	// there is no scheduler goroutine to provide the single flight, so
+	// inlinePass serialises CompactNow callers driving the slice runner
+	// themselves.
 	writeTxns    atomic.Int64
 	dirty        *maint.DirtySet
 	maintSched   *maint.Scheduler
 	maintStats   maint.Stats
-	maintHandles []*storage.Handle
 	maintWorkers int
 	maintBuf     []maint.Dirty
 	inlinePass   sync.Mutex
@@ -286,17 +269,15 @@ func Open(opts Options) (*Graph, error) {
 	opts.fill()
 	g := &Graph{
 		opts:    opts,
-		alloc:   storage.NewAllocator(storage.DefaultSmallClassMax),
+		alloc:   storage.NewAllocator(),
 		readers: mvcc.NewReaderTable(opts.Workers),
 		locks:   mvcc.NewLockTable(1 << 16),
 		dirty:   maint.NewDirtySet(0),
 	}
 	g.initObs()
 	g.slots = make(chan int, opts.Workers)
-	g.handles = make([]*storage.Handle, opts.Workers)
 	for i := 0; i < opts.Workers; i++ {
 		g.slots <- i
-		g.handles[i] = g.alloc.NewHandle()
 	}
 	if opts.Dir != "" {
 		g.ckptDirty = maint.NewDirtySet(0)
@@ -326,10 +307,6 @@ func Open(opts Options) (*Graph, error) {
 	if opts.CompactEvery >= 0 {
 		g.maintSched = maint.New(opts.Maint.config(), maintRunner{g}, &g.maintStats)
 		g.maintWorkers = g.maintSched.Config().Workers
-	}
-	g.maintHandles = make([]*storage.Handle, g.maintWorkers)
-	for i := range g.maintHandles {
-		g.maintHandles[i] = g.alloc.NewHandle()
 	}
 	if g.maintSched != nil {
 		g.maintSched.Start()

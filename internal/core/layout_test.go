@@ -240,9 +240,9 @@ func TestPropsDuringUpgrade(t *testing.T) {
 }
 
 // TestArenaBytesPerEdge is the tier-1 memory guard: 2^14 × 16 Kronecker
-// edges with 32 B of properties, loaded through one allocation handle with
-// maintenance off, and the blocks the load's upgrades left behind
-// reclaimed. The load is deterministic, so the numbers repeat exactly.
+// edges with 32 B of properties, loaded with maintenance off, and the
+// blocks the load's upgrades left behind reclaimed. The load is
+// deterministic, so the numbers repeat exactly.
 // Before the one-region block, live blocks held 104.0 B/edge (a word region
 // and a byte region of the same size) and 22.9 % of the reserved arena was
 // never carved (two 32 MiB slab series); one region holds the same lists in

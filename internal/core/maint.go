@@ -4,8 +4,8 @@ package core
 // budgeted, morsel-parallel compaction slices over the striped dirty set.
 // The scheduler decides when and how much; this file does the storage work —
 // drain a bounded chunk of dirty vertices, fan it across workers in morsels
-// (each worker with a private allocation handle, holding one vertex lock at
-// a time exactly like the synchronous pass always has), and at pass
+// (each worker holding one vertex lock at a time exactly like the
+// synchronous pass always has), and at pass
 // boundaries reclaim deferred blocks whose readers have moved on.
 
 import (
@@ -17,34 +17,31 @@ import (
 	"livegraph/internal/obs"
 )
 
-// MaintOptions configures the background maintenance engine.
+// MaintOptions configures the background maintenance engine. Each field
+// is passed to the maint.Config field of the same name; zero selects the
+// default documented there.
 type MaintOptions struct {
 	// SliceVertices caps how many dirty vertices one background slice
-	// compacts before yielding (default 256).
+	// compacts before yielding.
 	SliceVertices int
 
-	// SliceBudget is the soft wall-clock cap per background slice
-	// (default 500µs).
+	// SliceBudget is the soft wall-clock cap per background slice.
 	SliceBudget time.Duration
 
-	// Yield is the pause between slices of one background pass
-	// (default 200µs).
+	// Yield is the pause between slices of one background pass.
 	Yield time.Duration
 
-	// Interval is the wall-clock floor between pressure checks
-	// (default 250ms).
+	// Interval is the wall-clock floor between pressure checks.
 	Interval time.Duration
 
-	// DirtyTrigger starts a pass when this many vertices are dirty
-	// (default 2048).
+	// DirtyTrigger starts a pass when this many vertices are dirty.
 	DirtyTrigger int64
 
 	// DeadBytesTrigger starts a pass when the dead-bytes estimate
-	// reaches this (default 4MiB).
+	// reaches this.
 	DeadBytesTrigger int64
 
-	// Workers is the morsel-parallel fan-out within one slice
-	// (default min(4, max(1, GOMAXPROCS/2))).
+	// Workers is the morsel-parallel fan-out within one slice.
 	Workers int
 }
 
@@ -113,9 +110,9 @@ func (r maintRunner) MaintEndPass() {
 	g.stats.Compactions.Add(1)
 }
 
-// compactChunk fans chunk across the maintenance workers in morsels, each
-// worker allocating through its own storage handle; a hub vertex with a
-// huge TEL stalls one worker while the rest drain the remainder. Returns
+// compactChunk fans chunk across the maintenance workers in morsels; a hub
+// vertex with a huge TEL stalls one worker while the rest drain the
+// remainder. Returns
 // how many vertices were compacted; the rest (deadline cut) are re-marked
 // with their dead-bytes estimates intact.
 func (g *Graph) compactChunk(chunk []maint.Dirty, deadline time.Time) int {
@@ -126,7 +123,7 @@ func (g *Graph) compactChunk(chunk []maint.Dirty, deadline time.Time) int {
 	floor := g.readers.MinActive(g.epochs.ReadEpoch()) - g.opts.HistoryRetention
 	// The body only ever asks to stop, so Run has no error to return.
 	//lglint:ignore ctxprop a slice is bounded by its deadline, not a caller: the scheduler owns no context and nothing blocks on this one
-	_ = morsel.Run(context.Background(), len(chunk), maintMorselSize, g.maintWorkers, func(w, m, lo, hi int) error {
+	_ = morsel.Run(context.Background(), len(chunk), maintMorselSize, g.maintWorkers, func(_, m, lo, hi int) error {
 		// Morsel 0 is compacted unconditionally: a slice must make
 		// progress even when draining + dispatch already ate the budget,
 		// or a pass could spin on zero-progress slices forever.
@@ -137,7 +134,7 @@ func (g *Graph) compactChunk(chunk []maint.Dirty, deadline time.Time) int {
 		for i := lo; i < hi; i++ {
 			v := VertexID(chunk[i].ID)
 			g.locks.Lock(uint64(v))
-			g.compactVertexLocked(v, floor, g.maintHandles[w], &c)
+			g.compactVertexLocked(v, floor, &c)
 			g.locks.Unlock(uint64(v))
 			chunk[i].ID = -1 // processed
 		}

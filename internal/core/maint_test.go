@@ -205,8 +205,8 @@ func TestMaintConcurrentWritersAndTemporalReaders(t *testing.T) {
 
 // TestCompactNowSingleFlight runs CompactNow from many goroutines while
 // pressure triggers fire: all calls funnel through the scheduler, no two
-// passes overlap (the race detector would flag handle sharing), and the
-// final state is fully compacted.
+// passes overlap (the race detector would flag the shared drain buffer),
+// and the final state is fully compacted.
 func TestCompactNowSingleFlight(t *testing.T) {
 	g := openAggressive(t, Options{})
 	var a, b VertexID

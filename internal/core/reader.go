@@ -58,11 +58,11 @@ type ParallelReader interface {
 // Pinned snapshots are the engine's concurrency-safe Reader.
 var _ ParallelReader = (*Snapshot)(nil)
 
-// graphSource lets the traversal engine reach the owning graph's options
-// (default parallelism) from a Reader without widening the public surface,
-// and tells it whether the Reader's goroutine holds vertex locks — a *Tx
-// that has written — which is when it must not build a reverse index
-// (revindex.go: the build takes vertex locks).
+// graphSource lets the traversal engine reach the owning graph from a
+// Reader without widening the public surface, and tells it whether the
+// Reader's goroutine holds vertex locks — a *Tx that has written — which
+// is when it must not build a reverse index (revindex.go: the build takes
+// vertex locks).
 type graphSource interface {
 	graph() *Graph
 	locksHeld() bool

@@ -376,3 +376,64 @@ func TestConcurrentCheckpointsDoNotLoseCommits(t *testing.T) {
 		t.Fatalf("recovered degree %d, want %d (commits lost across concurrent checkpoints)", d, writes)
 	}
 }
+
+// TestRecoveredFreesAreReusable: checkpoint load and WAL replay both grow
+// a hub's TEL block by block and free each block they outgrow. Every one
+// of those blocks must land on the allocator's free lists, where the next
+// Alloc of its class finds it: draining each class from the largest a slab
+// holds down to the smallest, with no writes in between, empties the
+// recycled pool.
+func TestRecoveredFreesAreReusable(t *testing.T) {
+	dir := t.TempDir()
+	g := openDurable(t, dir)
+	var hub VertexID
+	mustCommit(t, g, func(tx *Tx) { hub, _ = tx.AddVertex(nil) })
+	insert := func(lo, hi int) {
+		for ; lo < hi; lo += 100 {
+			mustCommit(t, g, func(tx *Tx) {
+				for i := lo; i < lo+100; i++ {
+					if err := tx.InsertEdge(hub, 0, VertexID(1+i), []byte("p")); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+	insert(0, 1000) // loaded from the checkpoint
+	if err := g.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	insert(1000, 3000) // replayed from the WAL, past the loaded block
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	g, err := Open(Options{Dir: dir, CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	r, _ := g.BeginRead()
+	if d := r.Degree(hub, 0); d != 3000 {
+		t.Fatalf("recovered hub degree %d, want 3000", d)
+	}
+	r.Commit()
+	recycled := func() int64 { return g.AllocStats().RecycledWords }
+	if recycled() == 0 {
+		t.Fatal("recovery freed no blocks: the hub never outgrew one")
+	}
+	// Class 14 is a whole 1 MiB slab, the largest block carved from one.
+	for class := 14; class >= 0; class-- {
+		// An Alloc that leaves the pool no smaller carved a fresh block:
+		// the class's list is empty.
+		for before := recycled(); before > 0; before = recycled() {
+			g.alloc.Alloc(class)
+			if recycled() >= before {
+				break
+			}
+		}
+	}
+	if w := recycled(); w != 0 {
+		t.Fatalf("%d recycled words no Alloc hands out", w)
+	}
+}

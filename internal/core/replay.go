@@ -12,7 +12,6 @@ import (
 	"path/filepath"
 
 	"livegraph/internal/mvcc"
-	"livegraph/internal/storage"
 	"livegraph/internal/tel"
 	"livegraph/internal/wal"
 )
@@ -68,7 +67,6 @@ func (g *Graph) recover() error {
 	}
 	g.walSeq = maxSeq
 	maxEpoch := afterEpoch
-	h := g.alloc.NewHandle()
 	for _, seg := range segs {
 		if seg.Seq < meta.MinWALSeq {
 			// Fully superseded by the checkpoint; the checkpointer
@@ -82,7 +80,7 @@ func (g *Graph) recover() error {
 				return err
 			}
 			for _, op := range ops {
-				g.replayOp(h, op, epoch)
+				g.replayOp(op, epoch)
 			}
 			return nil
 		})
@@ -98,7 +96,7 @@ func (g *Graph) recover() error {
 	return nil
 }
 
-func (g *Graph) replayOp(h *storage.Handle, op walOp, epoch int64) {
+func (g *Graph) replayOp(op walOp, epoch int64) {
 	switch op.op {
 	case opAddVertex, opPutVertex:
 		if int64(op.v) >= g.nextVertex.Load() {
@@ -117,7 +115,7 @@ func (g *Graph) replayOp(h *storage.Handle, op walOp, epoch int64) {
 		if int64(op.dst) >= g.nextVertex.Load() {
 			g.nextVertex.Store(int64(op.dst) + 1)
 		}
-		g.replayEdge(h, op.op, op.v, op.label, op.dst, op.data, epoch, false)
+		g.replayEdge(op.op, op.v, op.label, op.dst, op.data, epoch, false)
 	}
 	// Replayed ops are changes past the checkpoint the graph recovered
 	// from: journal them so the next delta checkpoint captures them.
@@ -132,7 +130,7 @@ func (g *Graph) replayOp(h *storage.Handle, op walOp, epoch int64) {
 // the vertex lock). It returns the exact bytes the operation turned into
 // garbage (an invalidated entry's words + properties), already
 // accumulated into the TEL's dead counter.
-func (g *Graph) replayEdge(h *storage.Handle, op byte, src VertexID, label Label, dst VertexID, props []byte, epoch int64, live bool) int64 {
+func (g *Graph) replayEdge(op byte, src VertexID, label Label, dst VertexID, props []byte, epoch int64, live bool) int64 {
 	ll := g.eindex.Get(int64(src))
 	if ll == nil {
 		ll = &labelList{}
@@ -141,7 +139,7 @@ func (g *Graph) replayEdge(h *storage.Handle, op byte, src VertexID, label Label
 	e := ll.find(label)
 	if e == nil {
 		e = &labelEntry{label: label}
-		e.tel.Store(tel.New(h, int64(src), int64(label), 1, 64))
+		e.tel.Store(tel.New(g.alloc, int64(src), int64(label), 1, 64))
 		ll.addLocked(e)
 	}
 	t := e.tel.Load()
@@ -165,16 +163,16 @@ func (g *Graph) replayEdge(h *storage.Handle, op byte, src VertexID, label Label
 		}
 	}
 	if !t.Fits(n, pl, len(props)) {
-		nt := t.Upgrade(h, n, pl, len(props))
+		nt := t.Upgrade(g.alloc, n, pl, len(props))
 		e.tel.Store(nt)
 		if live {
 			// A concurrent snapshot may be mid-scan over the old block:
 			// recycle it only once every reader pinned below the current
 			// write epoch has exited (same discipline as Tx.upgrade).
-			h.DeferFree(t.Block, g.epochs.WriteEpoch())
+			g.alloc.DeferFree(t.Block, g.epochs.WriteEpoch())
 			g.forgetBlock(t)
 		} else {
-			h.Free(t.Block) // recovery owns the old block; no readers exist
+			g.alloc.Free(t.Block) // recovery owns the old block; no readers exist
 		}
 		t = nt
 	}

@@ -213,8 +213,7 @@ func (t *Traversal) MaxFrontier(n int) *Traversal {
 }
 
 // Parallel sets the worker-pool width for frontier expansion. 1 forces
-// sequential execution; 0 (the default) defers to the graph's
-// Options.TraversalParallelism, which itself defaults to GOMAXPROCS.
+// sequential execution; 0 (the default) means GOMAXPROCS at run time.
 //
 // Parallel hops require a Reader that is safe for concurrent use (one
 // implementing ParallelReader, like *Snapshot); on any other Reader — a
@@ -375,23 +374,16 @@ func (t *Traversal) RunGraph(ctx context.Context, g *Graph) ([]VertexID, error) 
 }
 
 // effectiveParallelism resolves the worker-pool width for this run:
-// the builder's Parallel setting, falling back to the graph's
-// Options.TraversalParallelism, falling back to GOMAXPROCS — and clamped
+// the builder's Parallel setting, falling back to GOMAXPROCS — and clamped
 // to 1 whenever the Reader is not marked safe for concurrent use.
 func (t *Traversal) effectiveParallelism(r Reader) int {
 	if _, ok := r.(ParallelReader); !ok {
 		return 1
 	}
-	p := t.parallel
-	if p == 0 {
-		if gs, ok := r.(graphSource); ok {
-			p = gs.graph().opts.TraversalParallelism
-		}
+	if t.parallel > 0 {
+		return t.parallel
 	}
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	return p
+	return runtime.GOMAXPROCS(0)
 }
 
 // The adaptive policy's thresholds: constants, because nothing ever set

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -435,14 +436,11 @@ func TestParallelTraversalTxStaysSequential(t *testing.T) {
 	}
 }
 
-// TestTraversalParallelismDefaultFromOptions: with no Parallel() call the
-// engine inherits Options.TraversalParallelism.
-func TestTraversalParallelismDefaultFromOptions(t *testing.T) {
-	g, err := Open(Options{TraversalParallelism: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
+// TestParallelWidthDefaultsToGOMAXPROCS: with no Parallel() call a
+// snapshot's pool is GOMAXPROCS wide; Parallel overrides it.
+func TestParallelWidthDefaultsToGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	g := openMem(t)
 	mustCommit(t, g, func(tx *Tx) { tx.AddVertex(nil) })
 	snap, err := g.Snapshot()
 	if err != nil {
@@ -450,7 +448,7 @@ func TestTraversalParallelismDefaultFromOptions(t *testing.T) {
 	}
 	defer snap.Release()
 	if p := Traverse(0).effectiveParallelism(snap); p != 3 {
-		t.Fatalf("effective parallelism = %d, want Options value 3", p)
+		t.Fatalf("effective parallelism = %d, want GOMAXPROCS 3", p)
 	}
 	if p := Traverse(0).Parallel(5).effectiveParallelism(snap); p != 5 {
 		t.Fatalf("builder override = %d, want 5", p)

@@ -7,7 +7,6 @@ import (
 
 	"livegraph/internal/mvcc"
 	"livegraph/internal/obs"
-	"livegraph/internal/storage"
 	"livegraph/internal/tel"
 )
 
@@ -19,14 +18,13 @@ import (
 //
 // A Tx is not safe for concurrent use by multiple goroutines.
 type Tx struct {
-	g      *Graph
-	ctx    context.Context // bounds lock waits; Background for Begin
-	slot   int
-	handle *storage.Handle
-	tre    int64 // transaction-local read epoch (TRE)
-	tid    int64 // transaction identifier; writes are tagged -tid
-	ro     bool
-	done   bool
+	g    *Graph
+	ctx  context.Context // bounds lock waits; Background for Begin
+	slot int
+	tre  int64 // transaction-local read epoch (TRE)
+	tid  int64 // transaction identifier; writes are tagged -tid
+	ro   bool
+	done bool
 
 	locked      map[uint64]struct{} // held lock stripes (dedup by stripe, not vertex)
 	telWrites   map[telKey]*telWrite
@@ -99,12 +97,11 @@ func (g *Graph) BeginCtx(ctx context.Context) (*Tx, error) {
 	tre := g.epochs.ReadEpoch()
 	g.readers.Enter(slot, tre)
 	tx := &Tx{
-		g:      g,
-		ctx:    ctx,
-		slot:   slot,
-		handle: g.handles[slot],
-		tre:    tre,
-		tid:    g.tids.Next(),
+		g:    g,
+		ctx:  ctx,
+		slot: slot,
+		tre:  tre,
+		tid:  g.tids.Next(),
 	}
 	// Sampled write transactions carry a trace root; lock waits and the
 	// commit wait attach as child stages. Unsampled: both stay nil and
@@ -292,7 +289,7 @@ func (tx *Tx) ensureTEL(src VertexID, label Label) (*telWrite, error) {
 	e := ll.find(label)
 	if e == nil {
 		e = &labelEntry{label: label}
-		t := tel.New(tx.handle, int64(src), int64(label), 1, 64)
+		t := tel.New(g.alloc, int64(src), int64(label), 1, 64)
 		e.tel.Store(t)
 		ll.addLocked(e)
 	}
@@ -313,10 +310,10 @@ func (tx *Tx) ensureTEL(src VertexID, label Label) (*telWrite, error) {
 func (tx *Tx) upgrade(w *telWrite, extraProps int) {
 	g := tx.g
 	old := w.cur
-	nt := old.Upgrade(tx.handle, w.n, w.propLen, extraProps)
+	nt := old.Upgrade(g.alloc, w.n, w.propLen, extraProps)
 	w.entry.tel.Store(nt)
 	w.cur = nt
-	tx.handle.DeferFree(old.Block, g.epochs.WriteEpoch())
+	g.alloc.DeferFree(old.Block, g.epochs.WriteEpoch())
 	if g.opts.PageCache != nil {
 		g.forgetBlock(old)
 		g.touch(nt)

@@ -55,7 +55,7 @@
 // Dedup, AsOf and Parallel. asof epochs outside the retention window
 // return 410 Gone. parallel requests a worker-pool width for the
 // morsel-driven frontier engine, clamped to MaxTraverseParallel; absent or
-// 0 defers to the engine default (Options.TraversalParallelism).
+// 0 defers to the engine default (GOMAXPROCS).
 // direction=auto|topdown|bottomup forces the expansion strategy (auto lets
 // the executor pick per hop from degree statistics; forcing bottomup on a
 // traversal that cannot support it — no Dedup — is a 400).

@@ -22,12 +22,14 @@
 // thousand blocks. Blocks larger than a slab get a dedicated allocation of
 // their own.
 //
-// Free lists follow the paper's split design: size classes up to the
-// threshold m given to NewAllocator are kept in per-thread
-// (per-allocator-handle) lists to avoid contention on hot small blocks,
-// larger classes are shared globally. The engine always passes
-// DefaultSmallClassMax; the parameter remains so a test can bring the
-// private/shared boundary within reach of a small allocation.
+// There is one free list per size class, shared by every caller under the
+// allocator mutex. The paper splits them: classes up to a threshold m live
+// in per-thread lists so hot small allocations skip the shared lock. Here
+// that bought nothing — every Alloc and Free still took the mutex to keep
+// the counters, and upgrades and compactions free through DeferFree and
+// Reclaim, which always fed the shared lists — while a per-caller list
+// stranded whatever it held when its owner went away. One list per class
+// means every freed block is found by the next Alloc of its class.
 // Recycling of blocks that may still be visible to in-flight readers goes
 // through an epoch-deferred free list (DeferFree / Reclaim).
 package storage
@@ -36,7 +38,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 )
 
 const (
@@ -50,11 +51,6 @@ const (
 	// (64 B … 32 TiB) is far beyond anything addressable here and keeps the
 	// free-list arrays compact.
 	NumClasses = 40
-
-	// DefaultSmallClassMax is the paper's m, the value the engine runs
-	// with: classes <= m use per-handle private free lists, larger
-	// classes share a global list.
-	DefaultSmallClassMax = 14
 
 	// slabWords is the size of each arena slab (see the package comment).
 	// Blocks never span slabs; a request larger than a slab gets a
@@ -100,20 +96,17 @@ type Stats struct {
 	ClassCounts     [NumClasses]int64
 }
 
-// Allocator is the shared block store. Use NewAllocator once per graph and
-// Handle per worker thread.
+// Allocator is the block store: one per graph, safe for concurrent use.
 type Allocator struct {
-	smallClassMax int
-
 	mu        sync.Mutex
 	slab      []int64 // current slab bump region
 	slabOff   int
 	slabBase  int64 // arena offset of the current slab's word 0
 	slabWords int64 // total words ever reserved (also: next arena offset)
 
-	// shared free lists: classes > smallClassMax, and blocks of any class
-	// that Reclaim recycles or a slab's tail is cut into
-	shared [NumClasses][]*Block
+	// free lists, one per class: blocks that Free or Reclaim recycled or
+	// that a slab's tail was cut into
+	free [NumClasses][]*Block
 
 	// deferred frees waiting for their epoch to pass
 	deferred []deferredBlock
@@ -130,77 +123,23 @@ type deferredBlock struct {
 	epoch int64
 }
 
-// NewAllocator creates a block store. smallClassMax <= 0 selects the default.
-func NewAllocator(smallClassMax int) *Allocator {
-	if smallClassMax <= 0 {
-		smallClassMax = DefaultSmallClassMax
-	}
-	if smallClassMax >= NumClasses {
-		smallClassMax = NumClasses - 1
-	}
-	return &Allocator{smallClassMax: smallClassMax}
-}
-
-// Handle is a per-worker allocation handle holding private free lists for
-// small classes (the paper's per-thread {S[0..m]} arrays). Handles are not
-// safe for concurrent use; create one per worker goroutine.
-type Handle struct {
-	a       *Allocator
-	private [][]*Block // indexed by class, len = smallClassMax+1
-}
-
-// NewHandle returns a worker-local allocation handle.
-func (a *Allocator) NewHandle() *Handle {
-	return &Handle{a: a, private: make([][]*Block, a.smallClassMax+1)}
-}
+// NewAllocator creates an empty block store.
+func NewAllocator() *Allocator { return &Allocator{} }
 
 // Alloc returns a zeroed block of the given class.
-func (h *Handle) Alloc(class int) *Block {
+func (a *Allocator) Alloc(class int) *Block {
 	if class < 0 || class >= NumClasses {
 		panic(fmt.Sprintf("storage: class %d out of range", class))
 	}
-	if class <= h.a.smallClassMax {
-		if l := h.private[class]; len(l) > 0 {
-			b := l[len(l)-1]
-			h.private[class] = l[:len(l)-1]
-			h.a.noteAlloc(b, -1)
-			zero(b)
-			return b
-		}
-	}
-	return h.a.allocShared(class)
-}
-
-// Free returns a block to the free lists immediately. Only call when no
-// other goroutine can still be reading the block (e.g. blocks allocated by
-// an aborted transaction that never became visible).
-func (h *Handle) Free(b *Block) {
-	if b == nil {
-		return
-	}
-	if b.Class <= h.a.smallClassMax {
-		h.private[b.Class] = append(h.private[b.Class], b)
-		h.a.noteFree(b, -1)
-		return
-	}
-	h.a.freeShared(b)
-}
-
-// DeferFree schedules a block for recycling once every reader whose epoch is
-// <= epoch has finished (paper: old TEL versions are kept until no longer
-// visible, then garbage-collected in a future compaction cycle).
-func (h *Handle) DeferFree(b *Block, epoch int64) { h.a.DeferFree(b, epoch) }
-
-// Allocator-level operations -------------------------------------------------
-
-func (a *Allocator) allocShared(class int) *Block {
 	a.mu.Lock()
-	if l := a.shared[class]; len(l) > 0 {
+	if l := a.free[class]; len(l) > 0 {
 		b := l[len(l)-1]
-		a.shared[class] = l[:len(l)-1]
-		a.noteAllocLocked(b, -1)
+		a.free[class] = l[:len(l)-1]
+		a.recBlocks--
+		a.recWords -= int64(len(b.Words))
+		a.noteAllocLocked(b)
 		a.mu.Unlock()
-		zero(b)
+		clear(b.Words)
 		return b
 	}
 	words := WordCap(class)
@@ -211,13 +150,10 @@ func (a *Allocator) allocShared(class int) *Block {
 	} else {
 		if a.slabOff+words > len(a.slab) {
 			// Blocks never span slabs: what is left of this one goes to the
-			// shared free lists, largest class first, instead of being
-			// stranded behind the new slab.
+			// free lists, largest class first, instead of being stranded
+			// behind the new slab.
 			for rest := len(a.slab) - a.slabOff; rest >= MinBlockWords; rest = len(a.slab) - a.slabOff {
-				t := a.carve(bits.Len(uint(rest/MinBlockWords)) - 1)
-				a.shared[t.Class] = append(a.shared[t.Class], t)
-				atomic.AddInt64(&a.recBlocks, 1)
-				atomic.AddInt64(&a.recWords, int64(len(t.Words)))
+				a.pushLocked(a.carve(bits.Len(uint(rest/MinBlockWords)) - 1))
 			}
 			a.slab = make([]int64, slabWords)
 			a.slabOff = 0
@@ -226,7 +162,7 @@ func (a *Allocator) allocShared(class int) *Block {
 		}
 		b = a.carve(class)
 	}
-	a.noteAllocLocked(b, +1)
+	a.noteAllocLocked(b)
 	a.mu.Unlock()
 	return b
 }
@@ -243,15 +179,21 @@ func (a *Allocator) carve(class int) *Block {
 	return b
 }
 
-func (a *Allocator) freeShared(b *Block) {
+// Free returns a block to its class's free list immediately. Only call
+// when no other goroutine can still be reading the block (e.g. a block
+// replaced during recovery, before any reader exists).
+func (a *Allocator) Free(b *Block) {
+	if b == nil {
+		return
+	}
 	a.mu.Lock()
-	a.shared[b.Class] = append(a.shared[b.Class], b)
-	a.noteFreeLocked(b, -1)
+	a.freeLocked(b)
 	a.mu.Unlock()
 }
 
-// DeferFree schedules a block for recycling once minimum reader epoch
-// exceeds epoch.
+// DeferFree schedules a block for recycling once every reader whose epoch
+// is <= epoch has finished (paper: old TEL versions are kept until no
+// longer visible, then garbage-collected in a future compaction cycle).
 func (a *Allocator) DeferFree(b *Block, epoch int64) {
 	if b == nil {
 		return
@@ -261,8 +203,8 @@ func (a *Allocator) DeferFree(b *Block, epoch int64) {
 	a.mu.Unlock()
 }
 
-// Reclaim moves all deferred blocks whose epoch is < minActive into the
-// shared free lists and reports how many blocks (and how many arena
+// Reclaim moves all deferred blocks whose epoch is < minActive onto the
+// free lists and reports how many blocks (and how many arena
 // words) were reclaimed. minActive is the minimum read epoch of any
 // in-flight transaction (or the global read epoch if none is active).
 func (a *Allocator) Reclaim(minActive int64) (blocks int, words int64) {
@@ -271,8 +213,7 @@ func (a *Allocator) Reclaim(minActive int64) (blocks int, words int64) {
 	kept := a.deferred[:0]
 	for _, d := range a.deferred {
 		if d.epoch < minActive {
-			a.shared[d.b.Class] = append(a.shared[d.b.Class], d.b)
-			a.noteFreeLocked(d.b, -1)
+			a.freeLocked(d.b)
 			blocks++
 			words += int64(len(d.b.Words))
 		} else {
@@ -295,46 +236,33 @@ func (a *Allocator) Stats() Stats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return Stats{
-		AllocatedBlocks: atomic.LoadInt64(&a.allocBlocks),
-		AllocatedWords:  atomic.LoadInt64(&a.allocWords),
-		RecycledBlocks:  atomic.LoadInt64(&a.recBlocks),
-		RecycledWords:   atomic.LoadInt64(&a.recWords),
+		AllocatedBlocks: a.allocBlocks,
+		AllocatedWords:  a.allocWords,
+		RecycledBlocks:  a.recBlocks,
+		RecycledWords:   a.recWords,
 		SlabWords:       a.slabWords,
 		ClassCounts:     a.classCounts,
 	}
 }
 
-// noteAlloc / noteFree keep the live/recycled counters. delta==+1 means a
-// fresh slab carve (nothing leaves the recycled pool), delta==-1 means the
-// block moved between the recycled pool and live set.
-func (a *Allocator) noteAlloc(b *Block, fresh int) {
-	a.mu.Lock()
-	a.noteAllocLocked(b, fresh)
-	a.mu.Unlock()
-}
-
-func (a *Allocator) noteAllocLocked(b *Block, fresh int) {
-	atomic.AddInt64(&a.allocBlocks, 1)
-	atomic.AddInt64(&a.allocWords, int64(len(b.Words)))
+// noteAllocLocked counts b into the live set.
+func (a *Allocator) noteAllocLocked(b *Block) {
+	a.allocBlocks++
+	a.allocWords += int64(len(b.Words))
 	a.classCounts[b.Class]++
-	if fresh < 0 {
-		atomic.AddInt64(&a.recBlocks, -1)
-		atomic.AddInt64(&a.recWords, -int64(len(b.Words)))
-	}
 }
 
-func (a *Allocator) noteFree(b *Block, _ int) {
-	a.mu.Lock()
-	a.noteFreeLocked(b, -1)
-	a.mu.Unlock()
-}
-
-func (a *Allocator) noteFreeLocked(b *Block, _ int) {
-	atomic.AddInt64(&a.allocBlocks, -1)
-	atomic.AddInt64(&a.allocWords, -int64(len(b.Words)))
+// freeLocked moves b from the live set to its class's free list.
+func (a *Allocator) freeLocked(b *Block) {
+	a.allocBlocks--
+	a.allocWords -= int64(len(b.Words))
 	a.classCounts[b.Class]--
-	atomic.AddInt64(&a.recBlocks, 1)
-	atomic.AddInt64(&a.recWords, int64(len(b.Words)))
+	a.pushLocked(b)
 }
 
-func zero(b *Block) { clear(b.Words) }
+// pushLocked puts b on its class's free list and counts it as recycled.
+func (a *Allocator) pushLocked(b *Block) {
+	a.free[b.Class] = append(a.free[b.Class], b)
+	a.recBlocks++
+	a.recWords += int64(len(b.Words))
+}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -39,10 +40,9 @@ func TestClassForProperty(t *testing.T) {
 }
 
 func TestAllocZeroedAndSized(t *testing.T) {
-	a := NewAllocator(0)
-	h := a.NewHandle()
+	a := NewAllocator()
 	for class := 0; class < 12; class++ {
-		b := h.Alloc(class)
+		b := a.Alloc(class)
 		if len(b.Words) != WordCap(class) {
 			t.Fatalf("class %d: got %d words, want %d", class, len(b.Words), WordCap(class))
 		}
@@ -52,54 +52,57 @@ func TestAllocZeroedAndSized(t *testing.T) {
 			}
 		}
 		b.Words[0] = 42
-		h.Free(b)
+		a.Free(b)
 	}
 }
 
+// TestRecycleThroughPrivateList: there is one free list per class, so a
+// block of class k that a caller frees comes back, zeroed, from that
+// caller's next Alloc(k), small and large classes alike.
 func TestRecycleThroughPrivateList(t *testing.T) {
-	a := NewAllocator(4)
-	h := a.NewHandle()
-	b1 := h.Alloc(2)
-	b1.Words[3] = 99
-	h.Free(b1)
-	b2 := h.Alloc(2)
-	if b2 != b1 {
-		t.Fatal("small class should recycle through the private list")
-	}
-	if b2.Words[3] != 0 {
-		t.Fatal("recycled block must be zeroed")
+	a := NewAllocator()
+	for _, class := range []int{2, 5, 14, 15} {
+		b1 := a.Alloc(class)
+		b1.Words[3] = 99
+		a.Free(b1)
+		b2 := a.Alloc(class)
+		if b2 != b1 {
+			t.Fatalf("class %d: freed block not reused by the next Alloc", class)
+		}
+		if b2.Words[3] != 0 {
+			t.Fatalf("class %d: recycled block must be zeroed", class)
+		}
 	}
 }
 
+// TestRecycleThroughSharedList: the per-class free list is shared by every
+// goroutine, so a block freed on one is what the next Alloc on another
+// gets.
 func TestRecycleThroughSharedList(t *testing.T) {
-	a := NewAllocator(2)
-	h1 := a.NewHandle()
-	h2 := a.NewHandle()
-	b1 := h1.Alloc(5) // class 5 > smallClassMax 2 => shared
-	h1.Free(b1)
-	b2 := h2.Alloc(5)
-	if b2 != b1 {
-		t.Fatal("large class should recycle through the shared list")
-	}
-}
-
-func TestPrivateListsAreHandleLocal(t *testing.T) {
-	a := NewAllocator(4)
-	h1 := a.NewHandle()
-	h2 := a.NewHandle()
-	b1 := h1.Alloc(1)
-	h1.Free(b1)
-	b2 := h2.Alloc(1)
-	if b2 == b1 {
-		t.Fatal("private free lists must not be shared between handles")
+	a := NewAllocator()
+	for _, class := range []int{1, 5} {
+		freed := make(chan *Block)
+		go func() {
+			b := a.Alloc(class)
+			b.Words[0] = 7
+			a.Free(b)
+			freed <- b
+		}()
+		b1 := <-freed
+		b2 := a.Alloc(class)
+		if b2 != b1 {
+			t.Fatalf("class %d: block freed on another goroutine not reused", class)
+		}
+		if b2.Words[0] != 0 {
+			t.Fatalf("class %d: recycled block must be zeroed", class)
+		}
 	}
 }
 
 func TestDeferFreeReclaim(t *testing.T) {
-	a := NewAllocator(0)
-	h := a.NewHandle()
-	b := h.Alloc(3)
-	h.DeferFree(b, 10)
+	a := NewAllocator()
+	b := a.Alloc(3)
+	a.DeferFree(b, 10)
 	if n, _ := a.Reclaim(10); n != 0 {
 		t.Fatalf("epoch 10 still visible at minActive 10, reclaimed %d", n)
 	}
@@ -117,18 +120,17 @@ func TestDeferFreeReclaim(t *testing.T) {
 		t.Fatal("no blocks should be pending")
 	}
 	// The reclaimed block must be reusable.
-	b2 := h.Alloc(3)
+	b2 := a.Alloc(3)
 	if b2 != b {
 		t.Fatal("reclaimed block should be reused")
 	}
 }
 
 func TestStatsAccounting(t *testing.T) {
-	a := NewAllocator(0)
-	h := a.NewHandle()
+	a := NewAllocator()
 	var blocks []*Block
 	for i := 0; i < 10; i++ {
-		blocks = append(blocks, h.Alloc(1))
+		blocks = append(blocks, a.Alloc(1))
 	}
 	s := a.Stats()
 	if s.AllocatedBlocks != 10 {
@@ -141,7 +143,7 @@ func TestStatsAccounting(t *testing.T) {
 		t.Fatalf("ClassCounts[1] = %d", s.ClassCounts[1])
 	}
 	for _, b := range blocks {
-		h.Free(b)
+		a.Free(b)
 	}
 	s = a.Stats()
 	if s.AllocatedBlocks != 0 {
@@ -153,15 +155,14 @@ func TestStatsAccounting(t *testing.T) {
 }
 
 func TestHugeBlockGetsDedicatedSlab(t *testing.T) {
-	a := NewAllocator(0)
-	h := a.NewHandle()
+	a := NewAllocator()
 	class := ClassFor(slabWords + 1)
-	b := h.Alloc(class)
+	b := a.Alloc(class)
 	if len(b.Words) < slabWords {
 		t.Fatal("huge block too small")
 	}
-	h.Free(b)
-	b2 := h.Alloc(class)
+	a.Free(b)
+	b2 := a.Alloc(class)
 	if b2 != b {
 		t.Fatal("huge block should recycle")
 	}
@@ -172,12 +173,11 @@ func TestHugeBlockGetsDedicatedSlab(t *testing.T) {
 // instead of stranded, so everything reserved is live, recycled, or the
 // uncarved rest of the newest slab.
 func TestSlabTailGoesToFreeLists(t *testing.T) {
-	a := NewAllocator(0)
-	h := a.NewHandle()
+	a := NewAllocator()
 	half := ClassFor(slabWords / 2)
-	h.Alloc(0)
-	h.Alloc(half)
-	if b := h.Alloc(half); b.Off != slabWords {
+	a.Alloc(0)
+	a.Alloc(half)
+	if b := a.Alloc(half); b.Off != slabWords {
 		t.Fatalf("second half-slab block at arena offset %d, want the next slab's start %d", b.Off, slabWords)
 	}
 	s := a.Stats()
@@ -187,35 +187,51 @@ func TestSlabTailGoesToFreeLists(t *testing.T) {
 	if uncarved := s.SlabWords - s.AllocatedWords - s.RecycledWords; uncarved != slabWords/2 {
 		t.Fatalf("%d words uncarved, want the newest slab's rest %d", uncarved, slabWords/2)
 	}
-	if b := h.Alloc(half - 1); b.Off >= slabWords {
+	if b := a.Alloc(half - 1); b.Off >= slabWords {
 		t.Fatalf("quarter-slab block carved at arena offset %d, not from the first slab's tail", b.Off)
 	}
 }
 
+// TestConcurrentAllocFree drives one Allocator from every goroutine: no
+// block is handed to two holders at once, and every one comes back.
 func TestConcurrentAllocFree(t *testing.T) {
-	a := NewAllocator(0)
-	done := make(chan struct{})
+	a := NewAllocator()
+	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		go func() {
-			defer func() { done <- struct{}{} }()
-			h := a.NewHandle()
 			var local []*Block
+			release := func(b *Block) error {
+				if b.Words[0]>>32 != int64(g) {
+					return fmt.Errorf("goroutine %d: block at %d overwritten by goroutine %d", g, b.Off, b.Words[0]>>32)
+				}
+				a.Free(b)
+				return nil
+			}
 			for i := 0; i < 2000; i++ {
-				b := h.Alloc(i % 6)
-				b.Words[0] = int64(i)
+				b := a.Alloc(i % 6)
+				b.Words[0] = int64(g)<<32 | int64(i)
 				local = append(local, b)
 				if len(local) > 16 {
-					h.Free(local[0])
+					if err := release(local[0]); err != nil {
+						errs <- err
+						return
+					}
 					local = local[1:]
 				}
 			}
 			for _, b := range local {
-				h.Free(b)
+				if err := release(b); err != nil {
+					errs <- err
+					return
+				}
 			}
+			errs <- nil
 		}()
 	}
 	for g := 0; g < 8; g++ {
-		<-done
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
 	}
 	s := a.Stats()
 	if s.AllocatedBlocks != 0 {
@@ -224,11 +240,10 @@ func TestConcurrentAllocFree(t *testing.T) {
 }
 
 func BenchmarkAllocFreeSmall(b *testing.B) {
-	a := NewAllocator(0)
-	h := a.NewHandle()
+	a := NewAllocator()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		blk := h.Alloc(0)
-		h.Free(blk)
+		blk := a.Alloc(0)
+		a.Free(blk)
 	}
 }

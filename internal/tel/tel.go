@@ -83,8 +83,8 @@ type TEL struct {
 
 // New allocates a TEL for (src, label) able to hold at least minEntries
 // edge log entries and minPropBytes of property payload.
-func New(h *storage.Handle, src, label int64, minEntries, minPropBytes int) *TEL {
-	t := wrap(h.Alloc(classFor(0, minEntries, minPropBytes)))
+func New(a *storage.Allocator, src, label int64, minEntries, minPropBytes int) *TEL {
+	t := wrap(a.Alloc(classFor(0, minEntries, minPropBytes)))
 	t.Block.Words[hdrSrc] = src
 	t.Block.Words[hdrLabel] = label
 	return t
@@ -296,8 +296,8 @@ func (t *TEL) FindLatest(dst int64, n int, tre, tid int64) int {
 // appends), and rebuilds the Bloom filter there. The new block carries the
 // identical committed prefix, so swapping the index pointer is safe
 // mid-transaction; t is left as it was for readers still scanning it.
-func (t *TEL) Upgrade(h *storage.Handle, n, propLen, propBytes int) *TEL {
-	nt := wrap(h.Alloc(classFor(t.Block.Class+1, n+1, propLen+propBytes)))
+func (t *TEL) Upgrade(a *storage.Allocator, n, propLen, propBytes int) *TEL {
+	nt := wrap(a.Alloc(classFor(t.Block.Class+1, n+1, propLen+propBytes)))
 	copy(nt.Block.Words[nt.entryBase:], t.Block.Words[t.entryBase:t.entryBase+n*EntryWords])
 	nb, b := nt.bytes(), t.bytes()
 	copy(nb[len(nb)-propLen:], b[len(b)-propLen:])

@@ -14,11 +14,9 @@ import (
 	"livegraph/internal/storage"
 )
 
-func newHandle() *storage.Handle { return storage.NewAllocator(0).NewHandle() }
-
 func TestNewMinimalBlockIsOneCacheLine(t *testing.T) {
-	h := newHandle()
-	tl := New(h, 1, 0, 1, 0)
+	a := storage.NewAllocator()
+	tl := New(a, 1, 0, 1, 0)
 	// 64-byte block: 6 header words + no filter + 4 entry words = 10 words
 	// does NOT fit in 8 words, so the minimal single-edge block is class 1
 	// (128 B) in this layout. Verify it holds exactly the advertised entry.
@@ -31,8 +29,8 @@ func TestNewMinimalBlockIsOneCacheLine(t *testing.T) {
 }
 
 func TestAppendPublishScan(t *testing.T) {
-	h := newHandle()
-	tl := New(h, 7, 0, 8, 256)
+	a := storage.NewAllocator()
+	tl := New(a, 7, 0, 8, 256)
 	n, pl := 0, 0
 	for i := 0; i < 5; i++ {
 		pl = tl.Append(n, int64(100+i), -42, []byte{byte(i)}, pl)
@@ -77,8 +75,8 @@ func TestAppendPublishScan(t *testing.T) {
 }
 
 func TestScanNewestFirstAndProps(t *testing.T) {
-	h := newHandle()
-	tl := New(h, 1, 0, 8, 256)
+	a := storage.NewAllocator()
+	tl := New(a, 1, 0, 8, 256)
 	n, pl := 0, 0
 	for i := 0; i < 4; i++ {
 		pl = tl.Append(n, int64(10+i), 1, []byte(fmt.Sprintf("p%d", i)), pl)
@@ -108,8 +106,8 @@ func TestScanNewestFirstAndProps(t *testing.T) {
 }
 
 func TestInvalidationHidesOldVersion(t *testing.T) {
-	h := newHandle()
-	tl := New(h, 1, 0, 8, 128)
+	a := storage.NewAllocator()
+	tl := New(a, 1, 0, 8, 128)
 	// Edge to 50 created at ts 1.
 	pl := tl.Append(0, 50, 1, []byte("v1"), 0)
 	tl.Publish(1, pl, 1)
@@ -139,8 +137,8 @@ func TestInvalidationHidesOldVersion(t *testing.T) {
 }
 
 func TestBloomEarlyRejection(t *testing.T) {
-	h := newHandle()
-	tl := New(h, 1, 0, 64, 1024)
+	a := storage.NewAllocator()
+	tl := New(a, 1, 0, 64, 1024)
 	if tl.FilterEmpty() {
 		t.Skip("block too small for a filter at this class")
 	}
@@ -167,8 +165,8 @@ func TestBloomEarlyRejection(t *testing.T) {
 }
 
 func TestUpgradeCopiesPrefix(t *testing.T) {
-	h := newHandle()
-	small := New(h, 9, 3, 4, 64)
+	a := storage.NewAllocator()
+	small := New(a, 9, 3, 4, 64)
 	n, pl := 0, 0
 	for i := 0; i < 4; i++ {
 		pl = small.Append(n, int64(i), 1, []byte{byte(i), byte(i)}, pl)
@@ -181,7 +179,7 @@ func TestUpgradeCopiesPrefix(t *testing.T) {
 	pl = small.Append(n, 4, -7, []byte("tentative"), pl)
 	n++
 
-	big := small.Upgrade(h, n, pl, 300)
+	big := small.Upgrade(a, n, pl, 300)
 
 	if big.Block.Class <= small.Block.Class {
 		t.Fatalf("upgrade from class %d to %d", small.Block.Class, big.Block.Class)
@@ -216,15 +214,15 @@ func TestUpgradeCopiesPrefix(t *testing.T) {
 }
 
 func TestCompactAppendRepacksProps(t *testing.T) {
-	h := newHandle()
-	src := New(h, 1, 0, 8, 256)
+	a := storage.NewAllocator()
+	src := New(a, 1, 0, 8, 256)
 	pl := 0
 	pl = src.Append(0, 10, 1, []byte("aaaa"), pl)
 	pl = src.Append(1, 11, 1, []byte("bbbb"), pl)
 	pl = src.Append(2, 12, 1, []byte("cccc"), pl)
 	src.Publish(3, pl, 1)
 
-	dst := New(h, 1, 0, 8, 256)
+	dst := New(a, 1, 0, 8, 256)
 	// Keep only entries 0 and 2.
 	npl := dst.CompactAppend(src, 0, 0, 0)
 	npl = dst.CompactAppend(src, 2, 1, npl)
@@ -242,8 +240,8 @@ func TestCompactAppendRepacksProps(t *testing.T) {
 }
 
 func TestFits(t *testing.T) {
-	h := newHandle()
-	tl := New(h, 1, 0, 4, 32)
+	a := storage.NewAllocator()
+	tl := New(a, 1, 0, 4, 32)
 	n, pl := 0, 0
 	for tl.Fits(n, pl, 4) {
 		pl = tl.Append(n, int64(n), 1, []byte("abcd"), pl)
@@ -280,7 +278,7 @@ func TestHeaderSizes(t *testing.T) {
 // properties exactly fits, one byte more does not, and classFor agrees
 // with Fits on which class that is.
 func TestFitsAtTheBoundary(t *testing.T) {
-	h := newHandle()
+	a := storage.NewAllocator()
 	for class := 1; class <= 6; class++ {
 		words := storage.WordCap(class)
 		entryEnd := (HeaderWords + bloom.WordsFor(words) + EntryWords) * 8 // after entry 0
@@ -290,7 +288,7 @@ func TestFitsAtTheBoundary(t *testing.T) {
 				continue
 			}
 			t.Run(fmt.Sprintf("class=%d/props=%d", class, size), func(t *testing.T) {
-				tl := wrap(h.Alloc(class))
+				tl := wrap(a.Alloc(class))
 				if !tl.Fits(0, pl, size) {
 					t.Fatalf("entry end == property start does not fit")
 				}
@@ -311,15 +309,15 @@ func TestFitsAtTheBoundary(t *testing.T) {
 				if tl.Dst(0) != 77 || tl.Creation(0) != 3 || tl.Invalidation(0) != mvcc.NullTS || !bytes.Equal(tl.Props(0), props) {
 					t.Fatalf("entry and properties overlap: dst %d creation %d props %x", tl.Dst(0), tl.Creation(0), tl.Props(0))
 				}
-				h.Free(tl.Block)
+				a.Free(tl.Block)
 			})
 		}
 	}
 }
 
 func TestFindLatestOwnWrites(t *testing.T) {
-	h := newHandle()
-	tl := New(h, 1, 0, 8, 128)
+	a := storage.NewAllocator()
+	tl := New(a, 1, 0, 8, 128)
 	pl := tl.Append(0, 5, 1, []byte("old"), 0)
 	tl.Publish(1, pl, 1)
 
@@ -351,9 +349,9 @@ func TestFindLatestOwnWrites(t *testing.T) {
 // and intact properties while the writer packs the next ones right below
 // them in the same words.
 func TestConcurrentReadDuringPublish(t *testing.T) {
-	h := newHandle()
+	a := storage.NewAllocator()
 	const batches, batch = 32, 4
-	tl := New(h, 1, 0, batches*batch, 4096)
+	tl := New(a, 1, 0, batches*batch, 4096)
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)
@@ -417,9 +415,9 @@ func publishProps(dst int64) []byte { return bytes.Repeat([]byte{byte(dst)}, int
 func TestScanVisibilityProperty(t *testing.T) {
 	// Build a TEL with k versions of the same edge, each [i, i+1) lifetime;
 	// at any epoch e < k exactly one version is visible.
-	h := newHandle()
+	a := storage.NewAllocator()
 	const k = 16
-	tl := New(h, 1, 0, k, 256)
+	tl := New(a, 1, 0, k, 256)
 	pl := 0
 	for i := 0; i < k; i++ {
 		pl = tl.Append(i, 99, int64(i+1), []byte{byte(i)}, pl)
@@ -439,9 +437,9 @@ func TestScanVisibilityProperty(t *testing.T) {
 }
 
 func BenchmarkSequentialScan(b *testing.B) {
-	h := newHandle()
+	a := storage.NewAllocator()
 	const n = 1024
-	tl := New(h, 1, 0, n, n)
+	tl := New(a, 1, 0, n, n)
 	pl := 0
 	for i := 0; i < n; i++ {
 		pl = tl.Append(i, int64(i), 1, nil, pl)
@@ -457,8 +455,8 @@ func BenchmarkSequentialScan(b *testing.B) {
 }
 
 func BenchmarkAppend(b *testing.B) {
-	h := newHandle()
-	tl := New(h, 1, 0, 1<<20, 8)
+	a := storage.NewAllocator()
+	tl := New(a, 1, 0, 1<<20, 8)
 	n, pl := 0, 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -99,7 +99,7 @@
 // still lock-free.
 //
 // The pool width comes from Traversal.Parallel, falling back to
-// Options.TraversalParallelism, falling back to GOMAXPROCS. A pool engages
+// GOMAXPROCS. A pool engages
 // only on Readers that are safe for concurrent use (ParallelReader — a
 // *Snapshot; a *Tx always runs on one worker) and only when the frontier
 // is wide enough to repay dispatch; narrow frontiers and in-memory graphs
