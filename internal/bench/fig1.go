@@ -15,28 +15,38 @@ import (
 )
 
 // telStore is a bare-TEL EdgeStore used only by the micro-benchmark: one
-// TEL per source vertex, no transactions — isolating the data structure
+// TEL per source vertex, reached through a map from the source to its
+// block, no transactions — isolating the data structure
 // exactly as the paper's §2.1 experiment does (it compares layouts, not
 // full systems; the visibility checks remain, matching "the overheads of
 // checking edge visibility to support transactions").
 type telStore struct {
 	a    *storage.Allocator
-	tels map[int64]*tel.TEL
+	tels map[int64]storage.Ref
 	n    int64
 }
 
 func newTELStore() *telStore {
-	return &telStore{a: storage.NewAllocator(), tels: make(map[int64]*tel.TEL)}
+	return &telStore{a: storage.NewAllocator(), tels: make(map[int64]storage.Ref)}
+}
+
+// tel returns src's list; ok is false if src has no edges.
+func (s *telStore) tel(src int64) (t tel.TEL, ok bool) {
+	r, ok := s.tels[src]
+	if !ok {
+		return t, false
+	}
+	return tel.At(s.a, r), true
 }
 
 func (s *telStore) Name() string    { return "TEL(LiveGraph)" }
 func (s *telStore) NumEdges() int64 { return s.n }
 
 func (s *telStore) AddEdge(src, dst int64, props []byte) {
-	t := s.tels[src]
-	if t == nil {
-		t = tel.New(s.a, src, 0, 1, 16)
-		s.tels[src] = t
+	t, ok := s.tel(src)
+	if !ok {
+		s.tels[src] = tel.New(s.a, src, 0, 1, 16)
+		t, _ = s.tel(src)
 	}
 	n, pl := t.Len(), t.PropLen()
 	if i := t.FindLatest(dst, n, 1<<40, 0); i >= 0 {
@@ -45,17 +55,18 @@ func (s *telStore) AddEdge(src, dst int64, props []byte) {
 		s.n++
 	}
 	if !t.Fits(n, pl, len(props)) {
-		nt := t.Upgrade(s.a, n, pl, len(props))
-		s.a.Free(t.Block)
-		t, s.tels[src] = nt, nt
+		r := t.Upgrade(s.a, n, pl, len(props))
+		s.a.Free(t.Ref())
+		s.tels[src] = r
+		t = tel.At(s.a, r)
 	}
 	pl = t.Append(n, dst, 1, props, pl)
 	t.Publish(n+1, pl, 1)
 }
 
 func (s *telStore) DeleteEdge(src, dst int64) bool {
-	t := s.tels[src]
-	if t == nil {
+	t, ok := s.tel(src)
+	if !ok {
 		return false
 	}
 	i := t.FindLatest(dst, t.Len(), 1<<40, 0)
@@ -68,8 +79,8 @@ func (s *telStore) DeleteEdge(src, dst int64) bool {
 }
 
 func (s *telStore) GetEdge(src, dst int64) ([]byte, bool) {
-	t := s.tels[src]
-	if t == nil || !t.MayContain(dst) {
+	t, ok := s.tel(src)
+	if !ok || !t.MayContain(dst) {
 		return nil, false
 	}
 	i := t.FindLatest(dst, t.Len(), 1<<40, 0)
@@ -80,8 +91,8 @@ func (s *telStore) GetEdge(src, dst int64) ([]byte, bool) {
 }
 
 func (s *telStore) ScanNeighbors(src int64, fn func(dst int64, props []byte) bool) {
-	t := s.tels[src]
-	if t == nil {
+	t, ok := s.tel(src)
+	if !ok {
 		return
 	}
 	it := t.Scan(t.Len(), 1<<40, 0)

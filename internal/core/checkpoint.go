@@ -359,18 +359,17 @@ func (g *Graph) writeCkptRecords(w *bufio.Writer, snap *Snapshot, ids []int64, n
 		putVarint(w, flags)
 		putVarint(w, int64(len(data)))
 		w.Write(data)
-		var labels []*labelEntry
+		var labels []labelEntry
 		if ll != nil {
-			if ls := ll.entries.Load(); ls != nil {
-				labels = *ls
-			}
+			labels = ll.entries
 		}
 		putVarint(w, int64(len(labels)))
-		for _, e := range labels {
-			putVarint(w, int64(e.label))
+		for i := range labels {
+			label := labels[i].label
+			putVarint(w, int64(label))
 			// Two passes: count, then dump (stream-friendly).
-			putVarint(w, int64(snap.Degree(VertexID(v), e.label)))
-			snap.ScanNeighbors(VertexID(v), e.label, func(dst VertexID, props []byte) bool {
+			putVarint(w, int64(snap.Degree(VertexID(v), label)))
+			snap.ScanNeighbors(VertexID(v), label, func(dst VertexID, props []byte) bool {
 				putVarint(w, int64(dst))
 				putVarint(w, int64(len(props)))
 				w.Write(props)
@@ -486,7 +485,7 @@ func (g *Graph) loadCkptFile(path string, magic []byte, chain ...int64) error {
 // each TEL owns its block outright and a direct free is safe. nv is the
 // header's nextVertexID: the writer emits IDs ascending and below it. The
 // bound is there to cap index growth — chunkedIndex.Set allocates every
-// 512 KiB chunk up to v>>16 — at what a graph of nv IDs costs anyway. nv
+// 32 KiB chunk up to v>>12 — at what a graph of nv IDs costs anyway. nv
 // itself cannot be held to the file's size: both formats leave vertices
 // out, so an ID gap of any width costs no bytes (see
 // TestSparseCheckpointLoads), and damage to the header and a record ID
@@ -508,12 +507,8 @@ func (g *Graph) loadCkptRecords(r *ckptReader, nv, epoch int64) {
 			return
 		}
 		if ll := g.eindex.Get(v); ll != nil {
-			if ls := ll.entries.Load(); ls != nil {
-				for _, e := range *ls {
-					if t := e.tel.Load(); t != nil {
-						g.alloc.Free(t.Block)
-					}
-				}
+			for i := range ll.entries {
+				g.alloc.Free(ll.ref(i))
 			}
 			g.eindex.Set(v, nil)
 		}

@@ -193,11 +193,9 @@ func graphStateString(t *testing.T, g *Graph) string {
 		data, ok := snap.VertexData(VertexID(v))
 		var labels []Label
 		if ll := g.eindex.Get(v); ll != nil {
-			if ls := ll.entries.Load(); ls != nil {
-				for _, e := range *ls {
-					if snap.Degree(VertexID(v), e.label) > 0 {
-						labels = append(labels, e.label)
-					}
+			for i := range ll.entries {
+				if l := ll.entries[i].label; snap.Degree(VertexID(v), l) > 0 {
+					labels = append(labels, l)
 				}
 			}
 		}

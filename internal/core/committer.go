@@ -205,6 +205,12 @@ func (c *committer) apply(tx *Tx, twe int64) {
 		}
 		if w.dirty() {
 			src := VertexID(w.cur.Src())
+			// As replay and a follower do, so a checkpoint's nextVertexID
+			// covers a source that was never added and its records are
+			// written. Destinations are not bumped here: they own no
+			// records, and NumVertices sizes the checkpoint's full-or-delta
+			// choice.
+			g.bumpNextVertex(int64(src))
 			g.dirty.Mark(int64(src), dead)
 			g.markCkptDirty(src)
 		}

@@ -9,7 +9,7 @@ import (
 // Compaction (paper §6): TELs accumulate invalidated entries; periodically a
 // compaction pass walks the dirty vertex set, copies the entries still
 // visible to some ongoing or future transaction into a right-sized block,
-// swaps the index pointer, and defer-frees the old block. Vertex version
+// swaps the label index's Ref, and defer-frees the old block. Vertex version
 // chains are pruned the same way. Compaction is vertex-wise and holds only
 // one vertex lock at a time, so interference with the foreground workload
 // is minimal — unlike an LSM tree, no multi-file merge ever runs.
@@ -57,7 +57,7 @@ func (g *Graph) compactVertexLocked(v VertexID, floor int64, c *compactCounts) {
 // reading at or above floor: committed entries invalidated at or before the
 // floor. Private (-TID) timestamps cannot occur here because the vertex
 // lock excludes writers.
-func deadEntry(t *tel.TEL, i int, floor int64) bool {
+func deadEntry(t tel.TEL, i int, floor int64) bool {
 	inv := t.Invalidation(i)
 	return inv >= 0 && inv <= floor
 }
@@ -67,20 +67,16 @@ func (g *Graph) compactTELsLocked(v VertexID, floor int64, c *compactCounts) {
 	if ll == nil {
 		return
 	}
-	entries := ll.entries.Load()
-	if entries == nil {
-		return
-	}
-	for _, e := range *entries {
-		t := e.tel.Load()
+	for i := range ll.entries {
+		t := tel.At(g.alloc, ll.ref(i))
 		n := t.Len()
 		c.scanned += int64(n)
 		// First scan: count survivors and their property bytes.
 		live, liveProps := 0, 0
-		for i := 0; i < n; i++ {
-			if !deadEntry(t, i, floor) {
+		for j := 0; j < n; j++ {
+			if !deadEntry(t, j, floor) {
 				live++
-				liveProps += len(t.Props(i))
+				liveProps += len(t.Props(j))
 			}
 		}
 		if live == n {
@@ -91,21 +87,23 @@ func (g *Graph) compactTELsLocked(v VertexID, floor int64, c *compactCounts) {
 		// Copy survivors into a right-sized block (possibly smaller — the
 		// paper: "sometimes the block could shrink after many edges being
 		// deleted").
-		nt := tel.New(g.alloc, t.Src(), t.Label(), max(live, 1), liveProps)
+		nr := tel.New(g.alloc, t.Src(), t.Label(), max(live, 1), liveProps)
+		nt := tel.At(g.alloc, nr)
 		ni, npl := 0, 0
-		for i := 0; i < n; i++ {
-			if deadEntry(t, i, floor) {
+		for j := 0; j < n; j++ {
+			if deadEntry(t, j, floor) {
 				continue
 			}
-			npl = nt.CompactAppend(t, i, ni, npl)
+			npl = nt.CompactAppend(&t, j, ni, npl)
 			ni++
 		}
 		nt.Publish(ni, npl, t.CommitTS())
-		e.tel.Store(nt)
+		// The vertex lock is held, so ll is the current list.
+		ll.entries[i].ref.Store(uint64(nr))
 		// Compaction drops only dead entries, so the visible-edge counter
 		// is untouched; the entry count (scan cost) shrinks.
 		g.statsPublish(Label(t.Label()), n, ni)
-		g.alloc.DeferFree(t.Block, g.epochs.WriteEpoch())
+		g.alloc.DeferFree(t.Ref(), g.epochs.WriteEpoch())
 		g.forgetBlock(t)
 	}
 }

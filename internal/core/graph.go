@@ -115,44 +115,37 @@ type vertexVersion struct {
 	prev    *vertexVersion
 }
 
-// labelEntry holds the current TEL for one (vertex, label) pair — the
-// paper's label index block slot. The TEL pointer is swapped atomically on
-// block upgrade and compaction.
+// labelEntry is one slot of the paper's label index block: a label and
+// the storage.Ref of its TEL's current block — a value, so the list owns no
+// Go heap object. An upgrade or a compaction swaps the Ref atomically in
+// place, under the vertex lock, in whatever labelList is current then.
 type labelEntry struct {
 	label Label
-	tel   atomic.Pointer[tel.TEL]
+	ref   atomic.Uint64 // storage.Ref
 }
 
-// labelList is the per-vertex label index block: a copy-on-write slice of
-// label entries. Mutations happen under the vertex lock; readers load the
-// slice pointer atomically.
+// labelList is the per-vertex label index block: the label entries, held
+// by value. Adding a label publishes a copy with one more entry (under the
+// vertex lock); readers load the list from the edge index without locks. A
+// reader still holding a superseded list may read a Ref that was since
+// swapped in the new one; its block is defer-freed past the reader's epoch
+// like any replaced block. Writers therefore never keep a pointer into a
+// list: every swap looks the entry up again (setTELLocked).
 type labelList struct {
-	entries atomic.Pointer[[]*labelEntry]
+	entries []labelEntry
 }
 
 func (ll *labelList) find(label Label) *labelEntry {
-	ls := ll.entries.Load()
-	if ls == nil {
-		return nil
-	}
-	for _, e := range *ls {
-		if e.label == label {
-			return e
+	for i := range ll.entries {
+		if ll.entries[i].label == label {
+			return &ll.entries[i]
 		}
 	}
 	return nil
 }
 
-// addLocked appends a new label entry; caller holds the vertex lock.
-func (ll *labelList) addLocked(e *labelEntry) {
-	old := ll.entries.Load()
-	var grown []*labelEntry
-	if old != nil {
-		grown = append(grown, *old...)
-	}
-	grown = append(grown, e)
-	ll.entries.Store(&grown)
-}
+// ref returns entry i's TEL block.
+func (ll *labelList) ref(i int) storage.Ref { return storage.Ref(ll.entries[i].ref.Load()) }
 
 // Graph is a LiveGraph storage engine instance.
 type Graph struct {
@@ -385,36 +378,36 @@ func (g *Graph) AllocStats() storage.Stats { return g.alloc.Stats() }
 
 // The out-of-core simulation charges accesses at 4KB-page granularity,
 // mirroring how the paper's mmap-backed store faults: a block is a run of
-// global arena pages (from storage.Block.Off); a newest-first partial scan
+// global arena pages (from its storage.Ref's offset); a newest-first partial scan
 // of a hot vertex touches only its tail pages, which stay resident.
 
 const pageBytes = 4096
 
 // touch charges the page cache for a seek into the TEL (its header page
 // and the tail page where the newest entries live).
-func (g *Graph) touch(t *tel.TEL) {
-	if g.opts.PageCache == nil || t == nil {
+func (g *Graph) touch(t tel.TEL) {
+	if g.opts.PageCache == nil {
 		return
 	}
 	first := t.FirstPage()
-	g.touchPage(t, first)
+	g.touchPage(first)
 	n := t.Len()
 	if n > 0 {
 		if tail := t.EntryPage(n - 1); tail != first {
-			g.touchPage(t, tail)
+			g.touchPage(tail)
 		}
 	}
 }
 
 // touchPage charges one global arena page.
-func (g *Graph) touchPage(_ *tel.TEL, page int64) {
+func (g *Graph) touchPage(page int64) {
 	g.opts.PageCache.Touch(uint64(page), pageBytes)
 }
 
 // forgetBlock drops a freed block's pages from the resident set. Pages
 // shared with neighboring small blocks may be dropped too; that only
 // costs an extra fault on their next access.
-func (g *Graph) forgetBlock(t *tel.TEL) {
+func (g *Graph) forgetBlock(t tel.TEL) {
 	if g.opts.PageCache == nil {
 		return
 	}
@@ -507,15 +500,46 @@ func (g *Graph) latestVertex(v VertexID, tre int64) *vertexVersion {
 	return nil
 }
 
-// telFor returns the current TEL for (v, label), or nil.
-func (g *Graph) telFor(v VertexID, label Label) *tel.TEL {
+// telFor returns the current TEL for (v, label); ok is false if v has no
+// list of that label.
+func (g *Graph) telFor(v VertexID, label Label) (t tel.TEL, ok bool) {
 	ll := g.eindex.Get(int64(v))
 	if ll == nil {
-		return nil
+		return t, false
 	}
 	e := ll.find(label)
 	if e == nil {
-		return nil
+		return t, false
 	}
-	return e.tel.Load()
+	return tel.At(g.alloc, storage.Ref(e.ref.Load())), true
+}
+
+// telLocked returns the current TEL for (v, label), creating it if this is
+// the list's first edge. Caller holds v's lock.
+func (g *Graph) telLocked(v VertexID, label Label) tel.TEL {
+	if t, ok := g.telFor(v, label); ok {
+		return t
+	}
+	r := tel.New(g.alloc, int64(v), int64(label), 1, 64)
+	var old []labelEntry
+	if ll := g.eindex.Get(int64(v)); ll != nil {
+		old = ll.entries
+	}
+	n := len(old)
+	ll := &labelList{entries: make([]labelEntry, n+1)}
+	for i := range old {
+		ll.entries[i].label = old[i].label
+		ll.entries[i].ref.Store(old[i].ref.Load())
+	}
+	ll.entries[n].label = label
+	ll.entries[n].ref.Store(uint64(r))
+	g.eindex.Set(int64(v), ll)
+	return tel.At(g.alloc, r)
+}
+
+// setTELLocked points (v, label) at block r, in the label list current now:
+// a list this goroutine looked up earlier may have been superseded by a
+// label added since. Caller holds v's lock.
+func (g *Graph) setTELLocked(v VertexID, label Label, r storage.Ref) {
+	g.eindex.Get(int64(v)).find(label).ref.Store(uint64(r))
 }

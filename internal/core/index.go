@@ -10,13 +10,21 @@ import (
 // lock-free; growing the chunk directory takes a mutex. Chunks are never
 // reallocated, so a pointer loaded from a chunk stays valid forever —
 // the property that lets readers traverse the index without coordination.
+//
+// Chunks are 4 096 slots (32 KiB), small enough that an index keyed by
+// label — the degree statistics and the reverse index hold one or a few —
+// pins one small chunk, not a vertex-sized one. The directory is appended
+// to in place and grows by doubling, as append does; each growth publishes
+// a new slice header over it, and readers of an older header never look
+// past its length.
 type chunkedIndex[T any] struct {
 	mu     sync.Mutex
 	chunks atomic.Pointer[[]*indexChunk[T]]
+	grown  []*indexChunk[T] // the directory being appended to, under mu
 }
 
-const chunkBits = 16
-const chunkSize = 1 << chunkBits // 65536 slots per chunk
+const chunkBits = 12
+const chunkSize = 1 << chunkBits // 4096 slots per chunk
 
 type indexChunk[T any] struct {
 	slots [chunkSize]atomic.Pointer[T]
@@ -69,18 +77,12 @@ func (ix *chunkedIndex[T]) slot(i int64) *atomic.Pointer[T] {
 func (ix *chunkedIndex[T]) grow(n int) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	cur := ix.chunks.Load()
-	var old []*indexChunk[T]
-	if cur != nil {
-		old = *cur
-	}
-	if len(old) >= n {
+	if len(ix.grown) >= n {
 		return
 	}
-	grown := make([]*indexChunk[T], n)
-	copy(grown, old)
-	for i := len(old); i < n; i++ {
-		grown[i] = &indexChunk[T]{}
+	for len(ix.grown) < n {
+		ix.grown = append(ix.grown, &indexChunk[T]{})
 	}
-	ix.chunks.Store(&grown)
+	dir := ix.grown
+	ix.chunks.Store(&dir)
 }

@@ -104,7 +104,7 @@ func TestPropsRoundTripThroughUpgradesAndCompaction(t *testing.T) {
 
 			before := map[VertexID]int{}
 			for src := VertexID(0); src < nsrc; src++ {
-				before[src] = g.telFor(src, 0).Block.Class
+				before[src] = listOf(g, src, 0).Ref().Class()
 			}
 			mustCommit(t, g, func(tx *Tx) {
 				for key := range model {
@@ -120,7 +120,7 @@ func TestPropsRoundTripThroughUpgradesAndCompaction(t *testing.T) {
 			check("after compaction")
 			shrunk := 0
 			for src := VertexID(0); src < nsrc; src++ {
-				if g.telFor(src, 0).Block.Class < before[src] {
+				if listOf(g, src, 0).Ref().Class() < before[src] {
 					shrunk++
 				}
 			}
@@ -287,6 +287,48 @@ func TestArenaBytesPerEdge(t *testing.T) {
 // slabWords is the slab size the guard holds storage to (its unexported
 // constant of the same name).
 const slabWords = 1 << 17
+
+// TestGoHeapPerAdjacencyList: an adjacency list owns no Go heap object —
+// the label index holds (label, Ref) values — so an edge load adds at most
+// a vertex's label index (the list and its entries: two objects) per
+// vertex, plus one object per arena slab.
+func TestGoHeapPerAdjacencyList(t *testing.T) {
+	const n = 1 << 14
+	g, err := Open(Options{Workers: 1, CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	edges, props := kron.Generate(14, 16, 42, kron.DefaultParams), make([]byte, 32)
+	mustCommit(t, g, func(tx *Tx) {
+		for i := 0; i < n; i++ {
+			tx.AddVertex(nil)
+		}
+	})
+	objects := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapObjects)
+	}
+	before := objects()
+	for lo := 0; lo < len(edges); lo += 8192 {
+		mustCommit(t, g, func(tx *Tx) {
+			for _, e := range edges[lo:min(lo+8192, len(edges))] {
+				if err := tx.InsertEdge(VertexID(e.Src), 0, VertexID(e.Dst), props); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+	added := objects() - before
+	slabs := g.AllocStats().SlabWords / slabWords
+	t.Logf("%d edges: %d heap objects added, %.2f a vertex, %d slabs", len(edges), added, float64(added)/n, slabs)
+	if bound := 2*n + slabs; added > bound {
+		t.Errorf("edge load added %d heap objects (%.2f a vertex), bound %d: two a vertex plus one a slab", added, float64(added)/n, bound)
+	}
+	runtime.KeepAlive(g)
+}
 
 // TestVolatileGraphKeepsNoCheckpointJournal: only a graph that can
 // checkpoint keeps the checkpoint journal; on a volatile one nothing would

@@ -97,7 +97,7 @@ func TestMaintBackgroundPassesFire(t *testing.T) {
 	})
 	// Let maintenance catch up with the tail of the churn, then verify
 	// the TEL was actually compacted (live size is 1 edge).
-	waitMaint(t, g, "TEL compaction", func() bool { return g.telFor(a, 0).Len() < 100 })
+	waitMaint(t, g, "TEL compaction", func() bool { return listOf(g, a, 0).Len() < 100 })
 	r, _ := g.BeginRead()
 	defer r.Commit()
 	if d := r.Degree(a, 0); d != 1 {
@@ -237,7 +237,7 @@ func TestCompactNowSingleFlight(t *testing.T) {
 	}
 	wg.Wait()
 	g.CompactNow()
-	if n := g.telFor(a, 0).Len(); n != 1 {
+	if n := listOf(g, a, 0).Len(); n != 1 {
 		t.Fatalf("TEL has %d entries after CompactNow, want 1", n)
 	}
 	if g.MaintStats().Passes.Load() == 0 {
@@ -282,7 +282,7 @@ func TestMaintFollowerCompacts(t *testing.T) {
 
 	waitMaint(t, follower, "follower background compaction", func() bool {
 		return follower.MaintStats().Passes.Load() >= 1 &&
-			follower.telFor(a, 0) != nil && follower.telFor(a, 0).Len() < 150
+			listOf(follower, a, 0) != nil && listOf(follower, a, 0).Len() < 150
 	})
 	// The follower's live degree is intact...
 	snap, err := follower.Snapshot()

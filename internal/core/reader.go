@@ -90,8 +90,8 @@ var (
 // resetEdgeIter (re)binds it to a scan of t bounded at n entries with the
 // caller's visibility parameters, charging the page cache when the graph
 // simulates out-of-core execution.
-func resetEdgeIter(it *EdgeIter, g *Graph, t *tel.TEL, n int, tre, tid int64) {
-	*it = EdgeIter{t: t, it: t.Scan(n, tre, tid), lastPage: -1}
+func resetEdgeIter(it *EdgeIter, g *Graph, t tel.TEL, n int, tre, tid int64) {
+	*it = EdgeIter{it: t.Scan(n, tre, tid), lastPage: -1}
 	if g.opts.PageCache != nil {
 		it.g = g
 	}
@@ -99,7 +99,7 @@ func resetEdgeIter(it *EdgeIter, g *Graph, t *tel.TEL, n int, tre, tid int64) {
 
 // newEdgeIter builds the shared adjacency iterator both Reader
 // implementations hand out.
-func newEdgeIter(g *Graph, t *tel.TEL, n int, tre, tid int64) *EdgeIter {
+func newEdgeIter(g *Graph, t tel.TEL, n int, tre, tid int64) *EdgeIter {
 	it := new(EdgeIter)
 	resetEdgeIter(it, g, t, n, tre, tid)
 	return it
@@ -109,7 +109,7 @@ func newEdgeIter(g *Graph, t *tel.TEL, n int, tre, tid int64) *EdgeIter {
 // resolve the visible (*,label,dst) version within the first n entries of
 // t — Bloom filter first, then the bounded backward scan. The returned
 // slice aliases block memory.
-func lookupEdge(t *tel.TEL, n int, dst VertexID, tre, tid int64) ([]byte, error) {
+func lookupEdge(t tel.TEL, n int, dst VertexID, tre, tid int64) ([]byte, error) {
 	if !t.MayContain(int64(dst)) {
 		return nil, ErrNotFound
 	}

@@ -141,6 +141,41 @@ func TestCheckpointAndRecovery(t *testing.T) {
 	}
 }
 
+// TestCheckpointKeepsEdgesOfUnaddedSource: a vertex that has edges but was
+// never added is still below the checkpoint's nextVertexID, so its edges
+// are in the snapshot and survive the pruning of the segments that held
+// them.
+func TestCheckpointKeepsEdgesOfUnaddedSource(t *testing.T) {
+	dir := t.TempDir()
+	g := openDurable(t, dir)
+	insert := func(from, to int) {
+		for lo := from; lo < to; lo += 100 {
+			mustCommit(t, g, func(tx *Tx) {
+				for i := lo; i < min(lo+100, to); i++ {
+					if err := tx.InsertEdge(0, 0, VertexID(i+1), nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+	insert(0, 1000)
+	if err := g.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	insert(1000, 3000)
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	g2 := openDurable(t, dir)
+	defer g2.Close()
+	r, _ := g2.BeginRead()
+	defer r.Commit()
+	if d := r.Degree(0, 0); d != 3000 {
+		t.Fatalf("degree of the unadded source after reopen = %d, want 3000", d)
+	}
+}
+
 func TestCheckpointConcurrentWithWrites(t *testing.T) {
 	dir := t.TempDir()
 	g := openDurable(t, dir)

@@ -131,18 +131,7 @@ func (g *Graph) replayOp(op walOp, epoch int64) {
 // garbage (an invalidated entry's words + properties), already
 // accumulated into the TEL's dead counter.
 func (g *Graph) replayEdge(op byte, src VertexID, label Label, dst VertexID, props []byte, epoch int64, live bool) int64 {
-	ll := g.eindex.Get(int64(src))
-	if ll == nil {
-		ll = &labelList{}
-		g.eindex.Set(int64(src), ll)
-	}
-	e := ll.find(label)
-	if e == nil {
-		e = &labelEntry{label: label}
-		e.tel.Store(tel.New(g.alloc, int64(src), int64(label), 1, 64))
-		ll.addLocked(e)
-	}
-	t := e.tel.Load()
+	t := g.telLocked(src, label)
 	n, pl := t.Len(), t.PropLen()
 
 	var dead int64
@@ -163,18 +152,18 @@ func (g *Graph) replayEdge(op byte, src VertexID, label Label, dst VertexID, pro
 		}
 	}
 	if !t.Fits(n, pl, len(props)) {
-		nt := t.Upgrade(g.alloc, n, pl, len(props))
-		e.tel.Store(nt)
+		r := t.Upgrade(g.alloc, n, pl, len(props))
+		g.setTELLocked(src, label, r)
 		if live {
 			// A concurrent snapshot may be mid-scan over the old block:
 			// recycle it only once every reader pinned below the current
 			// write epoch has exited (same discipline as Tx.upgrade).
-			g.alloc.DeferFree(t.Block, g.epochs.WriteEpoch())
+			g.alloc.DeferFree(t.Ref(), g.epochs.WriteEpoch())
 			g.forgetBlock(t)
 		} else {
-			g.alloc.Free(t.Block) // recovery owns the old block; no readers exist
+			g.alloc.Free(t.Ref()) // recovery owns the old block; no readers exist
 		}
-		t = nt
+		t = tel.At(g.alloc, r)
 	}
 	pl = t.Append(n, int64(dst), epoch, props, pl)
 	t.Publish(n+1, pl, epoch)
@@ -205,12 +194,8 @@ func (g *Graph) rebuildLabelStats() {
 		if ll == nil {
 			continue
 		}
-		entries := ll.entries.Load()
-		if entries == nil {
-			continue
-		}
-		for _, e := range *entries {
-			t := e.tel.Load()
+		for j := range ll.entries {
+			t := tel.At(g.alloc, ll.ref(j))
 			n := t.Len()
 			label := Label(t.Label())
 			g.statsPublish(label, 0, n)

@@ -355,11 +355,11 @@ func (g *Graph) revScan(label Label) *revMain {
 	// skipped without its lock — a writer creating one afterwards does so
 	// after this generation's overlay was published, and hints into it.
 	for v, end := VertexID(0), VertexID(g.eindex.Cap()); v < end; v++ {
-		if g.telFor(v, label) == nil {
+		if _, ok := g.telFor(v, label); !ok {
 			continue
 		}
 		g.locks.Lock(uint64(v))
-		t := g.telFor(v, label)
+		t, _ := g.telFor(v, label)
 		for i, n := 0, t.Len(); i < n; i++ {
 			dst := VertexID(t.Dst(i))
 			slot, ok := m.pos[dst]

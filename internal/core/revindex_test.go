@@ -551,7 +551,7 @@ func BenchmarkColdBottomUp(b *testing.B) {
 	narrow := 1 + int(max(float64(st.Edges)/(bottomUpBeta*st.AvgDegree), bottomUpAlpha*float64(st.Targets)/st.AvgDegree))
 	var withEdges []VertexID
 	for v := VertexID(0); v < VertexID(s.NumVertices()); v++ {
-		if g.telFor(v, 0) != nil {
+		if listOf(g, v, 0) != nil {
 			withEdges = append(withEdges, v)
 		}
 	}

@@ -121,8 +121,8 @@ func (s *Snapshot) GetVertex(v VertexID) ([]byte, error) {
 // GetEdge returns the properties of the visible version of (src,label,dst),
 // or ErrNotFound (Reader). The returned slice aliases block memory.
 func (s *Snapshot) GetEdge(src VertexID, label Label, dst VertexID) ([]byte, error) {
-	t := s.g.telFor(src, label)
-	if t == nil {
+	t, ok := s.g.telFor(src, label)
+	if !ok {
 		return nil, ErrNotFound
 	}
 	s.g.touch(t)
@@ -134,8 +134,8 @@ func (s *Snapshot) GetEdge(src VertexID, label Label, dst VertexID) ([]byte, err
 // call returns an independent iterator, so concurrent goroutines may scan
 // the same snapshot.
 func (s *Snapshot) Neighbors(src VertexID, label Label) *EdgeIter {
-	t := s.g.telFor(src, label)
-	if t == nil {
+	t, ok := s.g.telFor(src, label)
+	if !ok {
 		return &EdgeIter{done: true}
 	}
 	s.g.touch(t)
@@ -145,8 +145,8 @@ func (s *Snapshot) Neighbors(src VertexID, label Label) *EdgeIter {
 // neighborsInto rebinds a caller-owned iterator to (src,label) without
 // allocating (edgeIterSource).
 func (s *Snapshot) neighborsInto(it *EdgeIter, src VertexID, label Label) {
-	t := s.g.telFor(src, label)
-	if t == nil {
+	t, ok := s.g.telFor(src, label)
+	if !ok {
 		*it = EdgeIter{done: true}
 		return
 	}
@@ -169,8 +169,8 @@ func (s *Snapshot) locksHeld() bool { return false }
 // scan. Property slices alias block memory and are only valid during the
 // call.
 func (s *Snapshot) ScanNeighbors(v VertexID, label Label, fn func(dst VertexID, props []byte) bool) {
-	t := s.g.telFor(v, label)
-	if t == nil {
+	t, ok := s.g.telFor(v, label)
+	if !ok {
 		return
 	}
 	s.g.touch(t)
@@ -185,7 +185,7 @@ func (s *Snapshot) ScanNeighbors(v VertexID, label Label, fn func(dst VertexID, 
 		if paged {
 			if p := t.EntryPage(i); p != lastPage {
 				lastPage = p
-				s.g.touchPage(t, p)
+				s.g.touchPage(p)
 			}
 		}
 		if !fn(VertexID(t.Dst(i)), t.Props(i)) {

@@ -135,7 +135,7 @@ func TestZeroRetentionCompactsAggressively(t *testing.T) {
 		mustCommit(t, g, func(tx *Tx) { tx.AddEdge(a, 0, b, []byte{byte(i)}) })
 	}
 	g.CompactNow()
-	if n := g.telFor(a, 0).Len(); n != 1 {
+	if n := listOf(g, a, 0).Len(); n != 1 {
 		t.Fatalf("zero retention kept %d entries", n)
 	}
 }
@@ -152,7 +152,7 @@ func TestRetentionBoundsCompaction(t *testing.T) {
 		mustCommit(t, g, func(tx *Tx) { tx.AddEdge(a, 0, b, []byte{byte(i)}) })
 	}
 	g.CompactNow()
-	n := g.telFor(a, 0).Len()
+	n := listOf(g, a, 0).Len()
 	// The live version plus up to 5 epochs of history survive; everything
 	// older is gone.
 	if n < 2 || n > 7 {

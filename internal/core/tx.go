@@ -56,10 +56,10 @@ type telKey struct {
 // tentative entry count n and property length propLen extend past the
 // committed LS/PS; they are published at apply time. appended/invalidated
 // hold entry indices, which survive block upgrades because an upgrade
-// copies the full prefix.
+// copies the full prefix. cur is a view, not a slot of the label index: an
+// upgrade swaps the index's Ref through setTELLocked.
 type telWrite struct {
-	entry       *labelEntry
-	cur         *tel.TEL
+	cur         tel.TEL
 	n           int
 	propLen     int
 	appended    []int
@@ -281,21 +281,9 @@ func (tx *Tx) ensureTEL(src VertexID, label Label) (*telWrite, error) {
 		return w, nil
 	}
 	g := tx.g
-	ll := g.eindex.Get(int64(src))
-	if ll == nil {
-		ll = &labelList{}
-		g.eindex.Set(int64(src), ll)
-	}
-	e := ll.find(label)
-	if e == nil {
-		e = &labelEntry{label: label}
-		t := tel.New(g.alloc, int64(src), int64(label), 1, 64)
-		e.tel.Store(t)
-		ll.addLocked(e)
-	}
-	t := e.tel.Load()
+	t := g.telLocked(src, label)
 	g.touch(t)
-	w := &telWrite{entry: e, cur: t, n: t.Len(), propLen: t.PropLen()}
+	w := &telWrite{cur: t, n: t.Len(), propLen: t.PropLen()}
 	if tx.telWrites == nil {
 		tx.telWrites = make(map[telKey]*telWrite)
 	}
@@ -304,19 +292,19 @@ func (tx *Tx) ensureTEL(src VertexID, label Label) (*telWrite, error) {
 }
 
 // upgrade relocates w's TEL to a larger block that also fits one more
-// entry with extraProps of properties (tel.TEL.Upgrade). The index pointer
+// entry with extraProps of properties (tel.TEL.Upgrade). The index Ref
 // swap is safe immediately; the old block is recycled once no ongoing
 // reader can still hold it.
 func (tx *Tx) upgrade(w *telWrite, extraProps int) {
 	g := tx.g
 	old := w.cur
-	nt := old.Upgrade(g.alloc, w.n, w.propLen, extraProps)
-	w.entry.tel.Store(nt)
-	w.cur = nt
-	g.alloc.DeferFree(old.Block, g.epochs.WriteEpoch())
+	r := old.Upgrade(g.alloc, w.n, w.propLen, extraProps)
+	g.setTELLocked(VertexID(old.Src()), Label(old.Label()), r)
+	w.cur = tel.At(g.alloc, r)
+	g.alloc.DeferFree(old.Ref(), g.epochs.WriteEpoch())
 	if g.opts.PageCache != nil {
 		g.forgetBlock(old)
-		g.touch(nt)
+		g.touch(w.cur)
 	}
 	g.stats.Upgrades.Add(1)
 }
@@ -326,7 +314,7 @@ func (tx *Tx) upgrade(w *telWrite, extraProps int) {
 // visible version exists, ErrConflict (aborting) if another transaction
 // committed to this TEL after our snapshot.
 func (tx *Tx) invalidatePrev(w *telWrite, dst VertexID) error {
-	t := w.cur
+	t := &w.cur
 	// First-committer-wins, checked against the TEL's commit timestamp
 	// before any scan (paper §5: "write operations can simply compare
 	// their timestamp against CT instead of paying the cost of scanning").
@@ -438,8 +426,8 @@ func (tx *Tx) GetEdge(src VertexID, label Label, dst VertexID) ([]byte, error) {
 	if tx.done {
 		return nil, ErrTxDone
 	}
-	t, n := tx.readView(src, label)
-	if t == nil {
+	t, n, ok := tx.readView(src, label)
+	if !ok {
 		return nil, ErrNotFound
 	}
 	return lookupEdge(t, n, dst, tx.tre, tx.tid)
@@ -447,23 +435,22 @@ func (tx *Tx) GetEdge(src VertexID, label Label, dst VertexID) ([]byte, error) {
 
 // readView resolves the TEL and entry bound this transaction should scan:
 // its own tentative view for lists it has written, the committed view
-// otherwise.
-func (tx *Tx) readView(src VertexID, label Label) (*tel.TEL, int) {
+// otherwise. ok is false if src has no list of that label.
+func (tx *Tx) readView(src VertexID, label Label) (t tel.TEL, n int, ok bool) {
 	if w, ok := tx.telWrites[telKey{src, label}]; ok {
-		return w.cur, w.n
+		return w.cur, w.n, true
 	}
-	t := tx.g.telFor(src, label)
-	if t == nil {
-		return nil, 0
+	t, ok = tx.g.telFor(src, label)
+	if !ok {
+		return t, 0, false
 	}
 	tx.g.touch(t)
-	return t, t.Len()
+	return t, t.Len(), true
 }
 
 // EdgeIter is a purely sequential adjacency list scan bound to a
 // transaction's snapshot, yielding edges newest-first.
 type EdgeIter struct {
-	t        *tel.TEL
 	it       tel.Iter
 	i        int
 	done     bool
@@ -476,8 +463,8 @@ func (tx *Tx) Neighbors(src VertexID, label Label) *EdgeIter {
 	if tx.done {
 		return &EdgeIter{done: true}
 	}
-	t, n := tx.readView(src, label)
-	if t == nil {
+	t, n, ok := tx.readView(src, label)
+	if !ok {
 		return &EdgeIter{done: true}
 	}
 	return newEdgeIter(tx.g, t, n, tx.tre, tx.tid)
@@ -491,8 +478,8 @@ func (tx *Tx) neighborsInto(it *EdgeIter, src VertexID, label Label) {
 		*it = EdgeIter{done: true}
 		return
 	}
-	t, n := tx.readView(src, label)
-	if t == nil {
+	t, n, ok := tx.readView(src, label)
+	if !ok {
 		*it = EdgeIter{done: true}
 		return
 	}
@@ -515,9 +502,9 @@ func (e *EdgeIter) Next() bool {
 		return false
 	}
 	if e.g != nil {
-		if p := e.t.EntryPage(e.i); p != e.lastPage {
+		if p := e.it.TEL().EntryPage(e.i); p != e.lastPage {
 			e.lastPage = p
-			e.g.touchPage(e.t, p)
+			e.g.touchPage(p)
 		}
 	}
 	return true
@@ -542,7 +529,7 @@ func (e *EdgeIter) nextWhere(keep func(dst int64) bool) bool {
 		return true
 	}
 	for e.Next() {
-		if keep(e.t.Dst(e.i)) {
+		if keep(e.it.TEL().Dst(e.i)) {
 			return true
 		}
 	}
@@ -550,14 +537,15 @@ func (e *EdgeIter) nextWhere(keep func(dst int64) bool) bool {
 }
 
 // Dst returns the current edge's destination vertex.
-func (e *EdgeIter) Dst() VertexID { return VertexID(e.t.Dst(e.i)) }
+func (e *EdgeIter) Dst() VertexID { return VertexID(e.it.TEL().Dst(e.i)) }
 
 // Props returns the current edge's properties (aliasing block memory).
-func (e *EdgeIter) Props() []byte { return e.t.Props(e.i) }
+func (e *EdgeIter) Props() []byte { return e.it.TEL().Props(e.i) }
 
 // Degree counts visible edges in the (src,label) adjacency list.
 func (tx *Tx) Degree(src VertexID, label Label) int {
-	it := tx.Neighbors(src, label)
+	var it EdgeIter
+	tx.neighborsInto(&it, src, label)
 	n := 0
 	for it.Next() {
 		n++

@@ -27,10 +27,19 @@ type DirtySet struct {
 }
 
 type dirtyShard struct {
-	mu sync.Mutex
-	m  map[int64]int64 // vertex id -> accumulated dead-bytes estimate
-	_  [4]int64        // keep neighboring shard locks off one cache line
+	mu   sync.Mutex
+	m    map[int64]int64 // vertex id -> accumulated dead-bytes estimate
+	peak int             // most entries m has held
+	_    [3]int64        // keep neighboring shard locks off one cache line
 }
+
+// shardKeep is the most entries a shard's map may have held for Drain to
+// keep it once it empties. A Go map never shrinks, so one burst of marks —
+// a bulk load marks every vertex — would otherwise pin its buckets for the
+// graph's lifetime. A map that stayed this small is kept, so the backlog a
+// maintenance pass drains in steady state (hundreds to a few thousand
+// vertices over all shards) does not regrow a fresh map per drain.
+const shardKeep = 256
 
 // DefaultShards is the stripe count used when NewDirtySet is given n <= 0.
 // 64 stripes keep the marking path uncontended at every worker count the
@@ -67,6 +76,7 @@ func (d *DirtySet) Mark(id, deadBytes int64) {
 	s.mu.Lock()
 	old, ok := s.m[id]
 	s.m[id] = old + deadBytes
+	s.peak = max(s.peak, len(s.m))
 	s.mu.Unlock()
 	if !ok {
 		d.count.Add(1)
@@ -94,7 +104,9 @@ type Dirty struct {
 
 // Drain removes up to max entries, appending them to buf (which may be
 // nil) and returning the result. Successive calls rotate the starting
-// stripe so bounded drains eventually service every shard.
+// stripe so bounded drains eventually service every shard. A shard it
+// empties gets a fresh map if the old one ever held more than shardKeep
+// entries.
 func (d *DirtySet) Drain(max int, buf []Dirty) []Dirty {
 	if max <= 0 {
 		return buf
@@ -116,6 +128,10 @@ func (d *DirtySet) Drain(max int, buf []Dirty) []Dirty {
 			if taken >= max {
 				break
 			}
+		}
+		if len(s.m) == 0 && s.peak > shardKeep {
+			s.m = make(map[int64]int64)
+			s.peak = 0
 		}
 		s.mu.Unlock()
 	}

@@ -1,6 +1,7 @@
 package maint
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -57,6 +58,37 @@ func TestDirtySetBoundedDrainRotates(t *testing.T) {
 	if len(seen) != 100 {
 		t.Fatalf("drained %d of 100", len(seen))
 	}
+}
+
+// TestDrainedDirtySetReleasesMaps: a Go map never shrinks, so a set that
+// held a bulk load's worth of vertices would keep its buckets after every
+// one was drained. Drain gives an emptied shard a fresh map, and the heap
+// returns to what it was before the marks.
+func TestDrainedDirtySetReleasesMaps(t *testing.T) {
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	d := NewDirtySet(0)
+	before := heap()
+	for i := int64(0); i < 100_000; i++ {
+		d.Mark(i, 1)
+	}
+	marked := heap()
+	func() {
+		buf := make([]Dirty, 0, 1024)
+		for d.Len() > 0 {
+			buf = d.Drain(cap(buf), buf[:0])
+		}
+	}()
+	after := heap()
+	t.Logf("heap %d B before the marks, %d marked, %d drained", before, marked, after)
+	if grown := after - before; grown > 256<<10 {
+		t.Errorf("drained set still holds %d KiB more than before the marks, bound 256 KiB", grown>>10)
+	}
+	runtime.KeepAlive(d)
 }
 
 func TestDirtySetConcurrent(t *testing.T) {

@@ -1,26 +1,39 @@
 // Package storage implements LiveGraph's block storage manager: an arena of
-// 64-bit words carved into power-of-2 sized blocks, with buddy-system style
-// free lists (paper §6, "Memory management").
+// 64-bit words carved into power-of-2 sized blocks, with one free list per
+// size class (paper §6, "Memory management").
 //
-// The paper keeps TELs in a single memory-mapped file addressed by raw
-// pointers. Go's garbage collector rules that layout out, so the arena is a
-// series of []int64 slabs instead: a Block is one contiguous window into a
-// slab, which preserves the property the paper actually relies on — edge log
-// entries of one adjacency list live in contiguous, cache-friendly memory
-// and every timestamp is an aligned 8-byte word suitable for sync/atomic. A
-// block is the whole TEL: entries and their properties share it (the tel
-// package comment has the layout), so there is one size class, one slab
-// series and one free list per block, as in the paper.
+// The paper keeps TELs in a single memory-mapped file and puts a block's
+// address in each index slot. Go's garbage collector rules raw pointers
+// into such a file out, so the arena is a series of []int64 slabs instead,
+// and a block is named by a Ref: one word holding the block's offset in the
+// arena's word address space and its size class, zero meaning none. A Ref
+// is a plain integer, so an index that stores Refs holds no Go pointer per
+// adjacency list and the collector never scans one. That keeps the
+// property the paper actually relies on — edge log entries of one
+// adjacency list live in contiguous, cache-friendly memory and every
+// timestamp is an aligned 8-byte word suitable for sync/atomic — at the
+// price of one lookup per access. A block is the whole TEL: entries and
+// their properties share it (the tel package comment has the layout), so
+// there is one size class, one slab series and one free list per block,
+// as in the paper.
 //
-// Slabs are 1 MiB. The arena grows one slab at a time and never returns
-// one, so what the allocator holds beyond live and recycled blocks is the
-// uncarved rest of the current slab: less than one slab. (A slab's tail too
-// short for the block that opens the next slab is cut into free blocks, not
-// stranded.) The size trades that reserve against refills: a 32 MiB slab
-// is up to a third of a 100 MB graph's arena, while at 1 MiB a refill — one
-// zeroed allocation under the allocator mutex — still comes only every few
-// thousand blocks. Blocks larger than a slab get a dedicated allocation of
-// their own.
+// Words resolves a Ref through the slab directory: one entry per 1 MiB of
+// arena address space, the slab's words, indexed by offset / slab size.
+// The directory is append-only and published with an atomic store, so
+// resolution is lock-free and a Ref loaded under a pinned epoch resolves
+// to the same words until Reclaim recycles its block. Slabs are never
+// returned. A block larger than a slab gets a dedicated allocation of its
+// own, which takes as many directory entries as it spans slabs; a Ref
+// names its first.
+//
+// Slabs are 1 MiB. The arena grows one slab at a time, so what the
+// allocator holds beyond live and recycled blocks is the uncarved rest of
+// the current slab: less than one slab. (A slab's tail too short for the
+// block that opens the next slab is cut into free blocks, not stranded.)
+// The size trades that reserve against refills: a 32 MiB slab is up to a
+// third of a 100 MB graph's arena, while at 1 MiB a refill — one zeroed
+// allocation under the allocator mutex — still comes only every few
+// thousand blocks.
 //
 // There is one free list per size class, shared by every caller under the
 // allocator mutex. The paper splits them: classes up to a threshold m live
@@ -38,6 +51,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 )
 
 const (
@@ -52,24 +66,29 @@ const (
 	// free-list arrays compact.
 	NumClasses = 40
 
-	// slabWords is the size of each arena slab (see the package comment).
-	// Blocks never span slabs; a request larger than a slab gets a
-	// dedicated allocation of its own.
-	slabWords = 1 << 17 // 1 MiB a slab
+	// slabShift sizes each arena slab (see the package comment). Blocks
+	// never span slabs; a request larger than a slab gets a dedicated
+	// allocation of its own.
+	slabShift = 17
+	slabWords = 1 << slabShift // 1 MiB a slab
+
+	// classBits is the low part of a Ref that holds class+1.
+	classBits = 6
 )
 
-// Block is a power-of-2 sized window of arena words.
-type Block struct {
-	// Words is the block's memory. len(Words) == MinBlockWords<<Class.
-	Words []int64
-	// Class is the size class (0 => 64 bytes).
-	Class int
-	// Off is the block's word offset in the global arena address space.
-	// Adjacent small blocks share 4KB pages, exactly as they would in the
-	// paper's single memory-mapped file — the out-of-core simulation
-	// derives page identities from this offset.
-	Off int64
-}
+// Ref names one block: its word offset in the arena address space and its
+// size class. The zero Ref names no block. Adjacent small blocks share 4KB
+// pages, exactly as they would in the paper's single memory-mapped file —
+// the out-of-core simulation derives page identities from the offset.
+type Ref uint64
+
+func makeRef(off int64, class int) Ref { return Ref(off)<<classBits | Ref(class+1) }
+
+// Off returns the block's word offset in the arena address space.
+func (r Ref) Off() int64 { return int64(r >> classBits) }
+
+// Class returns the block's size class (0 => 64 bytes).
+func (r Ref) Class() int { return int(r&(1<<classBits-1)) - 1 }
 
 // WordCap returns the word capacity of a block of the given class.
 func WordCap(class int) int { return MinBlockWords << class }
@@ -98,18 +117,25 @@ type Stats struct {
 
 // Allocator is the block store: one per graph, safe for concurrent use.
 type Allocator struct {
+	// dir is the published slab directory: entry i holds the words of
+	// arena offsets [i<<slabShift, (i+1)<<slabShift), or, for the first
+	// entry of a dedicated allocation, all of its words. Entries are only
+	// ever appended, each before the store that publishes it.
+	dir atomic.Pointer[[][]int64]
+
 	mu        sync.Mutex
-	slab      []int64 // current slab bump region
+	slabs     [][]int64 // the directory being appended to
+	slab      []int64   // current slab bump region
 	slabOff   int
 	slabBase  int64 // arena offset of the current slab's word 0
 	slabWords int64 // total words ever reserved (also: next arena offset)
 
 	// free lists, one per class: blocks that Free or Reclaim recycled or
 	// that a slab's tail was cut into
-	free [NumClasses][]*Block
+	free [NumClasses][]Ref
 
 	// deferred frees waiting for their epoch to pass
-	deferred []deferredBlock
+	deferred []deferredRef
 
 	allocBlocks int64
 	allocWords  int64
@@ -118,35 +144,46 @@ type Allocator struct {
 	classCounts [NumClasses]int64
 }
 
-type deferredBlock struct {
-	b     *Block
+type deferredRef struct {
+	r     Ref
 	epoch int64
 }
 
 // NewAllocator creates an empty block store.
 func NewAllocator() *Allocator { return &Allocator{} }
 
+// Words resolves r to its block's words: len == WordCap(r.Class()). It
+// takes no lock. The words stay valid, and stay r's, until r is freed and
+// Reclaim or Free recycles it.
+func (a *Allocator) Words(r Ref) []int64 {
+	off := r.Off()
+	s := (*a.dir.Load())[off>>slabShift]
+	o := int(off & (slabWords - 1))
+	n := WordCap(r.Class())
+	return s[o : o+n : o+n]
+}
+
 // Alloc returns a zeroed block of the given class.
-func (a *Allocator) Alloc(class int) *Block {
+func (a *Allocator) Alloc(class int) Ref {
 	if class < 0 || class >= NumClasses {
 		panic(fmt.Sprintf("storage: class %d out of range", class))
 	}
+	words := WordCap(class)
 	a.mu.Lock()
 	if l := a.free[class]; len(l) > 0 {
-		b := l[len(l)-1]
+		r := l[len(l)-1]
 		a.free[class] = l[:len(l)-1]
 		a.recBlocks--
-		a.recWords -= int64(len(b.Words))
-		a.noteAllocLocked(b)
+		a.recWords -= int64(words)
+		a.noteAllocLocked(r)
 		a.mu.Unlock()
-		clear(b.Words)
-		return b
+		clear(a.Words(r))
+		return r
 	}
-	words := WordCap(class)
-	var b *Block
+	var r Ref
 	if words > slabWords {
-		b = &Block{Words: make([]int64, words), Class: class, Off: a.slabWords}
-		a.slabWords += int64(words)
+		r = makeRef(a.slabWords, class)
+		a.reserveLocked(make([]int64, words))
 	} else {
 		if a.slabOff+words > len(a.slab) {
 			// Blocks never span slabs: what is left of this one goes to the
@@ -158,48 +195,54 @@ func (a *Allocator) Alloc(class int) *Block {
 			a.slab = make([]int64, slabWords)
 			a.slabOff = 0
 			a.slabBase = a.slabWords
-			a.slabWords += slabWords
+			a.reserveLocked(a.slab)
 		}
-		b = a.carve(class)
+		r = a.carve(class)
 	}
-	a.noteAllocLocked(b)
+	a.noteAllocLocked(r)
 	a.mu.Unlock()
-	return b
+	return r
+}
+
+// reserveLocked appends words, a whole number of slabs, to the arena
+// address space and publishes their directory entries.
+func (a *Allocator) reserveLocked(words []int64) {
+	for i := 0; i < len(words); i += slabWords {
+		a.slabs = append(a.slabs, words[i:])
+	}
+	a.slabWords += int64(len(words))
+	dir := a.slabs
+	a.dir.Store(&dir)
 }
 
 // carve cuts a block of the given class from the current slab.
-func (a *Allocator) carve(class int) *Block {
-	words := WordCap(class)
-	b := &Block{
-		Words: a.slab[a.slabOff : a.slabOff+words : a.slabOff+words],
-		Class: class,
-		Off:   a.slabBase + int64(a.slabOff),
-	}
-	a.slabOff += words
-	return b
+func (a *Allocator) carve(class int) Ref {
+	r := makeRef(a.slabBase+int64(a.slabOff), class)
+	a.slabOff += WordCap(class)
+	return r
 }
 
 // Free returns a block to its class's free list immediately. Only call
 // when no other goroutine can still be reading the block (e.g. a block
 // replaced during recovery, before any reader exists).
-func (a *Allocator) Free(b *Block) {
-	if b == nil {
+func (a *Allocator) Free(r Ref) {
+	if r == 0 {
 		return
 	}
 	a.mu.Lock()
-	a.freeLocked(b)
+	a.freeLocked(r)
 	a.mu.Unlock()
 }
 
 // DeferFree schedules a block for recycling once every reader whose epoch
 // is <= epoch has finished (paper: old TEL versions are kept until no
 // longer visible, then garbage-collected in a future compaction cycle).
-func (a *Allocator) DeferFree(b *Block, epoch int64) {
-	if b == nil {
+func (a *Allocator) DeferFree(r Ref, epoch int64) {
+	if r == 0 {
 		return
 	}
 	a.mu.Lock()
-	a.deferred = append(a.deferred, deferredBlock{b: b, epoch: epoch})
+	a.deferred = append(a.deferred, deferredRef{r: r, epoch: epoch})
 	a.mu.Unlock()
 }
 
@@ -213,9 +256,9 @@ func (a *Allocator) Reclaim(minActive int64) (blocks int, words int64) {
 	kept := a.deferred[:0]
 	for _, d := range a.deferred {
 		if d.epoch < minActive {
-			a.freeLocked(d.b)
+			a.freeLocked(d.r)
 			blocks++
-			words += int64(len(d.b.Words))
+			words += int64(WordCap(d.r.Class()))
 		} else {
 			kept = append(kept, d)
 		}
@@ -245,24 +288,25 @@ func (a *Allocator) Stats() Stats {
 	}
 }
 
-// noteAllocLocked counts b into the live set.
-func (a *Allocator) noteAllocLocked(b *Block) {
+// noteAllocLocked counts r into the live set.
+func (a *Allocator) noteAllocLocked(r Ref) {
 	a.allocBlocks++
-	a.allocWords += int64(len(b.Words))
-	a.classCounts[b.Class]++
+	a.allocWords += int64(WordCap(r.Class()))
+	a.classCounts[r.Class()]++
 }
 
-// freeLocked moves b from the live set to its class's free list.
-func (a *Allocator) freeLocked(b *Block) {
+// freeLocked moves r from the live set to its class's free list.
+func (a *Allocator) freeLocked(r Ref) {
 	a.allocBlocks--
-	a.allocWords -= int64(len(b.Words))
-	a.classCounts[b.Class]--
-	a.pushLocked(b)
+	a.allocWords -= int64(WordCap(r.Class()))
+	a.classCounts[r.Class()]--
+	a.pushLocked(r)
 }
 
-// pushLocked puts b on its class's free list and counts it as recycled.
-func (a *Allocator) pushLocked(b *Block) {
-	a.free[b.Class] = append(a.free[b.Class], b)
+// pushLocked puts r on its class's free list and counts it as recycled.
+func (a *Allocator) pushLocked(r Ref) {
+	c := r.Class()
+	a.free[c] = append(a.free[c], r)
 	a.recBlocks++
-	a.recWords += int64(len(b.Words))
+	a.recWords += int64(WordCap(c))
 }

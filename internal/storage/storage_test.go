@@ -43,15 +43,15 @@ func TestAllocZeroedAndSized(t *testing.T) {
 	a := NewAllocator()
 	for class := 0; class < 12; class++ {
 		b := a.Alloc(class)
-		if len(b.Words) != WordCap(class) {
-			t.Fatalf("class %d: got %d words, want %d", class, len(b.Words), WordCap(class))
+		if len(a.Words(b)) != WordCap(class) {
+			t.Fatalf("class %d: got %d words, want %d", class, len(a.Words(b)), WordCap(class))
 		}
-		for i, w := range b.Words {
+		for i, w := range a.Words(b) {
 			if w != 0 {
 				t.Fatalf("class %d word %d not zero", class, i)
 			}
 		}
-		b.Words[0] = 42
+		a.Words(b)[0] = 42
 		a.Free(b)
 	}
 }
@@ -63,13 +63,13 @@ func TestRecycleThroughPrivateList(t *testing.T) {
 	a := NewAllocator()
 	for _, class := range []int{2, 5, 14, 15} {
 		b1 := a.Alloc(class)
-		b1.Words[3] = 99
+		a.Words(b1)[3] = 99
 		a.Free(b1)
 		b2 := a.Alloc(class)
 		if b2 != b1 {
 			t.Fatalf("class %d: freed block not reused by the next Alloc", class)
 		}
-		if b2.Words[3] != 0 {
+		if a.Words(b2)[3] != 0 {
 			t.Fatalf("class %d: recycled block must be zeroed", class)
 		}
 	}
@@ -81,10 +81,10 @@ func TestRecycleThroughPrivateList(t *testing.T) {
 func TestRecycleThroughSharedList(t *testing.T) {
 	a := NewAllocator()
 	for _, class := range []int{1, 5} {
-		freed := make(chan *Block)
+		freed := make(chan Ref)
 		go func() {
 			b := a.Alloc(class)
-			b.Words[0] = 7
+			a.Words(b)[0] = 7
 			a.Free(b)
 			freed <- b
 		}()
@@ -93,7 +93,7 @@ func TestRecycleThroughSharedList(t *testing.T) {
 		if b2 != b1 {
 			t.Fatalf("class %d: block freed on another goroutine not reused", class)
 		}
-		if b2.Words[0] != 0 {
+		if a.Words(b2)[0] != 0 {
 			t.Fatalf("class %d: recycled block must be zeroed", class)
 		}
 	}
@@ -128,7 +128,7 @@ func TestDeferFreeReclaim(t *testing.T) {
 
 func TestStatsAccounting(t *testing.T) {
 	a := NewAllocator()
-	var blocks []*Block
+	var blocks []Ref
 	for i := 0; i < 10; i++ {
 		blocks = append(blocks, a.Alloc(1))
 	}
@@ -158,7 +158,7 @@ func TestHugeBlockGetsDedicatedSlab(t *testing.T) {
 	a := NewAllocator()
 	class := ClassFor(slabWords + 1)
 	b := a.Alloc(class)
-	if len(b.Words) < slabWords {
+	if len(a.Words(b)) < slabWords {
 		t.Fatal("huge block too small")
 	}
 	a.Free(b)
@@ -177,8 +177,8 @@ func TestSlabTailGoesToFreeLists(t *testing.T) {
 	half := ClassFor(slabWords / 2)
 	a.Alloc(0)
 	a.Alloc(half)
-	if b := a.Alloc(half); b.Off != slabWords {
-		t.Fatalf("second half-slab block at arena offset %d, want the next slab's start %d", b.Off, slabWords)
+	if b := a.Alloc(half); b.Off() != slabWords {
+		t.Fatalf("second half-slab block at arena offset %d, want the next slab's start %d", b.Off(), slabWords)
 	}
 	s := a.Stats()
 	if s.RecycledWords != slabWords/2-MinBlockWords {
@@ -187,8 +187,63 @@ func TestSlabTailGoesToFreeLists(t *testing.T) {
 	if uncarved := s.SlabWords - s.AllocatedWords - s.RecycledWords; uncarved != slabWords/2 {
 		t.Fatalf("%d words uncarved, want the newest slab's rest %d", uncarved, slabWords/2)
 	}
-	if b := a.Alloc(half - 1); b.Off >= slabWords {
-		t.Fatalf("quarter-slab block carved at arena offset %d, not from the first slab's tail", b.Off)
+	if b := a.Alloc(half - 1); b.Off() >= slabWords {
+		t.Fatalf("quarter-slab block carved at arena offset %d, not from the first slab's tail", b.Off())
+	}
+}
+
+// TestZeroRefNamesNoBlock: the zero Ref is "none" — Free and DeferFree
+// ignore it — and no block is ever named by it, the arena's first
+// included.
+func TestZeroRefNamesNoBlock(t *testing.T) {
+	a := NewAllocator()
+	r := a.Alloc(0)
+	if r == 0 || r.Off() != 0 || r.Class() != 0 {
+		t.Fatalf("first block: ref %#x, offset %d, class %d; want a nonzero ref at offset 0, class 0", uint64(r), r.Off(), r.Class())
+	}
+	a.Free(0)
+	a.DeferFree(0, 1)
+	if s := a.Stats(); s.AllocatedBlocks != 1 || s.RecycledBlocks != 0 || a.PendingDeferred() != 0 {
+		t.Fatalf("freeing the zero Ref changed the allocator: %+v, %d deferred", s, a.PendingDeferred())
+	}
+}
+
+// TestRefsResolveWhileTheDirectoryGrows: a reader resolving Refs while
+// another goroutine grows the arena by slabs and dedicated allocations
+// always finds each block's own words.
+func TestRefsResolveWhileTheDirectoryGrows(t *testing.T) {
+	a := NewAllocator()
+	refs := make(chan Ref)
+	go func() {
+		defer close(refs)
+		for i := 0; i < 400; i++ {
+			class := 10 // 64 KiB: sixteen to a slab
+			if i%100 == 50 {
+				class = ClassFor(2*slabWords + 1) // spans four slabs
+			}
+			r := a.Alloc(class)
+			w := a.Words(r)
+			w[0], w[len(w)-1] = int64(r), ^int64(r)
+			refs <- r
+		}
+	}()
+	var seen, bad []Ref
+	check := func(r Ref) {
+		if w := a.Words(r); len(w) != WordCap(r.Class()) || w[0] != int64(r) || w[len(w)-1] != ^int64(r) {
+			bad = append(bad, r)
+		}
+	}
+	for r := range refs {
+		seen = append(seen, r)
+		for _, old := range seen[max(0, len(seen)-8):] {
+			check(old)
+		}
+	}
+	for _, r := range seen {
+		check(r)
+	}
+	for _, r := range bad {
+		t.Errorf("ref at offset %d, class %d resolves to other words", r.Off(), r.Class())
 	}
 }
 
@@ -199,17 +254,17 @@ func TestConcurrentAllocFree(t *testing.T) {
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		go func() {
-			var local []*Block
-			release := func(b *Block) error {
-				if b.Words[0]>>32 != int64(g) {
-					return fmt.Errorf("goroutine %d: block at %d overwritten by goroutine %d", g, b.Off, b.Words[0]>>32)
+			var local []Ref
+			release := func(b Ref) error {
+				if a.Words(b)[0]>>32 != int64(g) {
+					return fmt.Errorf("goroutine %d: block at %d overwritten by goroutine %d", g, b.Off(), a.Words(b)[0]>>32)
 				}
 				a.Free(b)
 				return nil
 			}
 			for i := 0; i < 2000; i++ {
 				b := a.Alloc(i % 6)
-				b.Words[0] = int64(g)<<32 | int64(i)
+				a.Words(b)[0] = int64(g)<<32 | int64(i)
 				local = append(local, b)
 				if len(local) > 16 {
 					if err := release(local[0]); err != nil {

@@ -3,7 +3,7 @@
 // contiguous block so that scans are purely sequential even under concurrent
 // transactions.
 //
-// Block layout — one storage.Block of W words (8W bytes), entries growing
+// Block layout — one storage block of W words (8W bytes), entries growing
 // from the front and properties from the back, as in the paper's Figure 3:
 //
 //	word 0              source vertex ID
@@ -35,6 +35,13 @@
 //
 // Scans iterate newest-to-oldest (descending index), the paper's sequential,
 // time-locality-friendly order.
+//
+// A list is named by its block's storage.Ref, which is what the engine's
+// label index holds; New and Upgrade return one. A TEL is a value view over
+// the block: the resolved words, the Ref and where the entries start. It is
+// made by At on each access and never stored in an index, so an adjacency
+// list owns no Go heap object. A view stays usable as long as its Ref
+// would resolve, i.e. until the block is recycled.
 //
 // Writers (one at a time per TEL, enforced by the vertex lock) append
 // tentatively past the committed LS; the entry count and property length a
@@ -71,23 +78,24 @@ const (
 	hdrDead
 )
 
-// TEL wraps a storage block as a Transactional Edge Log. An upgrade or a
-// compaction moves the list to a new TEL; the old one is garbage once no
-// reader holds it.
+// TEL views a storage block as a Transactional Edge Log. An upgrade or a
+// compaction moves the list to a new block; the old one is recycled once no
+// reader can still hold its Ref.
 type TEL struct {
-	Block *storage.Block
-
+	w         []int64
+	ref       storage.Ref
 	entryBase int // word index where entries start
-	filter    bloom.Filter
 }
 
 // New allocates a TEL for (src, label) able to hold at least minEntries
-// edge log entries and minPropBytes of property payload.
-func New(a *storage.Allocator, src, label int64, minEntries, minPropBytes int) *TEL {
-	t := wrap(a.Alloc(classFor(0, minEntries, minPropBytes)))
-	t.Block.Words[hdrSrc] = src
-	t.Block.Words[hdrLabel] = label
-	return t
+// edge log entries and minPropBytes of property payload, and returns its
+// block.
+func New(a *storage.Allocator, src, label int64, minEntries, minPropBytes int) storage.Ref {
+	r := a.Alloc(classFor(0, minEntries, minPropBytes))
+	w := a.Words(r)
+	w[hdrSrc] = src
+	w[hdrLabel] = label
+	return r
 }
 
 // classFor picks the smallest block class, from minClass up, whose bytes
@@ -103,56 +111,59 @@ func classFor(minClass, entries, propBytes int) int {
 	panic("tel: adjacency list exceeds maximum block size")
 }
 
-func wrap(b *storage.Block) *TEL {
-	f := bloom.WordsFor(len(b.Words))
-	return &TEL{
-		Block:     b,
-		entryBase: HeaderWords + f,
-		filter:    bloom.View(b.Words[HeaderWords : HeaderWords+f]),
-	}
+// At views block r of a as a TEL.
+func At(a *storage.Allocator, r storage.Ref) TEL {
+	w := a.Words(r)
+	return TEL{w: w, ref: r, entryBase: HeaderWords + bloom.WordsFor(len(w))}
 }
+
+// Ref returns the block the view is over.
+func (t *TEL) Ref() storage.Ref { return t.ref }
+
+// filter views the block's Bloom filter words.
+func (t *TEL) filter() bloom.Filter { return bloom.View(t.w[HeaderWords:t.entryBase]) }
 
 // bytes views the block's words as bytes: properties are byte-packed into
 // the same memory as the entries, and an unsafe.Slice view is how one Go
 // allocation holds both — a separate []byte would be a second region with
-// its own size class and slab. The view is never stored, so a TEL and its
-// block carry one slice header.
+// its own size class and slab. The view is never stored, so a TEL carries
+// one slice header.
 func (t *TEL) bytes() []byte {
-	w := t.Block.Words
+	w := t.w
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(w))), len(w)*8)
 }
 
 // Src returns the source vertex this adjacency list belongs to.
-func (t *TEL) Src() int64 { return t.Block.Words[hdrSrc] }
+func (t *TEL) Src() int64 { return t.w[hdrSrc] }
 
 // Label returns the edge label of this adjacency list.
-func (t *TEL) Label() int64 { return t.Block.Words[hdrLabel] }
+func (t *TEL) Label() int64 { return t.w[hdrLabel] }
 
 // CommitTS returns the TEL's commit timestamp CT: the timestamp of the
 // latest transaction that modified it. Writers compare their read epoch
 // against CT to detect write-write conflicts cheaply (first-committer-wins)
 // instead of scanning the log.
-func (t *TEL) CommitTS() int64 { return atomic.LoadInt64(&t.Block.Words[hdrCT]) }
+func (t *TEL) CommitTS() int64 { return atomic.LoadInt64(&t.w[hdrCT]) }
 
 // Len returns the committed number of edge log entries (LS).
-func (t *TEL) Len() int { return int(atomic.LoadInt64(&t.Block.Words[hdrLS])) }
+func (t *TEL) Len() int { return int(atomic.LoadInt64(&t.w[hdrLS])) }
 
 // PropLen returns the committed property byte length (PS).
-func (t *TEL) PropLen() int { return int(atomic.LoadInt64(&t.Block.Words[hdrPS])) }
+func (t *TEL) PropLen() int { return int(atomic.LoadInt64(&t.w[hdrPS])) }
 
 // DeadBytes returns the exact bytes held by invalidated entries in this TEL:
 // entry words plus property payload for every entry whose invalidation
 // timestamp was flipped to a committed epoch. Maintained at apply time, it
 // gives compaction pressure and the checkpoint rebase trigger an exact
 // figure instead of the write-path heuristic estimate.
-func (t *TEL) DeadBytes() int64 { return atomic.LoadInt64(&t.Block.Words[hdrDead]) }
+func (t *TEL) DeadBytes() int64 { return atomic.LoadInt64(&t.w[hdrDead]) }
 
 // AddDeadBytes accumulates n bytes of newly dead entry+property payload.
-func (t *TEL) AddDeadBytes(n int64) { atomic.AddInt64(&t.Block.Words[hdrDead], n) }
+func (t *TEL) AddDeadBytes(n int64) { atomic.AddInt64(&t.w[hdrDead], n) }
 
 // SetDeadBytes overwrites the dead-byte counter (used when a rebuilt block
 // recomputes its dead set, e.g. compaction retaining history entries).
-func (t *TEL) SetDeadBytes(n int64) { atomic.StoreInt64(&t.Block.Words[hdrDead], n) }
+func (t *TEL) SetDeadBytes(n int64) { atomic.StoreInt64(&t.w[hdrDead], n) }
 
 // EntryDeadBytes returns the exact byte cost of entry i going dead: its
 // fixed entry words plus its property payload.
@@ -165,16 +176,16 @@ func (t *TEL) EntryDeadBytes(i int) int64 {
 // contents must already be fully written; the atomic LS store is the release
 // barrier concurrent readers synchronise on.
 func (t *TEL) Publish(n, propLen int, ts int64) {
-	atomic.StoreInt64(&t.Block.Words[hdrCT], ts)
-	atomic.StoreInt64(&t.Block.Words[hdrPS], int64(propLen))
-	atomic.StoreInt64(&t.Block.Words[hdrLS], int64(n))
+	atomic.StoreInt64(&t.w[hdrCT], ts)
+	atomic.StoreInt64(&t.w[hdrPS], int64(propLen))
+	atomic.StoreInt64(&t.w[hdrLS], int64(n))
 }
 
 // Fits reports whether one more entry with propBytes of properties fits
 // given the tentative sizes (n entries, propLen bytes already used): the
 // end of entry n must not pass the start of the properties.
 func (t *TEL) Fits(n, propLen, propBytes int) bool {
-	return (t.entryBase+(n+1)*EntryWords)*8+propLen+propBytes <= len(t.Block.Words)*8
+	return (t.entryBase+(n+1)*EntryWords)*8+propLen+propBytes <= len(t.w)*8
 }
 
 // Append writes an edge log entry at slot n with the given destination,
@@ -191,7 +202,7 @@ func (t *TEL) Append(n int, dst, creation int64, props []byte, propLen int) int 
 
 func (t *TEL) put(n int, dst, creation, invalidation int64, props []byte, propLen int) int {
 	w := t.entryBase + n*EntryWords
-	words := t.Block.Words
+	words := t.w
 	words[w+0] = dst
 	propLen += len(props)
 	b := t.bytes()
@@ -201,44 +212,44 @@ func (t *TEL) put(n int, dst, creation, invalidation int64, props []byte, propLe
 	// committed LS of a *previous* version must never observe a torn word.
 	atomic.StoreInt64(&words[w+2], invalidation)
 	atomic.StoreInt64(&words[w+1], creation)
-	t.filter.Add(uint64(dst))
+	t.filter().Add(uint64(dst))
 	return propLen
 }
 
 // Dst returns entry i's destination vertex.
-func (t *TEL) Dst(i int) int64 { return t.Block.Words[t.entryBase+i*EntryWords] }
+func (t *TEL) Dst(i int) int64 { return t.w[t.entryBase+i*EntryWords] }
 
 // Creation returns entry i's creation timestamp.
 func (t *TEL) Creation(i int) int64 {
-	return atomic.LoadInt64(&t.Block.Words[t.entryBase+i*EntryWords+1])
+	return atomic.LoadInt64(&t.w[t.entryBase+i*EntryWords+1])
 }
 
 // SetCreation atomically stores entry i's creation timestamp (the apply
 // phase's -TID → TWE flip).
 func (t *TEL) SetCreation(i int, ts int64) {
-	atomic.StoreInt64(&t.Block.Words[t.entryBase+i*EntryWords+1], ts)
+	atomic.StoreInt64(&t.w[t.entryBase+i*EntryWords+1], ts)
 }
 
 // Invalidation returns entry i's invalidation timestamp.
 func (t *TEL) Invalidation(i int) int64 {
-	return atomic.LoadInt64(&t.Block.Words[t.entryBase+i*EntryWords+2])
+	return atomic.LoadInt64(&t.w[t.entryBase+i*EntryWords+2])
 }
 
 // SetInvalidation atomically stores entry i's invalidation timestamp.
 func (t *TEL) SetInvalidation(i int, ts int64) {
-	atomic.StoreInt64(&t.Block.Words[t.entryBase+i*EntryWords+2], ts)
+	atomic.StoreInt64(&t.w[t.entryBase+i*EntryWords+2], ts)
 }
 
 // CASInvalidation atomically replaces entry i's invalidation timestamp if it
 // still holds old. Used when aborting (revert -TID → NULL).
 func (t *TEL) CASInvalidation(i int, old, new int64) bool {
-	return atomic.CompareAndSwapInt64(&t.Block.Words[t.entryBase+i*EntryWords+2], old, new)
+	return atomic.CompareAndSwapInt64(&t.w[t.entryBase+i*EntryWords+2], old, new)
 }
 
 // Props returns entry i's property bytes (a sub-slice of the block; callers
 // must copy if they retain it beyond the transaction).
 func (t *TEL) Props(i int) []byte {
-	ref := t.Block.Words[t.entryBase+i*EntryWords+3]
+	ref := t.w[t.entryBase+i*EntryWords+3]
 	b := t.bytes()
 	start := len(b) - int(ref>>propOffShift)
 	end := start + int(ref&propSizeMask)
@@ -255,24 +266,24 @@ const pageWords = 512
 // blocks share pages, and a partial newest-first scan of a large block
 // touches only its tail pages.
 func (t *TEL) EntryPage(i int) int64 {
-	return (t.Block.Off + int64(t.entryBase+i*EntryWords)) / pageWords
+	return (t.ref.Off() + int64(t.entryBase+i*EntryWords)) / pageWords
 }
 
 // FirstPage returns the global page of the block's header.
-func (t *TEL) FirstPage() int64 { return t.Block.Off / pageWords }
+func (t *TEL) FirstPage() int64 { return t.ref.Off() / pageWords }
 
 // LastPage returns the global page of the block's final word.
 func (t *TEL) LastPage() int64 {
-	return (t.Block.Off + int64(len(t.Block.Words)) - 1) / pageWords
+	return (t.ref.Off() + int64(len(t.w)) - 1) / pageWords
 }
 
 // MayContain consults the embedded Bloom filter: false means dst was
 // certainly never inserted into this block, so an insertion can skip the
 // previous-version scan (the paper's "early rejection").
-func (t *TEL) MayContain(dst int64) bool { return t.filter.MayContain(uint64(dst)) }
+func (t *TEL) MayContain(dst int64) bool { return t.filter().MayContain(uint64(dst)) }
 
 // FilterEmpty reports whether the block is too small to carry a filter.
-func (t *TEL) FilterEmpty() bool { return t.filter.Empty() }
+func (t *TEL) FilterEmpty() bool { return t.entryBase == HeaderWords }
 
 // FindLatest scans tail-to-head over the first n entries for the most
 // recent entry for dst that is visible at (tre, tid) — the lookup an edge
@@ -293,24 +304,27 @@ func (t *TEL) FindLatest(dst int64, n int, tre, tid int64) int {
 // Upgrade moves t's first n entries and propLen property bytes into the
 // smallest block class above t's that also fits one more entry with
 // propBytes of properties (paper §3: dynamic-array doubling, amortised O(1)
-// appends), and rebuilds the Bloom filter there. The new block carries the
-// identical committed prefix, so swapping the index pointer is safe
-// mid-transaction; t is left as it was for readers still scanning it.
-func (t *TEL) Upgrade(a *storage.Allocator, n, propLen, propBytes int) *TEL {
-	nt := wrap(a.Alloc(classFor(t.Block.Class+1, n+1, propLen+propBytes)))
-	copy(nt.Block.Words[nt.entryBase:], t.Block.Words[t.entryBase:t.entryBase+n*EntryWords])
+// appends), rebuilds the Bloom filter there, and returns the new block.
+// It carries the identical committed prefix, so swapping the index's Ref
+// is safe mid-transaction; t's block is left as it was for readers still
+// scanning it.
+func (t *TEL) Upgrade(a *storage.Allocator, n, propLen, propBytes int) storage.Ref {
+	r := a.Alloc(classFor(t.ref.Class()+1, n+1, propLen+propBytes))
+	nt := At(a, r)
+	copy(nt.w[nt.entryBase:], t.w[t.entryBase:t.entryBase+n*EntryWords])
 	nb, b := nt.bytes(), t.bytes()
 	copy(nb[len(nb)-propLen:], b[len(b)-propLen:])
-	nt.Block.Words[hdrSrc] = t.Block.Words[hdrSrc]
-	nt.Block.Words[hdrLabel] = t.Block.Words[hdrLabel]
-	atomic.StoreInt64(&nt.Block.Words[hdrCT], t.CommitTS())
-	atomic.StoreInt64(&nt.Block.Words[hdrPS], int64(t.PropLen()))
-	atomic.StoreInt64(&nt.Block.Words[hdrLS], int64(t.Len()))
-	atomic.StoreInt64(&nt.Block.Words[hdrDead], t.DeadBytes())
+	nt.w[hdrSrc] = t.w[hdrSrc]
+	nt.w[hdrLabel] = t.w[hdrLabel]
+	atomic.StoreInt64(&nt.w[hdrCT], t.CommitTS())
+	atomic.StoreInt64(&nt.w[hdrPS], int64(t.PropLen()))
+	atomic.StoreInt64(&nt.w[hdrLS], int64(t.Len()))
+	atomic.StoreInt64(&nt.w[hdrDead], t.DeadBytes())
+	f := nt.filter()
 	for i := 0; i < n; i++ {
-		nt.filter.Add(uint64(nt.Dst(i)))
+		f.Add(uint64(nt.Dst(i)))
 	}
-	return nt
+	return r
 }
 
 // CompactAppend copies entry i of src (with its properties) to slot n of t,
@@ -326,7 +340,7 @@ func (t *TEL) CompactAppend(src *TEL, i, n, propLen int) int {
 // timestamps embedded in each fixed-size entry (paper §4, "Sequential
 // adjacency list scans").
 type Iter struct {
-	t        *TEL
+	t        TEL
 	i        int
 	tre, tid int64
 }
@@ -335,8 +349,11 @@ type Iter struct {
 // committed snapshot scan, or the transaction's tentative count to include
 // its own writes).
 func (t *TEL) Scan(n int, tre, tid int64) Iter {
-	return Iter{t: t, i: n, tre: tre, tid: tid}
+	return Iter{t: *t, i: n, tre: tre, tid: tid}
 }
+
+// TEL returns the list the iterator scans.
+func (it *Iter) TEL() *TEL { return &it.t }
 
 // Next advances to the next visible entry, returning its index, or -1 when
 // the scan is complete.

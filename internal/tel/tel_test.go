@@ -14,23 +14,28 @@ import (
 	"livegraph/internal/storage"
 )
 
+// newTEL allocates a list with New and views it.
+func newTEL(a *storage.Allocator, src, label int64, minEntries, minPropBytes int) TEL {
+	return At(a, New(a, src, label, minEntries, minPropBytes))
+}
+
 func TestNewMinimalBlockIsOneCacheLine(t *testing.T) {
 	a := storage.NewAllocator()
-	tl := New(a, 1, 0, 1, 0)
+	tl := newTEL(a, 1, 0, 1, 0)
 	// 64-byte block: 6 header words + no filter + 4 entry words = 10 words
 	// does NOT fit in 8 words, so the minimal single-edge block is class 1
 	// (128 B) in this layout. Verify it holds exactly the advertised entry.
 	if !tl.Fits(0, 0, 0) {
 		t.Fatal("minimal TEL holds no entry")
 	}
-	if tl.Block.Class > 1 {
-		t.Fatalf("minimal TEL uses class %d, want <= 1", tl.Block.Class)
+	if tl.Ref().Class() > 1 {
+		t.Fatalf("minimal TEL uses class %d, want <= 1", tl.Ref().Class())
 	}
 }
 
 func TestAppendPublishScan(t *testing.T) {
 	a := storage.NewAllocator()
-	tl := New(a, 7, 0, 8, 256)
+	tl := newTEL(a, 7, 0, 8, 256)
 	n, pl := 0, 0
 	for i := 0; i < 5; i++ {
 		pl = tl.Append(n, int64(100+i), -42, []byte{byte(i)}, pl)
@@ -76,7 +81,7 @@ func TestAppendPublishScan(t *testing.T) {
 
 func TestScanNewestFirstAndProps(t *testing.T) {
 	a := storage.NewAllocator()
-	tl := New(a, 1, 0, 8, 256)
+	tl := newTEL(a, 1, 0, 8, 256)
 	n, pl := 0, 0
 	for i := 0; i < 4; i++ {
 		pl = tl.Append(n, int64(10+i), 1, []byte(fmt.Sprintf("p%d", i)), pl)
@@ -107,7 +112,7 @@ func TestScanNewestFirstAndProps(t *testing.T) {
 
 func TestInvalidationHidesOldVersion(t *testing.T) {
 	a := storage.NewAllocator()
-	tl := New(a, 1, 0, 8, 128)
+	tl := newTEL(a, 1, 0, 8, 128)
 	// Edge to 50 created at ts 1.
 	pl := tl.Append(0, 50, 1, []byte("v1"), 0)
 	tl.Publish(1, pl, 1)
@@ -138,7 +143,7 @@ func TestInvalidationHidesOldVersion(t *testing.T) {
 
 func TestBloomEarlyRejection(t *testing.T) {
 	a := storage.NewAllocator()
-	tl := New(a, 1, 0, 64, 1024)
+	tl := newTEL(a, 1, 0, 64, 1024)
 	if tl.FilterEmpty() {
 		t.Skip("block too small for a filter at this class")
 	}
@@ -166,7 +171,7 @@ func TestBloomEarlyRejection(t *testing.T) {
 
 func TestUpgradeCopiesPrefix(t *testing.T) {
 	a := storage.NewAllocator()
-	small := New(a, 9, 3, 4, 64)
+	small := newTEL(a, 9, 3, 4, 64)
 	n, pl := 0, 0
 	for i := 0; i < 4; i++ {
 		pl = small.Append(n, int64(i), 1, []byte{byte(i), byte(i)}, pl)
@@ -179,10 +184,10 @@ func TestUpgradeCopiesPrefix(t *testing.T) {
 	pl = small.Append(n, 4, -7, []byte("tentative"), pl)
 	n++
 
-	big := small.Upgrade(a, n, pl, 300)
+	big := At(a, small.Upgrade(a, n, pl, 300))
 
-	if big.Block.Class <= small.Block.Class {
-		t.Fatalf("upgrade from class %d to %d", small.Block.Class, big.Block.Class)
+	if big.Ref().Class() <= small.Ref().Class() {
+		t.Fatalf("upgrade from class %d to %d", small.Ref().Class(), big.Ref().Class())
 	}
 	if !big.Fits(n, pl, 300) {
 		t.Fatal("upgraded block does not fit the entry it was sized for")
@@ -215,17 +220,17 @@ func TestUpgradeCopiesPrefix(t *testing.T) {
 
 func TestCompactAppendRepacksProps(t *testing.T) {
 	a := storage.NewAllocator()
-	src := New(a, 1, 0, 8, 256)
+	src := newTEL(a, 1, 0, 8, 256)
 	pl := 0
 	pl = src.Append(0, 10, 1, []byte("aaaa"), pl)
 	pl = src.Append(1, 11, 1, []byte("bbbb"), pl)
 	pl = src.Append(2, 12, 1, []byte("cccc"), pl)
 	src.Publish(3, pl, 1)
 
-	dst := New(a, 1, 0, 8, 256)
+	dst := newTEL(a, 1, 0, 8, 256)
 	// Keep only entries 0 and 2.
-	npl := dst.CompactAppend(src, 0, 0, 0)
-	npl = dst.CompactAppend(src, 2, 1, npl)
+	npl := dst.CompactAppend(&src, 0, 0, 0)
+	npl = dst.CompactAppend(&src, 2, 1, npl)
 	dst.Publish(2, npl, 1)
 
 	if dst.Len() != 2 {
@@ -241,7 +246,7 @@ func TestCompactAppendRepacksProps(t *testing.T) {
 
 func TestFits(t *testing.T) {
 	a := storage.NewAllocator()
-	tl := New(a, 1, 0, 4, 32)
+	tl := newTEL(a, 1, 0, 4, 32)
 	n, pl := 0, 0
 	for tl.Fits(n, pl, 4) {
 		pl = tl.Append(n, int64(n), 1, []byte("abcd"), pl)
@@ -252,7 +257,7 @@ func TestFits(t *testing.T) {
 	}
 	// Entry end and property start meet without crossing: every property
 	// still reads back intact.
-	if (HeaderWords+bloom.WordsFor(len(tl.Block.Words))+n*EntryWords)*8+pl > len(tl.Block.Words)*8 {
+	if (HeaderWords+bloom.WordsFor(len(tl.w))+n*EntryWords)*8+pl > len(tl.w)*8 {
 		t.Fatal("entries and properties overlap")
 	}
 	for i := 0; i < n; i++ {
@@ -262,15 +267,15 @@ func TestFits(t *testing.T) {
 	}
 }
 
-// TestHeaderSizes pins the Go-side footprint of a list: every TEL and
-// block header is on the heap once per adjacency list, so a field added to
-// either shows up here and in review.
+// TestHeaderSizes pins the Go-side footprint of a list: the label index
+// holds one storage.Ref per adjacency list, and a TEL view is copied into
+// every iterator, so a field added to either shows up here and in review.
 func TestHeaderSizes(t *testing.T) {
-	if got := unsafe.Sizeof(TEL{}); got != 40 {
-		t.Errorf("tel.TEL is %d bytes, want 40 (block pointer, entry base, filter view)", got)
+	if got := unsafe.Sizeof(storage.Ref(0)); got != 8 {
+		t.Errorf("storage.Ref is %d bytes, want 8 (offset and class in one word)", got)
 	}
-	if got := unsafe.Sizeof(storage.Block{}); got != 40 {
-		t.Errorf("storage.Block is %d bytes, want 40 (words, class, arena offset)", got)
+	if got := unsafe.Sizeof(TEL{}); got != 40 {
+		t.Errorf("tel.TEL is %d bytes, want 40 (words, ref, entry base)", got)
 	}
 }
 
@@ -288,7 +293,7 @@ func TestFitsAtTheBoundary(t *testing.T) {
 				continue
 			}
 			t.Run(fmt.Sprintf("class=%d/props=%d", class, size), func(t *testing.T) {
-				tl := wrap(a.Alloc(class))
+				tl := At(a, a.Alloc(class))
 				if !tl.Fits(0, pl, size) {
 					t.Fatalf("entry end == property start does not fit")
 				}
@@ -309,7 +314,7 @@ func TestFitsAtTheBoundary(t *testing.T) {
 				if tl.Dst(0) != 77 || tl.Creation(0) != 3 || tl.Invalidation(0) != mvcc.NullTS || !bytes.Equal(tl.Props(0), props) {
 					t.Fatalf("entry and properties overlap: dst %d creation %d props %x", tl.Dst(0), tl.Creation(0), tl.Props(0))
 				}
-				a.Free(tl.Block)
+				a.Free(tl.Ref())
 			})
 		}
 	}
@@ -317,7 +322,7 @@ func TestFitsAtTheBoundary(t *testing.T) {
 
 func TestFindLatestOwnWrites(t *testing.T) {
 	a := storage.NewAllocator()
-	tl := New(a, 1, 0, 8, 128)
+	tl := newTEL(a, 1, 0, 8, 128)
 	pl := tl.Append(0, 5, 1, []byte("old"), 0)
 	tl.Publish(1, pl, 1)
 
@@ -351,7 +356,7 @@ func TestFindLatestOwnWrites(t *testing.T) {
 func TestConcurrentReadDuringPublish(t *testing.T) {
 	a := storage.NewAllocator()
 	const batches, batch = 32, 4
-	tl := New(a, 1, 0, batches*batch, 4096)
+	tl := newTEL(a, 1, 0, batches*batch, 4096)
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)
@@ -417,7 +422,7 @@ func TestScanVisibilityProperty(t *testing.T) {
 	// at any epoch e < k exactly one version is visible.
 	a := storage.NewAllocator()
 	const k = 16
-	tl := New(a, 1, 0, k, 256)
+	tl := newTEL(a, 1, 0, k, 256)
 	pl := 0
 	for i := 0; i < k; i++ {
 		pl = tl.Append(i, 99, int64(i+1), []byte{byte(i)}, pl)
@@ -439,7 +444,7 @@ func TestScanVisibilityProperty(t *testing.T) {
 func BenchmarkSequentialScan(b *testing.B) {
 	a := storage.NewAllocator()
 	const n = 1024
-	tl := New(a, 1, 0, n, n)
+	tl := newTEL(a, 1, 0, n, n)
 	pl := 0
 	for i := 0; i < n; i++ {
 		pl = tl.Append(i, int64(i), 1, nil, pl)
@@ -456,7 +461,7 @@ func BenchmarkSequentialScan(b *testing.B) {
 
 func BenchmarkAppend(b *testing.B) {
 	a := storage.NewAllocator()
-	tl := New(a, 1, 0, 1<<20, 8)
+	tl := newTEL(a, 1, 0, 1<<20, 8)
 	n, pl := 0, 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
