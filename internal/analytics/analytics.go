@@ -170,7 +170,10 @@ func atomicAddFloat64(addr *uint64, delta float64) {
 
 // PageRank runs the classic damped power iteration (d = 0.85) for iters
 // iterations using the push model, and returns the final rank vector.
-// Dangling mass is redistributed uniformly each iteration.
+// Dangling mass is redistributed uniformly each iteration. An edge may name
+// a destination at or past NumVertices (it owns no records, so it does not
+// move the frontier); the share pushed along it joins the dangling mass,
+// so the ranks still sum to 1.
 func PageRank(v View, iters, workers int) []float64 {
 	n := v.NumVertices()
 	if n == 0 {
@@ -198,7 +201,11 @@ func PageRank(v View, iters, workers int) []float64 {
 				}
 				share := rank[u] / float64(deg)
 				v.ScanOut(u, func(dst int64) bool {
-					atomicAddFloat64(&next[dst], share)
+					if dst >= n {
+						localDangling += share
+					} else {
+						atomicAddFloat64(&next[dst], share)
+					}
 					return true
 				})
 			}
@@ -217,7 +224,8 @@ func PageRank(v View, iters, workers int) []float64 {
 
 // ConnComp computes connected components (treating edges as undirected) by
 // parallel label propagation and returns the component label of every
-// vertex (the minimum vertex ID in its component).
+// vertex (the minimum vertex ID in its component). Edges to a destination
+// at or past NumVertices are skipped.
 func ConnComp(v View, workers int) []int64 {
 	n := v.NumVertices()
 	labels := make([]int64, n)
@@ -243,6 +251,9 @@ func ConnComp(v View, workers int) []int64 {
 			for u := lo; u < hi; u++ {
 				lu := atomic.LoadInt64(&labels[u])
 				v.ScanOut(u, func(dst int64) bool {
+					if dst >= n {
+						return true
+					}
 					ld := atomic.LoadInt64(&labels[dst])
 					if ld < lu {
 						if relaxMin(u, ld) {
@@ -335,14 +346,16 @@ func BFSDir(v View, src int64, workers int, dir core.Direction) []int64 {
 // paths is expanded exactly once. Distances are written only by the
 // claiming worker and published to the next level by the pool join, so the
 // kernel is race-free without per-vertex atomics on the distance array.
+// A destination at or past NumVertices has no distance slot and is skipped.
 func bfsTopDownLevel(v View, dist []int64, visited *sparsebit.Set, frontier []int64, level int64, workers int) []int64 {
 	morsels, _ := morsel.Split(len(frontier), morsel.DefaultSize, workers)
 	outs := make([][]int64, morsels)
+	n := int64(len(dist))
 	run(len(frontier), morsel.DefaultSize, workers, func(m, lo, hi int) {
 		var buf []int64
 		for _, u := range frontier[lo:hi] {
 			v.ScanOut(u, func(dst int64) bool {
-				if !visited.TestAndSet(dst) {
+				if dst < n && !visited.TestAndSet(dst) {
 					dist[dst] = level
 					buf = append(buf, dst)
 				}

@@ -3,6 +3,7 @@ package analytics
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"livegraph/internal/baseline/csr"
@@ -12,23 +13,56 @@ import (
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // chain: 0 -> 1 -> 2 -> 3; star: 4 <- {5,6}; isolated: 7
-func testGraph() *csr.Graph {
-	return csr.Build(8, []csr.Edge{
-		{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3},
-		{Src: 5, Dst: 4}, {Src: 6, Dst: 4},
-	})
+var testEdges = []csr.Edge{
+	{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3},
+	{Src: 5, Dst: 4}, {Src: 6, Dst: 4},
+}
+
+func testGraph() *csr.Graph { return csr.Build(8, testEdges) }
+
+// testViews returns testGraph as CSR, and as a live graph that also has an
+// edge 5 -> 1000: a destination owns no records, so the live graph's
+// NumVertices stays 8 and the kernels must skip that edge, not index by
+// it. The live view is top-down only (no InView), so BFS expands it.
+func testViews(t *testing.T) map[string]View {
+	t.Helper()
+	g, err := core.Open(core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { g.Close() })
+	tx, _ := g.Begin()
+	for i := 0; i < 8; i++ {
+		tx.AddVertex(nil)
+	}
+	for _, e := range append(testEdges, csr.Edge{Src: 5, Dst: 1000}) {
+		tx.InsertEdge(core.VertexID(e.Src), 0, core.VertexID(e.Dst), nil)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if n := g.NumVertices(); n != 8 {
+		t.Fatalf("live graph NumVertices = %d, want 8", n)
+	}
+	snap, _ := g.Snapshot()
+	t.Cleanup(snap.Release)
+	return map[string]View{
+		"csr":                    CSRView{testGraph()},
+		"edge past the frontier": ReaderView{R: snap, N: g.NumVertices(), Label: 0},
+	}
 }
 
 func TestPageRankSumsToOne(t *testing.T) {
-	g := testGraph()
-	for _, workers := range []int{1, 4} {
-		ranks := PageRank(CSRView{g}, 20, workers)
-		sum := 0.0
-		for _, r := range ranks {
-			sum += r
-		}
-		if math.Abs(sum-1.0) > 1e-9 {
-			t.Fatalf("workers=%d: rank sum %f", workers, sum)
+	for name, v := range testViews(t) {
+		for _, workers := range []int{1, 4} {
+			ranks := PageRank(v, 20, workers)
+			sum := 0.0
+			for _, r := range ranks {
+				sum += r
+			}
+			if math.Abs(sum-1.0) > 1e-9 {
+				t.Fatalf("%s, workers=%d: rank sum %f", name, workers, sum)
+			}
 		}
 	}
 }
@@ -82,46 +116,39 @@ func TestPageRankMatchesSequentialReference(t *testing.T) {
 }
 
 func TestConnComp(t *testing.T) {
-	g := testGraph()
-	for _, workers := range []int{1, 4} {
-		labels := ConnComp(CSRView{g}, workers)
-		// Component {0,1,2,3} -> 0, {4,5,6} -> 4, {7} -> 7.
-		for _, v := range []int{0, 1, 2, 3} {
-			if labels[v] != 0 {
-				t.Fatalf("workers=%d labels=%v", workers, labels)
+	for name, v := range testViews(t) {
+		for _, workers := range []int{1, 4} {
+			labels := ConnComp(v, workers)
+			// Component {0,1,2,3} -> 0, {4,5,6} -> 4, {7} -> 7.
+			want := []int64{0, 0, 0, 0, 4, 4, 4, 7}
+			if !slices.Equal(labels, want) {
+				t.Fatalf("%s, workers=%d: labels=%v, want %v", name, workers, labels, want)
 			}
-		}
-		for _, v := range []int{4, 5, 6} {
-			if labels[v] != 4 {
-				t.Fatalf("workers=%d labels=%v", workers, labels)
+			if n := NumComponents(labels, nil); n != 3 {
+				t.Fatalf("%s: components=%d", name, n)
 			}
-		}
-		if labels[7] != 7 {
-			t.Fatalf("labels=%v", labels)
-		}
-		if n := NumComponents(labels, nil); n != 3 {
-			t.Fatalf("components=%d", n)
 		}
 	}
 }
 
 func TestBFSLevels(t *testing.T) {
-	g := testGraph()
-	for _, workers := range []int{1, 4} {
-		dist := BFS(CSRView{g}, 0, workers)
-		want := []int64{0, 1, 2, 3, -1, -1, -1, -1}
-		for i, d := range dist {
-			if d != want[i] {
-				t.Fatalf("workers=%d dist=%v, want %v", workers, dist, want)
+	for name, v := range testViews(t) {
+		for _, workers := range []int{1, 4} {
+			dist := BFS(v, 0, workers)
+			want := []int64{0, 1, 2, 3, -1, -1, -1, -1}
+			if !slices.Equal(dist, want) {
+				t.Fatalf("%s, workers=%d: dist=%v, want %v", name, workers, dist, want)
 			}
-		}
-		// From 5: only 5 and 4 reachable.
-		dist = BFS(CSRView{g}, 5, workers)
-		if dist[5] != 0 || dist[4] != 1 || dist[0] != -1 {
-			t.Fatalf("workers=%d dist from 5 = %v", workers, dist)
+			// From 5: only 5 and 4 reachable.
+			dist = BFS(v, 5, workers)
+			want = []int64{-1, -1, -1, -1, 1, 0, -1, -1}
+			if !slices.Equal(dist, want) {
+				t.Fatalf("%s, workers=%d: dist from 5 = %v, want %v", name, workers, dist, want)
+			}
 		}
 	}
 	// Out-of-range source: all unreachable.
+	g := testGraph()
 	dist := BFS(CSRView{g}, 99, 2)
 	for i, d := range dist {
 		if d != -1 {

@@ -1,15 +1,20 @@
 package core
 
-// Incremental replication apply (the replica side of WAL shipping): a
-// follower graph ingests the primary's commit groups one epoch at a time,
-// while serving reads. The op-application logic is recovery's replay path
-// (replay.go), with the differences a live graph forces: vertex locks are
-// taken (the follower may run compaction), superseded blocks are
-// defer-freed past pinned snapshots instead of freed eagerly, and the
-// read epoch advances only at group boundaries — so every snapshot a
-// reader pins on the replica is a transactionally consistent prefix of
-// the primary's history, exactly as if it had been pinned on the primary
-// at that epoch.
+// The apply path: what a committed write does to the graph, beyond the
+// write itself, is decided in one place. applyOp is the one interpreter
+// of a decoded WAL op; recovery's replay (replay.go) and a follower's
+// ApplyEpoch both call it, so a recovered graph and a replica are built by
+// the same code from the same log. It takes the vertex lock in both cases:
+// a follower may run compaction concurrently, and during recovery the lock
+// is simply uncontended. applied is the bookkeeping every apply site does
+// for a vertex whose records changed — the primary's committer, applyOp —
+// so the vertex frontier, the maintenance dirty set and the checkpoint
+// journal follow one rule everywhere.
+//
+// On a follower the read epoch advances only at group boundaries, so every
+// snapshot a reader pins on the replica is a transactionally consistent
+// prefix of the primary's history, exactly as if it had been pinned on the
+// primary at that epoch.
 
 import (
 	"context"
@@ -17,6 +22,7 @@ import (
 	"time"
 
 	"livegraph/internal/obs"
+	"livegraph/internal/tel"
 )
 
 // ApplyEpoch applies one replicated commit group — the data records of
@@ -67,7 +73,7 @@ func (g *Graph) ApplyEpoch(epoch int64, recs [][]byte) error {
 	}
 	for _, ops := range decoded {
 		for _, op := range ops {
-			g.applyOpLive(op, epoch)
+			g.applyOp(op, epoch)
 		}
 	}
 	// Group boundary: expose the whole group to future readers at once.
@@ -75,54 +81,95 @@ func (g *Graph) ApplyEpoch(epoch int64, recs [][]byte) error {
 	// Recycle blocks superseded by past groups once no snapshot pins
 	// them; the follower has no committer to do this for it. Compaction
 	// proper runs on the background maintenance scheduler, fed by the
-	// dirty marks above — followers prune dead versions under the same
-	// pressure triggers as primaries.
+	// dirty marks applyOp leaves — followers prune dead versions under
+	// the same pressure triggers as primaries.
 	g.alloc.Reclaim(g.readers.MinActive(epoch))
 	return nil
 }
 
-// applyOpLive applies one decoded WAL op with a committed timestamp on a
-// graph that is serving readers. Mirrors replayOp, plus the locking and
-// dirty-tracking a live graph needs (compaction may run concurrently and
-// must not relocate a TEL mid-append).
-func (g *Graph) applyOpLive(op walOp, epoch int64) {
+// applyOp applies one decoded WAL op with the committed timestamp epoch,
+// under the vertex lock of the op's vertex (an edge op's source).
+func (g *Graph) applyOp(op walOp, epoch int64) {
+	var dead int64
+	g.locks.Lock(uint64(op.v))
 	switch op.op {
-	case opAddVertex, opPutVertex:
-		g.bumpNextVertex(int64(op.v))
-		data := append([]byte(nil), op.data...)
-		g.locks.Lock(uint64(op.v))
+	case opAddVertex, opPutVertex, opDelVertex:
 		prev := g.vindex.Get(int64(op.v))
-		g.vindex.Set(int64(op.v), &vertexVersion{ts: epoch, data: data, prev: prev})
-		g.locks.Unlock(uint64(op.v))
-		var dead int64
+		ver := &vertexVersion{ts: epoch, deleted: op.op == opDelVertex, prev: prev}
+		if !ver.deleted {
+			ver.data = append([]byte(nil), op.data...)
+		}
+		g.vindex.Set(int64(op.v), ver)
 		if prev != nil {
 			dead = entryDeadBytes + int64(len(prev.data))
 		}
-		g.markDirty(op.v, dead)
-	case opDelVertex:
-		g.locks.Lock(uint64(op.v))
-		prev := g.vindex.Get(int64(op.v))
-		g.vindex.Set(int64(op.v), &vertexVersion{ts: epoch, deleted: true, prev: prev})
-		g.locks.Unlock(uint64(op.v))
-		var dead int64
-		if prev != nil {
-			dead = entryDeadBytes + int64(len(prev.data))
-		}
-		g.markDirty(op.v, dead)
 	case opInsertEdge, opUpsertEdge, opDeleteEdge:
-		g.bumpNextVertex(int64(op.v))
-		g.bumpNextVertex(int64(op.dst))
-		g.locks.Lock(uint64(op.v))
-		// replayEdge reports the exact bytes an invalidated prior
-		// version turned into garbage (0 for true insertions).
-		dead := g.replayEdge(op.op, op.v, op.label, op.dst, op.data, epoch, true)
-		g.locks.Unlock(uint64(op.v))
-		g.markDirty(op.v, dead)
+		dead = g.applyEdge(op.op, op.v, op.label, op.dst, op.data, epoch)
 	}
-	// Applied under applyMu — the same mutex a follower Checkpoint holds
-	// while draining — so the journal mark and the change's visibility
-	// are atomic with respect to the checkpoint boundary.
-	g.markCkptDirty(op.v)
+	g.locks.Unlock(uint64(op.v))
+	g.applied(op.v, dead)
+}
+
+// applyEdge applies one edge operation directly with a committed
+// timestamp: from applyOp, or from checkpoint load, which inserts every
+// edge it reads. It keeps the degree statistics and hints the label's
+// reverse index (a nil check while the label has none), as the primary's
+// write path does. It returns the exact bytes the operation turned into
+// garbage (an invalidated entry's words + properties), already
+// accumulated into the TEL's dead counter. Caller holds src's lock, or is
+// checkpoint load, which runs before anything else can reach the graph.
+func (g *Graph) applyEdge(op byte, src VertexID, label Label, dst VertexID, props []byte, epoch int64) int64 {
+	t := g.telLocked(src, label)
+	n, pl := t.Len(), t.PropLen()
+
+	var dead int64
+	if op == opUpsertEdge || op == opDeleteEdge {
+		if t.MayContain(int64(dst)) {
+			if i := t.FindLatest(int64(dst), n, epoch, 0); i >= 0 {
+				t.SetInvalidation(i, epoch)
+				dead = t.EntryDeadBytes(i)
+				t.AddDeadBytes(dead)
+				g.statsEdges(label, -1)
+			}
+		}
+		if op == opDeleteEdge {
+			t.Publish(n, pl, epoch)
+			return dead
+		}
+	}
+	if !t.Fits(n, pl, len(props)) {
+		r := t.Upgrade(g.alloc, n, pl, len(props))
+		g.setTELLocked(src, label, r)
+		// A concurrent snapshot may be mid-scan over the old block:
+		// recycle it only once every reader pinned below the current
+		// write epoch has exited (same discipline as Tx.upgrade). During
+		// recovery there are no readers, and the Reclaim after each WAL
+		// record or checkpoint record frees it at once.
+		g.alloc.DeferFree(t.Ref(), g.epochs.WriteEpoch())
+		g.forgetBlock(t)
+		t = tel.At(g.alloc, r)
+	}
+	pl = t.Append(n, int64(dst), epoch, props, pl)
+	t.Publish(n+1, pl, epoch)
+	g.statsPublish(label, n, n+1)
+	g.statsEdges(label, 1)
+	g.revAdd(dst, label, src)
+	return dead
+}
+
+// applied does the bookkeeping of a committed write to v's records, on
+// every apply site: the committer's apply phase and applyOp. dead is the
+// garbage the write left behind. It moves the vertex frontier past v —
+// every vertex that owns records does (a vertex-op target or an edge
+// source); a destination owns none and never moves it — so a checkpoint's
+// nextVertexID covers v. Then it queues v for maintenance and journals it
+// for the next delta checkpoint. Callers hold commit.mu, applyMu, or run
+// single-threaded recovery: Checkpoint drains the journal under the first
+// two.
+func (g *Graph) applied(v VertexID, dead int64) {
+	g.bumpNextVertex(int64(v))
+	g.markDirty(v, dead)
+	g.markCkptDirty(v)
 }
 
 // bumpNextVertex raises the vertex-ID frontier to cover id. CAS because

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"livegraph/internal/obs"
+	"livegraph/internal/tel"
 	"livegraph/internal/wal"
 )
 
@@ -49,11 +50,11 @@ func ckptStage(stage string) error {
 // the checkpoint-scoped dirty journal covers only a small fraction of the
 // graph, the checkpoint is incremental: only the changed vertices are
 // streamed into a delta file chained from the base (see ckpt_delta.go);
-// otherwise — first checkpoint, chain at MaxChain, dirty fraction at the
-// rebase threshold, or Ckpt.DisableDelta — a fresh full snapshot rebases
-// the chain. The dump runs concurrently with foreground transactions (it
-// holds only a snapshot); only the WAL rotation and journal drain are a
-// brief quiescent point.
+// otherwise — first checkpoint, chain at MaxChain, or dirty fraction at
+// the rebase threshold — a fresh full snapshot rebases the chain. The
+// dump runs concurrently with foreground transactions (it holds only a
+// snapshot); only the WAL rotation and journal drain are a brief
+// quiescent point.
 func (g *Graph) Checkpoint() error {
 	if g.opts.Dir == "" {
 		return fmt.Errorf("livegraph: checkpoint requires a durable graph (Options.Dir)")
@@ -241,12 +242,10 @@ func (g *Graph) Checkpoint() error {
 }
 
 // ckptWantsFull is the full-vs-delta rule: a fresh full snapshot when
-// there is no base to chain from, deltas are disabled, the chain is at
-// MaxChain, or dirty of vertices reaches the rebase fraction. Caller
-// holds ckptMu.
+// there is no base to chain from, the chain is at MaxChain, or dirty of
+// vertices reaches the rebase fraction. Caller holds ckptMu.
 func (g *Graph) ckptWantsFull(dirty, vertices int64) bool {
-	return g.ckptBase == 0 || g.opts.Ckpt.DisableDelta ||
-		len(g.ckptDeltas) >= g.opts.Ckpt.MaxChain ||
+	return g.ckptBase == 0 || len(g.ckptDeltas) >= g.opts.Ckpt.MaxChain ||
 		float64(dirty) >= g.opts.Ckpt.RebaseFraction*float64(vertices)
 }
 
@@ -481,8 +480,12 @@ func (g *Graph) loadCkptFile(path string, magic []byte, chain ...int64) error {
 // loadCkptRecords rebuilds graph state from one record body, stamping
 // every version with epoch; damage is left in r.err. Each record fully
 // replaces its vertex (see ckpt_delta.go; a base snapshot's records find
-// nothing to drop). Single-threaded — recovery has no readers yet, so
-// each TEL owns its block outright and a direct free is safe. nv is the
+// nothing to drop): the lists it drops leave the degree statistics, and
+// its edges go in through applyEdge, which counts them. Single-threaded —
+// recovery has no readers or writers yet, so no vertex lock is taken, a
+// dropped list's block is freed at once, and so is every block applyEdge
+// outgrew, by the Reclaim after each record. The load calls no applied: the frontier comes from the header,
+// and the state it loads is already checkpointed. nv is the
 // header's nextVertexID: the writer emits IDs ascending and below it. The
 // bound is there to cap index growth — chunkedIndex.Set allocates every
 // 32 KiB chunk up to v>>12 — at what a graph of nv IDs costs anyway. nv
@@ -508,7 +511,9 @@ func (g *Graph) loadCkptRecords(r *ckptReader, nv, epoch int64) {
 		}
 		if ll := g.eindex.Get(v); ll != nil {
 			for i := range ll.entries {
-				g.alloc.Free(ll.ref(i))
+				t := tel.At(g.alloc, ll.ref(i))
+				g.statsDrop(t)
+				g.alloc.Free(t.Ref())
 			}
 			g.eindex.Set(v, nil)
 		}
@@ -519,15 +524,15 @@ func (g *Graph) loadCkptRecords(r *ckptReader, nv, epoch int64) {
 		g.vindex.Set(v, ver)
 		for nl := r.count("label count"); nl > 0 && r.err == nil; nl-- {
 			label := r.varint()
-			for ne := r.count("edge count"); ne > 0; ne-- {
+			for ne := r.count("edge count"); ne > 0 && r.err == nil; ne-- {
 				dst := r.varint()
 				props := r.bytes("property length")
-				if r.err != nil {
-					return
+				if r.err == nil {
+					g.applyEdge(opInsertEdge, VertexID(v), Label(label), VertexID(dst), props, epoch)
 				}
-				g.replayEdge(opInsertEdge, VertexID(v), Label(label), VertexID(dst), props, epoch, false)
 			}
 		}
+		g.alloc.Reclaim(epoch)
 	}
 }
 

@@ -259,7 +259,7 @@ func TestSparseCheckpointLoads(t *testing.T) {
 // must reopen with everything acknowledged.
 func TestFullCheckpointUnderVertexAllocation(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Dir: dir, Workers: 4, CompactEvery: -1, Ckpt: CkptOptions{DisableDelta: true}}
+	opts := Options{Dir: dir, Workers: 4, CompactEvery: -1, Ckpt: fullCkptOpts}
 	g, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)

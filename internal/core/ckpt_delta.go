@@ -42,10 +42,6 @@ type CkptOptions struct {
 	// a rebase is forced; recovery replays the whole chain, so this bounds
 	// recovery time. Defaults to 8.
 	MaxChain int
-
-	// DisableDelta forces every checkpoint to be a full snapshot (the
-	// pre-incremental behaviour).
-	DisableDelta bool
 }
 
 func (o *CkptOptions) fill() {
@@ -91,14 +87,8 @@ func (g *Graph) writeDelta(path string, baseEpoch, prevEpoch, epoch, nv int64, s
 		ids[i] = d.ID
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	// A transaction may write edges from a source ID it never allocated,
-	// which the frontier nv does not cover. The header's does, so the
-	// loader's bound (every record ID below nextVertexID) holds and
-	// recovery raises the frontier past the vertex, as WAL replay of the
-	// same operation would.
-	if n := len(ids); n > 0 && ids[n-1] >= nv {
-		nv = ids[n-1] + 1
-	}
+	// Every ID is below nv, the loader's bound: applied moves the frontier
+	// past a vertex before it journals it.
 	return g.writeCkptFile(path, deltaMagic, []int64{baseEpoch, prevEpoch, epoch, nv}, "delta-tmp", snap, ids)
 }
 

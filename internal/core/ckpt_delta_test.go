@@ -11,6 +11,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -22,6 +23,10 @@ import (
 // deltaCkptOpts forces the incremental path: rebase only when literally
 // every vertex is dirty or the (long) chain fills.
 var deltaCkptOpts = CkptOptions{RebaseFraction: 1, MaxChain: 64}
+
+// fullCkptOpts makes every checkpoint full: one dirty vertex reaches the
+// rebase fraction of any graph.
+var fullCkptOpts = CkptOptions{RebaseFraction: math.SmallestNonzeroFloat64}
 
 func openCkptGraph(t *testing.T, dir string, b disk.Backend, ck CkptOptions) *Graph {
 	t.Helper()
@@ -264,7 +269,7 @@ func TestDeltaRecoveryEquivalence(t *testing.T) {
 			dirs := map[string]string{"delta": t.TempDir(), "full": t.TempDir()}
 			opts := map[string]CkptOptions{
 				"delta": deltaCkptOpts,
-				"full":  {DisableDelta: true},
+				"full":  fullCkptOpts,
 			}
 			for _, mode := range []string{"delta", "full"} {
 				g := openCkptGraph(t, dirs[mode], mk(), opts[mode])

@@ -178,8 +178,7 @@ func (c *committer) apply(tx *Tx, twe int64) {
 		if prev != nil {
 			dead = entryDeadBytes + int64(len(prev.data))
 		}
-		g.markDirty(v, dead)
-		g.markCkptDirty(v)
+		g.applied(v, dead)
 	}
 	// Flip private timestamps to TWE. The paper releases locks before this
 	// conversion; we flip first and release after, because compaction may
@@ -189,8 +188,9 @@ func (c *committer) apply(tx *Tx, twe int64) {
 	//
 	// Invalidation flips are also where an entry definitively becomes
 	// garbage, so the exact dead bytes (entry words + property payload)
-	// are accumulated here — into the TEL's own counter and the
-	// maintenance dirty set — replacing the write-path size guesses.
+	// are accumulated here — into the TEL's own counter and, through
+	// applied, the maintenance dirty set — replacing the write-path size
+	// guesses.
 	for _, w := range tx.telWrites {
 		for _, i := range w.appended {
 			w.cur.SetCreation(i, twe)
@@ -204,15 +204,7 @@ func (c *committer) apply(tx *Tx, twe int64) {
 			w.cur.AddDeadBytes(dead)
 		}
 		if w.dirty() {
-			src := VertexID(w.cur.Src())
-			// As replay and a follower do, so a checkpoint's nextVertexID
-			// covers a source that was never added and its records are
-			// written. Destinations are not bumped here: they own no
-			// records, and NumVertices sizes the checkpoint's full-or-delta
-			// choice.
-			g.bumpNextVertex(int64(src))
-			g.dirty.Mark(int64(src), dead)
-			g.markCkptDirty(src)
+			g.applied(VertexID(w.cur.Src()), dead)
 		}
 	}
 	tx.unlockAll()

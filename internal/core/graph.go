@@ -72,7 +72,7 @@ type Options struct {
 
 	// Ckpt tunes the incremental checkpointer (delta snapshots riding
 	// the checkpoint-scoped dirty journal). The zero value selects the
-	// defaults; Ckpt.DisableDelta forces every checkpoint full.
+	// defaults.
 	Ckpt CkptOptions
 
 	// HistoryRetention keeps invalidated versions readable for this many
@@ -224,11 +224,13 @@ type Graph struct {
 
 	// ckptDirty is the checkpoint-scoped dirty journal: the set of
 	// vertices changed since the last completed checkpoint, fed at APPLY
-	// time only (committer.apply under commit.mu, applyOpLive under
-	// applyMu, replayOp during single-threaded recovery) and drained by
-	// Checkpoint while holding both mutexes — so a drain can never
-	// consume a mark for a change the checkpoint's snapshot does not yet
-	// see. A volatile graph cannot checkpoint, so it has no journal (nil).
+	// time only, by applied (from committer.apply under commit.mu, and
+	// from applyOp under applyMu or in single-threaded recovery) and
+	// drained by Checkpoint while holding both mutexes — so a drain can
+	// never consume a mark for a change the checkpoint's snapshot does
+	// not yet see. Checkpoint load marks nothing: what it loads is
+	// already checkpointed. A volatile graph cannot checkpoint, so it
+	// has no journal (nil).
 	// ckptBase/ckptDeltas (under ckptMu) mirror the durable CHECKPOINT
 	// meta: the base snapshot's epoch and the ordered delta-chain epochs
 	// hanging from it.
@@ -323,8 +325,11 @@ func (g *Graph) Close() error {
 	return nil
 }
 
-// NumVertices returns the number of vertex IDs ever allocated (including
-// deleted ones).
+// NumVertices returns the vertex-ID frontier: one past the highest ID
+// that owns records — allocated by AddVertex, or written by a vertex op or
+// as an edge's source — deleted ones included. An edge's destination does
+// not count: it owns no records, so an edge may name an ID at or past the
+// frontier.
 func (g *Graph) NumVertices() int64 { return g.nextVertex.Load() }
 
 // ReadEpoch returns the current global read epoch (GRE). On a follower
@@ -434,8 +439,8 @@ func (g *Graph) markDirty(v VertexID, dead int64) {
 }
 
 // markCkptDirty records v into the checkpoint-scoped dirty journal. Must
-// be called only from apply-side code (the committer's apply under
-// commit.mu, ApplyEpoch under applyMu, or single-threaded recovery):
+// be called only through applied (the committer's apply under commit.mu,
+// applyOp under applyMu or in single-threaded recovery):
 // Checkpoint drains the journal while holding both mutexes, and a mark
 // from the work phase could be drained before its transaction commits —
 // the change would then be missing from every delta until the next

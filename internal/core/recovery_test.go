@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"livegraph/internal/disk"
 	"livegraph/internal/wal"
@@ -471,4 +472,124 @@ func TestRecoveredFreesAreReusable(t *testing.T) {
 	if w := recycled(); w != 0 {
 		t.Fatalf("%d recycled words no Alloc hands out", w)
 	}
+}
+
+// TestRecoveryFrontierMatchesPrimary: the vertex frontier has one rule on
+// every apply path — a vertex-op target or an edge source moves it, a
+// destination never does — so a recovered graph and a follower agree with
+// the primary on NumVertices, and a checkpoint covers every vertex that
+// owns records.
+func TestRecoveryFrontierMatchesPrimary(t *testing.T) {
+	t.Run("put-vertex-survives-full-checkpoint", func(t *testing.T) {
+		dir := t.TempDir()
+		g := openDurable(t, dir)
+		mustCommit(t, g, func(tx *Tx) {
+			if err := tx.PutVertex(5, []byte("five")); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if err := g.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		g.Close()
+		g2 := openDurable(t, dir)
+		defer g2.Close()
+		r, _ := g2.BeginRead()
+		defer r.Commit()
+		if data, err := r.GetVertex(5); err != nil || string(data) != "five" {
+			t.Fatalf("vertex 5 after a full checkpoint and reopen = %q, %v", data, err)
+		}
+	})
+
+	t.Run("edge-destination", func(t *testing.T) {
+		commits := []func(tx *Tx){
+			func(tx *Tx) {
+				for i := 0; i < 4; i++ {
+					tx.AddVertex(nil)
+				}
+			},
+			func(tx *Tx) { tx.InsertEdge(0, 0, 1000, nil) },
+			func(tx *Tx) { tx.InsertEdge(1, 0, 1001, nil) }, // the WAL tail
+		}
+		variants := []struct {
+			name      string
+			ckptAfter map[int]bool // checkpoint after these commits
+			deltas    int64
+		}{
+			{"wal", nil, 0},
+			{"full+wal", map[int]bool{1: true}, 0},
+			{"base+delta+wal", map[int]bool{0: true, 1: true}, 1},
+		}
+		const want = 4 // AddVertex ×4; sources 0 and 1 are below it already
+		for _, vt := range variants {
+			dir := t.TempDir()
+			g := openCkptGraph(t, dir, disk.NewReal(), deltaCkptOpts)
+			for i, c := range commits {
+				mustCommit(t, g, c)
+				if vt.ckptAfter[i] {
+					if err := g.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if got := g.NumVertices(); got != want {
+				t.Errorf("%s: primary NumVertices = %d, want %d", vt.name, got, want)
+			}
+			if got := g.CkptStats().Deltas.Load(); got != vt.deltas {
+				t.Fatalf("%s: %d delta checkpoints, want %d", vt.name, got, vt.deltas)
+			}
+			if vt.ckptAfter == nil {
+				f := openFollower(t, Options{})
+				tl := wal.Tail(dir, 0, g.DurableEpoch)
+				catchUp(t, tl, f)
+				tl.Close()
+				if got := f.NumVertices(); got != want {
+					t.Errorf("follower NumVertices = %d, want %d", got, want)
+				}
+			}
+			g.Close()
+			g2 := openCkptGraph(t, dir, disk.NewReal(), deltaCkptOpts)
+			got := g2.NumVertices()
+			g2.Close()
+			if got != want {
+				t.Errorf("%s: NumVertices after reopen = %d, want %d", vt.name, got, want)
+			}
+		}
+	})
+
+	t.Run("far-destination-reopens", func(t *testing.T) {
+		dir := t.TempDir()
+		g := openDurable(t, dir)
+		mustCommit(t, g, func(tx *Tx) {
+			if err := tx.InsertEdge(0, 0, 1<<40, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		g.Close()
+		opened := make(chan *Graph, 1)
+		go func() {
+			g2, err := Open(Options{Dir: dir})
+			if err != nil {
+				t.Error(err)
+			}
+			opened <- g2
+		}()
+		select {
+		case g2 := <-opened:
+			if g2 == nil {
+				return
+			}
+			defer g2.Close()
+			if got := g2.NumVertices(); got != 1 {
+				t.Fatalf("NumVertices after reopen = %d, want 1", got)
+			}
+			r, _ := g2.BeginRead()
+			defer r.Commit()
+			if d := r.Degree(0, 0); d != 1 {
+				t.Fatalf("degree of 0 after reopen = %d, want 1", d)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("reopening a graph with an edge to 1<<40 took over 5 s")
+		}
+	})
 }

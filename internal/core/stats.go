@@ -10,12 +10,13 @@ package core
 //   - a log2-bucketed histogram of per-list entry counts, from which an
 //     approximate p90 degree falls out.
 //
-// All counters are monotonic atomics updated from apply-side code only
-// (committer.apply under commit.mu, ApplyEpoch under applyMu, compaction
-// under the vertex lock), so maintenance is a handful of atomic adds per
-// commit group. After recovery the whole table is rebuilt in one pass over
-// the final TEL state (checkpoint-loaded blocks bypass the incremental
-// hooks), see rebuildLabelStats. LabelStats.Targets is not one of these
+// All counters are atomics updated from apply-side code only
+// (committer.apply under commit.mu; applyEdge, which ApplyEpoch, WAL
+// replay and checkpoint load all insert through; compaction under the
+// vertex lock), so maintenance is a handful of atomic adds per commit
+// group. Recovery keeps them the same way: a checkpoint record un-counts
+// the lists it drops (statsDrop) and counts the edges it loads, and replay
+// counts every op it applies. LabelStats.Targets is not one of these
 // counters: it is read off the label's reverse index, once one is built.
 //
 // The statistics are advisory: they describe the graph *now*, not at any
@@ -26,6 +27,9 @@ package core
 import (
 	"math/bits"
 	"sync/atomic"
+
+	"livegraph/internal/mvcc"
+	"livegraph/internal/tel"
 )
 
 // statsBuckets bounds the degree histogram: bucket b holds lists whose
@@ -88,9 +92,9 @@ func histBucket(n int) int {
 }
 
 // statsPublish records a TEL's committed entry count moving oldN -> newN
-// (apply-time Publish, compaction rewrite, recovery rebuild). It keeps the
-// entries counter, the lists counter (0 -> >0 transitions and back) and
-// the histogram bucket occupancy in sync.
+// (apply-time Publish, compaction rewrite, checkpoint-load drop). It
+// keeps the entries counter, the lists counter (0 -> >0 transitions and
+// back) and the histogram bucket occupancy in sync.
 func (g *Graph) statsPublish(label Label, oldN, newN int) {
 	if oldN == newN {
 		return
@@ -111,6 +115,22 @@ func (g *Graph) statsPublish(label Label, oldN, newN int) {
 	} else {
 		st.hist[nb].Add(1)
 	}
+}
+
+// statsDrop un-counts a whole list leaving the graph (a checkpoint record
+// replacing its vertex): its committed entries, and its live ones from
+// the visible edges.
+func (g *Graph) statsDrop(t tel.TEL) {
+	n := t.Len()
+	label := Label(t.Label())
+	g.statsPublish(label, n, 0)
+	live := int64(0)
+	for i := 0; i < n; i++ {
+		if t.Invalidation(i) == mvcc.NullTS {
+			live++
+		}
+	}
+	g.statsEdges(label, -live)
 }
 
 // statsEdges records a visible-edge delta for label (+1 per committed

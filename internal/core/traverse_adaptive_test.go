@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"sort"
 	"testing"
+
+	"livegraph/internal/disk"
+	"livegraph/internal/wal"
 )
 
 // buildFanIn builds the adversarial-for-top-down shape: a seed vertex with
@@ -461,67 +464,138 @@ func TestDegreeStats(t *testing.T) {
 	}
 }
 
-// TestDegreeStatsRecovery: reopening a durable graph rebuilds the degree
-// statistics and the reverse hint index from the recovered TELs, so
-// adaptive planning and bottom-up expansion survive a restart.
+// TestDegreeStatsRecovery: a recovered graph and a follower keep the
+// primary's degree statistics, every field but Targets (which reads the
+// reverse index, built by no write) — whether recovery replays the WAL
+// alone or loads a base snapshot, a delta that replaces a vertex with
+// upserts and deletes behind it, and the WAL tail — and the reverse hint
+// index built over the recovered TELs serves bottom-up expansion.
 func TestDegreeStatsRecovery(t *testing.T) {
-	dir := t.TempDir()
-	g, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustCommit(t, g, func(tx *Tx) {
-		for i := 0; i < 6; i++ {
-			tx.AddVertex(nil)
+	statsOf := func(g *Graph) [2]LabelStats {
+		var out [2]LabelStats
+		for i, l := range []Label{0, 7} {
+			out[i] = g.LabelDegreeStats(l)
+			out[i].Targets = 0
 		}
-		tx.InsertEdge(0, 0, 1, nil)
-		tx.InsertEdge(0, 0, 2, nil)
-		tx.InsertEdge(1, 0, 3, nil)
-		tx.InsertEdge(2, 0, 3, nil)
-		tx.InsertEdge(4, 7, 5, nil)
-	})
-	mustCommit(t, g, func(tx *Tx) {
-		if err := tx.DeleteEdge(0, 0, 2); err != nil {
+		return out
+	}
+	same := func(t *testing.T, what string, got, want [2]LabelStats) {
+		t.Helper()
+		if got != want {
+			t.Fatalf("%s stats %+v, want the primary's %+v", what, got, want)
+		}
+	}
+
+	t.Run("wal", func(t *testing.T) {
+		dir := t.TempDir()
+		opts := Options{Dir: dir, CompactEvery: -1}
+		g, err := Open(opts)
+		if err != nil {
 			t.Fatal(err)
 		}
+		mustCommit(t, g, func(tx *Tx) {
+			for i := 0; i < 6; i++ {
+				tx.AddVertex(nil)
+			}
+			tx.InsertEdge(0, 0, 1, nil)
+			tx.InsertEdge(0, 0, 2, nil)
+			tx.InsertEdge(1, 0, 3, nil)
+			tx.InsertEdge(2, 0, 3, nil)
+			tx.InsertEdge(4, 7, 5, nil)
+		})
+		mustCommit(t, g, func(tx *Tx) {
+			if err := tx.DeleteEdge(0, 0, 2); err != nil {
+				t.Fatal(err)
+			}
+		})
+		want := statsOf(g)
+		if err := g.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		g2, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer g2.Close()
+		same(t, "recovered", statsOf(g2), want)
+
+		// The reverse index built on the recovered TELs must support
+		// bottom-up end to end.
+		ctx := context.Background()
+		snap, err := g2.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer snap.Release()
+		bu, err := Traverse(0).Out(0).Out(0).Dedup().Direction(DirectionBottomUp).Run(ctx, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		td, err := Traverse(0).Out(0).Out(0).Dedup().Direction(DirectionTopDown).Run(ctx, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameSet(t, "recovered bottomup", bu, td)
+		if len(td) != 1 || td[0] != 3 {
+			t.Fatalf("recovered two-hop = %v, want [3]", td)
+		}
 	})
-	want := g.LabelDegreeStats(0)
-	if err := g.Close(); err != nil {
-		t.Fatal(err)
-	}
 
-	g2, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g2.Close()
-	got := g2.LabelDegreeStats(0)
-	if got.Lists != want.Lists || got.Edges != want.Edges {
-		t.Fatalf("recovered stats %+v, want %+v", got, want)
-	}
-	if got7 := g2.LabelDegreeStats(7); got7.Edges != 1 || got7.Lists != 1 {
-		t.Fatalf("recovered label-7 stats %+v", got7)
-	}
-
-	// The rebuilt reverse index must support bottom-up end to end.
-	ctx := context.Background()
-	snap, err := g2.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer snap.Release()
-	bu, err := Traverse(0).Out(0).Out(0).Dedup().Direction(DirectionBottomUp).Run(ctx, snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	td, err := Traverse(0).Out(0).Out(0).Dedup().Direction(DirectionTopDown).Run(ctx, snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameSet(t, "recovered bottomup", bu, td)
-	if len(td) != 1 || td[0] != 3 {
-		t.Fatalf("recovered two-hop = %v, want [3]", td)
-	}
+	t.Run("base+delta+wal and follower", func(t *testing.T) {
+		dir := t.TempDir()
+		g := openCkptGraph(t, dir, disk.NewReal(), deltaCkptOpts)
+		f := openFollower(t, Options{CompactEvery: -1})
+		tl := wal.Tail(dir, 0, g.DurableEpoch)
+		defer tl.Close()
+		mustCommit(t, g, func(tx *Tx) {
+			for i := 0; i < 8; i++ {
+				tx.AddVertex(nil)
+			}
+			tx.InsertEdge(0, 0, 1, nil)
+			tx.InsertEdge(0, 0, 2, nil)
+			tx.InsertEdge(0, 0, 3, nil)
+			tx.InsertEdge(1, 0, 3, nil)
+			tx.InsertEdge(4, 7, 5, nil)
+		})
+		catchUp(t, tl, f)
+		if err := g.Checkpoint(); err != nil { // the base
+			t.Fatal(err)
+		}
+		// Vertex 0 gets upserts and a delete, then both sides compact it:
+		// its delta record holds only the live edges, and its entries
+		// count on the primary must be what the delta loads.
+		mustCommit(t, g, func(tx *Tx) {
+			tx.AddEdge(0, 0, 1, []byte("a"))
+			tx.DeleteEdge(0, 0, 2)
+			tx.InsertEdge(0, 0, 4, nil)
+		})
+		mustCommit(t, g, func(tx *Tx) { tx.AddEdge(0, 0, 1, []byte("b")) })
+		catchUp(t, tl, f)
+		g.CompactNow()
+		f.CompactNow()
+		if err := g.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if n := g.CkptStats().Deltas.Load(); n != 1 {
+			t.Fatalf("%d delta checkpoints, want 1", n)
+		}
+		// The WAL tail, replayed on top of the chain.
+		mustCommit(t, g, func(tx *Tx) {
+			tx.AddEdge(1, 0, 3, []byte("c"))
+			tx.DeleteEdge(0, 0, 3)
+			tx.InsertEdge(2, 7, 6, nil)
+		})
+		catchUp(t, tl, f)
+		want := statsOf(g)
+		same(t, "follower", statsOf(f), want)
+		if err := g.Close(); err != nil {
+			t.Fatal(err)
+		}
+		g2 := openCkptGraph(t, dir, disk.NewReal(), deltaCkptOpts)
+		defer g2.Close()
+		same(t, "base+delta+wal", statsOf(g2), want)
+	})
 }
 
 // TestTraversalNoExplainAllocs pins the hot path: a prebuilt sequential
