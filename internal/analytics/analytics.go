@@ -15,7 +15,6 @@ package analytics
 
 import (
 	"context"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -136,16 +135,23 @@ func (v SnapshotView) HasEdge(src, dst int64) bool {
 // range count should stay well above the worker count for balance.
 const vertexMorsel = 2048
 
-// run hands [0,n) to morsel.Run in morsels of the given size on the given
-// number of workers (GOMAXPROCS if <= 0). The kernels take no context and
-// their bodies never fail, so neither does run.
-func run(n, size, workers int, body func(m, lo, hi int)) {
+// workerCount resolves a kernel's workers argument: GOMAXPROCS if <= 0.
+func workerCount(workers int) int {
 	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+		return runtime.GOMAXPROCS(0)
 	}
+	return workers
+}
+
+// run hands [0,n) to morsel.Run in morsels of the given size on the given
+// number of workers (GOMAXPROCS if <= 0). body gets the worker index w, in
+// [0, workers), so a kernel can keep per-worker state without starting
+// goroutines of its own. The kernels take no context and their bodies
+// never fail, so neither does run.
+func run(n, size, workers int, body func(w, m, lo, hi int)) {
 	//lglint:ignore ctxprop the kernels' public signatures carry no context; nothing blocks on this one
-	_ = morsel.Run(context.Background(), n, size, workers, func(_, m, lo, hi int) error {
-		body(m, lo, hi)
+	_ = morsel.Run(context.Background(), n, size, workerCount(workers), func(w, m, lo, hi int) error {
+		body(w, m, lo, hi)
 		return nil
 	})
 }
@@ -153,19 +159,9 @@ func run(n, size, workers int, body func(m, lo, hi int)) {
 // parallelFor runs body over vertexMorsel-sized ranges of [0,n), claimed
 // dynamically, so a range of hub vertices stalls one worker instead of
 // setting the pass's critical path the way a static 1/workers split does.
-func parallelFor(n int64, workers int, body func(lo, hi int64)) {
-	run(int(n), vertexMorsel, workers, func(_, lo, hi int) { body(int64(lo), int64(hi)) })
-}
-
-// atomicAddFloat64 adds delta to *addr with a CAS loop.
-func atomicAddFloat64(addr *uint64, delta float64) {
-	for {
-		old := atomic.LoadUint64(addr)
-		new := math.Float64bits(math.Float64frombits(old) + delta)
-		if atomic.CompareAndSwapUint64(addr, old, new) {
-			return
-		}
-	}
+// body gets the index of the worker running it.
+func parallelFor(n int64, workers int, body func(w int, lo, hi int64)) {
+	run(int(n), vertexMorsel, workers, func(w, _, lo, hi int) { body(w, int64(lo), int64(hi)) })
 }
 
 // PageRank runs the classic damped power iteration (d = 0.85) for iters
@@ -174,48 +170,70 @@ func atomicAddFloat64(addr *uint64, delta float64) {
 // a destination at or past NumVertices (it owns no records, so it does not
 // move the frontier); the share pushed along it joins the dangling mass,
 // so the ranks still sum to 1.
+//
+// Each worker pushes into its own accumulator array with plain adds, and
+// the rank update sums the arrays, so no edge pays an atomic. The cost is
+// workers × NumVertices × 8 B held for the call (with one worker, one
+// array the size of the rank vector).
 func PageRank(v View, iters, workers int) []float64 {
 	n := v.NumVertices()
 	if n == 0 {
 		return nil
 	}
 	const d = 0.85
+	workers = workerCount(workers)
 	rank := make([]float64, n)
-	next := make([]uint64, n) // float64 bits, accumulated atomically
+	acc := make([][]float64, workers) // acc[w][u]: what worker w pushed to u
+	for w := range acc {
+		acc[w] = make([]float64, n)
+	}
+	dangling := make([]float64, workers)
 	inv := 1.0 / float64(n)
 	for i := range rank {
 		rank[i] = inv
 	}
 	for it := 0; it < iters; it++ {
-		for i := range next {
-			next[i] = 0
-		}
-		var danglingBits uint64
-		parallelFor(n, workers, func(lo, hi int64) {
-			localDangling := 0.0
+		clear(dangling)
+		parallelFor(n, workers, func(w int, lo, hi int64) {
+			next := acc[w]
+			// One callback per morsel, not per vertex: a func passed
+			// through View escapes, so each one built is a heap
+			// allocation.
+			var share, lost float64 // lost: mass with nowhere to go in range
+			push := func(dst int64) bool {
+				if dst >= n {
+					lost += share
+				} else {
+					next[dst] += share
+				}
+				return true
+			}
 			for u := lo; u < hi; u++ {
 				deg := v.OutDegree(u)
 				if deg == 0 {
-					localDangling += rank[u]
+					lost += rank[u]
 					continue
 				}
-				share := rank[u] / float64(deg)
-				v.ScanOut(u, func(dst int64) bool {
-					if dst >= n {
-						localDangling += share
-					} else {
-						atomicAddFloat64(&next[dst], share)
-					}
-					return true
-				})
+				share = rank[u] / float64(deg)
+				v.ScanOut(u, push)
 			}
-			atomicAddFloat64(&danglingBits, localDangling)
+			dangling[w] += lost
 		})
-		dangling := math.Float64frombits(atomic.LoadUint64(&danglingBits))
-		base := (1-d)*inv + d*dangling*inv
-		parallelFor(n, workers, func(lo, hi int64) {
+		var mass float64
+		for _, x := range dangling {
+			mass += x
+		}
+		base := (1-d)*inv + d*mass*inv
+		// Sum the workers' pushes into the new rank, zeroing them for the
+		// next iteration in the same pass.
+		parallelFor(n, workers, func(_ int, lo, hi int64) {
 			for u := lo; u < hi; u++ {
-				rank[u] = base + d*math.Float64frombits(next[u])
+				var in float64
+				for _, next := range acc {
+					in += next[u]
+					next[u] = 0
+				}
+				rank[u] = base + d*in
 			}
 		})
 	}
@@ -247,26 +265,28 @@ func ConnComp(v View, workers int) []int64 {
 	}
 	for {
 		var changed atomic.Bool
-		parallelFor(n, workers, func(lo, hi int64) {
-			for u := lo; u < hi; u++ {
-				lu := atomic.LoadInt64(&labels[u])
-				v.ScanOut(u, func(dst int64) bool {
-					if dst >= n {
-						return true
-					}
-					ld := atomic.LoadInt64(&labels[dst])
-					if ld < lu {
-						if relaxMin(u, ld) {
-							changed.Store(true)
-							lu = ld
-						}
-					} else if lu < ld {
-						if relaxMin(dst, lu) {
-							changed.Store(true)
-						}
-					}
+		parallelFor(n, workers, func(_ int, lo, hi int64) {
+			var u, lu int64 // the vertex relax runs for (one callback per morsel)
+			relax := func(dst int64) bool {
+				if dst >= n {
 					return true
-				})
+				}
+				ld := atomic.LoadInt64(&labels[dst])
+				if ld < lu {
+					if relaxMin(u, ld) {
+						changed.Store(true)
+						lu = ld
+					}
+				} else if lu < ld {
+					if relaxMin(dst, lu) {
+						changed.Store(true)
+					}
+				}
+				return true
+			}
+			for u = lo; u < hi; u++ {
+				lu = atomic.LoadInt64(&labels[u])
+				v.ScanOut(u, relax)
 			}
 		})
 		if !changed.Load() {
@@ -307,9 +327,7 @@ func BFSDir(v View, src int64, workers int, dir core.Direction) []int64 {
 	if src < 0 || src >= n {
 		return dist
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers = workerCount(workers)
 	iv, hasIn := v.(InView)
 	if dir == core.DirectionTopDown {
 		hasIn = false
@@ -351,16 +369,17 @@ func bfsTopDownLevel(v View, dist []int64, visited *sparsebit.Set, frontier []in
 	morsels, _ := morsel.Split(len(frontier), morsel.DefaultSize, workers)
 	outs := make([][]int64, morsels)
 	n := int64(len(dist))
-	run(len(frontier), morsel.DefaultSize, workers, func(m, lo, hi int) {
+	run(len(frontier), morsel.DefaultSize, workers, func(_, m, lo, hi int) {
 		var buf []int64
+		visit := func(dst int64) bool { // one callback per morsel
+			if dst < n && !visited.TestAndSet(dst) {
+				dist[dst] = level
+				buf = append(buf, dst)
+			}
+			return true
+		}
 		for _, u := range frontier[lo:hi] {
-			v.ScanOut(u, func(dst int64) bool {
-				if dst < n && !visited.TestAndSet(dst) {
-					dist[dst] = level
-					buf = append(buf, dst)
-				}
-				return true
-			})
+			v.ScanOut(u, visit)
 		}
 		outs[m] = buf
 	})
@@ -383,23 +402,26 @@ func bfsBottomUpLevel(v View, iv InView, dist []int64, visited *sparsebit.Set, f
 	}
 	var mu sync.Mutex
 	var next []int64
-	parallelFor(n, workers, func(lo, hi int64) {
+	parallelFor(n, workers, func(_ int, lo, hi int64) {
 		var buf []int64
-		for c := lo; c < hi; c++ {
+		var c int64 // the vertex probe runs for (one callback per morsel)
+		var found bool
+		probe := func(src int64) bool {
+			if !fbits.Peek(src) {
+				return true
+			}
+			if !iv.HasEdge(src, c) {
+				return true
+			}
+			found = true
+			return false
+		}
+		for c = lo; c < hi; c++ {
 			if dist[c] >= 0 {
 				continue
 			}
-			found := false
-			iv.ScanInCandidates(c, func(src int64) bool {
-				if !fbits.Peek(src) {
-					return true
-				}
-				if !iv.HasEdge(src, c) {
-					return true
-				}
-				found = true
-				return false
-			})
+			found = false
+			iv.ScanInCandidates(c, probe)
 			if found {
 				dist[c] = level
 				visited.TestAndSet(c)
@@ -421,7 +443,7 @@ func bfsBottomUpLevel(v View, iv InView, dist []int64, visited *sparsebit.Set, f
 func Degrees(v View, workers int) []int64 {
 	n := v.NumVertices()
 	out := make([]int64, n)
-	parallelFor(n, workers, func(lo, hi int64) {
+	parallelFor(n, workers, func(_ int, lo, hi int64) {
 		for u := lo; u < hi; u++ {
 			out[u] = int64(v.OutDegree(u))
 		}
@@ -437,9 +459,6 @@ func NumComponents(labels []int64, exists func(v int64) bool) int {
 	for v, l := range labels {
 		if exists != nil && !exists(int64(v)) {
 			continue
-		}
-		for int64(v) != l { // follow to the representative (already minimal)
-			break
 		}
 		seen[l] = struct{}{}
 	}

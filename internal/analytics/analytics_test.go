@@ -20,6 +20,27 @@ var testEdges = []csr.Edge{
 
 func testGraph() *csr.Graph { return csr.Build(8, testEdges) }
 
+// wideGraph is a random graph spanning several vertex morsels, so a
+// whole-graph pass really runs on more than one worker. Every fourth
+// vertex has no out-edges (dangling mass).
+func wideGraph() *csr.Graph {
+	const n = 3*vertexMorsel + 17
+	rng := newRand(36)
+	var edges []csr.Edge
+	for u := int64(0); u < n; u++ {
+		if u%4 == 3 {
+			continue
+		}
+		for k := rng.Intn(6); k >= 0; k-- {
+			edges = append(edges, csr.Edge{Src: u, Dst: rng.Int63n(n)})
+		}
+	}
+	return csr.Build(n, edges)
+}
+
+// pageRankWorkers are the worker counts the PageRank tests run at.
+var pageRankWorkers = []int{1, 2, 4}
+
 // testViews returns testGraph as CSR, and as a live graph that also has an
 // edge 5 -> 1000: a destination owns no records, so the live graph's
 // NumVertices stays 8 and the kernels must skip that edge, not index by
@@ -53,8 +74,10 @@ func testViews(t *testing.T) map[string]View {
 }
 
 func TestPageRankSumsToOne(t *testing.T) {
-	for name, v := range testViews(t) {
-		for _, workers := range []int{1, 4} {
+	views := testViews(t)
+	views["csr, several morsels"] = CSRView{wideGraph()}
+	for name, v := range views {
+		for _, workers := range pageRankWorkers {
 			ranks := PageRank(v, 20, workers)
 			sum := 0.0
 			for _, r := range ranks {
@@ -69,29 +92,43 @@ func TestPageRankSumsToOne(t *testing.T) {
 
 func TestPageRankOrdering(t *testing.T) {
 	g := testGraph()
-	ranks := PageRank(CSRView{g}, 30, 2)
-	// Vertex 4 has two in-edges; it must outrank its in-neighbors 5 and 6
-	// (which have none).
-	if ranks[4] <= ranks[5] || ranks[4] <= ranks[6] {
-		t.Fatalf("rank[4]=%f not above sources %f %f", ranks[4], ranks[5], ranks[6])
-	}
-	// Chain accumulates: 3 (end, fed by 2) > 1e-9 more than isolated 7.
-	if ranks[3] <= ranks[7] {
-		t.Fatalf("rank[3]=%f <= rank[7]=%f", ranks[3], ranks[7])
+	for _, workers := range pageRankWorkers {
+		ranks := PageRank(CSRView{g}, 30, workers)
+		// Vertex 4 has two in-edges; it must outrank its in-neighbors 5
+		// and 6 (which have none).
+		if ranks[4] <= ranks[5] || ranks[4] <= ranks[6] {
+			t.Fatalf("workers=%d: rank[4]=%f not above sources %f %f", workers, ranks[4], ranks[5], ranks[6])
+		}
+		// Chain accumulates: 3 (end, fed by 2) > 1e-9 more than isolated 7.
+		if ranks[3] <= ranks[7] {
+			t.Fatalf("workers=%d: rank[3]=%f <= rank[7]=%f", workers, ranks[3], ranks[7])
+		}
 	}
 }
 
 func TestPageRankMatchesSequentialReference(t *testing.T) {
-	g := testGraph()
-	got := PageRank(CSRView{g}, 10, 4)
-	// Reference: simple sequential implementation.
+	for name, g := range map[string]*csr.Graph{"small": testGraph(), "several morsels": wideGraph()} {
+		want := referencePageRank(g, 10)
+		for _, workers := range pageRankWorkers {
+			got := PageRank(CSRView{g}, 10, workers)
+			for i := range want {
+				if math.Abs(want[i]-got[i]) > 1e-12 {
+					t.Fatalf("%s, workers=%d: vertex %d: parallel %g, reference %g", name, workers, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// referencePageRank is a plain sequential PageRank over a CSR graph.
+func referencePageRank(g *csr.Graph, iters int) []float64 {
 	n := int(g.NumVertices())
 	const d = 0.85
 	rank := make([]float64, n)
 	for i := range rank {
 		rank[i] = 1.0 / float64(n)
 	}
-	for it := 0; it < 10; it++ {
+	for it := 0; it < iters; it++ {
 		next := make([]float64, n)
 		dangling := 0.0
 		for u := 0; u < n; u++ {
@@ -108,11 +145,7 @@ func TestPageRankMatchesSequentialReference(t *testing.T) {
 			rank[u] = (1-d)/float64(n) + d*dangling/float64(n) + d*next[u]
 		}
 	}
-	for i := range rank {
-		if math.Abs(rank[i]-got[i]) > 1e-12 {
-			t.Fatalf("vertex %d: parallel %g, reference %g", i, got[i], rank[i])
-		}
-	}
+	return rank
 }
 
 func TestConnComp(t *testing.T) {

@@ -115,9 +115,10 @@ func (g *Graph) applyOp(op walOp, epoch int64) {
 // edge it reads. It keeps the degree statistics and hints the label's
 // reverse index (a nil check while the label has none), as the primary's
 // write path does. It returns the exact bytes the operation turned into
-// garbage (an invalidated entry's words + properties), already
-// accumulated into the TEL's dead counter. Caller holds src's lock, or is
-// checkpoint load, which runs before anything else can reach the graph.
+// garbage (an invalidated entry's words + properties), which
+// SetInvalidation has already added to the TEL's dead counter. Caller
+// holds src's lock, or is checkpoint load, which runs before anything else
+// can reach the graph.
 func (g *Graph) applyEdge(op byte, src VertexID, label Label, dst VertexID, props []byte, epoch int64) int64 {
 	t := g.telLocked(src, label)
 	n, pl := t.Len(), t.PropLen()
@@ -128,7 +129,6 @@ func (g *Graph) applyEdge(op byte, src VertexID, label Label, dst VertexID, prop
 			if i := t.FindLatest(int64(dst), n, epoch, 0); i >= 0 {
 				t.SetInvalidation(i, epoch)
 				dead = t.EntryDeadBytes(i)
-				t.AddDeadBytes(dead)
 				g.statsEdges(label, -1)
 			}
 		}

@@ -379,3 +379,61 @@ func TestRebaseTriggers(t *testing.T) {
 		}
 	})
 }
+
+// TestCheckpointAfterCompactionKeptHistory: compaction under a pinned
+// snapshot leaves blocks holding invalidated entries above its floor (their
+// dead bytes counted, so not settled at the current epoch). A full
+// checkpoint and then a delta taken over such blocks, reopened, must give
+// back exactly the primary's state.
+func TestCheckpointAfterCompactionKeptHistory(t *testing.T) {
+	dir := t.TempDir()
+	g := openCkptGraph(t, dir, disk.NewReal(), deltaCkptOpts)
+	seedAndCommit(t, g, 12)
+	filler, _ := g.Begin() // keeps the second checkpoint a delta
+	for i := 0; i < 64; i++ {
+		filler.AddVertex(nil)
+	}
+	if err := filler.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	keptHistory := func() int {
+		n := 0
+		for v := VertexID(0); v < 16; v++ {
+			if tl, ok := g.telFor(v, 0); ok && tl.DeadBytes() > 0 {
+				n++
+			}
+		}
+		return n
+	}
+	for round, ckpt := range []string{"full", "delta"} {
+		// Dead below the next floor, then history above it.
+		mutateRound(t, g, 2*round)
+		pinned, err := g.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mutateRound(t, g, 2*round+1)
+		g.CompactNow()
+		if keptHistory() == 0 {
+			t.Fatalf("%s round: compaction kept no invalidated entry", ckpt)
+		}
+		if err := g.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		pinned.Release()
+	}
+	if f, d := g.CkptStats().Fulls.Load(), g.CkptStats().Deltas.Load(); f != 1 || d != 1 {
+		t.Fatalf("wrote %d full and %d delta checkpoints, want 1 and 1", f, d)
+	}
+	want, epoch := graphStateString(t, g), g.ReadEpoch()
+	g.Close()
+
+	g = openCkptGraph(t, dir, disk.NewReal(), deltaCkptOpts)
+	defer g.Close()
+	if g.ReadEpoch() != epoch {
+		t.Fatalf("reopened at epoch %d, primary was at %d", g.ReadEpoch(), epoch)
+	}
+	if got := graphStateString(t, g); got != want {
+		t.Fatalf("reopened state differs from the primary:\n-- reopened --\n%s\n-- primary --\n%s", got, want)
+	}
+}

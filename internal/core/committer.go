@@ -187,9 +187,9 @@ func (c *committer) apply(tx *Tx, twe int64) {
 	// atomic stores, so the extra hold time is negligible.
 	//
 	// Invalidation flips are also where an entry definitively becomes
-	// garbage, so the exact dead bytes (entry words + property payload)
-	// are accumulated here — into the TEL's own counter and, through
-	// applied, the maintenance dirty set — replacing the write-path size
+	// garbage: SetInvalidation adds its bytes (entry words + property
+	// payload) to the TEL's own counter, and the same figure reaches the
+	// maintenance dirty set through applied, replacing the write-path size
 	// guesses.
 	for _, w := range tx.telWrites {
 		for _, i := range w.appended {
@@ -199,9 +199,6 @@ func (c *committer) apply(tx *Tx, twe int64) {
 		for _, i := range w.invalidated {
 			w.cur.SetInvalidation(i, twe)
 			dead += w.cur.EntryDeadBytes(i)
-		}
-		if dead > 0 {
-			w.cur.AddDeadBytes(dead)
 		}
 		if w.dirty() {
 			g.applied(VertexID(w.cur.Src()), dead)

@@ -7,10 +7,12 @@ package core
 // thresholds so passes overlap writers and pinned snapshots constantly.
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"livegraph/internal/tel"
 	"livegraph/internal/wal"
 )
 
@@ -301,5 +303,71 @@ func TestMaintFollowerCompacts(t *testing.T) {
 	fw := follower.AllocStats().AllocatedWords
 	if fw > 4*pw {
 		t.Fatalf("follower footprint %d words vs primary %d: unbounded growth", fw, pw)
+	}
+}
+
+// TestCompactionKeepsDeadBytes: a compaction that keeps an entry
+// invalidated above its floor (a pinned snapshot still sees it) counts that
+// entry in the new block's dead bytes. A block that claimed none would be
+// settled past the invalidation, and a reader there would see both
+// versions of the edge.
+func TestCompactionKeepsDeadBytes(t *testing.T) {
+	g, err := Open(Options{Workers: 4, CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	mustCommit(t, g, func(tx *Tx) {
+		for i := 0; i < 3; i++ {
+			tx.AddVertex(nil)
+		}
+		tx.InsertEdge(0, 0, 1, []byte("old"))
+		tx.InsertEdge(0, 0, 2, []byte("gone"))
+	})
+	// Dead below the floor, so compaction copies the list.
+	mustCommit(t, g, func(tx *Tx) {
+		if err := tx.DeleteEdge(0, 0, 2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	pinned, err := g.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pinned.Release()
+	mustCommit(t, g, func(tx *Tx) {
+		if err := tx.AddEdge(0, 0, 1, []byte("new!")); err != nil {
+			t.Fatal(err)
+		}
+	})
+	before, _ := g.telFor(0, 0)
+	g.CompactNow()
+	after, _ := g.telFor(0, 0)
+	if after.Ref() == before.Ref() || after.Len() != 2 {
+		t.Fatalf("compaction kept %d entries in block %v (was %v), want 2 in a new block", after.Len(), after.Ref(), before.Ref())
+	}
+	if want := int64(tel.EntryWords*8 + len("old")); after.DeadBytes() != want {
+		t.Fatalf("compacted block DeadBytes = %d, want %d (the kept old version)", after.DeadBytes(), want)
+	}
+	cur, err := g.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Release()
+	for _, c := range []struct {
+		s    *Snapshot
+		want string
+	}{{pinned, "old"}, {cur, "new!"}} {
+		if d := c.s.Degree(0, 0); d != 1 {
+			t.Fatalf("Degree at %d = %d, want 1", c.s.Epoch(), d)
+		}
+		var got []string
+		c.s.ScanNeighbors(0, 0, func(dst VertexID, props []byte) bool {
+			got = append(got, fmt.Sprintf("%d:%s", dst, props))
+			return true
+		})
+		if len(got) != 1 || got[0] != "1:"+c.want {
+			t.Fatalf("scan at %d = %v, want [1:%s]", c.s.Epoch(), got, c.want)
+		}
 	}
 }

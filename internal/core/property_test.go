@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -306,5 +307,176 @@ func TestSnapshotStabilityUnderChurn(t *testing.T) {
 				t.Fatalf("vertex %d edge %d: %+v -> %+v", v, i, before[v][i], after[i])
 			}
 		}
+	}
+}
+
+// modelReader is the read surface the settled-path model test compares:
+// what a snapshot and a transaction share.
+type modelReader interface {
+	Degree(VertexID, Label) int
+	Neighbors(VertexID, Label) *EdgeIter
+}
+
+// checkModel compares every (src, label) list of r against want: Degree,
+// the Neighbors scan and, on a snapshot, ScanNeighbors, which must all
+// yield exactly the model's edges with their properties.
+func checkModel(r modelReader, want map[modelKey][]byte, nv VertexID, labels Label) error {
+	for src := VertexID(0); src < nv; src++ {
+		for label := Label(0); label < labels; label++ {
+			exp := map[VertexID]string{}
+			for k, v := range want {
+				if k.src == src && k.label == label {
+					exp[k.dst] = string(v)
+				}
+			}
+			if d := r.Degree(src, label); d != len(exp) {
+				return fmt.Errorf("Degree(%d,%d) = %d, want %d", src, label, d, len(exp))
+			}
+			got := map[VertexID]string{}
+			for it := r.Neighbors(src, label); it.Next(); {
+				if _, dup := got[it.Dst()]; dup {
+					return fmt.Errorf("Neighbors(%d,%d) yields %d twice", src, label, it.Dst())
+				}
+				got[it.Dst()] = string(it.Props())
+			}
+			if fmt.Sprint(got) != fmt.Sprint(exp) {
+				return fmt.Errorf("Neighbors(%d,%d) = %v, want %v", src, label, got, exp)
+			}
+			s, ok := r.(*Snapshot)
+			if !ok {
+				continue
+			}
+			got = map[VertexID]string{}
+			s.ScanNeighbors(src, label, func(dst VertexID, props []byte) bool {
+				got[dst] = string(props)
+				return true
+			})
+			if fmt.Sprint(got) != fmt.Sprint(exp) {
+				return fmt.Errorf("ScanNeighbors(%d,%d) = %v, want %v", src, label, got, exp)
+			}
+		}
+	}
+	return nil
+}
+
+// TestSettledPathMatchesModel drives random upserts, deletes and inserts
+// through serialized transactions, compacting as it goes while a snapshot
+// stays pinned across many compaction passes, and after every transaction
+// compares Degree, Neighbors and ScanNeighbors with the model at the pinned
+// epoch, at the current epoch and at a past epoch inside HistoryRetention
+// (SnapshotAt). Inside each transaction it reads both a list the
+// transaction has written — its own deletes and upserts must show — and
+// lists it has not. Compaction keeps entries invalidated above the pinned
+// floor, and the current epoch is past their invalidation: the reads a
+// header check that ignored those entries would get wrong.
+func TestSettledPathMatchesModel(t *testing.T) {
+	const (
+		nv        = 6
+		labels    = 2
+		retention = 6
+	)
+	g, err := Open(Options{Workers: 8, CompactEvery: -1, HistoryRetention: retention})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	mustCommit(t, g, func(tx *Tx) {
+		for i := 0; i < nv; i++ {
+			tx.AddVertex(nil)
+		}
+	})
+	edges := map[modelKey][]byte{}
+	// The model per commit epoch: each state is a fresh map, never written
+	// once stored.
+	hist := map[int64]map[modelKey][]byte{g.ReadEpoch(): edges}
+	at := func(e int64) map[modelKey][]byte {
+		for ; e >= 0; e-- {
+			if m, ok := hist[e]; ok {
+				return m
+			}
+		}
+		return nil
+	}
+	rng := rand.New(rand.NewSource(36))
+	pinned, err := g.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { pinned.Release() }()
+	keptHistory := 0 // compacted lists that kept an invalidated entry
+	for op := 0; op < 300; op++ {
+		tx, err := g.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, label := VertexID(rng.Intn(nv)), Label(rng.Intn(labels))
+		pending := maps.Clone(edges)
+		for i := 1 + rng.Intn(3); i > 0; i-- {
+			dst := VertexID(rng.Intn(nv))
+			k := modelKey{src, label, dst}
+			switch rng.Intn(3) {
+			case 0, 1:
+				v := []byte(fmt.Sprintf("%d.%d", op, i))
+				if err := tx.AddEdge(src, label, dst, v); err != nil {
+					t.Fatal(err)
+				}
+				pending[k] = v
+			case 2:
+				err := tx.DeleteEdge(src, label, dst)
+				if _, ok := pending[k]; ok != (err == nil) {
+					t.Fatalf("op %d: DeleteEdge(%v) = %v, model has it: %v", op, k, err, ok)
+				}
+				delete(pending, k)
+			}
+		}
+		// The list it wrote shows its own writes; the others are the
+		// committed model at its read epoch.
+		if err := checkModel(tx, pending, nv, labels); err != nil {
+			t.Fatalf("op %d: inside the tx: %v", op, err)
+		}
+		if rng.Intn(8) == 0 {
+			tx.Abort()
+		} else {
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			edges = pending
+			hist[tx.CommitEpoch()] = edges
+		}
+		if op%5 == 4 {
+			g.CompactNow()
+			for v := VertexID(0); v < nv; v++ {
+				for l := Label(0); l < labels; l++ {
+					if tl, ok := g.telFor(v, l); ok && tl.DeadBytes() > 0 {
+						keptHistory++
+					}
+				}
+			}
+		}
+		if op%60 == 59 {
+			pinned.Release()
+			if pinned, err = g.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cur, err := g.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		past := cur.Epoch() - rng.Int63n(retention+1)
+		old, err := g.SnapshotAt(max(past, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []*Snapshot{pinned, cur, old} {
+			if err := checkModel(r, at(r.Epoch()), nv, labels); err != nil {
+				t.Fatalf("op %d: snapshot at %d (current %d): %v", op, r.Epoch(), cur.Epoch(), err)
+			}
+		}
+		old.Release()
+		cur.Release()
+	}
+	if keptHistory == 0 {
+		t.Fatal("compaction never kept an invalidated entry: the test does not reach its case")
 	}
 }

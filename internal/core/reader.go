@@ -105,6 +105,23 @@ func newEdgeIter(g *Graph, t tel.TEL, n int, tre, tid int64) *EdgeIter {
 	return it
 }
 
+// degree is the shared Degree path of both Reader implementations: the
+// number of entries among t's first n visible at (tre, tid). A settled list
+// (tel.TEL.Settled) answers from its header, n itself; any other is
+// counted with a scan, charged to the page cache like any EdgeIter.
+func degree(g *Graph, t tel.TEL, n int, tre, tid int64) int {
+	if t.Settled(n, tre, tid) {
+		return n
+	}
+	var it EdgeIter
+	resetEdgeIter(&it, g, t, n, tre, tid)
+	d := 0
+	for it.Next() {
+		d++
+	}
+	return d
+}
+
 // lookupEdge is the shared GetEdge path of both Reader implementations:
 // resolve the visible (*,label,dst) version within the first n entries of
 // t — Bloom filter first, then the bounded backward scan. The returned

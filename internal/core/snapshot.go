@@ -196,9 +196,12 @@ func (s *Snapshot) ScanNeighbors(v VertexID, label Label, fn func(dst VertexID, 
 
 // Degree counts visible edges of (v,label).
 func (s *Snapshot) Degree(v VertexID, label Label) int {
-	n := 0
-	s.ScanNeighbors(v, label, func(VertexID, []byte) bool { n++; return true })
-	return n
+	t, ok := s.g.telFor(v, label)
+	if !ok {
+		return 0
+	}
+	s.g.touch(t)
+	return degree(s.g, t, t.Len(), s.tre, 0)
 }
 
 // HasEdge reports whether a visible (v,label,dst) edge exists.

@@ -426,26 +426,30 @@ func (tx *Tx) GetEdge(src VertexID, label Label, dst VertexID) ([]byte, error) {
 	if tx.done {
 		return nil, ErrTxDone
 	}
-	t, n, ok := tx.readView(src, label)
+	t, n, tid, ok := tx.readView(src, label)
 	if !ok {
 		return nil, ErrNotFound
 	}
-	return lookupEdge(t, n, dst, tx.tre, tx.tid)
+	return lookupEdge(t, n, dst, tx.tre, tid)
 }
 
-// readView resolves the TEL and entry bound this transaction should scan:
-// its own tentative view for lists it has written, the committed view
-// otherwise. ok is false if src has no list of that label.
-func (tx *Tx) readView(src VertexID, label Label) (t tel.TEL, n int, ok bool) {
+// readView resolves the TEL, entry bound and transaction ID this
+// transaction should scan with: its own tentative view and its tid for
+// lists it has written, the committed view and tid 0 otherwise. Every write
+// a transaction makes to a list goes through its telWrites entry, so a list
+// it has not written holds no entry stamped with its tid, and tid 0 gives
+// the same visibility — and lets the scan take the settled path
+// (tel.TEL.Settled). ok is false if src has no list of that label.
+func (tx *Tx) readView(src VertexID, label Label) (t tel.TEL, n int, tid int64, ok bool) {
 	if w, ok := tx.telWrites[telKey{src, label}]; ok {
-		return w.cur, w.n, true
+		return w.cur, w.n, tx.tid, true
 	}
 	t, ok = tx.g.telFor(src, label)
 	if !ok {
-		return t, 0, false
+		return t, 0, 0, false
 	}
 	tx.g.touch(t)
-	return t, t.Len(), true
+	return t, t.Len(), 0, true
 }
 
 // EdgeIter is a purely sequential adjacency list scan bound to a
@@ -463,11 +467,11 @@ func (tx *Tx) Neighbors(src VertexID, label Label) *EdgeIter {
 	if tx.done {
 		return &EdgeIter{done: true}
 	}
-	t, n, ok := tx.readView(src, label)
+	t, n, tid, ok := tx.readView(src, label)
 	if !ok {
 		return &EdgeIter{done: true}
 	}
-	return newEdgeIter(tx.g, t, n, tx.tre, tx.tid)
+	return newEdgeIter(tx.g, t, n, tx.tre, tid)
 }
 
 // neighborsInto rebinds a caller-owned iterator to (src,label) without
@@ -478,12 +482,12 @@ func (tx *Tx) neighborsInto(it *EdgeIter, src VertexID, label Label) {
 		*it = EdgeIter{done: true}
 		return
 	}
-	t, n, ok := tx.readView(src, label)
+	t, n, tid, ok := tx.readView(src, label)
 	if !ok {
 		*it = EdgeIter{done: true}
 		return
 	}
-	resetEdgeIter(it, tx.g, t, n, tx.tre, tx.tid)
+	resetEdgeIter(it, tx.g, t, n, tx.tre, tid)
 }
 
 // graph exposes the owning graph to the traversal engine (graphSource).
@@ -544,13 +548,14 @@ func (e *EdgeIter) Props() []byte { return e.it.TEL().Props(e.i) }
 
 // Degree counts visible edges in the (src,label) adjacency list.
 func (tx *Tx) Degree(src VertexID, label Label) int {
-	var it EdgeIter
-	tx.neighborsInto(&it, src, label)
-	n := 0
-	for it.Next() {
-		n++
+	if tx.done {
+		return 0
 	}
-	return n
+	t, n, tid, ok := tx.readView(src, label)
+	if !ok {
+		return 0
+	}
+	return degree(tx.g, t, n, tx.tre, tid)
 }
 
 // Commit / Abort --------------------------------------------------------------

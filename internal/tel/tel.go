@@ -11,7 +11,7 @@
 //	word 2              commit timestamp CT        (atomic)
 //	word 3              committed log size LS      (atomic, in entries)
 //	word 4              committed property size PS (atomic, in bytes)
-//	word 5              dead property bytes DB     (atomic, in bytes)
+//	word 5              dead bytes DB              (atomic, in bytes)
 //	words 6 .. 6+F      blocked Bloom filter (F = bloom.WordsFor(W))
 //	words 6+F ..        fixed-size edge log entries, 4 words each, growing up
 //	   ...              free space
@@ -48,6 +48,41 @@
 // transaction sees for its own TEL writes are carried in transaction state
 // and published to LS/PS only at apply time, so aborted appends are simply
 // overwritten by the next writer.
+//
+// DB counts the bytes (entry words plus property payload) of every entry in
+// the block whose invalidation timestamp is a committed epoch. The package
+// keeps it itself: SetInvalidation with a committed timestamp adds the
+// entry's bytes, and so does writing an entry that already carries one (a
+// compaction copy of history kept above the floor). Upgrade carries it over.
+//
+// # Settled lists
+//
+// A list is settled at read epoch tre when every committed entry in it is
+// visible at tre. That holds when no commit touched the list after tre
+// (CT <= tre), no entry in it was ever invalidated (DB == 0), and the reader
+// has no tentative writes of its own on it (tid == 0, and the scan bound is
+// the committed LS). Scan checks this once from the header, and the
+// iterator then steps through the entries without testing their timestamps.
+//
+// The header check is sound because of the order of the stores. A commit
+// stamped twe stores CT before LS (Publish), flips its entries' creation
+// and invalidation timestamps to twe and adds their dead bytes to DB, and
+// all of that happens before the global read epoch reaches twe (the
+// committer flips after Publish, a replicated or recovered op before it;
+// either order works). Settled loads LS first, then CT, then DB:
+//
+//   - If a commit above tre has published on the list, the reader either
+//     sees its LS, and then its CT (stored earlier) is above tre; or it sees
+//     the old LS, and then every entry below that LS is one the commit could
+//     only invalidate at twe > tre, which leaves it visible at tre.
+//   - If CT <= tre, the reader's tre came from a read epoch published after
+//     that commit's flips and DB additions, so it sees all of them: every
+//     entry below LS carries its committed creation timestamp, at or below
+//     CT, and DB is non-zero if any committed invalidation is at or below
+//     tre.
+//
+// Compaction copies surviving entries to a new block with the old CT, and
+// DB there counts the invalidated entries it kept, so the rule carries over.
 package tel
 
 import (
@@ -151,24 +186,28 @@ func (t *TEL) Len() int { return int(atomic.LoadInt64(&t.w[hdrLS])) }
 // PropLen returns the committed property byte length (PS).
 func (t *TEL) PropLen() int { return int(atomic.LoadInt64(&t.w[hdrPS])) }
 
-// DeadBytes returns the exact bytes held by invalidated entries in this TEL:
+// DeadBytes returns the bytes held by invalidated entries in this block:
 // entry words plus property payload for every entry whose invalidation
-// timestamp was flipped to a committed epoch. Maintained at apply time, it
-// gives compaction pressure and the checkpoint rebase trigger an exact
-// figure instead of the write-path heuristic estimate.
+// timestamp is a committed epoch. Zero means no entry in the block was
+// ever invalidated, which is what Settled needs; nothing else reads it.
 func (t *TEL) DeadBytes() int64 { return atomic.LoadInt64(&t.w[hdrDead]) }
 
-// AddDeadBytes accumulates n bytes of newly dead entry+property payload.
-func (t *TEL) AddDeadBytes(n int64) { atomic.AddInt64(&t.w[hdrDead], n) }
-
-// SetDeadBytes overwrites the dead-byte counter (used when a rebuilt block
-// recomputes its dead set, e.g. compaction retaining history entries).
-func (t *TEL) SetDeadBytes(n int64) { atomic.StoreInt64(&t.w[hdrDead], n) }
+// Settled reports whether the first n entries are exactly the committed
+// entries and every one of them is visible at (tre, tid): tid is 0, n is
+// LS, no commit after tre touched the list, and no entry was ever
+// invalidated. The loads run LS, CT, DB — the order the package comment's
+// argument needs.
+func (t *TEL) Settled(n int, tre, tid int64) bool {
+	return tid == 0 &&
+		int64(n) == atomic.LoadInt64(&t.w[hdrLS]) &&
+		atomic.LoadInt64(&t.w[hdrCT]) <= tre &&
+		atomic.LoadInt64(&t.w[hdrDead]) == 0
+}
 
 // EntryDeadBytes returns the exact byte cost of entry i going dead: its
 // fixed entry words plus its property payload.
 func (t *TEL) EntryDeadBytes(i int) int64 {
-	return int64(EntryWords*8 + len(t.Props(i)))
+	return EntryWords*8 + t.w[t.entryBase+i*EntryWords+3]&propSizeMask
 }
 
 // Publish atomically exposes n entries / propLen property bytes and stamps
@@ -213,6 +252,9 @@ func (t *TEL) put(n int, dst, creation, invalidation int64, props []byte, propLe
 	atomic.StoreInt64(&words[w+2], invalidation)
 	atomic.StoreInt64(&words[w+1], creation)
 	t.filter().Add(uint64(dst))
+	if invalidation >= 0 {
+		atomic.AddInt64(&t.w[hdrDead], t.EntryDeadBytes(n))
+	}
 	return propLen
 }
 
@@ -235,9 +277,20 @@ func (t *TEL) Invalidation(i int) int64 {
 	return atomic.LoadInt64(&t.w[t.entryBase+i*EntryWords+2])
 }
 
-// SetInvalidation atomically stores entry i's invalidation timestamp.
+// SetInvalidation atomically stores entry i's invalidation timestamp. A
+// committed timestamp (>= 0) adds the entry's bytes to the dead counter, so
+// it must be set once per entry: a -TID mark may precede it, another
+// committed timestamp may not.
+//
+// It must stay small enough to inline. The committer calls it on the
+// goroutine CommitCtx starts for each commit, whose stack starts small: one
+// more call frame on that path made every commit grow its stack, about a
+// quarter of the htap_scan writer's median latency on a 2-vCPU machine.
 func (t *TEL) SetInvalidation(i int, ts int64) {
 	atomic.StoreInt64(&t.w[t.entryBase+i*EntryWords+2], ts)
+	if ts >= 0 {
+		atomic.AddInt64(&t.w[hdrDead], t.EntryDeadBytes(i))
+	}
 }
 
 // CASInvalidation atomically replaces entry i's invalidation timestamp if it
@@ -329,7 +382,8 @@ func (t *TEL) Upgrade(a *storage.Allocator, n, propLen, propBytes int) storage.R
 
 // CompactAppend copies entry i of src (with its properties) to slot n of t,
 // re-packing properties below propLen. Returns the new property length.
-// Used by compaction, which keeps only entries still visible to some epoch.
+// Used by compaction, which keeps only entries still visible to some epoch;
+// an entry it keeps with a committed invalidation counts in t's DeadBytes.
 func (t *TEL) CompactAppend(src *TEL, i, n, propLen int) int {
 	return t.put(n, src.Dst(i), src.Creation(i), src.Invalidation(i), src.Props(i), propLen)
 }
@@ -338,18 +392,21 @@ func (t *TEL) CompactAppend(src *TEL, i, n, propLen int) int {
 // newest first, yielding only entries visible at (tre, tid). It performs no
 // allocation and no random access: visibility is decided from the two
 // timestamps embedded in each fixed-size entry (paper §4, "Sequential
-// adjacency list scans").
+// adjacency list scans"). When the list is settled at the scan's epoch
+// (see Settled), that decision is made once from the header at Scan and
+// the iterator yields every entry without loading its timestamps.
 type Iter struct {
 	t        TEL
 	i        int
 	tre, tid int64
+	settled  bool
 }
 
 // Scan returns an iterator over the first n entries (pass t.Len() for a
 // committed snapshot scan, or the transaction's tentative count to include
 // its own writes).
 func (t *TEL) Scan(n int, tre, tid int64) Iter {
-	return Iter{t: *t, i: n, tre: tre, tid: tid}
+	return Iter{t: *t, i: n, tre: tre, tid: tid, settled: t.Settled(n, tre, tid)}
 }
 
 // TEL returns the list the iterator scans.
@@ -359,7 +416,7 @@ func (it *Iter) TEL() *TEL { return &it.t }
 // the scan is complete.
 func (it *Iter) Next() int {
 	for it.i--; it.i >= 0; it.i-- {
-		if mvcc.Visible(it.t.Creation(it.i), it.t.Invalidation(it.i), it.tre, it.tid) {
+		if it.settled || mvcc.Visible(it.t.Creation(it.i), it.t.Invalidation(it.i), it.tre, it.tid) {
 			return it.i
 		}
 	}
@@ -369,16 +426,17 @@ func (it *Iter) Next() int {
 // NextWhere is Next with a destination predicate pushed into the scan
 // loop: entries whose destination fails keep are skipped before the
 // visibility check — one plain word load against two atomic timestamp
-// loads — which is what makes predicate pushdown cheaper than
-// materialize-then-filter. Because the predicate also runs on entries that
-// would fail the visibility check, keep must be a pure function of the
-// destination ID (the traversal planner only fuses such predicates).
+// loads, or none on a settled list — which is what makes predicate
+// pushdown cheaper than materialize-then-filter. Because the predicate
+// also runs on entries that would fail the visibility check, keep must be
+// a pure function of the destination ID (the traversal planner only fuses
+// such predicates).
 func (it *Iter) NextWhere(keep func(dst int64) bool) int {
 	for it.i--; it.i >= 0; it.i-- {
 		if !keep(it.t.Dst(it.i)) {
 			continue
 		}
-		if mvcc.Visible(it.t.Creation(it.i), it.t.Invalidation(it.i), it.tre, it.tid) {
+		if it.settled || mvcc.Visible(it.t.Creation(it.i), it.t.Invalidation(it.i), it.tre, it.tid) {
 			return it.i
 		}
 	}

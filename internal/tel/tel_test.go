@@ -179,7 +179,9 @@ func TestUpgradeCopiesPrefix(t *testing.T) {
 	}
 	small.Publish(n, pl, 1)
 	small.SetInvalidation(1, 2) // one deleted version
-	small.AddDeadBytes(EntryWords*8 + 2)
+	if small.DeadBytes() != EntryWords*8+2 {
+		t.Fatalf("DeadBytes after a committed invalidation = %d, want %d", small.DeadBytes(), EntryWords*8+2)
+	}
 	// A tentative append past the committed prefix moves with it.
 	pl = small.Append(n, 4, -7, []byte("tentative"), pl)
 	n++
