@@ -163,7 +163,7 @@ func (g *Graph) applyEdge(op byte, src VertexID, label Label, dst VertexID, prop
 // every vertex that owns records does (a vertex-op target or an edge
 // source); a destination owns none and never moves it — so a checkpoint's
 // nextVertexID covers v. Then it queues v for maintenance and journals it
-// for the next delta checkpoint. Callers hold commit.mu, applyMu, or run
+// for the next delta checkpoint. Callers hold the leader token, applyMu, or run
 // single-threaded recovery: Checkpoint drains the journal under the first
 // two.
 func (g *Graph) applied(v VertexID, dead int64) {

@@ -89,48 +89,48 @@ func (g *Graph) Checkpoint() error {
 		g.CompactNow()
 	}
 	// Quiescent point. applyMu first (a follower's changes land under it),
-	// then the committer's batch mutex: with both held no change can become
-	// visible, so the snapshot, the WAL rotation, and the dirty-journal
-	// drain below all cut the history at exactly the same epoch. Nothing
-	// that holds commit.mu ever takes applyMu, so the ordering is safe.
+	// then the committer's leader token: with both held no change can
+	// become visible, so the snapshot, the WAL rotation, and the
+	// dirty-journal drain below all cut the history at exactly the same
+	// epoch. No token holder ever takes applyMu, so the ordering is safe.
 	//
-	// Rotating under commit.mu means no commit group is in flight, so
+	// Rotating under the token means no commit group is in flight, so
 	// every record in the old segments has epoch <= E. The explicit
 	// PublishRead barrier pins the quiescence invariant — everything
 	// durable is also published (GRE >= DurableEpoch) at the rotation
-	// point. Today the leader publishes before releasing the mutex so this
-	// never blocks; if commit groups ever pipeline past the leader lock,
-	// the barrier keeps this rotation point correct. (GWE would be the
-	// wrong target: a group whose persist failed advances GWE but is never
+	// point. Today the leader publishes before releasing the token so this
+	// never blocks; if commit groups ever pipeline past the token, the
+	// barrier keeps this rotation point correct. (GWE would be the wrong
+	// target: a group whose persist failed advances GWE but is never
 	// published.)
 	_, qsp := obs.StartSpan(cctx, "ckpt.quiesce")
 	g.applyMu.Lock()
-	g.commit.mu.Lock()
+	g.commit.lock()
 	g.epochs.WaitRead(g.log.Load().DurableEpoch())
 	epoch := g.epochs.ReadEpoch()
 	oldSegs, err := g.rotateWALLocked()
 	if err != nil {
-		g.commit.mu.Unlock()
+		g.commit.unlock()
 		g.applyMu.Unlock()
 		qsp.End()
 		return err
 	}
-	// Capture while the committer mutex still pins g.walSeq: the meta's
+	// Capture while the leader token still pins g.walSeq: the meta's
 	// MinWALSeq must name exactly the segment this rotation opened.
 	minSeq := g.walSeq
 	snap, err := g.Snapshot()
 	if err != nil {
-		g.commit.mu.Unlock()
+		g.commit.unlock()
 		g.applyMu.Unlock()
 		qsp.End()
 		return err
 	}
 	// Drain the checkpoint journal at the same cut: marks happen only at
-	// apply time under one of the two mutexes held here, so the drain
+	// apply time under one of the two locks held here, so the drain
 	// takes exactly the changes the snapshot sees — never a mark whose
 	// change is still uncommitted.
 	drained := g.ckptDirty.Drain(int(g.ckptDirty.Len()), nil)
-	g.commit.mu.Unlock()
+	g.commit.unlock()
 	g.applyMu.Unlock()
 	qsp.End()
 	defer snap.Release()
@@ -250,7 +250,7 @@ func (g *Graph) ckptWantsFull(dirty, vertices int64) bool {
 }
 
 // rotateWALLocked closes the current WAL segment and opens the next one.
-// Caller holds the committer mutex. Returns the paths of all prior
+// Caller holds the leader token. Returns the paths of all prior
 // segments.
 func (g *Graph) rotateWALLocked() ([]string, error) {
 	cur := g.log.Load()

@@ -7,19 +7,23 @@ package core
 // release locks) and finally advances the global read epoch GRE, exposing
 // the group's updates to future transactions.
 //
-// Group formation uses the leader/follower pattern: a committing
-// transaction enqueues itself and competes for the leader lock; the winner
-// drains the queue and commits the whole batch, so an uncontended commit
-// runs inline with no goroutine handoff while concurrent commits amortise
-// the fsync across the group.
+// Group formation uses the leader/follower pattern. A committing
+// transaction enqueues itself and then waits, on its own goroutine, for the
+// first of three events: its result arrives (another leader committed it),
+// it wins the leader token (it drains the queue and commits the whole
+// batch), or its context is done (it withdraws, if no leader has claimed
+// it yet). An uncontended commit therefore runs inline on the caller's
+// goroutine, while concurrent commits amortise the fsync across the group.
 //
-// The persist phase is the paper's: every transaction buffers one WAL
-// record as it executes, the leader hands the group's records to the log,
-// and the log writes them as one checksummed frame under one fsync. GRE
-// advances only after the whole group is durable and fully applied.
+// The persist phase is the paper's: every transaction of a graph with a log
+// buffers one WAL record as it executes, the leader hands the group's
+// records to the log, and the log writes them as one checksummed frame
+// under one fsync. GRE advances only after the whole group is durable and
+// fully applied.
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"time"
 
@@ -29,48 +33,81 @@ import (
 type committer struct {
 	g *Graph
 
-	mu sync.Mutex // leader lock; Checkpoint acquires it for a quiescent point
+	// lead is the leader token, a one-slot channel: whoever fills it may
+	// drain and commit the queue, and a committing transaction competes for
+	// it in the same select that watches its result and its context.
+	// Checkpoint holds it for a quiescent point.
+	lead chan struct{}
 
 	qmu   sync.Mutex
 	queue []*Tx
+	spare []*Tx // the backing array the next drain hands to queue; token holder only
 }
 
 // maxGroupCommit caps how many transactions one WAL fsync may cover.
 const maxGroupCommit = 256
 
 func newCommitter(g *Graph) *committer {
-	return &committer{g: g}
+	return &committer{g: g, lead: make(chan struct{}, 1)}
 }
 
-// submit enqueues tx and returns once some leader has committed it. The
-// result arrives on tx.commitRes.
-func (c *committer) submit(tx *Tx) {
+// lock takes the leader token, waiting for the current leader to finish.
+func (c *committer) lock() { c.lead <- struct{}{} }
+
+// unlock releases the leader token.
+func (c *committer) unlock() { <-c.lead }
+
+func (c *committer) enqueue(tx *Tx) {
 	c.qmu.Lock()
 	c.queue = append(c.queue, tx)
 	c.qmu.Unlock()
+}
 
-	// Compete for leadership. Whoever wins drains and commits everything
-	// queued — possibly including transactions enqueued by goroutines that
-	// are still waiting for the lock; they will find their result ready.
-	// The group size is naturally bounded by the number of worker slots,
-	// so the leader drains the whole queue (every drained transaction's
-	// goroutine finds its result ready when it gets the lock). A drain
-	// larger than maxGroupCommit is committed in chunks, capping how many
-	// transactions one fsync covers.
-	c.mu.Lock()
+// drain commits everything queued; the caller holds the token. The queue
+// may hold transactions whose goroutines are still waiting for the token:
+// they will find their result ready. The group size is naturally bounded by
+// the number of worker slots, so the leader takes the whole queue; a drain
+// larger than maxGroupCommit is committed in chunks, capping how many
+// transactions one fsync covers. The two backing arrays swap roles, so a
+// steady stream of commits enqueues without allocating.
+func (c *committer) drain() {
 	c.qmu.Lock()
 	batch := c.queue
-	c.queue = nil
+	c.queue = c.spare
 	c.qmu.Unlock()
-	for len(batch) > 0 {
-		n := len(batch)
-		if n > maxGroupCommit {
-			n = maxGroupCommit
-		}
-		c.commitGroup(batch[:n])
-		batch = batch[n:]
+	for rest := batch; len(rest) > 0; {
+		n := min(len(rest), maxGroupCommit)
+		c.commitGroup(rest[:n])
+		rest = rest[n:]
 	}
-	c.mu.Unlock()
+	clear(batch)
+	c.spare = batch[:0]
+}
+
+// leadGroup drains the queue for a caller that has just won the token, and
+// releases the token. On a graph with a log the drain waits for an fsync,
+// so a caller whose ctx can be done runs it on one goroutine for the group
+// and returns false if ctx is done first; the group still runs to its
+// verdict. Otherwise the drain runs inline and leadGroup returns true.
+func (c *committer) leadGroup(ctx context.Context) bool {
+	done := ctx.Done()
+	if done == nil || !c.g.logged() {
+		c.drain()
+		c.unlock()
+		return true
+	}
+	led := make(chan struct{})
+	go func() {
+		c.drain()
+		c.unlock()
+		close(led)
+	}()
+	select {
+	case <-led:
+		return true
+	case <-done:
+		return false
+	}
 }
 
 // withdraw removes tx from the commit queue if no leader has claimed it
@@ -82,7 +119,7 @@ func (c *committer) withdraw(tx *Tx) bool {
 	defer c.qmu.Unlock()
 	for i, q := range c.queue {
 		if q == tx {
-			c.queue = append(c.queue[:i], c.queue[i+1:]...)
+			c.queue = slices.Delete(c.queue, i, i+1)
 			return true
 		}
 	}

@@ -107,7 +107,7 @@ func TestCommitCtxWithdrawnWhileQueued(t *testing.T) {
 	var v VertexID
 	mustCommit(t, g, func(tx *Tx) { v, _ = tx.AddVertex(nil) })
 
-	g.commit.mu.Lock() // impersonate a stuck leader
+	g.commit.lock() // impersonate a stuck leader
 	tx, err := g.Begin()
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +120,7 @@ func TestCommitCtxWithdrawnWhileQueued(t *testing.T) {
 	start := time.Now()
 	err = tx.CommitCtx(ctx)
 	elapsed := time.Since(start)
-	g.commit.mu.Unlock()
+	g.commit.unlock()
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("CommitCtx err = %v, want DeadlineExceeded", err)
 	}

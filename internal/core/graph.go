@@ -176,8 +176,8 @@ type Graph struct {
 	commit *committer
 	// log is the current WAL segment. Atomic because checkpoint rotation
 	// swaps it while observability accessors (DurableEpoch,
-	// WALAppendedBytes) read it without the committer mutex; all writers
-	// of the pointer hold commit.mu, so loads within a commit group are
+	// WALAppendedBytes) read it without the leader token; all writers
+	// of the pointer hold the token, so loads within a commit group are
 	// stable.
 	log    atomic.Pointer[wal.Log]
 	walSeq int
@@ -224,9 +224,9 @@ type Graph struct {
 
 	// ckptDirty is the checkpoint-scoped dirty journal: the set of
 	// vertices changed since the last completed checkpoint, fed at APPLY
-	// time only, by applied (from committer.apply under commit.mu, and
+	// time only, by applied (from committer.apply under the leader token, and
 	// from applyOp under applyMu or in single-threaded recovery) and
-	// drained by Checkpoint while holding both mutexes — so a drain can
+	// drained by Checkpoint while holding both — so a drain can
 	// never consume a mark for a change the checkpoint's snapshot does
 	// not yet see. Checkpoint load marks nothing: what it loads is
 	// already checkpointed. A volatile graph cannot checkpoint, so it
@@ -350,6 +350,11 @@ func (g *Graph) DurableEpoch() int64 {
 // Dir returns the graph's durable directory ("" for a volatile graph).
 func (g *Graph) Dir() string { return g.opts.Dir }
 
+// logged reports whether the graph has a WAL: only then do write
+// transactions encode their ops as a record, and only then does a commit
+// group wait for an fsync.
+func (g *Graph) logged() bool { return g.opts.Dir != "" }
+
 // WALAppendedBytes returns the total bytes appended to the WAL since
 // Open, across segment rotations (write-amplification and replication
 // lag-in-bytes observability).
@@ -439,9 +444,9 @@ func (g *Graph) markDirty(v VertexID, dead int64) {
 }
 
 // markCkptDirty records v into the checkpoint-scoped dirty journal. Must
-// be called only through applied (the committer's apply under commit.mu,
+// be called only through applied (the committer's apply under the token,
 // applyOp under applyMu or in single-threaded recovery):
-// Checkpoint drains the journal while holding both mutexes, and a mark
+// Checkpoint drains the journal while holding both, and a mark
 // from the work phase could be drained before its transaction commits —
 // the change would then be missing from every delta until the next
 // rebase.

@@ -156,4 +156,8 @@ func (g *Graph) initObs() {
 		func() float64 { return float64(g.ckptStats.ChainLen.Load()) })
 	gauge("lg_ckpt_dirty_since", "vertex dirtyings since the last completed checkpoint",
 		func() float64 { return float64(g.DirtySinceCheckpoint()) })
+
+	// The Go runtime: a cost of the engine that shows in no span, such as
+	// goroutines started on a hot path, shows here.
+	obs.RegisterRuntime(r)
 }

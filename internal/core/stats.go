@@ -11,7 +11,7 @@ package core
 //     approximate p90 degree falls out.
 //
 // All counters are atomics updated from apply-side code only
-// (committer.apply under commit.mu; applyEdge, which ApplyEpoch, WAL
+// (committer.apply under the leader token; applyEdge, which ApplyEpoch, WAL
 // replay and checkpoint load all insert through; compaction under the
 // vertex lock), so maintenance is a handful of atomic adds per commit
 // group. Recovery keeps them the same way: a checkpoint record un-counts

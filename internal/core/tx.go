@@ -29,7 +29,7 @@ type Tx struct {
 	locked      map[uint64]struct{} // held lock stripes (dedup by stripe, not vertex)
 	telWrites   map[telKey]*telWrite
 	vWrites     map[VertexID]*vertexWrite
-	walBuf      []byte // this transaction's WAL record: its ops, in execution order
+	walBuf      []byte // this transaction's WAL record: its ops, in execution order; empty without a log
 	commitRes   chan error
 	commitEpoch int64 // the group's commit epoch, set by the leader on success
 
@@ -193,7 +193,9 @@ func (tx *Tx) AddVertex(data []byte) (VertexID, error) {
 		return 0, err
 	}
 	tx.bufferVertex(id, data, false)
-	tx.walBuf = appendVertexOp(tx.walBuf, opAddVertex, id, data)
+	if tx.g.logged() {
+		tx.walBuf = appendVertexOp(tx.walBuf, opAddVertex, id, data)
+	}
 	return id, nil
 }
 
@@ -209,7 +211,9 @@ func (tx *Tx) PutVertex(v VertexID, data []byte) error {
 		return err
 	}
 	tx.bufferVertex(v, data, false)
-	tx.walBuf = appendVertexOp(tx.walBuf, opPutVertex, v, data)
+	if tx.g.logged() {
+		tx.walBuf = appendVertexOp(tx.walBuf, opPutVertex, v, data)
+	}
 	return nil
 }
 
@@ -227,7 +231,9 @@ func (tx *Tx) DeleteVertex(v VertexID) error {
 		return err
 	}
 	tx.bufferVertex(v, nil, true)
-	tx.walBuf = appendVertexOp(tx.walBuf, opDelVertex, v, nil)
+	if tx.g.logged() {
+		tx.walBuf = appendVertexOp(tx.walBuf, opDelVertex, v, nil)
+	}
 	return nil
 }
 
@@ -370,7 +376,9 @@ func (tx *Tx) InsertEdge(src VertexID, label Label, dst VertexID, props []byte) 
 	// that is what lets a build racing this write account for the edge
 	// (see revindex.go). An abort just leaves a harmless stale hint.
 	tx.g.revAdd(dst, label, src)
-	tx.walBuf = appendEdgeOp(tx.walBuf, opInsertEdge, src, label, dst, props)
+	if tx.g.logged() {
+		tx.walBuf = appendEdgeOp(tx.walBuf, opInsertEdge, src, label, dst, props)
+	}
 	// A true insertion creates no garbage; the mark only queues the
 	// vertex for right-sizing and chain pruning.
 	tx.g.markDirty(src, 0)
@@ -393,7 +401,9 @@ func (tx *Tx) AddEdge(src VertexID, label Label, dst VertexID, props []byte) err
 	}
 	tx.appendEdge(w, dst, props)
 	tx.g.revAdd(dst, label, src)
-	tx.walBuf = appendEdgeOp(tx.walBuf, opUpsertEdge, src, label, dst, props)
+	if tx.g.logged() {
+		tx.walBuf = appendEdgeOp(tx.walBuf, opUpsertEdge, src, label, dst, props)
+	}
 	// Weight 0: the exact garbage of the invalidated version (if any) is
 	// accounted at apply time, when the invalidation actually commits.
 	tx.g.markDirty(src, 0)
@@ -413,7 +423,9 @@ func (tx *Tx) DeleteEdge(src VertexID, label Label, dst VertexID) error {
 	if err := tx.invalidatePrev(w, dst); err != nil {
 		return err
 	}
-	tx.walBuf = appendEdgeOp(tx.walBuf, opDeleteEdge, src, label, dst, nil)
+	if tx.g.logged() {
+		tx.walBuf = appendEdgeOp(tx.walBuf, opDeleteEdge, src, label, dst, nil)
+	}
 	// Weight 0: exact dead bytes are accounted at apply (see committer).
 	tx.g.markDirty(src, 0)
 	return nil
@@ -560,32 +572,19 @@ func (tx *Tx) Degree(src VertexID, label Label) int {
 
 // Commit / Abort --------------------------------------------------------------
 
-// Commit finishes the transaction. Read-only transactions and write
-// transactions with an empty write set release their snapshot immediately;
-// writers go through the group committer (persist + apply phases).
-func (tx *Tx) Commit() error {
-	if tx.done {
-		return ErrTxDone
-	}
-	if tx.ro || (len(tx.telWrites) == 0 && len(tx.vWrites) == 0) {
-		tx.unlockAll()
-		tx.finish()
-		return nil
-	}
-	tx.commitRes = make(chan error, 1)
-	tx.commitStart = time.Now()
-	_, sp := obs.StartSpan(tx.ctx, "tx.commit.wait")
-	tx.g.commit.submit(tx)
-	err := <-tx.commitRes
-	sp.End()
-	return tx.settleCommit(err)
-}
-
-// CommitCtx is Commit with a deadline on the group-commit wait. Three
-// outcomes are possible:
+// Commit is CommitCtx without a deadline.
 //
-//   - The group commits (or the engine aborts it) before ctx is done:
-//     identical to Commit.
+//lglint:ignore ctxprop public convenience wrapper; ctx-aware callers use CommitCtx
+func (tx *Tx) Commit() error { return tx.CommitCtx(context.Background()) }
+
+// CommitCtx finishes the transaction. Read-only transactions and write
+// transactions with an empty write set release their snapshot immediately;
+// writers go through the group committer (persist + apply phases), on the
+// caller's goroutine whenever it wins leadership. ctx bounds the wait, and
+// three outcomes are possible:
+//
+//   - The group commits (or the engine aborts it) before ctx is done: the
+//     committer's verdict is returned.
 //   - ctx is done while the transaction is still queued, before any leader
 //     claimed it: the transaction is withdrawn from the queue and aborted —
 //     it definitively did not commit — and ctx.Err() is returned bare.
@@ -615,45 +614,49 @@ func (tx *Tx) CommitCtx(ctx context.Context) error {
 	}
 	tx.commitRes = make(chan error, 1)
 	tx.commitStart = time.Now()
-	// submit blocks competing for group leadership, so it runs in a helper
-	// goroutine; the caller's goroutine stays free to observe ctx. The
-	// helper forwards the commit result (always ready once submit returns).
-	done := make(chan error, 1)
-	go func() {
-		tx.g.commit.submit(tx)
-		done <- <-tx.commitRes
-	}()
+	_, sp := obs.StartSpan(tx.ctx, "tx.commit.wait")
+	c := tx.g.commit
+	// Enqueued before the wait, so a withdraw that fails below means a
+	// leader has claimed the transaction.
+	c.enqueue(tx)
+	var err error
+	cancelled := false
 	select {
-	case err := <-done:
-		return tx.settleCommit(err)
+	case err = <-tx.commitRes:
+	case c.lead <- struct{}{}:
+		// Leader: tx was queued before the token was won, so this drain or
+		// an earlier one commits it.
+		if c.leadGroup(ctx) {
+			err = <-tx.commitRes
+		} else {
+			cancelled = true
+		}
 	case <-ctx.Done():
+		cancelled = true
 	}
-	if tx.g.commit.withdraw(tx) {
-		// No leader had claimed the transaction: abort it locally. The
-		// helper is (or will be) blocked reading commitRes; feed it the
-		// result so it exits.
-		tx.revert()
-		tx.unlockAll()
-		tx.finish()
+	sp.End()
+	if !cancelled {
+		return tx.settleCommit(err)
+	}
+	if c.withdraw(tx) {
+		// No leader had claimed the transaction: abort it locally.
+		tx.abortLocked()
 		tx.g.stats.Aborts.Add(1)
-		tx.commitRes <- ctx.Err()
 		return ctx.Err()
 	}
-	// The verdict may have landed in the same instant the deadline fired
-	// (select picks randomly among ready cases): prefer the definitive
-	// answer over an in-doubt one.
+	// Withdrawal failed: a leader claimed the group, and the commit will
+	// run to a verdict out of our hands. The verdict may have landed in the
+	// same instant the deadline fired (select picks randomly among ready
+	// cases): prefer the definitive answer over an in-doubt one. Otherwise
+	// detach: finalise bookkeeping in the background and report the
+	// indeterminate outcome to the caller now.
 	select {
-	case err := <-done:
+	case err = <-tx.commitRes:
 		return tx.settleCommit(err)
 	default:
 	}
-	// Withdrawal failed: either a leader already claimed the group, or (in
-	// a narrow race) the helper has not yet enqueued the transaction and
-	// some leader will claim it shortly. Both ways the commit is out of our
-	// hands and will run to a verdict. Detach: finalise bookkeeping in the
-	// background and report the indeterminate outcome to the caller now.
 	go func() {
-		tx.settleCommit(<-done)
+		tx.settleCommit(<-tx.commitRes)
 	}()
 	return fmt.Errorf("%w: %w", ErrCommitOutcomeUnknown, ctx.Err())
 }

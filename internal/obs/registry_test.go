@@ -2,6 +2,8 @@ package obs
 
 import (
 	"fmt"
+	"math"
+	"runtime/metrics"
 	"strings"
 	"sync"
 	"testing"
@@ -162,5 +164,44 @@ func checkExposition(t *testing.T, out string) {
 		if inf, ok := infBuckets[base]; ok && inf != c {
 			t.Errorf("%s: +Inf bucket %d != count %d", base, inf, c)
 		}
+	}
+}
+
+func TestHistQuantile(t *testing.T) {
+	h := &metrics.Float64Histogram{
+		Counts:  []uint64{50, 40, 9, 1},
+		Buckets: []float64{0, 1e-6, 1e-5, 1e-4, math.Inf(1)},
+	}
+	for _, c := range []struct{ q, want float64 }{{0.5, 1e-6}, {0.9, 1e-5}, {0.99, 1e-4}, {1, 1e-4}} {
+		if got := histQuantile(h, c.q); got != c.want {
+			t.Errorf("quantile %v = %v, want %v", c.q, got, c.want)
+		}
+	}
+	if got := histQuantile(&metrics.Float64Histogram{Counts: []uint64{0}, Buckets: []float64{0, 1}}, 0.5); got != 0 {
+		t.Errorf("empty histogram quantile = %v, want 0", got)
+	}
+}
+
+func TestRuntimeGauges(t *testing.T) {
+	r := NewRegistry()
+	RegisterRuntime(r)
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	checkExposition(t, out)
+	for _, want := range []string{
+		"# TYPE lg_go_goroutines gauge",
+		"# TYPE lg_go_sched_latency_seconds gauge",
+		`lg_go_sched_latency_seconds{quantile="0.5"} `,
+		`lg_go_sched_latency_seconds{quantile="0.99"} `,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition missing %q\n%s", want, out)
+		}
+	}
+	if g := r.Snapshot()["lg_go_goroutines"].Value; g < 1 {
+		t.Errorf("lg_go_goroutines = %v", g)
 	}
 }

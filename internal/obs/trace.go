@@ -3,24 +3,36 @@ package obs
 import (
 	"context"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Attr is one key/value annotation on a span. Values are stringified at
-// construction so span storage stays allocation-light and uniform.
+// Attr is one key/value annotation on a span. An integer value is kept as
+// an integer and formatted only when a trace is read, so annotating an
+// unsampled span, or offering a fast op to SlowOp, allocates nothing.
 type Attr struct {
 	Key   string
-	Value string
+	str   string
+	num   int64
+	isInt bool
 }
 
 // String builds a string-valued attr.
-func String(k, v string) Attr { return Attr{Key: k, Value: v} }
+func String(k, v string) Attr { return Attr{Key: k, str: v} }
 
 // Int builds an integer-valued attr.
-func Int(k string, v int64) Attr { return Attr{Key: k, Value: strconv.FormatInt(v, 10)} }
+func Int(k string, v int64) Attr { return Attr{Key: k, num: v, isInt: true} }
+
+// value returns the attr's value as a trace reader sees it.
+func (a Attr) value() string {
+	if a.isInt {
+		return strconv.FormatInt(a.num, 10)
+	}
+	return a.str
+}
 
 // TracerOptions configures a Tracer.
 type TracerOptions struct {
@@ -226,7 +238,9 @@ func (t *Tracer) SlowOp(name string, d time.Duration, attrs ...Attr) {
 	if t == nil || t.slowThresh == 0 || d < t.slowThresh {
 		return
 	}
-	sp := &Span{tracer: t, name: name, start: time.Now().Add(-d), dur: d, attrs: attrs}
+	// A copy, so the variadic slice stays on the caller's stack below the
+	// threshold.
+	sp := &Span{tracer: t, name: name, start: time.Now().Add(-d), dur: d, attrs: slices.Clone(attrs)}
 	sp.root = sp
 	t.slow.push(sp)
 	t.recent.push(sp)
@@ -261,7 +275,7 @@ func (s *Span) snapshot() SpanSnapshot {
 	if len(s.attrs) > 0 {
 		out.Attrs = make(map[string]string, len(s.attrs))
 		for _, a := range s.attrs {
-			out.Attrs[a.Key] = a.Value
+			out.Attrs[a.Key] = a.value()
 		}
 	}
 	children := make([]*Span, len(s.children))

@@ -124,3 +124,37 @@ func TestStartAlways(t *testing.T) {
 		t.Fatalf("forced span not recorded: %+v", got)
 	}
 }
+
+// TestLazyAttrs: an integer attr is formatted only when a trace is read, so
+// annotating an unsampled span and offering SlowOp a fast op allocate
+// nothing, while a recorded trace reads the same strings as ever.
+func TestLazyAttrs(t *testing.T) {
+	tr := NewTracer(TracerOptions{SampleRate: 1e-9, SlowOpThreshold: time.Hour})
+	_, sp := tr.StartSpan(context.Background(), "op")
+	if sp != nil {
+		t.Fatal("expected unsampled root")
+	}
+	v := int64(1 << 40) // past strconv's small-number cache
+	if n := testing.AllocsPerRun(100, func() { sp.SetAttr(Int("vertex", v)) }); n != 0 {
+		t.Errorf("SetAttr(Int) on an unsampled span: %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { tr.SlowOp("tx.commit", time.Millisecond, Int("epoch", v)) }); n != 0 {
+		t.Errorf("SlowOp under its threshold: %v allocations, want 0", n)
+	}
+
+	rec := NewTracer(TracerOptions{SampleRate: 1, SlowOpThreshold: time.Nanosecond})
+	_, root := rec.StartSpan(context.Background(), "commit.group")
+	root.SetAttr(Int("epoch", -7), Int("txs", v), String("error", "disk full"))
+	root.End()
+	rec.SlowOp("tx.commit", time.Second, Int("epoch", 99))
+	got := rec.Recent(0)
+	if len(got) != 2 {
+		t.Fatalf("recent traces = %d, want 2", len(got))
+	}
+	if a := got[0].Attrs; a["epoch"] != "99" {
+		t.Errorf("slow-op attrs = %v", a)
+	}
+	if a := got[1].Attrs; a["epoch"] != "-7" || a["txs"] != "1099511627776" || a["error"] != "disk full" {
+		t.Errorf("span attrs = %v", a)
+	}
+}

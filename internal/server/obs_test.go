@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -205,16 +206,33 @@ func TestScrapeUnderLoad(t *testing.T) {
 
 	// The final exposition must show the hot-path histograms populated.
 	_, body := httpGet(t, base+"/metrics")
-	for _, h := range []string{"lg_commit_latency_seconds_count", "lg_traversal_seconds_count", "lg_traversal_hop_seconds_count"} {
+	for _, h := range []string{"lg_commit_latency_seconds_count", "lg_traversal_seconds_count", "lg_traversal_hop_seconds_count",
+		"lg_go_goroutines ", `lg_go_sched_latency_seconds{quantile="0.5"} `, `lg_go_sched_latency_seconds{quantile="0.99"} `} {
 		if !strings.Contains(body, h) {
 			t.Errorf("exposition missing %s", h)
 		}
 	}
-	// And the trace ring must have captured span trees.
-	_, tbody := httpGet(t, base+"/v1/traces?n=4")
+	// And the trace ring must have captured span trees, whose integer
+	// attrs read as plain decimal strings.
+	_, tbody := httpGet(t, base+"/v1/traces?n=0")
 	var tr TracesResponse
 	if err := json.Unmarshal([]byte(tbody), &tr); err != nil || len(tr.Traces) == 0 {
 		t.Fatalf("no traces captured (err=%v, body=%s)", err, tbody)
+	}
+	groups := 0
+	for _, sp := range tr.Traces {
+		if sp.Name != "commit.group" {
+			continue
+		}
+		groups++
+		for _, k := range []string{"txs", "epoch"} {
+			if v, err := strconv.ParseInt(sp.Attrs[k], 10, 64); err != nil || v < 1 {
+				t.Errorf("commit.group attr %s = %q, want a positive decimal", k, sp.Attrs[k])
+			}
+		}
+	}
+	if groups == 0 {
+		t.Error("no commit.group trace in the ring")
 	}
 	_ = g
 }

@@ -282,10 +282,8 @@ func (t *TEL) Invalidation(i int) int64 {
 // it must be set once per entry: a -TID mark may precede it, another
 // committed timestamp may not.
 //
-// It must stay small enough to inline. The committer calls it on the
-// goroutine CommitCtx starts for each commit, whose stack starts small: one
-// more call frame on that path made every commit grow its stack, about a
-// quarter of the htap_scan writer's median latency on a 2-vCPU machine.
+// It is kept small enough to inline: the committer's apply phase calls it
+// once per invalidated entry, on the commit path every writer waits on.
 func (t *TEL) SetInvalidation(i int, ts int64) {
 	atomic.StoreInt64(&t.w[t.entryBase+i*EntryWords+2], ts)
 	if ts >= 0 {

@@ -49,9 +49,10 @@
 // Operations take contexts. Graph.BeginCtx / BeginReadCtx bound the wait
 // for a worker slot; a write transaction's vertex-lock waits respect its
 // context's deadline (returning ctx.Err() instead of blocking up to
-// Options.LockTimeout); Tx.CommitCtx bounds the group-commit wait, turning
-// a deadline into a definitive abort while the transaction is still queued
-// (see CommitCtx for the in-flight case). UpdateCtx and ViewCtx are the
+// Options.LockTimeout); Tx.CommitCtx bounds the group-commit wait (Commit
+// is CommitCtx without a deadline), turning a deadline into a definitive
+// abort while the transaction is still queued (see CommitCtx for the
+// in-flight case). UpdateCtx and ViewCtx are the
 // context-aware forms of Update and View; the HTTP server (internal/server)
 // threads each request's context through begin, lock and commit waits.
 //
@@ -122,8 +123,9 @@
 //
 // Commits go through the paper's three phases — work, persist, apply —
 // with a group-commit transaction manager: a committing transaction
-// enqueues itself, and the leader that wins the commit lock drains the
-// queue and commits the whole group.
+// enqueues itself and, on its own goroutine, waits for its verdict, the
+// leader token or its context's end, whichever comes first; the leader
+// that wins the token drains the queue and commits the whole group.
 //
 // The persist phase is one write-ahead log with group commit (paper §5).
 // Every transaction buffers one WAL record as it executes; at commit the
