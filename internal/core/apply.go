@@ -2,11 +2,11 @@ package core
 
 // The apply path: what a committed write does to the graph, beyond the
 // write itself, is decided in one place. applyOp is the one interpreter
-// of a decoded WAL op; recovery's replay (replay.go) and a follower's
-// ApplyEpoch both call it, so a recovered graph and a replica are built by
-// the same code from the same log. It takes the vertex lock in both cases:
-// a follower may run compaction concurrently, and during recovery the lock
-// is simply uncontended. applied is the bookkeeping every apply site does
+// of a decoded op; recovery's checkpoint load and WAL replay and a
+// follower's ApplyEpoch all call it, so a recovered graph and a replica
+// are built by the same code from the same ops. It takes the vertex lock
+// every time: a follower may run compaction concurrently, and during
+// recovery the lock is simply uncontended. applied is the bookkeeping every apply site does
 // for a vertex whose records changed — the primary's committer, applyOp —
 // so the vertex frontier, the maintenance dirty set and the checkpoint
 // journal follow one rule everywhere.
@@ -63,18 +63,15 @@ func (g *Graph) ApplyEpoch(epoch int64, recs [][]byte) error {
 	}
 	// Decode everything before touching the graph: a corrupt record must
 	// not leave a half-applied (never-published) group behind.
-	decoded := make([][]walOp, len(recs))
-	for i, rec := range recs {
-		ops, err := decodeOps(rec)
-		if err != nil {
+	var ops []walOp
+	for _, rec := range recs {
+		var err error
+		if ops, err = decodeOps(ops, rec); err != nil {
 			return err
 		}
-		decoded[i] = ops
 	}
-	for _, ops := range decoded {
-		for _, op := range ops {
-			g.applyOp(op, epoch)
-		}
+	for _, op := range ops {
+		g.applyOp(op, epoch, true)
 	}
 	// Group boundary: expose the whole group to future readers at once.
 	g.epochs.AdvanceTo(epoch)
@@ -87,9 +84,10 @@ func (g *Graph) ApplyEpoch(epoch int64, recs [][]byte) error {
 	return nil
 }
 
-// applyOp applies one decoded WAL op with the committed timestamp epoch,
-// under the vertex lock of the op's vertex (an edge op's source).
-func (g *Graph) applyOp(op walOp, epoch int64) {
+// applyOp applies one decoded op with the committed timestamp epoch,
+// under the vertex lock of the op's vertex (an edge op's source). journal
+// is applied's: false only for checkpoint load.
+func (g *Graph) applyOp(op walOp, epoch int64, journal bool) {
 	var dead int64
 	g.locks.Lock(uint64(op.v))
 	switch op.op {
@@ -103,22 +101,33 @@ func (g *Graph) applyOp(op walOp, epoch int64) {
 		if prev != nil {
 			dead = entryDeadBytes + int64(len(prev.data))
 		}
+	case opResetVertex:
+		// Drop the payload and every list, defer-freed like applyEdge's
+		// upgrade: safe under a concurrent scan, freed at once in recovery.
+		if ll := g.eindex.Get(int64(op.v)); ll != nil {
+			for i := range ll.entries {
+				t := tel.At(g.alloc, ll.ref(i))
+				g.statsDrop(t)
+				g.alloc.DeferFree(t.Ref(), g.epochs.WriteEpoch())
+				g.forgetBlock(t)
+			}
+			g.eindex.Set(int64(op.v), nil)
+		}
+		g.vindex.Set(int64(op.v), nil)
 	case opInsertEdge, opUpsertEdge, opDeleteEdge:
 		dead = g.applyEdge(op.op, op.v, op.label, op.dst, op.data, epoch)
 	}
 	g.locks.Unlock(uint64(op.v))
-	g.applied(op.v, dead)
+	g.applied(op.v, dead, journal)
 }
 
-// applyEdge applies one edge operation directly with a committed
-// timestamp: from applyOp, or from checkpoint load, which inserts every
-// edge it reads. It keeps the degree statistics and hints the label's
-// reverse index (a nil check while the label has none), as the primary's
-// write path does. It returns the exact bytes the operation turned into
-// garbage (an invalidated entry's words + properties), which
+// applyEdge applies one edge operation of applyOp directly with a
+// committed timestamp. It keeps the degree statistics and hints the
+// label's reverse index (a nil check while the label has none), as the
+// primary's write path does. It returns the exact bytes the operation
+// turned into garbage (an invalidated entry's words + properties), which
 // SetInvalidation has already added to the TEL's dead counter. Caller
-// holds src's lock, or is checkpoint load, which runs before anything else
-// can reach the graph.
+// holds src's lock.
 func (g *Graph) applyEdge(op byte, src VertexID, label Label, dst VertexID, props []byte, epoch int64) int64 {
 	t := g.telLocked(src, label)
 	n, pl := t.Len(), t.PropLen()
@@ -144,7 +153,7 @@ func (g *Graph) applyEdge(op byte, src VertexID, label Label, dst VertexID, prop
 		// recycle it only once every reader pinned below the current
 		// write epoch has exited (same discipline as Tx.upgrade). During
 		// recovery there are no readers, and the Reclaim after each WAL
-		// record or checkpoint record frees it at once.
+		// record or checkpoint frame frees it at once.
 		g.alloc.DeferFree(t.Ref(), g.epochs.WriteEpoch())
 		g.forgetBlock(t)
 		t = tel.At(g.alloc, r)
@@ -162,14 +171,18 @@ func (g *Graph) applyEdge(op byte, src VertexID, label Label, dst VertexID, prop
 // garbage the write left behind. It moves the vertex frontier past v —
 // every vertex that owns records does (a vertex-op target or an edge
 // source); a destination owns none and never moves it — so a checkpoint's
-// nextVertexID covers v. Then it queues v for maintenance and journals it
-// for the next delta checkpoint. Callers hold the leader token, applyMu, or run
+// nextVertexID covers v. With journal set it then queues v for
+// maintenance and journals it for the next delta checkpoint; checkpoint
+// load clears it, because what it loads is already checkpointed and
+// freshly laid out. Callers hold the leader token, applyMu, or run
 // single-threaded recovery: Checkpoint drains the journal under the first
 // two.
-func (g *Graph) applied(v VertexID, dead int64) {
+func (g *Graph) applied(v VertexID, dead int64, journal bool) {
 	g.bumpNextVertex(int64(v))
-	g.markDirty(v, dead)
-	g.markCkptDirty(v)
+	if journal {
+		g.markDirty(v, dead)
+		g.markCkptDirty(v)
+	}
 }
 
 // bumpNextVertex raises the vertex-ID frontier to cover id. CAS because

@@ -7,20 +7,22 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"livegraph/internal/obs"
-	"livegraph/internal/tel"
 	"livegraph/internal/wal"
 )
 
-var ckptMagic = []byte("LGCKPT1\n")
+var ckptMagic = []byte("LGCKPT2\n")
 
 // ckptCrashHook, when set (crash-matrix tests only), is invoked at each
 // named stage of the checkpoint swap protocol. Returning an error aborts
@@ -156,12 +158,12 @@ func (g *Graph) Checkpoint() error {
 	nv := snap.NumVertices()
 	full := g.ckptWantsFull(int64(len(drained)), nv)
 
-	var (
-		baseName    string
-		baseEpoch   int64
-		deltaEpochs []int64
-		written     int64
-	)
+	// MinWALSeq marks the segment opened at rotation as the first live
+	// one: the prune below is best-effort (a crash mid-prune leaves
+	// superseded segments behind), and recovery skips everything under
+	// the mark.
+	meta := wal.CheckpointMeta{BaseEpoch: epoch, MinWALSeq: minSeq}
+	var written int64
 	wkind, durable := "delta", "delta-durable"
 	if full {
 		wkind, durable = "full", "snap-durable"
@@ -169,18 +171,16 @@ func (g *Graph) Checkpoint() error {
 	_, wsp := obs.StartSpan(cctx, "ckpt.write")
 	wsp.SetAttr(obs.String("kind", wkind), obs.Int("dirty", int64(len(drained))))
 	if full {
-		baseName, baseEpoch = fmt.Sprintf("ckpt-%d.snap", epoch), epoch
-		written, err = g.writeCkptFile(filepath.Join(g.opts.Dir, baseName), ckptMagic,
-			[]int64{epoch, nv}, "snap-tmp", snap, nil)
+		written, err = g.writeCkptFile(filepath.Join(g.opts.Dir, snapFileName(epoch)), ckptMagic,
+			[]int64{epoch}, nv, "snap-tmp", snap, nil)
 	} else {
 		prevEpoch := g.ckptBase
 		if n := len(g.ckptDeltas); n > 0 {
 			prevEpoch = g.ckptDeltas[n-1]
 		}
 		written, err = g.writeDelta(filepath.Join(g.opts.Dir, deltaFileName(epoch)), g.ckptBase, prevEpoch, epoch, nv, snap, drained)
-		// The meta's Path always names the base snapshot, full or delta.
-		baseName, baseEpoch = fmt.Sprintf("ckpt-%d.snap", g.ckptBase), g.ckptBase
-		deltaEpochs = append(append([]int64(nil), g.ckptDeltas...), epoch)
+		meta.BaseEpoch = g.ckptBase
+		meta.DeltaEpochs = append(append([]int64(nil), g.ckptDeltas...), epoch)
 	}
 	if err == nil {
 		err = ckptStage(durable)
@@ -191,17 +191,6 @@ func (g *Graph) Checkpoint() error {
 	}
 	wsp.SetAttr(obs.Int("bytes", written))
 	wsp.End()
-	// MinWALSeq marks the segment opened at rotation as the first live
-	// one: the prune below is best-effort (a crash mid-prune leaves
-	// superseded segments behind), and recovery skips everything under
-	// the mark.
-	meta := wal.CheckpointMeta{
-		Epoch:       epoch,
-		BaseEpoch:   baseEpoch,
-		Path:        baseName,
-		MinWALSeq:   minSeq,
-		DeltaEpochs: deltaEpochs,
-	}
 	_, msp := obs.StartSpan(cctx, "ckpt.meta")
 	if err := wal.WriteCheckpointMeta(g.opts.Dir, meta); err != nil {
 		msp.End()
@@ -215,8 +204,8 @@ func (g *Graph) Checkpoint() error {
 	// view and reset the eligibility gauges before the best-effort prune
 	// (a crash below re-prunes on recovery, it does not re-checkpoint).
 	committed = true
-	g.ckptBase = baseEpoch
-	g.ckptDeltas = deltaEpochs
+	g.ckptBase = meta.BaseEpoch
+	g.ckptDeltas = meta.DeltaEpochs
 	g.lastCkptEpoch.Store(epoch)
 	g.dirtySinceCkpt.Store(0)
 	elapsed := time.Since(start)
@@ -229,7 +218,7 @@ func (g *Graph) Checkpoint() error {
 	}
 	g.ckptStats.LastNanos.Store(elapsed.Nanoseconds())
 	g.ckptStats.LastBytes.Store(written)
-	g.ckptStats.ChainLen.Store(int64(len(deltaEpochs)))
+	g.ckptStats.ChainLen.Store(int64(len(meta.DeltaEpochs)))
 	csp.SetAttr(obs.String("kind", wkind), obs.Int("epoch", epoch), obs.Int("bytes", written))
 	// Prune superseded segments and unreferenced checkpoint files.
 	_, psp := obs.StartSpan(cctx, "ckpt.prune")
@@ -237,7 +226,7 @@ func (g *Graph) Checkpoint() error {
 	for _, s := range oldSegs {
 		g.pruneFile(s)
 	}
-	g.pruneCheckpointFiles(baseName, deltaEpochs)
+	g.pruneCheckpointFiles(meta)
 	return ckptStage("pruned")
 }
 
@@ -279,37 +268,29 @@ func (g *Graph) rotateWALLocked() ([]string, error) {
 	return old, nil
 }
 
-// Checkpoint files, full and delta, are a magic, a header of signed
-// varints, and one record body:
-//
-//	per vertex (ascending ID): id, flags, data, numLabels,
-//	  per label: label, numEdges, per edge: dst, propLen, props
-//	terminated by id = -1.
-//
-// Flags bit 0 marks a deleted or absent payload. The formats differ only
-// in header and in which vertices get a record: one codec serves both.
+// Checkpoint files, full and delta, are a magic followed by WAL frames
+// (internal/wal), all stamped with the checkpoint's epoch: a header frame
+// of varints — the chain (a snapshot's epoch; a delta's base, predecessor
+// and own epoch), then nextVertexID — then one record per vertex in
+// ascending ID (opResetVertex; opPutVertex if it has a payload; one
+// opInsertEdge per live edge), cut into frames once a body passes
+// wal.CheckpointFrameBytes, then an empty end frame. One writer and one
+// loader serve both files; load applies the ops through decodeOps →
+// applyOp, the path WAL replay and a follower take.
 
-// writeCkptFile streams magic, header and the records of ids to path
-// under the backend's crash-atomic swap protocol: the bytes land in
-// `<path>.tmp`, and only Commit (fsync tmp → rename → fsync dir) makes
-// them visible under the final name, so a recovered CHECKPOINT pointer
-// never finds a half-written file. Both headers end in nextVertexID,
-// which is also where a full dump (nil ids) stops. tmpStage names the
-// crash window before the rename. Returns the bytes streamed (the
-// ckpt_last_bytes gauge).
-func (g *Graph) writeCkptFile(path string, magic []byte, header []int64, tmpStage string, snap *Snapshot, ids []int64) (int64, error) {
+// writeCkptFile streams a checkpoint to path under the backend's
+// crash-atomic swap protocol: the bytes land in `<path>.tmp`, and only
+// Commit (fsync tmp → rename → fsync dir) makes them visible under the
+// final name, so a recovered CHECKPOINT pointer never finds a
+// half-written file. tmpStage names the crash window before the rename.
+// Returns the bytes streamed (the ckpt_last_bytes gauge).
+func (g *Graph) writeCkptFile(path string, magic []byte, chain []int64, nv int64, tmpStage string, snap *Snapshot, ids []int64) (int64, error) {
 	af, err := g.opts.Backend.CreateAtomic(path)
 	if err != nil {
 		return 0, err
 	}
-	cw := &countingWriter{w: af}
-	w := bufio.NewWriterSize(cw, 1<<20)
-	w.Write(magic)
-	for _, x := range header {
-		putVarint(w, x)
-	}
-	g.writeCkptRecords(w, snap, ids, header[len(header)-1])
-	if err := w.Flush(); err != nil {
+	n, err := g.writeCkpt(af, magic, chain, nv, snap, ids)
+	if err != nil {
 		af.Abort()
 		return 0, err
 	}
@@ -321,129 +302,95 @@ func (g *Graph) writeCkptFile(path string, magic []byte, header []int64, tmpStag
 	if err := af.Commit(); err != nil {
 		return 0, err
 	}
-	return cw.n, nil
+	return n, nil
 }
 
-func putVarint(w *bufio.Writer, x int64) {
-	w.Write(binary.AppendVarint(w.AvailableBuffer(), x))
-}
-
-// writeCkptRecords writes the record body for ids, which must ascend. A
-// nil ids is the full dump: every vertex below nv, the header's
-// nextVertexID (not the live frontier, which moves during the dump),
-// leaving out those with neither payload nor label index. Explicit ids (a
-// delta) are all written, a vertex with nothing left included: its record
-// is what erases the vertex's earlier state at load time. Write errors
-// stick to w and surface at the caller's Flush.
-func (g *Graph) writeCkptRecords(w *bufio.Writer, snap *Snapshot, ids []int64, nv int64) {
+// writeCkpt writes magic and the frames of the checkpoint at chain's last
+// epoch holding the vertices ids, which must ascend, and returns the bytes
+// written. A nil ids is the full dump: every vertex below nv, the
+// header's nextVertexID (not the live frontier, which moves during the
+// dump), leaving out those with neither payload nor label index. Explicit
+// ids (a delta) are all written, a vertex with nothing left included: its
+// reset is what erases the vertex's earlier state at load time.
+func (g *Graph) writeCkpt(w io.Writer, magic []byte, chain []int64, nv int64, snap *Snapshot, ids []int64) (written int64, err error) {
+	// buf holds the frame's records back to back: recs the finished ones,
+	// then the open one from offset open.
+	var (
+		buf, frame []byte
+		open       int
+		recs       [][]byte
+	)
+	write := func(p []byte) {
+		if err == nil {
+			var k int
+			k, err = w.Write(p)
+			written += int64(k)
+		}
+	}
+	endRecord := func() {
+		if len(buf) > open {
+			recs, open = append(recs, buf[open:len(buf):len(buf)]), len(buf)
+		}
+	}
+	flush := func() { // the finished records as one frame; none: the end frame
+		frame = wal.AppendFrame(frame[:0], chain[len(chain)-1], recs)
+		write(frame)
+		buf, open, recs = buf[:0], 0, recs[:0]
+	}
+	opDone := func() { // past the cut, a vertex's ops go on in the next frame
+		if len(buf)+4*(len(recs)+1) > wal.CheckpointFrameBytes {
+			endRecord()
+			flush()
+		}
+	}
+	write(magic)
+	for _, x := range chain {
+		buf = binary.AppendVarint(buf, x)
+	}
+	buf = binary.AppendVarint(buf, nv)
+	endRecord()
+	flush()
 	n := int64(len(ids))
 	if ids == nil {
 		n = nv
 	}
-	for i := int64(0); i < n; i++ {
-		v := i
+	for i := int64(0); i < n && err == nil; i++ {
+		v := VertexID(i)
 		if ids != nil {
-			v = ids[i]
+			v = VertexID(ids[i])
 		}
-		data, ok := snap.VertexData(VertexID(v))
-		ll := g.eindex.Get(v)
+		data, ok := snap.VertexData(v)
+		ll := g.eindex.Get(int64(v))
 		if ids == nil && !ok && ll == nil {
 			continue
 		}
-		putVarint(w, v)
-		flags := int64(0)
-		if !ok {
-			flags |= 1 // deleted / absent payload
+		buf = appendVertexOp(buf, opResetVertex, v, nil)
+		if ok {
+			buf = appendVertexOp(buf, opPutVertex, v, data)
 		}
-		putVarint(w, flags)
-		putVarint(w, int64(len(data)))
-		w.Write(data)
-		var labels []labelEntry
-		if ll != nil {
-			labels = ll.entries
-		}
-		putVarint(w, int64(len(labels)))
-		for i := range labels {
-			label := labels[i].label
-			putVarint(w, int64(label))
-			// Two passes: count, then dump (stream-friendly).
-			putVarint(w, int64(snap.Degree(VertexID(v), label)))
-			snap.ScanNeighbors(VertexID(v), label, func(dst VertexID, props []byte) bool {
-				putVarint(w, int64(dst))
-				putVarint(w, int64(len(props)))
-				w.Write(props)
+		opDone()
+		for j := 0; ll != nil && j < len(ll.entries); j++ {
+			label := ll.entries[j].label
+			snap.ScanNeighbors(v, label, func(dst VertexID, props []byte) bool {
+				buf = appendEdgeOp(buf, opInsertEdge, v, label, dst, props)
+				opDone()
 				return true
 			})
 		}
+		endRecord()
 	}
-	putVarint(w, -1)
-}
-
-// ckptReader reads one checkpoint file of a known size. Checkpoint files
-// carry no checksum, so every length and count read from one is checked
-// against the bytes the file still holds before anything is allocated or
-// looped over. The first damage found sticks in err and every later read
-// returns zero, so callers check err once per record.
-type ckptReader struct {
-	*bufio.Reader
-	src io.LimitedReader // N: bytes of the file the buffer has not pulled yet
-	err error
-}
-
-func newCkptReader(src io.Reader, size int64) *ckptReader {
-	r := &ckptReader{src: io.LimitedReader{R: src, N: size}}
-	r.Reader = bufio.NewReaderSize(&r.src, 1<<20)
-	return r
-}
-
-func (r *ckptReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: %s", ErrCheckpointDamaged, fmt.Sprintf(format, args...))
+	if len(recs) > 0 {
+		flush()
 	}
+	flush()
+	return written, err
 }
 
-// varint reads one number. The file ending inside or before it is damage:
-// a complete body ends with the -1 terminator, never with EOF.
-func (r *ckptReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	x, err := binary.ReadVarint(r.Reader)
-	if err != nil {
-		r.fail("truncated: %v", err)
-		return 0
-	}
-	return x
-}
-
-// count reads a length or element count. Every counted thing occupies at
-// least one byte, so a value past what the file still holds is damage.
-func (r *ckptReader) count(what string) int64 {
-	n := r.varint()
-	if left := r.left(); n < 0 || n > left {
-		r.fail("%s %d with %d bytes left", what, n, left)
-		return 0
-	}
-	return n
-}
-
-// left returns how many bytes of the file are not yet consumed.
-func (r *ckptReader) left() int64 { return r.src.N + int64(r.Buffered()) }
-
-// bytes reads a length-prefixed payload.
-func (r *ckptReader) bytes(what string) []byte {
-	b := make([]byte, r.count(what))
-	if _, err := io.ReadFull(r.Reader, b); err != nil {
-		r.fail("truncated: %v", err)
-	}
-	return b
-}
-
-// loadCkptFile loads one checkpoint file during recovery: magic, header
-// (chain, then nextVertexID) and records, stamped with the file's own
-// epoch, the last element of chain. chain is what the CHECKPOINT meta says
-// the header holds: a full snapshot's epoch; a delta's base, predecessor
-// and own epoch, so a stale or reordered delta is never replayed.
+// loadCkptFile loads one checkpoint file during recovery. chain is what
+// the CHECKPOINT meta says its header holds: a full snapshot's epoch; a
+// delta's base, predecessor and own epoch, so a stale or reordered delta
+// is never replayed. Any rule the file breaks is ErrCheckpointDamaged
+// naming it.
 func (g *Graph) loadCkptFile(path string, magic []byte, chain ...int64) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -454,86 +401,95 @@ func (g *Graph) loadCkptFile(path string, magic []byte, chain ...int64) error {
 	if err != nil {
 		return err
 	}
-	r := newCkptReader(f, st.Size())
-	got := make([]byte, len(magic))
-	if _, err := io.ReadFull(r, got); err != nil || string(got) != string(magic) {
-		return fmt.Errorf("livegraph: bad magic in %s, want %q", path, magic)
-	}
-	for i, want := range chain {
-		if got := r.varint(); r.err == nil && got != want {
-			return fmt.Errorf("livegraph: checkpoint chain mismatch in %s: header field %d is %d, meta says %d", path, i, got, want)
-		}
-	}
-	nv := r.varint()
-	if r.err == nil {
-		if nv > g.nextVertex.Load() {
-			g.nextVertex.Store(nv)
-		}
-		g.loadCkptRecords(r, nv, chain[len(chain)-1])
-	}
-	if r.err != nil {
-		return fmt.Errorf("%s: %w", path, r.err)
+	if err := g.loadCkpt(bufio.NewReaderSize(f, 1<<20), st.Size(), magic, chain); err != nil {
+		return fmt.Errorf("%w: %s: %v", ErrCheckpointDamaged, path, err)
 	}
 	return nil
 }
 
-// loadCkptRecords rebuilds graph state from one record body, stamping
-// every version with epoch; damage is left in r.err. Each record fully
-// replaces its vertex (see ckpt_delta.go; a base snapshot's records find
-// nothing to drop): the lists it drops leave the degree statistics, and
-// its edges go in through applyEdge, which counts them. Single-threaded —
-// recovery has no readers or writers yet, so no vertex lock is taken, a
-// dropped list's block is freed at once, and so is every block applyEdge
-// outgrew, by the Reclaim after each record. The load calls no applied: the frontier comes from the header,
-// and the state it loads is already checkpointed. nv is the
-// header's nextVertexID: the writer emits IDs ascending and below it. The
-// bound is there to cap index growth — chunkedIndex.Set allocates every
-// 32 KiB chunk up to v>>12 — at what a graph of nv IDs costs anyway. nv
-// itself cannot be held to the file's size: both formats leave vertices
-// out, so an ID gap of any width costs no bytes (see
-// TestSparseCheckpointLoads), and damage to the header and a record ID
-// together is past what a format with no checksum can catch.
-func (g *Graph) loadCkptRecords(r *ckptReader, nv, epoch int64) {
-	for last := int64(-1); ; {
-		v := r.varint()
-		if r.err != nil || v < 0 {
-			return
+// loadCkpt reads a checkpoint of size bytes from r, stamping what it
+// loads with chain's last epoch. Every frame must verify and carry that
+// epoch, the file must end exactly at the end frame, and every op must
+// decode and keep the writer's order: resets of ascending IDs below the
+// header's nextVertexID, each followed only by its own vertex's put and
+// edge inserts, with labels and destinations not negative. The ID bound
+// caps index growth (chunkedIndex.Set allocates every chunk up to v>>12)
+// at what a graph of nextVertexID IDs costs anyway. nextVertexID is not
+// held to the file's size: an ID gap costs no bytes (TestSparseCheckpointLoads).
+//
+// Recovery is single-threaded, so applyOp's vertex locks are uncontended
+// and the Reclaim after each frame frees what it retired. applyOp neither
+// journals nor queues: the frontier comes from the header, and the state
+// is already checkpointed.
+func (g *Graph) loadCkpt(r io.Reader, size int64, magic []byte, chain []int64) error {
+	epoch := chain[len(chain)-1]
+	head := make([]byte, len(magic))
+	if _, err := io.ReadFull(r, head); err != nil || !bytes.Equal(head, magic) {
+		return fmt.Errorf("magic %q, want %q", head, magic)
+	}
+	left := size - int64(len(magic))
+	next := func() (f wal.Frame, err error) {
+		if f, err = wal.ReadFrame(r, left); errors.Is(err, io.EOF) {
+			err = errors.New("no end frame")
+		} else if err == nil && f.Epoch != epoch {
+			err = fmt.Errorf("frame epoch %d, want %d", f.Epoch, epoch)
 		}
-		if v <= last || v >= nv {
-			r.fail("vertex record %d after %d, nextVertexID %d", v, last, nv)
-			return
+		left -= int64(len(f.Raw))
+		return f, err
+	}
+	f, err := next()
+	if err != nil {
+		return err
+	}
+	if len(f.Recs) != 1 {
+		return fmt.Errorf("header frame holds %d records", len(f.Recs))
+	}
+	var hdr []int64 // the chain, then nextVertexID
+	for rec := f.Recs[0]; len(rec) > 0; {
+		x, n := binary.Varint(rec)
+		if n <= 0 {
+			return errors.New("malformed header record")
 		}
-		last = v
-		flags := r.varint()
-		data := r.bytes("vertex data length")
-		if r.err != nil {
-			return
+		hdr, rec = append(hdr, x), rec[n:]
+	}
+	if len(hdr) != len(chain)+1 || !slices.Equal(hdr[:len(chain)], chain) || hdr[len(chain)] < 0 {
+		return fmt.Errorf("header %v, the meta says chain %v", hdr, chain)
+	}
+	nv := hdr[len(chain)]
+	if nv > g.nextVertex.Load() {
+		g.nextVertex.Store(nv)
+	}
+	cur := VertexID(-1)
+	var ops []walOp
+	for {
+		if f, err = next(); err != nil {
+			return err
 		}
-		if ll := g.eindex.Get(v); ll != nil {
-			for i := range ll.entries {
-				t := tel.At(g.alloc, ll.ref(i))
-				g.statsDrop(t)
-				g.alloc.Free(t.Ref())
+		if len(f.Recs) == 0 {
+			break
+		}
+		for _, rec := range f.Recs {
+			if ops, err = decodeOps(ops[:0], rec); err != nil {
+				return err
 			}
-			g.eindex.Set(v, nil)
-		}
-		var ver *vertexVersion
-		if flags&1 == 0 {
-			ver = &vertexVersion{ts: epoch, data: data}
-		}
-		g.vindex.Set(v, ver)
-		for nl := r.count("label count"); nl > 0 && r.err == nil; nl-- {
-			label := r.varint()
-			for ne := r.count("edge count"); ne > 0 && r.err == nil; ne-- {
-				dst := r.varint()
-				props := r.bytes("property length")
-				if r.err == nil {
-					g.applyEdge(opInsertEdge, VertexID(v), Label(label), VertexID(dst), props, epoch)
+			for _, op := range ops {
+				switch {
+				case op.op == opResetVertex && op.v > cur && int64(op.v) < nv:
+					cur = op.v
+				case op.op == opPutVertex && op.v == cur && cur >= 0:
+				case op.op == opInsertEdge && op.v == cur && cur >= 0 && op.label >= 0 && op.dst >= 0:
+				default:
+					return fmt.Errorf("op %d on vertex %d after vertex %d, nextVertexID %d", op.op, op.v, cur, nv)
 				}
+				g.applyOp(op, epoch, false)
 			}
 		}
 		g.alloc.Reclaim(epoch)
 	}
+	if left != 0 {
+		return fmt.Errorf("%d bytes after the end frame", left)
+	}
+	return nil
 }
 
 // WAL segment enumeration lives in the wal package (wal.Segments): the

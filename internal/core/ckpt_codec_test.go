@@ -1,15 +1,15 @@
 package core
 
-// The checkpoint record codec (checkpoint.go): the two on-disk formats are
-// pinned byte for byte, damaged files must surface from Open as errors,
-// and the one record reader is fuzzed against the one record writer.
+// The checkpoint files (checkpoint.go): both formats are pinned byte for
+// byte, damaged files must surface from Open as errors, and the loader is
+// fuzzed against the writer.
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -91,34 +91,36 @@ func readOne(t testing.TB, dir, pattern string) (string, []byte) {
 	return m[0], b
 }
 
-// TestCheckpointFormatGolden pins LGCKPT1 and LGDLT1: the hex below is
-// what the pre-codec-merge writers produced for this graph, so a moved
-// byte in either format fails here before it fails a recovery.
+// TestCheckpointFormatGolden pins LGCKPT2 and LGDLT2: the hex below is
+// what the writers produce for this graph, so a moved byte in either
+// format fails here before it fails a recovery.
 func TestCheckpointFormatGolden(t *testing.T) {
 	const (
-		wantSnap  = "4c47434b5054310a040c00000476300400040400020461620202080678797a020004763100040004763202020200027108000476340200020a027701"
-		wantDelta = "4c47444c54310a0404060c00000476300400040204414204000200020006763127000602000001"
+		wantSnap  = "4c47434b5054320a02000000000000000600000081339fbf02000000040c02000000000000005000000018121f481c0000000700000200047630040000040004000002046162040002080678797a0800000007020002020476310e00000007040002040476320404020002710e00000007080002080476340408000a02770200000000000000000000003d1d8349"
+		wantDelta = "4c47444c54320a030000000000000008000000ee100e8b040000000404060c03000000000000002c0000009465295214000000070000020004763004000002044142040000040009000000070200020206763127030000000706000300000000000000000000000dc9f278"
 	)
 	dir := t.TempDir()
 	g := goldenCkptGraph(t, dir)
 	defer g.Close()
 	_, snap := readOne(t, dir, "ckpt-*.snap")
 	if got := hex.EncodeToString(snap); got != wantSnap {
-		t.Errorf("LGCKPT1 bytes moved:\n got %s\nwant %s", got, wantSnap)
+		t.Errorf("LGCKPT2 bytes moved:\n got %s\nwant %s", got, wantSnap)
 	}
 	goldenCkptDelta(t, g)
 	_, delta := readOne(t, dir, "ckpt-*.delta")
 	if got := hex.EncodeToString(delta); got != wantDelta {
-		t.Errorf("LGDLT1 bytes moved:\n got %s\nwant %s", got, wantDelta)
+		t.Errorf("LGDLT2 bytes moved:\n got %s\nwant %s", got, wantDelta)
 	}
 }
 
-// ckptBytes assembles a checkpoint file by hand: magic, then each part as
-// a signed varint (an int) or verbatim (a string).
-func ckptBytes(magic []byte, parts ...any) []byte {
-	b := append([]byte(nil), magic...)
+// ops assembles op bytes by hand: a byte is an op code, an int a signed
+// varint, a string verbatim.
+func ops(parts ...any) []byte {
+	var b []byte
 	for _, p := range parts {
 		switch p := p.(type) {
+		case byte:
+			b = append(b, p)
 		case int:
 			b = binary.AppendVarint(b, int64(p))
 		case string:
@@ -128,113 +130,223 @@ func ckptBytes(magic []byte, parts ...any) []byte {
 	return b
 }
 
+// ckptFile assembles a checkpoint file by hand with wal.AppendFrame: the
+// magic, the header frame (chain, then nextVertexID 6), then each of
+// frames as one frame of one record, all stamped with chain's last
+// epoch, then the end frame.
+func ckptFile(magic []byte, chain []int64, frames ...[]byte) []byte {
+	epoch := chain[len(chain)-1]
+	var hdr []byte
+	for _, x := range append(chain, 6) {
+		hdr = binary.AppendVarint(hdr, x)
+	}
+	b := wal.AppendFrame(append([]byte(nil), magic...), epoch, [][]byte{hdr})
+	for _, f := range frames {
+		b = wal.AppendFrame(b, epoch, [][]byte{f})
+	}
+	return wal.AppendFrame(b, epoch, nil)
+}
+
+// goldenCkptDir writes the golden chain — a snapshot and one delta — to a
+// fresh directory and returns it with its pointer.
+func goldenCkptDir(t *testing.T) (string, wal.CheckpointMeta) {
+	t.Helper()
+	dir := t.TempDir()
+	g := goldenCkptGraph(t, dir)
+	goldenCkptDelta(t, g)
+	g.Close()
+	meta, ok, err := wal.ReadCheckpointMeta(dir)
+	if err != nil || !ok || len(meta.DeltaEpochs) != 1 {
+		t.Fatalf("meta %+v ok=%v err=%v", meta, ok, err)
+	}
+	return dir, meta
+}
+
+// openCounted opens dir and reports how many bytes the Open allocated.
+func openCounted(dir string) (*Graph, uint64, error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g, err := Open(Options{Dir: dir, Workers: 4, CompactEvery: -1})
+	runtime.ReadMemStats(&after)
+	return g, after.TotalAlloc - before.TotalAlloc, err
+}
+
+// wantDamaged opens dir, where path has been replaced by damage: Open must
+// return ErrCheckpointDamaged naming the file — not panic, not start up —
+// and allocate no more than a clean Open of the chain (cleanGrew) plus
+// slack, whatever a damaged length says.
+func wantDamaged(t *testing.T, dir, path string, damage []byte, cleanGrew uint64, what string) {
+	t.Helper()
+	if err := os.WriteFile(path, damage, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	g, grew, err := openCounted(dir)
+	if err == nil {
+		g.Close()
+		t.Fatalf("%s: Open accepted the damaged file", what)
+	}
+	if !errors.Is(err, ErrCheckpointDamaged) || !bytes.Contains([]byte(err.Error()), []byte(filepath.Base(path))) {
+		t.Fatalf("%s: Open = %v, want ErrCheckpointDamaged naming %s", what, err, filepath.Base(path))
+	}
+	if grew > cleanGrew+1<<20 {
+		t.Fatalf("%s: Open of a %d-byte damaged file allocated %d bytes, a clean Open %d", what, len(damage), grew, cleanGrew)
+	}
+}
+
 // TestDamagedCheckpointIsAnError replaces the snapshot, then the delta, of
-// a real checkpoint chain with files that break one rule the writer
-// guarantees, and reopens the directory: Open must return
-// ErrCheckpointDamaged — not panic, and not allocate what a damaged length
-// says. Checkpoint files carry no checksum, so these checks are all that
-// stands between a flipped bit and the allocator.
+// a real checkpoint chain with damaged files and reopens the directory.
+// Every single-byte flip and every truncation of the real files must fail
+// verification; and checksummed frames whose content breaks a rule the
+// writer keeps must fail the load rules. The first ten cases carry the
+// names of the old format's damage cases, each mapped to the field that
+// plays its part in frames: a label count became each edge's label, an
+// edge count the frame's length, the -1 terminator the end frame.
 func TestDamagedCheckpointIsAnError(t *testing.T) {
 	damage := []struct {
-		name string
-		body []any // follows the header; vertex IDs must stay below 6
+		name   string
+		frames [][]byte // data frames after the header; nil: see build
+		build  func(file []byte) []byte
 	}{
-		{"negative data length", []any{0, 0, -5}},
-		{"huge property length", []any{0, 0, 0, 1, 0, 1, 1, 1 << 40}},
-		{"data longer than the file", []any{0, 0, 9, "short"}},
-		{"negative label count", []any{0, 0, 0, -1}},
-		{"edge count past the file", []any{0, 0, 0, 1, 0, 1000, -1}},
-		{"truncated before the terminator", []any{0, 0, 2, "ab", 0}},
-		{"truncated inside a number", []any{0, 0, 0, 1, "\x80"}},
-		{"vertex ID at nextVertexID", []any{6, 0, 0, 0, -1}},
-		{"vertex IDs descending", []any{2, 0, 0, 0, 1, 0, 0, 0, -1}},
-		{"vertex ID repeated", []any{2, 0, 0, 0, 2, 0, 0, 0, -1}},
+		{"negative data length", [][]byte{ops(opResetVertex, 0, 0, opPutVertex, 0, -5)}, nil},
+		{"huge property length", [][]byte{ops(opResetVertex, 0, 0, opInsertEdge, 0, 0, 1, 1<<40)}, nil},
+		{"data longer than the file", [][]byte{ops(opResetVertex, 0, 0, opPutVertex, 0, 9, "short")}, nil},
+		{"negative label count", [][]byte{ops(opResetVertex, 0, 0, opInsertEdge, 0, -1, 1, 0)}, nil},
+		{"edge count past the file", [][]byte{ops(opResetVertex, 0, 0, opInsertEdge, 0, 0, 1, 0)}, func(file []byte) []byte {
+			// The data frame's length field claims more than the file holds.
+			off := len(file) - 16 - (16 + 4 + len(ops(opResetVertex, 0, 0, opInsertEdge, 0, 0, 1, 0)))
+			binary.LittleEndian.PutUint32(file[off+8:], 1000)
+			return file
+		}},
+		{"truncated before the terminator", [][]byte{ops(opResetVertex, 0, 0)}, func(file []byte) []byte {
+			return file[:len(file)-16] // no end frame
+		}},
+		{"truncated inside a number", [][]byte{ops(opResetVertex, 0, 0, opPutVertex, "\x80")}, nil},
+		{"vertex ID at nextVertexID", [][]byte{ops(opResetVertex, 6, 0)}, nil},
+		{"vertex IDs descending", [][]byte{ops(opResetVertex, 2, 0), ops(opResetVertex, 1, 0)}, nil},
+		{"vertex ID repeated", [][]byte{ops(opResetVertex, 2, 0, opResetVertex, 2, 0)}, nil},
+		{"unknown op byte", [][]byte{ops(opResetVertex, 0, 0, byte(0xEE), 0, 0)}, nil},
+		{"op before any reset", [][]byte{ops(opPutVertex, 0, 1, "x")}, nil},
+		{"op of another vertex", [][]byte{ops(opResetVertex, 0, 0, opPutVertex, 1, 1, "x")}, nil},
+		{"op a checkpoint never holds", [][]byte{ops(opResetVertex, 0, 0, opUpsertEdge, 0, 0, 1, 0)}, nil},
+		{"bytes after the end frame", [][]byte{ops(opResetVertex, 0, 0)}, func(file []byte) []byte {
+			return append(file, 0)
+		}},
+		{"frame of another epoch", nil, func(file []byte) []byte {
+			// A whole verifying frame stamped one epoch later, before the end.
+			end := len(file) - 16
+			epoch := int64(binary.LittleEndian.Uint64(file[end:]))
+			extra := wal.AppendFrame(nil, epoch+1, [][]byte{ops(opResetVertex, 0, 0)})
+			return append(append(append([]byte(nil), file[:end]...), extra...), file[end:]...)
+		}},
 	}
 	for _, kind := range []string{"snap", "delta"} {
 		for _, d := range damage {
 			t.Run(kind+"/"+d.name, func(t *testing.T) {
-				dir := t.TempDir()
-				g := goldenCkptGraph(t, dir)
-				goldenCkptDelta(t, g)
-				g.Close()
-				meta, ok, err := wal.ReadCheckpointMeta(dir)
-				if err != nil || !ok || len(meta.DeltaEpochs) != 1 {
-					t.Fatalf("meta %+v ok=%v err=%v", meta, ok, err)
-				}
-				open := func() (*Graph, uint64, error) {
-					var before, after runtime.MemStats
-					runtime.ReadMemStats(&before)
-					g, err := Open(Options{Dir: dir, Workers: 4, CompactEvery: -1})
-					runtime.ReadMemStats(&after)
-					return g, after.TotalAlloc - before.TotalAlloc, err
-				}
-				clean, cleanGrew, err := open()
+				dir, meta := goldenCkptDir(t)
+				clean, cleanGrew, err := openCounted(dir)
 				if err != nil {
 					t.Fatalf("undamaged chain: %v", err)
 				}
 				clean.Close()
-
-				path, file := filepath.Join(dir, meta.Path), ckptBytes(ckptMagic, int(meta.BaseEpoch), 6)
+				path := filepath.Join(dir, snapFileName(meta.BaseEpoch))
+				file := ckptFile(ckptMagic, []int64{meta.BaseEpoch}, d.frames...)
 				if kind == "delta" {
 					de := meta.DeltaEpochs[0]
 					path = filepath.Join(dir, deltaFileName(de))
-					file = ckptBytes(deltaMagic, int(meta.BaseEpoch), int(meta.BaseEpoch), int(de), 6)
+					file = ckptFile(deltaMagic, []int64{meta.BaseEpoch, meta.BaseEpoch, de}, d.frames...)
 				}
-				file = append(file, ckptBytes(nil, d.body...)...)
-				if err := os.WriteFile(path, file, 0o644); err != nil {
-					t.Fatal(err)
+				if d.build != nil {
+					file = d.build(file)
 				}
-				g2, grew, err := open()
-				if err == nil {
-					g2.Close()
-					t.Fatal("Open accepted the damaged file")
-				}
-				if !errors.Is(err, ErrCheckpointDamaged) || !bytes.Contains([]byte(err.Error()), []byte(filepath.Base(path))) {
-					t.Fatalf("Open = %v, want ErrCheckpointDamaged naming %s", err, filepath.Base(path))
-				}
-				// A clean Open of this chain is the yardstick: damage may
-				// not make recovery allocate more than that plus slack.
-				if grew > cleanGrew+1<<20 {
-					t.Fatalf("Open of a %d-byte damaged file allocated %d bytes, a clean Open %d", len(file), grew, cleanGrew)
-				}
+				wantDamaged(t, dir, path, file, cleanGrew, d.name)
 			})
 		}
+		// Every single-byte flip and every truncation of the writer's own
+		// file fails verification: no byte of it is trusted unchecked.
+		t.Run(kind+"/every flip and truncation", func(t *testing.T) {
+			dir, meta := goldenCkptDir(t)
+			clean, cleanGrew, err := openCounted(dir)
+			if err != nil {
+				t.Fatalf("undamaged chain: %v", err)
+			}
+			clean.Close()
+			path := filepath.Join(dir, snapFileName(meta.BaseEpoch))
+			if kind == "delta" {
+				path = filepath.Join(dir, deltaFileName(meta.DeltaEpochs[0]))
+			}
+			good, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for off := range good {
+				flipped := append([]byte(nil), good...)
+				flipped[off] ^= 0xFF
+				wantDamaged(t, dir, path, flipped, cleanGrew, fmt.Sprintf("flip at %d", off))
+				wantDamaged(t, dir, path, good[:off], cleanGrew, fmt.Sprintf("truncated to %d", off))
+			}
+		})
 	}
+	// A file of the previous format is refused by name.
+	t.Run("old format", func(t *testing.T) {
+		dir, meta := goldenCkptDir(t)
+		path := filepath.Join(dir, snapFileName(meta.BaseEpoch))
+		old := append([]byte("LGCKPT1\n"), binary.AppendVarint(nil, meta.BaseEpoch)...)
+		wantDamaged(t, dir, path, old, 64<<20, "LGCKPT1")
+		_, _, err := openCounted(dir)
+		if !bytes.Contains([]byte(err.Error()), []byte("LGCKPT1")) {
+			t.Fatalf("Open = %v, want the error to name LGCKPT1", err)
+		}
+	})
 }
 
 // TestSparseCheckpointLoads is the counter-example to bounding record IDs
 // (or the header's nextVertexID) by the file's size: a full dump leaves out
 // vertices with neither payload nor labels and a delta carries only what
-// changed, so both files here are a dozen bytes whose one record is ID 299.
-// A loader that charged ID gaps against the bytes left would refuse them.
+// changed, so both files of a 300-vertex graph with 299 vertices deleted
+// hold one vertex, ID 299. They are the size of a two-vertex graph's
+// files, which hold one vertex too: only the fields that name the ID or
+// the frontier past it — nextVertexID, the reset and the put — may be
+// wider, by at most the varint width of 299 each. A loader that charged
+// ID gaps against the bytes left would refuse them.
 func TestSparseCheckpointLoads(t *testing.T) {
-	dir := t.TempDir()
-	opts := Options{Dir: dir, Workers: 4, CompactEvery: -1, Ckpt: CkptOptions{RebaseFraction: 1}}
-	g, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustCommit(t, g, func(tx *Tx) {
-		for i := 0; i < 300; i++ {
-			tx.AddVertex([]byte("x"))
+	build := func(n int) (Options, map[string]int) {
+		dir := t.TempDir()
+		opts := Options{Dir: dir, Workers: 4, CompactEvery: -1, Ckpt: CkptOptions{RebaseFraction: 1}}
+		g, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	mustCommit(t, g, func(tx *Tx) {
-		for v := VertexID(0); v < 299; v++ {
-			tx.DeleteVertex(v)
+		mustCommit(t, g, func(tx *Tx) {
+			for i := 0; i < n; i++ {
+				tx.AddVertex([]byte("x"))
+			}
+		})
+		mustCommit(t, g, func(tx *Tx) {
+			for v := VertexID(0); v < VertexID(n-1); v++ {
+				tx.DeleteVertex(v)
+			}
+		})
+		if err := g.Checkpoint(); err != nil {
+			t.Fatal(err)
 		}
-	})
-	if err := g.Checkpoint(); err != nil {
-		t.Fatal(err)
+		mustCommit(t, g, func(tx *Tx) { tx.PutVertex(VertexID(n-1), []byte("y")) })
+		if err := g.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		g.Close()
+		sizes := map[string]int{}
+		for _, pat := range []string{"ckpt-*.snap", "ckpt-*.delta"} {
+			_, b := readOne(t, dir, pat)
+			sizes[pat] = len(b)
+		}
+		return opts, sizes
 	}
-	mustCommit(t, g, func(tx *Tx) { tx.PutVertex(299, []byte("y")) })
-	if err := g.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	g.Close()
-	for _, pat := range []string{"ckpt-*.snap", "ckpt-*.delta"} {
-		if _, b := readOne(t, dir, pat); len(b) > 32 {
-			t.Fatalf("%s is %d bytes; the sparse graph no longer dumps sparse", pat, len(b))
+	_, single := build(2)
+	opts, sparse := build(300)
+	slack := 3 * len(binary.AppendVarint(nil, 299))
+	for pat, n := range sparse {
+		if n < single[pat] || n > single[pat]+slack {
+			t.Fatalf("%s is %d bytes, a two-vertex graph's %d (slack %d); the sparse graph no longer dumps sparse", pat, n, single[pat], slack)
 		}
 	}
 	g2, err := Open(opts)
@@ -307,7 +419,7 @@ func TestFullCheckpointUnderVertexAllocation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = scratch.loadCkptFile(filepath.Join(dir, meta.Path), ckptMagic, meta.Epoch)
+		err = scratch.loadCkptFile(filepath.Join(dir, snapFileName(meta.BaseEpoch)), ckptMagic, meta.Epoch())
 		scratch.Close()
 		if err != nil {
 			t.Fatalf("checkpoint %d, written under load, does not load: %v", i, err)
@@ -333,147 +445,180 @@ func TestFullCheckpointUnderVertexAllocation(t *testing.T) {
 	}
 }
 
-// fuzzNextVertex is the header nextVertexID the fuzz bodies load under.
-const fuzzNextVertex = 64
-
-// ckptScratch is a volatile graph the codec tests load record bodies into
-// and dump them back out of, at epoch 1.
-type ckptScratch struct{ g *Graph }
-
-func newCkptScratch(t testing.TB) *ckptScratch {
+// loadScratch loads a checkpoint file's bytes into a fresh volatile graph
+// through the one loader, as a snapshot or a delta by its magic.
+func loadScratch(t testing.TB, file []byte, snapChain, deltaChain []int64) (*Graph, error) {
 	g, err := Open(Options{Workers: 1, CompactEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { g.Close() })
-	g.epochs.Init(1)
-	g.nextVertex.Store(fuzzNextVertex) // what loading the header would do
-	return &ckptScratch{g: g}
+	magic, chain := ckptMagic, snapChain
+	if bytes.HasPrefix(file, deltaMagic) {
+		magic, chain = deltaMagic, deltaChain
+	}
+	g.epochs.Init(chain[len(chain)-1])
+	return g, g.loadCkpt(bytes.NewReader(file), int64(len(file)), magic, chain)
 }
 
-// load feeds body to the shared reader, returning what it left unread.
-func (s *ckptScratch) load(body []byte) (left int64, err error) {
-	r := newCkptReader(bytes.NewReader(body), int64(len(body)))
-	s.g.loadCkptRecords(r, fuzzNextVertex, 1)
-	return r.left(), r.err
-}
-
-// dump writes every vertex through the shared writer, as a full snapshot
-// would.
-func (s *ckptScratch) dump(t testing.TB) []byte {
-	snap, err := s.g.Snapshot()
+// dumpScratch writes g as a full snapshot at its read epoch through the
+// one writer.
+func dumpScratch(t testing.TB, g *Graph) []byte {
+	snap, err := g.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer snap.Release()
 	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	s.g.writeCkptRecords(w, snap, nil, fuzzNextVertex)
-	w.Flush()
+	if _, err := g.writeCkpt(&buf, ckptMagic, []int64{g.ReadEpoch()}, g.NumVertices(), snap, nil); err != nil {
+		t.Fatal(err)
+	}
 	return buf.Bytes()
 }
 
-// reset erases every vertex with the format's own erase record, so the
-// next body loads into an empty graph.
-func (s *ckptScratch) reset(t testing.TB) {
-	var parts []any
-	for v := 0; v < fuzzNextVertex; v++ {
-		parts = append(parts, v, 1, 0, 0)
+// redump is load + dump: one trip of a snapshot through the loader and
+// the writer.
+func redump(t testing.TB, file []byte) []byte {
+	epoch := int64(binary.LittleEndian.Uint64(file[len(ckptMagic):]))
+	g, err := loadScratch(t, file, []int64{epoch}, nil)
+	if err != nil {
+		t.Fatalf("the writer's own output did not load back: %v\n%x", err, file)
 	}
-	if _, err := s.load(ckptBytes(nil, append(parts, -1)...)); err != nil {
-		t.Fatalf("reset: %v", err)
-	}
+	return dumpScratch(t, g)
 }
 
-// redump is reset + load + dump: one trip of bytes through the codec.
-func (s *ckptScratch) redump(t testing.TB, body []byte) []byte {
-	s.reset(t)
-	if left, err := s.load(body); err != nil || left != 0 {
-		t.Fatalf("the writer's own output did not load back whole: left=%d err=%v\n%x", left, err, body)
-	}
-	return s.dump(t)
-}
-
-// goldenBodies returns the record bodies of a real full snapshot and a
-// real delta (each header here is one-byte varints: 2 resp. 4 of them).
-func goldenBodies(t testing.TB) (full, delta []byte) {
+// goldenFiles returns a real full snapshot and a real delta with the
+// chains their headers hold.
+func goldenFiles(t testing.TB) (snap, delta []byte, snapChain, deltaChain []int64) {
 	dir := t.TempDir()
 	g := goldenCkptGraph(t, dir)
 	goldenCkptDelta(t, g)
 	g.Close()
-	_, snap := readOne(t, dir, "ckpt-*.snap")
-	_, dlt := readOne(t, dir, "ckpt-*.delta")
-	return snap[len(ckptMagic)+2:], dlt[len(deltaMagic)+4:]
+	meta, _, err := wal.ReadCheckpointMeta(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, snap = readOne(t, dir, "ckpt-*.snap")
+	_, delta = readOne(t, dir, "ckpt-*.delta")
+	return snap, delta, []int64{meta.BaseEpoch}, []int64{meta.BaseEpoch, meta.BaseEpoch, meta.Epoch()}
 }
 
-// TestCheckpointRecordsRoundTrip: a real snapshot body loaded by the
-// shared reader and dumped by the shared writer comes back byte for byte.
-// One trip reverses each adjacency list (the dump scans newest first, the
-// load appends in file order), so identity takes two.
+// TestCheckpointRecordsRoundTrip: a real snapshot loaded by the loader and
+// dumped by the writer comes back byte for byte. One trip reverses each
+// adjacency list (the dump scans newest first, the load appends in file
+// order), so identity takes two.
 func TestCheckpointRecordsRoundTrip(t *testing.T) {
-	full, _ := goldenBodies(t)
-	s := newCkptScratch(t)
-	once := s.redump(t, full)
+	full, _, _, _ := goldenFiles(t)
+	once := redump(t, full)
 	if bytes.Equal(once, full) {
 		t.Fatal("one trip left multi-edge lists in file order; the golden graph no longer has any?")
 	}
-	if twice := s.redump(t, once); !bytes.Equal(twice, full) {
-		t.Fatalf("two trips through the codec moved bytes:\n in  %x\n out %x", full, twice)
+	if twice := redump(t, once); !bytes.Equal(twice, full) {
+		t.Fatalf("two trips through the loader and writer moved bytes:\n in  %x\n out %x", full, twice)
 	}
 }
 
-// FuzzLoadCheckpointRecords feeds arbitrary bytes to the one record reader
-// full snapshots and deltas share. Whatever the input: no panic, nothing
-// but ErrCheckpointDamaged, no allocation out of proportion to the input,
-// never more bytes consumed than given; and what it accepts is real graph
-// state — the shared writer's dump of it is no longer than the bytes
-// consumed (the reader invents nothing) and survives further trips through
-// the codec unchanged (modulo the list reversal above: period two).
+// TestCheckpointHubSpansFrames: a vertex whose ops pass the frame cut
+// continues in the next frame, and the file loads back whole.
+func TestCheckpointHubSpansFrames(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Dir: dir, Workers: 4, CompactEvery: -1}
+	g, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	props := bytes.Repeat([]byte{'p'}, 1000)
+	const edges = 3 * wal.CheckpointFrameBytes / 1000
+	mustCommit(t, g, func(tx *Tx) {
+		hub, _ := tx.AddVertex([]byte("hub"))
+		for d := 0; d < edges; d++ {
+			tx.InsertEdge(hub, 0, VertexID(d+1), props)
+		}
+		tx.AddVertex([]byte("after"))
+	})
+	if err := g.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	g.Close()
+	path, file := readOne(t, dir, "ckpt-*.snap")
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Seek(int64(len(ckptMagic)), 0); err != nil {
+		t.Fatal(err)
+	}
+	frames := 0
+	for left := int64(len(file) - len(ckptMagic)); left > 0; frames++ {
+		fr, err := wal.ReadFrame(f, left)
+		if err != nil {
+			t.Fatal(err)
+		}
+		left -= int64(len(fr.Raw))
+		if len(fr.Raw) > 16+wal.CheckpointFrameBytes+4+1100 {
+			t.Fatalf("frame of %d bytes: the cut did not hold", len(fr.Raw))
+		}
+	}
+	if frames < 5 { // header, three hub frames at least, end
+		t.Fatalf("hub written in %d frames", frames)
+	}
+	g2, err := Open(opts)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer g2.Close()
+	r, _ := g2.BeginRead()
+	defer r.Commit()
+	if d := r.Degree(0, 0); d != edges {
+		t.Fatalf("hub degree %d after reopen, want %d", d, edges)
+	}
+	if data, err := r.GetVertex(1); err != nil || string(data) != "after" {
+		t.Fatalf("vertex after the hub = %q, %v", data, err)
+	}
+}
+
+// FuzzLoadCheckpointRecords feeds arbitrary bytes to the checkpoint loader
+// as a whole file: the magic, the frame sequence, the epochs, the end
+// frame and the load rules, which neither FuzzReadFrame (one frame) nor
+// FuzzDecodeOps (one record) reach. Whatever the input: no panic, no
+// allocation out of proportion to the input; and what it accepts is real graph
+// state — the writer's dump of it survives further trips through the
+// loader and the writer unchanged (modulo the list reversal above: period
+// two).
 func FuzzLoadCheckpointRecords(f *testing.F) {
-	full, delta := goldenBodies(f)
+	full, delta, snapChain, deltaChain := goldenFiles(f)
 	f.Add(full)
 	f.Add(delta)
 	f.Add(full[:len(full)/2])
 	f.Add(delta[:len(delta)-1])
-	f.Add(ckptBytes(nil, 0, 0, -5))
-	f.Add(ckptBytes(nil, 0, 0, 0, 1, 0, 1, 1, 1<<40))
-	f.Add(ckptBytes(nil, 3, 0, 0, 0, 2, 0, 0, 0, -1))
-	f.Add(ckptBytes(nil, 1, 2, 1, "x", 2, 7, 2, 9, 0, 9, 1, "y", 7, 0, -1, "trailing"))
-	s := newCkptScratch(f)
+	f.Add(append(append([]byte(nil), full...), full[len(ckptMagic):]...))
+	f.Add(append(append([]byte(nil), delta[:len(delta)-16]...), full[len(ckptMagic):]...))
+	f.Add(ckptFile(ckptMagic, snapChain, ops(opResetVertex, 3, 0), ops(opResetVertex, 2, 0)))
+	f.Add(ckptFile(deltaMagic, deltaChain, ops(opResetVertex, 1, 0, opPutVertex, 1, 1, "y", opInsertEdge, 1, 7, 0, 0)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s.reset(t)
-		slabs := s.g.AllocStats().SlabWords
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		left, err := s.load(data)
+		g, err := loadScratch(t, data, snapChain, deltaChain)
 		runtime.ReadMemStats(&after)
-		// Budget: the reader's 1 MiB buffer, the arena slabs the loaded
-		// edges reserved, and per
-		// input byte at most one minimal TEL with its index entries —
-		// doubled by block upgrades; the slack absorbs the fuzz worker's
-		// own background allocation.
-		budget := uint64(2<<20) + uint64(s.g.AllocStats().SlabWords-slabs)*8 + 2048*uint64(len(data))
+		// Budget: the graph itself, the arena slabs the loaded edges
+		// reserved, and per input byte at most one minimal TEL with its
+		// index entries — doubled by block upgrades; the slack absorbs
+		// the fuzz worker's own background allocation.
+		budget := uint64(4<<20) + uint64(g.AllocStats().SlabWords)*8 + 2048*uint64(len(data))
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > budget {
 			t.Fatalf("loading %d bytes allocated %d (budget %d)", len(data), grew, budget)
 		}
-		if left < 0 || left > int64(len(data)) {
-			t.Fatalf("%d of %d bytes left", left, len(data))
-		}
-		if err != nil {
-			if !errors.Is(err, ErrCheckpointDamaged) {
-				t.Fatalf("rejected with %v, want ErrCheckpointDamaged", err)
-			}
+		// A full dump walks every ID below nextVertexID, which the loader
+		// does not hold to the file's size (TestSparseCheckpointLoads).
+		if err != nil || g.NumVertices() > 1<<16 {
 			return
 		}
-		consumed := data[:int64(len(data))-left]
-		once := s.dump(t)
-		if len(once) > len(consumed) {
-			t.Fatalf("accepted %d bytes but dumps %d:\n in  %x\n out %x", len(consumed), len(once), consumed, once)
-		}
-		twice := s.redump(t, once)
-		if thrice := s.redump(t, twice); len(twice) != len(once) || !bytes.Equal(thrice, once) {
-			t.Fatalf("accepted state is not stable under the codec:\n in  %x\n 1st %x\n 2nd %x\n 3rd %x", consumed, once, twice, thrice)
+		once := dumpScratch(t, g)
+		twice := redump(t, once)
+		if thrice := redump(t, twice); len(twice) != len(once) || !bytes.Equal(thrice, once) {
+			t.Fatalf("accepted state is not stable under the loader and writer:\n in  %x\n 1st %x\n 2nd %x\n 3rd %x", data, once, twice, thrice)
 		}
 	})
 }

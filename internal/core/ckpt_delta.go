@@ -18,15 +18,15 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"path/filepath"
 	"sort"
 
 	"livegraph/internal/maint"
 	"livegraph/internal/obs"
+	"livegraph/internal/wal"
 )
 
-var deltaMagic = []byte("LGDLT1\n")
+var deltaMagic = []byte("LGDLT2\n")
 
 // CkptOptions tunes the incremental checkpointer (Options.Ckpt).
 type CkptOptions struct {
@@ -56,29 +56,21 @@ func (o *CkptOptions) fill() {
 	}
 }
 
+// snapFileName and deltaFileName name a checkpoint's files in Options.Dir:
+// the base snapshot and each delta, by the epoch it captures.
+func snapFileName(epoch int64) string {
+	return fmt.Sprintf("ckpt-%d.snap", epoch)
+}
+
 func deltaFileName(epoch int64) string {
 	return fmt.Sprintf("ckpt-%d.delta", epoch)
-}
-
-// countingWriter counts the bytes streamed through it so the checkpointer
-// can report exactly what each full or delta dump cost (ckpt_last_bytes).
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
 }
 
 // writeDelta streams the dirty vertices' state at the snapshot's epoch to
 // path. prevEpoch names the chain element this delta extends (the base
 // snapshot's epoch for the first delta, the preceding delta's epoch after
 // that); the loader verifies the chain links so a stale or reordered delta
-// file can never be replayed. Header: baseEpoch, prevEpoch, epoch,
-// nextVertexID.
+// file can never be replayed. Chain: baseEpoch, prevEpoch, epoch.
 func (g *Graph) writeDelta(path string, baseEpoch, prevEpoch, epoch, nv int64, snap *Snapshot, drained []maint.Dirty) (int64, error) {
 	// Sorted ascending: deterministic output (the recovery-equivalence
 	// tests diff delta files) and sequential vindex access.
@@ -89,20 +81,21 @@ func (g *Graph) writeDelta(path string, baseEpoch, prevEpoch, epoch, nv int64, s
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	// Every ID is below nv, the loader's bound: applied moves the frontier
 	// past a vertex before it journals it.
-	return g.writeCkptFile(path, deltaMagic, []int64{baseEpoch, prevEpoch, epoch, nv}, "delta-tmp", snap, ids)
+	return g.writeCkptFile(path, deltaMagic, []int64{baseEpoch, prevEpoch, epoch}, nv, "delta-tmp", snap, ids)
 }
 
 // pruneCheckpointFiles removes every ckpt-* file (snapshots and deltas)
-// the given meta does not reference. Used after a successful checkpoint
-// and by recovery's sweep: a crash between a file landing durably and the
-// meta swap — or mid-prune — leaves unreferenced files behind, and a
-// later checkpoint at the same epoch must not collide with them.
-func (g *Graph) pruneCheckpointFiles(baseName string, deltaEpochs []int64) {
+// meta does not reference. Used after a successful checkpoint and by
+// recovery's sweep: a crash between a file landing durably and the meta
+// swap — or mid-prune — leaves unreferenced files behind, and a later
+// checkpoint at the same epoch must not collide with them. The zero meta
+// (no checkpoint) references nothing.
+func (g *Graph) pruneCheckpointFiles(meta wal.CheckpointMeta) {
 	keep := map[string]bool{}
-	if baseName != "" {
-		keep[baseName] = true
+	if meta.BaseEpoch != 0 {
+		keep[snapFileName(meta.BaseEpoch)] = true
 	}
-	for _, de := range deltaEpochs {
+	for _, de := range meta.DeltaEpochs {
 		keep[deltaFileName(de)] = true
 	}
 	for _, pat := range []string{"ckpt-*.snap", "ckpt-*.delta"} {

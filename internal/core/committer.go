@@ -215,7 +215,7 @@ func (c *committer) apply(tx *Tx, twe int64) {
 		if prev != nil {
 			dead = entryDeadBytes + int64(len(prev.data))
 		}
-		g.applied(v, dead)
+		g.applied(v, dead, true)
 	}
 	// Flip private timestamps to TWE. The paper releases locks before this
 	// conversion; we flip first and release after, because compaction may
@@ -238,7 +238,7 @@ func (c *committer) apply(tx *Tx, twe int64) {
 			dead += w.cur.EntryDeadBytes(i)
 		}
 		if w.dirty() {
-			g.applied(VertexID(w.cur.Src()), dead)
+			g.applied(VertexID(w.cur.Src()), dead, true)
 		}
 	}
 	tx.unlockAll()

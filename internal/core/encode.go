@@ -1,10 +1,13 @@
 package core
 
-// WAL record encoding: one record per transaction, a flat sequence of ops.
-// Varint-encoded for compactness; the format is internal to this package
-// (recovery decodes it in replay.go).
+// Op record encoding: a WAL record is one transaction, a flat sequence of
+// ops. Varint-encoded for compactness; the format is internal to this
+// package. decodeOps is its one reader: recovery replays WAL records
+// through it (replay.go), a follower applies stream records through it
+// (apply.go), and checkpoint files hold the same ops (checkpoint.go).
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 )
@@ -16,6 +19,10 @@ const (
 	opInsertEdge
 	opUpsertEdge
 	opDeleteEdge
+	// opResetVertex drops a vertex's payload and every one of its lists.
+	// Only checkpoint files carry it: each vertex a checkpoint holds
+	// opens with one, so a delta's record fully replaces its vertex.
+	opResetVertex
 )
 
 func appendVertexOp(buf []byte, op byte, v VertexID, data []byte) []byte {
@@ -43,52 +50,47 @@ type walOp struct {
 	data  []byte
 }
 
-// decodeOps parses a transaction record.
-func decodeOps(rec []byte) ([]walOp, error) {
-	var ops []walOp
-	for len(rec) > 0 {
-		op := rec[0]
-		rec = rec[1:]
-		switch op {
-		case opAddVertex, opPutVertex, opDelVertex:
-			v, n := binary.Varint(rec)
-			if n <= 0 {
-				return nil, fmt.Errorf("livegraph: wal record corrupt (vertex id)")
-			}
-			rec = rec[n:]
-			dl, n := binary.Varint(rec)
-			if n <= 0 || dl < 0 || int(dl) > len(rec)-n {
-				return nil, fmt.Errorf("livegraph: wal record corrupt (vertex data)")
-			}
-			rec = rec[n:]
-			ops = append(ops, walOp{op: op, v: VertexID(v), data: rec[:dl]})
-			rec = rec[dl:]
-		case opInsertEdge, opUpsertEdge, opDeleteEdge:
-			src, n := binary.Varint(rec)
-			if n <= 0 {
-				return nil, fmt.Errorf("livegraph: wal record corrupt (edge src)")
-			}
-			rec = rec[n:]
-			label, n := binary.Varint(rec)
-			if n <= 0 {
-				return nil, fmt.Errorf("livegraph: wal record corrupt (edge label)")
-			}
-			rec = rec[n:]
-			dst, n := binary.Varint(rec)
-			if n <= 0 {
-				return nil, fmt.Errorf("livegraph: wal record corrupt (edge dst)")
-			}
-			rec = rec[n:]
-			pl, n := binary.Varint(rec)
-			if n <= 0 || pl < 0 || int(pl) > len(rec)-n {
-				return nil, fmt.Errorf("livegraph: wal record corrupt (edge props)")
-			}
-			rec = rec[n:]
-			ops = append(ops, walOp{op: op, v: VertexID(src), label: Label(label), dst: VertexID(dst), data: rec[:pl]})
-			rec = rec[pl:]
-		default:
-			return nil, fmt.Errorf("livegraph: wal record corrupt (op %d)", op)
+// decodeOps appends the ops of a record to ops. A varint that is
+// truncated, overflows or is not minimal (a minimal encoding longer than
+// one byte never ends in a zero byte) is malformed, so every accepted
+// record re-encodes to exactly its own bytes.
+func decodeOps(ops []walOp, rec []byte) ([]walOp, error) {
+	bad := ""
+	num := func(what string) int64 {
+		x, n := binary.Varint(rec)
+		if n <= 0 || (n > 1 && rec[n-1] == 0) {
+			bad = cmp.Or(bad, what)
+			return 0
 		}
+		rec = rec[n:]
+		return x
+	}
+	blob := func(what string) []byte {
+		l := num(what)
+		if l < 0 || l > int64(len(rec)) {
+			bad = cmp.Or(bad, what)
+			return nil
+		}
+		b := rec[:l:l]
+		rec = rec[l:]
+		return b
+	}
+	for len(rec) > 0 && bad == "" {
+		op := walOp{op: rec[0]}
+		rec = rec[1:]
+		switch op.op {
+		case opAddVertex, opPutVertex, opDelVertex, opResetVertex:
+			op.v, op.data = VertexID(num("vertex id")), blob("vertex data")
+		case opInsertEdge, opUpsertEdge, opDeleteEdge:
+			op.v, op.label, op.dst = VertexID(num("edge src")), Label(num("edge label")), VertexID(num("edge dst"))
+			op.data = blob("edge props")
+		default:
+			return nil, fmt.Errorf("livegraph: wal record corrupt (op %d)", op.op)
+		}
+		ops = append(ops, op)
+	}
+	if bad != "" {
+		return nil, fmt.Errorf("livegraph: wal record corrupt (%s)", bad)
 	}
 	return ops, nil
 }

@@ -51,9 +51,9 @@ var (
 
 	// ErrCheckpointDamaged wraps what Open returns when a checkpoint file
 	// the CHECKPOINT meta references breaks a rule its writer guarantees:
-	// it ends early, a length or count is negative or larger than the rest
-	// of the file, or record IDs do not ascend below the header's
-	// nextVertexID.
+	// a wrong magic, a frame that does not verify or has another epoch, no
+	// end frame or bytes after it, or an op that does not decode or keep
+	// the writer's order below the header's nextVertexID.
 	ErrCheckpointDamaged = errors.New("livegraph: damaged checkpoint file")
 )
 

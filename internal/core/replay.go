@@ -40,9 +40,9 @@ func (g *Graph) recover() error {
 	if hasCkpt {
 		// Base snapshot, then the delta chain in order: each delta fully
 		// replaces its vertices' state, so after the last one the graph is
-		// exactly the state at meta.Epoch. The chain links (base epoch +
+		// exactly the state at meta.Epoch(). The chain links (base epoch +
 		// predecessor epoch recorded in every delta) are verified on load.
-		if err := g.loadCkptFile(filepath.Join(g.opts.Dir, meta.Path), ckptMagic, meta.BaseEpoch); err != nil {
+		if err := g.loadCkptFile(filepath.Join(g.opts.Dir, snapFileName(meta.BaseEpoch)), ckptMagic, meta.BaseEpoch); err != nil {
 			return err
 		}
 		prev := meta.BaseEpoch
@@ -52,8 +52,8 @@ func (g *Graph) recover() error {
 			}
 			prev = de
 		}
-		afterEpoch = meta.Epoch
-		g.lastCkptEpoch.Store(meta.Epoch)
+		afterEpoch = meta.Epoch()
+		g.lastCkptEpoch.Store(afterEpoch)
 		g.ckptBase = meta.BaseEpoch
 		g.ckptDeltas = append([]int64(nil), meta.DeltaEpochs...)
 	}
@@ -62,7 +62,7 @@ func (g *Graph) recover() error {
 	// leaves them behind, and a later checkpoint at the same epoch must
 	// not collide with them. With no meta at all, every ckpt file is such
 	// an orphan.
-	g.pruneCheckpointFiles(meta.Path, meta.DeltaEpochs)
+	g.pruneCheckpointFiles(meta)
 	segs, maxSeq, err := wal.Segments(g.opts.Dir)
 	if err != nil {
 		return err
@@ -76,13 +76,13 @@ func (g *Graph) recover() error {
 			g.opts.Backend.Remove(seg.Path)
 			continue
 		}
-		durable, err := wal.Replay(seg.Path, afterEpoch, func(epoch int64, rec []byte) error {
-			ops, err := decodeOps(rec)
-			if err != nil {
+		var ops []walOp
+		durable, err := wal.Replay(seg.Path, afterEpoch, func(epoch int64, rec []byte) (err error) {
+			if ops, err = decodeOps(ops[:0], rec); err != nil {
 				return err
 			}
 			for _, op := range ops {
-				g.applyOp(op, epoch)
+				g.applyOp(op, epoch, true)
 			}
 			// No reader exists yet: every block the record retired
 			// (stamped at write epoch 0) is free to reuse now.

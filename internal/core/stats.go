@@ -14,9 +14,9 @@ package core
 // (committer.apply under the leader token; applyEdge, which ApplyEpoch, WAL
 // replay and checkpoint load all insert through; compaction under the
 // vertex lock), so maintenance is a handful of atomic adds per commit
-// group. Recovery keeps them the same way: a checkpoint record un-counts
-// the lists it drops (statsDrop) and counts the edges it loads, and replay
-// counts every op it applies. LabelStats.Targets is not one of these
+// group. Recovery keeps them the same way: a checkpoint's reset op
+// un-counts the lists it drops (statsDrop), and its edge inserts, like
+// every op replay applies, count as they land. LabelStats.Targets is not one of these
 // counters: it is read off the label's reverse index, once one is built.
 //
 // The statistics are advisory: they describe the graph *now*, not at any
@@ -117,8 +117,8 @@ func (g *Graph) statsPublish(label Label, oldN, newN int) {
 	}
 }
 
-// statsDrop un-counts a whole list leaving the graph (a checkpoint record
-// replacing its vertex): its committed entries, and its live ones from
+// statsDrop un-counts a whole list leaving the graph (a checkpoint's
+// reset op replacing its vertex): its committed entries, and its live ones from
 // the visible edges.
 func (g *Graph) statsDrop(t tel.TEL) {
 	n := t.Len()

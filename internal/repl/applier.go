@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"livegraph/internal/core"
+	"livegraph/internal/wal"
 )
 
 // ErrResyncRequired is returned by Applier.Run when the primary can no
@@ -22,9 +23,14 @@ import (
 // whose WAL reaches back to epoch 0, or re-point it at a fresh primary).
 var ErrResyncRequired = errors.New("repl: replica position no longer served by the primary; full resync required")
 
+// ErrStreamFormat is returned by Applier.Run for a stream whose
+// Content-Type is not StreamContentType: a primary of another build.
+var ErrStreamFormat = errors.New("repl: unrecognized replication stream format (incompatible primary?)")
+
 // Applier is the replica-side half of WAL shipping: it connects to the
-// primary's stream endpoint, reads epoch-framed commit groups, and
-// applies each one atomically into a live graph via core.Graph.ApplyEpoch.
+// primary's stream endpoint, reads the primary's WAL frames (wal.ReadFrame
+// verifies each one's checksum), and applies each commit group atomically
+// into a live graph via core.Graph.ApplyEpoch.
 // The target graph becomes a follower (writes rejected) and serves all
 // read endpoints at its applied epoch throughout.
 type Applier struct {
@@ -65,8 +71,8 @@ func NewApplier(g *core.Graph, primary string) *Applier {
 // capped exponential backoff on stream failures (primary restart, network
 // blip). Each reconnect resumes from the graph's applied epoch, so no
 // group is ever skipped or applied twice. Returns ctx.Err() on
-// cancellation, or ErrResyncRequired (wrapped) when reconnecting cannot
-// recover the stream.
+// cancellation, or ErrResyncRequired or ErrStreamFormat (wrapped) when
+// reconnecting cannot recover the stream.
 func (a *Applier) Run(ctx context.Context) error {
 	base := a.ReconnectBase
 	if base <= 0 {
@@ -80,7 +86,7 @@ func (a *Applier) Run(ctx context.Context) error {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		if errors.Is(err, ErrResyncRequired) {
+		if errors.Is(err, ErrResyncRequired) || errors.Is(err, ErrStreamFormat) {
 			return err
 		}
 		if a.Stats.AppliedGroups.Load() > before || time.Since(start) > time.Second {
@@ -128,27 +134,29 @@ func (a *Applier) runOnce(ctx context.Context) error {
 		}
 		return err
 	}
+	if ct := resp.Header.Get("Content-Type"); ct != StreamContentType {
+		return fmt.Errorf("%w: Content-Type %q, want %q", ErrStreamFormat, ct, StreamContentType)
+	}
 	br := bufio.NewReaderSize(resp.Body, 1<<18)
 	for {
-		epoch, recs, n, err := readFrame(br)
+		// The stream's end, and a frame that does not verify, end the
+		// session: Run reconnects from the applied epoch.
+		f, err := wal.ReadFrame(br, wal.Stream)
 		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil // primary closed the stream cleanly; reconnect
-			}
 			return err
 		}
-		a.Stats.ObserveSourceEpoch(epoch)
-		if len(recs) == 0 {
+		a.Stats.ObserveSourceEpoch(f.Epoch)
+		if len(f.Recs) == 0 {
 			continue // heartbeat
 		}
-		if err := a.G.ApplyEpoch(epoch, recs); err != nil {
+		if err := a.G.ApplyEpoch(f.Epoch, f.Recs); err != nil {
 			// A group that fails to apply will fail identically on every
 			// reconnect (the stream would resend it); surface as fatal.
-			return fmt.Errorf("%w: apply epoch %d: %v", ErrResyncRequired, epoch, err)
+			return fmt.Errorf("%w: apply epoch %d: %v", ErrResyncRequired, f.Epoch, err)
 		}
-		a.Stats.AppliedEpoch.Store(epoch)
+		a.Stats.AppliedEpoch.Store(f.Epoch)
 		a.Stats.AppliedGroups.Add(1)
-		a.Stats.AppliedBytes.Add(n)
+		a.Stats.AppliedBytes.Add(int64(len(f.Raw)))
 	}
 }
 

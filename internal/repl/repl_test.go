@@ -7,12 +7,17 @@ package repl_test
 // resume from its applied epoch without skipping or re-applying a group.
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -410,5 +415,136 @@ func TestReplStats(t *testing.T) {
 	r.AppliedEpoch.Store(12) // applied can lead a stale source observation
 	if got := r.LagEpochs(); got != 0 {
 		t.Fatalf("LagEpochs = %d, want 0", got)
+	}
+}
+
+// TestCorruptStreamIsNeverApplied puts a proxy between the applier and the
+// shipper that flips one byte inside the payload of the first commit group
+// it forwards. The follower must not apply that group: the frame fails the
+// primary's own checksum, the session ends, the applier reconnects from
+// its applied epoch, and the clean resend is what lands — the follower
+// ends equal to the primary, having applied each group exactly once.
+func TestCorruptStreamIsNeverApplied(t *testing.T) {
+	primary, err := core.Open(core.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	hs := httptest.NewServer(server.New(primary))
+	defer hs.Close()
+	client := server.NewClient(hs.URL)
+	marker := []byte("payload-the-proxy-flips")
+	if _, err := client.Tx(server.Op{Op: "addVertex", Data: marker}); err != nil {
+		t.Fatal(err)
+	}
+	groupEpoch := primary.ReadEpoch()
+
+	var flips atomic.Int64
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		req, err := http.NewRequestWithContext(r.Context(), r.Method, hs.URL+r.URL.RequestURI(), nil)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		defer resp.Body.Close()
+		for k, v := range resp.Header {
+			w.Header()[k] = v
+		}
+		w.WriteHeader(resp.StatusCode)
+		buf := make([]byte, 64<<10)
+		for {
+			n, rerr := resp.Body.Read(buf)
+			chunk := buf[:n]
+			if i := bytes.Index(chunk, marker); i >= 0 && flips.CompareAndSwap(0, 1) {
+				chunk[i+len(marker)/2] ^= 0x01
+			}
+			if _, err := w.Write(chunk); err != nil {
+				return
+			}
+			w.(http.Flusher).Flush()
+			if rerr != nil {
+				return
+			}
+		}
+	}))
+	defer proxy.Close()
+
+	follower, err := core.Open(core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	ap := repl.NewApplier(follower, proxy.URL)
+	ap.ReconnectBase = time.Millisecond
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- ap.Run(ctx) }()
+	defer func() {
+		cancel()
+		<-done
+	}()
+
+	waitCatchUp(t, primary, follower, 10*time.Second)
+	if flips.Load() != 1 {
+		t.Fatal("the proxy never saw the group's payload to flip")
+	}
+	r, err := follower.BeginRead()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := r.GetVertex(0)
+	r.Commit()
+	if err != nil || !bytes.Equal(data, marker) {
+		t.Fatalf("follower at epoch %d reads vertex 0 = %q, %v; the primary wrote %q", groupEpoch, data, err, marker)
+	}
+	if got := ap.Stats.AppliedGroups.Load(); got != 1 {
+		t.Fatalf("AppliedGroups = %d, want 1: the corrupt frame was applied, or the clean one twice", got)
+	}
+	if ap.Stats.Reconnects.Load() == 0 {
+		t.Fatal("the applier never reconnected after the corrupt frame")
+	}
+
+	// The stream carries on past the damage.
+	for i := 0; i < 10; i++ {
+		writePair(t, client, int64(i%4), int64(100+i))
+	}
+	waitCatchUp(t, primary, follower, 10*time.Second)
+	compareGraphs(t, primary, follower, 4)
+}
+
+// TestStreamOfAnotherFormatIsRefused: a primary whose stream carries any
+// Content-Type but the current one is refused by name, and nothing it
+// sent is applied — reconnecting to it could never help.
+func TestStreamOfAnotherFormatIsRefused(t *testing.T) {
+	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.WriteHeader(http.StatusOK)
+		// The previous stream format: [8B epoch][4B record count] then
+		// length-prefixed records.
+		frame := binary.LittleEndian.AppendUint64(nil, 1)
+		frame = binary.LittleEndian.AppendUint32(frame, 1)
+		frame = binary.LittleEndian.AppendUint32(frame, 3)
+		w.Write(append(frame, 1, 0, 0))
+	}))
+	defer old.Close()
+	follower, err := core.Open(core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	ap := repl.NewApplier(follower, old.URL)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	err = ap.Run(ctx)
+	if !errors.Is(err, repl.ErrStreamFormat) || !strings.Contains(err.Error(), "application/octet-stream") {
+		t.Fatalf("Run = %v, want ErrStreamFormat naming application/octet-stream", err)
+	}
+	if follower.ReadEpoch() != 0 || ap.Stats.AppliedGroups.Load() != 0 {
+		t.Fatalf("applied %d groups (epoch %d) from a stream it cannot parse", ap.Stats.AppliedGroups.Load(), follower.ReadEpoch())
 	}
 }

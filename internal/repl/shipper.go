@@ -16,8 +16,8 @@ import (
 )
 
 // Shipper is the primary-side log shipper: it serves the replication
-// stream endpoint by tailing the graph's WAL (wal.Tail) and writing
-// epoch-framed commit groups down a chunked HTTP response.
+// stream endpoint by tailing the graph's WAL (wal.Tail) and writing each
+// commit group's verified frame, unchanged, down a chunked HTTP response.
 // One Shipper serves any number of concurrent streams; each stream gets
 // its own tailer, so replicas at different positions do not interfere.
 type Shipper struct {
@@ -91,14 +91,13 @@ func (sh *Shipper) ServeStream(w http.ResponseWriter, r *http.Request) {
 	headerWritten := false
 	ensureHeader := func() {
 		if !headerWritten {
-			w.Header().Set("Content-Type", "application/octet-stream")
+			w.Header().Set("Content-Type", StreamContentType)
 			w.WriteHeader(http.StatusOK)
 			headerWritten = true
 		}
 	}
 
 	ctx := r.Context()
-	var buf []byte
 	lastSent := time.Now()
 	for {
 		select {
@@ -108,7 +107,7 @@ func (sh *Shipper) ServeStream(w http.ResponseWriter, r *http.Request) {
 			return
 		default:
 		}
-		epoch, recs, ok, err := tailer.Next()
+		f, ok, err := tailer.NextFrame()
 		if err != nil {
 			if !headerWritten {
 				if errors.Is(err, wal.ErrTailGone) {
@@ -128,22 +127,21 @@ func (sh *Shipper) ServeStream(w http.ResponseWriter, r *http.Request) {
 			tr := sh.G.Tracer()
 			_, ssp := tr.StartSpan(ctx, "repl.ship")
 			t0 := time.Now()
-			buf = appendFrame(buf[:0], epoch, recs)
-			_, err := w.Write(buf)
+			_, err := w.Write(f.Raw)
 			if flusher != nil {
 				flusher.Flush()
 			}
-			ssp.SetAttr(obs.Int("epoch", epoch), obs.Int("bytes", int64(len(buf))))
+			ssp.SetAttr(obs.Int("epoch", f.Epoch), obs.Int("bytes", int64(len(f.Raw))))
 			ssp.End()
 			if ssp == nil {
 				tr.SlowOp("repl.ship", time.Since(t0),
-					obs.Int("epoch", epoch), obs.Int("bytes", int64(len(buf))))
+					obs.Int("epoch", f.Epoch), obs.Int("bytes", int64(len(f.Raw))))
 			}
 			if err != nil {
 				return
 			}
 			sh.Stats.StreamedGroups.Add(1)
-			sh.Stats.StreamedBytes.Add(int64(len(buf)))
+			sh.Stats.StreamedBytes.Add(int64(len(f.Raw)))
 			lastSent = time.Now()
 			continue
 		}
@@ -151,14 +149,14 @@ func (sh *Shipper) ServeStream(w http.ResponseWriter, r *http.Request) {
 		// wait a poll tick.
 		ensureHeader()
 		if time.Since(lastSent) >= heartbeat {
-			buf = appendFrame(buf[:0], sh.G.DurableEpoch(), nil)
-			if _, err := w.Write(buf); err != nil {
+			hb := wal.AppendFrame(nil, sh.G.DurableEpoch(), nil)
+			if _, err := w.Write(hb); err != nil {
 				return
 			}
 			if flusher != nil {
 				flusher.Flush()
 			}
-			sh.Stats.StreamedBytes.Add(int64(len(buf)))
+			sh.Stats.StreamedBytes.Add(int64(len(hb)))
 			lastSent = time.Now()
 		}
 		t := time.NewTimer(poll)

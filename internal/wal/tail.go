@@ -25,6 +25,7 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"path/filepath"
 	"sort"
@@ -104,17 +105,23 @@ func Tail(dir string, after int64, durable func() int64) *Tailer {
 // before the first delivery).
 func (t *Tailer) Position() int64 { return t.delivered }
 
-// Next returns the next durable commit group, in epoch order: its epoch
-// and its records. ok=false means no complete group is available yet —
-// the log may grow, so poll again after a short wait. An error is
-// terminal: either the needed epochs were pruned (ErrTailGone) or the log
-// is damaged.
+// Next is NextFrame without the frame's bytes.
 func (t *Tailer) Next() (epoch int64, recs [][]byte, ok bool, err error) {
+	f, ok, err := t.NextFrame()
+	return f.Epoch, f.Recs, ok, err
+}
+
+// NextFrame returns the next durable commit group, in epoch order, as the
+// verified frame that holds it. ok=false means no complete group is
+// available yet — the log may grow, so poll again after a short wait. An
+// error is terminal: either the needed epochs were pruned (ErrTailGone)
+// or the log is damaged.
+func (t *Tailer) NextFrame() (f Frame, ok bool, err error) {
 	for {
 		if t.seg.Seq == 0 {
 			positioned, err := t.position()
 			if err != nil || !positioned {
-				return 0, nil, false, err
+				return Frame{}, false, err
 			}
 		}
 		fresh := t.stale
@@ -129,24 +136,24 @@ func (t *Tailer) Next() (epoch int64, recs [][]byte, ok bool, err error) {
 					// Fully caught up: nothing undelivered is durable
 					// anywhere, so an idle stream touches neither the
 					// file nor the directory.
-					return 0, nil, false, nil
+					return Frame{}, false, nil
 				}
 			}
 			if err := t.refresh(); err != nil {
-				return 0, nil, false, err
+				return Frame{}, false, err
 			}
 		}
-		st := frameEnd // segment file not readable yet: nothing there
+		err = io.EOF // segment file not readable yet: nothing there
 		if t.sf != nil {
-			epoch, recs, st = t.sf.next()
+			f, err = t.sf.next()
 		}
-		if st == frameOK {
-			t.seen = epoch
-			if epoch <= t.delivered {
+		if err == nil {
+			t.seen = f.Epoch
+			if f.Epoch <= t.delivered {
 				continue // resume point inside this segment: skip silently
 			}
-			t.delivered = epoch
-			return epoch, recs, true, nil
+			t.delivered = f.Epoch
+			return f, true, nil
 		}
 		// Nothing verifies at the current offset. The offset did not move,
 		// so the next read starts over at the same frame.
@@ -159,9 +166,9 @@ func (t *Tailer) Next() (epoch int64, recs [][]byte, ok bool, err error) {
 		// and undelivered lives in a later segment. If one exists this
 		// segment is immutable and its unverifiable tail was never
 		// acknowledged — discard it with the segment.
-		advanced, err := t.advance()
-		if err != nil {
-			return 0, nil, false, err
+		advanced, aerr := t.advance()
+		if aerr != nil {
+			return Frame{}, false, aerr
 		}
 		if advanced {
 			continue
@@ -172,10 +179,10 @@ func (t *Tailer) Next() (epoch int64, recs [][]byte, ok bool, err error) {
 		// unverified: requiring it to lie past everything already read
 		// keeps a half-visible header of the in-flight group, whose true
 		// epoch is above the watermark, from passing as an older one.)
-		if st == frameBad && epoch > t.seen && epoch <= t.watermark {
-			return 0, nil, false, fmt.Errorf("wal: group %d is durable but its frame in %s does not verify (damaged log)", epoch, t.seg.Path)
+		if errors.Is(err, ErrFrameDamaged) && f.Epoch > t.seen && f.Epoch <= t.watermark {
+			return Frame{}, false, fmt.Errorf("wal: group %d is durable but its frame in %s does not verify (damaged log)", f.Epoch, t.seg.Path)
 		}
-		return 0, nil, false, nil // wait for the writer
+		return Frame{}, false, nil // wait for the writer
 	}
 }
 
@@ -213,8 +220,8 @@ func (t *Tailer) position() (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	if meta.Epoch > t.delivered {
-		return false, fmt.Errorf("%w: resume after epoch %d, checkpoint at %d", ErrTailGone, t.delivered, meta.Epoch)
+	if meta.Epoch() > t.delivered {
+		return false, fmt.Errorf("%w: resume after epoch %d, checkpoint at %d", ErrTailGone, t.delivered, meta.Epoch())
 	}
 	segs, _, err := Segments(t.dir)
 	if err != nil {
@@ -251,8 +258,8 @@ func (t *Tailer) advance() (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		if meta.Epoch > t.delivered {
-			return false, fmt.Errorf("%w: delivered through epoch %d, checkpoint at %d", ErrTailGone, t.delivered, meta.Epoch)
+		if meta.Epoch() > t.delivered {
+			return false, fmt.Errorf("%w: delivered through epoch %d, checkpoint at %d", ErrTailGone, t.delivered, meta.Epoch())
 		}
 	}
 	t.open(next)

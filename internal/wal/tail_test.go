@@ -168,7 +168,7 @@ func TestTailerDamageVersusLag(t *testing.T) {
 
 func TestTailerResumeBelowCheckpointIsGone(t *testing.T) {
 	dir := t.TempDir()
-	if err := WriteCheckpointMeta(dir, CheckpointMeta{Epoch: 40, BaseEpoch: 40, Path: "ckpt-40.snap", MinWALSeq: 3}); err != nil {
+	if err := WriteCheckpointMeta(dir, CheckpointMeta{BaseEpoch: 40, MinWALSeq: 3}); err != nil {
 		t.Fatal(err)
 	}
 	// A mid-prune leftover below MinWALSeq is not where tailing starts.
@@ -199,7 +199,7 @@ func TestTailerFallsBehindCheckpointIsGone(t *testing.T) {
 	defer tl.Close()
 	drainTailer(t, tl)
 	s1.Close()
-	if err := WriteCheckpointMeta(dir, CheckpointMeta{Epoch: 5, BaseEpoch: 5, Path: "ckpt-5.snap", MinWALSeq: 3}); err != nil {
+	if err := WriteCheckpointMeta(dir, CheckpointMeta{BaseEpoch: 5, MinWALSeq: 3}); err != nil {
 		t.Fatal(err)
 	}
 	os.Remove(s1.path)

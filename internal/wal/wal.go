@@ -24,6 +24,11 @@
 // until the first one that does not verify — the standard
 // crash-consistency contract for a checksummed WAL — and nothing after
 // that point is delivered.
+//
+// Every byte recovery or a replica trusts is such a frame, read by
+// ReadFrame: the log, the replication stream (the log's frames, shipped
+// unchanged), checkpoint files and the CHECKPOINT pointer. An empty frame
+// is a stream heartbeat or a checkpoint's end marker, never a log group.
 package wal
 
 import (
@@ -36,6 +41,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -56,6 +62,10 @@ const recHdrSize = 4
 // treats a larger length field as a torn header — one limit for both, so
 // no group can be acknowledged that replay would later discard.
 const MaxGroupBytes = 1 << 30
+
+// CheckpointFrameBytes is where a checkpoint writer cuts a frame: once its
+// body passes it, the next records (a hub's ops included) go to the next.
+const CheckpointFrameBytes = 1 << 20
 
 // castagnoli is the crc32c polynomial table; crc32.Update with it uses the
 // dedicated CRC32 instruction on amd64/arm64.
@@ -236,17 +246,8 @@ func (l *Log) writeFrame(epoch int64, recs [][]byte, bodyLen int) (needSync bool
 	// One checksum for the whole group, computed incrementally so records
 	// stream straight into the backend's writer — no group-sized staging
 	// copy on the persist hot path.
-	var hdr [headerSize]byte
-	binary.LittleEndian.PutUint64(hdr[0:8], uint64(epoch))
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(bodyLen))
+	hdr := frameHeader(epoch, recs, bodyLen)
 	var lenBuf [recHdrSize]byte
-	crc := crc32.Update(0, castagnoli, hdr[0:12])
-	for _, rec := range recs {
-		binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(rec)))
-		crc = crc32.Update(crc, castagnoli, lenBuf[:])
-		crc = crc32.Update(crc, castagnoli, rec)
-	}
-	binary.LittleEndian.PutUint32(hdr[12:16], crc)
 	// `remaining` clips the part that crosses an injected crash point, so
 	// the file carries exactly the accepted prefix (a genuine tear).
 	remaining := accepted
@@ -297,65 +298,116 @@ func (l *Log) Close() error {
 
 // Reading --------------------------------------------------------------------
 
-// frameState classifies what readFrame found at the reader's position.
-type frameState int
+// frameHeader is the one header and checksum rule: epoch, body length and
+// one crc32c over both and the body of recs, whose size is bodyLen.
+func frameHeader(epoch int64, recs [][]byte, bodyLen int) [headerSize]byte {
+	var hdr [headerSize]byte
+	binary.LittleEndian.PutUint64(hdr[0:8], uint64(epoch))
+	binary.LittleEndian.PutUint32(hdr[8:12], uint32(bodyLen))
+	var lenBuf [recHdrSize]byte
+	crc := crc32.Update(0, castagnoli, hdr[0:12])
+	for _, rec := range recs {
+		binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(rec)))
+		crc = crc32.Update(crc, castagnoli, lenBuf[:])
+		crc = crc32.Update(crc, castagnoli, rec)
+	}
+	binary.LittleEndian.PutUint32(hdr[12:16], crc)
+	return hdr
+}
 
+// AppendFrame appends to dst the bytes Log.AppendGroup writes for recs
+// under epoch; no records make an empty frame. The caller keeps the body
+// within MaxGroupBytes.
+func AppendFrame(dst []byte, epoch int64, recs [][]byte) []byte {
+	bodyLen := len(recs) * recHdrSize
+	for _, rec := range recs {
+		bodyLen += len(rec)
+	}
+	hdr := frameHeader(epoch, recs, bodyLen)
+	dst = append(slices.Grow(dst, headerSize+bodyLen), hdr[:]...)
+	for _, rec := range recs {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(rec)))
+		dst = append(dst, rec...)
+	}
+	return dst
+}
+
+// Frame is one verified frame. Recs alias Raw, the frame's bytes as read.
+type Frame struct {
+	Epoch int64
+	Recs  [][]byte
+	Raw   []byte
+}
+
+// ErrFrameDamaged is returned (wrapped) by ReadFrame for a header followed
+// by a body that is short, implausible or fails its checksum.
+var ErrFrameDamaged = errors.New("wal: frame does not verify")
+
+// Stream is the ReadFrame limit of a source with no size to bound a frame
+// by. Its body is read into streamChunk bytes first, then grows.
 const (
-	frameOK  frameState = iota // a verifying frame
-	frameEnd                   // nothing there: EOF, a short header, or the zero-filled preallocated tail
-	frameBad                   // a header followed by a body that is short, implausible or fails its checksum
+	Stream      = -1
+	streamChunk = 64 << 10
 )
 
-// readFrame reads one frame from r, which has `limit` bytes left before
-// the end of the file, returning its records and the byte length consumed
-// (header + body; tailers advance file offsets by it). The body is only
-// allocated once the header's length is known to fit inside limit, so a
-// garbage length field at a torn tail costs nothing. On frameBad the
-// header's epoch is returned unverified, for the tailer's damage check.
+// ReadFrame reads one frame from r, which holds limit bytes (a file's size
+// less the offset) or is a Stream. A garbage length field costs nothing
+// at a torn file tail and only the bytes the peer sent on a Stream.
 //
-// An all-zero header is the end of the log, not a frame: the backend
-// preallocates segment files, so after a crash the tail past the last
-// durable frame is zero-filled pages — and a zero header would otherwise
-// read as the start of a frame forever. Real epochs start at 1, so no
-// live frame has a zero header. The writer never frames an empty group,
-// so a zero body length under a non-zero header is torn too.
-func readFrame(r io.Reader, limit int64) (epoch int64, recs [][]byte, consumed int, st frameState) {
+// io.EOF means no frame: r ended before a whole header, or the header is
+// all zero — a segment's zero-filled preallocated tail (real epochs start
+// at 1; an empty body's crc is not zero). Other header read errors pass
+// through. ErrFrameDamaged (wrapped) means a body that is short,
+// implausible or fails its checksum; f.Epoch then holds the header's
+// epoch, unverified, for the tailer's damage check.
+func ReadFrame(r io.Reader, limit int64) (f Frame, err error) {
 	var hdr [headerSize]byte
-	if limit < headerSize {
-		return 0, nil, 0, frameEnd
+	if limit != Stream && limit < headerSize {
+		return Frame{}, io.EOF
 	}
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, 0, frameEnd
+		if errors.Is(err, io.ErrUnexpectedEOF) {
+			err = io.EOF
+		}
+		return Frame{}, err
 	}
-	epoch = int64(binary.LittleEndian.Uint64(hdr[0:8]))
-	n := binary.LittleEndian.Uint32(hdr[8:12])
+	epoch := int64(binary.LittleEndian.Uint64(hdr[0:8]))
+	n := int(binary.LittleEndian.Uint32(hdr[8:12]))
 	crc := binary.LittleEndian.Uint32(hdr[12:16])
 	if epoch == 0 && n == 0 && crc == 0 {
-		return 0, nil, 0, frameEnd
+		return Frame{}, io.EOF
 	}
-	if n == 0 || n > MaxGroupBytes || int64(n) > limit-headerSize {
-		return epoch, nil, 0, frameBad // implausible or longer than the file: torn
+	damaged := func(why string) (Frame, error) {
+		return Frame{Epoch: epoch}, fmt.Errorf("%w: epoch %d: %s", ErrFrameDamaged, epoch, why)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return epoch, nil, 0, frameBad
+	if n > MaxGroupBytes || (limit != Stream && int64(n) > limit-headerSize) {
+		return damaged("body length past the file or the limit") // torn
 	}
-	if crc32.Update(crc32.Checksum(hdr[0:12], castagnoli), castagnoli, body) != crc {
-		return epoch, nil, 0, frameBad // corrupt anywhere in the frame: whole group torn
+	first := n // MinRead spare keeps the buffer from growing at the end
+	if limit == Stream {
+		first = min(n, streamChunk)
 	}
-	for rest := body; len(rest) > 0; {
+	buf := bytes.NewBuffer(append(make([]byte, 0, headerSize+first+bytes.MinRead), hdr[:]...))
+	if _, err := io.CopyN(buf, r, int64(n)); err != nil {
+		return damaged("short body")
+	}
+	raw := buf.Bytes()
+	if crc32.Update(crc32.Checksum(hdr[0:12], castagnoli), castagnoli, raw[headerSize:]) != crc {
+		return damaged("checksum") // corrupt anywhere in the frame: whole group torn
+	}
+	f = Frame{Epoch: epoch, Raw: raw}
+	for rest := raw[headerSize:]; len(rest) > 0; {
 		if len(rest) < recHdrSize {
-			return epoch, nil, 0, frameBad
+			return damaged("record header")
 		}
-		rl := binary.LittleEndian.Uint32(rest[:recHdrSize])
-		rest = rest[recHdrSize:]
-		if uint64(rl) > uint64(len(rest)) {
-			return epoch, nil, 0, frameBad
+		rl := uint64(binary.LittleEndian.Uint32(rest))
+		if rest = rest[recHdrSize:]; rl > uint64(len(rest)) {
+			return damaged("record length")
 		}
-		recs = append(recs, rest[:rl:rl])
+		f.Recs = append(f.Recs, rest[:rl:rl])
 		rest = rest[rl:]
 	}
-	return epoch, recs, headerSize + int(n), frameOK
+	return f, nil
 }
 
 // segmentFile is a segment opened for reading, positioned past its
@@ -413,10 +465,12 @@ func (sf *segmentFile) rewind() (ready bool, err error) {
 
 // next reads the frame at the current offset, advancing past it only when
 // it verifies.
-func (sf *segmentFile) next() (epoch int64, recs [][]byte, st frameState) {
-	epoch, recs, consumed, st := readFrame(sf.r, sf.size-sf.off)
-	sf.off += int64(consumed)
-	return epoch, recs, st
+func (sf *segmentFile) next() (Frame, error) {
+	f, err := ReadFrame(sf.r, sf.size-sf.off)
+	if err == nil {
+		sf.off += int64(len(f.Raw))
+	}
+	return f, err
 }
 
 func (sf *segmentFile) close() {
@@ -439,19 +493,19 @@ func Replay(path string, afterEpoch int64, fn func(epoch int64, rec []byte) erro
 	}
 	defer sf.close()
 	for {
-		epoch, recs, st := sf.next()
-		if st != frameOK {
+		f, err := sf.next()
+		if err != nil {
 			return durable, nil
 		}
-		if epoch <= afterEpoch {
+		if f.Epoch <= afterEpoch {
 			continue
 		}
-		for _, rec := range recs {
-			if err := fn(epoch, rec); err != nil {
+		for _, rec := range f.Recs {
+			if err := fn(f.Epoch, rec); err != nil {
 				return durable, err
 			}
 		}
-		durable = epoch
+		durable = f.Epoch
 	}
 }
 
@@ -490,15 +544,10 @@ func skipSuperblock(r *bufio.Reader, path string) (empty bool, err error) {
 // Checkpoint metadata --------------------------------------------------------
 
 // CheckpointMeta records which epoch the checkpoint state captures: WAL
-// groups at or below Epoch are superseded by the checkpoint and may be
-// pruned.
-//
-// A checkpoint is a base snapshot (Path, capturing BaseEpoch) plus an
-// ordered chain of delta files (DeltaEpochs; each at "ckpt-<E>.delta"
-// beside the base). Recovery loads the base and applies the deltas in
-// order; Epoch is the newest epoch covered — the last delta's, or
-// BaseEpoch when the chain is empty. A full (non-incremental) checkpoint
-// is simply an empty chain with BaseEpoch == Epoch.
+// groups at or below Epoch() are superseded by the checkpoint and may be
+// pruned. A checkpoint is a base snapshot (capturing BaseEpoch, 0 for no
+// checkpoint) plus an ordered chain of deltas (DeltaEpochs; none for a
+// full checkpoint) that recovery applies in order.
 //
 // MinWALSeq is the first live WAL segment sequence: every segment below it
 // is fully superseded by the checkpoint. It is the recovery-side guard for
@@ -506,16 +555,24 @@ func skipSuperblock(r *bufio.Reader, path string) (empty bool, err error) {
 // crash mid-prune leaves files that must be skipped (and may be cleaned
 // up), not replayed.
 type CheckpointMeta struct {
-	Epoch       int64
-	Path        string
 	BaseEpoch   int64
 	DeltaEpochs []int64
 	MinWALSeq   int
 }
 
-// ckptMetaMagic heads the CHECKPOINT file. A file that does not open with
-// it was written by an incompatible build and is refused by name.
-var ckptMetaMagic = []byte("LGCKMET3")
+// Epoch returns the newest epoch covered: the last delta's, or BaseEpoch.
+func (m CheckpointMeta) Epoch() int64 {
+	if n := len(m.DeltaEpochs); n > 0 {
+		return m.DeltaEpochs[n-1]
+	}
+	return m.BaseEpoch
+}
+
+// ckptMetaMagic heads the CHECKPOINT file; one frame stamped with the
+// checkpoint's epoch follows it, holding one record: [8B BaseEpoch]
+// [4B MinWALSeq] and [8B] per delta epoch. A file that does not open with
+// the magic was written by an incompatible build and is refused by name.
+var ckptMetaMagic = []byte("LGCKMET4")
 
 // ErrCheckpointFormat is returned (wrapped) by ReadCheckpointMeta for a
 // CHECKPOINT file that does not carry the current magic.
@@ -527,51 +584,57 @@ var ErrCheckpointFormat = errors.New("wal: unrecognized CHECKPOINT format (incom
 // dirent must never name non-durable bytes, or recovery would trust a
 // pointer whose contents a crash discarded.
 func WriteCheckpointMeta(dir string, meta CheckpointMeta) error {
-	data := append([]byte(nil), ckptMetaMagic...)
-	data = binary.LittleEndian.AppendUint64(data, uint64(meta.Epoch))
-	data = binary.LittleEndian.AppendUint64(data, uint64(meta.BaseEpoch))
-	data = binary.LittleEndian.AppendUint32(data, uint32(meta.MinWALSeq))
-	data = binary.LittleEndian.AppendUint32(data, uint32(len(meta.DeltaEpochs)))
+	return disk.WriteFileAtomic(filepath.Join(dir, "CHECKPOINT"), encodeCheckpointMeta(meta))
+}
+
+func encodeCheckpointMeta(meta CheckpointMeta) []byte {
+	rec := binary.LittleEndian.AppendUint64(nil, uint64(meta.BaseEpoch))
+	rec = binary.LittleEndian.AppendUint32(rec, uint32(meta.MinWALSeq))
 	for _, e := range meta.DeltaEpochs {
-		data = binary.LittleEndian.AppendUint64(data, uint64(e))
+		rec = binary.LittleEndian.AppendUint64(rec, uint64(e))
 	}
-	data = append(data, []byte(meta.Path)...)
-	return disk.WriteFileAtomic(filepath.Join(dir, "CHECKPOINT"), data)
+	return AppendFrame(append([]byte(nil), ckptMetaMagic...), meta.Epoch(), [][]byte{rec})
 }
 
 // ReadCheckpointMeta loads the checkpoint pointer, or ok=false if none.
 func ReadCheckpointMeta(dir string) (meta CheckpointMeta, ok bool, err error) {
-	data, err := os.ReadFile(filepath.Join(dir, "CHECKPOINT"))
+	path := filepath.Join(dir, "CHECKPOINT")
+	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return CheckpointMeta{}, false, nil
 	}
 	if err != nil {
 		return CheckpointMeta{}, false, err
 	}
-	data, found := bytes.CutPrefix(data, ckptMetaMagic)
-	if !found {
-		return CheckpointMeta{}, false, fmt.Errorf("%w: %s", ErrCheckpointFormat, filepath.Join(dir, "CHECKPOINT"))
+	meta, err = decodeCheckpointMeta(data)
+	if err != nil {
+		return CheckpointMeta{}, false, fmt.Errorf("%s: %w", path, err)
 	}
-	corrupt := func() (CheckpointMeta, bool, error) {
-		return CheckpointMeta{}, false, fmt.Errorf("wal: checkpoint meta corrupt")
-	}
-	if len(data) < 24 {
-		return corrupt()
-	}
-	meta.Epoch = int64(binary.LittleEndian.Uint64(data[:8]))
-	meta.BaseEpoch = int64(binary.LittleEndian.Uint64(data[8:16]))
-	meta.MinWALSeq = int(binary.LittleEndian.Uint32(data[16:20]))
-	deltas := binary.LittleEndian.Uint32(data[20:24])
-	data = data[24:]
-	if deltas > 1<<20 || len(data) < int(deltas)*8 {
-		return corrupt()
-	}
-	if deltas > 0 {
-		meta.DeltaEpochs = make([]int64, deltas)
-		for i := range meta.DeltaEpochs {
-			meta.DeltaEpochs[i] = int64(binary.LittleEndian.Uint64(data[i*8:]))
-		}
-	}
-	meta.Path = string(data[deltas*8:])
 	return meta, true, nil
+}
+
+// decodeCheckpointMeta parses a CHECKPOINT file: the magic, then exactly
+// one verifying frame of one well-formed record, stamped with the epoch
+// the record implies.
+func decodeCheckpointMeta(data []byte) (CheckpointMeta, error) {
+	rest, found := bytes.CutPrefix(data, ckptMetaMagic)
+	if !found {
+		if bytes.HasPrefix(data, []byte("LGCKMET")) {
+			return CheckpointMeta{}, fmt.Errorf("%w: %.8q is an older format, this build reads %q", ErrCheckpointFormat, data, ckptMetaMagic)
+		}
+		return CheckpointMeta{}, ErrCheckpointFormat
+	}
+	f, err := ReadFrame(bytes.NewReader(rest), int64(len(rest)))
+	if err != nil || len(f.Raw) != len(rest) || len(f.Recs) != 1 || len(f.Recs[0]) < 12 || (len(f.Recs[0])-12)%8 != 0 {
+		return CheckpointMeta{}, fmt.Errorf("wal: checkpoint meta corrupt (%v)", err)
+	}
+	rec := f.Recs[0]
+	meta := CheckpointMeta{BaseEpoch: int64(binary.LittleEndian.Uint64(rec)), MinWALSeq: int(binary.LittleEndian.Uint32(rec[8:]))}
+	for rec = rec[12:]; len(rec) > 0; rec = rec[8:] {
+		meta.DeltaEpochs = append(meta.DeltaEpochs, int64(binary.LittleEndian.Uint64(rec)))
+	}
+	if meta.Epoch() != f.Epoch {
+		return CheckpointMeta{}, fmt.Errorf("wal: checkpoint meta corrupt (frame epoch %d, record says %d)", f.Epoch, meta.Epoch())
+	}
+	return meta, nil
 }

@@ -356,7 +356,7 @@ func TestCheckpointMetaRoundTrip(t *testing.T) {
 	if _, ok, err := ReadCheckpointMeta(dir); err != nil || ok {
 		t.Fatalf("empty dir: ok=%v err=%v", ok, err)
 	}
-	want := CheckpointMeta{Epoch: 42, Path: "ckpt-40.snap", BaseEpoch: 40, DeltaEpochs: []int64{41, 42}, MinWALSeq: 3}
+	want := CheckpointMeta{BaseEpoch: 40, DeltaEpochs: []int64{41, 42}, MinWALSeq: 3}
 	if err := WriteCheckpointMeta(dir, want); err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestCheckpointMetaRoundTrip(t *testing.T) {
 		t.Fatalf("got %+v, want %+v", got, want)
 	}
 	// Overwrite with a newer, base-only checkpoint.
-	want2 := CheckpointMeta{Epoch: 99, BaseEpoch: 99, Path: "ckpt-99.snap"}
+	want2 := CheckpointMeta{BaseEpoch: 99}
 	WriteCheckpointMeta(dir, want2)
 	got, _, _ = ReadCheckpointMeta(dir)
 	if !reflect.DeepEqual(got, want2) {
@@ -405,5 +405,19 @@ func TestParseSegmentPath(t *testing.T) {
 	}
 	if seq, ok := ParseSegmentPath(SegmentPath("d", 9)); seq != 9 || !ok {
 		t.Fatalf("round trip failed: %d %v", seq, ok)
+	}
+}
+
+// A CHECKPOINT written by the previous pointer format is refused by name,
+// never misread as a pointer or as no checkpoint at all.
+func TestOldCheckpointMetaRefusedByName(t *testing.T) {
+	dir := t.TempDir()
+	old := append([]byte("LGCKMET3"), make([]byte, 24)...)
+	if err := os.WriteFile(filepath.Join(dir, "CHECKPOINT"), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, ok, err := ReadCheckpointMeta(dir)
+	if ok || !errors.Is(err, ErrCheckpointFormat) || !bytes.Contains([]byte(err.Error()), []byte("LGCKMET3")) {
+		t.Fatalf("ok=%v err=%v, want ErrCheckpointFormat naming LGCKMET3", ok, err)
 	}
 }

@@ -237,8 +237,8 @@ var (
 	// means the transaction definitively did not commit.
 	ErrCommitOutcomeUnknown = core.ErrCommitOutcomeUnknown
 	// ErrCheckpointDamaged wraps what Open returns when a checkpoint file
-	// in Options.Dir breaks a rule its writer guarantees (it ends early, a
-	// length or count does not fit the file, record IDs are out of order).
+	// in Options.Dir breaks a rule its writer guarantees (a frame does not
+	// verify, the end frame is missing, an op is malformed or out of order).
 	ErrCheckpointDamaged = core.ErrCheckpointDamaged
 )
 
