@@ -144,8 +144,8 @@
 //
 // A durable graph's WAL is also its replication stream. The primary-side
 // shipper (internal/repl, served by lgserver as GET /v1/repl/stream)
-// tails the log and ships complete commit groups, epoch-framed
-// and resumable; a follower applies each group atomically with
+// tails the log and ships each commit group's checksummed WAL frame
+// unchanged, resumably; a follower applies each group atomically with
 // Graph.ApplyEpoch, advancing its read epoch only at group boundaries —
 // so every snapshot on a replica is a transactionally consistent prefix
 // of the primary's history. Followers reject local writes (ErrFollower),
