@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -344,9 +345,10 @@ type Frame struct {
 var ErrFrameDamaged = errors.New("wal: frame does not verify")
 
 // Stream is the ReadFrame limit of a source with no size to bound a frame
-// by. Its body is read into streamChunk bytes first, then grows.
+// by (no file offset arithmetic yields it). Its body is read into
+// streamChunk bytes first, then grows.
 const (
-	Stream      = -1
+	Stream      = math.MinInt64
 	streamChunk = 64 << 10
 )
 
