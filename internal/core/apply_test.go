@@ -19,14 +19,14 @@ func catchUp(t testing.TB, tl *wal.Tailer, follower *Graph) int {
 	t.Helper()
 	n := 0
 	for {
-		epoch, recs, ok, err := tl.Next()
+		f, ok, err := tl.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
 			return n
 		}
-		if err := follower.ApplyEpoch(epoch, recs); err != nil {
+		if err := follower.ApplyEpoch(f.Epoch, f.Recs); err != nil {
 			t.Fatal(err)
 		}
 		n++

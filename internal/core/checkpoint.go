@@ -412,7 +412,7 @@ func (g *Graph) loadCkptFile(path string, magic []byte, chain ...int64) error {
 // epoch, the file must end exactly at the end frame, and every op must
 // decode and keep the writer's order: resets of ascending IDs below the
 // header's nextVertexID, each followed only by its own vertex's put and
-// edge inserts, with labels and destinations not negative. The ID bound
+// edge inserts. The ID bound
 // caps index growth (chunkedIndex.Set allocates every chunk up to v>>12)
 // at what a graph of nextVertexID IDs costs anyway. nextVertexID is not
 // held to the file's size: an ID gap costs no bytes (TestSparseCheckpointLoads).
@@ -476,8 +476,8 @@ func (g *Graph) loadCkpt(r io.Reader, size int64, magic []byte, chain []int64) e
 				switch {
 				case op.op == opResetVertex && op.v > cur && int64(op.v) < nv:
 					cur = op.v
-				case op.op == opPutVertex && op.v == cur && cur >= 0:
-				case op.op == opInsertEdge && op.v == cur && cur >= 0 && op.label >= 0 && op.dst >= 0:
+				case op.op == opPutVertex && op.v == cur:
+				case op.op == opInsertEdge && op.v == cur:
 				default:
 					return fmt.Errorf("op %d on vertex %d after vertex %d, nextVertexID %d", op.op, op.v, cur, nv)
 				}

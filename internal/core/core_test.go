@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -808,4 +809,63 @@ func ExampleGraph() {
 	}
 	r.Commit()
 	// Output: alice -> bob (since 2024-01-01)
+}
+
+// TestOutOfRangeIDsAndLabels: a write naming a negative vertex ID or a
+// label outside [0, MaxLabel) is refused without aborting the
+// transaction, no such op decodes from a log, and reads of one find
+// nothing instead of panicking or growing a label-keyed index.
+func TestOutOfRangeIDsAndLabels(t *testing.T) {
+	g := openMem(t)
+	mustCommit(t, g, func(tx *Tx) {
+		a, _ := tx.AddVertex(nil)
+		b, _ := tx.AddVertex(nil)
+		for _, l := range []Label{-1, MaxLabel, 1 << 40} {
+			for _, err := range []error{tx.InsertEdge(a, l, b, nil), tx.AddEdge(a, l, b, nil), tx.DeleteEdge(a, l, b)} {
+				if !errors.Is(err, ErrOutOfRange) {
+					t.Errorf("label %d: %v, want ErrOutOfRange", l, err)
+				}
+			}
+		}
+		for _, err := range []error{tx.InsertEdge(-1, 0, b, nil), tx.InsertEdge(a, 0, -1, nil), tx.PutVertex(-1, nil), tx.DeleteVertex(-1)} {
+			if !errors.Is(err, ErrOutOfRange) {
+				t.Errorf("negative vertex ID: %v, want ErrOutOfRange", err)
+			}
+		}
+		if err := tx.InsertEdge(a, MaxLabel-1, b, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	for _, rec := range [][]byte{
+		appendEdgeOp(nil, opInsertEdge, 0, -1, 1, nil),
+		appendEdgeOp(nil, opUpsertEdge, 0, MaxLabel, 1, nil),
+		appendEdgeOp(nil, opDeleteEdge, 0, 0, -1, nil),
+		appendVertexOp(nil, opPutVertex, -1, nil),
+	} {
+		if _, err := decodeOps(nil, rec); err == nil {
+			t.Errorf("record %x decoded", rec)
+		}
+	}
+	s, err := g.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Release()
+	if _, err := s.GetVertex(-1); !errors.Is(err, ErrNotFound) {
+		t.Errorf("GetVertex(-1): %v", err)
+	}
+	for _, l := range []Label{-1, 1 << 40} {
+		if st := g.LabelDegreeStats(l); st.Lists != 0 || st.Edges != 0 {
+			t.Errorf("LabelDegreeStats(%d) = %+v", l, st)
+		}
+		s.ScanIn(1, l, func(VertexID) bool { t.Errorf("ScanIn label %d found a source", l); return false })
+		for _, d := range []Direction{DirectionAuto, DirectionTopDown, DirectionBottomUp} {
+			if res, err := Traverse(0).Out(l).Dedup().Direction(d).Run(context.Background(), s); err != nil || len(res) != 0 {
+				t.Errorf("Traverse(0).Out(%d) direction %d: %v %v", l, d, res, err)
+			}
+		}
+	}
+	if n := g.rev.Cap() + g.lstats.Cap(); n > 2*chunkSize {
+		t.Errorf("label-keyed indexes grew to %d slots", n)
+	}
 }

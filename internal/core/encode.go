@@ -53,7 +53,9 @@ type walOp struct {
 // decodeOps appends the ops of a record to ops. A varint that is
 // truncated, overflows or is not minimal (a minimal encoding longer than
 // one byte never ends in a zero byte) is malformed, so every accepted
-// record re-encodes to exactly its own bytes.
+// record re-encodes to exactly its own bytes. So is an op the write path
+// refuses (ErrOutOfRange): a negative vertex ID or a label outside
+// [0, MaxLabel).
 func decodeOps(ops []walOp, rec []byte) ([]walOp, error) {
 	bad := ""
 	num := func(what string) int64 {
@@ -86,6 +88,9 @@ func decodeOps(ops []walOp, rec []byte) ([]walOp, error) {
 			op.data = blob("edge props")
 		default:
 			return nil, fmt.Errorf("livegraph: wal record corrupt (op %d)", op.op)
+		}
+		if op.v < 0 || op.dst < 0 || uint64(op.label) >= MaxLabel {
+			bad = cmp.Or(bad, "vertex id or label out of range")
 		}
 		ops = append(ops, op)
 	}

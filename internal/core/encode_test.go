@@ -16,7 +16,7 @@ func FuzzDecodeOps(f *testing.F) {
 	txRec = appendVertexOp(txRec, opDelVertex, 1<<40, nil)
 	txRec = appendEdgeOp(txRec, opInsertEdge, 3, 2, 9, []byte("props"))
 	txRec = appendEdgeOp(txRec, opUpsertEdge, 3, 2, 9, nil)
-	txRec = appendEdgeOp(txRec, opDeleteEdge, 3, 2, -9, nil)
+	txRec = appendEdgeOp(txRec, opDeleteEdge, 3, 2, 9, nil)
 	ckptRec := appendVertexOp(nil, opResetVertex, 299, nil)
 	ckptRec = appendVertexOp(ckptRec, opPutVertex, 299, []byte("y"))
 	ckptRec = appendEdgeOp(ckptRec, opInsertEdge, 299, 0, 1, bytes.Repeat([]byte{7}, 32))

@@ -1,6 +1,9 @@
 package core
 
-import "errors"
+import (
+	"errors"
+	"fmt"
+)
 
 var (
 	// ErrConflict is returned when a transaction tries to modify a vertex or
@@ -21,6 +24,10 @@ var (
 	// ErrReadOnly is returned when a write operation is attempted on a
 	// read-only transaction.
 	ErrReadOnly = errors.New("livegraph: read-only transaction")
+
+	// ErrOutOfRange is returned, without aborting the transaction, by a
+	// write naming a negative vertex ID or a label outside [0, MaxLabel).
+	ErrOutOfRange = fmt.Errorf("livegraph: negative vertex ID or label outside [0, %d)", MaxLabel)
 
 	// ErrNotFound is returned when a referenced vertex or edge does not
 	// exist in the transaction's snapshot.

@@ -30,6 +30,10 @@ type VertexID int64
 // grouped into one adjacency list (TEL) per label.
 type Label int64
 
+// MaxLabel bounds labels: writes take them in [0, MaxLabel), so each
+// label-keyed index (degree statistics, reverse hints) is one chunk.
+const MaxLabel = chunkSize
+
 // Options configures a Graph.
 type Options struct {
 	// Dir enables durability: the WAL and checkpoints live here. Empty

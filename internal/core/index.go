@@ -31,14 +31,14 @@ type indexChunk[T any] struct {
 }
 
 // Get returns the pointer at slot i, or nil if the slot was never set or is
-// beyond the grown region.
+// beyond the grown region. A negative i, compared unsigned, is beyond it.
 func (ix *chunkedIndex[T]) Get(i int64) *T {
 	dir := ix.chunks.Load()
 	if dir == nil {
 		return nil
 	}
-	c := int(i >> chunkBits)
-	if c >= len(*dir) {
+	c := uint64(i) >> chunkBits
+	if c >= uint64(len(*dir)) {
 		return nil
 	}
 	return (*dir)[c].slots[i&(chunkSize-1)].Load()

@@ -8,16 +8,10 @@ import (
 	"livegraph/internal/wal"
 )
 
-// ObsOptions configures the engine's observability layer (internal/obs):
-// the instrument registry behind GET /metrics and /v1/stats, the sampling
-// tracer behind /v1/traces, and the slow-op log.
+// ObsOptions configures the engine's tracing (internal/obs): the sampling
+// tracer behind /v1/traces and the slow-op log. The instrument registry
+// behind GET /metrics and /v1/stats is always the graph's own (Graph.Obs).
 type ObsOptions struct {
-	// Registry receives the graph's instruments. Nil creates a fresh
-	// per-graph registry (retrievable via Graph.Obs). Sharing one registry
-	// across graphs works — scrape-time callbacks are replaced on
-	// re-registration, so the newest graph wins the gauge names.
-	Registry *obs.Registry
-
 	// TraceSampleRate is the fraction of root spans recorded, in (0, 1].
 	// 0 selects the default (1/64); negative disables tracing and the
 	// slow-op log entirely.
@@ -84,10 +78,7 @@ func (g *Graph) Tracer() *obs.Tracer { return g.ob.tracer }
 // gauges. Called once from Open before any commits.
 func (g *Graph) initObs() {
 	g.obsStart = time.Now()
-	g.obsReg = g.opts.Obs.Registry
-	if g.obsReg == nil {
-		g.obsReg = obs.NewRegistry()
-	}
+	g.obsReg = obs.NewRegistry()
 	r := g.obsReg
 
 	g.ob = &graphObs{

@@ -297,6 +297,9 @@ func (g *Graph) revAdd(dst VertexID, label Label, src VertexID) {
 // waits its turn, a fold that finds the mutex taken leaves the work to the
 // next in-scan.
 func (g *Graph) revReady(label Label, mayLock bool) (gen *revGen, built time.Duration) {
+	if uint64(label) >= MaxLabel { // no edge carries it, and g.rev has no slot for it
+		return &revGen{main: &revMain{}, over: &revOverlay{}}, 0
+	}
 	old := g.rev.Get(int64(label))
 	switch { // the last two cases take revMu, or give up
 	case old.ready() && (!mayLock || !old.overgrown()):

@@ -204,6 +204,9 @@ func (tx *Tx) PutVertex(v VertexID, data []byte) error {
 	if err := tx.checkWrite(); err != nil {
 		return err
 	}
+	if v < 0 {
+		return ErrOutOfRange
+	}
 	if err := tx.lock(v); err != nil {
 		return err
 	}
@@ -223,6 +226,9 @@ func (tx *Tx) PutVertex(v VertexID, data []byte) error {
 func (tx *Tx) DeleteVertex(v VertexID) error {
 	if err := tx.checkWrite(); err != nil {
 		return err
+	}
+	if v < 0 {
+		return ErrOutOfRange
 	}
 	if err := tx.lock(v); err != nil {
 		return err
@@ -367,6 +373,9 @@ func (tx *Tx) InsertEdge(src VertexID, label Label, dst VertexID, props []byte) 
 	if err := tx.checkWrite(); err != nil {
 		return err
 	}
+	if src < 0 || dst < 0 || uint64(label) >= MaxLabel {
+		return ErrOutOfRange
+	}
 	w, err := tx.ensureTEL(src, label)
 	if err != nil {
 		return err
@@ -392,6 +401,9 @@ func (tx *Tx) AddEdge(src VertexID, label Label, dst VertexID, props []byte) err
 	if err := tx.checkWrite(); err != nil {
 		return err
 	}
+	if src < 0 || dst < 0 || uint64(label) >= MaxLabel {
+		return ErrOutOfRange
+	}
 	w, err := tx.ensureTEL(src, label)
 	if err != nil {
 		return err
@@ -415,6 +427,9 @@ func (tx *Tx) AddEdge(src VertexID, label Label, dst VertexID, props []byte) err
 func (tx *Tx) DeleteEdge(src VertexID, label Label, dst VertexID) error {
 	if err := tx.checkWrite(); err != nil {
 		return err
+	}
+	if src < 0 || dst < 0 || uint64(label) >= MaxLabel {
+		return ErrOutOfRange
 	}
 	w, err := tx.ensureTEL(src, label)
 	if err != nil {

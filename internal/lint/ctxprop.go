@@ -1,10 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-
-	"livegraph/internal/lint/analysis"
-)
+import "go/ast"
 
 // Ctxprop enforces context propagation through library code. The engine's
 // protocol guarantees lean on every blocking wait — worker-slot
@@ -15,20 +11,14 @@ import (
 // (package main) and tests own their lifetimes and are exempt; the few
 // deliberate context-free public wrappers carry //lglint:ignore ctxprop
 // with the reason.
-var Ctxprop = &analysis.Analyzer{
+var Ctxprop = &Analyzer{
 	Name: "ctxprop",
-	Doc: `forbid context.Background/TODO in non-test library packages
-
-Library code must accept and propagate a caller context so every blocking
-wait stays cancellable; minting a fresh root context detaches the
-operation from the caller's deadline. Package main (process entry points)
-is exempt.`,
-	Run: runCtxprop,
+	Run:  runCtxprop,
 }
 
-func runCtxprop(pass *analysis.Pass) error {
+func runCtxprop(pass *Pass) {
 	if pass.Pkg.Name() == "main" {
-		return nil
+		return
 	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -46,5 +36,4 @@ func runCtxprop(pass *analysis.Pass) error {
 			return true
 		})
 	}
-	return nil
 }

@@ -1,10 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-
-	"livegraph/internal/lint/analysis"
-)
+import "go/ast"
 
 // Durablefs enforces the crash-consistency seam PR 6 introduced: every
 // byte that must survive a crash reaches the filesystem through
@@ -15,33 +11,17 @@ import (
 // bug class fixed by hand in PR 6 — so outside internal/disk those
 // functions may not be referenced at all. Deliberately non-durable output
 // (e.g. the benchmark's result files) uses //lglint:ignore durablefs <reason>.
-var Durablefs = &analysis.Analyzer{
+var Durablefs = &Analyzer{
 	Name: "durablefs",
-	Doc: `forbid raw os file mutation outside internal/disk
-
-os.Create, os.Rename, os.WriteFile, os.OpenFile and os.Remove bypass the
-engine's crash-consistency protocol (tmp file, fsync, rename, dir fsync).
-Durable paths must go through disk.Backend / disk.CreateAtomic /
-disk.WriteFileAtomic; only internal/disk itself may touch os directly.`,
-	Run: runDurablefs,
+	Run:  runDurablefs,
 }
 
-// rawOSFuncs are the os functions that create, replace or remove
-// filesystem entries without the seam's fsync discipline.
-var rawOSFuncs = map[string]bool{
-	"Create":    true,
-	"Rename":    true,
-	"WriteFile": true,
-	"OpenFile":  true,
-	"Remove":    true,
-}
-
-func runDurablefs(pass *analysis.Pass) error {
+func runDurablefs(pass *Pass) {
 	// The seam itself is the one place allowed to use the raw calls; like
 	// syncerr's scoping, the final path element identifies it so testdata
 	// fixtures named "disk" are exempt under the same rule.
 	if pkgPathBase(pass.Pkg.Path()) == "disk" {
-		return nil
+		return
 	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -50,10 +30,9 @@ func runDurablefs(pass *analysis.Pass) error {
 				return true
 			}
 			obj := pass.TypesInfo.Uses[sel.Sel]
+			// The os functions that create, replace or remove filesystem
+			// entries without the seam's fsync discipline.
 			if !isPkgFunc(obj, "os", "Create", "Rename", "WriteFile", "OpenFile", "Remove") {
-				return true
-			}
-			if !rawOSFuncs[obj.Name()] {
 				return true
 			}
 			pass.Reportf(sel.Pos(),
@@ -62,5 +41,4 @@ func runDurablefs(pass *analysis.Pass) error {
 			return true
 		})
 	}
-	return nil
 }

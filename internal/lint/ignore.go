@@ -2,11 +2,10 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
-	"go/token"
+	"slices"
 	"strings"
 
-	"livegraph/internal/lint/analysis"
+	"livegraph/internal/lint/loader"
 )
 
 // The escape hatch: a comment of the form
@@ -16,53 +15,47 @@ import (
 // on the same line as a finding, or on the line directly above it,
 // suppresses that analyzer's findings there. The reason is mandatory —
 // an ignore that cannot say why it exists is exactly the silent invariant
-// drift lglint is meant to stop — and malformed directives are reported
-// as findings of the pseudo-analyzer "lglint".
-const ignorePrefix = "lglint:ignore"
+// drift the analyzers are meant to stop — and malformed directives are
+// reported as findings of the pseudo-analyzer "lglint".
+const ignorePrefix = "//lglint:ignore"
 
-// IgnoreSet indexes ignore directives by file and line.
-type IgnoreSet struct {
-	// byLine maps file -> line -> analyzer names suppressed there.
-	byLine map[string]map[int][]string
-}
+// ignoreSet maps file -> line -> analyzer names suppressed there.
+type ignoreSet map[string]map[int][]string
 
-// CollectIgnores scans the files' comments for ignore directives. It
-// returns the directive index plus one diagnostic per malformed directive.
-func CollectIgnores(fset *token.FileSet, files []*ast.File) (*IgnoreSet, []analysis.Diagnostic) {
-	set := &IgnoreSet{byLine: make(map[string]map[int][]string)}
-	var malformed []analysis.Diagnostic
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text, ok := strings.CutPrefix(c.Text, "//"+ignorePrefix)
-				if !ok {
-					continue
+// ignores scans the packages' comments for ignore directives. It returns
+// the directive index plus one finding per malformed directive.
+func ignores(pkgs []*loader.Package) (ignoreSet, []Finding) {
+	set := ignoreSet{}
+	var malformed []Finding
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					text, ok := strings.CutPrefix(c.Text, ignorePrefix)
+					if !ok {
+						continue
+					}
+					pos := pkg.Fset.Position(c.Pos())
+					bad := func(format string, args ...any) {
+						malformed = append(malformed, Finding{Analyzer: "lglint", Position: pos, Message: fmt.Sprintf(format, args...)})
+					}
+					fields := strings.Fields(text)
+					if len(fields) < 2 {
+						bad("malformed lglint:ignore directive: want //lglint:ignore <analyzer> <reason>")
+						continue
+					}
+					names := strings.Split(fields[0], ",")
+					if name := unknownAnalyzer(names); name != "" {
+						bad("lglint:ignore names unknown analyzer %q", name)
+						continue
+					}
+					lines := set[pos.Filename]
+					if lines == nil {
+						lines = make(map[int][]string)
+						set[pos.Filename] = lines
+					}
+					lines[pos.Line] = append(lines[pos.Line], names...)
 				}
-				fields := strings.Fields(text)
-				if len(fields) < 2 {
-					malformed = append(malformed, analysis.Diagnostic{
-						Analyzer: "lglint",
-						Pos:      c.Pos(),
-						Message:  "malformed lglint:ignore directive: want //lglint:ignore <analyzer> <reason>",
-					})
-					continue
-				}
-				names := strings.Split(fields[0], ",")
-				if bad := unknownAnalyzer(names); bad != "" {
-					malformed = append(malformed, analysis.Diagnostic{
-						Analyzer: "lglint",
-						Pos:      c.Pos(),
-						Message:  fmt.Sprintf("lglint:ignore names unknown analyzer %q", bad),
-					})
-					continue
-				}
-				pos := fset.Position(c.Pos())
-				lines := set.byLine[pos.Filename]
-				if lines == nil {
-					lines = make(map[int][]string)
-					set.byLine[pos.Filename] = lines
-				}
-				lines[pos.Line] = append(lines[pos.Line], names...)
 			}
 		}
 	}
@@ -71,48 +64,23 @@ func CollectIgnores(fset *token.FileSet, files []*ast.File) (*IgnoreSet, []analy
 
 func unknownAnalyzer(names []string) string {
 	for _, n := range names {
-		if n == "all" {
-			continue
-		}
-		known := false
-		for _, a := range All {
-			if a.Name == n {
-				known = true
-				break
-			}
-		}
-		if !known {
+		if n != "all" && !slices.ContainsFunc(All, func(a *Analyzer) bool { return a.Name == n }) {
 			return n
 		}
 	}
 	return ""
 }
 
-// Suppressed reports whether d is covered by a directive on its line or
+// suppresses reports whether f is covered by a directive on its line or
 // the line above.
-func (s *IgnoreSet) Suppressed(fset *token.FileSet, d analysis.Diagnostic) bool {
-	pos := fset.Position(d.Pos)
-	lines, ok := s.byLine[pos.Filename]
-	if !ok {
-		return false
-	}
-	for _, line := range []int{pos.Line, pos.Line - 1} {
+func (s ignoreSet) suppresses(f Finding) bool {
+	lines := s[f.Position.Filename]
+	for _, line := range []int{f.Position.Line, f.Position.Line - 1} {
 		for _, name := range lines[line] {
-			if name == d.Analyzer || name == "all" {
+			if name == f.Analyzer || name == "all" {
 				return true
 			}
 		}
 	}
 	return false
-}
-
-// Filter drops suppressed diagnostics.
-func (s *IgnoreSet) Filter(fset *token.FileSet, diags []analysis.Diagnostic) []analysis.Diagnostic {
-	kept := diags[:0]
-	for _, d := range diags {
-		if !s.Suppressed(fset, d) {
-			kept = append(kept, d)
-		}
-	}
-	return kept
 }

@@ -1,102 +1,88 @@
-// Package lint holds lglint's project-specific analyzers: mechanical
-// checks for the durability, locking and concurrency invariants the
-// engine's correctness argument rests on (paper §5's commit protocol and
-// the crash-consistency rules PR 6 established). Each analyzer enforces
-// one invariant; cmd/lglint runs them all and CI blocks on any finding.
+// Package lint holds the project's static analyzers: mechanical checks
+// for the durability, locking and tracing invariants the engine's
+// correctness argument rests on (paper §5's commit protocol and §6's
+// recovery), each one a defect the race detector cannot see:
+//
+//	durablefs  durable files go through the disk.Backend seam
+//	ctxprop    library code propagates caller contexts
+//	syncerr    wal/disk never drop fsync/Close errors
+//	lockhold   no blocking while holding an mvcc stripe lock
+//	spanend    obs spans are ended on every path out of the starter
+//
+// `go test ./internal/lint/` runs them: TestRepoLintClean holds the whole
+// module at zero findings, and each analyzer has a fixture test under
+// testdata/src. Suppress a deliberate exception with
+// `//lglint:ignore <analyzer> <reason>` on the finding's line or the line
+// above; the reason is mandatory.
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 
-	"livegraph/internal/lint/analysis"
 	"livegraph/internal/lint/loader"
 )
 
-// All is every analyzer, in the order lglint runs them.
-var All = []*analysis.Analyzer{
+// Analyzer checks one invariant, one package at a time.
+type Analyzer struct {
+	// Name identifies the analyzer in findings and in //lglint:ignore
+	// directives. Lower-case, no spaces.
+	Name string
+	Run  func(*Pass)
+}
+
+// All is every analyzer.
+var All = []*Analyzer{
 	Durablefs,
 	Ctxprop,
 	Syncerr,
-	Atomicfield,
 	Lockhold,
 	Spanend,
 }
 
-// ByName resolves a comma-separated -checks selection against All.
-func ByName(names string) ([]*analysis.Analyzer, bool) {
-	if names == "" || names == "all" {
-		return All, true
-	}
-	var sel []*analysis.Analyzer
-	for _, name := range strings.Split(names, ",") {
-		name = strings.TrimSpace(name)
-		found := false
-		for _, a := range All {
-			if a.Name == name {
-				sel = append(sel, a)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, false
-		}
-	}
-	return sel, true
+// Pass is one analyzer's view of one package.
+type Pass struct {
+	*loader.Package
+	analyzer string
+	findings *[]Finding
 }
 
-// Finding is one surviving diagnostic with its position resolved.
+// Reportf records a finding at pos.
+func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+	*p.findings = append(*p.findings, Finding{
+		Analyzer: p.analyzer,
+		Position: p.Fset.Position(pos),
+		Message:  fmt.Sprintf(format, args...),
+	})
+}
+
+// Finding is one diagnostic.
 type Finding struct {
 	Analyzer string
 	Position token.Position
 	Message  string
 }
 
-// Run loads patterns from dir, runs the analyzers, applies
-// //lglint:ignore directives, and returns the surviving findings sorted
-// by position. Malformed ignore directives are themselves findings.
-func Run(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]Finding, error) {
-	res, err := loader.Load(dir, patterns...)
-	if err != nil {
-		return nil, err
-	}
-	var diags []analysis.Diagnostic
-	prog := analysis.NewProgram(res.Fset, res.Roots, func(d analysis.Diagnostic) {
-		diags = append(diags, d)
-	})
-	if err := prog.RunAll(analyzers); err != nil {
-		return nil, err
-	}
-	var files []*ast.File
-	for _, pkg := range res.Roots {
-		files = append(files, pkg.Files...)
-	}
-	ignores, malformed := CollectIgnores(res.Fset, files)
-	diags = ignores.Filter(res.Fset, diags)
-	diags = append(diags, malformed...)
-	findings := make([]Finding, 0, len(diags))
-	for _, d := range diags {
-		findings = append(findings, Finding{
-			Analyzer: d.Analyzer,
-			Position: res.Fset.Position(d.Pos),
-			Message:  d.Message,
-		})
-	}
-	sort.Slice(findings, func(i, j int) bool {
-		pi, pj := findings[i].Position, findings[j].Position
-		if pi.Filename != pj.Filename {
-			return pi.Filename < pj.Filename
+// lint runs the analyzers over pkgs, drops the findings a
+// //lglint:ignore directive suppresses, and returns the rest, malformed
+// directives included.
+func lint(pkgs []*loader.Package, analyzers []*Analyzer) []Finding {
+	var found []Finding
+	for _, pkg := range pkgs {
+		for _, a := range analyzers {
+			a.Run(&Pass{Package: pkg, analyzer: a.Name, findings: &found})
 		}
-		if pi.Line != pj.Line {
-			return pi.Line < pj.Line
+	}
+	ignored, kept := ignores(pkgs)
+	for _, f := range found {
+		if !ignored.suppresses(f) {
+			kept = append(kept, f)
 		}
-		return pi.Column < pj.Column
-	})
-	return findings, nil
+	}
+	return kept
 }
 
 // --- shared type-inspection helpers ---

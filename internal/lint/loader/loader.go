@@ -1,4 +1,4 @@
-// Package loader type-checks the packages lglint analyzes without any
+// Package loader type-checks the packages internal/lint analyzes without any
 // dependency outside the standard library. It shells out to `go list
 // -deps -export` for package discovery and compiled export data (built by
 // the go command's cache, so this works fully offline), parses each target
@@ -21,9 +21,15 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
-
-	"livegraph/internal/lint/analysis"
 )
+
+// Package is one type-checked package: the unit an analyzer sees.
+type Package struct {
+	Fset      *token.FileSet
+	Files     []*ast.File
+	Pkg       *types.Package
+	TypesInfo *types.Info
+}
 
 // listPackage is the subset of `go list -json` output the loader consumes.
 type listPackage struct {
@@ -35,12 +41,12 @@ type listPackage struct {
 	DepOnly    bool
 }
 
-// Result holds the loaded program plus the export-data index, which
-// linttest reuses to type-check fixture packages that import both the
+// Result holds the loaded packages plus the export-data index, which the
+// lint tests reuse to type-check fixture packages that import both the
 // standard library and this module's packages.
 type Result struct {
 	Fset  *token.FileSet
-	Roots []*analysis.Package // pattern-matched packages, dependency order
+	Roots []*Package // pattern-matched packages, dependency order
 
 	exports map[string]string // import path -> export data file
 	imp     types.Importer
@@ -49,9 +55,6 @@ type Result struct {
 // Load lists patterns (e.g. "./...") from dir, and parses + type-checks
 // every matched non-test package.
 func Load(dir string, patterns ...string) (*Result, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
 	args := append([]string{
 		"list", "-deps", "-export",
 		"-json=ImportPath,Dir,GoFiles,Export,Standard,DepOnly",
@@ -111,7 +114,7 @@ func (r *Result) lookup(path string) (io.ReadCloser, error) {
 // test fixture) under the given import path, resolving its imports through
 // the already-listed export data. Files are checked in name order so
 // diagnostics are deterministic.
-func (r *Result) CheckDir(dir, importPath string) (*analysis.Package, error) {
+func (r *Result) CheckDir(dir, importPath string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -130,7 +133,7 @@ func (r *Result) CheckDir(dir, importPath string) (*analysis.Package, error) {
 }
 
 // check parses the named files from dir and type-checks them as one package.
-func (r *Result) check(dir string, fileNames []string, importPath string) (*analysis.Package, error) {
+func (r *Result) check(dir string, fileNames []string, importPath string) (*Package, error) {
 	var files []*ast.File
 	for _, name := range fileNames {
 		f, err := parser.ParseFile(r.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -151,5 +154,5 @@ func (r *Result) check(dir string, fileNames []string, importPath string) (*anal
 	if err != nil {
 		return nil, fmt.Errorf("loader: type-checking %s: %v", importPath, err)
 	}
-	return &analysis.Package{Fset: r.Fset, Files: files, Pkg: pkg, TypesInfo: info}, nil
+	return &Package{Fset: r.Fset, Files: files, Pkg: pkg, TypesInfo: info}, nil
 }

@@ -5,8 +5,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-
-	"livegraph/internal/lint/analysis"
 )
 
 // Lockhold flags blocking operations performed while an mvcc vertex/stripe
@@ -26,16 +24,9 @@ import (
 // transaction work phase) are responsible for their own callees — the
 // analyzer does not track locks across calls, it polices the common
 // single-function shape.
-var Lockhold = &analysis.Analyzer{
+var Lockhold = &Analyzer{
 	Name: "lockhold",
-	Doc: `forbid blocking operations while an mvcc vertex/stripe lock is held
-
-Channel sends/receives, select, range-over-channel, time.Sleep,
-sync.WaitGroup.Wait, epoch waits, disk.Backend I/O and nested blocking
-Lock calls must not happen between a LockTable acquire and its release:
-a parked goroutine holding a stripe blocks every transaction hashing to
-it, and a second blocking Lock can self-deadlock on stripe collisions.`,
-	Run: runLockhold,
+	Run:  runLockhold,
 }
 
 type lockEvent struct {
@@ -50,7 +41,7 @@ const (
 	evBlock
 )
 
-func runLockhold(pass *analysis.Pass) error {
+func runLockhold(pass *Pass) {
 	for _, f := range pass.Files {
 		// Analyze each function body (including each function literal) as
 		// its own scope.
@@ -70,12 +61,11 @@ func runLockhold(pass *analysis.Pass) error {
 			lockholdScope(pass, body)
 		}
 	}
-	return nil
 }
 
 // lockholdScope sweeps one function body's events in source order with a
 // hold-depth counter.
-func lockholdScope(pass *analysis.Pass, body *ast.BlockStmt) {
+func lockholdScope(pass *Pass, body *ast.BlockStmt) {
 	var events []lockEvent
 	addBlock := func(pos token.Pos, desc string) {
 		events = append(events, lockEvent{pos: pos, kind: evBlock, desc: desc})
@@ -137,7 +127,7 @@ func lockholdScope(pass *analysis.Pass, body *ast.BlockStmt) {
 }
 
 // classifyLockholdCall turns a call into acquire/release/block events.
-func classifyLockholdCall(pass *analysis.Pass, call *ast.CallExpr, deferred bool, events *[]lockEvent) {
+func classifyLockholdCall(pass *Pass, call *ast.CallExpr, deferred bool, events *[]lockEvent) {
 	fn := callee(pass.TypesInfo, call)
 	if fn == nil {
 		return

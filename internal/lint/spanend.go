@@ -4,8 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-
-	"livegraph/internal/lint/analysis"
 )
 
 // Spanend enforces the tracing span lifecycle: a span returned by
@@ -20,13 +18,9 @@ import (
 // all paths. Obligations transfer with the value: spans assigned to
 // struct fields, passed to calls, returned, or otherwise escaping are the
 // holder's problem and are not flagged here.
-var Spanend = &analysis.Analyzer{
+var Spanend = &Analyzer{
 	Name: "spanend",
-	Doc: `require End() on every path for spans from StartSpan/StartAlways
-
-A span that is started but not ended never reaches the trace ring and
-pins its parent's child list. End it on every return path, or defer it.`,
-	Run: runSpanend,
+	Run:  runSpanend,
 }
 
 // spanStatus is the per-path obligation lattice, tracked as a bitmask of
@@ -57,7 +51,7 @@ func spanStartCall(info *types.Info, call *ast.CallExpr) bool {
 	return ok && named.Obj().Name() == "Span"
 }
 
-func runSpanend(pass *analysis.Pass) error {
+func runSpanend(pass *Pass) {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			var body *ast.BlockStmt
@@ -75,7 +69,6 @@ func runSpanend(pass *analysis.Pass) error {
 			return true
 		})
 	}
-	return nil
 }
 
 // spanVar is one span-typed local started in the function under check.
@@ -87,7 +80,7 @@ type spanVar struct {
 // checkSpanFunc finds the span variables a function starts and verifies
 // each is ended on every path. Nested function literals are checked on
 // their own visit; here they only matter as escape/defer sites.
-func checkSpanFunc(pass *analysis.Pass, body *ast.BlockStmt) {
+func checkSpanFunc(pass *Pass, body *ast.BlockStmt) {
 	info := pass.TypesInfo
 
 	// Pass 1: collect span variables from `_, sp := StartSpan(...)`-shaped
@@ -125,9 +118,10 @@ func checkSpanFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 	}
 
 	// Pass 2: classify every other use. Allowed without transferring the
-	// obligation: sp.End()/sp.SetAttr()/sp.MarkSlow() calls and nil
-	// comparisons. Anything else (argument, return value, reassignment
-	// from a non-start expression, closure capture beyond a deferred End)
+	// obligation: sp.End()/sp.SetAttr()/sp.MarkSlow() calls, nil
+	// comparisons and `_ = sp`, which discards the value without ending
+	// it. Anything else (argument, return value, reassignment from a
+	// non-start expression, closure capture beyond a deferred End)
 	// escapes — the obligation moved with the value, so the variable is
 	// dropped rather than misreported.
 	consumed := map[*ast.Ident]bool{}
@@ -173,6 +167,14 @@ func checkSpanFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 					}
 					return true
 				})
+			}
+		case *ast.AssignStmt:
+			for i, lhs := range node.Lhs {
+				if l, ok := lhs.(*ast.Ident); ok && l.Name == "_" && len(node.Rhs) == len(node.Lhs) {
+					if id, ok := node.Rhs[i].(*ast.Ident); ok && vars[info.Uses[id]] != nil {
+						consumed[id] = true
+					}
+				}
 			}
 		case *ast.BinaryExpr:
 			if node.Op == token.EQL || node.Op == token.NEQ {
@@ -248,7 +250,7 @@ func spanVarEscapes(info *types.Info, body *ast.BlockStmt, obj types.Object, sta
 // path. Sets flow forward through statements; branches union; returns
 // with a started status are findings.
 type spanEval struct {
-	pass     *analysis.Pass
+	pass     *Pass
 	info     *types.Info
 	obj      types.Object
 	sv       *spanVar

@@ -1,10 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-
-	"livegraph/internal/lint/analysis"
-)
+import "go/ast"
 
 // Syncerr enforces error handling on the durability-critical call surface
 // of the WAL and disk packages. Commit acknowledgement is a durability
@@ -15,14 +11,9 @@ import (
 // checked, or (on error-cleanup paths where an earlier error already
 // wins) explicitly discarded with `_ =`, which keeps the decision visible
 // in review. Bare call statements, defers and go statements are findings.
-var Syncerr = &analysis.Analyzer{
+var Syncerr = &Analyzer{
 	Name: "syncerr",
-	Doc: `forbid unchecked durability-critical errors in wal and disk
-
-A dropped error from Close/Sync/SyncDir/Fsync/Msync/Flush in the WAL or
-disk packages can turn a commit ack into a lie. Handle the error or
-discard it explicitly with _ = so the choice is auditable.`,
-	Run: runSyncerr,
+	Run:  runSyncerr,
 }
 
 // syncerrFuncs are the method/function names whose error results carry
@@ -37,9 +28,9 @@ func syncerrPackage(path string) bool {
 	return base == "wal" || base == "disk"
 }
 
-func runSyncerr(pass *analysis.Pass) error {
+func runSyncerr(pass *Pass) {
 	if !syncerrPackage(pass.Pkg.Path()) {
-		return nil
+		return
 	}
 	check := func(call *ast.CallExpr, how string) {
 		fn := callee(pass.TypesInfo, call)
@@ -75,5 +66,4 @@ func runSyncerr(pass *analysis.Pass) error {
 			return true
 		})
 	}
-	return nil
 }

@@ -75,6 +75,11 @@ func blankResult(ctx context.Context) {
 	_, _ = StartSpan(ctx, "op") // blank: no local obligation
 }
 
+func blankAssigned(ctx context.Context) {
+	_, sp := StartSpan(ctx, "op") // want `span sp is not ended on the fall-through path`
+	_ = sp                        // discarding the span does not end it
+}
+
 type holder struct{ span *Span }
 
 func fieldTarget(ctx context.Context, h *holder) {

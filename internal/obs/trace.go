@@ -130,7 +130,7 @@ type ctxKey struct{}
 // sampling decision applies; child spans inherit their parent's decision.
 // The returned context carries the span so nested StartSpan calls build
 // the tree. The caller must call End() on the returned span on every
-// path — enforced by the lglint spanend analyzer.
+// path — enforced by the spanend analyzer in internal/lint.
 func (t *Tracer) StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	if parent, ok := ctx.Value(ctxKey{}).(*Span); ok && parent != nil {
 		child := &Span{tracer: parent.tracer, root: parent.root, name: name, start: time.Now()}

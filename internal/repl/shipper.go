@@ -107,7 +107,7 @@ func (sh *Shipper) ServeStream(w http.ResponseWriter, r *http.Request) {
 			return
 		default:
 		}
-		f, ok, err := tailer.NextFrame()
+		f, ok, err := tailer.Next()
 		if err != nil {
 			if !headerWritten {
 				if errors.Is(err, wal.ErrTailGone) {

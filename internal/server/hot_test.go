@@ -174,6 +174,45 @@ func TestTxBodyStrict(t *testing.T) {
 	}
 }
 
+// TestTxOutOfRangeRefused: an op naming a negative vertex ID or a label
+// outside [0, MaxLabel) is a 400 that commits nothing and leaves no
+// vertex lock behind, so a later write to the same vertex commits.
+func TestTxOutOfRangeRefused(t *testing.T) {
+	c, g := startServer(t, core.Options{})
+	if _, err := c.Tx(Op{Op: "addVertex"}, Op{Op: "addVertex"}); err != nil {
+		t.Fatal(err)
+	}
+	before := g.ReadEpoch()
+	for _, body := range []string{
+		`{"ops":[{"op":"insertEdge","src":0,"label":-1,"dst":1}]}`,
+		`{"ops":[{"op":"upsertEdge","src":0,"label":4096,"dst":1}]}`,
+		`{"ops":[{"op":"deleteEdge","src":0,"label":1099511627776,"dst":1}]}`,
+		`{"ops":[{"op":"insertEdge","src":0,"label":0,"dst":-1}]}`,
+		`{"ops":[{"op":"insertEdge","src":-1,"label":0,"dst":1}]}`,
+		`{"ops":[{"op":"putVertex","id":-1}]}`,
+		`{"ops":[{"op":"delVertex","id":-1}]}`,
+	} {
+		resp, err := http.Post(c.Base+"/v1/tx", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Errorf("%s: %v", body, err)
+			continue
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+	if g.ReadEpoch() != before {
+		t.Fatal("a refused transaction committed")
+	}
+	if _, err := c.Tx(Op{Op: "insertEdge", Src: 0, Label: core.MaxLabel - 1, Dst: 1}); err != nil {
+		t.Fatalf("write to vertex 0 after the refused ops: %v", err)
+	}
+	if d, err := c.Degree(0, core.MaxLabel-1); err != nil || d != 1 {
+		t.Fatalf("degree %d %v, want 1", d, err)
+	}
+}
+
 // recorder is a reusable http.ResponseWriter: Reset keeps the header map
 // and the body's capacity, so a handler driven through it shows its own
 // allocations only.

@@ -105,18 +105,12 @@ func Tail(dir string, after int64, durable func() int64) *Tailer {
 // before the first delivery).
 func (t *Tailer) Position() int64 { return t.delivered }
 
-// Next is NextFrame without the frame's bytes.
-func (t *Tailer) Next() (epoch int64, recs [][]byte, ok bool, err error) {
-	f, ok, err := t.NextFrame()
-	return f.Epoch, f.Recs, ok, err
-}
-
-// NextFrame returns the next durable commit group, in epoch order, as the
+// Next returns the next durable commit group, in epoch order, as the
 // verified frame that holds it. ok=false means no complete group is
 // available yet — the log may grow, so poll again after a short wait. An
 // error is terminal: either the needed epochs were pruned (ErrTailGone)
 // or the log is damaged.
-func (t *Tailer) NextFrame() (f Frame, ok bool, err error) {
+func (t *Tailer) Next() (f Frame, ok bool, err error) {
 	for {
 		if t.seg.Seq == 0 {
 			positioned, err := t.position()

@@ -17,19 +17,19 @@ func drainTailer(t *testing.T, tl *Tailer) map[int64][]string {
 	got := map[int64][]string{}
 	last := tl.Position()
 	for {
-		epoch, recs, ok, err := tl.Next()
+		f, ok, err := tl.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
 			return got
 		}
-		if epoch <= last {
-			t.Fatalf("group %d delivered after %d", epoch, last)
+		if f.Epoch <= last {
+			t.Fatalf("group %d delivered after %d", f.Epoch, last)
 		}
-		last = epoch
-		for _, r := range recs {
-			got[epoch] = append(got[epoch], string(r))
+		last = f.Epoch
+		for _, r := range f.Recs {
+			got[f.Epoch] = append(got[f.Epoch], string(r))
 		}
 	}
 }
@@ -158,10 +158,10 @@ func TestTailerDamageVersusLag(t *testing.T) {
 	// One told epoch 2 is durable knows the log is damaged.
 	tl := Tail(dir, 0, func() int64 { return 2 })
 	defer tl.Close()
-	if epoch, _, ok, err := tl.Next(); err != nil || !ok || epoch != 1 {
-		t.Fatalf("first group: epoch=%d ok=%v err=%v", epoch, ok, err)
+	if f, ok, err := tl.Next(); err != nil || !ok || f.Epoch != 1 {
+		t.Fatalf("first group: epoch=%d ok=%v err=%v", f.Epoch, ok, err)
 	}
-	if _, _, ok, err := tl.Next(); err == nil {
+	if _, ok, err := tl.Next(); err == nil {
 		t.Fatalf("tailer reported lag (ok=%v) for a group its durability witness proved torn", ok)
 	}
 }
@@ -178,7 +178,7 @@ func TestTailerResumeBelowCheckpointIsGone(t *testing.T) {
 	// between it and the checkpoint are pruned — gone, not empty.
 	tl := Tail(dir, 10, nil)
 	defer tl.Close()
-	if _, _, _, err := tl.Next(); !errors.Is(err, ErrTailGone) {
+	if _, _, err := tl.Next(); !errors.Is(err, ErrTailGone) {
 		t.Fatalf("Next below checkpoint = %v, want ErrTailGone", err)
 	}
 	// Resuming at the checkpoint epoch is fine.
@@ -204,7 +204,7 @@ func TestTailerFallsBehindCheckpointIsGone(t *testing.T) {
 	}
 	os.Remove(s1.path)
 	openSeg(t, dir, 3).AppendGroup(6, recsOf("b"))
-	if _, _, _, err := tl.Next(); !errors.Is(err, ErrTailGone) {
+	if _, _, err := tl.Next(); !errors.Is(err, ErrTailGone) {
 		t.Fatalf("Next across a pruned gap = %v, want ErrTailGone", err)
 	}
 }

@@ -270,7 +270,7 @@ func TestHeaderlessSegmentRefused(t *testing.T) {
 	}
 	tl := Tail(dir, 0, nil)
 	defer tl.Close()
-	if _, _, _, err := tl.Next(); !errors.Is(err, disk.ErrBadMagic) {
+	if _, _, err := tl.Next(); !errors.Is(err, disk.ErrBadMagic) {
 		t.Fatalf("tailer on a headerless segment = %v, want ErrBadMagic", err)
 	}
 
@@ -282,7 +282,7 @@ func TestHeaderlessSegmentRefused(t *testing.T) {
 			t.Fatalf("%d zero bytes: recs=%v durable=%d, want an empty segment", size, recs, durable)
 		}
 		tl := Tail(dir, 0, nil)
-		if _, _, ok, err := tl.Next(); ok || err != nil {
+		if _, ok, err := tl.Next(); ok || err != nil {
 			t.Fatalf("%d zero bytes: tailer ok=%v err=%v, want nothing yet", size, ok, err)
 		}
 		tl.Close()

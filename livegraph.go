@@ -177,6 +177,9 @@ type VertexID = core.VertexID
 // adjacency list per label.
 type Label = core.Label
 
+// MaxLabel bounds labels: writes take them in [0, MaxLabel).
+const MaxLabel = core.MaxLabel
+
 // Options configures a Graph; the zero value is a volatile in-memory graph.
 type Options = core.Options
 
@@ -218,6 +221,9 @@ var (
 	ErrReadOnly    = core.ErrReadOnly
 	ErrNotFound    = core.ErrNotFound
 	ErrClosed      = core.ErrClosed
+	// ErrOutOfRange is returned, without aborting the transaction, by a
+	// write naming a negative vertex ID or a label outside [0, MaxLabel).
+	ErrOutOfRange = core.ErrOutOfRange
 	// ErrHistoryGone is returned by Graph.SnapshotAt and Traversal.AsOf
 	// for epochs older than Options.HistoryRetention.
 	ErrHistoryGone = core.ErrHistoryGone
