@@ -81,14 +81,18 @@ func bottomUpMorselSize(n, workers int) int {
 // freeze builds the frontier bitset for a bottom-up hop. One goroutine
 // builds it before the workers start and it is only Peek-ed afterwards —
 // the frozen-set contract sparsebit.Peek requires — so the build owns the
-// set and takes no stripe lock.
+// set and takes no stripe lock. A negative ID (only a start vertex can be
+// one) is absent: no hint names it, so it stays out of the set, which
+// takes non-negative keys only.
 func (k *hopKernel) freeze(frontier []VertexID) {
 	if k.fbits == nil {
 		k.fbits = sparsebit.New(1)
 	}
 	k.fbits.Reset()
 	for _, v := range frontier {
-		k.fbits.TestAndSetOwned(int64(v))
+		if v >= 0 {
+			k.fbits.TestAndSetOwned(int64(v))
+		}
 	}
 }
 

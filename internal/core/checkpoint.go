@@ -66,8 +66,7 @@ func (g *Graph) Checkpoint() error {
 	// Eligibility: if the read epoch hasn't moved past the last completed
 	// checkpoint, no commit group has been published since it — there is
 	// nothing new to capture, and rewriting an identical snapshot (plus a
-	// WAL rotation) would be pure write amplification. The dirty counter
-	// resets below so DirtySinceCheckpoint tracks the same boundary.
+	// WAL rotation) would be pure write amplification.
 	if g.epochs.ReadEpoch() == g.lastCkptEpoch.Load() {
 		return nil
 	}
@@ -201,13 +200,12 @@ func (g *Graph) Checkpoint() error {
 		return err
 	}
 	// The checkpoint is the recovery root now; commit the in-memory chain
-	// view and reset the eligibility gauges before the best-effort prune
+	// view and move the eligibility epoch before the best-effort prune
 	// (a crash below re-prunes on recovery, it does not re-checkpoint).
 	committed = true
 	g.ckptBase = meta.BaseEpoch
 	g.ckptDeltas = meta.DeltaEpochs
 	g.lastCkptEpoch.Store(epoch)
-	g.dirtySinceCkpt.Store(0)
 	elapsed := time.Since(start)
 	if full {
 		g.ckptStats.Fulls.Add(1)

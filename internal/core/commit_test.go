@@ -105,10 +105,15 @@ func BenchmarkCommit(b *testing.B) {
 // graph is quiet, every acknowledged commit is visible, every withdrawn one
 // is not, every in-doubt one settled one way, the counters account for
 // every attempt, and no goroutine outlives Close.
+//
+// Each worker writes its own vertex, so the only holder its next attempt
+// can wait on is its own previous group, in doubt and still mid-fsync. On a
+// loaded host that fsync outlasts the default 50ms lock timeout; the long
+// timeout makes the next attempt wait for the group to settle instead.
 func TestCommitCtxContention(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	slow := iosim.NewDevice(iosim.Profile{Name: "Slow", WriteLatency: 3 * time.Millisecond})
-	g, err := Open(Options{Dir: t.TempDir(), Backend: disk.NewSim(slow, disk.NewReal()), CompactEvery: -1})
+	g, err := Open(Options{Dir: t.TempDir(), Backend: disk.NewSim(slow, disk.NewReal()), CompactEvery: -1, LockTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -245,14 +245,11 @@ func (c *committer) apply(tx *Tx, twe int64) {
 }
 
 // noteWriteCommitted ticks the commit-count compaction trigger (paper: a
-// compaction task every CompactEvery transactions). With the background
-// scheduler this is one trigger among several — it force-wakes the
-// scheduler regardless of the pressure thresholds.
-func (g *Graph) noteWriteCommitted() {
-	if g.maintSched == nil {
-		return
-	}
-	if n := g.writeTxns.Add(1); n%int64(g.opts.CompactEvery) == 0 {
+// compaction task every CompactEvery transactions); n is the commit count
+// this commit brought GraphStats.Commits to. It is one trigger among
+// several: it wakes the scheduler regardless of the pressure thresholds.
+func (g *Graph) noteWriteCommitted(n int64) {
+	if n%int64(g.opts.CompactEvery) == 0 {
 		g.maintSched.Kick()
 	}
 }

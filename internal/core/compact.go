@@ -1,10 +1,6 @@
 package core
 
-import (
-	"time"
-
-	"livegraph/internal/tel"
-)
+import "livegraph/internal/tel"
 
 // Compaction (paper §6): TELs accumulate invalidated entries; periodically a
 // compaction pass walks the dirty vertex set, copies the entries still
@@ -14,36 +10,20 @@ import (
 // one vertex lock at a time, so interference with the foreground workload
 // is minimal — unlike an LSM tree, no multi-file merge ever runs.
 //
-// Passes run as budgeted, morsel-parallel slices (maint.go), normally on
-// the background maintenance scheduler (internal/maint), triggered by
-// pressure. This file keeps the per-vertex mechanics and the synchronous
-// CompactNow façade.
+// Passes run as budgeted, morsel-parallel slices (maint.go) on the
+// maintenance scheduler (internal/maint), triggered by pressure or
+// requested by CompactNow. This file keeps the per-vertex mechanics and the
+// synchronous CompactNow façade.
 
 // CompactNow runs one synchronous compaction pass and returns when the
 // dirty backlog observed at the request is drained and deferred blocks
 // past every pinned snapshot are reclaimed (vertices dirtied by writers
 // racing the pass wait for the next one — the pass is bounded, so
-// CompactNow terminates under any write load). With the background
-// scheduler running, the pass executes on the scheduler goroutine —
-// single-flight with background slices, so a concurrent
-// pressure-triggered pass and CompactNow never double-compact. With
-// maintenance disabled (CompactEvery < 0) the caller drives the same
-// slice runner inline, without a budget deadline.
-func (g *Graph) CompactNow() {
-	if s := g.maintSched; s != nil {
-		s.RunPass()
-		return
-	}
-	g.inlinePass.Lock()
-	defer g.inlinePass.Unlock()
-	r := maintRunner{g}
-	if backlog := int(g.dirty.Len()); backlog > 0 {
-		r.MaintSlice(backlog, time.Time{}) // one slice, no budget deadline
-		g.maintStats.Slices.Add(1)
-	}
-	r.MaintEndPass()
-	g.maintStats.Passes.Add(1)
-}
+// CompactNow terminates under any write load). The pass executes on the
+// scheduler goroutine, single-flight with background slices, so a
+// concurrent pressure-triggered pass and CompactNow never double-compact.
+// It does so whether or not automatic maintenance is on (CompactEvery).
+func (g *Graph) CompactNow() { g.maintSched.RunPass() }
 
 // compactVertexLocked compacts one vertex — its TELs and its version
 // chain. Caller holds the vertex lock.

@@ -52,19 +52,13 @@ type Options struct {
 	Workers int
 
 	// CompactEvery triggers a compaction pass after this many committed
-	// write transactions. Defaults to 65536, the paper's setting.
-	// Negative disables automatic compaction entirely (background
-	// scheduler included; CompactNow still compacts on demand). With the
-	// background maintenance engine (the default), the commit count is
-	// one pressure trigger among several — see Maint.
+	// write transactions. Defaults to 65536, the paper's setting. The
+	// commit count is one trigger among several of the background
+	// maintenance scheduler (internal/maint): dirty-set size, the
+	// dead-bytes estimate and a wall-clock floor start passes too.
+	// Negative turns every trigger off; CompactNow still compacts on
+	// demand, on the same scheduler.
 	CompactEvery int
-
-	// Maint tunes the background maintenance engine: budgeted,
-	// morsel-parallel compaction passes run off the commit path by a
-	// scheduler (internal/maint), triggered by dirty-set size, the
-	// dead-bytes estimate, the CompactEvery commit count, and a
-	// wall-clock floor. The zero value selects the defaults.
-	Maint MaintOptions
 
 	// LockTimeout bounds vertex lock waits; timing out aborts the
 	// transaction (deadlock avoidance). Defaults to 50ms.
@@ -201,30 +195,22 @@ type Graph struct {
 	// applyMu serialises ApplyEpoch (one replication stream at a time).
 	applyMu sync.Mutex
 
-	// maintenance: the striped dirty set feeds the background scheduler,
-	// whose slices fan out over maintWorkers. With maintenance disabled
-	// there is no scheduler goroutine to provide the single flight, so
-	// inlinePass serialises CompactNow callers driving the slice runner
-	// themselves.
-	writeTxns    atomic.Int64
-	dirty        *maint.DirtySet
-	maintSched   *maint.Scheduler
-	maintStats   maint.Stats
-	maintWorkers int
-	maintBuf     []maint.Dirty
-	inlinePass   sync.Mutex
+	// maintenance: the striped dirty set feeds the scheduler, which runs
+	// every compaction pass — background and CompactNow alike — on its
+	// one goroutine; maintBuf is that goroutine's drain buffer.
+	dirty      *maint.DirtySet
+	maintSched *maint.Scheduler
+	maintStats maint.Stats
+	maintBuf   []maint.Dirty
 
 	// ckptMu serialises Checkpoint: overlapping checkpoints would race
 	// on segment rotation, pruning, and the CHECKPOINT meta file.
 	// lastCkptEpoch (under ckptMu for writes) is the epoch the newest
-	// checkpoint captured; dirtySinceCkpt counts vertex dirtyings since
-	// then — together they gate checkpoint eligibility: a graph whose
-	// read epoch hasn't moved past the last checkpoint has nothing new
-	// to capture, and the dirty counter lets callers scale checkpoint
-	// cadence to actual mutation volume.
-	ckptMu         sync.Mutex
-	lastCkptEpoch  atomic.Int64
-	dirtySinceCkpt atomic.Int64
+	// checkpoint captured: a graph whose read epoch hasn't moved past it
+	// has nothing new to capture. The size of ckptDirty (below) is the
+	// other eligibility gauge, DirtySinceCheckpoint.
+	ckptMu        sync.Mutex
+	lastCkptEpoch atomic.Int64
 
 	// ckptDirty is the checkpoint-scoped dirty journal: the set of
 	// vertices changed since the last completed checkpoint, fed at APPLY
@@ -255,12 +241,11 @@ type Graph struct {
 
 // GraphStats aggregates engine counters.
 type GraphStats struct {
-	Commits     atomic.Int64
-	Aborts      atomic.Int64
-	Compactions atomic.Int64
-	Upgrades    atomic.Int64
-	BloomSkips  atomic.Int64 // insertions that skipped the previous-version scan
-	BloomScans  atomic.Int64 // edge writes that had to scan
+	Commits    atomic.Int64
+	Aborts     atomic.Int64
+	Upgrades   atomic.Int64
+	BloomSkips atomic.Int64 // insertions that skipped the previous-version scan
+	BloomScans atomic.Int64 // edge writes that had to scan
 }
 
 // Open creates or recovers a Graph.
@@ -273,6 +258,11 @@ func Open(opts Options) (*Graph, error) {
 		locks:   mvcc.NewLockTable(1 << 16),
 		dirty:   maint.NewDirtySet(0),
 	}
+	// Maintenance: a budgeted, pressure-triggered scheduler owns
+	// compaction + reclamation (internal/maint). It exists before
+	// recovery, whose dirty marks notify it, and starts once the graph is
+	// open. CompactEvery < 0 turns its triggers off.
+	g.maintSched = maint.New(maintRunner{g}, &g.maintStats, opts.CompactEvery >= 0)
 	g.initObs()
 	g.slots = make(chan int, opts.Workers)
 	for i := 0; i < opts.Workers; i++ {
@@ -298,18 +288,7 @@ func Open(opts Options) (*Graph, error) {
 		g.log.Store(l)
 	}
 	g.commit = newCommitter(g)
-
-	// Background maintenance: a budgeted, pressure-triggered scheduler
-	// owns compaction + reclamation (internal/maint). Disabled along with
-	// everything else by CompactEvery < 0.
-	g.maintWorkers = 1
-	if opts.CompactEvery >= 0 {
-		g.maintSched = maint.New(opts.Maint.config(), maintRunner{g}, &g.maintStats)
-		g.maintWorkers = g.maintSched.Config().Workers
-	}
-	if g.maintSched != nil {
-		g.maintSched.Start()
-	}
+	g.maintSched.Start()
 	return g, nil
 }
 
@@ -318,11 +297,9 @@ func (g *Graph) Close() error {
 	if g.closed.Swap(true) {
 		return nil
 	}
-	if g.maintSched != nil {
-		// Drain: wait out the in-flight slice; remaining backlog is
-		// abandoned with the graph.
-		g.maintSched.Close()
-	}
+	// Drain: wait out the in-flight slice; remaining backlog is
+	// abandoned with the graph.
+	g.maintSched.Close()
 	if l := g.log.Load(); l != nil {
 		return l.Close()
 	}
@@ -443,8 +420,7 @@ const entryDeadBytes = 48
 // it accumulates into the scheduler's dead-bytes pressure gauge.
 func (g *Graph) markDirty(v VertexID, dead int64) {
 	g.dirty.Mark(int64(v), dead)
-	g.dirtySinceCkpt.Add(1)
-	g.maintNotify()
+	g.maintSched.Notify()
 }
 
 // markCkptDirty records v into the checkpoint-scoped dirty journal. Must
@@ -464,11 +440,17 @@ func (g *Graph) markCkptDirty(v VertexID) {
 // counters.
 func (g *Graph) CkptStats() *CkptStats { return &g.ckptStats }
 
-// DirtySinceCheckpoint reports how many vertex dirtyings have happened
-// since the last completed checkpoint — the eligibility gauge for
-// checkpoint cadence (a caller polling it can skip checkpoints while the
-// graph is quiet and tighten them under write bursts).
-func (g *Graph) DirtySinceCheckpoint() int64 { return g.dirtySinceCkpt.Load() }
+// DirtySinceCheckpoint reports how many distinct vertices changed since
+// the last completed checkpoint (a failed one leaves them counted) — the
+// eligibility gauge for checkpoint cadence: a caller polling it can skip
+// checkpoints while the graph is quiet and tighten them under write
+// bursts. A volatile graph cannot checkpoint and reports 0.
+func (g *Graph) DirtySinceCheckpoint() int64 {
+	if g.ckptDirty == nil {
+		return 0
+	}
+	return g.ckptDirty.Len()
+}
 
 // acquireSlot blocks until a worker slot is free. Slots bound concurrent
 // transactions to the reader-table size.

@@ -234,8 +234,8 @@ func TestPropsDuringUpgrade(t *testing.T) {
 	}
 	done.Store(true)
 	wg.Wait()
-	if g.stats.Upgrades.Load() == 0 || g.stats.Compactions.Load() == 0 {
-		t.Fatalf("upgrades %d, compactions %d: the writer did not move the list", g.stats.Upgrades.Load(), g.stats.Compactions.Load())
+	if g.stats.Upgrades.Load() == 0 || g.maintStats.Passes.Load() == 0 {
+		t.Fatalf("upgrades %d, compactions %d: the writer did not move the list", g.stats.Upgrades.Load(), g.maintStats.Passes.Load())
 	}
 }
 

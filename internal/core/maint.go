@@ -4,9 +4,8 @@ package core
 // budgeted, morsel-parallel compaction slices over the striped dirty set.
 // The scheduler decides when and how much; this file does the storage work —
 // drain a bounded chunk of dirty vertices, fan it across workers in morsels
-// (each worker holding one vertex lock at a time exactly like the
-// synchronous pass always has), and at pass
-// boundaries reclaim deferred blocks whose readers have moved on.
+// (each worker holding one vertex lock at a time), and at pass boundaries
+// reclaim deferred blocks whose readers have moved on.
 
 import (
 	"context"
@@ -16,46 +15,6 @@ import (
 	"livegraph/internal/morsel"
 	"livegraph/internal/obs"
 )
-
-// MaintOptions configures the background maintenance engine. Each field
-// is passed to the maint.Config field of the same name; zero selects the
-// default documented there.
-type MaintOptions struct {
-	// SliceVertices caps how many dirty vertices one background slice
-	// compacts before yielding.
-	SliceVertices int
-
-	// SliceBudget is the soft wall-clock cap per background slice.
-	SliceBudget time.Duration
-
-	// Yield is the pause between slices of one background pass.
-	Yield time.Duration
-
-	// Interval is the wall-clock floor between pressure checks.
-	Interval time.Duration
-
-	// DirtyTrigger starts a pass when this many vertices are dirty.
-	DirtyTrigger int64
-
-	// DeadBytesTrigger starts a pass when the dead-bytes estimate
-	// reaches this.
-	DeadBytesTrigger int64
-
-	// Workers is the morsel-parallel fan-out within one slice.
-	Workers int
-}
-
-func (o MaintOptions) config() maint.Config {
-	return maint.Config{
-		SliceVertices:    o.SliceVertices,
-		SliceBudget:      o.SliceBudget,
-		Yield:            o.Yield,
-		Interval:         o.Interval,
-		DirtyTrigger:     o.DirtyTrigger,
-		DeadBytesTrigger: o.DeadBytesTrigger,
-		Workers:          o.Workers,
-	}
-}
 
 // maintMorselSize is the morsel width for fanning a drained chunk across
 // workers. Small: one hub vertex can hide a huge TEL, and narrow morsels
@@ -99,7 +58,7 @@ func (r maintRunner) MaintSlice(maxVertices int, deadline time.Time) (processed 
 }
 
 // MaintEndPass runs pass-boundary work: recycle deferred blocks no pinned
-// snapshot can still see, and count the pass.
+// snapshot can still see. The scheduler counts the pass.
 func (r maintRunner) MaintEndPass() {
 	g := r.g
 	blocks, words := g.alloc.Reclaim(g.readers.MinActive(g.epochs.ReadEpoch()))
@@ -107,14 +66,12 @@ func (r maintRunner) MaintEndPass() {
 		g.maintStats.BlocksReclaimed.Add(int64(blocks))
 		g.maintStats.BytesReclaimed.Add(words * 8)
 	}
-	g.stats.Compactions.Add(1)
 }
 
 // compactChunk fans chunk across the maintenance workers in morsels; a hub
 // vertex with a huge TEL stalls one worker while the rest drain the
-// remainder. Returns
-// how many vertices were compacted; the rest (deadline cut) are re-marked
-// with their dead-bytes estimates intact.
+// remainder. Returns how many vertices were compacted; the rest (deadline
+// cut) are re-marked with their dead-bytes estimates intact.
 func (g *Graph) compactChunk(chunk []maint.Dirty, deadline time.Time) int {
 	// visibleFloor: every ongoing transaction reads at >= MinActive and
 	// every future one at >= GRE, so a version invalidated at or before
@@ -123,7 +80,7 @@ func (g *Graph) compactChunk(chunk []maint.Dirty, deadline time.Time) int {
 	floor := g.readers.MinActive(g.epochs.ReadEpoch()) - g.opts.HistoryRetention
 	// The body only ever asks to stop, so Run has no error to return.
 	//lglint:ignore ctxprop a slice is bounded by its deadline, not a caller: the scheduler owns no context and nothing blocks on this one
-	_ = morsel.Run(context.Background(), len(chunk), maintMorselSize, g.maintWorkers, func(_, m, lo, hi int) error {
+	_ = morsel.Run(context.Background(), len(chunk), maintMorselSize, g.maintSched.Workers(), func(_, m, lo, hi int) error {
 		// Morsel 0 is compacted unconditionally: a slice must make
 		// progress even when draining + dispatch already ate the budget,
 		// or a pass could spin on zero-progress slices forever.
@@ -170,13 +127,4 @@ func (c *compactCounts) flush(s *maint.Stats) {
 	s.EntriesCopied.Add(c.copied)
 	s.EntriesDead.Add(c.dead)
 	s.VersionsPruned.Add(c.pruned)
-}
-
-// maintNotify pings the scheduler that pressure changed; called from the
-// write path after every dirty mark (two atomic loads inside Notify, a
-// channel send only when a trigger is crossed).
-func (g *Graph) maintNotify() {
-	if s := g.maintSched; s != nil {
-		s.Notify()
-	}
 }

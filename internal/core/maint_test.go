@@ -2,11 +2,13 @@ package core
 
 // Background-maintenance correctness: compaction running on the scheduler
 // — budgeted slices, morsel-parallel, pressure-triggered — must be
-// invisible to every reader, no matter how aggressive the budget. These
-// tests run the engine with deliberately tiny slices and hair-trigger
-// thresholds so passes overlap writers and pinned snapshots constantly.
+// invisible to every reader. The scheduler runs on its fixed tuning; tests
+// that want passes overlapping writers and pinned snapshots constantly
+// kick it from a goroutine (openKicked), and the budget cut is driven
+// directly through the slice runner.
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -16,28 +18,35 @@ import (
 	"livegraph/internal/wal"
 )
 
-// aggressiveMaint returns a maintenance configuration tuned to fire
-// constantly: tiny slices, near-zero thresholds, millisecond floor.
-func aggressiveMaint() MaintOptions {
-	return MaintOptions{
-		SliceVertices:    8,
-		SliceBudget:      50 * time.Microsecond,
-		Yield:            10 * time.Microsecond,
-		Interval:         2 * time.Millisecond,
-		DirtyTrigger:     4,
-		DeadBytesTrigger: 256,
-		Workers:          4,
-	}
-}
-
-func openAggressive(t testing.TB, opts Options) *Graph {
+// openKicked opens a graph whose scheduler is kicked every 100µs until the
+// test ends: background passes — the real pass path, budgeted and
+// single-flight with CompactNow — keep racing whatever the test does.
+// Kicks do nothing on a graph opened with CompactEvery < 0.
+func openKicked(t testing.TB, opts Options) *Graph {
 	t.Helper()
-	opts.Maint = aggressiveMaint()
 	g, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { g.Close() })
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(100 * time.Microsecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				g.maintSched.Kick()
+			}
+		}
+	}()
+	t.Cleanup(func() {
+		close(stop)
+		<-done
+		g.Close()
+	})
 	return g
 }
 
@@ -80,18 +89,22 @@ func waitMaint(t *testing.T, g *Graph, what string, cond func() bool) {
 }
 
 // TestMaintBackgroundPassesFire checks the pressure triggers end to end:
-// sustained churn alone (no CompactNow) must start passes, compact
-// vertices and keep TELs near their live size.
+// sustained churn alone (no CompactNow, no kicks) must start passes,
+// compact vertices and keep TELs near their live size. Each upsert leaves
+// a 16 KiB version dead, so the churn crosses the 4 MiB dead-bytes
+// trigger (and the floor's 1/8 of it long before).
 func TestMaintBackgroundPassesFire(t *testing.T) {
-	g := openAggressive(t, Options{})
+	g := openMem(t)
 	var a, b VertexID
 	mustCommit(t, g, func(tx *Tx) {
 		a, _ = tx.AddVertex(nil)
 		b, _ = tx.AddVertex(nil)
 	})
+	props := make([]byte, 16<<10)
 	for i := 0; i < 300; i++ {
+		props[0] = byte(i)
 		mustCommit(t, g, func(tx *Tx) {
-			tx.AddEdge(a, 0, b, []byte{byte(i)})
+			tx.AddEdge(a, 0, b, props)
 		})
 	}
 	waitMaint(t, g, "background pass", func() bool {
@@ -112,11 +125,11 @@ func TestMaintBackgroundPassesFire(t *testing.T) {
 
 // TestMaintConcurrentWritersAndTemporalReaders churns edges from several
 // writers while SnapshotAt readers walk retained history and background
-// passes run with an aggressive budget. Every reader must see a
+// passes, kicked constantly, run beside them. Every reader must see a
 // consistent count: each (writer, slot) edge is upserted, so degree per
 // writer stays the slot population regardless of when compaction lands.
 func TestMaintConcurrentWritersAndTemporalReaders(t *testing.T) {
-	g := openAggressive(t, Options{HistoryRetention: 1 << 30})
+	g := openKicked(t, Options{HistoryRetention: 1 << 30})
 	const writers, slots, rounds = 4, 16, 40
 	var hub VertexID
 	mustCommit(t, g, func(tx *Tx) {
@@ -206,57 +219,71 @@ func TestMaintConcurrentWritersAndTemporalReaders(t *testing.T) {
 }
 
 // TestCompactNowSingleFlight runs CompactNow from many goroutines while
-// pressure triggers fire: all calls funnel through the scheduler, no two
+// background passes fire: all calls funnel through the scheduler, no two
 // passes overlap (the race detector would flag the shared drain buffer),
-// and the final state is fully compacted.
+// and the final state is fully compacted. A graph with CompactEvery < 0
+// has no background passes, and its CompactNow takes the same path.
 func TestCompactNowSingleFlight(t *testing.T) {
-	g := openAggressive(t, Options{})
-	var a, b VertexID
-	mustCommit(t, g, func(tx *Tx) {
-		a, _ = tx.AddVertex(nil)
-		b, _ = tx.AddVertex(nil)
-	})
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for r := 0; r < 50; r++ {
-				// Per-goroutine labels: upserts of the same edge from
-				// different writers would conflict by design. The shared
-				// src vertex still contends on its lock — retry.
-				if err := retryCommit(g, 16, func(tx *Tx) error {
-					return tx.AddEdge(a, Label(i), b, []byte{byte(i), byte(r)})
-				}); err != nil {
-					t.Error(err)
-					return
-				}
-				if r%10 == 0 {
-					g.CompactNow()
-				}
+	for _, c := range []struct {
+		name string
+		opts Options
+	}{{"triggers", Options{}}, {"no-triggers", Options{CompactEvery: -1}}} {
+		t.Run(c.name, func(t *testing.T) {
+			g := openKicked(t, c.opts)
+			var a, b VertexID
+			mustCommit(t, g, func(tx *Tx) {
+				a, _ = tx.AddVertex(nil)
+				b, _ = tx.AddVertex(nil)
+			})
+			var wg sync.WaitGroup
+			for i := 0; i < 4; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					for r := 0; r < 50; r++ {
+						// Per-goroutine labels: upserts of the same edge
+						// from different writers would conflict by design.
+						// The shared src vertex still contends on its lock
+						// — retry.
+						if err := retryCommit(g, 16, func(tx *Tx) error {
+							return tx.AddEdge(a, Label(i), b, []byte{byte(i), byte(r)})
+						}); err != nil {
+							t.Error(err)
+							return
+						}
+						if r%10 == 0 {
+							g.CompactNow()
+						}
+					}
+				}(i)
 			}
-		}(i)
-	}
-	wg.Wait()
-	g.CompactNow()
-	if n := listOf(g, a, 0).Len(); n != 1 {
-		t.Fatalf("TEL has %d entries after CompactNow, want 1", n)
-	}
-	if g.MaintStats().Passes.Load() == 0 {
-		t.Fatal("no maintenance passes recorded")
+			wg.Wait()
+			g.CompactNow()
+			if n := listOf(g, a, 0).Len(); n != 1 {
+				t.Fatalf("TEL has %d entries after CompactNow, want 1", n)
+			}
+			if g.MaintStats().Passes.Load() == 0 {
+				t.Fatal("no maintenance passes recorded")
+			}
+		})
 	}
 }
 
 // TestMaintFollowerCompacts is the replica-reclamation fix: a follower
 // fed dirty marks through ApplyEpoch must run background passes under
 // the same pressure triggers as a primary, keeping its footprint at the
-// live working set instead of the full version history.
+// live working set instead of the full version history. Each upsert
+// leaves an 8 KiB version dead, so one catch-up of 10 rounds crosses the
+// floor's threshold (1/8 of the 4 MiB dead-bytes trigger: 64 versions)
+// and what the follower leaves uncompacted stays under 64 versions. With
+// 1-byte properties the whole churn would stay under that threshold,
+// garbage the scheduler leaves alone by design.
 func TestMaintFollowerCompacts(t *testing.T) {
 	dir := t.TempDir()
 	primary := openDurable(t, dir)
 	defer primary.Close()
 
-	follower := openFollower(t, Options{Maint: aggressiveMaint()})
+	follower := openFollower(t, Options{})
 	tl := wal.Tail(dir, 0, primary.DurableEpoch)
 	defer tl.Close()
 
@@ -270,10 +297,12 @@ func TestMaintFollowerCompacts(t *testing.T) {
 			tx.AddVertex(nil)
 		}
 	})
-	for r := 0; r < 150; r++ {
+	props := make([]byte, 8<<10)
+	for r := 0; r < 60; r++ {
+		props[0] = byte(r)
 		mustCommit(t, primary, func(tx *Tx) {
 			for s := 0; s < 32; s++ {
-				tx.AddEdge(a, 0, VertexID(1+s), []byte{byte(r)})
+				tx.AddEdge(a, 0, VertexID(1+s), props)
 			}
 		})
 		if r%10 == 0 {
@@ -296,7 +325,7 @@ func TestMaintFollowerCompacts(t *testing.T) {
 		t.Fatalf("follower degree %d, want 32", d)
 	}
 	// ...and its footprint is bounded: within a small factor of the
-	// compacted primary's, not the ~150x of the full history.
+	// compacted primary's, not the ~60x of the full history.
 	primary.CompactNow()
 	follower.CompactNow()
 	pw := primary.AllocStats().AllocatedWords
@@ -369,5 +398,77 @@ func TestCompactionKeepsDeadBytes(t *testing.T) {
 		if len(got) != 1 || got[0] != "1:"+c.want {
 			t.Fatalf("scan at %d = %v, want [1:%s]", c.s.Epoch(), got, c.want)
 		}
+	}
+}
+
+// TestMaintSliceBudgetCut drives the budget cut through the slice runner
+// itself: a slice whose deadline has already passed still compacts morsel
+// 0, reports the cut, and puts every vertex it did not reach back into the
+// dirty set with its dead-bytes estimate, so the pressure drops by exactly
+// the processed vertices' share.
+func TestMaintSliceBudgetCut(t *testing.T) {
+	g, err := Open(Options{CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	const n = 4 * maintMorselSize
+	mustCommit(t, g, func(tx *Tx) {
+		for v := 0; v < n; v++ {
+			tx.AddVertex(nil)
+		}
+	})
+	// Vertex v upserts its self-edge 2 + v%5 times with v+1 property
+	// bytes, so every vertex carries garbage and its own estimate.
+	for v := 0; v < n; v++ {
+		for k := 0; k < 2+v%5; k++ {
+			mustCommit(t, g, func(tx *Tx) {
+				tx.AddEdge(VertexID(v), 0, VertexID(v), bytes.Repeat([]byte{byte(k)}, v+1))
+			})
+		}
+	}
+	// Read each vertex's estimate: drain the set and mark it back as it
+	// was.
+	want := map[int64]int64{}
+	for _, d := range g.dirty.Drain(int(g.dirty.Len()), nil) {
+		want[d.ID] = d.Dead
+		g.dirty.Mark(d.ID, d.Dead)
+	}
+	if len(want) != n {
+		t.Fatalf("%d dirty vertices, want %d", len(want), n)
+	}
+	dirty0, dead0 := g.MaintPressure()
+
+	processed, cut, more := maintRunner{g}.MaintSlice(n, time.Now().Add(-time.Second))
+	if processed != maintMorselSize || !cut || !more {
+		t.Fatalf("MaintSlice past its deadline = (%d, %v, %v), want (%d, true, true)", processed, cut, more, maintMorselSize)
+	}
+	dirty1, dead1 := g.MaintPressure()
+	back := map[int64]int64{}
+	for _, d := range g.dirty.Drain(int(dirty1), nil) {
+		back[d.ID] = d.Dead
+	}
+	var share int64
+	for id, dead := range want {
+		entries := listOf(g, VertexID(id), 0).Len()
+		if got, ok := back[id]; ok {
+			if got != dead {
+				t.Errorf("vertex %d re-marked with estimate %d, had %d", id, got, dead)
+			}
+			if entries == 1 {
+				t.Errorf("vertex %d was compacted but is still dirty", id)
+			}
+			continue
+		}
+		share += dead
+		if entries != 1 {
+			t.Errorf("processed vertex %d kept %d entries, want 1", id, entries)
+		}
+	}
+	if len(back) != n-processed || dirty1 != dirty0-int64(processed) {
+		t.Fatalf("%d vertices re-marked, pressure %d → %d; want %d left", len(back), dirty0, dirty1, n-processed)
+	}
+	if dead1 != dead0-share {
+		t.Fatalf("dead-bytes estimate %d → %d, want a drop of exactly %d", dead0, dead1, share)
 	}
 }

@@ -110,7 +110,6 @@ func (g *Graph) initObs() {
 	// Engine counters (GraphStats).
 	ctr("lg_core_commits_total", "committed write transactions", &g.stats.Commits)
 	ctr("lg_core_aborts_total", "aborted write transactions", &g.stats.Aborts)
-	ctr("lg_core_compactions_total", "vertex compactions", &g.stats.Compactions)
 	ctr("lg_core_upgrades_total", "TEL block upgrades", &g.stats.Upgrades)
 	ctr("lg_core_bloom_skips_total", "edge inserts that skipped the previous-version scan", &g.stats.BloomSkips)
 	gauge("lg_core_vertices", "vertex IDs allocated (including deleted)", func() float64 { return float64(g.NumVertices()) })
@@ -145,7 +144,7 @@ func (g *Graph) initObs() {
 		func() float64 { return float64(g.ckptStats.LastBytes.Load()) })
 	gauge("lg_ckpt_chain_len", "delta-chain length behind the current base",
 		func() float64 { return float64(g.ckptStats.ChainLen.Load()) })
-	gauge("lg_ckpt_dirty_since", "vertex dirtyings since the last completed checkpoint",
+	gauge("lg_ckpt_dirty_since", "distinct vertices changed since the last completed checkpoint",
 		func() float64 { return float64(g.DirtySinceCheckpoint()) })
 
 	// The Go runtime: a cost of the engine that shows in no span, such as

@@ -203,16 +203,12 @@ func TestReaderAgreementUnderWrites(t *testing.T) {
 }
 
 // TestReaderConformanceAggressiveMaint builds the fixture on a graph
-// whose background maintenance fires constantly, layers churn on top so
-// passes actually compact, and then runs the full battery against both
+// whose background maintenance is kicked constantly, layers churn on top
+// so passes actually compact, and then runs the full battery against both
 // Reader implementations: maintenance must be invisible to the read
 // surface.
 func TestReaderConformanceAggressiveMaint(t *testing.T) {
-	g, err := Open(Options{Maint: aggressiveMaint()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { g.Close() })
+	g := openKicked(t, Options{})
 	f := buildReaderFixtureOn(t, g)
 	// Churn on vertices outside the fixture so compaction has garbage to
 	// chew through while the battery runs.

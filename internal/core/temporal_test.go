@@ -161,11 +161,11 @@ func TestRetentionBoundsCompaction(t *testing.T) {
 }
 
 func TestHistoryRetentionUnderAggressiveMaintenance(t *testing.T) {
-	// The background scheduler with a hair-trigger budget must respect
-	// HistoryRetention exactly like the synchronous pass: versions
-	// invalidated within the window stay readable via SnapshotAt even
-	// while passes land mid-churn.
-	g := openAggressive(t, Options{HistoryRetention: 1000})
+	// Background passes, kicked constantly, must respect
+	// HistoryRetention exactly like CompactNow: versions invalidated
+	// within the window stay readable via SnapshotAt even while passes
+	// land mid-churn.
+	g := openKicked(t, Options{HistoryRetention: 1000})
 	var a, b VertexID
 	mustCommit(t, g, func(tx *Tx) {
 		a, _ = tx.AddVertex([]byte("v1"))

@@ -90,6 +90,9 @@ var equivalenceRows = []struct {
 	{"limit", func(int64) *Traversal { return Traverse(0).Out(0).Out(0).Dedup().Limit(5) }},
 	{"limit-multiplicity", func(int64) *Traversal { return Traverse(0).Out(0).Out(0).Limit(17) }},
 	{"asof", func(before int64) *Traversal { return Traverse(0).Out(0).Out(0).Dedup().AsOf(before) }},
+	// A negative ID is absent to every read: nothing to expand, in any
+	// direction.
+	{"negative-source", func(int64) *Traversal { return Traverse(-1).Out(0).Dedup() }},
 }
 
 // checkEquivalence is the invariant every expansion strategy must uphold,

@@ -687,8 +687,7 @@ func (tx *Tx) settleCommit(err error) error {
 	d := time.Since(tx.commitStart)
 	tx.g.ob.commitLatency.Record(d)
 	tx.g.ob.tracer.SlowOp("tx.commit", d, obs.Int("epoch", tx.commitEpoch))
-	tx.g.stats.Commits.Add(1)
-	tx.g.noteWriteCommitted()
+	tx.g.noteWriteCommitted(tx.g.stats.Commits.Add(1))
 	return nil
 }
 

@@ -5,14 +5,16 @@
 // The paper's storage claim (§6) is that maintenance is vertex-wise — no
 // LSM-style multi-file merges ever run — so a pass can stop after any
 // vertex. The scheduler leans on exactly that property: work is issued in
-// slices of at most Config.SliceVertices vertices bounded by a soft
-// Config.SliceBudget wall-clock cap, with a Config.Yield pause between
+// slices of at most 256 vertices (sliceVertices) bounded by a soft 200µs
+// wall-clock cap (sliceBudget), with a 400µs pause (yieldPause) between
 // slices, so foreground commit latency stays flat no matter how large the
-// backlog grows. Passes start when pressure crosses a trigger (dirty-set
-// size or the dead-bytes estimate) and at a wall-clock floor
-// (Config.Interval) once a fraction of either threshold accumulates — a
+// backlog grows. Passes start when pressure crosses a trigger (2048 dirty
+// vertices or 4MiB of estimated dead bytes) and at a 250ms wall-clock
+// floor (floorInterval) once 1/8 of either threshold accumulates — a
 // trickle of writes, or a replica applying its primary's stream, still
-// gets reclaimed on a bounded cadence.
+// gets reclaimed on a bounded cadence. The values are constants; a graph
+// that wants no automatic maintenance builds its scheduler without
+// triggers and passes run only on request.
 //
 // The scheduler owns no storage knowledge: the engine hands it a Runner
 // (implemented by core.Graph) and the loop decides only when and how much.
@@ -75,76 +77,47 @@ func (s *Stats) Register(r *obs.Registry) {
 		func() float64 { return float64(s.LastPassNanos.Load()) / 1e9 })
 }
 
-// Config tunes the scheduler. The zero value selects the defaults.
-type Config struct {
-	// SliceVertices caps how many dirty vertices one slice may compact
-	// before yielding. Default 256.
-	SliceVertices int
+// The scheduler's tuning. They are constants: no caller has needed other
+// values, and the engine's behaviour is easier to reason about with one
+// set.
+const (
+	// sliceVertices caps how many dirty vertices one slice may compact
+	// before yielding.
+	sliceVertices = 256
 
-	// SliceBudget is the soft wall-clock cap per slice: a slice that
-	// exceeds it stops claiming vertices and returns the rest to the
-	// dirty set. Default 200µs.
-	SliceBudget time.Duration
+	// sliceBudget is the soft wall-clock cap per background slice: a
+	// slice that exceeds it stops claiming vertices and returns the rest
+	// to the dirty set.
+	sliceBudget = 200 * time.Microsecond
 
-	// Yield is the pause between slices of one background pass — the
-	// breathing room that keeps p99 commit latency flat. The default,
-	// 400µs, is deliberately 2x the slice budget: under a sustained
-	// backlog maintenance settles at a ~1/3 duty cycle, so on few-core
-	// hosts the foreground keeps most of the machine. Synchronous
-	// passes (RunPass) skip it.
-	Yield time.Duration
+	// yieldPause is the pause between slices of one background pass —
+	// the breathing room that keeps p99 commit latency flat. It is
+	// deliberately 2x the slice budget: under a sustained backlog
+	// maintenance settles at a ~1/3 duty cycle, so on few-core hosts the
+	// foreground keeps most of the machine. Synchronous passes (RunPass)
+	// skip it.
+	yieldPause = 400 * time.Microsecond
 
-	// Interval is the wall-clock floor: how often the scheduler checks
-	// for work even when no trigger fired. Backlog at or above 1/8 of
-	// either trigger threshold starts a pass on this cadence, so
+	// floorInterval is the wall-clock floor: how often the scheduler
+	// checks for work even when no trigger fired. Backlog at or above
+	// 1/8 of either trigger threshold starts a pass on this cadence, so
 	// trickle loads (a replica applying a slow primary, a mostly-read
-	// workload) still reclaim garbage with bounded staleness. Default
-	// 250ms.
-	Interval time.Duration
+	// workload) still reclaim garbage with bounded staleness.
+	floorInterval = 250 * time.Millisecond
 
-	// DirtyTrigger starts a pass when the dirty set holds at least this
-	// many vertices. Default 2048.
-	DirtyTrigger int64
+	// dirtyTrigger starts a pass when the dirty set holds at least this
+	// many vertices.
+	dirtyTrigger = 2048
 
-	// DeadBytesTrigger starts a pass when the dead-bytes estimate
-	// reaches this many bytes. Default 4MiB.
-	DeadBytesTrigger int64
+	// deadBytesTrigger starts a pass when the dead-bytes estimate
+	// reaches this many bytes.
+	deadBytesTrigger = 4 << 20
 
-	// Workers is the morsel-parallel fan-out within one slice. Default
-	// min(4, max(1, GOMAXPROCS/2)) — maintenance should overlap the
-	// foreground, not displace it.
-	Workers int
-}
-
-func (c *Config) fill() {
-	if c.SliceVertices <= 0 {
-		c.SliceVertices = 256
-	}
-	if c.SliceBudget <= 0 {
-		c.SliceBudget = 200 * time.Microsecond
-	}
-	if c.Yield <= 0 {
-		c.Yield = 400 * time.Microsecond
-	}
-	if c.Interval <= 0 {
-		c.Interval = 250 * time.Millisecond
-	}
-	if c.DirtyTrigger <= 0 {
-		c.DirtyTrigger = 2048
-	}
-	if c.DeadBytesTrigger <= 0 {
-		c.DeadBytesTrigger = 4 << 20
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0) / 2
-		if c.Workers < 1 {
-			c.Workers = 1
-		}
-		if c.Workers > 4 {
-			c.Workers = 4
-		}
-	}
-}
+	// maxWorkers caps the morsel-parallel fan-out within one slice. New
+	// takes min(maxWorkers, max(1, GOMAXPROCS/2)): maintenance should
+	// overlap the foreground, not displace it.
+	maxWorkers = 4
+)
 
 // Runner is the engine-side surface the scheduler drives; core.Graph
 // implements it.
@@ -168,9 +141,11 @@ type Runner interface {
 
 // Scheduler runs maintenance passes on one background goroutine.
 type Scheduler struct {
-	cfg   Config
-	r     Runner
-	stats *Stats
+	r        Runner
+	stats    *Stats
+	triggers bool          // false: only RunPass starts a pass
+	workers  int           // morsel-parallel fan-out within one slice
+	interval time.Duration // floorInterval; this package's tests shorten it
 
 	wake chan struct{}      // coalesced "pressure may have crossed a trigger"
 	reqs chan chan struct{} // synchronous pass requests (RunPass)
@@ -181,22 +156,24 @@ type Scheduler struct {
 }
 
 // New creates a scheduler over r recording into stats (which must be
-// non-nil). Call Start to launch it.
-func New(cfg Config, r Runner, stats *Stats) *Scheduler {
-	cfg.fill()
+// non-nil). With triggers false, Notify, Kick and the wall-clock floor
+// start nothing, and passes run only on RunPass. Call Start to launch it.
+func New(r Runner, stats *Stats, triggers bool) *Scheduler {
 	return &Scheduler{
-		cfg:   cfg,
-		r:     r,
-		stats: stats,
-		wake:  make(chan struct{}, 1),
-		reqs:  make(chan chan struct{}),
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
+		r:        r,
+		stats:    stats,
+		triggers: triggers,
+		workers:  min(maxWorkers, max(1, runtime.GOMAXPROCS(0)/2)),
+		interval: floorInterval,
+		wake:     make(chan struct{}, 1),
+		reqs:     make(chan chan struct{}),
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 }
 
-// Config returns the scheduler's effective (default-filled) configuration.
-func (s *Scheduler) Config() Config { return s.cfg }
+// Workers returns how many workers one slice fans its vertices across.
+func (s *Scheduler) Workers() int { return s.workers }
 
 // Start launches the scheduler goroutine.
 func (s *Scheduler) Start() { go s.loop() }
@@ -214,18 +191,18 @@ func (s *Scheduler) Close() {
 // write path on every dirty mark, so it must stay cheap: two atomic loads
 // and, only when a trigger is crossed, one non-blocking channel send.
 func (s *Scheduler) Notify() {
-	dirty, dead := s.r.MaintPressure()
-	if dirty < s.cfg.DirtyTrigger && dead < s.cfg.DeadBytesTrigger {
-		return
+	if dirty, dead := s.r.MaintPressure(); dirty >= dirtyTrigger || dead >= deadBytesTrigger {
+		s.Kick()
 	}
-	s.kick()
 }
 
-// Kick unconditionally wakes the scheduler (the commit-count trigger and
-// tests use this; pressure filtering is Notify's job).
-func (s *Scheduler) Kick() { s.kick() }
-
-func (s *Scheduler) kick() {
+// Kick wakes the scheduler regardless of pressure (the commit-count
+// trigger, and tests that want passes racing writers; pressure filtering
+// is Notify's job). A scheduler without triggers ignores it.
+func (s *Scheduler) Kick() {
+	if !s.triggers {
+		return
+	}
 	select {
 	case s.wake <- struct{}{}:
 	default:
@@ -253,8 +230,12 @@ func (s *Scheduler) RunPass() {
 
 func (s *Scheduler) loop() {
 	defer close(s.done)
-	tick := time.NewTicker(s.cfg.Interval)
-	defer tick.Stop()
+	var floor <-chan time.Time
+	if s.triggers {
+		tick := time.NewTicker(s.interval)
+		defer tick.Stop()
+		floor = tick.C
+	}
 	for {
 		select {
 		case <-s.stop:
@@ -265,7 +246,7 @@ func (s *Scheduler) loop() {
 			if dirty, _ := s.r.MaintPressure(); dirty > 0 {
 				s.pass(nil)
 			}
-		case <-tick.C:
+		case <-floor:
 			// Wall-clock floor: backlog that never crosses a trigger
 			// still gets maintained on this cadence, once it reaches a
 			// fraction (1/8) of the trigger thresholds. The fraction
@@ -273,7 +254,7 @@ func (s *Scheduler) loop() {
 			// making background passes observable to workloads too
 			// small to have meaningful garbage at all.
 			dirty, dead := s.r.MaintPressure()
-			if dirty >= (s.cfg.DirtyTrigger+7)/8 || dead >= (s.cfg.DeadBytesTrigger+7)/8 {
+			if dirty >= (dirtyTrigger+7)/8 || dead >= (deadBytesTrigger+7)/8 {
 				s.pass(nil)
 			}
 		}
@@ -310,9 +291,9 @@ func (s *Scheduler) pass(waiters []chan struct{}) {
 
 		deadline := time.Time{}
 		if !urgent {
-			deadline = time.Now().Add(s.cfg.SliceBudget)
+			deadline = time.Now().Add(sliceBudget)
 		}
-		processed, cut, more := s.r.MaintSlice(s.cfg.SliceVertices, deadline)
+		processed, cut, more := s.r.MaintSlice(sliceVertices, deadline)
 		s.stats.Slices.Add(1)
 		budget -= int64(processed)
 		if cut {
@@ -333,7 +314,7 @@ func (s *Scheduler) pass(waiters []chan struct{}) {
 				}
 				s.finishPass(start)
 				return
-			case <-time.After(s.cfg.Yield):
+			case <-time.After(yieldPause):
 			}
 		}
 	}

@@ -176,10 +176,15 @@ func (r *fakeRunner) MaintPressure() (int64, int64) {
 	return r.backlog.Load(), r.dead.Load()
 }
 
-func startSched(t *testing.T, cfg Config, r Runner) (*Scheduler, *Stats) {
+// startSched starts a triggered scheduler over r; shorten, if non-nil,
+// adjusts its unexported tuning before Start.
+func startSched(t *testing.T, r Runner, shorten func(*Scheduler)) (*Scheduler, *Stats) {
 	t.Helper()
 	var stats Stats
-	s := New(cfg, r, &stats)
+	s := New(r, &stats, true)
+	if shorten != nil {
+		shorten(s)
+	}
 	s.Start()
 	t.Cleanup(s.Close)
 	return s, &stats
@@ -198,14 +203,14 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 func TestSchedulerPressureTrigger(t *testing.T) {
 	r := &fakeRunner{t: t}
-	s, stats := startSched(t, Config{DirtyTrigger: 100, Interval: time.Hour}, r)
-	r.backlog.Store(50)
-	s.Notify() // below the trigger: filtered out
+	s, stats := startSched(t, r, nil)
+	r.backlog.Store(50) // below the trigger and below the floor's 1/8
+	s.Notify()          // below the trigger: filtered out
 	time.Sleep(20 * time.Millisecond)
 	if stats.Passes.Load() != 0 {
 		t.Fatal("pass ran below the dirty trigger")
 	}
-	r.backlog.Store(150)
+	r.backlog.Store(dirtyTrigger + 100)
 	s.Notify()
 	waitFor(t, "pressure-triggered pass", func() bool { return stats.Passes.Load() >= 1 })
 	if r.backlog.Load() != 0 {
@@ -218,9 +223,9 @@ func TestSchedulerPressureTrigger(t *testing.T) {
 
 func TestSchedulerDeadBytesTrigger(t *testing.T) {
 	r := &fakeRunner{t: t}
-	s, stats := startSched(t, Config{DirtyTrigger: 1 << 30, DeadBytesTrigger: 1000, Interval: time.Hour}, r)
+	s, stats := startSched(t, r, nil)
 	r.backlog.Store(10)
-	r.dead.Store(2000)
+	r.dead.Store(deadBytesTrigger)
 	s.Notify()
 	waitFor(t, "dead-bytes-triggered pass", func() bool { return stats.Passes.Load() >= 1 })
 }
@@ -229,8 +234,8 @@ func TestSchedulerWallClockFloor(t *testing.T) {
 	r := &fakeRunner{t: t}
 	// Backlog above 1/8 of the trigger but never notified: the interval
 	// floor alone must start the pass.
-	r.backlog.Store(200)
-	_, stats := startSched(t, Config{DirtyTrigger: 1000, Interval: 10 * time.Millisecond}, r)
+	r.backlog.Store(dirtyTrigger / 4)
+	_, stats := startSched(t, r, func(s *Scheduler) { s.interval = 10 * time.Millisecond })
 	waitFor(t, "floor-triggered pass", func() bool { return stats.Passes.Load() >= 1 })
 }
 
@@ -239,16 +244,39 @@ func TestSchedulerBelowFloorIdles(t *testing.T) {
 	// Backlog below 1/8 of both thresholds: the floor leaves it alone.
 	r.backlog.Store(10)
 	r.dead.Store(10)
-	_, stats := startSched(t, Config{DirtyTrigger: 1000, DeadBytesTrigger: 1 << 20, Interval: 5 * time.Millisecond}, r)
+	_, stats := startSched(t, r, func(s *Scheduler) { s.interval = 5 * time.Millisecond })
 	time.Sleep(50 * time.Millisecond)
 	if n := stats.Passes.Load(); n != 0 {
 		t.Fatalf("%d passes ran below the floor threshold", n)
 	}
 }
 
+// TestSchedulerWithoutTriggers: a scheduler built without triggers starts
+// no pass on pressure, a kick or its floor, and still runs RunPass.
+func TestSchedulerWithoutTriggers(t *testing.T) {
+	r := &fakeRunner{t: t}
+	r.backlog.Store(dirtyTrigger + 100)
+	r.dead.Store(deadBytesTrigger)
+	var stats Stats
+	s := New(r, &stats, false)
+	s.interval = 5 * time.Millisecond
+	s.Start()
+	t.Cleanup(s.Close)
+	s.Notify()
+	s.Kick()
+	time.Sleep(50 * time.Millisecond)
+	if n := stats.Passes.Load(); n != 0 {
+		t.Fatalf("%d passes ran with the triggers off", n)
+	}
+	s.RunPass()
+	if stats.Passes.Load() != 1 || r.backlog.Load() != 0 {
+		t.Fatalf("RunPass: %d passes, backlog %d", stats.Passes.Load(), r.backlog.Load())
+	}
+}
+
 func TestRunPassDrainsAndMerges(t *testing.T) {
 	r := &fakeRunner{t: t, perSlice: 10}
-	s, stats := startSched(t, Config{SliceVertices: 50, Interval: time.Hour}, r)
+	s, stats := startSched(t, r, nil)
 	r.backlog.Store(500)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -265,7 +293,7 @@ func TestRunPassDrainsAndMerges(t *testing.T) {
 	if stats.Passes.Load() == 0 {
 		t.Fatal("no pass recorded")
 	}
-	// The fake reports budget cuts (perSlice < SliceVertices with work
+	// The fake reports budget cuts (perSlice < sliceVertices with work
 	// remaining); those must land in the yielded counter.
 	if stats.SlicesYielded.Load() == 0 {
 		t.Fatal("no yielded slices recorded")
@@ -275,7 +303,7 @@ func TestRunPassDrainsAndMerges(t *testing.T) {
 func TestSchedulerCloseStopsAndUnblocks(t *testing.T) {
 	r := &fakeRunner{t: t}
 	var stats Stats
-	s := New(Config{Interval: time.Hour}, r, &stats)
+	s := New(r, &stats, true)
 	s.Start()
 	s.Close()
 	done := make(chan struct{})

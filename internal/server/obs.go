@@ -107,7 +107,7 @@ var statsKeys = []struct {
 }{
 	{"commits", "lg_core_commits_total", 0, roleAlways},
 	{"aborts", "lg_core_aborts_total", 0, roleAlways},
-	{"compactions", "lg_core_compactions_total", 0, roleAlways},
+	{"compactions", "lg_maint_passes_total", 0, roleAlways},
 	{"upgrades", "lg_core_upgrades_total", 0, roleAlways},
 	{"bloomSkips", "lg_core_bloom_skips_total", 0, roleAlways},
 	{"vertices", "lg_core_vertices", 0, roleAlways},
