@@ -49,9 +49,9 @@ func (v CSRView) OutDegree(src int64) int { return v.G.Degree(src) }
 
 // ReaderView adapts any core.Reader — a transaction's view or a pinned
 // snapshot — to the kernels' View, so analytics program against the
-// unified v2 read surface. N is the vertex-ID space size at the reader's
-// epoch (e.g. Snapshot.NumVertices or Graph.NumVertices), which the Reader
-// interface deliberately does not carry.
+// unified v2 read surface. N is the vertex-ID space size (e.g.
+// Snapshot.NumVertices or Graph.NumVertices), which the Reader interface
+// deliberately does not carry.
 //
 // Concurrency follows the wrapped Reader's contract: a *Snapshot supports
 // any number of kernel workers, but a *Tx is not safe for concurrent use,

@@ -45,13 +45,12 @@ import (
 // that holds vertex locks cannot build (revindex.go): until someone else
 // has, auto stays top-down and a forced bottom-up is refused.
 func (k *hopKernel) chooseDirection(t *Traversal, label Label, frontierLen int, ls LabelStats) (gen *revGen, built time.Duration, err error) {
-	canBU := t.dedup && k.g != nil
 	forced := t.direction == DirectionBottomUp
 	mf := float64(frontierLen) * max(ls.AvgDegree, 1)
 	switch {
-	case forced && !canBU:
+	case forced && !t.dedup:
 		return nil, 0, ErrBottomUpUnsupported
-	case !forced && (t.direction != DirectionAuto || !canBU || frontierLen < bottomUpMinFrontier ||
+	case !forced && (t.direction != DirectionAuto || !t.dedup || frontierLen < bottomUpMinFrontier ||
 		ls.Lists <= 0 || bottomUpBeta*mf <= float64(ls.Edges)):
 		return nil, 0, nil
 	}

@@ -357,7 +357,8 @@ func (g *Graph) writeCkpt(w io.Writer, magic []byte, chain []int64, nv int64, sn
 		if ids != nil {
 			v = VertexID(ids[i])
 		}
-		data, ok := snap.VertexData(v)
+		data, verr := snap.GetVertex(v)
+		ok := verr == nil
 		ll := g.eindex.Get(int64(v))
 		if ids == nil && !ok && ll == nil {
 			continue

@@ -195,7 +195,8 @@ func graphStateString(t *testing.T, g *Graph) string {
 	nv := snap.NumVertices()
 	fmt.Fprintf(&b, "nv=%d\n", nv)
 	for v := int64(0); v < nv; v++ {
-		data, ok := snap.VertexData(VertexID(v))
+		data, gerr := snap.GetVertex(VertexID(v))
+		ok := gerr == nil
 		var labels []Label
 		if ll := g.eindex.Get(v); ll != nil {
 			for i := range ll.entries {

@@ -388,7 +388,7 @@ func TestCompactionKeepsDeadBytes(t *testing.T) {
 		want string
 	}{{pinned, "old"}, {cur, "new!"}} {
 		if d := c.s.Degree(0, 0); d != 1 {
-			t.Fatalf("Degree at %d = %d, want 1", c.s.Epoch(), d)
+			t.Fatalf("Degree at %d = %d, want 1", c.s.ReadEpoch(), d)
 		}
 		var got []string
 		c.s.ScanNeighbors(0, 0, func(dst VertexID, props []byte) bool {
@@ -396,7 +396,7 @@ func TestCompactionKeepsDeadBytes(t *testing.T) {
 			return true
 		})
 		if len(got) != 1 || got[0] != "1:"+c.want {
-			t.Fatalf("scan at %d = %v, want [1:%s]", c.s.Epoch(), got, c.want)
+			t.Fatalf("scan at %d = %v, want [1:%s]", c.s.ReadEpoch(), got, c.want)
 		}
 	}
 }
@@ -470,5 +470,43 @@ func TestMaintSliceBudgetCut(t *testing.T) {
 	}
 	if dead1 != dead0-share {
 		t.Fatalf("dead-bytes estimate %d → %d, want a drop of exactly %d", dead0, dead1, share)
+	}
+}
+
+// TestAbortLeavesNoDirtyMarks: a vertex joins the maintenance dirty set
+// when a change to it commits, not when a transaction writes it — an
+// aborted transaction's edge writes leave the pressure at zero, and the
+// same writes committed mark each source once.
+func TestAbortLeavesNoDirtyMarks(t *testing.T) {
+	g, err := Open(Options{CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	mustCommit(t, g, func(tx *Tx) { tx.InsertEdge(5, 0, 6, nil) })
+	g.dirty.Drain(int(g.dirty.Len()), nil)
+	writes := func(tx *Tx) {
+		for _, err := range []error{
+			tx.InsertEdge(1, 0, 2, nil),
+			tx.AddEdge(3, 0, 4, []byte("p")),
+			tx.DeleteEdge(5, 0, 6),
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	tx, err := g.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	writes(tx)
+	tx.Abort()
+	if dirty, dead := g.MaintPressure(); dirty != 0 || dead != 0 {
+		t.Fatalf("MaintPressure after an aborted transaction = (%d, %d), want (0, 0)", dirty, dead)
+	}
+	mustCommit(t, g, writes)
+	if dirty, _ := g.MaintPressure(); dirty != 3 {
+		t.Fatalf("%d dirty vertices after committing writes to 3 sources, want 3", dirty)
 	}
 }

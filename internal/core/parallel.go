@@ -117,10 +117,9 @@ type hopRun struct{ workers, morselSize, morsels int }
 // hop being run.
 type hopKernel struct {
 	r         Reader
-	its       edgeIterSource // nil for foreign Readers: scans go through r.Neighbors
-	g         *Graph         // nil for foreign Readers
-	outOfCore bool           // g simulates out-of-core execution (Options.PageCache)
-	locksHeld bool           // r holds vertex locks, so it must not build a reverse index
+	g         *Graph
+	outOfCore bool // g simulates out-of-core execution (Options.PageCache)
+	locksHeld bool // r is a *Tx holding vertex locks, so it must not build a reverse index
 	body      func(w, m, lo, hi int) error
 
 	// The dedup set is made by the first top-down hop that dedups, with one
@@ -159,12 +158,10 @@ type workerIter struct {
 }
 
 func newHopKernel(r Reader) *hopKernel {
-	k := &hopKernel{r: r}
-	k.its, _ = r.(edgeIterSource)
-	if gs, ok := r.(graphSource); ok {
-		k.g = gs.graph()
-		k.outOfCore = k.g.opts.PageCache != nil
-		k.locksHeld = gs.locksHeld()
+	k := &hopKernel{r: r, g: r.graph()}
+	k.outOfCore = k.g.opts.PageCache != nil
+	if tx, ok := r.(*Tx); ok {
+		k.locksHeld = len(tx.locked) > 0
 	}
 	k.body = k.runMorsel
 	k.iters, k.outs = k.iter0[:], k.out0[:]
@@ -313,11 +310,7 @@ func (w *hopWorker) scan(v VertexID) error {
 		return err
 	}
 	it := w.it
-	if k.its != nil {
-		k.its.neighborsInto(it, v, k.es.label)
-	} else {
-		it = k.r.Neighbors(v, k.es.label)
-	}
+	k.r.neighborsInto(it, v, k.es.label)
 	// Operands in locals: this is every traversal's hot loop, and one
 	// worker must cost what a hand-written sequential scan does.
 	out, keep, seen, room, alone := w.out, k.es.keep64, k.seen, w.room, k.ran.workers == 1

@@ -463,14 +463,14 @@ func TestSettledPathMatchesModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		past := cur.Epoch() - rng.Int63n(retention+1)
+		past := cur.ReadEpoch() - rng.Int63n(retention+1)
 		old, err := g.SnapshotAt(max(past, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, r := range []*Snapshot{pinned, cur, old} {
-			if err := checkModel(r, at(r.Epoch()), nv, labels); err != nil {
-				t.Fatalf("op %d: snapshot at %d (current %d): %v", op, r.Epoch(), cur.Epoch(), err)
+			if err := checkModel(r, at(r.ReadEpoch()), nv, labels); err != nil {
+				t.Fatalf("op %d: snapshot at %d (current %d): %v", op, r.ReadEpoch(), cur.ReadEpoch(), err)
 			}
 		}
 		old.Release()

@@ -35,56 +35,22 @@ type Reader interface {
 
 	// ReadEpoch returns the snapshot epoch all reads observe.
 	ReadEpoch() int64
+
+	// graph is the owning graph, which the traversal engine plans and
+	// observes through. Being unexported, it also seals the interface: only
+	// this package's *Tx and *Snapshot implement Reader.
+	graph() *Graph
+
+	// neighborsInto is Neighbors into a caller-owned iterator: traversal
+	// workers keep one EdgeIter each and rebind it per frontier vertex, so
+	// the hot scan path allocates nothing.
+	neighborsInto(it *EdgeIter, src VertexID, label Label)
 }
 
 // Both transaction views and pinned snapshots satisfy the unified surface.
 var (
 	_ Reader = (*Tx)(nil)
 	_ Reader = (*Snapshot)(nil)
-)
-
-// ParallelReader marks a Reader whose methods are safe for concurrent use
-// by multiple goroutines. The morsel-driven traversal engine only fans a
-// hop out over Readers carrying this marker; anything else — a *Tx in
-// particular, whose write buffers are single-goroutine state — executes
-// sequentially no matter what parallelism was requested.
-type ParallelReader interface {
-	Reader
-	// ConcurrentSafe is a marker method: implementations promise that all
-	// Reader methods may be called from multiple goroutines concurrently.
-	ConcurrentSafe()
-}
-
-// Pinned snapshots are the engine's concurrency-safe Reader.
-var _ ParallelReader = (*Snapshot)(nil)
-
-// graphSource lets the traversal engine reach the owning graph from a
-// Reader without widening the public surface, and tells it whether the
-// Reader's goroutine holds vertex locks — a *Tx that has written — which
-// is when it must not build a reverse index (revindex.go: the build takes
-// vertex locks).
-type graphSource interface {
-	graph() *Graph
-	locksHeld() bool
-}
-
-var (
-	_ graphSource = (*Tx)(nil)
-	_ graphSource = (*Snapshot)(nil)
-)
-
-// edgeIterSource is the allocation-free adjacency-scan path: a Reader that
-// can position a caller-owned EdgeIter in place instead of heap-allocating
-// a fresh one per call. Traversal workers keep one EdgeIter each and reset
-// it per frontier vertex, cutting the hot Neighbors path to zero
-// allocations; foreign Reader implementations fall back to Neighbors.
-type edgeIterSource interface {
-	neighborsInto(it *EdgeIter, src VertexID, label Label)
-}
-
-var (
-	_ edgeIterSource = (*Tx)(nil)
-	_ edgeIterSource = (*Snapshot)(nil)
 )
 
 // resetEdgeIter (re)binds it to a scan of t bounded at n entries with the

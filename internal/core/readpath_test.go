@@ -29,11 +29,7 @@ func TestReadPathAllocs(t *testing.T) {
 			}
 		}
 	})
-	type reader interface {
-		Reader
-		edgeIterSource
-	}
-	check := func(name string, r reader) {
+	check := func(name string, r Reader) {
 		t.Helper()
 		var it EdgeIter
 		reads := map[string]func(){

@@ -95,7 +95,7 @@ func TestRevIndexInvariantUnderWriters(t *testing.T) {
 	check := func(s *Snapshot) {
 		for h := 0; h < hubs; h++ {
 			if got, want := scanIn(t, s, 0, hub(h)), forwardIn(s, 0, hub(h), sources); !slices.Equal(got, want) {
-				t.Errorf("epoch %d: ScanIn(hub %d) has %d sources, the forward path %d", s.Epoch(), h, len(got), len(want))
+				t.Errorf("epoch %d: ScanIn(hub %d) has %d sources, the forward path %d", s.ReadEpoch(), h, len(got), len(want))
 			}
 		}
 		bu, err := Traverse(all...).Out(0).Dedup().Direction(DirectionBottomUp).Run(context.Background(), s)
@@ -107,7 +107,7 @@ func TestRevIndexInvariantUnderWriters(t *testing.T) {
 		slices.Sort(bu)
 		slices.Sort(td)
 		if !slices.Equal(bu, td) {
-			t.Errorf("epoch %d: bottom-up hop %v, top-down %v", s.Epoch(), bu, td)
+			t.Errorf("epoch %d: bottom-up hop %v, top-down %v", s.ReadEpoch(), bu, td)
 		}
 	}
 

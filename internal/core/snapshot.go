@@ -89,33 +89,22 @@ func (s *Snapshot) Release() {
 	s.g.releaseSlot(s.slot)
 }
 
-// Epoch returns the read epoch this snapshot observes.
-func (s *Snapshot) Epoch() int64 { return s.tre }
-
 // ReadEpoch returns the read epoch this snapshot observes (Reader).
 func (s *Snapshot) ReadEpoch() int64 { return s.tre }
 
-// NumVertices returns the vertex-ID space size at snapshot time.
+// NumVertices returns the graph's vertex-ID frontier now — one past the
+// highest ID that owns records — not at the snapshot's epoch: vertices
+// added after the snapshot was pinned count too.
 func (s *Snapshot) NumVertices() int64 { return s.g.nextVertex.Load() }
-
-// VertexData returns the payload of v, or ok=false if v does not exist (or
-// is deleted) in this snapshot.
-func (s *Snapshot) VertexData(v VertexID) ([]byte, bool) {
-	ver := s.g.latestVertex(v, s.tre)
-	if ver == nil || ver.deleted {
-		return nil, false
-	}
-	return ver.data, true
-}
 
 // GetVertex returns the payload of v, or ErrNotFound if v does not exist
 // (or is deleted) in this snapshot (Reader).
 func (s *Snapshot) GetVertex(v VertexID) ([]byte, error) {
-	data, ok := s.VertexData(v)
-	if !ok {
+	ver := s.g.latestVertex(v, s.tre)
+	if ver == nil || ver.deleted {
 		return nil, ErrNotFound
 	}
-	return data, nil
+	return ver.data, nil
 }
 
 // GetEdge returns the properties of the visible version of (src,label,dst),
@@ -143,7 +132,7 @@ func (s *Snapshot) Neighbors(src VertexID, label Label) *EdgeIter {
 }
 
 // neighborsInto rebinds a caller-owned iterator to (src,label) without
-// allocating (edgeIterSource).
+// allocating (Reader).
 func (s *Snapshot) neighborsInto(it *EdgeIter, src VertexID, label Label) {
 	t, ok := s.g.telFor(src, label)
 	if !ok {
@@ -154,15 +143,7 @@ func (s *Snapshot) neighborsInto(it *EdgeIter, src VertexID, label Label) {
 	resetEdgeIter(it, s.g, t, t.Len(), s.tre, 0)
 }
 
-// ConcurrentSafe marks snapshots as safe for concurrent readers
-// (ParallelReader): every accessor resolves versions through atomics at
-// the pinned epoch.
-func (s *Snapshot) ConcurrentSafe() {}
-
-// graph exposes the owning graph to the traversal engine (graphSource).
 func (s *Snapshot) graph() *Graph { return s.g }
-
-func (s *Snapshot) locksHeld() bool { return false }
 
 // ScanNeighbors sequentially scans the (v,label) adjacency list, invoking
 // fn for every visible edge (newest first). fn returning false stops the

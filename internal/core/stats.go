@@ -6,9 +6,7 @@ package core
 //
 //   - lists:   adjacency lists with at least one committed entry;
 //   - edges:   visible edge versions (insertions minus invalidations);
-//   - entries: committed log entries, dead ones included (scan cost);
-//   - a log2-bucketed histogram of per-list entry counts, from which an
-//     approximate p90 degree falls out.
+//   - entries: committed log entries, dead ones included (scan cost).
 //
 // All counters are atomics updated from apply-side code only
 // (committer.apply under the leader token; applyEdge, which ApplyEpoch, WAL
@@ -25,16 +23,11 @@ package core
 // TELs' own visibility checks decide.
 
 import (
-	"math/bits"
 	"sync/atomic"
 
 	"livegraph/internal/mvcc"
 	"livegraph/internal/tel"
 )
-
-// statsBuckets bounds the degree histogram: bucket b holds lists whose
-// committed entry count has bit-length b, so 64 covers every int64 count.
-const statsBuckets = 64
 
 // labelStats is the internal per-label counter block, stored in a
 // chunkedIndex keyed by label.
@@ -42,7 +35,6 @@ type labelStats struct {
 	lists   atomic.Int64
 	edges   atomic.Int64
 	entries atomic.Int64
-	hist    [statsBuckets]atomic.Int64
 }
 
 // LabelStats is a point-in-time copy of one label's degree statistics.
@@ -64,10 +56,6 @@ type LabelStats struct {
 	Targets int64
 	// AvgDegree is Edges/Lists (0 when the label has no lists).
 	AvgDegree float64
-	// P90Degree approximates the 90th-percentile list length from the
-	// log2 histogram (an upper bound of the bucket the percentile falls
-	// in; exact enough for planning, cheap enough for the write path).
-	P90Degree int64
 }
 
 // lstatsFor returns the counter block for label, creating it on first use.
@@ -82,38 +70,21 @@ func (g *Graph) lstatsFor(label Label) *labelStats {
 	return st
 }
 
-// histBucket maps a committed entry count to its histogram bucket; -1 for
-// empty lists, which the histogram does not track.
-func histBucket(n int) int {
-	if n <= 0 {
-		return -1
-	}
-	return bits.Len64(uint64(n)) - 1
-}
-
 // statsPublish records a TEL's committed entry count moving oldN -> newN
 // (apply-time Publish, compaction rewrite, checkpoint-load drop). It
-// keeps the entries counter, the lists counter (0 -> >0 transitions and
-// back) and the histogram bucket occupancy in sync.
+// keeps the entries counter and the lists counter (0 -> >0 transitions
+// and back) in sync.
 func (g *Graph) statsPublish(label Label, oldN, newN int) {
 	if oldN == newN {
 		return
 	}
 	st := g.lstatsFor(label)
 	st.entries.Add(int64(newN - oldN))
-	ob, nb := histBucket(oldN), histBucket(newN)
-	if ob == nb {
-		return
-	}
-	if ob < 0 {
+	switch {
+	case oldN == 0:
 		st.lists.Add(1)
-	} else {
-		st.hist[ob].Add(-1)
-	}
-	if nb < 0 {
+	case newN == 0:
 		st.lists.Add(-1)
-	} else {
-		st.hist[nb].Add(1)
 	}
 }
 
@@ -159,40 +130,6 @@ func (g *Graph) LabelDegreeStats(label Label) LabelStats {
 	out.Entries = st.entries.Load()
 	if out.Lists > 0 {
 		out.AvgDegree = float64(out.Edges) / float64(out.Lists)
-		// Walk the histogram upward until 90% of lists are covered; the
-		// bucket's upper bound approximates the percentile.
-		need := (out.Lists*9 + 9) / 10
-		cum := int64(0)
-		for b := 0; b < statsBuckets; b++ {
-			cum += st.hist[b].Load()
-			if cum >= need {
-				out.P90Degree = (int64(1) << uint(b+1)) - 1
-				break
-			}
-		}
 	}
 	return out
 }
-
-// DegreeStats exposes the owning graph's label statistics on a snapshot
-// (degreeStatsSource). Advisory: the numbers describe the graph now, which
-// for an AsOf snapshot may differ from the pinned epoch — they only steer
-// execution policy.
-func (s *Snapshot) DegreeStats(label Label) LabelStats { return s.g.LabelDegreeStats(label) }
-
-// DegreeStats exposes the owning graph's label statistics inside a
-// transaction (degreeStatsSource). Uncommitted writes of this transaction
-// are not reflected.
-func (tx *Tx) DegreeStats(label Label) LabelStats { return tx.g.LabelDegreeStats(label) }
-
-// degreeStatsSource is the optional Reader extension the traversal planner
-// uses to reach degree statistics without widening the public Reader
-// surface (foreign Reader implementations simply plan without them).
-type degreeStatsSource interface {
-	DegreeStats(label Label) LabelStats
-}
-
-var (
-	_ degreeStatsSource = (*Tx)(nil)
-	_ degreeStatsSource = (*Snapshot)(nil)
-)

@@ -40,7 +40,7 @@ func TestSnapshotAtReadsHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s1.Release()
-	if d, _ := s1.VertexData(a); string(d) != "v1" {
+	if d, _ := s1.GetVertex(a); string(d) != "v1" {
 		t.Fatalf("e1 vertex %q", d)
 	}
 	if d := s1.Degree(a, 0); d != 1 {
@@ -58,7 +58,7 @@ func TestSnapshotAtReadsHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Release()
-	if d, _ := s2.VertexData(a); string(d) != "v2" {
+	if d, _ := s2.GetVertex(a); string(d) != "v2" {
 		t.Fatalf("e2 vertex %q", d)
 	}
 	if d := s2.Degree(a, 0); d != 2 {
@@ -188,7 +188,7 @@ func TestHistoryRetentionUnderAggressiveMaintenance(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Release()
-	if d, _ := s.VertexData(a); string(d) != "v1" {
+	if d, _ := s.GetVertex(a); string(d) != "v1" {
 		t.Fatalf("historic vertex version lost: %q", d)
 	}
 	var got byte = 0xFF

@@ -14,10 +14,10 @@ package core
 // engine maintains at apply time (stats.go):
 //
 //   - every hop runs on the one expansion kernel (parallel.go); it gets a
-//     worker pool when the Reader is safe for concurrent use and the
-//     frontier's estimated work repays worker dispatch, with morsel widths
-//     sized so each morsel scans about morselEdges edges, and is the
-//     kernel's one-worker case otherwise;
+//     worker pool when the Reader is a *Snapshot and the frontier's
+//     estimated work repays worker dispatch, with morsel widths sized so
+//     each morsel scans about morselEdges edges, and is the kernel's
+//     one-worker case otherwise;
 //   - a deduplicating hop switches to bottom-up (direction-optimizing)
 //     expansion when the frontier is dense against the label's candidate
 //     set (bottomup.go) — probing hinted destinations against a frozen
@@ -56,12 +56,11 @@ var ErrFrontierTooLarge = errors.New("livegraph: traversal frontier exceeded Max
 // ErrBottomUpUnsupported is returned when Direction(DirectionBottomUp)
 // forces bottom-up expansion on a traversal that cannot run it: bottom-up
 // emits each destination at most once (it requires Dedup) and probes the
-// graph's reverse hint index (it requires a graph-backed Reader, and one
-// that may build the index if the label has none yet: a *Tx that already
-// holds vertex locks may not, and gets this error wrapped with that
-// reason). Adaptive runs never hit this error — with the prerequisites
-// missing they silently stay top-down.
-var ErrBottomUpUnsupported = errors.New("livegraph: bottom-up expansion requires Dedup and a graph-backed Reader")
+// label's reverse hint index, which the hop builds if the label has none
+// yet — a *Tx that already holds vertex locks may not build it, and gets
+// this error wrapped with that reason. Adaptive runs never hit this error —
+// with the prerequisites missing they silently stay top-down.
+var ErrBottomUpUnsupported = errors.New("livegraph: bottom-up expansion requires Dedup")
 
 // Direction selects the expansion strategy for a traversal's hops.
 type Direction int
@@ -163,9 +162,9 @@ func (t *Traversal) Filter(fn func(r Reader, v VertexID) bool) *Traversal {
 }
 
 // FilterParallel is Filter for predicates that are safe to call from
-// multiple goroutines concurrently: on wide frontiers over a concurrency-
-// safe Reader the predicate runs on the morsel worker pool (frontier order
-// is preserved). Semantically identical to Filter otherwise.
+// multiple goroutines concurrently: on wide frontiers over a *Snapshot
+// the predicate runs on the morsel worker pool (frontier order is
+// preserved). Semantically identical to Filter otherwise.
 func (t *Traversal) FilterParallel(fn func(r Reader, v VertexID) bool) *Traversal {
 	t.steps = append(t.steps, travStep{kind: stepFilter, filter: fn, filterPar: true})
 	t.recompile()
@@ -215,9 +214,8 @@ func (t *Traversal) MaxFrontier(n int) *Traversal {
 // Parallel sets the worker-pool width for frontier expansion. 1 forces
 // sequential execution; 0 (the default) means GOMAXPROCS at run time.
 //
-// Parallel hops require a Reader that is safe for concurrent use (one
-// implementing ParallelReader, like *Snapshot); on any other Reader — a
-// *Tx in particular — execution stays sequential regardless of this
+// Parallel hops require a *Snapshot, the Reader that is safe for
+// concurrent use; on a *Tx execution stays sequential regardless of this
 // setting. Narrow frontiers (at most one morsel wide) also run
 // sequentially: dispatching workers for a handful of vertices costs more
 // than the scans themselves.
@@ -375,9 +373,9 @@ func (t *Traversal) RunGraph(ctx context.Context, g *Graph) ([]VertexID, error) 
 
 // effectiveParallelism resolves the worker-pool width for this run:
 // the builder's Parallel setting, falling back to GOMAXPROCS — and clamped
-// to 1 whenever the Reader is not marked safe for concurrent use.
+// to 1 on a *Tx, whose write buffers are single-goroutine state.
 func (t *Traversal) effectiveParallelism(r Reader) int {
-	if _, ok := r.(ParallelReader); !ok {
+	if _, ok := r.(*Snapshot); !ok {
 		return 1
 	}
 	if t.parallel > 0 {
@@ -457,33 +455,19 @@ func (t *Traversal) engageParallel(frontierLen, par int, outOfCore bool, avgDeg 
 
 // run executes the traversal. ex, when non-nil, receives per-hop runtime
 // statistics (RunExplain); it must come from t.Explain() so its Hops line
-// up with t.steps. Observability — the lg_traversal_* histograms, a
-// sampled "traverse" span with per-hop children, and slow-op capture —
-// engages when r is backed by a graph.
+// up with t.steps. Observability: the lg_traversal_* histograms, a
+// sampled "traverse" span with per-hop children, and slow-op capture.
 func (t *Traversal) run(ctx context.Context, r Reader, ex *Explain) ([]VertexID, error) {
-	var o *graphObs
-	if gs, ok := r.(graphSource); ok {
-		o = gs.graph().ob
-	}
-	var tracer *obs.Tracer
-	if o != nil {
-		tracer = o.tracer
-	}
-	tctx, tsp := tracer.StartSpan(ctx, "traverse")
-	var t0 time.Time
-	if o != nil {
-		t0 = time.Now()
-	}
+	o := r.graph().ob
+	tctx, tsp := o.tracer.StartSpan(ctx, "traverse")
+	t0 := time.Now()
 	res, err := t.runSteps(tctx, r, ex, o)
-	if o != nil {
-		d := time.Since(t0)
-		o.travRun.Record(d)
-		if tsp == nil {
-			tracer.SlowOp("traverse", d,
-				obs.Int("hops", int64(len(t.steps))), obs.Int("results", int64(len(res))))
-		}
-	}
-	if tsp != nil {
+	d := time.Since(t0)
+	o.travRun.Record(d)
+	if tsp == nil {
+		o.tracer.SlowOp("traverse", d,
+			obs.Int("hops", int64(len(t.steps))), obs.Int("results", int64(len(res))))
+	} else {
 		tsp.SetAttr(obs.Int("hops", int64(len(t.steps))), obs.Int("results", int64(len(res))))
 		if err != nil {
 			tsp.SetAttr(obs.String("error", err.Error()))
@@ -505,7 +489,6 @@ func (t *Traversal) runSteps(ctx context.Context, r Reader, ex *Explain, o *grap
 	if ex != nil {
 		ex.Parallelism = par
 	}
-	stats, _ := r.(degreeStatsSource)
 	k := newHopKernel(r)
 	for pi := range t.plan {
 		es := &t.plan[pi]
@@ -517,11 +500,7 @@ func (t *Traversal) runSteps(ctx context.Context, r Reader, ex *Explain, o *grap
 			hp = &ex.Hops[es.si]
 			hp.FrontierIn = len(frontier)
 		}
-		var hopStart time.Time
-		timed := o != nil || hp != nil
-		if timed {
-			hopStart = time.Now()
-		}
+		hopStart := time.Now()
 		var err error
 		switch es.kind {
 		case stepFilter:
@@ -544,10 +523,7 @@ func (t *Traversal) runSteps(ctx context.Context, r Reader, ex *Explain, o *grap
 			// final result set; earlier hops must stay complete because a
 			// later filter may drop vertices.
 			capped := t.limit > 0 && pi == lastExec
-			var ls LabelStats
-			if stats != nil {
-				ls = stats.DegreeStats(es.label)
-			}
+			ls := k.g.LabelDegreeStats(es.label)
 			gen, built, derr := k.chooseDirection(t, es.label, len(frontier), ls)
 			if derr != nil {
 				return nil, derr
@@ -573,9 +549,7 @@ func (t *Traversal) runSteps(ctx context.Context, r Reader, ex *Explain, o *grap
 					hp.BudgetCut = "limit"
 				}
 			}
-			if o != nil {
-				o.travHop.Record(time.Since(hopStart))
-			}
+			o.travHop.Record(time.Since(hopStart))
 			if hsp != nil {
 				hsp.SetAttr(obs.String("direction", direction.String()),
 					obs.Int("workers", int64(ran.workers)), obs.Int("morselSize", int64(ran.morselSize)),

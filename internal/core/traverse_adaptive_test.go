@@ -423,11 +423,6 @@ func TestDegreeStats(t *testing.T) {
 	if st.AvgDegree < 4 || st.AvgDegree > 5 {
 		t.Fatalf("AvgDegree = %v, want ~50/11", st.AvgDegree)
 	}
-	// p90 of {10, 4 x10} falls in the 4-7 bucket; the estimate is that
-	// bucket's upper bound.
-	if st.P90Degree < 4 || st.P90Degree > 15 {
-		t.Fatalf("P90Degree = %d for degrees {10, 4x10}", st.P90Degree)
-	}
 
 	// Deletions shrink Edges but Entries keep counting (scan cost).
 	mustCommit(t, g, func(tx *Tx) {

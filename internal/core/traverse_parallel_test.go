@@ -219,45 +219,20 @@ func TestParallelTraversalLimit(t *testing.T) {
 	}
 
 	// The Limit budget must terminate workers early: with Limit(1) the
-	// engine may not expand anywhere near the whole ~3000-vertex frontier.
-	cr := &countingReader{snap: snap}
-	if _, ok := any(cr).(edgeIterSource); ok {
-		t.Fatal("countingReader must not satisfy edgeIterSource (the counter would be bypassed)")
-	}
-	if _, err := Traverse(0).Out(0).Out(0).Limit(1).Parallel(4).MorselSize(16).Run(ctx, cr); err != nil {
+	// engine may not scan anywhere near the ~16 000 entries of the whole
+	// hop. A FilterDst predicate is pushed into hop 2's scan loop, so
+	// counting its calls counts the entries that hop scans.
+	var scanned atomic.Int64
+	count := func(VertexID) bool { scanned.Add(1); return true }
+	if _, err := Traverse(0).Out(0).Out(0).FilterDst(count).Limit(1).Parallel(4).MorselSize(16).Run(ctx, snap); err != nil {
 		t.Fatal(err)
 	}
-	if n := cr.neighborCalls.Load(); n == 0 {
-		t.Error("countingReader.Neighbors never called; wrapper is being bypassed")
+	if n := scanned.Load(); n == 0 {
+		t.Error("the pushed-down predicate was never called")
 	} else if n > 512 {
-		t.Errorf("Limit(1) expanded %d vertices; budget did not stop workers", n)
+		t.Errorf("Limit(1) scanned %d of %d entries; budget did not stop workers", n, len(full))
 	}
 }
-
-// countingReader wraps a Snapshot by explicit delegation (NOT embedding —
-// promotion would leak the snapshot's neighborsInto and bypass the
-// counter), counting Neighbors calls. It deliberately does not implement
-// edgeIterSource, so it also covers the engine's r.Neighbors fallback path
-// for foreign Reader implementations.
-type countingReader struct {
-	snap          *Snapshot
-	neighborCalls atomic.Int64
-}
-
-func (c *countingReader) GetVertex(v VertexID) ([]byte, error) { return c.snap.GetVertex(v) }
-func (c *countingReader) GetEdge(s VertexID, l Label, d VertexID) ([]byte, error) {
-	return c.snap.GetEdge(s, l, d)
-}
-func (c *countingReader) Degree(v VertexID, l Label) int { return c.snap.Degree(v, l) }
-func (c *countingReader) ReadEpoch() int64               { return c.snap.ReadEpoch() }
-func (c *countingReader) ConcurrentSafe()                {}
-
-func (c *countingReader) Neighbors(src VertexID, label Label) *EdgeIter {
-	c.neighborCalls.Add(1)
-	return c.snap.Neighbors(src, label)
-}
-
-var _ ParallelReader = (*countingReader)(nil)
 
 // TestParallelTraversalMaxFrontier: both engines enforce the same bound.
 func TestParallelTraversalMaxFrontier(t *testing.T) {
@@ -405,8 +380,9 @@ func TestParallelTraversalCancelMidHop(t *testing.T) {
 	}
 }
 
-// TestParallelTraversalTxStaysSequential: a *Tx is not a ParallelReader,
-// so Parallel(8) on it must run sequentially (and still see own writes).
+// TestParallelTraversalTxStaysSequential: a *Tx is not safe for concurrent
+// use, so Parallel(8) on it must run sequentially (and still see own
+// writes).
 func TestParallelTraversalTxStaysSequential(t *testing.T) {
 	g := openMem(t)
 	buildRandomGraph(t, g, 500, 4000, 13)

@@ -388,9 +388,6 @@ func (tx *Tx) InsertEdge(src VertexID, label Label, dst VertexID, props []byte) 
 	if tx.g.logged() {
 		tx.walBuf = appendEdgeOp(tx.walBuf, opInsertEdge, src, label, dst, props)
 	}
-	// A true insertion creates no garbage; the mark only queues the
-	// vertex for right-sizing and chain pruning.
-	tx.g.markDirty(src, 0)
 	return nil
 }
 
@@ -416,9 +413,6 @@ func (tx *Tx) AddEdge(src VertexID, label Label, dst VertexID, props []byte) err
 	if tx.g.logged() {
 		tx.walBuf = appendEdgeOp(tx.walBuf, opUpsertEdge, src, label, dst, props)
 	}
-	// Weight 0: the exact garbage of the invalidated version (if any) is
-	// accounted at apply time, when the invalidation actually commits.
-	tx.g.markDirty(src, 0)
 	return nil
 }
 
@@ -441,8 +435,6 @@ func (tx *Tx) DeleteEdge(src VertexID, label Label, dst VertexID) error {
 	if tx.g.logged() {
 		tx.walBuf = appendEdgeOp(tx.walBuf, opDeleteEdge, src, label, dst, nil)
 	}
-	// Weight 0: exact dead bytes are accounted at apply (see committer).
-	tx.g.markDirty(src, 0)
 	return nil
 }
 
@@ -502,7 +494,7 @@ func (tx *Tx) Neighbors(src VertexID, label Label) *EdgeIter {
 }
 
 // neighborsInto rebinds a caller-owned iterator to (src,label) without
-// allocating (edgeIterSource). Like every Tx method it must only be called
+// allocating (Reader). Like every Tx method it must only be called
 // from the transaction's own goroutine.
 func (tx *Tx) neighborsInto(it *EdgeIter, src VertexID, label Label) {
 	if tx.done {
@@ -517,10 +509,7 @@ func (tx *Tx) neighborsInto(it *EdgeIter, src VertexID, label Label) {
 	resetEdgeIter(it, tx.g, t, n, tx.tre, tid)
 }
 
-// graph exposes the owning graph to the traversal engine (graphSource).
 func (tx *Tx) graph() *Graph { return tx.g }
-
-func (tx *Tx) locksHeld() bool { return len(tx.locked) > 0 }
 
 // Next advances the iterator. It returns false when the scan is complete.
 func (e *EdgeIter) Next() bool {

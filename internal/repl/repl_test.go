@@ -105,7 +105,7 @@ func TestReplicationEndToEnd(t *testing.T) {
 				d1 := snap.Degree(core.VertexID(s), 1)
 				if d0 != d1 {
 					t.Errorf("follower snapshot at epoch %d inconsistent: src %d has %d/%d edges on labels 0/1",
-						snap.Epoch(), s, d0, d1)
+						snap.ReadEpoch(), s, d0, d1)
 					return
 				}
 			}

@@ -43,8 +43,9 @@
 // (*Tx) and a pinned analytics snapshot (*Snapshot) both satisfy Reader —
 // GetVertex, GetEdge, Neighbors, Degree, ReadEpoch — so point lookups,
 // adjacency scans, multi-hop traversals and whole-graph kernels are written
-// once and run against either. Helpers that only read should accept a
-// Reader, not a concrete type.
+// once and run against either. Reader is implemented only by those two
+// types. Helpers that only read should accept a Reader, not a concrete
+// type.
 //
 // Operations take contexts. Graph.BeginCtx / BeginReadCtx bound the wait
 // for a worker slot; a write transaction's vertex-lock waits respect its
@@ -100,12 +101,11 @@
 // still lock-free.
 //
 // The pool width comes from Traversal.Parallel, falling back to
-// GOMAXPROCS. A pool engages
-// only on Readers that are safe for concurrent use (ParallelReader — a
-// *Snapshot; a *Tx always runs on one worker) and only when the frontier
-// is wide enough to repay dispatch; narrow frontiers and in-memory graphs
-// on few cores are often fastest on one worker, which is why the engine
-// decides per hop rather than forcing a pool. Under the out-of-core
+// GOMAXPROCS. A pool engages only on a *Snapshot, the Reader that is safe
+// for concurrent use (a *Tx always runs on one worker), and only when the
+// frontier is wide enough to repay dispatch; narrow frontiers and
+// in-memory graphs on few cores are often fastest on one worker, which is
+// why the engine decides per hop rather than forcing a pool. Under the out-of-core
 // simulation workers overlap page-fault latency, so parallel traversals
 // win there even on a single core. The thresholds are constants of
 // internal/core, not options; Parallel(1) and Direction(DirectionTopDown)
@@ -195,15 +195,11 @@ type EdgeIter = core.EdgeIter
 // Snapshot is a pinned consistent read-only view for analytics.
 type Snapshot = core.Snapshot
 
-// Reader is the unified read surface implemented by both *Tx and
-// *Snapshot: GetVertex, GetEdge, Neighbors, Degree and ReadEpoch over one
-// consistent epoch. Code that only reads the graph should accept a Reader.
+// Reader is the unified read surface implemented by *Tx and *Snapshot,
+// and only by them: GetVertex, GetEdge, Neighbors, Degree and ReadEpoch
+// over one consistent epoch. Code that only reads the graph should accept
+// a Reader.
 type Reader = core.Reader
-
-// ParallelReader marks a Reader that is safe for concurrent use by
-// multiple goroutines; the traversal engine only fans hops out over
-// ParallelReaders (*Snapshot qualifies, *Tx does not).
-type ParallelReader = core.ParallelReader
 
 // Traversal is a composable multi-hop traversal specification; build one
 // with Traverse and execute it against any Reader or a Graph.
