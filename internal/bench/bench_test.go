@@ -2,13 +2,16 @@ package bench
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"livegraph/internal/iosim"
+	"livegraph/internal/storage"
 )
 
 // tiny returns a configuration small enough that every experiment finishes
@@ -72,7 +75,51 @@ func TestAllExperimentsSmoke(t *testing.T) {
 			if len(strings.Split(out, "\n")) < 3 {
 				t.Fatalf("experiment %s produced almost no output:\n%s", e.ID, out)
 			}
+			if e.ID == "fig7b" {
+				checkBlockSizes(t, out)
+			}
 		})
+	}
+}
+
+// checkBlockSizes checks fig7b's table — rows of a block size and a count:
+// every size is the size of one of the allocator's classes, and the rows
+// add up to the allocated bytes and blocks the table's last line reports.
+func checkBlockSizes(t *testing.T, out string) {
+	t.Helper()
+	classBytes := map[string]int64{}
+	for c := 0; c < storage.NumClasses; c++ {
+		b := int64(storage.WordCap(c) * 8)
+		classBytes[fmtBytes(b)] = b
+	}
+	var rows, blocks, bytes int64
+	var allocated string
+	var allocatedBlocks int64
+	for _, line := range strings.Split(out, "\n") {
+		if _, err := fmt.Sscanf(line, "allocated: %s in %d blocks", &allocated, &allocatedBlocks); err == nil {
+			continue
+		}
+		f := strings.Fields(line)
+		if len(f) != 2 || !strings.HasSuffix(f[0], "B") {
+			continue
+		}
+		n, err := strconv.ParseInt(f[1], 10, 64)
+		if err != nil {
+			continue
+		}
+		rows++
+		b, ok := classBytes[f[0]]
+		if !ok {
+			t.Errorf("fig7b prints block size %s, which no class has", f[0])
+		}
+		blocks += n
+		bytes += n * b
+	}
+	if rows == 0 || allocated == "" {
+		t.Fatalf("fig7b printed no block sizes or no total:\n%s", out)
+	}
+	if blocks != allocatedBlocks || fmtBytes(bytes) != allocated {
+		t.Errorf("fig7b rows add up to %s in %d blocks, its total is %s in %d", fmtBytes(bytes), blocks, allocated, allocatedBlocks)
 	}
 }
 

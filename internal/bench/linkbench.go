@@ -13,6 +13,7 @@ import (
 	"livegraph/internal/core"
 	"livegraph/internal/disk"
 	"livegraph/internal/iosim"
+	"livegraph/internal/storage"
 	"livegraph/internal/workload"
 	"livegraph/internal/workload/kron"
 	"livegraph/internal/workload/linkbench"
@@ -342,7 +343,7 @@ func Fig7b(_ context.Context, cfg Config) {
 		if n == 0 {
 			continue
 		}
-		row(cfg, "%-14s %12d", fmtBytes(64<<class), n)
+		row(cfg, "%-14s %12d", fmtBytes(int64(storage.WordCap(class)*8)), n)
 	}
 	row(cfg, "allocated: %s in %d blocks, recycled pool: %s",
 		fmtBytes(stats.AllocatedWords*8), stats.AllocatedBlocks, fmtBytes(stats.RecycledWords*8))

@@ -67,10 +67,7 @@ func (f Filter) Add(key uint64) {
 	if len(f.words) == 0 {
 		return
 	}
-	h := hash64(key)
-	nblocks := uint64(len(f.words) / BlockWords)
-	base := int(h%nblocks) * BlockWords
-	h = hash64(h)
+	base, h := f.block(key)
 	for i := 0; i < K; i++ {
 		bit := h & 511 // 512 bits per block
 		w := &f.words[base+int(bit>>6)]
@@ -85,6 +82,28 @@ func (f Filter) Add(key uint64) {
 	}
 }
 
+// Set is Add with plain stores, for a filter no other goroutine can see
+// yet: the words of a block that is being filled before it is published.
+func (f Filter) Set(key uint64) {
+	if len(f.words) == 0 {
+		return
+	}
+	base, h := f.block(key)
+	for i := 0; i < K; i++ {
+		bit := h & 511
+		f.words[base+int(bit>>6)] |= 1 << (bit & 63)
+		h >>= 9
+	}
+}
+
+// block returns the first word of key's filter block and the hash bits
+// that pick its K bits there.
+func (f Filter) block(key uint64) (base int, h uint64) {
+	h = hash64(key)
+	nblocks := uint64(len(f.words) / BlockWords)
+	return int(h%nblocks) * BlockWords, hash64(h)
+}
+
 // MayContain reports whether key was possibly added. False negatives never
 // occur for keys added via Add on the same region. An empty filter returns
 // true (callers must scan).
@@ -92,10 +111,7 @@ func (f Filter) MayContain(key uint64) bool {
 	if len(f.words) == 0 {
 		return true
 	}
-	h := hash64(key)
-	nblocks := uint64(len(f.words) / BlockWords)
-	base := int(h%nblocks) * BlockWords
-	h = hash64(h)
+	base, h := f.block(key)
 	for i := 0; i < K; i++ {
 		bit := h & 511
 		if atomic.LoadInt64(&f.words[base+int(bit>>6)])&(1<<(bit&63)) == 0 {

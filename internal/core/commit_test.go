@@ -24,7 +24,7 @@ import (
 const writePathAllocs = 10
 
 // TestWritePathAllocs pins the allocation count of a one-edge AddEdge
-// upsert, BeginCtx → CommitCtx, on a volatile graph whose list is large
+// upsert, BeginCtx → CommitCtx, on a volatile graph whose list has room
 // enough that no run upgrades its block.
 func TestWritePathAllocs(t *testing.T) {
 	g, err := Open(Options{Workers: 4, CompactEvery: -1})
@@ -33,13 +33,21 @@ func TestWritePathAllocs(t *testing.T) {
 	}
 	defer g.Close()
 	props := make([]byte, 8)
-	mustCommit(t, g, func(tx *Tx) {
-		for i := 0; i < 600; i++ {
+	// A list filled by the transaction that creates it is placed in a
+	// block it fills. Grow it one edge a transaction instead, until an
+	// upgrade past 300 entries: the block has just at least doubled, so
+	// it has room for the ~101 entries the runs append.
+	for i := 0; ; i++ {
+		up := g.stats.Upgrades.Load()
+		mustCommit(t, g, func(tx *Tx) {
 			if err := tx.InsertEdge(1, 0, VertexID(i+2), props); err != nil {
 				t.Fatal(err)
 			}
+		})
+		if i >= 300 && g.stats.Upgrades.Load() > up {
+			break
 		}
-	})
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	upgrades := g.stats.Upgrades.Load()

@@ -203,17 +203,23 @@ func TestEdgeUpsertAndDelete(t *testing.T) {
 	}
 }
 
+// TestBlockUpgradeGrowth: a list that grows across transactions outgrows
+// its block and is upgraded, with every entry and property carried over.
+// (A list filled by the transaction that creates it is placed once, at
+// commit, and never upgrades: TestNewListPlacedOnceInCreationOrder.)
 func TestBlockUpgradeGrowth(t *testing.T) {
 	g := openMem(t)
 	var a VertexID
-	mustCommit(t, g, func(tx *Tx) {
-		a, _ = tx.AddVertex(nil)
-		for i := 0; i < 500; i++ {
-			if err := tx.InsertEdge(a, 0, VertexID(1000+i), []byte("pppp")); err != nil {
-				t.Fatal(err)
+	mustCommit(t, g, func(tx *Tx) { a, _ = tx.AddVertex(nil) })
+	for lo := 0; lo < 500; lo += 100 {
+		mustCommit(t, g, func(tx *Tx) {
+			for i := lo; i < lo+100; i++ {
+				if err := tx.InsertEdge(a, 0, VertexID(1000+i), []byte("pppp")); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 	if g.Stats().Upgrades.Load() == 0 {
 		t.Fatal("expected at least one block upgrade")
 	}

@@ -375,9 +375,10 @@ func (g *Graph) AllocStats() storage.Stats { return g.alloc.Stats() }
 const pageBytes = 4096
 
 // touch charges the page cache for a seek into the TEL (its header page
-// and the tail page where the newest entries live).
+// and the tail page where the newest entries live). A private list is in
+// no arena page and charges nothing.
 func (g *Graph) touch(t tel.TEL) {
-	if g.opts.PageCache == nil {
+	if g.opts.PageCache == nil || t.Ref() == 0 {
 		return
 	}
 	first := t.FirstPage()
@@ -511,12 +512,21 @@ func (g *Graph) telFor(v VertexID, label Label) (t tel.TEL, ok bool) {
 }
 
 // telLocked returns the current TEL for (v, label), creating it if this is
-// the list's first edge. Caller holds v's lock.
+// the list's first edge. Caller holds v's lock. Only the apply path creates
+// lists here; a transaction builds its new lists privately (Tx.place).
 func (g *Graph) telLocked(v VertexID, label Label) tel.TEL {
 	if t, ok := g.telFor(v, label); ok {
 		return t
 	}
 	r := tel.New(g.alloc, int64(v), int64(label), 1, 64)
+	g.addTELLocked(v, label, r)
+	return tel.At(g.alloc, r)
+}
+
+// addTELLocked adds (label, r) to v's label index: it publishes a copy of
+// the label list with one more entry. Caller holds v's lock, and v has no
+// list of that label.
+func (g *Graph) addTELLocked(v VertexID, label Label, r storage.Ref) {
 	var old []labelEntry
 	if ll := g.eindex.Get(int64(v)); ll != nil {
 		old = ll.entries
@@ -530,7 +540,6 @@ func (g *Graph) telLocked(v VertexID, label Label) tel.TEL {
 	ll.entries[n].label = label
 	ll.entries[n].ref.Store(uint64(r))
 	g.eindex.Set(int64(v), ll)
-	return tel.At(g.alloc, r)
 }
 
 // setTELLocked points (v, label) at block r, in the label list current now:

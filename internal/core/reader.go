@@ -55,10 +55,11 @@ var (
 
 // resetEdgeIter (re)binds it to a scan of t bounded at n entries with the
 // caller's visibility parameters, charging the page cache when the graph
-// simulates out-of-core execution.
+// simulates out-of-core execution and t is in the arena (a transaction's
+// private list is not).
 func resetEdgeIter(it *EdgeIter, g *Graph, t tel.TEL, n int, tre, tid int64) {
 	*it = EdgeIter{it: t.Scan(n, tre, tid), lastPage: -1}
-	if g.opts.PageCache != nil {
+	if g.opts.PageCache != nil && t.Ref() != 0 {
 		it.g = g
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"livegraph/internal/disk"
+	"livegraph/internal/storage"
 	"livegraph/internal/wal"
 )
 
@@ -458,8 +459,9 @@ func TestRecoveredFreesAreReusable(t *testing.T) {
 	if recycled() == 0 {
 		t.Fatal("recovery freed no blocks: the hub never outgrew one")
 	}
-	// Class 14 is a whole 1 MiB slab, the largest block carved from one.
-	for class := 14; class >= 0; class-- {
+	// The class of a whole 1 MiB slab (2^17 words) is the largest block
+	// carved from one.
+	for class := storage.ClassFor(1 << 17); class >= 0; class-- {
 		// An Alloc that leaves the pool no smaller carved a fresh block:
 		// the class's list is empty.
 		for before := recycled(); before > 0; before = recycled() {

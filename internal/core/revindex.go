@@ -45,7 +45,9 @@ package core
 //
 // Take an edge e written by W, which holds its source's lock s from before
 // the append until after its commit is applied. W's revAdd loads the
-// generation pointer under s. Either that load follows store 1 — then e's
+// generation pointer under s, after e's list is in the label index — a list
+// W creates gets there at commit, and W hints its edges again then
+// (Tx.place). Either that load follows store 1 — then e's
 // hint is in the fresh overlay, which every generation from 1 onward
 // carries until a later fold's scan has absorbed it by the same argument —
 // or it precedes store 1, and then step 2 cannot have held s before W did
@@ -355,8 +357,11 @@ func (g *Graph) revScan(label Label) *revMain {
 	var slots []tally
 	// Every slot of the edge index, not just [0, nextVertex): a source need
 	// not be an allocated vertex. A source with no TEL for the label is
-	// skipped without its lock — a writer creating one afterwards does so
-	// after this generation's overlay was published, and hints into it.
+	// skipped without its lock: a transaction that creates one adds it to
+	// the label index at commit and only then hints its edges again
+	// (Tx.place), so either the list was in the index before store 1 and
+	// this scan finds it, or the hints load this generation and land in
+	// its overlay.
 	for v, end := VertexID(0), VertexID(g.eindex.Cap()); v < end; v++ {
 		if _, ok := g.telFor(v, label); !ok {
 			continue

@@ -28,6 +28,7 @@ type Tx struct {
 
 	locked      map[uint64]struct{} // held lock stripes (dedup by stripe, not vertex)
 	telWrites   map[telKey]*telWrite
+	created     []*telWrite // the lists this transaction creates, private until commit, in creation order
 	vWrites     map[VertexID]*vertexWrite
 	walBuf      []byte // this transaction's WAL record: its ops, in execution order; empty without a log
 	commitRes   chan error
@@ -57,7 +58,9 @@ type telKey struct {
 // committed LS/PS; they are published at apply time. appended/invalidated
 // hold entry indices, which survive block upgrades because an upgrade
 // copies the full prefix. cur is a view, not a slot of the label index: an
-// upgrade swaps the index's Ref through setTELLocked.
+// upgrade swaps the index's Ref through setTELLocked. A list the
+// transaction creates is a private view (tel.Private) until CommitCtx
+// places it.
 type telWrite struct {
 	cur         tel.TEL
 	n           int
@@ -283,7 +286,9 @@ func (tx *Tx) GetVertex(v VertexID) ([]byte, error) {
 // Edge operations -------------------------------------------------------------
 
 // ensureTEL locks src and returns the transaction's write handle for the
-// (src, label) adjacency list, creating the TEL if this is the first edge.
+// (src, label) adjacency list. If src has no such list, the handle holds a
+// private one: the transaction builds it in Go-heap words, and CommitCtx
+// places it in the arena and the label index (place).
 func (tx *Tx) ensureTEL(src VertexID, label Label) (*telWrite, error) {
 	if err := tx.lock(src); err != nil {
 		return nil, err
@@ -293,9 +298,14 @@ func (tx *Tx) ensureTEL(src VertexID, label Label) (*telWrite, error) {
 		return w, nil
 	}
 	g := tx.g
-	t := g.telLocked(src, label)
-	g.touch(t)
-	w := &telWrite{cur: t, n: t.Len(), propLen: t.PropLen()}
+	var w *telWrite
+	if t, ok := g.telFor(src, label); ok {
+		g.touch(t)
+		w = &telWrite{cur: t, n: t.Len(), propLen: t.PropLen()}
+	} else {
+		w = &telWrite{cur: tel.Private(int64(src), int64(label))}
+		tx.created = append(tx.created, w)
+	}
 	if tx.telWrites == nil {
 		tx.telWrites = make(map[telKey]*telWrite)
 	}
@@ -306,10 +316,15 @@ func (tx *Tx) ensureTEL(src VertexID, label Label) (*telWrite, error) {
 // upgrade relocates w's TEL to a larger block that also fits one more
 // entry with extraProps of properties (tel.TEL.Upgrade). The index Ref
 // swap is safe immediately; the old block is recycled once no ongoing
-// reader can still hold it.
+// reader can still hold it. A private list just grows in place of its
+// old words.
 func (tx *Tx) upgrade(w *telWrite, extraProps int) {
-	g := tx.g
 	old := w.cur
+	if old.Ref() == 0 {
+		w.cur = old.Grow(w.n, w.propLen, extraProps)
+		return
+	}
+	g := tx.g
 	r := old.Upgrade(g.alloc, w.n, w.propLen, extraProps)
 	g.setTELLocked(VertexID(old.Src()), Label(old.Label()), r)
 	w.cur = tel.At(g.alloc, r)
@@ -319,6 +334,38 @@ func (tx *Tx) upgrade(w *telWrite, extraProps int) {
 		g.touch(w.cur)
 	}
 	g.stats.Upgrades.Add(1)
+}
+
+// place moves every list the transaction created and wrote into the arena,
+// in creation order, each into the tightest block class that holds it
+// (tel.TEL.Place), and adds it to its vertex's label index with nothing
+// committed — the state of any list before its writers' apply. The
+// transaction still holds every source's lock. A created list it never
+// wrote (a DeleteEdge that found nothing) is dropped.
+//
+// If the label has a reverse index, every edge of a placed list is hinted
+// again, after the list is in the label index: a build skips a source with
+// no list without taking its lock, which is sound only for lists that
+// reach the label index before their hints load the generation
+// (revindex.go). The work-phase hints keep the transaction's own in-scans
+// whole.
+func (tx *Tx) place() {
+	g := tx.g
+	for _, w := range tx.created {
+		if w.n == 0 {
+			continue
+		}
+		src, label := VertexID(w.cur.Src()), Label(w.cur.Label())
+		r := w.cur.Place(g.alloc, w.n, w.propLen)
+		g.addTELLocked(src, label, r)
+		w.cur = tel.At(g.alloc, r)
+		if g.rev.Get(int64(label)) != nil {
+			for i := 0; i < w.n; i++ {
+				g.revAdd(VertexID(w.cur.Dst(i)), label, src)
+			}
+		}
+	}
+	tx.created = nil
 }
 
 // invalidatePrev finds the latest visible version of (src→dst) within w and
@@ -616,6 +663,7 @@ func (tx *Tx) CommitCtx(ctx context.Context) error {
 		tx.g.stats.Aborts.Add(1)
 		return err
 	}
+	tx.place()
 	tx.commitRes = make(chan error, 1)
 	tx.commitStart = time.Now()
 	_, sp := obs.StartSpan(tx.ctx, "tx.commit.wait")

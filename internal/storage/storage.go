@@ -1,12 +1,23 @@
 // Package storage implements LiveGraph's block storage manager: an arena of
-// 64-bit words carved into power-of-2 sized blocks, with one free list per
-// size class (paper §6, "Memory management").
+// 64-bit words carved into blocks of a fixed table of size classes, with one
+// free list per class (paper §6, "Memory management").
+//
+// The paper's classes are the powers of two from 64 B. Here there are four
+// classes per doubling, each a whole number of 64-byte cache lines: 64, 128,
+// 192, 256, then 320, 384, 448, 512, then 640, 768, 896, 1024, and so on
+// (WordCap). A list that grows by appending still at least doubles its
+// block (tel.TEL.Upgrade), so appends stay amortised O(1); the finer steps
+// are for placement, which knows a list's size when it picks a block — a
+// transaction's new list at commit, or a compaction copy. Past 256 B the
+// tightest class that holds a list is less than a fifth empty; with
+// power-of-two classes it could be up to half.
 //
 // The paper keeps TELs in a single memory-mapped file and puts a block's
 // address in each index slot. Go's garbage collector rules raw pointers
 // into such a file out, so the arena is a series of []int64 slabs instead,
 // and a block is named by a Ref: one word holding the block's offset in the
-// arena's word address space and its size class, zero meaning none. A Ref
+// arena's word address space (56 bits) and its size class (8 bits), zero
+// meaning none. A Ref
 // is a plain integer, so an index that stores Refs holds no Go pointer per
 // adjacency list and the collector never scans one. That keeps the
 // property the paper actually relies on — edge log entries of one
@@ -23,8 +34,9 @@
 // resolution is lock-free and a Ref loaded under a pinned epoch resolves
 // to the same words until Reclaim recycles its block. Slabs are never
 // returned. A block larger than a slab gets a dedicated allocation of its
-// own, which takes as many directory entries as it spans slabs; a Ref
-// names its first.
+// own, rounded up to whole slabs so every later slab still starts on a
+// slab boundary; it takes as many directory entries as it spans slabs, and
+// a Ref names its first.
 //
 // Slabs are 1 MiB. The arena grows one slab at a time, so what the
 // allocator holds beyond live and recycled blocks is the uncarved rest of
@@ -56,15 +68,14 @@ import (
 
 const (
 	// MinBlockWords is the number of 8-byte words in the smallest block
-	// (class 0). 8 words = 64 bytes, the paper's minimal TEL that holds a
-	// header plus a single edge in one cache line.
+	// (class 0). 8 words = 64 bytes, one cache line: the paper's minimal
+	// block.
 	MinBlockWords = 8
 
-	// NumClasses bounds the largest block at MinBlockWords<<(NumClasses-1)
-	// words. The paper uses 58 classes (64 B … 2^57*64 B); 40 classes
-	// (64 B … 32 TiB) is far beyond anything addressable here and keeps the
+	// NumClasses bounds the largest block at WordCap(NumClasses-1) words,
+	// 512 GiB: far beyond anything addressable here, and it keeps the
 	// free-list arrays compact.
-	NumClasses = 40
+	NumClasses = 128
 
 	// slabShift sizes each arena slab (see the package comment). Blocks
 	// never span slabs; a request larger than a slab gets a dedicated
@@ -72,8 +83,9 @@ const (
 	slabShift = 17
 	slabWords = 1 << slabShift // 1 MiB a slab
 
-	// classBits is the low part of a Ref that holds class+1.
-	classBits = 6
+	// classBits is the low part of a Ref that holds class+1; the offset
+	// has the other 56 bits.
+	classBits = 8
 )
 
 // Ref names one block: its word offset in the arena address space and its
@@ -90,17 +102,35 @@ func (r Ref) Off() int64 { return int64(r >> classBits) }
 // Class returns the block's size class (0 => 64 bytes).
 func (r Ref) Class() int { return int(r&(1<<classBits-1)) - 1 }
 
-// WordCap returns the word capacity of a block of the given class.
-func WordCap(class int) int { return MinBlockWords << class }
+// WordCap returns the word capacity of a block of the given class: one,
+// two and three cache lines for classes 0-2, then four classes per
+// doubling, 4·2^q + (1..4)·2^q lines.
+func WordCap(class int) int {
+	if class < 3 {
+		return MinBlockWords * (class + 1)
+	}
+	c := class - 3
+	return MinBlockWords * (4 + c&3) << (c >> 2)
+}
 
 // ClassFor returns the smallest class whose word capacity is >= words.
 func ClassFor(words int) int {
-	if words <= MinBlockWords {
-		return 0
+	lines := (words + MinBlockWords - 1) / MinBlockWords
+	if lines <= 4 {
+		return max(lines, 1) - 1
 	}
-	c := 0
-	for w := MinBlockWords; w < words; w <<= 1 {
-		c++
+	// lines is in (4·2^q, 8·2^q]: the classes 4q+4 .. 4q+7 step by 2^q.
+	q := bits.Len(uint(lines-1)) - 3
+	step := 1 << q
+	return 3 + 4*q + (lines+step-1)/step - 4
+}
+
+// classBelow returns the largest class whose word capacity is <= words,
+// for words >= MinBlockWords.
+func classBelow(words int) int {
+	c := ClassFor(words)
+	if WordCap(c) > words {
+		c--
 	}
 	return c
 }
@@ -182,15 +212,17 @@ func (a *Allocator) Alloc(class int) Ref {
 	}
 	var r Ref
 	if words > slabWords {
+		// Whole slabs, so the next slab's offset is still a multiple of
+		// slabWords and Words finds it by offset / slab size.
 		r = makeRef(a.slabWords, class)
-		a.reserveLocked(make([]int64, words))
+		a.reserveLocked(make([]int64, (words+slabWords-1)&^(slabWords-1)))
 	} else {
 		if a.slabOff+words > len(a.slab) {
 			// Blocks never span slabs: what is left of this one goes to the
 			// free lists, largest class first, instead of being stranded
 			// behind the new slab.
 			for rest := len(a.slab) - a.slabOff; rest >= MinBlockWords; rest = len(a.slab) - a.slabOff {
-				a.pushLocked(a.carve(bits.Len(uint(rest/MinBlockWords)) - 1))
+				a.pushLocked(a.carve(classBelow(rest)))
 			}
 			a.slab = make([]int64, slabWords)
 			a.slabOff = 0

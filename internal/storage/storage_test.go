@@ -6,33 +6,49 @@ import (
 	"testing/quick"
 )
 
+// TestClassFor: the class table is one, two and three cache lines, then
+// four classes per doubling, each a whole number of cache lines, and
+// ClassFor names the smallest class that holds a size.
 func TestClassFor(t *testing.T) {
-	cases := []struct {
-		words, class int
-	}{
-		{0, 0}, {1, 0}, {8, 0}, {9, 1}, {16, 1}, {17, 2}, {32, 2}, {33, 3},
-		{MinBlockWords << 5, 5}, {(MinBlockWords << 5) + 1, 6},
+	var bytes []int
+	for c := 0; c < 12; c++ {
+		bytes = append(bytes, WordCap(c)*8)
 	}
-	for _, c := range cases {
-		if got := ClassFor(c.words); got != c.class {
-			t.Errorf("ClassFor(%d) = %d, want %d", c.words, got, c.class)
+	if want := []int{64, 128, 192, 256, 320, 384, 448, 512, 640, 768, 896, 1024}; fmt.Sprint(bytes) != fmt.Sprint(want) {
+		t.Errorf("first classes %v B, want %v", bytes, want)
+	}
+	for c := 0; c < NumClasses; c++ {
+		w := WordCap(c)
+		if w%MinBlockWords != 0 || (c > 0 && w <= WordCap(c-1)) {
+			t.Fatalf("class %d: %d words, not whole cache lines above class %d's %d", c, w, c-1, WordCap(c-1))
 		}
+		if c >= 3 && c+4 < NumClasses && WordCap(c+4) != 2*w {
+			t.Fatalf("class %d + 4 holds %d words, want twice %d", c, WordCap(c+4), w)
+		}
+		if got := ClassFor(w); got != c {
+			t.Fatalf("ClassFor(%d) = %d, want %d", w, got, c)
+		}
+		if got := ClassFor(w + 1); c+1 < NumClasses && got != c+1 {
+			t.Fatalf("ClassFor(%d) = %d, want %d", w+1, got, c+1)
+		}
+	}
+	if got := ClassFor(0); got != 0 {
+		t.Errorf("ClassFor(0) = %d, want 0", got)
+	}
+	if c := ClassFor(slabWords); WordCap(c) != slabWords {
+		t.Errorf("no class of exactly one slab: ClassFor(%d) holds %d words", slabWords, WordCap(c))
 	}
 }
 
 func TestClassForProperty(t *testing.T) {
-	f := func(n uint16) bool {
+	f := func(n uint32) bool {
 		words := int(n)
 		c := ClassFor(words)
-		cap := WordCap(c)
-		if cap < words && words > 0 {
+		if WordCap(c) < words {
 			return false
 		}
 		// minimal: previous class must be too small (unless class 0)
-		if c > 0 && WordCap(c-1) >= words {
-			return false
-		}
-		return true
+		return c == 0 || WordCap(c-1) < words
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -61,7 +77,7 @@ func TestAllocZeroedAndSized(t *testing.T) {
 // caller's next Alloc(k), small and large classes alike.
 func TestRecycleThroughPrivateList(t *testing.T) {
 	a := NewAllocator()
-	for _, class := range []int{2, 5, 14, 15} {
+	for _, class := range []int{2, 5, ClassFor(slabWords), ClassFor(2 * slabWords)} {
 		b1 := a.Alloc(class)
 		a.Words(b1)[3] = 99
 		a.Free(b1)
@@ -168,6 +184,44 @@ func TestHugeBlockGetsDedicatedSlab(t *testing.T) {
 	}
 }
 
+// TestAboveSlabClassReservesWholeSlabs: a class larger than a slab and not
+// a whole number of slabs still reserves whole slabs, so the slabs after it
+// start on slab boundaries, and every block allocated before and after it
+// resolves to its own words.
+func TestAboveSlabClassReservesWholeSlabs(t *testing.T) {
+	a := NewAllocator()
+	class := ClassFor(slabWords + 1)
+	if WordCap(class)%slabWords == 0 {
+		t.Fatalf("class %d holds %d words, a whole number of slabs", class, WordCap(class))
+	}
+	var refs []Ref
+	alloc := func(class int) {
+		r := a.Alloc(class)
+		w := a.Words(r)
+		w[0], w[len(w)-1] = int64(r), ^int64(r)
+		refs = append(refs, r)
+	}
+	alloc(0)
+	alloc(class)
+	if s := a.Stats(); s.SlabWords%slabWords != 0 {
+		t.Fatalf("%d words reserved, not whole slabs", s.SlabWords)
+	}
+	small := ClassFor(slabWords / 8)
+	for i := 0; i < 20; i++ { // two and a half slabs more, then another big one
+		alloc(small)
+	}
+	alloc(class)
+	alloc(0)
+	for _, r := range refs {
+		if w := a.Words(r); len(w) != WordCap(r.Class()) || w[0] != int64(r) || w[len(w)-1] != ^int64(r) {
+			t.Errorf("ref at offset %d, class %d resolves to other words", r.Off(), r.Class())
+		}
+	}
+	if s := a.Stats(); s.SlabWords%slabWords != 0 {
+		t.Fatalf("%d words reserved, not whole slabs", s.SlabWords)
+	}
+}
+
 // TestSlabTailGoesToFreeLists: a block that does not fit the rest of the
 // current slab opens the next one, and the rest is cut into free blocks
 // instead of stranded, so everything reserved is live, recycled, or the
@@ -188,7 +242,7 @@ func TestSlabTailGoesToFreeLists(t *testing.T) {
 		t.Fatalf("%d words uncarved, want the newest slab's rest %d", uncarved, slabWords/2)
 	}
 	if b := a.Alloc(half - 1); b.Off() >= slabWords {
-		t.Fatalf("quarter-slab block carved at arena offset %d, not from the first slab's tail", b.Off())
+		t.Fatalf("block of the class below half a slab carved at arena offset %d, not from the first slab's tail", b.Off())
 	}
 }
 
@@ -217,7 +271,7 @@ func TestRefsResolveWhileTheDirectoryGrows(t *testing.T) {
 	go func() {
 		defer close(refs)
 		for i := 0; i < 400; i++ {
-			class := 10 // 64 KiB: sixteen to a slab
+			class := ClassFor(slabWords / 16) // 64 KiB: sixteen to a slab
 			if i%100 == 50 {
 				class = ClassFor(2*slabWords + 1) // spans four slabs
 			}

@@ -26,22 +26,35 @@
 // pass the start of the property bytes; entries and properties share one
 // size class, so neither rounds up on its own.
 //
-// Property references are end-relative so that an upgrade moves a list
-// without touching it: the entry prefix goes to the same word offsets of the
-// bigger block and the property tail to the same distance from its end, so
+// Property references are end-relative so that a move does not touch
+// them: the entry prefix goes to the same word offsets past the filter of
+// the new block and the property tail to the same distance from its end, so
 // the move is two copies and every reference in the copied entries is still
 // right. A reader still scanning the old block resolves the same reference
-// against the old block's end.
+// against the old block's end. Every move — an upgrade, a private list's
+// growth, its placement — is that one copy (moveTo).
 //
 // Scans iterate newest-to-oldest (descending index), the paper's sequential,
 // time-locality-friendly order.
 //
 // A list is named by its block's storage.Ref, which is what the engine's
-// label index holds; New and Upgrade return one. A TEL is a value view over
-// the block: the resolved words, the Ref and where the entries start. It is
-// made by At on each access and never stored in an index, so an adjacency
-// list owns no Go heap object. A view stays usable as long as its Ref
-// would resolve, i.e. until the block is recycled.
+// label index holds; New, Upgrade and Place return one. A TEL is a value
+// view over the block: the resolved words, the Ref and where the entries
+// start. It is made by At on each access and never stored in an index, so
+// an adjacency list owns no Go heap object. A view stays usable as long as
+// its Ref would resolve, i.e. until the block is recycled.
+//
+// # Private lists
+//
+// A list a transaction creates is not in the arena while the transaction
+// runs. Private gives it the ordinary layout in Go-heap words, with a zero
+// Ref, and Grow doubles it there; nothing else can see it. At commit Place
+// copies it once into the tightest block class that holds it, with nothing
+// committed (LS = PS = CT = 0), which is the state of any list before its
+// writers' apply. So the blocks a list outgrows while it is being built are
+// Go garbage the collector returns, not arena blocks in free lists, and the
+// lists one transaction creates land contiguous, in the order they were
+// written.
 //
 // Writers (one at a time per TEL, enforced by the vertex lock) append
 // tentatively past the committed LS; the entry count and property length a
@@ -122,9 +135,9 @@ type TEL struct {
 	entryBase int // word index where entries start
 }
 
-// New allocates a TEL for (src, label) able to hold at least minEntries
-// edge log entries and minPropBytes of property payload, and returns its
-// block.
+// New allocates a TEL for (src, label) in the tightest block class that
+// holds minEntries edge log entries and minPropBytes of property payload,
+// and returns its block. Compaction places its copies with it.
 func New(a *storage.Allocator, src, label int64, minEntries, minPropBytes int) storage.Ref {
 	r := a.Alloc(classFor(0, minEntries, minPropBytes))
 	w := a.Words(r)
@@ -133,26 +146,46 @@ func New(a *storage.Allocator, src, label int64, minEntries, minPropBytes int) s
 	return r
 }
 
+// privateWords is the first size of a private list: a header, one entry
+// and 64 B of properties, rounded up to a power of two.
+const privateWords = 32
+
+// Private returns a new, empty list for (src, label) in Go-heap words (see
+// the package comment): its Ref is zero, and it grows with Grow, not
+// Upgrade, until Place moves it into the arena.
+func Private(src, label int64) TEL {
+	w := make([]int64, privateWords)
+	w[hdrSrc] = src
+	w[hdrLabel] = label
+	return view(w, 0)
+}
+
 // classFor picks the smallest block class, from minClass up, whose bytes
 // hold the header, the filter, entries edge log entries and propBytes of
 // properties.
 func classFor(minClass, entries, propBytes int) int {
 	for class := minClass; class < storage.NumClasses; class++ {
-		words := storage.WordCap(class)
-		if (HeaderWords+bloom.WordsFor(words)+entries*EntryWords)*8+propBytes <= words*8 {
+		if holds(storage.WordCap(class), entries, propBytes) {
 			return class
 		}
 	}
 	panic("tel: adjacency list exceeds maximum block size")
 }
 
+// holds reports whether a block of words words holds the header, its
+// filter, entries edge log entries and propBytes of properties.
+func holds(words, entries, propBytes int) bool {
+	return (HeaderWords+bloom.WordsFor(words)+entries*EntryWords)*8+propBytes <= words*8
+}
+
 // At views block r of a as a TEL.
-func At(a *storage.Allocator, r storage.Ref) TEL {
-	w := a.Words(r)
+func At(a *storage.Allocator, r storage.Ref) TEL { return view(a.Words(r), r) }
+
+func view(w []int64, r storage.Ref) TEL {
 	return TEL{w: w, ref: r, entryBase: HeaderWords + bloom.WordsFor(len(w))}
 }
 
-// Ref returns the block the view is over.
+// Ref returns the block the view is over; zero for a private list.
 func (t *TEL) Ref() storage.Ref { return t.ref }
 
 // filter views the block's Bloom filter words.
@@ -353,29 +386,56 @@ func (t *TEL) FindLatest(dst int64, n int, tre, tid int64) int {
 }
 
 // Upgrade moves t's first n entries and propLen property bytes into the
-// smallest block class above t's that also fits one more entry with
-// propBytes of properties (paper §3: dynamic-array doubling, amortised O(1)
-// appends), rebuilds the Bloom filter there, and returns the new block.
-// It carries the identical committed prefix, so swapping the index's Ref
-// is safe mid-transaction; t's block is left as it was for readers still
-// scanning it.
+// smallest block class with at least twice t's words that also fits one
+// more entry with propBytes of properties (paper §3: dynamic-array
+// doubling, amortised O(1) appends), and returns the new block. Only
+// placement (Place, New) picks the tightest class; growth by append keeps
+// doubling. It carries the identical committed prefix, so swapping the
+// index's Ref is safe mid-transaction; t's block is left as it was for
+// readers still scanning it.
 func (t *TEL) Upgrade(a *storage.Allocator, n, propLen, propBytes int) storage.Ref {
-	r := a.Alloc(classFor(t.ref.Class()+1, n+1, propLen+propBytes))
+	r := a.Alloc(classFor(storage.ClassFor(2*len(t.w)), n+1, propLen+propBytes))
 	nt := At(a, r)
+	t.moveTo(&nt, n, propLen)
+	return r
+}
+
+// Grow is Upgrade for a private list: it moves the list into Go-heap words
+// of the first doubling of its size that fits one more entry with
+// propBytes of properties, and returns the new view.
+func (t *TEL) Grow(n, propLen, propBytes int) TEL {
+	words := 2 * len(t.w)
+	for !holds(words, n+1, propLen+propBytes) {
+		words *= 2
+	}
+	nt := view(make([]int64, words), 0)
+	t.moveTo(&nt, n, propLen)
+	return nt
+}
+
+// Place moves a private list's n entries and propLen property bytes into
+// the tightest block class of a that holds them, and returns the block.
+func (t *TEL) Place(a *storage.Allocator, n, propLen int) storage.Ref {
+	r := a.Alloc(classFor(0, n, propLen))
+	nt := At(a, r)
+	t.moveTo(&nt, n, propLen)
+	return r
+}
+
+// moveTo copies t's header, its first n entries and its propLen property
+// bytes into nt, then rebuilds nt's filter from the copied destinations.
+// nt is not yet published — no other goroutine can reach its words — so
+// every store is plain. The caller holds the list's vertex lock, or owns
+// the private list, so no header word of t changes during the copy.
+func (t *TEL) moveTo(nt *TEL, n, propLen int) {
+	copy(nt.w[:HeaderWords], t.w[:HeaderWords])
 	copy(nt.w[nt.entryBase:], t.w[t.entryBase:t.entryBase+n*EntryWords])
 	nb, b := nt.bytes(), t.bytes()
 	copy(nb[len(nb)-propLen:], b[len(b)-propLen:])
-	nt.w[hdrSrc] = t.w[hdrSrc]
-	nt.w[hdrLabel] = t.w[hdrLabel]
-	atomic.StoreInt64(&nt.w[hdrCT], t.CommitTS())
-	atomic.StoreInt64(&nt.w[hdrPS], int64(t.PropLen()))
-	atomic.StoreInt64(&nt.w[hdrLS], int64(t.Len()))
-	atomic.StoreInt64(&nt.w[hdrDead], t.DeadBytes())
 	f := nt.filter()
 	for i := 0; i < n; i++ {
-		f.Add(uint64(nt.Dst(i)))
+		f.Set(uint64(nt.Dst(i)))
 	}
-	return r
 }
 
 // CompactAppend copies entry i of src (with its properties) to slot n of t,

@@ -23,13 +23,15 @@ func TestNewMinimalBlockIsOneCacheLine(t *testing.T) {
 	a := storage.NewAllocator()
 	tl := newTEL(a, 1, 0, 1, 0)
 	// 64-byte block: 6 header words + no filter + 4 entry words = 10 words
-	// does NOT fit in 8 words, so the minimal single-edge block is class 1
-	// (128 B) in this layout. Verify it holds exactly the advertised entry.
+	// does NOT fit in 8 words, so the minimal single-edge block is the
+	// class of 10 words (128 B) in this layout. Verify it holds exactly
+	// the advertised entry.
 	if !tl.Fits(0, 0, 0) {
 		t.Fatal("minimal TEL holds no entry")
 	}
-	if tl.Ref().Class() > 1 {
-		t.Fatalf("minimal TEL uses class %d, want <= 1", tl.Ref().Class())
+	if want := storage.ClassFor(HeaderWords + EntryWords); tl.Ref().Class() != want {
+		t.Fatalf("minimal TEL uses class %d (%d words), want %d (%d words)",
+			tl.Ref().Class(), storage.WordCap(tl.Ref().Class()), want, storage.WordCap(want))
 	}
 }
 
@@ -188,8 +190,8 @@ func TestUpgradeCopiesPrefix(t *testing.T) {
 
 	big := At(a, small.Upgrade(a, n, pl, 300))
 
-	if big.Ref().Class() <= small.Ref().Class() {
-		t.Fatalf("upgrade from class %d to %d", small.Ref().Class(), big.Ref().Class())
+	if len(big.w) < 2*len(small.w) {
+		t.Fatalf("upgrade from %d to %d words, want at least double", len(small.w), len(big.w))
 	}
 	if !big.Fits(n, pl, 300) {
 		t.Fatal("upgraded block does not fit the entry it was sized for")
@@ -216,6 +218,50 @@ func TestUpgradeCopiesPrefix(t *testing.T) {
 	for i := 0; i < n; i++ {
 		if !big.MayContain(int64(i)) {
 			t.Fatalf("bloom false negative after upgrade for %d", i)
+		}
+	}
+}
+
+// TestPrivateGrowsAndPlaces: a private list has no Ref and grows by
+// doubling in Go-heap words; Place copies it once into the tightest class
+// that holds it, with nothing committed, every entry and property intact
+// and the filter rebuilt for the new size.
+func TestPrivateGrowsAndPlaces(t *testing.T) {
+	a := storage.NewAllocator()
+	tl := Private(9, 3)
+	n, pl := 0, 0
+	for i := 0; i < 120; i++ {
+		props := []byte(fmt.Sprint("p", i))
+		if !tl.Fits(n, pl, len(props)) {
+			words := len(tl.w)
+			tl = tl.Grow(n, pl, len(props))
+			if len(tl.w) != 2*words || tl.Ref() != 0 {
+				t.Fatalf("private growth from %d words to %d, ref %d; want %d words, no ref", words, len(tl.w), tl.Ref(), 2*words)
+			}
+		}
+		pl = tl.Append(n, int64(1000+i), -7, props, pl)
+		n++
+	}
+	if a.Stats().AllocatedBlocks != 0 {
+		t.Fatal("a private list allocated arena blocks")
+	}
+	placed := At(a, tl.Place(a, n, pl))
+	if c := placed.Ref().Class(); c != classFor(0, n, pl) || holds(storage.WordCap(c-1), n, pl) {
+		t.Fatalf("placed in class %d, want the tightest, %d", c, classFor(0, n, pl))
+	}
+	if placed.Src() != 9 || placed.Label() != 3 || placed.Len() != 0 || placed.PropLen() != 0 ||
+		placed.CommitTS() != 0 || placed.DeadBytes() != 0 {
+		t.Fatal("placed header: want the list's source and label, nothing committed")
+	}
+	if bloom.WordsFor(len(placed.w)) == bloom.WordsFor(len(tl.w)) {
+		t.Fatalf("placed and private lists have the same filter size; the test checks nothing about the rebuild")
+	}
+	for i := 0; i < n; i++ {
+		if placed.Dst(i) != int64(1000+i) || placed.Creation(i) != -7 || string(placed.Props(i)) != fmt.Sprint("p", i) {
+			t.Fatalf("entry %d: dst %d creation %d props %q", i, placed.Dst(i), placed.Creation(i), placed.Props(i))
+		}
+		if !placed.MayContain(int64(1000 + i)) {
+			t.Fatalf("bloom false negative after placement for %d", 1000+i)
 		}
 	}
 }
@@ -283,10 +329,22 @@ func TestHeaderSizes(t *testing.T) {
 
 // TestFitsAtTheBoundary: an entry whose end meets the start of the
 // properties exactly fits, one byte more does not, and classFor agrees
-// with Fits on which class that is.
+// with Fits: it picks the smallest class whose bytes past the header and
+// filter hold the entry and its properties.
 func TestFitsAtTheBoundary(t *testing.T) {
 	a := storage.NewAllocator()
-	for class := 1; class <= 6; class++ {
+	room := func(class int) int { // bytes past the header and filter
+		words := storage.WordCap(class)
+		return (words - HeaderWords - bloom.WordsFor(words)) * 8
+	}
+	tightest := func(bytes int) int {
+		c := 0
+		for room(c) < bytes {
+			c++
+		}
+		return c
+	}
+	for class := 1; class <= 12; class++ {
 		words := storage.WordCap(class)
 		entryEnd := (HeaderWords + bloom.WordsFor(words) + EntryWords) * 8 // after entry 0
 		for _, size := range []int{0, 1, 31, 32, 33, words*8 - entryEnd} {
@@ -302,11 +360,12 @@ func TestFitsAtTheBoundary(t *testing.T) {
 				if tl.Fits(0, pl+1, size) {
 					t.Fatalf("one byte past the property start fits")
 				}
-				if got := classFor(0, 1, pl+size); got != class {
-					t.Fatalf("classFor(1 entry, %d B) = %d, want %d", pl+size, got, class)
+				need := EntryWords*8 + pl + size
+				if got, want := classFor(0, 1, pl+size), tightest(need); got != want || got > class {
+					t.Fatalf("classFor(1 entry, %d B) = %d, want %d, at most %d", pl+size, got, want, class)
 				}
-				if got := classFor(0, 1, pl+size+1); got != class+1 {
-					t.Fatalf("classFor(1 entry, %d B) = %d, want %d", pl+size+1, got, class+1)
+				if got, want := classFor(0, 1, pl+size+1), tightest(need+1); got != want || got <= class {
+					t.Fatalf("classFor(1 entry, %d B) = %d, want %d, above %d", pl+size+1, got, want, class)
 				}
 				// Written at the boundary, neither side overwrites the other.
 				props := bytes.Repeat([]byte{0xA5}, size)
