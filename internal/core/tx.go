@@ -365,7 +365,6 @@ func (tx *Tx) place() {
 			}
 		}
 	}
-	tx.created = nil
 }
 
 // invalidatePrev finds the latest visible version of (src→dst) within w and

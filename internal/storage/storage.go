@@ -17,13 +17,12 @@
 // into such a file out, so the arena is a series of []int64 slabs instead,
 // and a block is named by a Ref: one word holding the block's offset in the
 // arena's word address space (56 bits) and its size class (8 bits), zero
-// meaning none. A Ref
-// is a plain integer, so an index that stores Refs holds no Go pointer per
-// adjacency list and the collector never scans one. That keeps the
-// property the paper actually relies on — edge log entries of one
-// adjacency list live in contiguous, cache-friendly memory and every
-// timestamp is an aligned 8-byte word suitable for sync/atomic — at the
-// price of one lookup per access. A block is the whole TEL: entries and
+// meaning none. A Ref is a plain integer, so an index that stores Refs
+// holds no Go pointer per adjacency list and the collector never scans
+// one. That keeps the property the paper actually relies on — edge log
+// entries of one adjacency list live in contiguous, cache-friendly memory
+// and every timestamp is an aligned 8-byte word suitable for sync/atomic —
+// at the price of one lookup per access. A block is the whole TEL: entries and
 // their properties share it (the tel package comment has the layout), so
 // there is one size class, one slab series and one free list per block,
 // as in the paper.
@@ -103,8 +102,8 @@ func (r Ref) Off() int64 { return int64(r >> classBits) }
 func (r Ref) Class() int { return int(r&(1<<classBits-1)) - 1 }
 
 // WordCap returns the word capacity of a block of the given class: one,
-// two and three cache lines for classes 0-2, then four classes per
-// doubling, 4·2^q + (1..4)·2^q lines.
+// two and three cache lines for classes 0-2, then (4+r)·2^q lines for
+// class 3+4q+r, r < 4 — four classes per doubling.
 func WordCap(class int) int {
 	if class < 3 {
 		return MinBlockWords * (class + 1)
