@@ -344,7 +344,9 @@ func TestFitsAtTheBoundary(t *testing.T) {
 		}
 		return c
 	}
-	for class := 1; class <= 12; class++ {
+	// Classes 1-19 run from 128 B to 4 KiB, through every doubling of the
+	// former power-of-two layout (256 B, 512 B, ... are classes 3, 7, 11, ...).
+	for class := 1; class <= 19; class++ {
 		words := storage.WordCap(class)
 		entryEnd := (HeaderWords + bloom.WordsFor(words) + EntryWords) * 8 // after entry 0
 		for _, size := range []int{0, 1, 31, 32, 33, words*8 - entryEnd} {
