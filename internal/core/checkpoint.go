@@ -411,10 +411,9 @@ func (g *Graph) loadCkptFile(path string, magic []byte, chain ...int64) error {
 // epoch, the file must end exactly at the end frame, and every op must
 // decode and keep the writer's order: resets of ascending IDs below the
 // header's nextVertexID, each followed only by its own vertex's put and
-// edge inserts. The ID bound
-// caps index growth (chunkedIndex.Set allocates every chunk up to v>>12)
-// at what a graph of nextVertexID IDs costs anyway. nextVertexID is not
-// held to the file's size: an ID gap costs no bytes (TestSparseCheckpointLoads).
+// edge inserts. nextVertexID is not held to the file's size: an ID gap
+// costs no bytes (TestSparseCheckpointLoads), and the per-vertex indexes
+// allocate only the chunks that hold a record.
 //
 // Recovery is single-threaded, so applyOp's vertex locks are uncontended
 // and the Reclaim after each frame frees what it retired. applyOp neither

@@ -847,6 +847,8 @@ func TestOutOfRangeIDsAndLabels(t *testing.T) {
 		appendEdgeOp(nil, opUpsertEdge, 0, MaxLabel, 1, nil),
 		appendEdgeOp(nil, opDeleteEdge, 0, 0, -1, nil),
 		appendVertexOp(nil, opPutVertex, -1, nil),
+		appendVertexOp(nil, opDelVertex, MaxVertexID, nil),
+		appendEdgeOp(nil, opInsertEdge, 1<<40, 0, 1, nil),
 	} {
 		if _, err := decodeOps(nil, rec); err == nil {
 			t.Errorf("record %x decoded", rec)

@@ -54,7 +54,8 @@ type walOp struct {
 // truncated, overflows or is not minimal (a minimal encoding longer than
 // one byte never ends in a zero byte) is malformed, so every accepted
 // record re-encodes to exactly its own bytes. So is an op the write path
-// refuses (ErrOutOfRange): a negative vertex ID or a label outside
+// refuses (ErrOutOfRange): a vertex or edge source outside
+// [0, MaxVertexID), a negative destination or a label outside
 // [0, MaxLabel).
 func decodeOps(ops []walOp, rec []byte) ([]walOp, error) {
 	bad := ""
@@ -89,7 +90,7 @@ func decodeOps(ops []walOp, rec []byte) ([]walOp, error) {
 		default:
 			return nil, fmt.Errorf("livegraph: wal record corrupt (op %d)", op.op)
 		}
-		if op.v < 0 || op.dst < 0 || uint64(op.label) >= MaxLabel {
+		if uint64(op.v) >= MaxVertexID || op.dst < 0 || uint64(op.label) >= MaxLabel {
 			bad = cmp.Or(bad, "vertex id or label out of range")
 		}
 		ops = append(ops, op)

@@ -13,8 +13,8 @@ func FuzzDecodeOps(f *testing.F) {
 	var txRec []byte
 	txRec = appendVertexOp(txRec, opAddVertex, 3, []byte("payload"))
 	txRec = appendVertexOp(txRec, opPutVertex, 3, nil)
-	txRec = appendVertexOp(txRec, opDelVertex, 1<<40, nil)
-	txRec = appendEdgeOp(txRec, opInsertEdge, 3, 2, 9, []byte("props"))
+	txRec = appendVertexOp(txRec, opDelVertex, MaxVertexID-1, nil)
+	txRec = appendEdgeOp(txRec, opInsertEdge, 3, 2, 1<<40, []byte("props"))
 	txRec = appendEdgeOp(txRec, opUpsertEdge, 3, 2, 9, nil)
 	txRec = appendEdgeOp(txRec, opDeleteEdge, 3, 2, 9, nil)
 	ckptRec := appendVertexOp(nil, opResetVertex, 299, nil)

@@ -26,8 +26,9 @@ var (
 	ErrReadOnly = errors.New("livegraph: read-only transaction")
 
 	// ErrOutOfRange is returned, without aborting the transaction, by a
-	// write naming a negative vertex ID or a label outside [0, MaxLabel).
-	ErrOutOfRange = fmt.Errorf("livegraph: negative vertex ID or label outside [0, %d)", MaxLabel)
+	// write naming a vertex or edge source outside [0, MaxVertexID), a
+	// negative destination or a label outside [0, MaxLabel).
+	ErrOutOfRange = fmt.Errorf("livegraph: vertex or source outside [0, %d), negative destination or label outside [0, %d)", uint64(MaxVertexID), MaxLabel)
 
 	// ErrNotFound is returned when a referenced vertex or edge does not
 	// exist in the transaction's snapshot.

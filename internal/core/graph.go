@@ -34,6 +34,12 @@ type Label int64
 // label-keyed index (degree statistics, reverse hints) is one chunk.
 const MaxLabel = chunkSize
 
+// MaxVertexID bounds the vertices a write gives records: a vertex op's
+// target and an edge's source lie in [0, MaxVertexID), so every slot of
+// the per-vertex indexes fits the reverse index's 32-bit sources
+// (revindex.go). An edge's destination may be any non-negative ID.
+const MaxVertexID = 1 << 32
+
 // Options configures a Graph.
 type Options struct {
 	// Dir enables durability: the WAL and checkpoints live here. Empty

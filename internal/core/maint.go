@@ -5,7 +5,8 @@ package core
 // The scheduler decides when and how much; this file does the storage work —
 // drain a bounded chunk of dirty vertices, fan it across workers in morsels
 // (each worker holding one vertex lock at a time), and at pass boundaries
-// reclaim deferred blocks whose readers have moved on.
+// reclaim deferred blocks whose readers have moved on and fold overgrown
+// reverse hint overlays.
 
 import (
 	"context"
@@ -58,7 +59,11 @@ func (r maintRunner) MaintSlice(maxVertices int, deadline time.Time) (processed 
 }
 
 // MaintEndPass runs pass-boundary work: recycle deferred blocks no pinned
-// snapshot can still see. The scheduler counts the pass.
+// snapshot can still see, and fold every reverse hint overlay that has
+// outgrown its main, so an overlay nobody in-scans does not grow without
+// bound. The scheduler goroutine holds no vertex lock, and a fold that
+// finds another build running is left to the next in-scan or pass. The
+// scheduler counts the pass.
 func (r maintRunner) MaintEndPass() {
 	g := r.g
 	blocks, words := g.alloc.Reclaim(g.readers.MinActive(g.epochs.ReadEpoch()))
@@ -66,6 +71,11 @@ func (r maintRunner) MaintEndPass() {
 		g.maintStats.BlocksReclaimed.Add(int64(blocks))
 		g.maintStats.BytesReclaimed.Add(words * 8)
 	}
+	g.rev.Each(func(label int64, gen *revGen) {
+		if gen.ready() && gen.overgrown() {
+			g.revReady(Label(label), true)
+		}
+	})
 }
 
 // compactChunk fans chunk across the maintenance workers in morsels; a hub

@@ -124,6 +124,7 @@ func (g *Graph) initObs() {
 	ctr("lg_rev_builds_total", "reverse hint index builds and folds", &g.revStats.builds)
 	gauge("lg_rev_main_hints", "hints in the built reverse indexes' CSR runs", func() float64 { return float64(g.revStats.mainHints.Load()) })
 	gauge("lg_rev_overlay_hints", "hints written beside the CSR runs since their builds", func() float64 { return float64(g.revStats.overlayHints.Load()) })
+	gauge("lg_rev_bytes", "estimated heap bytes of the reverse indexes, from their lengths and capacities", func() float64 { return float64(g.revBytes()) })
 	r.CounterFunc("lg_wal_appended_bytes_total", "bytes appended to the WAL across rotations",
 		func() float64 { return float64(g.WALAppendedBytes()) })
 

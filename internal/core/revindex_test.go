@@ -9,6 +9,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -73,7 +75,14 @@ func TestRevAddColdLabelIsFree(t *testing.T) {
 // starts cold and folds as the overlay outgrows main. Every edge a reader's
 // snapshot can see is in that snapshot's ScanIn, exactly once, and a
 // bottom-up hop over the same generation emits no candidate twice.
-func TestRevIndexInvariantUnderWriters(t *testing.T) {
+func TestRevIndexInvariantUnderWriters(t *testing.T) { revIndexUnderWriters(t, false) }
+
+// TestRevIndexInvariantUnderMaintenanceFolds is the same load with
+// maintenance passes run back to back beside it, so folds at pass
+// boundaries race the writers and the readers' own folds.
+func TestRevIndexInvariantUnderMaintenanceFolds(t *testing.T) { revIndexUnderWriters(t, true) }
+
+func revIndexUnderWriters(t *testing.T, passes bool) {
 	const (
 		writers   = 4
 		perWriter = 160 // sources per writer
@@ -147,6 +156,15 @@ func TestRevIndexInvariantUnderWriters(t *testing.T) {
 			}
 		}(w)
 	}
+	if passes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for writing.Load() > 0 {
+				g.CompactNow()
+			}
+		}()
+	}
 	for r := 0; r < 2; r++ {
 		wg.Add(1)
 		go func() {
@@ -181,6 +199,118 @@ func TestRevIndexInvariantUnderWriters(t *testing.T) {
 	main, over := obsValue(t, g, "lg_rev_main_hints"), obsValue(t, g, "lg_rev_overlay_hints")
 	if main+over < sources*hubs || over > revFoldMin+main/revFoldFrac {
 		t.Fatalf("main %v + overlay %v hints for %d edges", main, over, sources*hubs)
+	}
+}
+
+// TestRevIndexFoldsAtMaintenancePass: an overlay past the fold line that
+// no in-scan reads is folded at the next maintenance pass boundary, and the
+// heap estimate falls with the overlay's per-hint overhead.
+func TestRevIndexFoldsAtMaintenancePass(t *testing.T) {
+	g, err := Open(Options{CompactEvery: -1}) // passes run only when asked
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	const hubs, first, later = 4, 512, 100
+	mustCommit(t, g, func(tx *Tx) {
+		for i := 0; i < hubs+first+later; i++ {
+			tx.AddVertex(nil)
+		}
+	})
+	link := func(lo, hi int) {
+		mustCommit(t, g, func(tx *Tx) {
+			for src := lo; src < hi; src++ {
+				for h := 0; h < hubs; h++ {
+					tx.InsertEdge(VertexID(src), 0, VertexID(h), nil)
+				}
+			}
+		})
+	}
+	link(hubs, hubs+first)
+	s, _ := g.Snapshot()
+	scanIn(t, s, 0, 0) // builds main: hubs*first hints
+	s.Release()
+	link(hubs+first, hubs+first+later) // hubs*later overlay hints, past main/8
+	main, over := obsValue(t, g, "lg_rev_main_hints"), obsValue(t, g, "lg_rev_overlay_hints")
+	if main != hubs*first || over != hubs*later || over*revFoldFrac <= main {
+		t.Fatalf("main %v, overlay %v hints: the fixture is not past the fold line", main, over)
+	}
+	before := obsValue(t, g, "lg_rev_bytes")
+	if before <= 0 {
+		t.Fatalf("lg_rev_bytes = %v with a built index", before)
+	}
+
+	g.CompactNow()
+	main, over = obsValue(t, g, "lg_rev_main_hints"), obsValue(t, g, "lg_rev_overlay_hints")
+	if b := obsValue(t, g, "lg_rev_builds_total"); b != 2 {
+		t.Fatalf("lg_rev_builds_total = %v after the pass, want the build and one fold", b)
+	}
+	if main != hubs*(first+later) || over*revFoldFrac > main {
+		t.Fatalf("after the pass: main %v, overlay %v hints", main, over)
+	}
+	if after := obsValue(t, g, "lg_rev_bytes"); after >= before {
+		t.Fatalf("lg_rev_bytes %v before the fold, %v after", before, after)
+	}
+	g.CompactNow() // nothing past the line: no second fold
+	if b := obsValue(t, g, "lg_rev_builds_total"); b != 2 {
+		t.Fatalf("lg_rev_builds_total = %v after a pass with nothing to fold", b)
+	}
+	s, _ = g.Snapshot()
+	defer s.Release()
+	for h := 0; h < hubs; h++ {
+		if got, want := scanIn(t, s, 0, VertexID(h)), forwardIn(s, 0, VertexID(h), hubs+first+later); !slices.Equal(got, want) {
+			t.Fatalf("ScanIn(%d) = %d sources, the forward path %d", h, len(got), len(want))
+		}
+	}
+}
+
+// TestRevOverlayKeepsEachPairOnce: the overlay holds each (dst, src) pair
+// once — recognised by a chain walk on short runs and by the seen table on
+// runs past revSeenThreshold — and a destination's chain yields exactly the
+// pairs added, wherever in the ID space it lies.
+func TestRevOverlayKeepsEachPairOnce(t *testing.T) {
+	ov := &revOverlay{}
+	want := map[VertexID]map[uint32]bool{}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 40000; i++ {
+		d := rng.Intn(1 << 10)
+		dst := VertexID(d*d) << 20 // a few long runs, many short ones
+		src := uint32(rng.Intn(1 << 9))
+		if i%7 == 0 {
+			src = math.MaxUint32 - src
+		}
+		if want[dst] == nil {
+			want[dst] = map[uint32]bool{}
+		}
+		if added := ov.add(dst, src); added == want[dst][src] {
+			t.Fatalf("add(%d, %d) = %v with the pair already held: %v", dst, src, added, want[dst][src])
+		}
+		want[dst][src] = true
+	}
+	n := 0
+	for dst, srcs := range want {
+		got := map[uint32]bool{}
+		for log, i := ov.chain(dst); i >= 0; i = log[i].prev {
+			if got[log[i].src] {
+				t.Fatalf("dst %d: source %d chained twice", dst, log[i].src)
+			}
+			got[log[i].src] = true
+		}
+		if !maps.Equal(got, srcs) {
+			t.Fatalf("dst %d: chain has %d sources, want %d", dst, len(got), len(srcs))
+		}
+		for src := range srcs {
+			if !ov.has(dst, src) {
+				t.Fatalf("has(%d, %d) = false", dst, src)
+			}
+		}
+		if ov.has(dst, 1<<20) || !ov.holds(dst) || ov.holds(dst+1) {
+			t.Fatalf("dst %d: has/holds disagree with the pairs added", dst)
+		}
+		n += len(srcs)
+	}
+	if ov.hints.Load() != int64(n) || ov.dsts.Load() != int64(len(want)) || ov.seen.n == 0 {
+		t.Fatalf("%d hints over %d runs (%d seen), want %d over %d", ov.hints.Load(), ov.dsts.Load(), ov.seen.n, n, len(want))
 	}
 }
 
@@ -528,6 +658,41 @@ func BenchmarkBulkLoadEdges(b *testing.B) {
 		g.Close()
 	}
 	b.ReportMetric(edges*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
+}
+
+// BenchmarkRevIndexBuild prices a build of the reverse hint index on the
+// 2^16 x 16 Kronecker graph: ns/hint is the build's time per main hint,
+// B/hint the heap it adds per main hint. overlay-B/hint is the heap per
+// hint of an overlay fed a fold's worth (main/revFoldFrac) of the graph's
+// edges with shifted sources.
+func BenchmarkRevIndexBuild(b *testing.B) {
+	g := openMem(b)
+	loadKron(b, g)
+	var heap, hints float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		g.rev.Set(0, nil) // nothing else is running: forget the index
+		before := heapInuse()
+		b.StartTimer()
+		gen, _ := g.revReady(0, true)
+		b.StopTimer()
+		heap, hints = heapInuse()-before, float64(len(gen.main.srcs))
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/hints, "ns/hint")
+	b.ReportMetric(heap/hints, "B/hint")
+
+	b.StopTimer()
+	edges := kronEdges()
+	edges = edges[:len(edges)/revFoldFrac]
+	before := heapInuse()
+	ov := &revOverlay{}
+	for _, e := range edges {
+		ov.add(VertexID(e.Dst), uint32(e.Src)+1<<16)
+	}
+	b.ReportMetric((heapInuse()-before)/float64(ov.hints.Load()), "overlay-B/hint")
+	runtime.KeepAlive(ov)
 }
 
 // BenchmarkColdBottomUp prices the first bottom-up hop on a label whose

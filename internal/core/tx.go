@@ -207,7 +207,7 @@ func (tx *Tx) PutVertex(v VertexID, data []byte) error {
 	if err := tx.checkWrite(); err != nil {
 		return err
 	}
-	if v < 0 {
+	if uint64(v) >= MaxVertexID {
 		return ErrOutOfRange
 	}
 	if err := tx.lock(v); err != nil {
@@ -230,7 +230,7 @@ func (tx *Tx) DeleteVertex(v VertexID) error {
 	if err := tx.checkWrite(); err != nil {
 		return err
 	}
-	if v < 0 {
+	if uint64(v) >= MaxVertexID {
 		return ErrOutOfRange
 	}
 	if err := tx.lock(v); err != nil {
@@ -419,7 +419,7 @@ func (tx *Tx) InsertEdge(src VertexID, label Label, dst VertexID, props []byte) 
 	if err := tx.checkWrite(); err != nil {
 		return err
 	}
-	if src < 0 || dst < 0 || uint64(label) >= MaxLabel {
+	if uint64(src) >= MaxVertexID || dst < 0 || uint64(label) >= MaxLabel {
 		return ErrOutOfRange
 	}
 	w, err := tx.ensureTEL(src, label)
@@ -444,7 +444,7 @@ func (tx *Tx) AddEdge(src VertexID, label Label, dst VertexID, props []byte) err
 	if err := tx.checkWrite(); err != nil {
 		return err
 	}
-	if src < 0 || dst < 0 || uint64(label) >= MaxLabel {
+	if uint64(src) >= MaxVertexID || dst < 0 || uint64(label) >= MaxLabel {
 		return ErrOutOfRange
 	}
 	w, err := tx.ensureTEL(src, label)
@@ -468,7 +468,7 @@ func (tx *Tx) DeleteEdge(src VertexID, label Label, dst VertexID) error {
 	if err := tx.checkWrite(); err != nil {
 		return err
 	}
-	if src < 0 || dst < 0 || uint64(label) >= MaxLabel {
+	if uint64(src) >= MaxVertexID || dst < 0 || uint64(label) >= MaxLabel {
 		return ErrOutOfRange
 	}
 	w, err := tx.ensureTEL(src, label)

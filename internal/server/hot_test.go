@@ -174,8 +174,9 @@ func TestTxBodyStrict(t *testing.T) {
 	}
 }
 
-// TestTxOutOfRangeRefused: an op naming a negative vertex ID or a label
-// outside [0, MaxLabel) is a 400 that commits nothing and leaves no
+// TestTxOutOfRangeRefused: an op naming a negative vertex ID, a vertex or
+// edge source at or past MaxVertexID, or a label outside [0, MaxLabel) is
+// a 400 that commits nothing, allocates nothing for the ID and leaves no
 // vertex lock behind, so a later write to the same vertex commits.
 func TestTxOutOfRangeRefused(t *testing.T) {
 	c, g := startServer(t, core.Options{})
@@ -191,6 +192,9 @@ func TestTxOutOfRangeRefused(t *testing.T) {
 		`{"ops":[{"op":"insertEdge","src":-1,"label":0,"dst":1}]}`,
 		`{"ops":[{"op":"putVertex","id":-1}]}`,
 		`{"ops":[{"op":"delVertex","id":-1}]}`,
+		`{"ops":[{"op":"insertEdge","src":1099511627776,"label":0,"dst":1}]}`,
+		`{"ops":[{"op":"upsertEdge","src":4294967296,"label":0,"dst":1}]}`,
+		`{"ops":[{"op":"putVertex","id":1099511627776}]}`,
 	} {
 		resp, err := http.Post(c.Base+"/v1/tx", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -180,6 +180,11 @@ type Label = core.Label
 // MaxLabel bounds labels: writes take them in [0, MaxLabel).
 const MaxLabel = core.MaxLabel
 
+// MaxVertexID bounds the vertices a write gives records: vertex-op
+// targets and edge sources lie in [0, MaxVertexID). Edge destinations may
+// be any non-negative ID.
+const MaxVertexID = core.MaxVertexID
+
 // Options configures a Graph; the zero value is a volatile in-memory graph.
 type Options = core.Options
 
@@ -218,7 +223,8 @@ var (
 	ErrNotFound    = core.ErrNotFound
 	ErrClosed      = core.ErrClosed
 	// ErrOutOfRange is returned, without aborting the transaction, by a
-	// write naming a negative vertex ID or a label outside [0, MaxLabel).
+	// write naming a vertex or edge source outside [0, MaxVertexID), a
+	// negative destination or a label outside [0, MaxLabel).
 	ErrOutOfRange = core.ErrOutOfRange
 	// ErrHistoryGone is returned by Graph.SnapshotAt and Traversal.AsOf
 	// for epochs older than Options.HistoryRetention.
