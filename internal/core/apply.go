@@ -195,3 +195,18 @@ func (g *Graph) bumpNextVertex(id int64) {
 		}
 	}
 }
+
+// takeVertexID allocates the frontier's ID and moves the frontier past it
+// (AddVertex's fetch-and-add), or returns ErrOutOfRange once the frontier
+// is at MaxVertexID; a CAS, so it never moves the frontier past the bound.
+func (g *Graph) takeVertexID() (VertexID, error) {
+	for {
+		cur := g.nextVertex.Load()
+		if cur >= MaxVertexID {
+			return 0, ErrOutOfRange
+		}
+		if g.nextVertex.CompareAndSwap(cur, cur+1) {
+			return VertexID(cur), nil
+		}
+	}
+}

@@ -356,6 +356,9 @@ func (g *Graph) writeCkpt(w io.Writer, magic []byte, chain []int64, nv int64, sn
 		v := VertexID(i)
 		if ids != nil {
 			v = VertexID(ids[i])
+		} else if c := uint64(i) >> chunkBits; i&(chunkSize-1) == 0 && g.vindex.chunk(c) == nil && g.eindex.chunk(c) == nil {
+			i += chunkSize - 1 // a chunk of IDs with neither payload nor label index
+			continue
 		}
 		data, verr := snap.GetVertex(v)
 		ok := verr == nil

@@ -56,7 +56,8 @@ type walOp struct {
 // record re-encodes to exactly its own bytes. So is an op the write path
 // refuses (ErrOutOfRange): a vertex or edge source outside
 // [0, MaxVertexID), a negative destination or a label outside
-// [0, MaxLabel).
+// [0, MaxLabel). A source at or past MaxVertexID gets its own error, which
+// names the bound: older versions wrote such records.
 func decodeOps(ops []walOp, rec []byte) ([]walOp, error) {
 	bad := ""
 	num := func(what string) int64 {
@@ -90,7 +91,10 @@ func decodeOps(ops []walOp, rec []byte) ([]walOp, error) {
 		default:
 			return nil, fmt.Errorf("livegraph: wal record corrupt (op %d)", op.op)
 		}
-		if uint64(op.v) >= MaxVertexID || op.dst < 0 || uint64(op.label) >= MaxLabel {
+		if bad == "" && op.v >= MaxVertexID {
+			return nil, fmt.Errorf("livegraph: wal record names vertex or edge source %d, at or past MaxVertexID = 2^32; only a version without that bound writes one", op.v)
+		}
+		if op.v < 0 || op.dst < 0 || uint64(op.label) >= MaxLabel {
 			bad = cmp.Or(bad, "vertex id or label out of range")
 		}
 		ops = append(ops, op)

@@ -27,7 +27,8 @@ var (
 
 	// ErrOutOfRange is returned, without aborting the transaction, by a
 	// write naming a vertex or edge source outside [0, MaxVertexID), a
-	// negative destination or a label outside [0, MaxLabel).
+	// negative destination or a label outside [0, MaxLabel), and by
+	// AddVertex once the vertex-ID frontier has reached MaxVertexID.
 	ErrOutOfRange = fmt.Errorf("livegraph: vertex or source outside [0, %d), negative destination or label outside [0, %d)", uint64(MaxVertexID), MaxLabel)
 
 	// ErrNotFound is returned when a referenced vertex or edge does not

@@ -2,8 +2,11 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
+
+	"livegraph/internal/wal"
 )
 
 // TestHugeVertexIDStaysSparse: a write that gives records to a high vertex
@@ -65,6 +68,110 @@ func TestHugeVertexIDStaysSparse(t *testing.T) {
 	}
 	if err := tx.InsertEdge(MaxVertexID-1, 0, MaxVertexID, nil); err != nil {
 		t.Fatalf("the highest source: %v", err)
+	}
+}
+
+// TestFrontierAtMaxVertexIDStaysOpenable: a write at MaxVertexID-1 takes
+// the vertex frontier to the bound, after which AddVertex is refused — on
+// the primary, on a follower promoted from its log, after it reopens from
+// that log and after it reopens from a full checkpoint — so no committed
+// record is one recovery or apply refuses. The checkpoint's dump skips the
+// unallocated chunks below the bound instead of visiting 2^32 IDs.
+func TestFrontierAtMaxVertexIDStaysOpenable(t *testing.T) {
+	top := VertexID(MaxVertexID - 1)
+	for name, c := range map[string]struct {
+		write func(tx *Tx) error
+		read  func(s *Snapshot) error
+	}{
+		"PutVertex": {
+			func(tx *Tx) error { return tx.PutVertex(top, []byte("top")) },
+			func(s *Snapshot) error { _, err := s.GetVertex(top); return err },
+		},
+		"InsertEdge": {
+			func(tx *Tx) error { return tx.InsertEdge(top, 0, 1<<40, nil) },
+			func(s *Snapshot) error { _, err := s.GetEdge(top, 0, 1<<40); return err },
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			refusesAdd := func(g *Graph, who string) {
+				t.Helper()
+				if got := g.NumVertices(); got != MaxVertexID {
+					t.Errorf("%s: frontier %d, want MaxVertexID", who, got)
+				}
+				// Commit whatever AddVertex did: an ID past the bound
+				// would reach the log and fail the reopen below.
+				mustCommit(t, g, func(tx *Tx) {
+					if id, err := tx.AddVertex(nil); !errors.Is(err, ErrOutOfRange) {
+						t.Errorf("%s: AddVertex = %d, %v; want ErrOutOfRange", who, id, err)
+					}
+				})
+				if got := g.NumVertices(); got != MaxVertexID {
+					t.Errorf("%s: a refused AddVertex moved the frontier to %d", who, got)
+				}
+			}
+			dir := t.TempDir()
+			g := openDurable(t, dir)
+			mustCommit(t, g, func(tx *Tx) {
+				if _, err := tx.AddVertex([]byte("low")); err != nil {
+					t.Fatal(err)
+				}
+				if err := c.write(tx); err != nil {
+					t.Fatal(err)
+				}
+			})
+			refusesAdd(g, "primary")
+
+			follower := openFollower(t, Options{})
+			tl := wal.Tail(dir, 0, g.DurableEpoch)
+			catchUp(t, tl, follower)
+			tl.Close()
+			follower.SetFollower(false)
+			refusesAdd(follower, "promoted follower")
+
+			if err := g.Close(); err != nil {
+				t.Fatal(err)
+			}
+			g = openDurable(t, dir)
+			refusesAdd(g, "reopened primary")
+			if err := g.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if err := g.Close(); err != nil {
+				t.Fatal(err)
+			}
+			g = openDurable(t, dir)
+			defer g.Close()
+			refusesAdd(g, "primary reopened from its checkpoint")
+			s, err := g.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Release()
+			if data, err := s.GetVertex(0); err != nil || string(data) != "low" {
+				t.Errorf("vertex 0 after reopen: %q %v", data, err)
+			}
+			if err := c.read(s); err != nil {
+				t.Errorf("the write at MaxVertexID-1 after reopen: %v", err)
+			}
+		})
+	}
+}
+
+// TestDecodeOpsNamesTheVertexBound: a record from a version without
+// MaxVertexID, naming a source past it, is refused with an error that names
+// the bound, so it reads as an upgrade hazard and not as damage.
+func TestDecodeOpsNamesTheVertexBound(t *testing.T) {
+	for _, rec := range [][]byte{
+		appendEdgeOp(nil, opInsertEdge, 1<<40, 0, 1, nil),
+		appendVertexOp(nil, opAddVertex, MaxVertexID, nil),
+	} {
+		_, err := decodeOps(nil, rec)
+		if err == nil || !strings.Contains(err.Error(), "MaxVertexID") {
+			t.Errorf("record %x: %v, want an error naming MaxVertexID", rec, err)
+		}
+	}
+	if _, err := decodeOps(nil, appendVertexOp(nil, opPutVertex, -1, nil)); err == nil || strings.Contains(err.Error(), "MaxVertexID") {
+		t.Errorf("negative vertex: %v, want the plain range error", err)
 	}
 }
 

@@ -232,8 +232,17 @@ func (ov *revOverlay) hasLocked(r int32, src uint32) bool {
 	return false
 }
 
+// empty reports, without the lock, whether the overlay holds no hint —
+// as it does right after a build or fold — so the bottom-up workers'
+// per-candidate reads skip the shared lock. A hint whose edge a reader can
+// see was counted before its commit, so the reader never misses it here.
+func (ov *revOverlay) empty() bool { return ov.hints.Load() == 0 }
+
 // has reports whether dst's run holds src.
 func (ov *revOverlay) has(dst VertexID, src uint32) bool {
+	if ov.empty() {
+		return false
+	}
 	ov.mu.RLock()
 	defer ov.mu.RUnlock()
 	r := ov.runOf(dst)
@@ -242,6 +251,9 @@ func (ov *revOverlay) has(dst VertexID, src uint32) bool {
 
 // holds reports whether dst has a run.
 func (ov *revOverlay) holds(dst VertexID) bool {
+	if ov.empty() {
+		return false
+	}
 	ov.mu.RLock()
 	defer ov.mu.RUnlock()
 	return ov.runOf(dst) >= 0
@@ -250,6 +262,9 @@ func (ov *revOverlay) holds(dst VertexID) bool {
 // chain returns the log and dst's newest hint in it (-1: none); follow
 // prev from there for the rest of the run.
 func (ov *revOverlay) chain(dst VertexID) ([]revOverHint, int32) {
+	if ov.empty() {
+		return nil, -1
+	}
 	ov.mu.RLock()
 	defer ov.mu.RUnlock()
 	if r := ov.runOf(dst); r >= 0 {

@@ -186,12 +186,17 @@ func (tx *Tx) checkWrite() error {
 // AddVertex allocates a new vertex with the given (opaque) property payload
 // and returns its ID. The vertex becomes visible to other transactions at
 // commit (paper §4: atomic fetch-and-add for the ID, index slots filled,
-// lock status set).
+// lock status set). Once the frontier reaches MaxVertexID — a vertex op
+// or edge source at MaxVertexID-1 takes it there — it returns
+// ErrOutOfRange, so no ID it hands out is one decodeOps refuses.
 func (tx *Tx) AddVertex(data []byte) (VertexID, error) {
 	if err := tx.checkWrite(); err != nil {
 		return 0, err
 	}
-	id := VertexID(tx.g.nextVertex.Add(1) - 1)
+	id, err := tx.g.takeVertexID()
+	if err != nil {
+		return 0, err
+	}
 	if err := tx.lock(id); err != nil {
 		return 0, err
 	}

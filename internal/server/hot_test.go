@@ -215,6 +215,19 @@ func TestTxOutOfRangeRefused(t *testing.T) {
 	if d, err := c.Degree(0, core.MaxLabel-1); err != nil || d != 1 {
 		t.Fatalf("degree %d %v, want 1", d, err)
 	}
+	// The highest vertex takes the frontier to MaxVertexID; addVertex is
+	// then a 400 too, not an ID recovery would refuse.
+	if _, err := c.Tx(Op{Op: "putVertex", ID: core.MaxVertexID - 1}); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(c.Base+"/v1/tx", "application/json", strings.NewReader(`{"ops":[{"op":"addVertex"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("addVertex at the frontier MaxVertexID: status %d, want 400", resp.StatusCode)
+	}
 }
 
 // recorder is a reusable http.ResponseWriter: Reset keeps the header map

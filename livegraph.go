@@ -224,7 +224,8 @@ var (
 	ErrClosed      = core.ErrClosed
 	// ErrOutOfRange is returned, without aborting the transaction, by a
 	// write naming a vertex or edge source outside [0, MaxVertexID), a
-	// negative destination or a label outside [0, MaxLabel).
+	// negative destination or a label outside [0, MaxLabel), and by
+	// AddVertex once the vertex-ID frontier has reached MaxVertexID.
 	ErrOutOfRange = core.ErrOutOfRange
 	// ErrHistoryGone is returned by Graph.SnapshotAt and Traversal.AsOf
 	// for epochs older than Options.HistoryRetention.
